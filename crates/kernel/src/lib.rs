@@ -8,8 +8,9 @@
 //!   initialization;
 //! - [`spmm`]: the SpMM-inspired batched kernel computing many windows of
 //!   one multi-window graph simultaneously on interleaved rank vectors;
-//! - [`scheduler`]: the TBB partitioner analogues (auto / simple / static
-//!   + grain size) on top of rayon's work-stealing pool;
+//! - [`scheduler`]: the TBB partitioner analogues (auto / simple / static,
+//!   with a grain size) for window-level and row-level loops, on the
+//!   vendored rayon shim;
 //! - [`linear_system`]: exact dense solution of the paper's Eq. 2 (the
 //!   validation oracle for every iterative kernel);
 //! - [`personalized`]: windowed personalized PageRank (seed-relative

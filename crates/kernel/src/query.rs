@@ -305,7 +305,7 @@ pub fn pagerank_query_batch_obs(
     // makes full-mask (dense SIMD) runs *more* common than in the
     // window-only batch.
     let lane_ranges: Vec<TimeRange> = (0..vl).map(|k| ranges[k / nq]).collect();
-    build_run_masks(pull, &lane_ranges, &mut ws.base);
+    build_run_masks(pull, &lane_ranges, 0..n, &mut ws.base);
     let base = &mut ws.base;
     base.inv_deg.clear();
     base.inv_deg.resize(n * vl, 0.0);

@@ -2,33 +2,52 @@
 //!
 //! The paper drives both window-level and vertex-level loops through Intel
 //! TBB, comparing `auto_partitioner`, `simple_partitioner`, and
-//! `static_partitioner` at many grain sizes. Rayon is the Rust counterpart
-//! of TBB's work-stealing scheduler; this module maps the three TBB
-//! partitioners onto rayon:
+//! `static_partitioner` at many grain sizes. This workspace runs on the
+//! vendored `shims/rayon`, which has no work stealing and no adaptive
+//! splitter: a parallel call hands its tasks, in order, to at most one
+//! freshly scoped thread per pool thread as contiguous blocks, runs them
+//! inline when the pool has one thread or there is one task, and folds the
+//! per-task results left to right from the identity (`with_max_len` is
+//! ignored). So a [`Partitioner`] decides exactly one thing here: where the
+//! task boundaries fall — which fixes how much per-task setup a loop pays
+//! and how its floating-point reduction is grouped. There are two kinds of
+//! loop, and the partitioners mean different things on each.
 //!
-//! - [`Partitioner::Auto`]: split the index range into grain-sized chunks
-//!   and let rayon's adaptive splitter decide how far to actually divide —
-//!   like TBB's `auto_partitioner`, chunks are only broken up when threads
-//!   run out of work.
-//! - [`Partitioner::Simple`]: force splitting all the way down to single
-//!   grain-sized chunks, like TBB's `simple_partitioner`.
-//! - [`Partitioner::Static`]: pre-split the range into exactly one even
-//!   piece per thread with no stealing benefit, like TBB's
-//!   `static_partitioner` (the grain size is ignored, as TBB does when the
-//!   even split already exceeds it).
+//! **Window- and part-level loops** ([`Scheduler::for_each_range`],
+//! [`Scheduler::map_reduce_range`], [`Scheduler::for_each_range_seq`], all
+//! over [`Scheduler::chunks`]). The grain is semantic: consecutive windows
+//! of one grain run in order on one thread, which is what chains partial
+//! initialization and pins iteration totals.
 //!
-//! All loops in the crate funnel through [`Scheduler::for_each_range`] /
-//! [`Scheduler::map_reduce_range`], so every kernel inherits the three
-//! partitioners and the grain-size knob.
+//! - [`Partitioner::Auto`] and [`Partitioner::Simple`]: one task per
+//!   `granularity` consecutive indices.
+//! - [`Partitioner::Static`]: one even piece per pool thread; the grain is
+//!   ignored, as TBB ignores it when the even split already exceeds it.
+//!
+//! **Row-level loops** ([`Scheduler::map_reduce_slice_mut`],
+//! [`Scheduler::map_reduce_rows_mut`] and
+//! [`Scheduler::map_reduce_rows_chunked_mut`], all over
+//! [`Scheduler::row_chunks`]; shared by the SpMV, SpMM, query and streaming
+//! kernels). Rows are independent, so the grain is only a lower bound on a
+//! task's size.
+//!
+//! - [`Partitioner::Auto`]: like TBB's `auto_partitioner`, as few tasks as
+//!   keep the pool busy — even pieces of at least `granularity` rows, at
+//!   most [`AUTO_TASKS_PER_THREAD`] per pool thread, and a single inline
+//!   call (the sequential reduction order) on a one-thread pool.
+//! - [`Partitioner::Simple`]: one task per `granularity` rows however many
+//!   that makes, like TBB's `simple_partitioner` — the curve of Fig. 7.
+//! - [`Partitioner::Static`]: one even piece per pool thread, as above.
 
 use rayon::prelude::*;
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// TBB partitioner analogue selecting how an index range is split.
+/// TBB partitioner analogue selecting how an index range is split (see
+/// the module docs for what each does on window loops and on row loops).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Partitioner {
-    /// Work-stealing with adaptive splitting (TBB `auto_partitioner`).
+    /// As few tasks as keep the pool busy (TBB `auto_partitioner`).
     #[default]
     Auto,
     /// Eager splitting down to grain-sized chunks (TBB `simple_partitioner`).
@@ -36,6 +55,12 @@ pub enum Partitioner {
     /// Even per-thread pre-split, no stealing (TBB `static_partitioner`).
     Static,
 }
+
+/// Most row tasks per pool thread under [`Partitioner::Auto`]: enough
+/// pieces for a stealing pool to even out skewed rows, few enough that
+/// per-task setup (the SpMM body zeroes and folds `3 × 64` accumulators)
+/// stays invisible beside the rows themselves.
+pub const AUTO_TASKS_PER_THREAD: usize = 4;
 
 /// How chunk boundaries weigh the work they enclose.
 ///
@@ -94,8 +119,9 @@ impl Scheduler {
         self
     }
 
-    /// The chunk boundaries this scheduler would use for `n` items: one
-    /// `Range` per leaf task.
+    /// The chunk boundaries of a window- or part-level loop over `n`
+    /// items, one `Range` per task: `granularity` consecutive indices under
+    /// `Auto` and `Simple`, one even piece per thread under `Static`.
     pub fn chunks(&self, n: usize) -> Vec<Range<usize>> {
         let g = self.granularity.max(1);
         let chunk = match self.partitioner {
@@ -115,11 +141,33 @@ impl Scheduler {
         out
     }
 
-    /// Degree-weighted chunk boundaries: the same *number* of chunks as
-    /// [`Scheduler::chunks`] would produce for `prefix.len() - 1` items,
+    /// The task boundaries of a row-level loop over `n` rows. `Simple` and
+    /// `Static` split as [`Scheduler::chunks`] does. `Auto` makes even
+    /// pieces of at least `granularity` rows, at most
+    /// [`AUTO_TASKS_PER_THREAD`] per pool thread and exactly one on a
+    /// one-thread pool (only `n < granularity` makes a shorter piece).
+    pub fn row_chunks(&self, n: usize) -> Vec<Range<usize>> {
+        if self.partitioner != Partitioner::Auto {
+            return self.chunks(n);
+        }
+        if n == 0 {
+            return Vec::new();
+        }
+        let threads = rayon::current_num_threads();
+        let cap = if threads <= 1 {
+            1
+        } else {
+            AUTO_TASKS_PER_THREAD * threads
+        };
+        let k = (n / self.granularity.max(1)).clamp(1, cap);
+        (0..k).map(|i| i * n / k..(i + 1) * n / k).collect()
+    }
+
+    /// Degree-weighted row-task boundaries: the same *number* of chunks as
+    /// [`Scheduler::row_chunks`] would produce for `prefix.len() - 1` rows,
     /// but with boundaries placed at ~equal cumulative weight, so each
     /// task owns about the same amount of enclosed work instead of the
-    /// same item count.
+    /// same row count.
     ///
     /// `prefix` is a non-decreasing prefix sum with `prefix[i]` the total
     /// weight of items `0..i` (so `prefix` has one more entry than there
@@ -133,9 +181,10 @@ impl Scheduler {
             return Vec::new();
         }
         let total = prefix[n] - prefix[0];
-        let k = self.chunks(n).len();
+        let unweighted = self.row_chunks(n);
+        let k = unweighted.len();
         if k <= 1 || total == 0 {
-            return self.chunks(n);
+            return unweighted;
         }
         let mut out = Vec::with_capacity(k);
         let mut lo = 0usize;
@@ -168,8 +217,8 @@ impl Scheduler {
         }
         let chunks = self.chunks(n);
         match self.partitioner {
-            // Adaptive: rayon may merge neighboring chunks into one task
-            // unless stealing demands splitting.
+            // A splitting pool may merge neighboring chunks into one task
+            // (the shim runs them as given).
             Partitioner::Auto => {
                 chunks.into_par_iter().for_each(&f);
             }
@@ -206,10 +255,11 @@ impl Scheduler {
         }
     }
 
-    /// Parallel pass over disjoint mutable chunks of `data`, each paired
-    /// with its offset, reducing the per-chunk results. This is the shape of
-    /// a PageRank iteration: write `y[chunk]` while returning the chunk's
-    /// L1-difference contribution.
+    /// Parallel pass over disjoint mutable chunks of `data` (cut by
+    /// [`Scheduler::row_chunks`]), each paired with its offset, reducing
+    /// the per-chunk results. This is the shape of a PageRank iteration:
+    /// write `y[chunk]` while returning the chunk's L1-difference
+    /// contribution.
     pub fn map_reduce_slice_mut<T, A, M, R>(
         &self,
         data: &mut [T],
@@ -223,37 +273,12 @@ impl Scheduler {
         M: Fn(usize, &mut [T]) -> A + Sync,
         R: Fn(A, A) -> A + Sync + Send,
     {
-        let n = data.len();
-        if n == 0 {
-            return identity;
-        }
-        let chunks = self.chunks(n);
-        // Carve `data` into the scheduler's chunks (disjoint, in order).
-        let mut parts: Vec<(usize, &mut [T])> = Vec::with_capacity(chunks.len());
-        let mut rest = data;
-        let mut offset = 0usize;
-        for c in &chunks {
-            debug_assert_eq!(c.start, offset);
-            let (head, tail) = rest.split_at_mut(c.len());
-            parts.push((offset, head));
-            rest = tail;
-            offset = c.end;
-        }
-        let iter = parts.into_par_iter();
-        match self.partitioner {
-            Partitioner::Auto => iter
-                .map(|(off, s)| map(off, s))
-                .reduce(|| identity.clone(), &reduce),
-            Partitioner::Simple | Partitioner::Static => iter
-                .with_max_len(1)
-                .map(|(off, s)| map(off, s))
-                .reduce(|| identity.clone(), &reduce),
-        }
+        self.map_reduce_rows_mut(data, 1, identity, map, reduce)
     }
 
     /// Like [`Scheduler::map_reduce_slice_mut`] but for row-major data with
     /// `width` elements per row: chunking happens over *rows*, so a chunk's
-    /// slice is always row-aligned. Used by the SpMM kernel, whose rank
+    /// slice is always row-aligned. Used by the query kernel, whose rank
     /// matrix stores `vl` lanes per vertex.
     pub fn map_reduce_rows_mut<T, A, M, R>(
         &self,
@@ -273,15 +298,18 @@ impl Scheduler {
             width > 0 && data.len().is_multiple_of(width),
             "non-rectangular data"
         );
-        let chunks = self.chunks(data.len() / width);
+        let chunks = self.row_chunks(data.len() / width);
         self.map_reduce_rows_chunked_mut(data, width, &chunks, identity, map, reduce)
     }
 
     /// [`Scheduler::map_reduce_rows_mut`] with caller-supplied chunk
-    /// boundaries (e.g. from [`Scheduler::chunks_weighted`], which is how
-    /// the SpMM kernel gets edge-balanced tasks). `chunks` must be
-    /// non-empty ranges exactly covering `0..rows` in order — the shape
-    /// [`Scheduler::chunks`]/[`Scheduler::chunks_weighted`] produce.
+    /// boundaries (from [`Scheduler::row_chunks`], or from
+    /// [`Scheduler::chunks_weighted`] for edge-balanced tasks; the SpMM
+    /// kernel caches its plan across rounds). `chunks` must be non-empty
+    /// ranges exactly covering `0..rows` in order. A one-task plan is a
+    /// plain call of `map` on the calling thread; otherwise the per-task
+    /// results are folded in task order from `identity`, which must be
+    /// neutral under `reduce`.
     pub fn map_reduce_rows_chunked_mut<T, A, M, R>(
         &self,
         data: &mut [T],
@@ -304,6 +332,10 @@ impl Scheduler {
         let rows = data.len() / width;
         if rows == 0 {
             return identity;
+        }
+        if let [only] = chunks {
+            assert!(*only == (0..rows), "chunks must tile rows");
+            return map(0, data);
         }
         let mut parts: Vec<(usize, &mut [T])> = Vec::with_capacity(chunks.len());
         let mut rest = data;
@@ -514,6 +546,102 @@ mod tests {
         assert_eq!(s.chunks(3).len(), 3);
     }
 
+    /// Asserts `chunks` are non-empty ranges covering `0..n` in order.
+    fn assert_tiles(chunks: &[Range<usize>], n: usize, what: &str) {
+        let mut next = 0;
+        for c in chunks {
+            assert_eq!(c.start, next, "{what}");
+            assert!(c.end > c.start, "{what}");
+            next = c.end;
+        }
+        assert_eq!(next, n, "{what}");
+    }
+
+    #[test]
+    fn auto_row_plan_is_bounded_in_size_and_count() {
+        for threads in [1usize, 2, 3, 8] {
+            let pool = thread_pool(threads).unwrap();
+            for g in [1usize, 7, 256] {
+                let s = Scheduler::new(Partitioner::Auto, g);
+                for n in [0usize, 1, 5, 6, 7, 100, 1000, 4097] {
+                    let what = format!("threads={threads} g={g} n={n}");
+                    let chunks = pool.install(|| s.row_chunks(n));
+                    assert_tiles(&chunks, n, &what);
+                    // Only a loop shorter than one grain makes a short task.
+                    assert!(chunks.iter().all(|c| c.len() >= g.min(n)), "{what}");
+                    if threads == 1 {
+                        assert_eq!(chunks.len(), usize::from(n > 0), "{what}");
+                    } else {
+                        // Never above the cap, and not below it once there
+                        // are enough grains to fill it.
+                        assert_eq!(
+                            chunks.len(),
+                            (n / g).clamp(usize::from(n > 0), AUTO_TASKS_PER_THREAD * threads),
+                            "{what}"
+                        );
+                        let (lo, hi) = chunks.iter().fold((usize::MAX, 0), |(lo, hi), c| {
+                            (lo.min(c.len()), hi.max(c.len()))
+                        });
+                        assert!(n == 0 || hi - lo <= 1, "{what}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn simple_and_static_row_plans_are_the_window_plans() {
+        let pool = thread_pool(3).unwrap();
+        for g in [1usize, 3, 8] {
+            let simple = Scheduler::new(Partitioner::Simple, g);
+            let fixed = Scheduler::new(Partitioner::Static, g);
+            for n in [0usize, 1, 10, 100] {
+                let chunks = pool.install(|| simple.row_chunks(n));
+                assert_eq!(chunks.len(), n.div_ceil(g), "Simple g={g} n={n}");
+                assert_eq!(chunks, simple.chunks(n));
+                pool.install(|| assert_eq!(fixed.row_chunks(n), fixed.chunks(n)));
+            }
+        }
+    }
+
+    #[test]
+    fn auto_row_loop_on_one_thread_is_one_call() {
+        let pool = thread_pool(1).unwrap();
+        let s = Scheduler::new(Partitioner::Auto, 1);
+        let calls = AtomicUsize::new(0);
+        let mut data = vec![1.0f64; 300];
+        // A reduce that would betray any extra fold step.
+        let sum = pool.install(|| {
+            s.map_reduce_rows_mut(
+                &mut data,
+                3,
+                f64::NAN,
+                |row0, slice| {
+                    calls.fetch_add(1, Ordering::Relaxed);
+                    assert_eq!((row0, slice.len()), (0, 300));
+                    slice.iter().sum::<f64>()
+                },
+                |_, _| unreachable!("one task needs no reduction"),
+            )
+        });
+        assert_eq!(calls.load(Ordering::Relaxed), 1);
+        assert_eq!(sum, 300.0);
+        // The grain-per-task partitioner still makes every call.
+        let simple = Scheduler::new(Partitioner::Simple, 1);
+        let calls = AtomicUsize::new(0);
+        pool.install(|| {
+            simple.map_reduce_slice_mut(
+                &mut data,
+                (),
+                |_, _| {
+                    calls.fetch_add(1, Ordering::Relaxed);
+                },
+                |_, _| (),
+            )
+        });
+        assert_eq!(calls.load(Ordering::Relaxed), 300);
+    }
+
     #[test]
     fn for_each_range_visits_every_index_once() {
         for part in [Partitioner::Auto, Partitioner::Simple, Partitioner::Static] {
@@ -637,7 +765,7 @@ mod tests {
                 let weights: Vec<usize> = (0..30).map(|i| if i < 3 { 100 } else { 1 }).collect();
                 let prefix = prefix_of(&weights);
                 let chunks = s.chunks_weighted(&prefix);
-                assert_eq!(chunks.len(), s.chunks(30).len(), "{part:?} g={g}");
+                assert_eq!(chunks.len(), s.row_chunks(30).len(), "{part:?} g={g}");
                 let mut next = 0;
                 for c in &chunks {
                     assert_eq!(c.start, next);

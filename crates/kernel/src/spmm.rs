@@ -20,6 +20,8 @@ use crate::pagerank::{guard_check, GuardAction, PrHealth};
 use crate::pagerank::{Init, PrConfig, PrStats};
 use crate::scheduler::{Balance, Scheduler};
 use crate::simd::SimdDispatch;
+use std::ops::Range;
+use std::time::Instant;
 use tempopr_graph::{TemporalCsr, TimeRange, VertexId, WindowIndexView};
 
 /// Maximum lanes per batch (masks are `u64`).
@@ -118,7 +120,7 @@ pub fn pagerank_batch_obs(
 
     // --- Per-batch precompute: run-compressed adjacency + lane masks ----
     let t_setup = obs.now();
-    build_run_masks(pull, ranges, ws);
+    build_run_masks(pull, ranges, 0..n, ws);
     // Out-degrees per lane (interleaved), from the push structure.
     ws.inv_deg.clear();
     ws.inv_deg.resize(n * vl, 0.0);
@@ -148,11 +150,8 @@ pub fn pagerank_batch_obs(
             for i in ws.run_row[v]..ws.run_row[v + 1] {
                 let m = ws.run_mask[i];
                 in_mask |= m;
-                let mut mm = m;
-                while mm != 0 {
-                    let k = mm.trailing_zeros() as usize;
+                for k in lanes(m) {
                     out_deg[k] += 1;
-                    mm &= mm - 1;
                 }
             }
         }
@@ -170,30 +169,31 @@ pub fn pagerank_batch_obs(
         ws.dangling_mask[v] = dangling;
     }
 
-    // Active-vertex counts per lane, and the union active list.
+    // Active vertices per lane (what an index view serves precomputed),
+    // and the union active list.
     ws.active_list.clear();
-    let mut n_act = vec![0usize; vl];
+    let mut lane_verts: Vec<Vec<VertexId>> = vec![Vec::new(); vl];
     for v in 0..n {
-        let mut m = ws.active_mask[v];
+        let m = ws.active_mask[v];
         if m != 0 {
             ws.active_list.push(v as u32);
         }
-        while m != 0 {
-            n_act[m.trailing_zeros() as usize] += 1;
-            m &= m - 1;
+        for k in lanes(m) {
+            lane_verts[k].push(v as VertexId);
         }
     }
-    obs.setup(&n_act, t_setup);
+    let lane_verts: Vec<&[VertexId]> = lane_verts.iter().map(Vec::as_slice).collect();
 
-    batch_iterate(vl, inits, cfg, sched, ws, &n_act, obs)
+    batch_iterate(&lane_verts, inits, cfg, sched, ws, obs, t_setup)
 }
 
 /// [`pagerank_batch`] with per-lane degrees and activity served from
 /// precomputed [`WindowIndexView`]s instead of degree walks over the push
-/// structure: the per-batch setup keeps only the single pull-mask read of
-/// the matrix (needed for the iteration adjacency), eliminating the
-/// `Θ(entries · vl)` out-degree pass. Ranks match [`pagerank_batch`]
-/// bit-for-bit.
+/// structure: the per-batch setup keeps only the pull-mask read of the
+/// union-active rows (needed for the iteration adjacency; a row outside
+/// every view has no in-window run), eliminating the `Θ(entries · vl)`
+/// out-degree pass, and lanes are seeded from the views' vertex lists.
+/// Ranks match [`pagerank_batch`] bit-for-bit.
 pub fn pagerank_batch_indexed(
     pull: &TemporalCsr,
     push: &TemporalCsr,
@@ -238,18 +238,14 @@ pub fn pagerank_batch_indexed_obs(
     }
 
     let t_setup = obs.now();
-    let ranges: Vec<TimeRange> = views.iter().map(|v| v.range).collect();
-    build_run_masks(pull, &ranges, ws);
     ws.inv_deg.clear();
     ws.inv_deg.resize(n * vl, 0.0);
     ws.active_mask.clear();
     ws.active_mask.resize(n, 0);
     ws.dangling_mask.clear();
     ws.dangling_mask.resize(n, 0);
-    let mut n_act = vec![0usize; vl];
     for (k, view) in views.iter().enumerate() {
         let bit = 1u64 << k;
-        n_act[k] = view.vertices.len();
         for (i, &v) in view.vertices.iter().enumerate() {
             let v = v as usize;
             ws.active_mask[v] |= bit;
@@ -265,17 +261,31 @@ pub fn pagerank_batch_indexed_obs(
             ws.active_list.push(v as u32);
         }
     }
-    obs.setup(&n_act, t_setup);
+    let ranges: Vec<TimeRange> = views.iter().map(|v| v.range).collect();
+    let rows = std::mem::take(&mut ws.active_list);
+    build_run_masks(pull, &ranges, rows.iter().map(|&v| v as usize), ws);
+    ws.active_list = rows;
+    let lane_verts: Vec<&[VertexId]> = views.iter().map(|v| v.vertices).collect();
 
-    batch_iterate(vl, inits, cfg, sched, ws, &n_act, obs)
+    batch_iterate(&lane_verts, inits, cfg, sched, ws, obs, t_setup)
 }
 
 /// The shared per-batch iteration phase: lane initialization plus the
 /// masked batched power iteration over the run-compressed adjacency and
-/// activity masks already present in `ws`.
+/// activity masks already present in `ws`. `lane_verts[k]` lists lane
+/// `k`'s active vertices, ascending; `t_setup` is when the caller's setup
+/// began (reported to the observer once the lane sizes are known).
 ///
-/// Three orthogonal optimizations live here; the first two are
-/// bit-identical per lane to the plain masked walk (locked in by
+/// A round costs what its live cells cost. It is driven from the
+/// [`LiveRows`] list — the rows active in at least one lane that has not
+/// converged — and within a row only the lanes in `active_mask[v] & live`
+/// are finalized and scattered back. Everything skipped is either a held
+/// value (a converged lane) or a `+0.0` term into a non-negative sum (a
+/// lane the row is not active in), so each lane's ranks, residuals and
+/// iteration count are those of the full sweep, bit for bit.
+///
+/// Three further optimizations live here; the first two are bit-identical
+/// per lane to the plain masked walk (locked in by
 /// `tests/prop_simd_parity.rs`):
 ///
 /// - **Dense dispatch**: when a run covers every live lane — the dominant
@@ -298,20 +308,23 @@ pub fn pagerank_batch_indexed_obs(
 ///
 /// The per-lane L1-diff reduction also carries each lane's rank mass, so
 /// the numeric-health guards check every live lane per iteration at the
-/// cost of one extra add per (row, live lane). Recovery
-/// (renormalize/restart per [`crate::NumericPolicy`]) is per lane —
-/// healthy lanes are unaffected by a faulting sibling. Injected faults
-/// (`cfg.fault`) target original lane 0, wherever compaction has moved it.
+/// cost of one extra add per live cell. Recovery (renormalize/restart per
+/// [`crate::NumericPolicy`]) is per lane — healthy lanes are unaffected by
+/// a faulting sibling. Injected faults (`cfg.fault`) target original lane
+/// 0 at its first active vertex, wherever compaction has moved the lane.
 fn batch_iterate(
-    vl0: usize,
+    lane_verts: &[&[VertexId]],
     inits: &[Init<'_>],
     cfg: &PrConfig,
     sched: Option<&Scheduler>,
     ws: &mut SpmmWorkspace,
-    n_act: &[usize],
     obs: BatchObs<'_>,
+    t_setup: Option<Instant>,
 ) -> Result<Vec<PrStats>, KernelError> {
+    let vl0 = lane_verts.len();
     let n = ws.active_mask.len();
+    let n_act: Vec<usize> = lane_verts.iter().map(|l| l.len()).collect();
+    obs.setup(&n_act, t_setup);
 
     // --- Initialization ---------------------------------------------------
     ws.x.clear();
@@ -319,11 +332,10 @@ fn batch_iterate(
     ws.y.clear();
     ws.y.resize(n * vl0, 0.0);
     for k in 0..vl0 {
-        initialize_lane(inits[k], k, vl0, &ws.active_mask, n_act[k], &mut ws.x)?;
+        initialize_lane(inits[k], k, vl0, lane_verts[k], n, &mut ws.x)?;
     }
     if let Some(FaultKind::CorruptReciprocal) = cfg.fault {
-        if let Some(&v) = ws
-            .active_list
+        if let Some(&v) = lane_verts[0]
             .iter()
             .find(|&&v| ws.inv_deg[v as usize * vl0] > 0.0)
         {
@@ -334,34 +346,6 @@ fn batch_iterate(
     let dispatch = SimdDispatch::select(cfg.simd);
     let dense = dispatch.dense();
     obs.dispatch(dispatch.isa(), vl0);
-
-    // Edge-balanced chunk plan: degree-weighted boundaries over the active
-    // rows (weight = run count + 1 so runless rows still carry the scatter
-    // cost). Row counts are independent of the lane width, so one plan
-    // serves every iteration, before and after compaction — which also
-    // keeps the reduction grouping (and thus the ranks) stable across
-    // compaction events.
-    let edge_chunks: Option<Vec<std::ops::Range<usize>>> = match sched {
-        Some(s) if s.balance == Balance::Edge => {
-            let mut prefix = Vec::with_capacity(ws.active_list.len() + 1);
-            let mut acc = 0usize;
-            prefix.push(0);
-            for &v in &ws.active_list {
-                let v = v as usize;
-                acc += ws.run_row[v + 1] - ws.run_row[v] + 1;
-                prefix.push(acc);
-            }
-            Some(s.chunks_weighted(&prefix))
-        }
-        _ => None,
-    };
-    // Run entries the propagation pass walks per round: every run of every
-    // active row, however many lanes are live (reported to the observer).
-    let edges_per_round: u64 = ws
-        .active_list
-        .iter()
-        .map(|&v| (ws.run_row[v as usize + 1] - ws.run_row[v as usize]) as u64)
-        .sum();
 
     // --- Batched power iteration ------------------------------------------
     let alpha = cfg.alpha;
@@ -377,13 +361,13 @@ fn batch_iterate(
         .collect();
 
     // Compact lane state: `vl` is the current effective width and
-    // `lane_map[j]` the original lane occupying compact slot `j`. `done`,
-    // `all_done`, and `n_act_c` live in compact space; `stats` stays in
-    // original lane order. Converged columns are parked at their original
-    // positions (stride `vl0`) when compaction drops them.
+    // `lane_map[j]` the original lane occupying compact slot `j`. `done`
+    // and `all_done` live in compact space; `stats`, `n_act` and
+    // `lane_verts` stay in original lane order. Converged columns are
+    // parked at their original positions (stride `vl0`) when compaction
+    // drops them.
     let mut vl = vl0;
     let mut lane_map: Vec<usize> = (0..vl0).collect();
-    let mut n_act_c: Vec<usize> = n_act.to_vec();
     let mut parked: Vec<f64> = Vec::new();
 
     let mut done: u64 = stats
@@ -393,12 +377,17 @@ fn batch_iterate(
         .fold(0u64, |m, (k, _)| m | (1 << k));
     let mut all_done = lane_mask_all(vl);
 
+    // Rebuilt only when a lane converges: compaction renumbers lane bits
+    // but leaves the set of rows with a live lane as it was.
+    let mut live_rows = LiveRows::default();
+    let mut live_rows_stale = true;
+
     let mut iter = 0usize;
     while done != all_done && iter < cfg.max_iters {
         iter += 1;
         match cfg.fault {
             Some(FaultKind::InjectNan { at_iter }) if at_iter == iter => {
-                if let Some(&v) = ws.active_list.first() {
+                if let Some(&v) = lane_verts[0].first() {
                     // Faults target *original* lane 0, which compaction may
                     // have moved to another slot — or parked entirely.
                     match lane_map.iter().position(|&orig| orig == 0) {
@@ -415,33 +404,29 @@ fn batch_iterate(
             _ => {}
         }
         let t_round = obs.now();
-        // Lanes that already converged are masked out of the pull walk and
-        // keep their current values; only live lanes pay for the iteration.
+        // Lanes that already converged are masked out of the round and
+        // keep their current values; only live lanes pay for it.
         let live = !done & all_done;
-        // Dangling mass per lane (active-list scan).
+        if live_rows_stale {
+            live_rows.rebuild(ws, live, sched);
+            live_rows_stale = false;
+        }
+        // Dangling mass per live lane.
         let mut base = [0.0f64; MAX_LANES];
         if has_dangling {
-            for &v in &ws.active_list {
+            for &v in &live_rows.rows {
                 let v = v as usize;
-                // Mask with `live`: converged lanes hold their values, so
-                // accumulating their dangling mass is wasted work (the
-                // result is never read for a dead lane).
-                let mut m = ws.dangling_mask[v] & live;
-                while m != 0 {
-                    let k = m.trailing_zeros() as usize;
+                for k in lanes(ws.dangling_mask[v] & live) {
                     base[k] += ws.x[v * vl + k];
-                    m &= m - 1;
                 }
             }
         }
-        for k in 0..vl {
-            if n_act_c[k] > 0 {
-                base[k] = alpha / n_act_c[k] as f64 + damp * base[k] / n_act_c[k] as f64;
-            }
+        for k in lanes(live) {
+            let n_k = n_act[lane_map[k]] as f64;
+            base[k] = alpha / n_k + damp * base[k] / n_k;
         }
 
-        let n_active = ws.active_list.len();
-        let list = &ws.active_list;
+        let list = &live_rows.rows;
         let x = &ws.x;
         let inv_deg = &ws.inv_deg;
         let active_mask = &ws.active_mask;
@@ -449,17 +434,15 @@ fn batch_iterate(
         let run_nbr = &ws.run_nbr;
         let run_mask = &ws.run_mask;
         // Compact next-iterate matrix: row r of `ws.y` belongs to
-        // active_list[r]; scattered back into `ws.x` after the pass.
-        let compact = &mut ws.y[..n_active * vl];
+        // live_rows.rows[r]; its live cells are scattered back into `ws.x`
+        // after the pass (the other slots of the row are never read).
+        let compact = &mut ws.y[..list.len() * vl];
         let body = |r0: usize, rows: &mut [f64]| -> ([f64; MAX_LANES], [f64; MAX_LANES]) {
             let mut diff = [0.0f64; MAX_LANES];
             let mut mass = [0.0f64; MAX_LANES];
-            let nrows = rows.len() / vl;
             let mut acc = [0.0f64; MAX_LANES];
-            for r in 0..nrows {
+            for (r, row) in rows.chunks_exact_mut(vl).enumerate() {
                 let v = list[r0 + r] as usize;
-                let am = active_mask[v];
-                let row = &mut rows[r * vl..(r + 1) * vl];
                 acc[..vl].iter_mut().for_each(|a| *a = 0.0);
                 for i in run_row[v]..run_row[v + 1] {
                     let u = run_nbr[i] as usize;
@@ -474,27 +457,18 @@ fn batch_iterate(
                             &inv_deg[u * vl..(u + 1) * vl],
                         );
                     } else {
-                        let mut m = rm & live;
-                        while m != 0 {
-                            let k = m.trailing_zeros() as usize;
+                        for k in lanes(rm & live) {
                             acc[k] += x[u * vl + k] * inv_deg[u * vl + k];
-                            m &= m - 1;
                         }
                     }
                 }
-                for (k, y) in row.iter_mut().enumerate() {
-                    let bit = 1u64 << k;
-                    let val = if live & bit == 0 {
-                        x[v * vl + k] // converged lane: hold its value
-                    } else if am & bit != 0 {
-                        base[k] + damp * acc[k]
-                    } else {
-                        0.0
-                    };
-                    diff[k] += (val - x[v * vl + k]).abs();
+                let old = &x[v * vl..(v + 1) * vl];
+                for_each_cell(active_mask[v] & live, all_done, |k| {
+                    let val = base[k] + damp * acc[k];
+                    diff[k] += (val - old[k]).abs();
                     mass[k] += val;
-                    *y = val;
-                }
+                    row[k] = val;
+                });
             }
             (diff, mass)
         };
@@ -506,57 +480,41 @@ fn batch_iterate(
             }
             a
         };
-        let (diff, mass) = match (sched, &edge_chunks) {
-            (Some(s), Some(chunks)) => s.map_reduce_rows_chunked_mut(
+        let (diff, mass) = match sched {
+            Some(s) => s.map_reduce_rows_chunked_mut(
                 compact,
                 vl,
-                chunks,
+                &live_rows.chunks,
                 ([0.0; MAX_LANES], [0.0; MAX_LANES]),
                 body,
                 reduce,
             ),
-            (Some(s), None) => s.map_reduce_rows_mut(
-                compact,
-                vl,
-                ([0.0; MAX_LANES], [0.0; MAX_LANES]),
-                body,
-                reduce,
-            ),
-            (None, _) => body(0, compact),
+            None => body(0, compact),
         };
         let t_mid = obs.now();
-        for (r, &v) in ws.active_list.iter().enumerate() {
+        for (r, &v) in live_rows.rows.iter().enumerate() {
             let v = v as usize;
-            ws.x[v * vl..(v + 1) * vl].copy_from_slice(&ws.y[r * vl..(r + 1) * vl]);
+            let (new, old) = (&ws.y[r * vl..(r + 1) * vl], &mut ws.x[v * vl..(v + 1) * vl]);
+            for_each_cell(ws.active_mask[v] & live, all_done, |k| old[k] = new[k]);
         }
         // Per-lane health check and recovery; a faulted lane skips this
         // iteration's convergence test (its diff reflects the pre-recovery
         // iterate).
         let mut faulted = 0u64;
         if cfg.guard.enabled {
-            let mut m = live;
-            while m != 0 {
-                let k = m.trailing_zeros() as usize;
-                m &= m - 1;
+            for k in lanes(live) {
                 let lane = lane_map[k];
                 match guard_check(diff[k], mass[k], lane, iter, cfg, &mut stats[lane].health)? {
                     GuardAction::Proceed => {}
                     GuardAction::Renormalize { scale } => {
-                        for &v in &ws.active_list {
+                        for &v in lane_verts[lane] {
                             ws.x[v as usize * vl + k] *= scale;
                         }
                         faulted |= 1 << k;
                         obs.lane_guard(lane, iter, false);
                     }
                     GuardAction::Restart => {
-                        initialize_lane(
-                            Init::Uniform,
-                            k,
-                            vl,
-                            &ws.active_mask,
-                            n_act_c[k],
-                            &mut ws.x,
-                        )?;
+                        initialize_lane(Init::Uniform, k, vl, lane_verts[lane], n, &mut ws.x)?;
                         faulted |= 1 << k;
                         obs.lane_guard(lane, iter, true);
                     }
@@ -564,10 +522,7 @@ fn batch_iterate(
             }
         }
         let force = cfg.fault == Some(FaultKind::ForceNonConvergence);
-        for k in 0..vl {
-            if done & (1 << k) != 0 {
-                continue;
-            }
+        for k in lanes(live) {
             let lane = lane_map[k];
             stats[lane].iterations = iter;
             if faulted & (1 << k) != 0 {
@@ -576,20 +531,18 @@ fn batch_iterate(
             if diff[k] < cfg.tol && !force {
                 stats[lane].converged = true;
                 done |= 1 << k;
+                live_rows_stale = true;
             }
         }
         if obs.is_on() {
-            let mut m = live;
-            while m != 0 {
-                let k = m.trailing_zeros() as usize;
-                m &= m - 1;
+            for k in lanes(live) {
                 obs.lane_iteration(lane_map[k], iter, diff[k], mass[k]);
             }
             obs.round(
                 iter,
                 live.count_ones(),
                 vl0,
-                edges_per_round,
+                live_rows.edges,
                 t_round,
                 t_mid,
             );
@@ -600,7 +553,7 @@ fn batch_iterate(
         // scatter, and guards touch only live columns.
         let lc = (!done & all_done).count_ones() as usize;
         if cfg.compaction && lc > 0 && vl >= 8 && lc <= vl / 2 {
-            let vl_new = compact_lanes(ws, vl, vl0, done, &mut lane_map, &mut n_act_c, &mut parked);
+            let vl_new = compact_lanes(ws, vl, vl0, done, &mut lane_map, &mut parked);
             obs.compaction(vl, vl_new);
             vl = vl_new;
             done = 0;
@@ -619,6 +572,80 @@ fn batch_iterate(
         std::mem::swap(&mut ws.x, &mut parked);
     }
     Ok(stats)
+}
+
+/// The rows a round of a lane batch still has to visit, with what the
+/// round derives from them. Rebuilt when the live-lane set loses a lane,
+/// never per round.
+#[derive(Debug, Default)]
+pub(crate) struct LiveRows {
+    /// Rows of the union active list that are active in at least one live
+    /// lane, ascending.
+    pub(crate) rows: Vec<u32>,
+    /// The row-task plan over `rows`: a function of the list and the
+    /// scheduler alone, never of the effective lane width, so SIMD policy
+    /// and compaction cannot move the reduction grouping. Empty without a
+    /// scheduler.
+    pub(crate) chunks: Vec<Range<usize>>,
+    /// Run entries one pull walk over `rows` visits (reported per round).
+    pub(crate) edges: u64,
+}
+
+impl LiveRows {
+    /// Recomputes the list for the `live` lane mask (in the bit numbering
+    /// `ws.active_mask` currently uses) and, from it, the edge count and
+    /// the task plan: even rows under [`Balance::Vertex`], degree-weighted
+    /// boundaries under [`Balance::Edge`] (weight = run count + 1 so
+    /// runless rows still carry their finalize cost).
+    pub(crate) fn rebuild(&mut self, ws: &SpmmWorkspace, live: u64, sched: Option<&Scheduler>) {
+        self.rows.clear();
+        self.rows.extend(
+            ws.active_list
+                .iter()
+                .filter(|&&v| ws.active_mask[v as usize] & live != 0),
+        );
+        let runs = |v: u32| ws.run_row[v as usize + 1] - ws.run_row[v as usize];
+        self.edges = self.rows.iter().map(|&v| runs(v) as u64).sum();
+        self.chunks = match sched {
+            Some(s) if s.balance == Balance::Edge => {
+                let mut prefix = Vec::with_capacity(self.rows.len() + 1);
+                let mut acc = 0usize;
+                prefix.push(0);
+                for &v in &self.rows {
+                    acc += runs(v) + 1;
+                    prefix.push(acc);
+                }
+                s.chunks_weighted(&prefix)
+            }
+            Some(s) => s.row_chunks(self.rows.len()),
+            None => Vec::new(),
+        };
+    }
+}
+
+/// Calls `f` on every lane of `cells`, ascending: the cells of one row a
+/// round has to touch. When they are the whole effective stride `all`
+/// (every lane live, the row active in each) this is a counted loop the
+/// compiler can vectorize; otherwise a bit walk.
+#[inline]
+pub(crate) fn for_each_cell(cells: u64, all: u64, f: impl FnMut(usize)) {
+    if cells == all {
+        (0..all.count_ones() as usize).for_each(f);
+    } else {
+        lanes(cells).for_each(f);
+    }
+}
+
+/// The set bits of `m`, ascending: the lanes a mask selects.
+#[inline]
+pub(crate) fn lanes(mut m: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (m != 0).then(|| {
+            let k = m.trailing_zeros() as usize;
+            m &= m - 1;
+            k
+        })
+    })
 }
 
 /// The all-lanes-done mask for an effective width.
@@ -644,7 +671,6 @@ fn compact_lanes(
     vl0: usize,
     done: u64,
     lane_map: &mut Vec<usize>,
-    n_act_c: &mut Vec<usize>,
     parked: &mut Vec<f64>,
 ) -> usize {
     let n = ws.active_mask.len();
@@ -656,11 +682,8 @@ fn compact_lanes(
     let mut tmp = [0.0f64; MAX_LANES];
     for v in 0..n {
         tmp[..vl].copy_from_slice(&ws.x[v * vl..(v + 1) * vl]);
-        let mut m = done;
-        while m != 0 {
-            let j = m.trailing_zeros() as usize;
+        for j in lanes(done) {
             parked[v * vl0 + lane_map[j]] = tmp[j];
-            m &= m - 1;
         }
         for (jn, &j) in keep.iter().enumerate() {
             ws.x[v * vl_new + jn] = tmp[j];
@@ -680,7 +703,6 @@ fn compact_lanes(
         *m = compress_bits(*m, &keep);
     }
     *lane_map = keep.iter().map(|&j| lane_map[j]).collect();
-    *n_act_c = keep.iter().map(|&j| n_act_c[j]).collect();
     vl_new
 }
 
@@ -693,15 +715,25 @@ pub(crate) fn compress_bits(m: u64, keep: &[usize]) -> u64 {
     out
 }
 
-/// Builds the run-compressed pull adjacency with per-run lane masks.
-pub(crate) fn build_run_masks(pull: &TemporalCsr, ranges: &[TimeRange], ws: &mut SpmmWorkspace) {
+/// Builds the run-compressed pull adjacency with per-run lane masks,
+/// walking only `rows` (ascending): every other row gets an empty run
+/// range. Callers that know the union-active rows pass those — a row
+/// active in no lane has no in-window run — and the rest pass `0..n`.
+pub(crate) fn build_run_masks(
+    pull: &TemporalCsr,
+    ranges: &[TimeRange],
+    rows: impl IntoIterator<Item = usize>,
+    ws: &mut SpmmWorkspace,
+) {
     let n = pull.num_vertices();
     ws.run_row.clear();
     ws.run_row.reserve(n + 1);
     ws.run_nbr.clear();
     ws.run_mask.clear();
     ws.run_row.push(0);
-    for v in 0..n {
+    for v in rows {
+        // Rows skipped since the last walked one start and end here.
+        ws.run_row.resize(v + 1, ws.run_nbr.len());
         for run in pull.runs(v as VertexId) {
             let mut m = 0u64;
             for (k, r) in ranges.iter().enumerate() {
@@ -716,35 +748,31 @@ pub(crate) fn build_run_masks(pull: &TemporalCsr, ranges: &[TimeRange], ws: &mut
         }
         ws.run_row.push(ws.run_nbr.len());
     }
+    ws.run_row.resize(n + 1, ws.run_nbr.len());
 }
 
-/// Per-lane version of [`crate::pagerank::initialize`] over the interleaved
-/// layout.
+/// Seeds lane `k` of the interleaved `x` (stride `vl`) over `verts`, the
+/// lane's active vertices in ascending order: the per-lane version of
+/// [`crate::pagerank::initialize`]. Slots off `verts` are left as they are
+/// — zero, since nothing ever writes a lane outside its active set. `n` is
+/// the vertex universe a caller-provided vector must span.
 fn initialize_lane(
     init: Init<'_>,
     k: usize,
     vl: usize,
-    active_mask: &[u64],
-    n_act: usize,
+    verts: &[VertexId],
+    n: usize,
     x: &mut [f64],
 ) -> Result<(), KernelError> {
-    let n = active_mask.len();
-    let bit = 1u64 << k;
-    if n_act == 0 {
-        for v in 0..n {
-            x[v * vl + k] = 0.0;
-        }
+    if verts.is_empty() {
         return Ok(());
     }
-    let n_act_f = n_act as f64;
+    let n_act_f = verts.len() as f64;
+    let ids = || verts.iter().map(|&v| v as usize);
     match init {
         Init::Uniform => {
-            for v in 0..n {
-                x[v * vl + k] = if active_mask[v] & bit != 0 {
-                    1.0 / n_act_f
-                } else {
-                    0.0
-                };
+            for v in ids() {
+                x[v * vl + k] = 1.0 / n_act_f;
             }
         }
         Init::Provided(p) => {
@@ -756,20 +784,16 @@ fn initialize_lane(
                 });
             }
             let mut sum = 0.0;
-            for v in 0..n {
-                if active_mask[v] & bit != 0 && p[v] > 0.0 {
+            for v in ids() {
+                if p[v] > 0.0 {
                     sum += p[v];
                 }
             }
             if sum <= 0.0 {
-                return initialize_lane(Init::Uniform, k, vl, active_mask, n_act, x);
+                return initialize_lane(Init::Uniform, k, vl, verts, n, x);
             }
-            for v in 0..n {
-                x[v * vl + k] = if active_mask[v] & bit != 0 && p[v] > 0.0 {
-                    p[v] / sum
-                } else {
-                    0.0
-                };
+            for v in ids() {
+                x[v * vl + k] = if p[v] > 0.0 { p[v] / sum } else { 0.0 };
             }
         }
         Init::Partial(prev) => {
@@ -782,20 +806,18 @@ fn initialize_lane(
             }
             let mut shared = 0usize;
             let mut shared_sum = 0.0;
-            for v in 0..n {
-                if active_mask[v] & bit != 0 && prev[v] > 0.0 {
+            for v in ids() {
+                if prev[v] > 0.0 {
                     shared += 1;
                     shared_sum += prev[v];
                 }
             }
             if shared == 0 || shared_sum <= 0.0 {
-                return initialize_lane(Init::Uniform, k, vl, active_mask, n_act, x);
+                return initialize_lane(Init::Uniform, k, vl, verts, n, x);
             }
             let factor = (shared as f64 / n_act_f) / shared_sum;
-            for v in 0..n {
-                x[v * vl + k] = if active_mask[v] & bit == 0 {
-                    0.0
-                } else if prev[v] > 0.0 {
+            for v in ids() {
+                x[v * vl + k] = if prev[v] > 0.0 {
                     prev[v] * factor
                 } else {
                     1.0 / n_act_f
@@ -984,6 +1006,11 @@ mod tests {
         let is = pagerank_batch_indexed(&t, &t, &views, &inits, &cfg(), None, &mut ixd).unwrap();
         assert_eq!(ps, is);
         assert_eq!(plain.x, ixd.x, "ranks must be bit-identical");
+        // The union-row mask build leaves the same adjacency as the full
+        // scan: rows outside every view have no in-window run.
+        assert_eq!(plain.run_row, ixd.run_row);
+        assert_eq!(plain.run_nbr, ixd.run_nbr);
+        assert_eq!(plain.run_mask, ixd.run_mask);
         // Directed, with a scheduler.
         let out = TemporalCsr::from_events(25, &events, false);
         let pull = out.transpose();
@@ -1196,6 +1223,198 @@ mod tests {
         let (expect, _) =
             pagerank_window_vec(&t, &t, ranges[0], Init::Uniform, &cfg(), None).unwrap();
         assert_close(&lane_of(&ws, 0, 16), &expect, 1e-9);
+    }
+
+    /// Three vertex-disjoint communities, one per time slice, each a
+    /// degree-skewed hub-and-ring of a different size so the three windows
+    /// converge at different rounds; vertex 0 belongs to the *last* slice,
+    /// so the union's first row is inactive in lane 0.
+    fn disjoint_community_events() -> (usize, Vec<Event>, Vec<TimeRange>) {
+        let mut events = Vec::new();
+        // Lane 0: vertices 1..=6, t in 0..100.
+        for i in 2..=6u32 {
+            events.push(Event::new(1, i, i as i64));
+            events.push(Event::new(i, 2 + (i % 3), 10 + i as i64));
+        }
+        // Lane 1: vertices 7..=20, t in 100..200.
+        for i in 8..=20u32 {
+            events.push(Event::new(7, i, 100 + i as i64));
+            events.push(Event::new(i, 8 + (i * 5) % 13, 130 + i as i64));
+        }
+        // Lane 2: vertices 0 and 21..=29, t in 200..300.
+        for i in 21..=29u32 {
+            events.push(Event::new(0, i, 200 + i as i64));
+            events.push(Event::new(i, 21 + (i * 2) % 9, 230 + i as i64));
+        }
+        let ranges = vec![
+            TimeRange::new(0, 100),
+            TimeRange::new(100, 200),
+            TimeRange::new(200, 300),
+        ];
+        (30, events, ranges)
+    }
+
+    #[test]
+    fn faults_target_the_first_vertex_active_in_lane_zero() {
+        // Vertex 0, the union's first row, is not active in lane 0: a fault
+        // planted there would sit in a cell no round reads.
+        let (n, events, ranges) = disjoint_community_events();
+        let t = TemporalCsr::from_events(n, &events, true);
+        let inits = vec![Init::Uniform; 3];
+        let nan = PrConfig {
+            fault: Some(crate::FaultKind::InjectNan { at_iter: 2 }),
+            ..cfg()
+        };
+        let mut ws = SpmmWorkspace::default();
+        let stats = pagerank_batch(&t, &t, &ranges, &inits, &nan, None, &mut ws).unwrap();
+        assert_eq!(stats[0].health.restarts, 1, "the injection must fire");
+        assert!(stats[1].health.is_clean() && stats[2].health.is_clean());
+        assert!(stats.iter().all(|s| s.converged));
+        let (expect, _) =
+            pagerank_window_vec(&t, &t, ranges[0], Init::Uniform, &cfg(), None).unwrap();
+        assert_close(&lane_of(&ws, 0, 3), &expect, 1e-9);
+
+        let corrupt = PrConfig {
+            fault: Some(crate::FaultKind::CorruptReciprocal),
+            ..cfg()
+        };
+        let err = pagerank_batch(&t, &t, &ranges, &inits, &corrupt, None, &mut ws).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                KernelError::Numeric {
+                    fault: crate::NumericFault::MassDrift { lane: 0, .. },
+                    ..
+                }
+            ),
+            "{err:?}"
+        );
+    }
+
+    #[test]
+    fn edge_balance_follows_the_live_rows_as_lanes_converge() {
+        use crate::scheduler::Balance;
+        use tempopr_graph::WindowIndex;
+        // The three lanes converge at three different rounds, and each
+        // takes its rows out of the live list as it goes; a weight prefix
+        // left over from the full union would no longer tile the rows.
+        let (n, events, ranges) = disjoint_community_events();
+        let t = TemporalCsr::from_events(n, &events, true);
+        let idx = WindowIndex::build(&t, None, &ranges);
+        let views: Vec<_> = (0..3).map(|j| idx.view(j)).collect();
+        let inits = vec![Init::Uniform; 3];
+        let mut seq = SpmmWorkspace::default();
+        let sstats =
+            pagerank_batch_indexed(&t, &t, &views, &inits, &cfg(), None, &mut seq).unwrap();
+        let mut rounds: Vec<usize> = sstats.iter().map(|s| s.iterations).collect();
+        rounds.dedup();
+        assert_eq!(rounds.len(), 3, "lanes must converge apart: {sstats:?}");
+        for part in [Partitioner::Auto, Partitioner::Simple, Partitioner::Static] {
+            for g in [1, 2, 5] {
+                let s = Scheduler::new(part, g).with_balance(Balance::Edge);
+                let mut par = SpmmWorkspace::default();
+                let pstats =
+                    pagerank_batch_indexed(&t, &t, &views, &inits, &cfg(), Some(&s), &mut par)
+                        .unwrap();
+                // Rows are finalized alone; only the residual's grouping
+                // moves, and it stays clear of the tolerance here.
+                assert_eq!(pstats, sstats, "{part:?} g={g}");
+                assert_eq!(par.x, seq.x, "{part:?} g={g}");
+            }
+        }
+    }
+
+    #[test]
+    fn live_rows_track_the_live_lanes() {
+        let (n, events, ranges) = disjoint_community_events();
+        let t = TemporalCsr::from_events(n, &events, true);
+        let inits = vec![Init::Uniform; 3];
+        let mut ws = SpmmWorkspace::default();
+        pagerank_batch(&t, &t, &ranges, &inits, &cfg(), None, &mut ws).unwrap();
+        let runs_of = |rows: &[u32]| -> u64 {
+            rows.iter()
+                .map(|&v| (ws.run_row[v as usize + 1] - ws.run_row[v as usize]) as u64)
+                .sum()
+        };
+        let s = Scheduler::new(Partitioner::Simple, 4);
+        let mut live = LiveRows::default();
+        live.rebuild(&ws, 0b111, Some(&s));
+        assert_eq!(live.rows, ws.active_list);
+        assert_eq!(live.edges, ws.run_nbr.len() as u64);
+        assert_eq!(live.chunks, s.row_chunks(30));
+        // Lane 1 alone: vertices 7..=20 and nothing else.
+        live.rebuild(&ws, 0b010, Some(&s));
+        assert_eq!(live.rows, (7..=20).collect::<Vec<u32>>());
+        assert_eq!(live.edges, runs_of(&live.rows));
+        assert_eq!(live.chunks, s.row_chunks(14));
+        let edge = s.with_balance(crate::scheduler::Balance::Edge);
+        live.rebuild(&ws, 0b101, Some(&edge));
+        assert_eq!(live.rows.len(), 16);
+        assert_eq!(live.chunks.len(), s.row_chunks(16).len());
+        assert_eq!(live.chunks.last().map(|c| c.end), Some(16));
+        live.rebuild(&ws, 0b101, None);
+        assert!(live.chunks.is_empty());
+    }
+
+    #[test]
+    fn observed_edges_per_round_shrink_with_the_live_rows() {
+        use crate::observe::KernelObserver;
+        use std::sync::Mutex;
+        #[derive(Default)]
+        struct Rounds(Mutex<Vec<(u32, u64)>>);
+        impl KernelObserver for Rounds {
+            fn on_batch_round(
+                &self,
+                _it: u32,
+                live: u32,
+                _total: u32,
+                edges: u64,
+                _s: u64,
+                _c: u64,
+            ) {
+                self.0.lock().unwrap().push((live, edges));
+            }
+        }
+        let (n, events, ranges) = disjoint_community_events();
+        let t = TemporalCsr::from_events(n, &events, true);
+        let inits = vec![Init::Uniform; 3];
+        let rec = Rounds::default();
+        let mut ws = SpmmWorkspace::default();
+        pagerank_batch_obs(
+            &t,
+            &t,
+            &ranges,
+            &inits,
+            &cfg(),
+            None,
+            &mut ws,
+            BatchObs::new(&rec, &[]),
+        )
+        .unwrap();
+        let rounds = rec.0.lock().unwrap().clone();
+        // Disjoint lanes: a round walks exactly the runs of its live lanes.
+        let lane_runs: Vec<u64> = (0..3)
+            .map(|k| ws.run_mask.iter().filter(|&&m| m & (1 << k) != 0).count() as u64)
+            .collect();
+        assert_eq!(rounds[0], (3, lane_runs.iter().sum::<u64>()));
+        let mut per_live: Vec<(u32, u64)> = rounds.clone();
+        per_live.dedup();
+        assert_eq!(per_live.len(), 3, "three live-lane counts: {rounds:?}");
+        for pair in per_live.windows(2) {
+            assert!(pair[1].0 < pair[0].0 && pair[1].1 < pair[0].1, "{rounds:?}");
+        }
+        assert!(lane_runs.contains(&per_live[2].1), "{rounds:?}");
+    }
+
+    #[test]
+    fn lanes_walks_set_bits_ascending() {
+        assert_eq!(lanes(0).count(), 0);
+        assert_eq!(lanes(0b1010_0001).collect::<Vec<_>>(), vec![0, 5, 7]);
+        assert_eq!(
+            lanes(u64::MAX).collect::<Vec<_>>(),
+            (0..64).collect::<Vec<_>>()
+        );
+        assert_eq!(lanes(1 << 63).collect::<Vec<_>>(), vec![63]);
     }
 
     #[test]

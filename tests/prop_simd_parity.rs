@@ -8,9 +8,15 @@
 //! closeness: like a grain-size change, moving chunk boundaries moves the
 //! floating-point reduction grouping, so it is deterministic but not
 //! bit-identical to vertex-balanced runs.
+//!
+//! Lane independence is the property the work-proportional round rests
+//! on: a round visits only the rows with a live lane and, within a row,
+//! only the lanes the row is active in, so what a lane computes must not
+//! depend on which other lanes share its batch or when they converge.
 
 use proptest::prelude::*;
-use tempopr::graph::{Event, EventLog, WindowSpec};
+use tempopr::graph::{Event, EventLog, TemporalCsr, WindowSpec};
+use tempopr::kernel::{pagerank_batch, thread_pool, PrStats, SpmmWorkspace};
 use tempopr::prelude::*;
 
 const MAX_V: u32 = 24;
@@ -32,6 +38,164 @@ fn fingerprint_bits(log: &EventLog, spec: WindowSpec, cfg: PostmortemConfig) -> 
         .iter()
         .map(|w| w.fingerprint.to_bits())
         .collect()
+}
+
+/// Events in four time slices that share no vertex pair across slices:
+/// `[0, 100)` among vertices 0..12, `[100, 200)` among 12..24, `[200, 300)`
+/// a star out of vertex 3 (directed: every edge lands on a dangling leaf),
+/// and `[300, 400)` with nothing at all.
+fn arb_sliced_events() -> impl Strategy<Value = Vec<Event>> {
+    let edges = |lo: u32, t0: i64| {
+        prop::collection::vec(
+            (lo..lo + 12, lo..lo + 12, t0..t0 + 100).prop_map(|(u, v, t)| Event::new(u, v, t)),
+            1..60,
+        )
+    };
+    let star = prop::collection::vec(
+        (16..MAX_V, 200i64..300).prop_map(|(leaf, t)| Event::new(3, leaf, t)),
+        1..8,
+    );
+    (edges(0, 0), edges(12, 100), star).prop_map(|(mut a, b, c)| {
+        a.extend(b);
+        a.extend(c);
+        a
+    })
+}
+
+/// Windows over the slices of [`arb_sliced_events`]: disjoint (0, 1, 6),
+/// overlapping (2, 5, 7), dangling-only when directed (3) and empty (4).
+const LANE_WINDOWS: [(i64, i64); 8] = [
+    (0, 99),
+    (100, 199),
+    (50, 149),
+    (200, 299),
+    (300, 399),
+    (0, 399),
+    (0, 49),
+    (150, 260),
+];
+
+/// Lane `k` of an interleaved `vl`-lane rank matrix, as raw bits.
+fn lane_bits(ws: &SpmmWorkspace, k: usize, vl: usize) -> Vec<u64> {
+    let mut out = vec![0.0; ws.x.len() / vl];
+    ws.copy_lane_into(k, vl, &mut out);
+    out.into_iter().map(f64::to_bits).collect()
+}
+
+#[test]
+fn nested_on_one_thread_is_sequential_bitwise_on_disjoint_windows() {
+    // sw > delta: no two windows share an event, so the lanes of a batch
+    // have disjoint rows and drop out of the live-row list one by one. On
+    // one thread the default scheduler makes one row task, which is the
+    // sequential reduction order — so the default mode must reproduce
+    // `Sequential` to the bit, iteration counts included.
+    let mut events = Vec::new();
+    for i in 0..600u32 {
+        let (u, v) = ((i * 7 + 3) % 40, (i * 13 + i / 40 + 1) % 40);
+        events.push(Event::new(u, v, i64::from(i)));
+    }
+    let log = EventLog::from_unsorted(events, 40).unwrap();
+    let spec = WindowSpec::covering(&log, 12, 25).unwrap();
+    assert!(spec.count >= 20, "{} windows", spec.count);
+    let run = |mode: ParallelMode, lanes: usize| -> Vec<(u64, usize)> {
+        let cfg = PostmortemConfig {
+            threads: 1,
+            mode,
+            kernel: KernelKind::SpMM { lanes },
+            ..PostmortemConfig::default()
+        };
+        let out = PostmortemEngine::new(&log, spec, cfg).unwrap().run();
+        assert!(!out.degraded, "{}", out.status_summary());
+        out.windows
+            .iter()
+            .map(|w| (w.fingerprint.to_bits(), w.stats.iterations))
+            .collect()
+    };
+    for lanes in [4usize, 16] {
+        let nested = run(ParallelMode::Nested, lanes);
+        assert!(nested.iter().any(|&(_, it)| it > 1));
+        assert_eq!(
+            nested,
+            run(ParallelMode::Sequential, lanes),
+            "lanes={lanes}"
+        );
+    }
+}
+
+proptest! {
+    // Each case runs 60 configurations over up to 12 lanes.
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    #[test]
+    fn every_lane_matches_its_own_one_lane_batch(
+        events in arb_sliced_events(),
+        picks in prop::collection::vec(0usize..LANE_WINDOWS.len(), 2..13),
+    ) {
+        let ranges: Vec<TimeRange> = picks
+            .iter()
+            .map(|&i| TimeRange::new(LANE_WINDOWS[i].0, LANE_WINDOWS[i].1))
+            .collect();
+        let vl = ranges.len();
+        let inits = vec![Init::Uniform; vl];
+        let n = MAX_V as usize;
+        // Three threads, so `Auto` makes several tasks (12 at grain 1, 3 at
+        // grain 7) and `Static` three, whatever the host has.
+        let pool = thread_pool(3).unwrap();
+        let scheds = [
+            None,
+            Some(Scheduler::new(Partitioner::Auto, 1)),
+            Some(Scheduler::new(Partitioner::Auto, 7)),
+            Some(Scheduler::new(Partitioner::Simple, 3)),
+            Some(Scheduler::new(Partitioner::Static, 1)),
+        ];
+        for symmetric in [true, false] {
+            let out = TemporalCsr::from_events(n, &events, symmetric);
+            let transposed = (!symmetric).then(|| out.transpose());
+            let pull = transposed.as_ref().unwrap_or(&out);
+            // Each lane alone, on the plain mask walk.
+            let alone = PrConfig {
+                simd: SimdPolicy::BitWalk,
+                compaction: false,
+                ..PrConfig::default()
+            };
+            let expect: Vec<(Vec<u64>, PrStats)> = ranges
+                .iter()
+                .map(|r| {
+                    let mut ws = SpmmWorkspace::default();
+                    let st = pagerank_batch(pull, &out, &[*r], &inits[..1], &alone, None, &mut ws)
+                        .unwrap();
+                    (lane_bits(&ws, 0, 1), st[0])
+                })
+                .collect();
+            let mut ws = SpmmWorkspace::default();
+            for simd in [SimdPolicy::BitWalk, SimdPolicy::Scalar, SimdPolicy::Auto] {
+                for compaction in [false, true] {
+                    let cfg = PrConfig { simd, compaction, ..PrConfig::default() };
+                    for sched in &scheds {
+                        let stats = pool
+                            .install(|| {
+                                pagerank_batch(
+                                    pull, &out, &ranges, &inits, &cfg, sched.as_ref(), &mut ws,
+                                )
+                            })
+                            .unwrap();
+                        for k in 0..vl {
+                            prop_assert_eq!(
+                                stats[k], expect[k].1,
+                                "lane {} of {:?}: {:?} compaction={} {:?} symmetric={}",
+                                k, picks, simd, compaction, sched, symmetric
+                            );
+                            prop_assert_eq!(
+                                &lane_bits(&ws, k, vl), &expect[k].0,
+                                "lane {} of {:?}: {:?} compaction={} {:?} symmetric={}",
+                                k, picks, simd, compaction, sched, symmetric
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
 }
 
 proptest! {
