@@ -241,28 +241,46 @@ fn bench(c: &mut Criterion) {
         })
     });
 
-    // --- spmm_inner: dense dispatch vs the pre-vectorization mask walk ---
-    // Identical windows in every lane make each stored run live in all
-    // lanes, so the inner loop takes the dense full-mask accumulate
-    // (runtime-dispatched AVX2, or the unrolled scalar fallback) on every
-    // neighbor — the case the dispatch targets. Compaction is off in both
-    // arms so the inner loop is the only variable.
+    // --- spmm_inner: the row walks against mask density ------------------
+    // The batch kernel walks a row's runs over whole strides or bit by bit,
+    // by how many of a run's lanes are live (`spmm::VECTOR_ROW_RULE`). The
+    // sweep lays `vl` windows `slide` apart, each `ratio` slides long, so
+    // an event lies in about `ratio` lanes: ratio 1 is the disjoint batch
+    // (one live cell per run), ratio >= vl the all-lanes-overlap one. Each
+    // point runs pinned to the bit walk and under `Auto`, which follows the
+    // rule (row walk iff cells per run >= vl / 8), and prints the live cells
+    // per run it was measured at — where `auto` is the slower arm the
+    // constant is on the wrong side on this host. Compaction is off so the
+    // stride stays `vl` throughout.
     let mut sws = SpmmWorkspace::default();
-    for vl in [8usize, 16, 32] {
-        let ranges = vec![bench_window; vl];
-        let inits = vec![Init::Uniform; vl];
-        for (name, simd) in [
-            ("bitwalk", SimdPolicy::BitWalk),
-            ("dense", SimdPolicy::Auto),
-        ] {
-            let cfg = PrConfig {
-                simd,
-                compaction: false,
-                ..PrConfig::default()
-            };
-            g.bench_function(format!("spmm_inner_vl{vl}/{name}"), |b| {
-                b.iter(|| pagerank_batch(&tcsr, &tcsr, &ranges, &inits, &cfg, None, &mut sws))
-            });
+    for vl in [4usize, 8, 16] {
+        for ratio in [1usize, 2, 4, 8] {
+            let slide = span / (vl + ratio) as i64;
+            let ranges: Vec<TimeRange> = (0..vl as i64)
+                .map(|k| {
+                    let s = log.first_time() + k * slide;
+                    TimeRange::new(s, s + ratio as i64 * slide - 1)
+                })
+                .collect();
+            let inits = vec![Init::Uniform; vl];
+            for (name, simd) in [("bitwalk", SimdPolicy::BitWalk), ("auto", SimdPolicy::Auto)] {
+                let cfg = PrConfig {
+                    simd,
+                    compaction: false,
+                    ..PrConfig::default()
+                };
+                g.bench_function(format!("spmm_inner_vl{vl}_ratio{ratio}/{name}"), |b| {
+                    b.iter(|| pagerank_batch(&tcsr, &tcsr, &ranges, &inits, &cfg, None, &mut sws))
+                });
+            }
+            let (runs, cells) = (
+                sws.run_mask.len(),
+                sws.run_mask.iter().map(|m| m.count_ones()).sum::<u32>(),
+            );
+            println!(
+                "spmm_inner_vl{vl}_ratio{ratio}: {runs} runs, {:.2} live cells per run at the start",
+                f64::from(cells) / runs.max(1) as f64,
+            );
         }
     }
 

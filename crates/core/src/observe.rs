@@ -115,6 +115,35 @@ impl KernelObserver for TelemetryKernelBridge<'_> {
             u64::from(from_lanes.saturating_sub(to_lanes)),
         );
     }
+
+    fn on_batch_live_rows(&self, runs: u64, live_cells: u64, lanes: u32, _vector: bool) {
+        // The evidence the row-walk rule decides on (the decision itself is
+        // counted per round below): counters and a histogram only, so the
+        // automatic choice stays outside the deterministic trace projection.
+        self.tele.add("spmm.live_rows_rebuilds", 1);
+        self.tele.add("spmm.live_runs", runs);
+        self.tele.add("spmm.live_cells", live_cells);
+        if runs > 0 {
+            // What the rule compares with 1/8: live cells per run-lane slot.
+            let slots = runs as f64 * f64::from(lanes.max(1));
+            self.tele
+                .observe("spmm.stride_density", live_cells as f64 / slots);
+        }
+    }
+
+    fn on_batch_row_walk(&self, vector: bool) {
+        let counter = if vector {
+            "spmm.rounds_vector"
+        } else {
+            "spmm.rounds_walk"
+        };
+        self.tele.add(counter, 1);
+    }
+
+    fn on_window_runs(&self, _window: u32, filter_entries: u64, window_runs: u64) {
+        self.tele.add("spmv.filter_entries", filter_entries);
+        self.tele.add("spmv.window_runs", window_runs);
+    }
 }
 
 #[cfg(test)]
@@ -131,6 +160,11 @@ mod tests {
         b.on_batch_round(1, 2, 4, 120, 10, 5);
         b.on_batch_dispatch("avx2", 4);
         b.on_batch_compaction(4, 1);
+        b.on_batch_live_rows(120, 300, 4, true);
+        b.on_batch_row_walk(true);
+        b.on_batch_row_walk(true);
+        b.on_batch_row_walk(false);
+        b.on_window_runs(3, 1000, 170);
         let report = tele.report();
         assert_eq!(report.counter("iterations.total"), 1);
         assert_eq!(report.counter("guard.restart"), 1);
@@ -139,6 +173,13 @@ mod tests {
         assert_eq!(report.counter("kernel.isa.avx2"), 1);
         assert_eq!(report.counter("spmm.compactions"), 1);
         assert_eq!(report.counter("spmm.lanes_compacted"), 3);
+        assert_eq!(report.counter("spmm.live_rows_rebuilds"), 1);
+        assert_eq!(report.counter("spmm.live_runs"), 120);
+        assert_eq!(report.counter("spmm.live_cells"), 300);
+        assert_eq!(report.counter("spmm.rounds_vector"), 2);
+        assert_eq!(report.counter("spmm.rounds_walk"), 1);
+        assert_eq!(report.counter("spmv.filter_entries"), 1000);
+        assert_eq!(report.counter("spmv.window_runs"), 170);
         assert_eq!(report.phase_ns(Phase::WindowSetup), 500);
         assert_eq!(report.phase_ns(Phase::Spmv), 110);
         assert_eq!(report.phase_ns(Phase::ConvergenceCheck), 55);

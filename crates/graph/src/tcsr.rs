@@ -8,8 +8,12 @@
 //! `[Ts, Te]` iff its run contains a timestamp in that range, which a short
 //! forward scan decides with early exit.
 //!
-//! One PageRank SpMV over a window traverses every stored entry once:
-//! `Θ(entries)` — which is why the representation is partitioned into
+//! A window's PageRank reads every stored entry of its active rows once,
+//! `Θ(entries)`, to decide which runs the window holds; the kernels keep
+//! the answer (the SpMV kernel as a list of in-window neighbors, the
+//! batched kernel as per-run lane masks), so a power iteration costs the
+//! in-window runs, not the stored entries. That one pass still grows with
+//! everything stored — which is why the representation is partitioned into
 //! [multi-window graphs](crate::multiwindow) when the full log is much
 //! larger than any single window.
 

@@ -79,6 +79,30 @@ pub trait KernelObserver: Sync {
     fn on_batch_compaction(&self, from_lanes: u32, to_lanes: u32) {
         let _ = (from_lanes, to_lanes);
     }
+
+    /// The window batch rebuilt its live-row list (a lane converged or
+    /// compaction narrowed the stride) and chose the row walk of the
+    /// rounds until the next rebuild: `runs` run entries and `live_cells`
+    /// live (run, lane) cells over the rows that still have a live lane,
+    /// at `lanes` effective lanes; `vector` is the whole-stride walk,
+    /// otherwise the bit walk (see `tempopr_kernel::spmm::VECTOR_ROW_RULE`).
+    fn on_batch_live_rows(&self, runs: u64, live_cells: u64, lanes: u32, vector: bool) {
+        let _ = (runs, live_cells, lanes, vector);
+    }
+
+    /// One round of the window batch walked its rows with the loop the
+    /// last [`KernelObserver::on_batch_live_rows`] announced.
+    fn on_batch_row_walk(&self, vector: bool) {
+        let _ = vector;
+    }
+
+    /// The SpMV kernel filtered a window's pull adjacency, once, before
+    /// its first iteration: `filter_entries` stored entries scanned over
+    /// the active rows, `window_runs` in-window runs kept — what every
+    /// power iteration then gathers over.
+    fn on_window_runs(&self, window: u32, filter_entries: u64, window_runs: u64) {
+        let _ = (window, filter_entries, window_runs);
+    }
 }
 
 /// Nanoseconds of `d`, saturating.
@@ -160,6 +184,15 @@ impl<'a> Obs<'a> {
     pub fn guard(&self, iteration: usize, restart: bool) {
         if let Some(sink) = self.sink {
             sink.on_guard(self.window, iteration as u32, restart);
+        }
+    }
+
+    /// Reports the window's one filter pass; the counts are only taken
+    /// when observing.
+    pub(crate) fn window_runs(&self, counts: impl FnOnce() -> (u64, u64)) {
+        if let Some(sink) = self.sink {
+            let (filter_entries, window_runs) = counts();
+            sink.on_window_runs(self.window, filter_entries, window_runs);
         }
     }
 }
@@ -259,6 +292,20 @@ impl<'a> BatchObs<'a> {
         }
     }
 
+    /// Reports a live-row rebuild and the row walk chosen from it.
+    pub(crate) fn live_rows(&self, runs: u64, live_cells: u64, lanes: usize, vector: bool) {
+        if let Some(sink) = self.sink {
+            sink.on_batch_live_rows(runs, live_cells, lanes as u32, vector);
+        }
+    }
+
+    /// Reports which row walk a round ran.
+    pub(crate) fn row_walk(&self, vector: bool) {
+        if let Some(sink) = self.sink {
+            sink.on_batch_row_walk(vector);
+        }
+    }
+
     /// Reports one live lane's iteration measurements (round-level time is
     /// carried by [`BatchObs::round`], so per-lane ns are 0).
     pub(crate) fn lane_iteration(&self, k: usize, iteration: usize, residual: f64, mass: f64) {
@@ -322,6 +369,24 @@ mod tests {
                 .unwrap()
                 .push(format!("compact {from}->{to}"));
         }
+        fn on_batch_live_rows(&self, runs: u64, cells: u64, lanes: u32, vector: bool) {
+            self.events
+                .lock()
+                .unwrap()
+                .push(format!("rows r{runs} c{cells} l{lanes} vector={vector}"));
+        }
+        fn on_batch_row_walk(&self, vector: bool) {
+            self.events
+                .lock()
+                .unwrap()
+                .push(format!("walk vector={vector}"));
+        }
+        fn on_window_runs(&self, window: u32, entries: u64, runs: u64) {
+            self.events
+                .lock()
+                .unwrap()
+                .push(format!("runs w{window} e{entries} r{runs}"));
+        }
     }
 
     #[test]
@@ -332,12 +397,15 @@ mod tests {
         obs.setup(5, None);
         obs.iteration(1, 0.5, 1.0, None, None);
         obs.guard(1, true);
+        obs.window_runs(|| unreachable!("counts are taken only when observing"));
         let b = BatchObs::off();
         assert!(!b.is_on());
         b.setup(&[1, 2], None);
         b.round(1, 2, 2, 10, None, None);
         b.dispatch("scalar", 2);
         b.compaction(2, 1);
+        b.live_rows(10, 12, 2, true);
+        b.row_walk(true);
         b.lane_iteration(0, 1, 0.5, 1.0);
         b.lane_guard(1, 1, false);
     }
@@ -350,13 +418,15 @@ mod tests {
         obs.setup(3, obs.now());
         obs.iteration(2, 0.25, 1.0, None, None);
         obs.guard(2, true);
+        obs.window_runs(|| (40, 9));
         let got = rec.events.lock().unwrap().clone();
         assert_eq!(
             got,
             vec![
                 "setup w7 a3",
                 "iter w7 i2 r0.25",
-                "guard w7 i2 restart=true"
+                "guard w7 i2 restart=true",
+                "runs w7 e40 r9"
             ]
         );
     }
@@ -390,10 +460,18 @@ mod tests {
         b.dispatch("avx2", 8);
         b.round(2, 5, 8, 1234, None, None);
         b.compaction(8, 3);
+        b.live_rows(1234, 2000, 3, true);
+        b.row_walk(false);
         let got = rec.events.lock().unwrap().clone();
         assert_eq!(
             got,
-            vec!["dispatch avx2 l8", "round i2 live5/8 e1234", "compact 8->3"]
+            vec![
+                "dispatch avx2 l8",
+                "round i2 live5/8 e1234",
+                "compact 8->3",
+                "rows r1234 c2000 l3 vector=true",
+                "walk vector=false"
+            ]
         );
     }
 }

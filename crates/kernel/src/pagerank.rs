@@ -1,12 +1,16 @@
 //! Window PageRank by pull-style SpMV over the temporal CSR (paper §2.2,
 //! §4.1).
 //!
-//! One iteration traverses every stored entry of the (multi-window)
-//! temporal CSR once, testing each neighbor run against the window's time
-//! range — `Θ(entries)` per SpMV, exactly the cost model of the paper. The
-//! kernel supports three initializations: uniform, a caller-provided
-//! vector, and the paper's *partial initialization* (Eq. 4) from the
-//! previous window's ranks.
+//! A window's membership is decided once: before the first iteration one
+//! pass over the active rows' stored entries tests each neighbor run
+//! against the window's time range and keeps the in-window neighbors in a
+//! compact list ([`PrWorkspace::pull_nbr`]). An iteration is then a
+//! gather-sum over that list, so a window costs one `Θ(entries)` filter
+//! pass plus `iterations × in-window runs` — the paper's `Θ(entries)` per
+//! SpMV is paid once per window instead of once per iteration. The kernel
+//! supports three initializations: uniform, a caller-provided vector, and
+//! the paper's *partial initialization* (Eq. 4) from the previous window's
+//! ranks.
 //!
 //! ## Shared semantics
 //! All PageRank implementations in this workspace agree on:
@@ -33,6 +37,8 @@ use crate::error::{FaultKind, KernelError, NumericFault};
 use crate::observe::Obs;
 use crate::scheduler::Scheduler;
 use crate::simd::SimdPolicy;
+use crate::spmm::window_runs;
+use std::time::Instant;
 use tempopr_graph::{Csr, TemporalCsr, TimeRange, VertexId, WindowIndexView};
 
 /// What to do when a numeric-health guard trips (NaN/Inf in the iterate or
@@ -224,6 +230,12 @@ pub struct PrWorkspace {
     pub x: Vec<f64>,
     /// Scratch for the next iterate, indexed by active-list position.
     pub y: Vec<f64>,
+    /// The window's pull adjacency, filtered once per window by the
+    /// temporal kernels: the in-window in-neighbors of active-list
+    /// position `i` are `pull_nbr[pull_off[i]..pull_off[i + 1]]`.
+    pub pull_off: Vec<usize>,
+    /// In-window in-neighbors, row after row, in stored order.
+    pub pull_nbr: Vec<VertexId>,
 }
 
 impl PrWorkspace {
@@ -248,16 +260,13 @@ impl PrWorkspace {
     }
 }
 
-/// The pull sum for one destination vertex: Σ over active in-runs of
-/// `x[u] · inv_deg[u]`.
+/// The pull sum for one destination vertex: Σ over its in-neighbors of
+/// `x[u] · inv_deg[u]`, in the order given.
 #[inline]
-fn pull_sum(pull: &TemporalCsr, range: TimeRange, x: &[f64], inv_deg: &[f64], v: VertexId) -> f64 {
+fn pull_sum(in_nbrs: &[VertexId], x: &[f64], inv_deg: &[f64]) -> f64 {
     let mut s = 0.0;
-    for run in pull.runs(v) {
-        if run.active_in(range) {
-            let u = run.neighbor as usize;
-            s += x[u] * inv_deg[u];
-        }
+    for &u in in_nbrs {
+        s += x[u as usize] * inv_deg[u as usize];
     }
     s
 }
@@ -368,9 +377,17 @@ pub fn pagerank_window_obs(
             }
         }
     }
-    obs.setup(ws.active_list.len(), t_setup);
-
-    power_iterate_window(pull, range, has_dangling, init, cfg, sched, ws, obs)
+    power_iterate_window(
+        pull,
+        range,
+        has_dangling,
+        init,
+        cfg,
+        sched,
+        ws,
+        obs,
+        t_setup,
+    )
 }
 
 /// [`pagerank_window`] with the degree/activity phase served from a
@@ -413,8 +430,17 @@ pub fn pagerank_window_indexed_obs(
     ws.deg_in.clear();
     let t_setup = obs.now();
     let has_dangling = setup_from_index(view, ws);
-    obs.setup(ws.active_list.len(), t_setup);
-    power_iterate_window(pull, view.range, has_dangling, init, cfg, sched, ws, obs)
+    power_iterate_window(
+        pull,
+        view.range,
+        has_dangling,
+        init,
+        cfg,
+        sched,
+        ws,
+        obs,
+        t_setup,
+    )
 }
 
 /// Fills the workspace's degree/activity buffers from an index view in
@@ -501,9 +527,11 @@ pub(crate) fn guard_check(
     }
 }
 
-/// The shared iteration phase of [`pagerank_window`] and
-/// [`pagerank_window_indexed`]: initialization plus damped power iteration
-/// over the active list already present in `ws`.
+/// The shared tail of [`pagerank_window`] and [`pagerank_window_indexed`]:
+/// the window's one filter pass ([`build_pull_list`], the last step of the
+/// setup that began at `t_setup`), then initialization plus damped power
+/// iteration over the active list already present in `ws`, each pull sum a
+/// gather over the filtered list.
 #[allow(clippy::too_many_arguments)]
 fn power_iterate_window(
     pull: &TemporalCsr,
@@ -514,22 +542,87 @@ fn power_iterate_window(
     sched: Option<&Scheduler>,
     ws: &mut PrWorkspace,
     obs: Obs<'_>,
+    t_setup: Option<Instant>,
 ) -> Result<PrStats, KernelError> {
-    iterate_guarded(
-        |x, inv_deg, v| pull_sum(pull, range, x, inv_deg, v),
+    build_pull_list(pull, range, sched, ws);
+    obs.setup(ws.active_list.len(), t_setup);
+    obs.window_runs(|| {
+        let row = pull.row_offsets();
+        let entries = |&v: &u32| (row[v as usize + 1] - row[v as usize]) as u64;
+        (
+            ws.active_list.iter().map(entries).sum(),
+            ws.pull_nbr.len() as u64,
+        )
+    });
+    // The iteration borrows the workspace mutably; the list sits beside it
+    // for the duration and goes back for the next window to reuse.
+    let (off, nbr) = (
+        std::mem::take(&mut ws.pull_off),
+        std::mem::take(&mut ws.pull_nbr),
+    );
+    let stats = iterate_guarded(
+        |x, inv_deg, i, _| pull_sum(&nbr[off[i]..off[i + 1]], x, inv_deg),
         has_dangling,
         init,
         cfg,
         sched,
         ws,
         obs,
-    )
+    );
+    ws.pull_off = off;
+    ws.pull_nbr = nbr;
+    stats
+}
+
+/// Filters the window's pull adjacency into `ws.pull_off` / `ws.pull_nbr`:
+/// one [`window_runs`] walk over the active rows, as a row loop under a
+/// scheduler (tasks fold in row order, so the list is the sequential one).
+fn build_pull_list(
+    pull: &TemporalCsr,
+    range: TimeRange,
+    sched: Option<&Scheduler>,
+    ws: &mut PrWorkspace,
+) {
+    let list = &ws.active_list;
+    ws.pull_off.clear();
+    ws.pull_off.resize(list.len() + 1, 0);
+    ws.pull_nbr.clear();
+    let counts = &mut ws.pull_off[1..];
+    match sched {
+        None => window_runs(pull, range, list, counts, &mut ws.pull_nbr),
+        Some(s) => {
+            ws.pull_nbr = s.map_reduce_slice_mut(
+                counts,
+                Vec::new(),
+                |off, counts| {
+                    let mut nbr = Vec::new();
+                    window_runs(
+                        pull,
+                        range,
+                        &list[off..off + counts.len()],
+                        counts,
+                        &mut nbr,
+                    );
+                    nbr
+                },
+                |mut a, b| {
+                    a.extend(b);
+                    a
+                },
+            );
+        }
+    }
+    let mut end = 0;
+    for o in &mut ws.pull_off[1..] {
+        end += *o;
+        *o = end;
+    }
 }
 
 /// The guarded damped power iteration shared by the temporal and static
-/// pull kernels: `pull_contrib(x, inv_deg, v)` supplies the pull sum for
-/// one destination. Monomorphized per caller, so the hot loop is identical
-/// to a hand-inlined version.
+/// pull kernels: `pull_contrib(x, inv_deg, i, v)` supplies the pull sum for
+/// the destination `v` at active-list position `i`. Monomorphized per
+/// caller, so the hot loop is identical to a hand-inlined version.
 #[allow(clippy::too_many_arguments)]
 fn iterate_guarded<PS>(
     pull_contrib: PS,
@@ -541,7 +634,7 @@ fn iterate_guarded<PS>(
     obs: Obs<'_>,
 ) -> Result<PrStats, KernelError>
 where
-    PS: Fn(&[f64], &[f64], VertexId) -> f64 + Sync,
+    PS: Fn(&[f64], &[f64], usize, VertexId) -> f64 + Sync,
 {
     let n_act = ws.active_list.len();
     if n_act == 0 {
@@ -600,7 +693,7 @@ where
             let mut m = 0.0;
             for (i, yv) in slice.iter_mut().enumerate() {
                 let v = list[off + i];
-                let val = base + damp * pull_contrib(x, inv_deg, v);
+                let val = base + damp * pull_contrib(x, inv_deg, off + i, v);
                 d += (val - x[v as usize]).abs();
                 m += val;
                 *yv = val;
@@ -756,13 +849,7 @@ pub fn pagerank_csr_obs(
     }
     obs.setup(ws.active_list.len(), t_setup);
     iterate_guarded(
-        |x, inv_deg, v| {
-            let mut s = 0.0;
-            for &u in pull.neighbors(v) {
-                s += x[u as usize] * inv_deg[u as usize];
-            }
-            s
-        },
+        |x, inv_deg, _, v| pull_sum(pull.neighbors(v), x, inv_deg),
         has_dangling,
         init,
         cfg,
@@ -1208,6 +1295,180 @@ mod tests {
             )
             .unwrap();
             assert_eq!(plain, ws.x, "directed window {j}");
+        }
+    }
+
+    /// Events before, inside and after the window `[100, 199]`, chosen so
+    /// that the window holds an active row with no in-window pull run
+    /// (directed: vertex 0 only sends) and a receive-only vertex (9), and
+    /// so that stored runs mix in-window and out-of-window timestamps.
+    fn three_era_events() -> Vec<Event> {
+        let mut events = Vec::new();
+        for i in 0..10u32 {
+            // Before the window: a ring, also among window vertices.
+            events.push(Event::new(i, (i + 1) % 10, i as i64));
+            // After it: chords.
+            events.push(Event::new(i, (i + 3) % 10, 250 + i as i64));
+        }
+        // Inside: 0 sends to 1..=5 and receives nothing; 9 only receives;
+        // 1..=5 form a chain whose pairs also met before and after.
+        for i in 1..=5u32 {
+            events.push(Event::new(0, i, 100 + i as i64));
+            events.push(Event::new(i, i % 5 + 1, 120 + i as i64));
+            events.push(Event::new(i, 9, 150 + i as i64));
+        }
+        // A pair with one event in each era: one run, three timestamps.
+        for t in [50, 160, 300] {
+            events.push(Event::new(6, 7, t));
+        }
+        events
+    }
+
+    #[test]
+    fn pull_list_is_the_same_from_every_entry_point_and_schedule() {
+        use tempopr_graph::WindowIndex;
+        let events = three_era_events();
+        let range = TimeRange::new(100, 199);
+        let pool = crate::scheduler::thread_pool(4).unwrap();
+        for symmetric in [true, false] {
+            let out = TemporalCsr::from_events(10, &events, symmetric);
+            let transposed = (!symmetric).then(|| out.transpose());
+            let pull = transposed.as_ref().unwrap_or(&out);
+            let idx = WindowIndex::build(&out, transposed.as_ref(), &[range]);
+            let mut plain = PrWorkspace::default();
+            let stats = pagerank_window(pull, &out, range, Init::Uniform, &cfg(), None, &mut plain)
+                .unwrap();
+            assert!(stats.converged && stats.iterations > 1);
+            // The list is the window's pull adjacency: per active row, the
+            // neighbours of its in-window runs in stored order.
+            let expect: Vec<Vec<VertexId>> = plain
+                .active_list
+                .iter()
+                .map(|&v| pull.active_neighbors(v, range).collect())
+                .collect();
+            assert_eq!(plain.pull_off.len(), plain.active_list.len() + 1);
+            for (i, nbrs) in expect.iter().enumerate() {
+                assert_eq!(
+                    &plain.pull_nbr[plain.pull_off[i]..plain.pull_off[i + 1]],
+                    nbrs.as_slice(),
+                    "row {}",
+                    plain.active_list[i]
+                );
+            }
+            let stored: usize = plain
+                .active_list
+                .iter()
+                .map(|&v| pull.entries(v).0.len())
+                .sum();
+            assert!(
+                plain.pull_nbr.len() < stored,
+                "entries outside the window must be filtered out"
+            );
+            if !symmetric {
+                let at = |v: u32| plain.active_list.iter().position(|&a| a == v).unwrap();
+                let (sender, receiver) = (at(0), at(9));
+                assert_eq!(plain.pull_off[sender], plain.pull_off[sender + 1]);
+                assert_eq!(plain.pull_off[receiver + 1] - plain.pull_off[receiver], 5);
+                assert_eq!(plain.deg_out[9], 0, "vertex 9 only receives");
+            }
+            let scheds = [
+                None,
+                Some(Scheduler::new(Partitioner::Auto, 1)),
+                Some(Scheduler::new(Partitioner::Simple, 3)),
+                Some(Scheduler::new(Partitioner::Static, 1)),
+            ];
+            for sched in &scheds {
+                for indexed in [false, true] {
+                    let mut ws = PrWorkspace::default();
+                    let st = pool
+                        .install(|| {
+                            if indexed {
+                                pagerank_window_indexed(
+                                    pull,
+                                    &out,
+                                    &idx.view(0),
+                                    Init::Uniform,
+                                    &cfg(),
+                                    sched.as_ref(),
+                                    &mut ws,
+                                )
+                            } else {
+                                pagerank_window(
+                                    pull,
+                                    &out,
+                                    range,
+                                    Init::Uniform,
+                                    &cfg(),
+                                    sched.as_ref(),
+                                    &mut ws,
+                                )
+                            }
+                        })
+                        .unwrap();
+                    let what = format!("symmetric={symmetric} indexed={indexed} {sched:?}");
+                    assert_eq!(ws.pull_off, plain.pull_off, "{what}");
+                    assert_eq!(ws.pull_nbr, plain.pull_nbr, "{what}");
+                    // A row's value never depends on the task it falls in
+                    // (only the residual's grouping does), so equal
+                    // iteration counts mean equal bits.
+                    assert_eq!(st, stats, "{what}");
+                    assert_eq!(ws.x, plain.x, "{what}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn pull_list_iteration_matches_the_per_iteration_scan_bitwise() {
+        // The kernel this one replaced tested every stored run against the
+        // window in every iteration; gathering over the filtered list must
+        // give the same products in the same order.
+        let events = three_era_events();
+        let range = TimeRange::new(100, 199);
+        for symmetric in [true, false] {
+            let out = TemporalCsr::from_events(10, &events, symmetric);
+            let transposed = (!symmetric).then(|| out.transpose());
+            let pull = transposed.as_ref().unwrap_or(&out);
+            let mut ws = PrWorkspace::default();
+            let stats =
+                pagerank_window(pull, &out, range, Init::Uniform, &cfg(), None, &mut ws).unwrap();
+            let mut scan = PrWorkspace::default();
+            pagerank_window(
+                pull,
+                &out,
+                range,
+                Init::Uniform,
+                &PrConfig {
+                    max_iters: 0,
+                    ..cfg()
+                },
+                None,
+                &mut scan,
+            )
+            .unwrap();
+            let scanned = iterate_guarded(
+                |x, inv_deg, _, v| {
+                    let mut s = 0.0;
+                    for run in pull.runs(v) {
+                        if run.active_in(range) {
+                            let u = run.neighbor as usize;
+                            s += x[u] * inv_deg[u];
+                        }
+                    }
+                    s
+                },
+                scan.active_list
+                    .iter()
+                    .any(|&v| scan.deg_out[v as usize] == 0),
+                Init::Uniform,
+                &cfg(),
+                None,
+                &mut scan,
+                Obs::off(),
+            )
+            .unwrap();
+            assert_eq!(scanned, stats, "symmetric={symmetric}");
+            assert_eq!(scan.x, ws.x, "symmetric={symmetric}");
         }
     }
 

@@ -10,9 +10,12 @@
 //! SpMM is prized for.
 //!
 //! Window membership per run is folded into a per-run **lane bitmask**,
-//! computed once per batch (the single extra read of the matrix) and then
-//! reused by every iteration, so the per-iteration inner loop is pure
-//! arithmetic plus a popcount-style mask walk.
+//! computed once per batch (the single extra read of the matrix, one sweep
+//! per run: `build_run_masks`) and then reused by every iteration, so the
+//! per-iteration inner loop is pure arithmetic: over whole strides with the
+//! mask applied as an AND where runs are live in enough of the stride
+//! ([`SimdDispatch::accumulate_row`]), over the mask's set bits where they
+//! are not ([`VECTOR_ROW_RULE`]).
 
 use crate::error::{FaultKind, KernelError};
 use crate::observe::BatchObs;
@@ -22,7 +25,7 @@ use crate::scheduler::{Balance, Scheduler};
 use crate::simd::SimdDispatch;
 use std::ops::Range;
 use std::time::Instant;
-use tempopr_graph::{TemporalCsr, TimeRange, VertexId, WindowIndexView};
+use tempopr_graph::{NeighborRun, TemporalCsr, TimeRange, Timestamp, VertexId, WindowIndexView};
 
 /// Maximum lanes per batch (masks are `u64`).
 pub const MAX_LANES: usize = 64;
@@ -288,12 +291,15 @@ pub fn pagerank_batch_indexed_obs(
 /// per lane to the plain masked walk (locked in by
 /// `tests/prop_simd_parity.rs`):
 ///
-/// - **Dense dispatch**: when a run covers every live lane — the dominant
-///   case once windows overlap — the per-lane mask walk is replaced by a
-///   [`SimdDispatch::accumulate`] over the full effective stride (AVX2 or
-///   unrolled scalar per [`PrConfig::simd`]). Live lanes see the exact
-///   multiply/add sequence of the walk; slots belonging to converged or
-///   inactive lanes are computed but never read back.
+/// - **Row walk by mask density**: the pull walk of a row is one of two
+///   loops, chosen per [`LiveRows`] rebuild from what the masks hold
+///   ([`VECTOR_ROW_RULE`]). Where an average run is live in a fair share
+///   of the stride, [`SimdDispatch::accumulate_row`] applies every run to
+///   the whole stride with the lanes outside `run_mask & live` ANDed to
+///   `+0.0` terms (AVX2 or portable per [`PrConfig::simd`]) — no branch on
+///   the mask; where runs are sparse in the stride (many disjoint windows)
+///   the bit walk touches only the cells that exist. A masked-off lane adds
+///   `+0.0` to a non-negative sum, so both give every lane the same bits.
 /// - **Converged-lane compaction** ([`PrConfig::compaction`]): once at
 ///   most half of at least 8 effective lanes are still live, the
 ///   interleaved state is repacked to the live lanes, shrinking the
@@ -344,7 +350,6 @@ fn batch_iterate(
     }
 
     let dispatch = SimdDispatch::select(cfg.simd);
-    let dense = dispatch.dense();
     obs.dispatch(dispatch.isa(), vl0);
 
     // --- Batched power iteration ------------------------------------------
@@ -377,8 +382,8 @@ fn batch_iterate(
         .fold(0u64, |m, (k, _)| m | (1 << k));
     let mut all_done = lane_mask_all(vl);
 
-    // Rebuilt only when a lane converges: compaction renumbers lane bits
-    // but leaves the set of rows with a live lane as it was.
+    // Rebuilt when a lane converges or compaction changes the stride: the
+    // rows, their live cells and the walk chosen from them hold until then.
     let mut live_rows = LiveRows::default();
     let mut live_rows_stale = true;
 
@@ -408,8 +413,9 @@ fn batch_iterate(
         // keep their current values; only live lanes pay for it.
         let live = !done & all_done;
         if live_rows_stale {
-            live_rows.rebuild(ws, live, sched);
+            live_rows.rebuild(ws, live, vl, dispatch.dense(), sched);
             live_rows_stale = false;
+            obs.live_rows(live_rows.edges, live_rows.cells, vl, live_rows.vector);
         }
         // Dangling mass per live lane.
         let mut base = [0.0f64; MAX_LANES];
@@ -427,6 +433,7 @@ fn batch_iterate(
         }
 
         let list = &live_rows.rows;
+        let vector_rows = live_rows.vector;
         let x = &ws.x;
         let inv_deg = &ws.inv_deg;
         let active_mask = &ws.active_mask;
@@ -444,20 +451,20 @@ fn batch_iterate(
             for (r, row) in rows.chunks_exact_mut(vl).enumerate() {
                 let v = list[r0 + r] as usize;
                 acc[..vl].iter_mut().for_each(|a| *a = 0.0);
-                for i in run_row[v]..run_row[v + 1] {
-                    let u = run_nbr[i] as usize;
-                    let rm = run_mask[i];
-                    if dense && rm & live == live {
-                        // Full-mask run: accumulate the whole stride. Live
-                        // lanes see the exact add sequence of the walk
-                        // below; dead-lane slots are never read back.
-                        dispatch.accumulate(
-                            &mut acc[..vl],
-                            &x[u * vl..(u + 1) * vl],
-                            &inv_deg[u * vl..(u + 1) * vl],
-                        );
-                    } else {
-                        for k in lanes(rm & live) {
+                let runs = run_row[v]..run_row[v + 1];
+                if vector_rows {
+                    dispatch.accumulate_row(
+                        &mut acc[..vl],
+                        &run_nbr[runs.clone()],
+                        &run_mask[runs],
+                        live,
+                        x,
+                        inv_deg,
+                    );
+                } else {
+                    for i in runs {
+                        let u = run_nbr[i] as usize;
+                        for k in lanes(run_mask[i] & live) {
                             acc[k] += x[u * vl + k] * inv_deg[u * vl + k];
                         }
                     }
@@ -546,11 +553,12 @@ fn batch_iterate(
                 t_round,
                 t_mid,
             );
+            obs.row_walk(live_rows.vector);
         }
 
         // Converged-lane compaction: once at most half of at least 8
-        // effective lanes are still live, repack so dense accumulates,
-        // scatter, and guards touch only live columns.
+        // effective lanes are still live, repack so the row walk, scatter
+        // and guards touch only live columns.
         let lc = (!done & all_done).count_ones() as usize;
         if cfg.compaction && lc > 0 && vl >= 8 && lc <= vl / 2 {
             let vl_new = compact_lanes(ws, vl, vl0, done, &mut lane_map, &mut parked);
@@ -558,6 +566,8 @@ fn batch_iterate(
             vl = vl_new;
             done = 0;
             all_done = lane_mask_all(vl);
+            // The narrower stride moves the density the walk was chosen on.
+            live_rows_stale = true;
         }
     }
     // Merge the still-compact columns back over the parked ones and
@@ -574,9 +584,22 @@ fn batch_iterate(
     Ok(stats)
 }
 
+/// When a batch's rounds take the whole-stride row walk
+/// ([`SimdDispatch::accumulate_row`]) instead of the bit walk: an average
+/// run of the live rows must be live in at least `1 / VECTOR_ROW_RULE` of
+/// the effective stride, `cells · VECTOR_ROW_RULE ≥ runs · vl`. The bit
+/// walk costs by the cell (5–21 ns per run as cells per run grow), the row
+/// walk by the stride (1.4–5.4 ns per run, growing with `vl / 4` only) plus
+/// a per-row cost that rows of one or two runs do not amortize; 8 keeps
+/// the benchmark's sparse 16-lane batches (1.0 cells per run) on the walk
+/// and puts all but one point of the measured `vl` × overlap sweep on its
+/// faster side (DESIGN §8.1; `spmm_inner` in the micro bench measures it
+/// again).
+pub const VECTOR_ROW_RULE: u64 = 8;
+
 /// The rows a round of a lane batch still has to visit, with what the
-/// round derives from them. Rebuilt when the live-lane set loses a lane,
-/// never per round.
+/// round derives from them. Rebuilt when the live-lane set loses a lane or
+/// compaction narrows the stride, never per round.
 #[derive(Debug, Default)]
 pub(crate) struct LiveRows {
     /// Rows of the union active list that are active in at least one live
@@ -589,30 +612,53 @@ pub(crate) struct LiveRows {
     pub(crate) chunks: Vec<Range<usize>>,
     /// Run entries one pull walk over `rows` visits (reported per round).
     pub(crate) edges: u64,
+    /// Live (run, lane) cells among them: `Σ popcount(run_mask & live)`.
+    pub(crate) cells: u64,
+    /// Whether rounds walk rows with [`SimdDispatch::accumulate_row`]
+    /// (see [`VECTOR_ROW_RULE`]) or bit by bit.
+    pub(crate) vector: bool,
 }
 
 impl LiveRows {
     /// Recomputes the list for the `live` lane mask (in the bit numbering
-    /// `ws.active_mask` currently uses) and, from it, the edge count and
+    /// `ws.active_mask` currently uses, over `vl` effective lanes) and,
+    /// from it, the run and live-cell counts, the walk they select
+    /// (`dense` is whether the SIMD policy allows the row walk at all) and
     /// the task plan: even rows under [`Balance::Vertex`], degree-weighted
     /// boundaries under [`Balance::Edge`] (weight = run count + 1 so
     /// runless rows still carry their finalize cost).
-    pub(crate) fn rebuild(&mut self, ws: &SpmmWorkspace, live: u64, sched: Option<&Scheduler>) {
+    pub(crate) fn rebuild(
+        &mut self,
+        ws: &SpmmWorkspace,
+        live: u64,
+        vl: usize,
+        dense: bool,
+        sched: Option<&Scheduler>,
+    ) {
         self.rows.clear();
         self.rows.extend(
             ws.active_list
                 .iter()
                 .filter(|&&v| ws.active_mask[v as usize] & live != 0),
         );
-        let runs = |v: u32| ws.run_row[v as usize + 1] - ws.run_row[v as usize];
-        self.edges = self.rows.iter().map(|&v| runs(v) as u64).sum();
+        let runs = |v: u32| ws.run_row[v as usize]..ws.run_row[v as usize + 1];
+        (self.edges, self.cells) = (0, 0);
+        for &v in &self.rows {
+            let masks = &ws.run_mask[runs(v)];
+            self.edges += masks.len() as u64;
+            self.cells += masks
+                .iter()
+                .map(|&m| u64::from((m & live).count_ones()))
+                .sum::<u64>();
+        }
+        self.vector = dense && self.cells * VECTOR_ROW_RULE >= self.edges * vl as u64;
         self.chunks = match sched {
             Some(s) if s.balance == Balance::Edge => {
                 let mut prefix = Vec::with_capacity(self.rows.len() + 1);
                 let mut acc = 0usize;
                 prefix.push(0);
                 for &v in &self.rows {
-                    acc += runs(v) + 1;
+                    acc += runs(v).len() + 1;
                     prefix.push(acc);
                 }
                 s.chunks_weighted(&prefix)
@@ -719,6 +765,11 @@ pub(crate) fn compress_bits(m: u64, keep: &[usize]) -> u64 {
 /// walking only `rows` (ascending): every other row gets an empty run
 /// range. Callers that know the union-active rows pass those — a row
 /// active in no lane has no in-window run — and the rest pass `0..n`.
+///
+/// When `ranges` ascend in start and in end (every engine caller's do,
+/// repeats included: the query axis hands each window's range once per
+/// query) a run's mask comes from one sweep over its timestamps
+/// ([`sweep_run_mask`]); any other order asks each lane in turn.
 pub(crate) fn build_run_masks(
     pull: &TemporalCsr,
     ranges: &[TimeRange],
@@ -726,6 +777,9 @@ pub(crate) fn build_run_masks(
     ws: &mut SpmmWorkspace,
 ) {
     let n = pull.num_vertices();
+    let ascending = ranges
+        .windows(2)
+        .all(|w| w[0].start <= w[1].start && w[0].end <= w[1].end);
     ws.run_row.clear();
     ws.run_row.reserve(n + 1);
     ws.run_nbr.clear();
@@ -735,12 +789,11 @@ pub(crate) fn build_run_masks(
         // Rows skipped since the last walked one start and end here.
         ws.run_row.resize(v + 1, ws.run_nbr.len());
         for run in pull.runs(v as VertexId) {
-            let mut m = 0u64;
-            for (k, r) in ranges.iter().enumerate() {
-                if run.active_in(*r) {
-                    m |= 1 << k;
-                }
-            }
+            let m = if ascending {
+                sweep_run_mask(run.times, ranges)
+            } else {
+                scan_run_mask(&run, ranges)
+            };
             if m != 0 {
                 ws.run_nbr.push(run.neighbor);
                 ws.run_mask.push(m);
@@ -749,6 +802,68 @@ pub(crate) fn build_run_masks(
         ws.run_row.push(ws.run_nbr.len());
     }
     ws.run_row.resize(n + 1, ws.run_nbr.len());
+}
+
+/// The lanes whose range holds one of a run's events, asked lane by lane
+/// with [`NeighborRun::active_in`]: the definition, for ranges in any
+/// order.
+fn scan_run_mask(run: &NeighborRun<'_>, ranges: &[TimeRange]) -> u64 {
+    let mut m = 0u64;
+    for (k, r) in ranges.iter().enumerate() {
+        if run.active_in(*r) {
+            m |= 1 << k;
+        }
+    }
+    m
+}
+
+/// [`scan_run_mask`] in one pass over the run's ascending `times`, for
+/// `ranges` ascending in start and in end. The lanes holding a timestamp
+/// `t` are then one interval `lo..hi` of the lane order — `hi` counts the
+/// ranges that start at or before `t`, `lo` those that end before it, both
+/// by comparison without a branch — ORed into the mask for every timestamp
+/// inside the batch's span (first start to last end); the ones before it
+/// are skipped and the first one past it ends the sweep.
+fn sweep_run_mask(times: &[Timestamp], ranges: &[TimeRange]) -> u64 {
+    let (Some(first), Some(last)) = (ranges.first(), ranges.last()) else {
+        return 0;
+    };
+    let mut m = 0u64;
+    for &t in times {
+        if t < first.start {
+            continue;
+        }
+        if t > last.end {
+            break;
+        }
+        let (mut lo, mut hi) = (0usize, 0usize);
+        for r in ranges {
+            hi += usize::from(r.start <= t);
+            lo += usize::from(r.end < t);
+        }
+        // `lo >= hi` (a gap between ranges) leaves nothing of the prefix.
+        m |= lane_mask_all(hi) & !lane_mask_all(lo);
+    }
+    m
+}
+
+/// The one-window form of [`build_run_masks`], for the SpMV kernel: walks
+/// the pull runs of `rows` and appends to `nbr`, in stored order, the
+/// neighbour of every run active in `range`, writing each row's count into
+/// `counts` (one slot per row). A window's membership is decided here once;
+/// the power iterations gather over the list.
+pub(crate) fn window_runs(
+    pull: &TemporalCsr,
+    range: TimeRange,
+    rows: &[u32],
+    counts: &mut [usize],
+    nbr: &mut Vec<VertexId>,
+) {
+    for (&v, count) in rows.iter().zip(counts) {
+        let before = nbr.len();
+        nbr.extend(pull.active_neighbors(v, range));
+        *count = nbr.len() - before;
+    }
 }
 
 /// Seeds lane `k` of the interleaved `x` (stride `vl`) over `verts`, the
@@ -1338,22 +1453,50 @@ mod tests {
         };
         let s = Scheduler::new(Partitioner::Simple, 4);
         let mut live = LiveRows::default();
-        live.rebuild(&ws, 0b111, Some(&s));
+        live.rebuild(&ws, 0b111, 3, true, Some(&s));
         assert_eq!(live.rows, ws.active_list);
         assert_eq!(live.edges, ws.run_nbr.len() as u64);
         assert_eq!(live.chunks, s.row_chunks(30));
         // Lane 1 alone: vertices 7..=20 and nothing else.
-        live.rebuild(&ws, 0b010, Some(&s));
+        live.rebuild(&ws, 0b010, 3, true, Some(&s));
         assert_eq!(live.rows, (7..=20).collect::<Vec<u32>>());
         assert_eq!(live.edges, runs_of(&live.rows));
         assert_eq!(live.chunks, s.row_chunks(14));
         let edge = s.with_balance(crate::scheduler::Balance::Edge);
-        live.rebuild(&ws, 0b101, Some(&edge));
+        live.rebuild(&ws, 0b101, 3, true, Some(&edge));
         assert_eq!(live.rows.len(), 16);
         assert_eq!(live.chunks.len(), s.row_chunks(16).len());
         assert_eq!(live.chunks.last().map(|c| c.end), Some(16));
-        live.rebuild(&ws, 0b101, None);
+        live.rebuild(&ws, 0b101, 3, true, None);
         assert!(live.chunks.is_empty());
+    }
+
+    #[test]
+    fn the_row_walk_follows_the_density_of_live_cells() {
+        // Disjoint lanes, so every run is live in exactly one of them:
+        // `cells == runs`, and the rule `cells * 8 >= runs * vl` holds up to
+        // a stride of 8 lanes and fails above it.
+        let (n, events, ranges) = disjoint_community_events();
+        let t = TemporalCsr::from_events(n, &events, true);
+        let mut ws = SpmmWorkspace::default();
+        build_run_masks(&t, &ranges, 0..n, &mut ws);
+        ws.active_list = (0..n as u32).collect();
+        ws.active_mask = vec![0b111; n];
+        let mut live = LiveRows::default();
+        for (vl, vector) in [(3, true), (8, true), (9, false), (16, false)] {
+            live.rebuild(&ws, 0b111, vl, true, None);
+            assert_eq!(live.cells, live.edges);
+            assert_eq!(live.vector, vector, "vl={vl}");
+            live.rebuild(&ws, 0b111, vl, false, None);
+            assert!(!live.vector, "BitWalk pins the bit walk, vl={vl}");
+        }
+        // Cells are counted under `live`: with lane 1 converged its runs
+        // stay in the rows' ranges but hold no live cell.
+        live.rebuild(&ws, 0b101, 3, true, None);
+        assert_eq!(live.edges, ws.run_nbr.len() as u64);
+        let lane1 = ws.run_mask.iter().filter(|&&m| m == 0b010).count() as u64;
+        assert!(lane1 > 0);
+        assert_eq!(live.cells, live.edges - lane1);
     }
 
     #[test]

@@ -1,8 +1,10 @@
 //! Property-based parity tests for the vectorized SpMM hot path: the
-//! dense dispatch (auto-detected AVX2 or forced scalar) and converged-lane
-//! compaction must produce **byte-identical** rank fingerprints to the
-//! pre-vectorization mask-walk kernel, across arbitrary event logs, vector
-//! lengths, partitioners, grain sizes, and pipeline modes.
+//! whole-stride row walk (auto-detected AVX2 or forced scalar), chosen per
+//! batch by mask density, and converged-lane compaction must produce
+//! **byte-identical** rank fingerprints to the pre-vectorization mask-walk
+//! kernel, across arbitrary event logs, vector lengths, partitioners, grain
+//! sizes, and pipeline modes — and the run masks both walks read must be
+//! the ones a lane-by-lane scan of every run gives.
 //!
 //! Edge-balanced chunking is checked separately and only for numerical
 //! closeness: like a grain-size change, moving chunk boundaries moves the
@@ -18,6 +20,7 @@ use proptest::prelude::*;
 use tempopr::graph::{Event, EventLog, TemporalCsr, WindowSpec};
 use tempopr::kernel::{pagerank_batch, thread_pool, PrStats, SpmmWorkspace};
 use tempopr::prelude::*;
+use tempopr::telemetry::Telemetry;
 
 const MAX_V: u32 = 24;
 
@@ -82,6 +85,17 @@ fn lane_bits(ws: &SpmmWorkspace, k: usize, vl: usize) -> Vec<u64> {
     out.into_iter().map(f64::to_bits).collect()
 }
 
+/// 600 events over 40 vertices, one per time unit: windows of 12 units
+/// every 25 share no event, windows of 100 every 25 share three quarters.
+fn one_event_per_tick_log() -> EventLog {
+    let mut events = Vec::new();
+    for i in 0..600u32 {
+        let (u, v) = ((i * 7 + 3) % 40, (i * 13 + i / 40 + 1) % 40);
+        events.push(Event::new(u, v, i64::from(i)));
+    }
+    EventLog::from_unsorted(events, 40).unwrap()
+}
+
 #[test]
 fn nested_on_one_thread_is_sequential_bitwise_on_disjoint_windows() {
     // sw > delta: no two windows share an event, so the lanes of a batch
@@ -89,12 +103,7 @@ fn nested_on_one_thread_is_sequential_bitwise_on_disjoint_windows() {
     // one thread the default scheduler makes one row task, which is the
     // sequential reduction order — so the default mode must reproduce
     // `Sequential` to the bit, iteration counts included.
-    let mut events = Vec::new();
-    for i in 0..600u32 {
-        let (u, v) = ((i * 7 + 3) % 40, (i * 13 + i / 40 + 1) % 40);
-        events.push(Event::new(u, v, i64::from(i)));
-    }
-    let log = EventLog::from_unsorted(events, 40).unwrap();
+    let log = one_event_per_tick_log();
     let spec = WindowSpec::covering(&log, 12, 25).unwrap();
     assert!(spec.count >= 20, "{} windows", spec.count);
     let run = |mode: ParallelMode, lanes: usize| -> Vec<(u64, usize)> {
@@ -119,6 +128,88 @@ fn nested_on_one_thread_is_sequential_bitwise_on_disjoint_windows() {
             run(ParallelMode::Sequential, lanes),
             "lanes={lanes}"
         );
+    }
+}
+
+#[test]
+fn both_row_walks_run_and_agree_on_overlapping_windows() {
+    // sw < delta, the twin of the disjoint log above: every event lies in
+    // four windows, so a 16-lane batch starts above the density rule (the
+    // whole-stride walk), falls below it as lanes converge and their cells
+    // die (the bit walk), and crosses back when compaction narrows the
+    // stride. Whatever the rounds ran, every policy must land on the mask
+    // walk's bits.
+    let log = one_event_per_tick_log();
+    let overlapping = WindowSpec::covering(&log, 100, 25).unwrap();
+    let disjoint = WindowSpec::covering(&log, 12, 25).unwrap();
+    assert!(overlapping.count >= 20, "{} windows", overlapping.count);
+    // (fingerprints, iterations) per window and (vector, walk) round counts.
+    type Run = (Vec<(u64, usize)>, (u64, u64));
+    let run = |spec: WindowSpec, sched: Scheduler, simd: SimdPolicy, compaction: bool| -> Run {
+        let cfg = PostmortemConfig {
+            threads: 2,
+            kernel: KernelKind::SpMM { lanes: 16 },
+            scheduler: sched,
+            pr: PrConfig {
+                simd,
+                compaction,
+                ..PrConfig::default()
+            },
+            ..PostmortemConfig::default()
+        };
+        let tele = Telemetry::enabled();
+        let out = PostmortemEngine::with_telemetry(&log, spec, cfg, tele.clone())
+            .unwrap()
+            .run();
+        assert!(!out.degraded, "{}", out.status_summary());
+        let report = tele.report();
+        let rounds = (
+            report.counter("spmm.rounds_vector"),
+            report.counter("spmm.rounds_walk"),
+        );
+        assert_eq!(rounds.0 + rounds.1, report.counter("spmm.rounds"));
+        let cells = out
+            .windows
+            .iter()
+            .map(|w| (w.fingerprint.to_bits(), w.stats.iterations))
+            .collect();
+        (cells, rounds)
+    };
+    let env = std::env::var("TEMPOPR_SIMD").ok();
+    let auto_is_bitwalk = env.as_deref().map(str::trim) == Some("bitwalk");
+    for sched in [
+        Scheduler::new(Partitioner::Auto, 1),
+        Scheduler::new(Partitioner::Simple, 3),
+        Scheduler::new(Partitioner::Static, 1),
+    ] {
+        let (reference, (vector, walk)) = run(overlapping, sched, SimdPolicy::BitWalk, false);
+        assert!(reference.iter().any(|&(_, it)| it > 1));
+        assert!(
+            vector == 0 && walk > 0,
+            "BitWalk pins the walk: {vector}/{walk}"
+        );
+        for simd in [SimdPolicy::BitWalk, SimdPolicy::Scalar, SimdPolicy::Auto] {
+            for compaction in [false, true] {
+                let (got, (vector, walk)) = run(overlapping, sched, simd, compaction);
+                assert_eq!(got, reference, "{simd:?} compaction={compaction} {sched:?}");
+                let walks_only =
+                    simd == SimdPolicy::BitWalk || (simd == SimdPolicy::Auto && auto_is_bitwalk);
+                if walks_only {
+                    assert_eq!(vector, 0, "{simd:?} compaction={compaction}");
+                } else {
+                    assert!(
+                        vector > 0 && walk > 0,
+                        "{simd:?} compaction={compaction} {sched:?}: both walks must run, \
+                         got {vector} vector and {walk} bit-walk rounds"
+                    );
+                }
+            }
+        }
+        // One live cell per run in 16 lanes: without compaction the
+        // disjoint log never reaches the rule, with it only once the
+        // stride has shrunk to 8.
+        let (_, (vector, walk)) = run(disjoint, sched, SimdPolicy::Scalar, false);
+        assert!(vector == 0 && walk > 0, "disjoint: {vector}/{walk}");
     }
 }
 
@@ -346,5 +437,89 @@ proptest! {
         for (w, (a, b)) in vertex.iter().zip(edge.iter()).enumerate() {
             prop_assert!((a - b).abs() < 1e-7, "window {}: {} vs {}", w, a, b);
         }
+    }
+}
+
+/// Lane ranges for the run-mask property, by `shape`: 0–2 four, sixteen
+/// and sixty-four lanes ascending in start and in end (sixty-four starts
+/// and ends drawn apart and paired in order, so gaps, nesting, shared
+/// bounds and inverted — empty — ranges all occur; every subsequence of the
+/// pairing still ascends), 3 the same with every range repeated (the query
+/// axis), 4 one lane, 5 a slice that does not ascend.
+fn mask_ranges(shape: usize, mut starts: Vec<i64>, mut ends: Vec<i64>) -> Vec<TimeRange> {
+    starts.sort_unstable();
+    ends.sort_unstable();
+    let ascending = starts
+        .iter()
+        .zip(&ends)
+        .map(|(&s, &e)| TimeRange::new(s, e));
+    match shape {
+        3 => ascending
+            .step_by(4)
+            .flat_map(|r| std::iter::repeat_n(r, 4))
+            .collect(),
+        4 => ascending.take(1).collect(),
+        5 => {
+            // The later lane starts first and the earlier one ends last:
+            // no interval of the lane order holds a timestamp's lanes.
+            let mut r = vec![TimeRange::new(30, 59), TimeRange::new(0, 29)];
+            r.extend(ascending.rev().step_by(5));
+            r
+        }
+        // 4, 16 and 64 lanes.
+        0 => ascending.step_by(16).collect(),
+        1 => ascending.step_by(4).collect(),
+        _ => ascending.collect(),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    #[test]
+    fn run_masks_match_the_per_lane_scan(
+        // Few vertices and a short time axis: long runs, and timestamps
+        // that land on range starts and ends; events reach past the
+        // ranges' span on both sides.
+        events in prop::collection::vec(
+            (0u32..8, 0u32..8, -20i64..80).prop_map(|(u, v, t)| Event::new(u, v, t)),
+            1..120,
+        ),
+        starts in prop::collection::vec(0i64..60, 64..65),
+        ends in prop::collection::vec(0i64..60, 64..65),
+        shape in 0usize..6,
+        symmetric in any::<bool>(),
+    ) {
+        let ranges = mask_ranges(shape, starts, ends);
+        let ascends = ranges
+            .windows(2)
+            .all(|w| w[0].start <= w[1].start && w[0].end <= w[1].end);
+        prop_assert_eq!(ascends, shape != 5, "shape {}: {:?}", shape, ranges);
+        let out = TemporalCsr::from_events(8, &events, symmetric);
+        let transposed = (!symmetric).then(|| out.transpose());
+        let pull = transposed.as_ref().unwrap_or(&out);
+        // No iterations: the workspace keeps the batch's setup as built.
+        let setup_only = PrConfig { max_iters: 0, ..PrConfig::default() };
+        let inits = vec![Init::Uniform; ranges.len()];
+        let mut ws = SpmmWorkspace::default();
+        pagerank_batch(pull, &out, &ranges, &inits, &setup_only, None, &mut ws).unwrap();
+        let (mut row, mut nbr, mut mask) = (vec![0usize], Vec::new(), Vec::new());
+        for v in 0..8u32 {
+            for run in pull.runs(v) {
+                let m = ranges
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, r)| run.active_in(**r))
+                    .fold(0u64, |m, (k, _)| m | 1 << k);
+                if m != 0 {
+                    nbr.push(run.neighbor);
+                    mask.push(m);
+                }
+            }
+            row.push(nbr.len());
+        }
+        prop_assert_eq!(&ws.run_row, &row, "shape {}: {:?}", shape, ranges);
+        prop_assert_eq!(&ws.run_nbr, &nbr, "shape {}: {:?}", shape, ranges);
+        prop_assert_eq!(&ws.run_mask, &mask, "shape {}: {:?}", shape, ranges);
     }
 }
