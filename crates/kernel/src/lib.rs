@@ -7,7 +7,8 @@
 //!   temporal CSR, with uniform / provided / partial (Eq. 4)
 //!   initialization;
 //! - [`spmm`]: the SpMM-inspired batched kernel computing many windows of
-//!   one multi-window graph simultaneously on interleaved rank vectors;
+//!   one multi-window graph simultaneously on interleaved rank vectors —
+//!   and the crate's one lane-batched round loop, generic over a lane rule;
 //! - [`scheduler`]: the TBB partitioner analogues (auto / simple / static,
 //!   with a grain size) for window-level and row-level loops, on the
 //!   vendored rayon shim;
@@ -17,7 +18,10 @@
 //!   importance);
 //! - [`query`]: the (window × query) generalization of the SpMM batch —
 //!   many personalized seeds / (alpha, beta) grid points / Katz sweeps
-//!   sharing one traversal per iteration;
+//!   sharing one traversal per iteration: query validation, lane layout
+//!   and the affine lane rule, run by [`spmm`]'s loop;
+//! - [`simd`]: the runtime-dispatched whole-stride row walk of that loop
+//!   (the only module allowed `unsafe`);
 //! - [`propagation`]: a push-style kernel with propagation blocking
 //!   (Beamer et al., cited in §2.2 as compatible);
 //! - [`mod@reference`]: the slow, obvious implementation every kernel is

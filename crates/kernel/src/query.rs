@@ -25,25 +25,33 @@
 //!   `beta` (at `beta = 1` it reproduces the classic form bit-for-bit,
 //!   since `1.0 · tele` is exact).
 //!
-//! `factor`/`scale`/`tele` are per lane, so a multi-alpha grid broadcasts
-//! straight into the SIMD dense-accumulate path ([`SimdDispatch::affine`])
-//! without any cross-lane leakage — every lane's arithmetic is the exact
-//! scalar sequence of its single-query kernel, which is what the
+//! `factor`/`scale`/`tele` are per lane, so a multi-alpha grid shares one
+//! batch without any cross-lane leakage — every lane's arithmetic is the
+//! exact scalar sequence of its single-query kernel, which is what the
 //! differential suites (`tests/prop_query_batch.rs`,
 //! `tests/query_batch_edge_cases.rs`) pin down bit-for-bit.
 //!
-//! Queries converge independently; converged-lane **compaction** retires
-//! finished queries early (parking their columns, repacking teleport and
-//! per-lane parameters alongside the rank matrix), so a grid whose easy
-//! points finish in 10 iterations stops paying for them while the hard
-//! points run on.
+//! This module holds no iteration of its own. It owns the query axis —
+//! [`QuerySpec`] / [`QueryBatch`] validation, the lane layout, each lane's
+//! parameters and teleport column, [`QueryInit`] seeding, the outcome —
+//! and hands all of it to the one lane-batched round loop,
+//! [`crate::spmm`]'s `batch_iterate`, as a lane rule (`AffineTeleport`
+//! here, beside the window batch's uniform rule there). Query lanes
+//! therefore run the same live-row list, density-chosen row walk,
+//! cell-sparse finalize, health guards, fault hooks and converged-lane
+//! **compaction** as window lanes: finished queries retire early (their
+//! columns parked, teleport and per-lane parameters repacked alongside the
+//! rank matrix), so a grid whose easy points finish in 10 iterations stops
+//! paying for them while the hard points run on.
 
-use crate::error::{FaultKind, KernelError};
+use crate::error::KernelError;
 use crate::observe::BatchObs;
-use crate::pagerank::{guard_check, GuardAction, PrConfig, PrHealth, PrStats};
-use crate::scheduler::{Balance, Scheduler};
-use crate::simd::SimdDispatch;
-use crate::spmm::{build_run_masks, compress_bits, lane_mask_all, SpmmWorkspace, MAX_LANES};
+use crate::pagerank::{PrConfig, PrStats};
+use crate::scheduler::Scheduler;
+use crate::spmm::{
+    batch_iterate, compress_bits, lanes_from_masks, repack_columns, LaneRule, SpmmWorkspace,
+    MAX_LANES,
+};
 use tempopr_graph::{TemporalCsr, TimeRange, VertexId};
 
 /// One query to evaluate on every window of the batch.
@@ -254,6 +262,38 @@ pub fn pagerank_query_batch_obs(
     ws: &mut QueryWorkspace,
     obs: BatchObs<'_>,
 ) -> Result<QueryBatchOutcome, KernelError> {
+    let t_setup = obs.now();
+    let QueryWorkspace { base, tele } = ws;
+    let (lane_verts, mut rule) = query_lanes(pull, push, ranges, batch, inits, cfg, base, tele)?;
+    let lane_verts: Vec<&[VertexId]> = lane_verts.iter().map(Vec::as_slice).collect();
+    let stats = batch_iterate(&lane_verts, &mut rule, cfg, sched, base, obs, t_setup)?;
+    let it_max = stats.iter().map(|s| s.iterations).max().unwrap_or(0) as u64;
+    let iterations_saved: u64 = stats.iter().map(|s| it_max - s.iterations as u64).sum();
+    Ok(QueryBatchOutcome {
+        stats,
+        uniform_fallback: rule.uniform_fallback,
+        katz_alpha: rule.katz_alpha,
+        lanes_retired: rule.lanes_retired,
+        iterations_saved,
+    })
+}
+
+/// Everything of a (window × query) batch that precedes the round loop:
+/// argument checks, the mask-derived setup of `base` over the lane layout
+/// `k = w·nq + q`, and the per-lane parameters and teleport matrix that
+/// make up the batch's [`LaneRule`]. Returns each lane's active vertices
+/// beside the rule.
+#[allow(clippy::too_many_arguments)]
+fn query_lanes<'a>(
+    pull: &TemporalCsr,
+    push: &TemporalCsr,
+    ranges: &[TimeRange],
+    batch: &QueryBatch<'_>,
+    inits: &'a [QueryInit<'a>],
+    cfg: &PrConfig,
+    base: &mut SpmmWorkspace,
+    tele: &'a mut Vec<f64>,
+) -> Result<(Vec<Vec<VertexId>>, AffineTeleport<'a>), KernelError> {
     let nq = batch.len();
     let nw = ranges.len();
     if nw == 0 {
@@ -276,8 +316,9 @@ pub fn pagerank_query_batch_obs(
             push: push.num_vertices(),
         });
     }
-    for (q, spec) in batch.queries().iter().enumerate() {
-        spec.validate(q)?;
+    // Parameter ranges were checked by `QueryBatch::new`; what only the
+    // graph can tell is whether a preference spans its vertices.
+    for (index, spec) in batch.queries().iter().enumerate() {
         if let QuerySpec::Personalized { preference, .. } = spec {
             if preference.len() != n {
                 return Err(KernelError::BadVectorLength {
@@ -287,149 +328,69 @@ pub fn pagerank_query_batch_obs(
                 });
             }
             if !preference.iter().all(|&p| p >= 0.0) {
-                return Err(KernelError::BadVectorLength {
-                    what: "preference (negative weight)",
-                    expected: n,
-                    got: preference.len(),
+                return Err(KernelError::BadQuery {
+                    index,
+                    what: "preference weights must be non-negative",
                 });
             }
         }
     }
-    let directed = !std::ptr::eq(pull, push);
-    let has_katz = batch.queries().iter().any(|q| q.is_katz());
 
-    // --- Per-batch precompute: masks, degrees, per-lane parameters -------
-    let t_setup = obs.now();
     // Lane k = w·nq + q shares window w's range across all nq queries, so
-    // run masks repeat their bit pattern per window — which is exactly what
-    // makes full-mask (dense SIMD) runs *more* common than in the
-    // window-only batch.
+    // run masks repeat their bit pattern per window: a run live in a window
+    // is live in all of its queries, which is what puts query batches on
+    // the whole-stride row walk more often than window batches.
     let lane_ranges: Vec<TimeRange> = (0..vl).map(|k| ranges[k / nq]).collect();
-    build_run_masks(pull, &lane_ranges, 0..n, &mut ws.base);
-    let base = &mut ws.base;
-    base.inv_deg.clear();
-    base.inv_deg.resize(n * vl, 0.0);
-    base.active_mask.clear();
-    base.active_mask.resize(n, 0);
-    base.dangling_mask.clear();
-    base.dangling_mask.resize(n, 0);
-    let mut out_deg = vec![0u32; vl]; // per-vertex scratch
-    let mut pull_deg = vec![0u32; vl]; // per-vertex scratch (Katz degree)
+    let has_katz = batch.queries().iter().any(|q| q.is_katz());
     let mut max_pull_deg = vec![0u32; vl];
-    for v in 0..n {
-        out_deg.iter_mut().for_each(|d| *d = 0);
-        let mut in_mask = 0u64;
-        if directed {
-            for run in push.runs(v as VertexId) {
-                for (k, r) in lane_ranges.iter().enumerate() {
-                    if run.active_in(*r) {
-                        out_deg[k] += 1;
-                    }
-                }
-            }
-            for i in base.run_row[v]..base.run_row[v + 1] {
-                in_mask |= base.run_mask[i];
-            }
-        } else {
-            for i in base.run_row[v]..base.run_row[v + 1] {
-                let m = base.run_mask[i];
-                in_mask |= m;
-                let mut mm = m;
-                while mm != 0 {
-                    let k = mm.trailing_zeros() as usize;
-                    out_deg[k] += 1;
-                    mm &= mm - 1;
-                }
-            }
-        }
-        if has_katz {
-            // Katz attenuation needs each lane's max active degree over the
-            // pull structure (for symmetric builds this is the active
-            // degree the analytics kernel uses).
-            pull_deg.iter_mut().for_each(|d| *d = 0);
-            for i in base.run_row[v]..base.run_row[v + 1] {
-                let mut mm = base.run_mask[i];
-                while mm != 0 {
-                    let k = mm.trailing_zeros() as usize;
-                    pull_deg[k] += 1;
-                    mm &= mm - 1;
-                }
-            }
-            for (k, &d) in pull_deg.iter().enumerate() {
-                max_pull_deg[k] = max_pull_deg[k].max(d);
-            }
-        }
-        let mut active = in_mask;
-        let mut dangling = 0u64;
-        for (k, &d) in out_deg.iter().enumerate() {
-            if d > 0 {
-                active |= 1 << k;
-                base.inv_deg[v * vl + k] = 1.0 / d as f64;
-            } else if active & (1 << k) != 0 {
-                dangling |= 1 << k;
-            }
-        }
-        base.active_mask[v] = active;
-        base.dangling_mask[v] = dangling;
-    }
+    let lane_verts = lanes_from_masks(
+        pull,
+        push,
+        &lane_ranges,
+        base,
+        has_katz.then_some(&mut max_pull_deg[..]),
+    );
 
-    base.active_list.clear();
-    let mut n_act = vec![0usize; vl];
-    for v in 0..n {
-        let mut m = base.active_mask[v];
-        if m != 0 {
-            base.active_list.push(v as u32);
-        }
-        while m != 0 {
-            n_act[m.trailing_zeros() as usize] += 1;
-            m &= m - 1;
-        }
-    }
-
-    // Per-lane parameters: `scale` (damp for PPR, attenuation for Katz),
-    // `alpha`, per-lane tolerance, the Katz lane set, and the teleport /
-    // baseline matrix. Katz lanes also flatten their edge weights to 1.
-    let mut p_alpha = vec![0.0f64; vl];
-    let mut p_scale = vec![0.0f64; vl];
-    let mut p_tol = vec![cfg.tol; vl];
-    let mut katz_mask = 0u64;
-    let mut katz_alpha = vec![0.0f64; vl];
-    let mut uniform_fallback = vec![false; vl];
-    ws.tele.clear();
-    ws.tele.resize(n * vl, 0.0);
-    for k in 0..vl {
-        let q = k % nq;
-        let bit = 1u64 << k;
-        match batch.queries()[q] {
+    // Per-lane parameters — `alpha`, `scale` (damp for PPR, attenuation for
+    // Katz), tolerance, the Katz lane set — and the teleport / baseline
+    // matrix. Katz lanes also flatten their edge weights to 1.
+    let mut rule = AffineTeleport {
+        tele,
+        inits,
+        alpha: vec![0.0; vl],
+        scale: vec![0.0; vl],
+        tol: vec![cfg.tol; vl],
+        katz: 0,
+        uniform_fallback: vec![false; vl],
+        katz_alpha: vec![0.0; vl],
+        lanes_retired: 0,
+    };
+    rule.tele.clear();
+    rule.tele.resize(n * vl, 0.0);
+    for (k, verts) in lane_verts.iter().enumerate() {
+        let ids = || verts.iter().map(|&v| v as usize);
+        match batch.queries()[k % nq] {
             QuerySpec::Personalized { preference, alpha } => {
-                p_alpha[k] = alpha;
-                p_scale[k] = 1.0 - alpha;
-                if n_act[k] == 0 {
+                rule.alpha[k] = alpha;
+                rule.scale[k] = 1.0 - alpha;
+                if verts.is_empty() {
                     continue;
                 }
                 // Same rule (and the same ascending summation order, so the
                 // same floating-point mass) as the single-query kernel.
                 let mut mass = 0.0f64;
-                for &v in &base.active_list {
-                    if base.active_mask[v as usize] & bit != 0 {
-                        mass += preference[v as usize];
-                    }
+                for v in ids() {
+                    mass += preference[v];
                 }
                 if mass > 0.0 {
-                    for &v in &base.active_list {
-                        let v = v as usize;
-                        if base.active_mask[v] & bit != 0 {
-                            ws.tele[v * vl + k] = preference[v] / mass;
-                        }
+                    for v in ids() {
+                        rule.tele[v * vl + k] = preference[v] / mass;
                     }
                 } else {
-                    uniform_fallback[k] = true;
-                    let u = 1.0 / n_act[k] as f64;
-                    for &v in &base.active_list {
-                        let v = v as usize;
-                        if base.active_mask[v] & bit != 0 {
-                            ws.tele[v * vl + k] = u;
-                        }
+                    rule.uniform_fallback[k] = true;
+                    let u = 1.0 / verts.len() as f64;
+                    for v in ids() {
+                        rule.tele[v * vl + k] = u;
                     }
                 }
             }
@@ -438,18 +399,14 @@ pub fn pagerank_query_batch_obs(
                 beta,
                 tol,
             } => {
-                katz_mask |= bit;
-                p_tol[k] = tol;
-                if n_act[k] > 0 {
+                rule.katz |= 1u64 << k;
+                rule.tol[k] = tol;
+                if !verts.is_empty() {
                     let a = alpha_fraction / (max_pull_deg[k] + 1) as f64;
-                    katz_alpha[k] = a;
-                    p_scale[k] = a;
-                    let u = beta;
-                    for &v in &base.active_list {
-                        let v = v as usize;
-                        if base.active_mask[v] & bit != 0 {
-                            ws.tele[v * vl + k] = u;
-                        }
+                    rule.katz_alpha[k] = a;
+                    rule.scale[k] = a;
+                    for v in ids() {
+                        rule.tele[v * vl + k] = beta;
                     }
                 }
                 // Unit edge weights: the Katz sum is Σ x[u], not Σ x[u]/deg.
@@ -460,474 +417,156 @@ pub fn pagerank_query_batch_obs(
             }
         }
     }
-    obs.setup(&n_act, t_setup);
+    Ok((lane_verts, rule))
+}
 
-    // --- Initialization ---------------------------------------------------
-    base.x.clear();
-    base.x.resize(n * vl, 0.0);
-    base.y.clear();
-    base.y.resize(n * vl, 0.0);
-    for k in 0..vl {
-        if n_act[k] == 0 {
-            continue; // column stays zero and the lane starts converged
-        }
-        init_query_lane(inits[k], k, vl, n, katz_mask, &ws.tele, &mut base.x)?;
+/// The lane rule of a (window × query) batch: per lane the affine update
+/// `factor·tele[v] + scale·acc` of the module docs, with the lane's own
+/// tolerance, on the L1 residual for personalized lanes and the L∞ one for
+/// Katz lanes. Per-lane state is held in compact-slot order and repacked
+/// with the rank matrix; the outcome fields stay in original lane order.
+struct AffineTeleport<'a> {
+    /// Interleaved teleport / baseline matrix at the current stride.
+    tele: &'a mut Vec<f64>,
+    inits: &'a [QueryInit<'a>],
+    alpha: Vec<f64>,
+    scale: Vec<f64>,
+    tol: Vec<f64>,
+    /// Slots holding Katz lanes.
+    katz: u64,
+    uniform_fallback: Vec<bool>,
+    katz_alpha: Vec<f64>,
+    lanes_retired: usize,
+}
+
+impl AffineTeleport<'_> {
+    fn is_katz(&self, k: usize) -> bool {
+        self.katz & (1u64 << k) != 0
     }
-    if let Some(FaultKind::CorruptReciprocal) = cfg.fault {
-        if let Some(&v) = base
-            .active_list
-            .iter()
-            .find(|&&v| base.inv_deg[v as usize * vl] > 0.0)
-        {
-            base.inv_deg[v as usize * vl] *= 1000.0;
+}
+
+impl LaneRule for AffineTeleport<'_> {
+    /// See [`QueryInit`]. A preference may be zero on an active vertex, so
+    /// "carries teleport mass" stands in for "active" here exactly as it
+    /// did in the lanes' single-query form.
+    fn seed(
+        &self,
+        k: usize,
+        vl: usize,
+        verts: &[VertexId],
+        n: usize,
+        x: &mut [f64],
+    ) -> Result<(), KernelError> {
+        let QueryInit::Warm(prev) = self.inits[k] else {
+            self.restart(k, vl, verts, x);
+            return Ok(());
+        };
+        if prev.len() != n {
+            return Err(KernelError::BadVectorLength {
+                what: "previous ranks",
+                expected: n,
+                got: prev.len(),
+            });
         }
-    }
-
-    let dispatch = SimdDispatch::select(cfg.simd);
-    let dense = dispatch.dense();
-    obs.dispatch(dispatch.isa(), vl);
-
-    // Edge-balanced chunk plan (as in the window batch: row counts are
-    // lane-width independent, so one plan serves all iterations).
-    let edge_chunks: Option<Vec<std::ops::Range<usize>>> = match sched {
-        Some(s) if s.balance == Balance::Edge => {
-            let mut prefix = Vec::with_capacity(base.active_list.len() + 1);
-            let mut acc = 0usize;
-            prefix.push(0);
-            for &v in &base.active_list {
-                let v = v as usize;
-                acc += base.run_row[v + 1] - base.run_row[v] + 1;
-                prefix.push(acc);
-            }
-            Some(s.chunks_weighted(&prefix))
-        }
-        _ => None,
-    };
-    let edges_per_round: u64 = base
-        .active_list
-        .iter()
-        .map(|&v| (base.run_row[v as usize + 1] - base.run_row[v as usize]) as u64)
-        .sum();
-
-    // --- Batched power / Jacobi iteration ---------------------------------
-    let has_dangling = base.dangling_mask.iter().any(|&m| m != 0);
-    let mut stats: Vec<PrStats> = (0..vl)
-        .map(|k| PrStats {
-            iterations: 0,
-            converged: n_act[k] == 0,
-            active_vertices: n_act[k],
-            health: PrHealth::default(),
-        })
-        .collect();
-
-    // Compact lane state (see `spmm::batch_iterate`): `vl_c` is the
-    // current effective width, `lane_map[j]` the original lane in compact
-    // slot `j`; per-lane parameter arrays are repacked alongside the rank,
-    // weight, and teleport matrices. Retired queries are parked at their
-    // original positions (stride `vl`).
-    let vl0 = vl;
-    let mut vl_c = vl;
-    let mut lane_map: Vec<usize> = (0..vl).collect();
-    let mut alpha_c = p_alpha.clone();
-    let mut scale_c = p_scale.clone();
-    let mut tol_c = p_tol.clone();
-    let mut katz_c = katz_mask;
-    let mut parked: Vec<f64> = Vec::new();
-    let mut lanes_retired = 0usize;
-
-    let mut done: u64 = stats
-        .iter()
-        .enumerate()
-        .filter(|(_, s)| s.converged)
-        .fold(0u64, |m, (k, _)| m | (1 << k));
-    let mut all_done = lane_mask_all(vl_c);
-
-    let mut iter = 0usize;
-    while done != all_done && iter < cfg.max_iters {
-        iter += 1;
-        match cfg.fault {
-            Some(FaultKind::InjectNan { at_iter }) if at_iter == iter => {
-                if let Some(&v) = base.active_list.first() {
-                    match lane_map.iter().position(|&orig| orig == 0) {
-                        Some(j) => base.x[v as usize * vl_c + j] = f64::NAN,
-                        None => parked[v as usize * vl0] = f64::NAN,
-                    }
-                }
-            }
-            Some(FaultKind::PanicInKernel) if iter == 1 => {
-                // Intentional: models a latent kernel bug for the driver's
-                // panic-isolation path.
-                panic!("fault injection: panic inside query-batch kernel");
-            }
-            _ => {}
-        }
-        let t_round = obs.now();
-        let live = !done & all_done;
-        // Per-lane dangling mass (personalized lanes only — symmetric Katz
-        // windows have no dangling active vertices, and Katz redistributes
-        // nothing), then the per-iteration affine factor.
-        let mut factor = [1.0f64; MAX_LANES];
-        if has_dangling {
-            let mut dang = [0.0f64; MAX_LANES];
-            for &v in &base.active_list {
-                let v = v as usize;
-                let mut m = base.dangling_mask[v] & live & !katz_c;
-                while m != 0 {
-                    let k = m.trailing_zeros() as usize;
-                    dang[k] += base.x[v * vl_c + k];
-                    m &= m - 1;
-                }
-            }
-            for k in 0..vl_c {
-                if katz_c & (1 << k) == 0 {
-                    factor[k] = alpha_c[k] + (1.0 - alpha_c[k]) * dang[k];
-                }
+        let tele = &self.tele[..];
+        let slots = || verts.iter().map(|&v| (v as usize, v as usize * vl + k));
+        if self.is_katz(k) {
+            // Scores are unnormalized; carry positive overlap, backfill
+            // the baseline on newly-active vertices.
+            for (v, s) in slots() {
+                x[s] = if tele[s] != 0.0 && prev[v] > 0.0 {
+                    prev[v]
+                } else {
+                    tele[s]
+                };
             }
         } else {
-            for k in 0..vl_c {
-                if katz_c & (1 << k) == 0 {
-                    factor[k] = alpha_c[k];
+            // Renormalize the positive overlap with the lane's active
+            // set into a distribution; no overlap → canonical start.
+            let mut sum = 0.0f64;
+            for (v, s) in slots() {
+                if tele[s] != 0.0 && prev[v] > 0.0 {
+                    sum += prev[v];
                 }
             }
-        }
-
-        let n_active = base.active_list.len();
-        let list = &base.active_list;
-        let x = &base.x;
-        let weights = &base.inv_deg;
-        let tele = &ws.tele;
-        let active_mask = &base.active_mask;
-        let run_row = &base.run_row;
-        let run_nbr = &base.run_nbr;
-        let run_mask = &base.run_mask;
-        let vlc = vl_c;
-        let kz = katz_c;
-        let scale_ref = &scale_c;
-        let factor_ref = &factor;
-        let compact = &mut base.y[..n_active * vlc];
-        let body = |r0: usize, rows: &mut [f64]| -> ([f64; MAX_LANES], [f64; MAX_LANES]) {
-            let mut diff = [0.0f64; MAX_LANES];
-            let mut mass = [0.0f64; MAX_LANES];
-            let nrows = rows.len() / vlc;
-            let mut acc = [0.0f64; MAX_LANES];
-            for r in 0..nrows {
-                let v = list[r0 + r] as usize;
-                let am = active_mask[v];
-                let row = &mut rows[r * vlc..(r + 1) * vlc];
-                acc[..vlc].iter_mut().for_each(|a| *a = 0.0);
-                for i in run_row[v]..run_row[v + 1] {
-                    let u = run_nbr[i] as usize;
-                    let rm = run_mask[i];
-                    if dense && rm & live == live {
-                        dispatch.accumulate(
-                            &mut acc[..vlc],
-                            &x[u * vlc..(u + 1) * vlc],
-                            &weights[u * vlc..(u + 1) * vlc],
-                        );
-                    } else {
-                        let mut m = rm & live;
-                        while m != 0 {
-                            let k = m.trailing_zeros() as usize;
-                            acc[k] += x[u * vlc + k] * weights[u * vlc + k];
-                            m &= m - 1;
-                        }
-                    }
-                }
-                if dense && live == all_done && am & all_done == all_done {
-                    // Every lane live and active: broadcast the whole
-                    // per-lane (factor, scale) grid through the SIMD affine
-                    // update. Identical rounding to the scalar branch below
-                    // (two multiplies, one add — never fused).
-                    dispatch.affine(
-                        row,
-                        &factor_ref[..vlc],
-                        &tele[v * vlc..(v + 1) * vlc],
-                        &scale_ref[..vlc],
-                        &acc[..vlc],
-                    );
-                    for (k, y) in row.iter().enumerate() {
-                        let d = (*y - x[v * vlc + k]).abs();
-                        if kz & (1u64 << k) != 0 {
-                            diff[k] = nan_max(diff[k], d);
-                        } else {
-                            diff[k] += d;
-                            mass[k] += *y;
-                        }
-                    }
+            if sum <= 0.0 {
+                self.restart(k, vl, verts, x);
+                return Ok(());
+            }
+            for (v, s) in slots() {
+                x[s] = if tele[s] != 0.0 && prev[v] > 0.0 {
+                    prev[v] / sum
                 } else {
-                    for (k, y) in row.iter_mut().enumerate() {
-                        let bit = 1u64 << k;
-                        let val = if live & bit == 0 {
-                            x[v * vlc + k] // converged lane: hold its value
-                        } else if am & bit != 0 {
-                            factor_ref[k] * tele[v * vlc + k] + scale_ref[k] * acc[k]
-                        } else {
-                            0.0
-                        };
-                        let d = (val - x[v * vlc + k]).abs();
-                        if kz & bit != 0 {
-                            diff[k] = nan_max(diff[k], d);
-                        } else {
-                            diff[k] += d;
-                            mass[k] += val;
-                        }
-                        *y = val;
-                    }
-                }
-            }
-            (diff, mass)
-        };
-        let reduce = |mut a: ([f64; MAX_LANES], [f64; MAX_LANES]),
-                      b: ([f64; MAX_LANES], [f64; MAX_LANES])| {
-            for k in 0..MAX_LANES {
-                if k < vlc && kz & (1u64 << k) != 0 {
-                    a.0[k] = nan_max(a.0[k], b.0[k]);
-                } else {
-                    a.0[k] += b.0[k];
-                }
-                a.1[k] += b.1[k];
-            }
-            a
-        };
-        let (diff, mass) = match (sched, &edge_chunks) {
-            (Some(s), Some(chunks)) => s.map_reduce_rows_chunked_mut(
-                compact,
-                vlc,
-                chunks,
-                ([0.0; MAX_LANES], [0.0; MAX_LANES]),
-                body,
-                reduce,
-            ),
-            (Some(s), None) => s.map_reduce_rows_mut(
-                compact,
-                vlc,
-                ([0.0; MAX_LANES], [0.0; MAX_LANES]),
-                body,
-                reduce,
-            ),
-            (None, _) => body(0, compact),
-        };
-        let t_mid = obs.now();
-        for (r, &v) in base.active_list.iter().enumerate() {
-            let v = v as usize;
-            base.x[v * vl_c..(v + 1) * vl_c].copy_from_slice(&base.y[r * vl_c..(r + 1) * vl_c]);
-        }
-        // Per-lane health check and recovery. Katz lanes have no conserved
-        // mass, so they are guarded for finiteness only (mass pinned to 1).
-        let mut faulted = 0u64;
-        if cfg.guard.enabled {
-            let mut m = live;
-            while m != 0 {
-                let k = m.trailing_zeros() as usize;
-                m &= m - 1;
-                let lane = lane_map[k];
-                let g_mass = if katz_c & (1 << k) != 0 { 1.0 } else { mass[k] };
-                match guard_check(diff[k], g_mass, lane, iter, cfg, &mut stats[lane].health)? {
-                    GuardAction::Proceed => {}
-                    GuardAction::Renormalize { scale } => {
-                        for &v in &base.active_list {
-                            base.x[v as usize * vl_c + k] *= scale;
-                        }
-                        faulted |= 1 << k;
-                        obs.lane_guard(lane, iter, false);
-                    }
-                    GuardAction::Restart => {
-                        // Restart from the lane's canonical start (exactly
-                        // what the single-query kernels do).
-                        init_query_lane(
-                            QueryInit::Fresh,
-                            k,
-                            vl_c,
-                            n,
-                            katz_c,
-                            &ws.tele,
-                            &mut base.x,
-                        )?;
-                        faulted |= 1 << k;
-                        obs.lane_guard(lane, iter, true);
-                    }
-                }
+                    0.0
+                };
             }
         }
-        let force = cfg.fault == Some(FaultKind::ForceNonConvergence);
-        for k in 0..vl_c {
-            if done & (1 << k) != 0 {
-                continue;
-            }
-            let lane = lane_map[k];
-            stats[lane].iterations = iter;
-            if faulted & (1 << k) != 0 {
-                continue;
-            }
-            if diff[k] < tol_c[k] && !force {
-                stats[lane].converged = true;
-                done |= 1 << k;
-            }
-        }
-        if obs.is_on() {
-            let mut m = live;
-            while m != 0 {
-                let k = m.trailing_zeros() as usize;
-                m &= m - 1;
-                obs.lane_iteration(lane_map[k], iter, diff[k], mass[k]);
-            }
-            obs.round(
-                iter,
-                live.count_ones(),
-                vl0,
-                edges_per_round,
-                t_round,
-                t_mid,
-            );
-        }
+        Ok(())
+    }
 
-        // Converged-query compaction: identical trigger to the window
-        // batch, but the repack also carries the teleport matrix and the
-        // per-lane (alpha, scale, tol, katz) parameters so retired queries
-        // take their whole state with them.
-        let lc = (!done & all_done).count_ones() as usize;
-        if cfg.compaction && lc > 0 && vl_c >= 8 && lc <= vl_c / 2 {
-            let keep: Vec<usize> = (0..vl_c).filter(|j| done & (1u64 << j) == 0).collect();
-            let vl_new = keep.len();
-            lanes_retired += vl_c - vl_new;
-            if parked.is_empty() {
-                parked.resize(n * vl0, 0.0);
-            }
-            let mut tmp = [0.0f64; MAX_LANES];
-            for v in 0..n {
-                tmp[..vl_c].copy_from_slice(&base.x[v * vl_c..(v + 1) * vl_c]);
-                let mut m = done;
-                while m != 0 {
-                    let j = m.trailing_zeros() as usize;
-                    parked[v * vl0 + lane_map[j]] = tmp[j];
-                    m &= m - 1;
-                }
-                for (jn, &j) in keep.iter().enumerate() {
-                    base.x[v * vl_new + jn] = tmp[j];
-                }
-                tmp[..vl_c].copy_from_slice(&base.inv_deg[v * vl_c..(v + 1) * vl_c]);
-                for (jn, &j) in keep.iter().enumerate() {
-                    base.inv_deg[v * vl_new + jn] = tmp[j];
-                }
-                tmp[..vl_c].copy_from_slice(&ws.tele[v * vl_c..(v + 1) * vl_c]);
-                for (jn, &j) in keep.iter().enumerate() {
-                    ws.tele[v * vl_new + jn] = tmp[j];
-                }
-            }
-            for m in base.active_mask.iter_mut() {
-                *m = compress_bits(*m, &keep);
-            }
-            for m in base.dangling_mask.iter_mut() {
-                *m = compress_bits(*m, &keep);
-            }
-            for m in base.run_mask.iter_mut() {
-                *m = compress_bits(*m, &keep);
-            }
-            katz_c = compress_bits(katz_c, &keep);
-            lane_map = keep.iter().map(|&j| lane_map[j]).collect();
-            alpha_c = keep.iter().map(|&j| alpha_c[j]).collect();
-            scale_c = keep.iter().map(|&j| scale_c[j]).collect();
-            tol_c = keep.iter().map(|&j| tol_c[j]).collect();
-            obs.compaction(vl_c, vl_new);
-            vl_c = vl_new;
-            done = 0;
-            all_done = lane_mask_all(vl_c);
+    /// The query's canonical start — the teleport distribution, or `beta`
+    /// on a Katz lane — which is what the single-query kernels restart
+    /// from.
+    fn restart(&self, k: usize, vl: usize, verts: &[VertexId], x: &mut [f64]) {
+        for &v in verts {
+            x[v as usize * vl + k] = self.tele[v as usize * vl + k];
         }
     }
-    // Merge the still-compact columns back over the parked ones.
-    if vl_c != vl0 {
-        for v in 0..n {
-            for (j, &orig) in lane_map.iter().enumerate() {
-                parked[v * vl0 + orig] = base.x[v * vl_c + j];
-            }
-        }
-        std::mem::swap(&mut base.x, &mut parked);
-    }
-    let it_max = stats.iter().map(|s| s.iterations).max().unwrap_or(0) as u64;
-    let iterations_saved: u64 = stats.iter().map(|s| it_max - s.iterations as u64).sum();
-    Ok(QueryBatchOutcome {
-        stats,
-        uniform_fallback,
-        katz_alpha,
-        lanes_retired,
-        iterations_saved,
-    })
-}
 
-/// NaN-propagating max: the Katz L∞ reduction must not let `f64::max`
-/// swallow a NaN iterate (the health guard detects non-finite lanes
-/// through the diff).
-#[inline]
-fn nan_max(a: f64, b: f64) -> f64 {
-    if a.is_nan() || b.is_nan() {
-        f64::NAN
-    } else if b > a {
-        b
-    } else {
-        a
+    /// Personalized lanes teleport `alpha` plus the damped dangling mass;
+    /// Katz redistributes nothing.
+    #[inline]
+    fn coefficient(&self, k: usize, _n_act: usize, dangling: f64) -> f64 {
+        if self.is_katz(k) {
+            1.0
+        } else {
+            self.alpha[k] + (1.0 - self.alpha[k]) * dangling
+        }
     }
-}
 
-/// Initializes compact lane `k` of the rank matrix from `inits` semantics
-/// (see [`QueryInit`]). `tele` must already be in the same compact layout.
-fn init_query_lane(
-    init: QueryInit<'_>,
-    k: usize,
-    vl: usize,
-    n: usize,
-    katz_mask: u64,
-    tele: &[f64],
-    x: &mut [f64],
-) -> Result<(), KernelError> {
-    let is_katz = katz_mask & (1u64 << k) != 0;
-    match init {
-        QueryInit::Fresh => {
-            for v in 0..n {
-                x[v * vl + k] = tele[v * vl + k];
-            }
-        }
-        QueryInit::Warm(prev) => {
-            if prev.len() != n {
-                return Err(KernelError::BadVectorLength {
-                    what: "previous ranks",
-                    expected: n,
-                    got: prev.len(),
-                });
-            }
-            if is_katz {
-                // Scores are unnormalized; carry positive overlap, backfill
-                // the baseline on newly-active vertices.
-                for v in 0..n {
-                    let t = tele[v * vl + k];
-                    x[v * vl + k] = if t != 0.0 && prev[v] > 0.0 {
-                        prev[v]
-                    } else {
-                        t
-                    };
-                }
-            } else {
-                // Renormalize the positive overlap with the lane's active
-                // set into a distribution; no overlap → canonical start.
-                let mut sum = 0.0f64;
-                for v in 0..n {
-                    if tele[v * vl + k] != 0.0 && prev[v] > 0.0 {
-                        sum += prev[v];
-                    }
-                }
-                if sum <= 0.0 {
-                    return init_query_lane(QueryInit::Fresh, k, vl, n, katz_mask, tele, x);
-                }
-                for v in 0..n {
-                    x[v * vl + k] = if tele[v * vl + k] != 0.0 && prev[v] > 0.0 {
-                        prev[v] / sum
-                    } else {
-                        0.0
-                    };
-                }
-            }
+    #[inline]
+    fn cell(&self, k: usize, slot: usize, coefficient: f64, acc: f64) -> f64 {
+        coefficient * self.tele[slot] + self.scale[k] * acc
+    }
+
+    /// L1 for personalized lanes; for Katz lanes the L∞ norm, which must
+    /// not let `f64::max` swallow a NaN iterate (the health guard detects
+    /// non-finite lanes through the residual).
+    #[inline]
+    fn residual(&self, k: usize, so_far: f64, d: f64) -> f64 {
+        if !self.is_katz(k) {
+            so_far + d
+        } else if so_far.is_nan() || d.is_nan() {
+            f64::NAN
+        } else if d > so_far {
+            d
+        } else {
+            so_far
         }
     }
-    Ok(())
+
+    fn tolerance(&self, k: usize) -> f64 {
+        self.tol[k]
+    }
+
+    /// Katz lanes have no conserved mass, so they are guarded for
+    /// finiteness only (mass pinned to 1).
+    fn guard_mass(&self, k: usize, mass: f64) -> f64 {
+        if self.is_katz(k) {
+            1.0
+        } else {
+            mass
+        }
+    }
+
+    fn compact(&mut self, keep: &[usize], vl: usize, n: usize) {
+        self.lanes_retired += vl - keep.len();
+        repack_columns(self.tele, n, vl, keep);
+        self.katz = compress_bits(self.katz, keep);
+        for p in [&mut self.alpha, &mut self.scale, &mut self.tol] {
+            *p = keep.iter().map(|&j| p[j]).collect();
+        }
+    }
 }
 
 #[cfg(test)]
@@ -1215,6 +854,38 @@ mod tests {
             bad_af,
             Err(KernelError::BadQuery { index: 1, .. })
         ));
+        // Only the kernel call sees the weights: a negative or NaN one is
+        // a bad query, not a length error.
+        let t = TemporalCsr::from_events(2, &[Event::new(0, 1, 0)], true);
+        for bad in [-1.0, f64::NAN] {
+            let weights = [1.0, bad];
+            let batch = QueryBatch::new(vec![
+                QuerySpec::Personalized {
+                    preference: &p,
+                    alpha: 0.15,
+                },
+                QuerySpec::Personalized {
+                    preference: &weights,
+                    alpha: 0.15,
+                },
+            ])
+            .unwrap();
+            let err = pagerank_query_batch(
+                &t,
+                &t,
+                &[TimeRange::new(0, 1)],
+                &batch,
+                &[QueryInit::Fresh; 2],
+                &cfg(),
+                None,
+                &mut QueryWorkspace::default(),
+            )
+            .unwrap_err();
+            assert!(
+                matches!(err, KernelError::BadQuery { index: 1, .. }),
+                "{bad}: {err:?}"
+            );
+        }
     }
 
     #[test]
@@ -1320,5 +991,134 @@ mod tests {
             pagerank_query_batch(&t, &t, &ranges, &batch, &inits, &cfg(), None, &mut qws).unwrap();
         assert_eq!(bits(&lane_of(&qws, 0, 2)), bits(&lane_of(&qws, 1, 2)));
         assert_eq!(out.stats[0], out.stats[1]);
+    }
+
+    /// Seeds as `R` does, then poisons every cell of the lane *off* its
+    /// active vertices with a NaN: a round that read or wrote one would
+    /// show in the ranks or lose the poison.
+    struct Poisoned<R>(R);
+
+    impl<R: LaneRule> LaneRule for Poisoned<R> {
+        fn seed(
+            &self,
+            k: usize,
+            vl: usize,
+            verts: &[VertexId],
+            n: usize,
+            x: &mut [f64],
+        ) -> Result<(), KernelError> {
+            self.0.seed(k, vl, verts, n, x)?;
+            for v in (0..n).filter(|&v| !verts.contains(&(v as VertexId))) {
+                x[v * vl + k] = f64::NAN;
+            }
+            Ok(())
+        }
+        fn restart(&self, k: usize, vl: usize, verts: &[VertexId], x: &mut [f64]) {
+            self.0.restart(k, vl, verts, x);
+        }
+        fn coefficient(&self, k: usize, n_act: usize, dangling: f64) -> f64 {
+            self.0.coefficient(k, n_act, dangling)
+        }
+        fn cell(&self, k: usize, slot: usize, coefficient: f64, acc: f64) -> f64 {
+            self.0.cell(k, slot, coefficient, acc)
+        }
+        fn residual(&self, k: usize, so_far: f64, d: f64) -> f64 {
+            self.0.residual(k, so_far, d)
+        }
+        fn tolerance(&self, k: usize) -> f64 {
+            self.0.tolerance(k)
+        }
+        fn guard_mass(&self, k: usize, mass: f64) -> f64 {
+            self.0.guard_mass(k, mass)
+        }
+        fn compact(&mut self, keep: &[usize], vl: usize, n: usize) {
+            self.0.compact(keep, vl, n);
+        }
+    }
+
+    #[test]
+    fn rounds_never_touch_inactive_or_converged_cells() {
+        // What the cell-sparse finalize rests on, for the affine rule and
+        // both of its norms: a round neither reads nor writes a lane a row
+        // is not active in, and a lane that has converged holds its value
+        // while its siblings run on. Four staggered windows × (personalized,
+        // Katz) = 8 lanes, so compaction fires when it is on.
+        let events = sample_events();
+        let n = 25;
+        let t = TemporalCsr::from_events(n, &events, true);
+        let ranges: Vec<TimeRange> = [(0, 60), (40, 160), (150, 230), (200, 360)]
+            .map(|(a, b)| TimeRange::new(a, b))
+            .to_vec();
+        let pref = seed_pref(n, &[(5, 1.0), (12, 2.0), (20, 1.0)]);
+        let batch = QueryBatch::new(vec![
+            QuerySpec::Personalized {
+                preference: &pref,
+                alpha: 0.15,
+            },
+            QuerySpec::Katz {
+                alpha_fraction: 0.6,
+                beta: 1.5,
+                tol: 1e-10,
+            },
+        ])
+        .unwrap();
+        let vl = 8;
+        let inits = vec![QueryInit::Fresh; vl];
+        for compaction in [false, true] {
+            let c = PrConfig {
+                compaction,
+                ..cfg()
+            };
+            let mut plain = QueryWorkspace::default();
+            let out = pagerank_query_batch(&t, &t, &ranges, &batch, &inits, &c, None, &mut plain)
+                .unwrap();
+            assert!(out.stats.iter().all(|s| s.converged));
+            assert_eq!(out.lanes_retired > 0, compaction);
+
+            let mut ws = QueryWorkspace::default();
+            let QueryWorkspace { base, tele } = &mut ws;
+            let (lane_verts, rule) =
+                query_lanes(&t, &t, &ranges, &batch, &inits, &c, base, tele).unwrap();
+            let verts: Vec<&[VertexId]> = lane_verts.iter().map(Vec::as_slice).collect();
+            let mut rule = Poisoned(rule);
+            let stats =
+                batch_iterate(&verts, &mut rule, &c, None, base, BatchObs::off(), None).unwrap();
+            assert_eq!(stats, out.stats, "compaction={compaction}");
+            let mut inactive = 0;
+            for v in 0..n {
+                for (k, lane) in verts.iter().enumerate() {
+                    let got = ws.base.x[v * vl + k];
+                    if lane.contains(&(v as VertexId)) {
+                        assert_eq!(got.to_bits(), plain.base.x[v * vl + k].to_bits());
+                    } else {
+                        assert!(got.is_nan(), "cell ({v}, {k}) was written: {got}");
+                        inactive += 1;
+                    }
+                }
+            }
+            assert!(inactive > 0, "some row must be inactive in some lane");
+
+            let last = out.stats.iter().map(|s| s.iterations).max().unwrap();
+            let mut early = 0;
+            for (k, s) in out.stats.iter().enumerate() {
+                if s.iterations == last {
+                    continue;
+                }
+                // Stop the whole batch at the round lane k converged in.
+                let stop = PrConfig {
+                    max_iters: s.iterations,
+                    ..c
+                };
+                let mut w = QueryWorkspace::default();
+                pagerank_query_batch(&t, &t, &ranges, &batch, &inits, &stop, None, &mut w).unwrap();
+                assert_eq!(
+                    bits(&lane_of(&w, k, vl)),
+                    bits(&lane_of(&plain, k, vl)),
+                    "lane {k} moved after it converged (compaction={compaction})"
+                );
+                early += 1;
+            }
+            assert!(early >= 2, "lanes must converge at different rounds");
+        }
     }
 }

@@ -1,21 +1,16 @@
-//! Runtime-dispatched inner loops for the batched (SpMM) kernels.
+//! Runtime-dispatched inner loop for the lane-batched (SpMM) round loop.
 //!
 //! A round of a lane batch accumulates `acc[k] += x[u·vl+k] * inv_deg[u·vl+k]`
 //! over the lanes a per-run bitmask names. Walking that mask bit by bit is
 //! a data-dependent branch per run and wastes the regular `vl`-wide stride
 //! the SpMM layout was built for, so this module provides the arithmetic
-//! over whole strides instead:
+//! over whole strides instead: [`SimdDispatch::accumulate_row`] is one
+//! row's whole pull walk, every run applied to the full stride with the
+//! lanes outside `run_mask & live` turned into `+0.0` terms by a bitwise
+//! AND, no branch on the mask at all. Window lanes and (window × query)
+//! lanes run it alike (`spmm::batch_iterate` is their one loop).
 //!
-//! - [`SimdDispatch::accumulate_row`] — the window batch's inner loop: one
-//!   row's whole pull walk, every run applied to the full stride with the
-//!   lanes outside `run_mask & live` turned into `+0.0` terms by a bitwise
-//!   AND, no branch on the mask at all;
-//! - [`SimdDispatch::accumulate`] — one neighbour's full stride, for a
-//!   caller that has already tested that the run covers every live lane
-//!   (the query batch);
-//! - [`SimdDispatch::affine`] — the query batch's per-lane row update.
-//!
-//! Each comes in interchangeable implementations:
+//! It comes in interchangeable implementations:
 //!
 //! - **avx2**: 4-wide `std::arch` double ops behind a runtime
 //!   `is_x86_feature_detected!("avx2")` check;
@@ -86,7 +81,7 @@ enum Kind {
     Avx2,
 }
 
-/// A resolved, ready-to-call set of inner loops. `Copy` so kernels can
+/// A resolved, ready-to-call inner loop. `Copy` so kernels can
 /// capture it in parallel closures for free; the AVX2 variant can only be
 /// obtained through [`SimdDispatch::select`] after feature detection.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -156,55 +151,6 @@ impl SimdDispatch {
             // this CPU.
             Kind::Avx2 => unsafe { accumulate_row_avx2(acc, run_nbr, run_mask, live, x, inv_deg) },
             _ => accumulate_row_scalar(acc, run_nbr, run_mask, live, x, inv_deg),
-        }
-    }
-
-    /// `acc[k] += x[k] * inv[k]` for every `k` — the dense accumulate over
-    /// one neighbor's full lane stride. All three slices must have the
-    /// same length (the effective `vl`); per-lane rounding is identical
-    /// across implementations (see the module docs).
-    #[inline]
-    pub fn accumulate(&self, acc: &mut [f64], x: &[f64], inv: &[f64]) {
-        debug_assert!(acc.len() == x.len() && acc.len() == inv.len());
-        match self.kind {
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: `Kind::Avx2` is only ever constructed by `detect()`
-            // after `is_x86_feature_detected!("avx2")` returned true on
-            // this CPU.
-            Kind::Avx2 => unsafe { accumulate_avx2(acc, x, inv) },
-            _ => accumulate_scalar(acc, x, inv),
-        }
-    }
-
-    /// `out[k] = factor[k] * tele[k] + scale[k] * acc[k]` for every `k` —
-    /// the per-lane affine row update of the query-batched kernel, where
-    /// `factor`/`scale` broadcast each query's own (alpha, beta) into the
-    /// lane stride. Two multiplies then one add per lane — never a fused
-    /// multiply-add — so every lane rounds exactly like the scalar
-    /// expression `factor[k] * tele[k] + scale[k] * acc[k]` (three
-    /// roundings) and results stay bit-identical across implementations.
-    #[inline]
-    pub fn affine(
-        &self,
-        out: &mut [f64],
-        factor: &[f64],
-        tele: &[f64],
-        scale: &[f64],
-        acc: &[f64],
-    ) {
-        debug_assert!(
-            out.len() == factor.len()
-                && out.len() == tele.len()
-                && out.len() == scale.len()
-                && out.len() == acc.len()
-        );
-        match self.kind {
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: `Kind::Avx2` is only ever constructed by `detect()`
-            // after `is_x86_feature_detected!("avx2")` returned true on
-            // this CPU.
-            Kind::Avx2 => unsafe { affine_avx2(out, factor, tele, scale, acc) },
-            _ => affine_scalar(out, factor, tele, scale, acc),
         }
     }
 }
@@ -414,113 +360,6 @@ unsafe fn row_avx2_any_stride(
     }
 }
 
-/// Portable dense accumulate, unrolled 4-wide to mirror the AVX2 stride.
-fn accumulate_scalar(acc: &mut [f64], x: &[f64], inv: &[f64]) {
-    let n = acc.len().min(x.len()).min(inv.len());
-    let (acc, x, inv) = (&mut acc[..n], &x[..n], &inv[..n]);
-    let mut k = 0;
-    while k + 4 <= n {
-        acc[k] += x[k] * inv[k];
-        acc[k + 1] += x[k + 1] * inv[k + 1];
-        acc[k + 2] += x[k + 2] * inv[k + 2];
-        acc[k + 3] += x[k + 3] * inv[k + 3];
-        k += 4;
-    }
-    while k < n {
-        acc[k] += x[k] * inv[k];
-        k += 1;
-    }
-}
-
-/// AVX2 dense accumulate: 4 doubles per step, unaligned loads (the
-/// interleaved rank matrix has no alignment guarantee), scalar tail.
-///
-/// # Safety
-/// The caller must have verified AVX2 support on the running CPU.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn accumulate_avx2(acc: &mut [f64], x: &[f64], inv: &[f64]) {
-    use std::arch::x86_64::{_mm256_add_pd, _mm256_loadu_pd, _mm256_mul_pd, _mm256_storeu_pd};
-    let n = acc.len().min(x.len()).min(inv.len());
-    let mut k = 0;
-    while k + 4 <= n {
-        // SAFETY: `k + 4 <= n` bounds every 4-wide unaligned load/store
-        // within the slices.
-        unsafe {
-            let xv = _mm256_loadu_pd(x.as_ptr().add(k));
-            let iv = _mm256_loadu_pd(inv.as_ptr().add(k));
-            let av = _mm256_loadu_pd(acc.as_ptr().add(k));
-            // Separate multiply and add — NOT fmadd — so each lane rounds
-            // exactly like the scalar `acc[k] += x[k] * inv[k]`.
-            let sum = _mm256_add_pd(av, _mm256_mul_pd(xv, iv));
-            _mm256_storeu_pd(acc.as_mut_ptr().add(k), sum);
-        }
-        k += 4;
-    }
-    while k < n {
-        acc[k] += x[k] * inv[k];
-        k += 1;
-    }
-}
-
-/// Portable affine row update, unrolled 4-wide to mirror the AVX2 stride.
-fn affine_scalar(out: &mut [f64], factor: &[f64], tele: &[f64], scale: &[f64], acc: &[f64]) {
-    let n = out
-        .len()
-        .min(factor.len())
-        .min(tele.len())
-        .min(scale.len())
-        .min(acc.len());
-    let mut k = 0;
-    while k + 4 <= n {
-        out[k] = factor[k] * tele[k] + scale[k] * acc[k];
-        out[k + 1] = factor[k + 1] * tele[k + 1] + scale[k + 1] * acc[k + 1];
-        out[k + 2] = factor[k + 2] * tele[k + 2] + scale[k + 2] * acc[k + 2];
-        out[k + 3] = factor[k + 3] * tele[k + 3] + scale[k + 3] * acc[k + 3];
-        k += 4;
-    }
-    while k < n {
-        out[k] = factor[k] * tele[k] + scale[k] * acc[k];
-        k += 1;
-    }
-}
-
-/// AVX2 affine row update: 4 doubles per step, unaligned loads, scalar
-/// tail. Separate `mul`/`mul`/`add` — NOT fmadd — to keep per-lane
-/// rounding identical to [`affine_scalar`].
-///
-/// # Safety
-/// The caller must have verified AVX2 support on the running CPU.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn affine_avx2(out: &mut [f64], factor: &[f64], tele: &[f64], scale: &[f64], acc: &[f64]) {
-    use std::arch::x86_64::{_mm256_add_pd, _mm256_loadu_pd, _mm256_mul_pd, _mm256_storeu_pd};
-    let n = out
-        .len()
-        .min(factor.len())
-        .min(tele.len())
-        .min(scale.len())
-        .min(acc.len());
-    let mut k = 0;
-    while k + 4 <= n {
-        // SAFETY: `k + 4 <= n` bounds every 4-wide unaligned load/store
-        // within the slices.
-        unsafe {
-            let fv = _mm256_loadu_pd(factor.as_ptr().add(k));
-            let tv = _mm256_loadu_pd(tele.as_ptr().add(k));
-            let sv = _mm256_loadu_pd(scale.as_ptr().add(k));
-            let av = _mm256_loadu_pd(acc.as_ptr().add(k));
-            let sum = _mm256_add_pd(_mm256_mul_pd(fv, tv), _mm256_mul_pd(sv, av));
-            _mm256_storeu_pd(out.as_mut_ptr().add(k), sum);
-        }
-        k += 4;
-    }
-    while k < n {
-        out[k] = factor[k] * tele[k] + scale[k] * acc[k];
-        k += 1;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -536,46 +375,6 @@ mod tests {
                 (h >> 11) as f64 / (1u64 << 53) as f64 + 1e-9
             })
             .collect()
-    }
-
-    fn reference(acc: &mut [f64], x: &[f64], inv: &[f64]) {
-        for k in 0..acc.len() {
-            acc[k] += x[k] * inv[k];
-        }
-    }
-
-    #[test]
-    fn scalar_matches_reference_bitwise() {
-        for len in [0usize, 1, 3, 4, 5, 8, 13, 16, 31, 64] {
-            let x = noisy(len, 1);
-            let inv = noisy(len, 2);
-            let mut a = noisy(len, 3);
-            let mut b = a.clone();
-            accumulate_scalar(&mut a, &x, &inv);
-            reference(&mut b, &x, &inv);
-            assert_eq!(a, b, "len {len}");
-        }
-    }
-
-    #[cfg(target_arch = "x86_64")]
-    #[test]
-    fn avx2_matches_scalar_bitwise() {
-        if !std::arch::is_x86_feature_detected!("avx2") {
-            eprintln!("skipping: no AVX2 on this CPU");
-            return;
-        }
-        for len in [1usize, 4, 7, 8, 15, 16, 32, 33, 64] {
-            let x = noisy(len, 11);
-            let inv = noisy(len, 12);
-            let mut a = noisy(len, 13);
-            let mut b = a.clone();
-            // SAFETY: AVX2 support checked above.
-            unsafe { accumulate_avx2(&mut a, &x, &inv) };
-            accumulate_scalar(&mut b, &x, &inv);
-            let ab: Vec<u64> = a.iter().map(|v| v.to_bits()).collect();
-            let bb: Vec<u64> = b.iter().map(|v| v.to_bits()).collect();
-            assert_eq!(ab, bb, "len {len}");
-        }
     }
 
     /// The mask walk the row primitive replaces: only the lanes of
@@ -771,83 +570,5 @@ mod tests {
         assert_eq!(parse_env(Some(" Scalar ")), SimdPolicy::Scalar);
         assert_eq!(parse_env(Some("bitwalk")), SimdPolicy::BitWalk);
         assert_eq!(parse_env(Some("avx512-or-bust")), SimdPolicy::Auto);
-    }
-
-    fn affine_reference(out: &mut [f64], factor: &[f64], tele: &[f64], scale: &[f64], acc: &[f64]) {
-        for k in 0..out.len() {
-            out[k] = factor[k] * tele[k] + scale[k] * acc[k];
-        }
-    }
-
-    #[test]
-    fn affine_scalar_matches_reference_bitwise() {
-        for len in [0usize, 1, 3, 4, 5, 8, 13, 16, 31, 64] {
-            let factor = noisy(len, 31);
-            let tele = noisy(len, 32);
-            let scale = noisy(len, 33);
-            let acc = noisy(len, 34);
-            let mut a = vec![0.0; len];
-            let mut b = vec![0.0; len];
-            affine_scalar(&mut a, &factor, &tele, &scale, &acc);
-            affine_reference(&mut b, &factor, &tele, &scale, &acc);
-            assert_eq!(a, b, "len {len}");
-        }
-    }
-
-    #[cfg(target_arch = "x86_64")]
-    #[test]
-    fn affine_avx2_matches_scalar_bitwise() {
-        if !std::arch::is_x86_feature_detected!("avx2") {
-            eprintln!("skipping: no AVX2 on this CPU");
-            return;
-        }
-        for len in [1usize, 4, 7, 8, 15, 16, 32, 33, 64] {
-            let factor = noisy(len, 41);
-            let tele = noisy(len, 42);
-            let scale = noisy(len, 43);
-            let acc = noisy(len, 44);
-            let mut a = vec![0.0; len];
-            let mut b = vec![0.0; len];
-            // SAFETY: AVX2 support checked above.
-            unsafe { affine_avx2(&mut a, &factor, &tele, &scale, &acc) };
-            affine_scalar(&mut b, &factor, &tele, &scale, &acc);
-            let ab: Vec<u64> = a.iter().map(|v| v.to_bits()).collect();
-            let bb: Vec<u64> = b.iter().map(|v| v.to_bits()).collect();
-            assert_eq!(ab, bb, "len {len}");
-        }
-    }
-
-    #[test]
-    fn dispatch_affine_runs_for_every_kind() {
-        for policy in [SimdPolicy::Auto, SimdPolicy::Scalar, SimdPolicy::BitWalk] {
-            let d = SimdDispatch::select(policy);
-            let factor = noisy(16, 51);
-            let tele = noisy(16, 52);
-            let scale = noisy(16, 53);
-            let acc = noisy(16, 54);
-            let mut a = vec![0.0; 16];
-            let mut b = vec![0.0; 16];
-            d.affine(&mut a, &factor, &tele, &scale, &acc);
-            affine_reference(&mut b, &factor, &tele, &scale, &acc);
-            let ab: Vec<u64> = a.iter().map(|v| v.to_bits()).collect();
-            let bb: Vec<u64> = b.iter().map(|v| v.to_bits()).collect();
-            assert_eq!(ab, bb, "{policy:?}");
-        }
-    }
-
-    #[test]
-    fn dispatch_accumulate_runs_for_every_kind() {
-        for policy in [SimdPolicy::Auto, SimdPolicy::Scalar, SimdPolicy::BitWalk] {
-            let d = SimdDispatch::select(policy);
-            let x = noisy(16, 21);
-            let inv = noisy(16, 22);
-            let mut a = noisy(16, 23);
-            let mut b = a.clone();
-            d.accumulate(&mut a, &x, &inv);
-            reference(&mut b, &x, &inv);
-            let ab: Vec<u64> = a.iter().map(|v| v.to_bits()).collect();
-            let bb: Vec<u64> = b.iter().map(|v| v.to_bits()).collect();
-            assert_eq!(ab, bb, "{policy:?}");
-        }
     }
 }

@@ -16,6 +16,14 @@
 //! mask applied as an AND where runs are live in enough of the stride
 //! ([`SimdDispatch::accumulate_row`]), over the mask's set bits where they
 //! are not ([`VECTOR_ROW_RULE`]).
+//!
+//! There is one round loop, `batch_iterate`, for every lane batch in the
+//! crate. What a lane *is* — a window under the uniform teleport here, a
+//! (window, query) pair under a personalized or Katz update in
+//! [`crate::query`] — reaches it as a `LaneRule`, a handful of per-lane
+//! hooks the loop is generic over; the live-row list, both row walks, the
+//! cell-sparse finalize, the health guards, the fault hooks and
+//! converged-lane compaction are written once and serve both.
 
 use crate::error::{FaultKind, KernelError};
 use crate::observe::BatchObs;
@@ -119,48 +127,72 @@ pub fn pagerank_batch_obs(
             push: push.num_vertices(),
         });
     }
-    let directed = !std::ptr::eq(pull, push);
-
-    // --- Per-batch precompute: run-compressed adjacency + lane masks ----
     let t_setup = obs.now();
+    let lane_verts = lanes_from_masks(pull, push, ranges, ws, None);
+    let lane_verts: Vec<&[VertexId]> = lane_verts.iter().map(Vec::as_slice).collect();
+    let mut rule = UniformTeleport::new(cfg, inits);
+    batch_iterate(&lane_verts, &mut rule, cfg, sched, ws, obs, t_setup)
+}
+
+/// The unindexed per-batch setup, shared by the window batch and the
+/// (window × query) batch of [`crate::query`]: builds the run masks of
+/// `ranges` over every row (the single extra read of the matrix) and
+/// derives from them, into `ws`, each lane's `1/outdeg`, the activity and
+/// dangling masks and the union active list. Out-degrees come from the
+/// pull masks on a symmetric build (`pull` and `push` the same structure)
+/// and from a walk of the push runs otherwise. Returns each lane's active
+/// vertices, ascending — what an index view serves precomputed.
+///
+/// `max_pull_deg`, when asked for, receives each lane's largest in-window
+/// pull degree (the bound a Katz lane's attenuation is a fraction of).
+pub(crate) fn lanes_from_masks(
+    pull: &TemporalCsr,
+    push: &TemporalCsr,
+    ranges: &[TimeRange],
+    ws: &mut SpmmWorkspace,
+    mut max_pull_deg: Option<&mut [u32]>,
+) -> Vec<Vec<VertexId>> {
+    let (n, vl) = (pull.num_vertices(), ranges.len());
+    let directed = !std::ptr::eq(pull, push);
     build_run_masks(pull, ranges, 0..n, ws);
-    // Out-degrees per lane (interleaved), from the push structure.
     ws.inv_deg.clear();
     ws.inv_deg.resize(n * vl, 0.0);
     ws.active_mask.clear();
     ws.active_mask.resize(n, 0);
     ws.dangling_mask.clear();
     ws.dangling_mask.resize(n, 0);
-    let mut out_deg = vec![0u32; vl]; // per-vertex scratch
+    ws.active_list.clear();
+    let mut lane_verts: Vec<Vec<VertexId>> = vec![Vec::new(); vl];
+    let mut deg = vec![0u32; vl]; // per-vertex scratch
     for v in 0..n {
-        out_deg.iter_mut().for_each(|d| *d = 0);
-        let mut in_mask = 0u64;
+        let masks = &ws.run_mask[ws.run_row[v]..ws.run_row[v + 1]];
+        let in_mask = masks.iter().fold(0u64, |all, &m| all | m);
+        if !directed || max_pull_deg.is_some() {
+            deg.fill(0);
+            for &m in masks {
+                for k in lanes(m) {
+                    deg[k] += 1;
+                }
+            }
+            if let Some(max) = max_pull_deg.as_deref_mut() {
+                for (max, &d) in max.iter_mut().zip(&deg) {
+                    *max = (*max).max(d);
+                }
+            }
+        }
         if directed {
-            // Out-degrees from push runs.
+            deg.fill(0);
             for run in push.runs(v as VertexId) {
                 for (k, r) in ranges.iter().enumerate() {
                     if run.active_in(*r) {
-                        out_deg[k] += 1;
+                        deg[k] += 1;
                     }
-                }
-            }
-            // In-activity from the precomputed pull masks.
-            for i in ws.run_row[v]..ws.run_row[v + 1] {
-                in_mask |= ws.run_mask[i];
-            }
-        } else {
-            // Symmetric: pull masks give both degree and activity.
-            for i in ws.run_row[v]..ws.run_row[v + 1] {
-                let m = ws.run_mask[i];
-                in_mask |= m;
-                for k in lanes(m) {
-                    out_deg[k] += 1;
                 }
             }
         }
         let mut active = in_mask;
         let mut dangling = 0u64;
-        for (k, &d) in out_deg.iter().enumerate() {
+        for (k, &d) in deg.iter().enumerate() {
             if d > 0 {
                 active |= 1 << k;
                 ws.inv_deg[v * vl + k] = 1.0 / d as f64;
@@ -170,24 +202,14 @@ pub fn pagerank_batch_obs(
         }
         ws.active_mask[v] = active;
         ws.dangling_mask[v] = dangling;
-    }
-
-    // Active vertices per lane (what an index view serves precomputed),
-    // and the union active list.
-    ws.active_list.clear();
-    let mut lane_verts: Vec<Vec<VertexId>> = vec![Vec::new(); vl];
-    for v in 0..n {
-        let m = ws.active_mask[v];
-        if m != 0 {
+        if active != 0 {
             ws.active_list.push(v as u32);
         }
-        for k in lanes(m) {
+        for k in lanes(active) {
             lane_verts[k].push(v as VertexId);
         }
     }
-    let lane_verts: Vec<&[VertexId]> = lane_verts.iter().map(Vec::as_slice).collect();
-
-    batch_iterate(&lane_verts, inits, cfg, sched, ws, obs, t_setup)
+    lane_verts
 }
 
 /// [`pagerank_batch`] with per-lane degrees and activity served from
@@ -270,14 +292,138 @@ pub fn pagerank_batch_indexed_obs(
     ws.active_list = rows;
     let lane_verts: Vec<&[VertexId]> = views.iter().map(|v| v.vertices).collect();
 
-    batch_iterate(&lane_verts, inits, cfg, sched, ws, obs, t_setup)
+    let mut rule = UniformTeleport::new(cfg, inits);
+    batch_iterate(&lane_verts, &mut rule, cfg, sched, ws, obs, t_setup)
 }
 
-/// The shared per-batch iteration phase: lane initialization plus the
-/// masked batched power iteration over the run-compressed adjacency and
-/// activity masks already present in `ws`. `lane_verts[k]` lists lane
-/// `k`'s active vertices, ascending; `t_setup` is when the caller's setup
-/// began (reported to the observer once the lane sizes are known).
+/// What the callers of [`batch_iterate`] differ in, and nothing else: how
+/// a lane is seeded, the cell update and its per-round coefficient, the
+/// residual norm with its tolerance, the mass the health guard checks, and
+/// the per-lane state that compaction has to repack beside the rank
+/// matrix. The loop is generic over the rule (static dispatch), so each
+/// instantiation compiles to its own round loop with the rule inlined.
+///
+/// There are two rules because there are two roundings: the uniform
+/// teleport folds its `1/n` into the coefficient before the add
+/// (`base + damp·acc`, [`UniformTeleport`]), the affine one multiplies a
+/// per-cell teleport entry in the round (`factor·tele + scale·acc`,
+/// `kernel::query`). The bit-identity suites pin each to its own
+/// single-lane kernel, so neither can be rewritten as the other.
+///
+/// Methods take the lane's *compact slot* `k` at the current effective
+/// stride `vl`; until the first compaction that is the original lane.
+pub(crate) trait LaneRule: Sync {
+    /// Seeds slot `k` of the zeroed interleaved `x` over `verts`, the
+    /// lane's active vertices (non-empty, ascending). `n` is the vertex
+    /// universe a caller-provided vector must span.
+    fn seed(
+        &self,
+        k: usize,
+        vl: usize,
+        verts: &[VertexId],
+        n: usize,
+        x: &mut [f64],
+    ) -> Result<(), KernelError>;
+
+    /// Puts slot `k` back on the lane's canonical start after the health
+    /// guard asked for a restart.
+    fn restart(&self, k: usize, vl: usize, verts: &[VertexId], x: &mut [f64]);
+
+    /// This round's coefficient of slot `k`, from the lane's active-vertex
+    /// count and the rank mass its dangling vertices hold.
+    fn coefficient(&self, k: usize, n_act: usize, dangling: f64) -> f64;
+
+    /// The new value of cell `slot = v·vl + k` from the round's
+    /// coefficient and the row's pull sum `acc`.
+    fn cell(&self, k: usize, slot: usize, coefficient: f64, acc: f64) -> f64;
+
+    /// Folds `d` — one cell's `|new − old|`, or another row task's partial
+    /// residual — into slot `k`'s residual `so_far`. `+0.0` is neutral.
+    fn residual(&self, k: usize, so_far: f64, d: f64) -> f64;
+
+    /// The residual below which slot `k` has converged.
+    fn tolerance(&self, k: usize) -> f64;
+
+    /// The rank mass the health guard holds slot `k` to, given the
+    /// iterate's sum `mass`.
+    fn guard_mass(&self, k: usize, mass: f64) -> f64;
+
+    /// Compaction is narrowing the stride from `vl` to the slots `keep`
+    /// (ascending) over `n` vertices: repack whatever per-lane state the
+    /// rule owns the same way ([`repack_columns`] for a matrix).
+    fn compact(&mut self, keep: &[usize], vl: usize, n: usize);
+}
+
+/// The lane rule of the window batch: every lane teleports uniformly over
+/// its own active set with the batch's one `alpha`, converges on the L1
+/// residual against the batch's one tolerance, and conserves unit mass.
+struct UniformTeleport<'a> {
+    alpha: f64,
+    damp: f64,
+    tol: f64,
+    inits: &'a [Init<'a>],
+}
+
+impl<'a> UniformTeleport<'a> {
+    fn new(cfg: &PrConfig, inits: &'a [Init<'a>]) -> Self {
+        UniformTeleport {
+            alpha: cfg.alpha,
+            damp: 1.0 - cfg.alpha,
+            tol: cfg.tol,
+            inits,
+        }
+    }
+}
+
+impl LaneRule for UniformTeleport<'_> {
+    fn seed(
+        &self,
+        k: usize,
+        vl: usize,
+        verts: &[VertexId],
+        n: usize,
+        x: &mut [f64],
+    ) -> Result<(), KernelError> {
+        initialize_lane(self.inits[k], k, vl, verts, n, x)
+    }
+
+    fn restart(&self, k: usize, vl: usize, verts: &[VertexId], x: &mut [f64]) {
+        seed_uniform(k, vl, verts, x);
+    }
+
+    #[inline]
+    fn coefficient(&self, _k: usize, n_act: usize, dangling: f64) -> f64 {
+        let n_k = n_act as f64;
+        self.alpha / n_k + self.damp * dangling / n_k
+    }
+
+    #[inline]
+    fn cell(&self, _k: usize, _slot: usize, coefficient: f64, acc: f64) -> f64 {
+        coefficient + self.damp * acc
+    }
+
+    #[inline]
+    fn residual(&self, _k: usize, so_far: f64, d: f64) -> f64 {
+        so_far + d
+    }
+
+    fn tolerance(&self, _k: usize) -> f64 {
+        self.tol
+    }
+
+    fn guard_mass(&self, _k: usize, mass: f64) -> f64 {
+        mass
+    }
+
+    fn compact(&mut self, _keep: &[usize], _vl: usize, _n: usize) {}
+}
+
+/// The one lane-batched round loop: lane seeding plus the masked batched
+/// iteration over the run-compressed adjacency and activity masks already
+/// present in `ws`, with everything a caller may vary supplied by `rule`
+/// (see [`LaneRule`]). `lane_verts[k]` lists lane `k`'s active vertices,
+/// ascending; `t_setup` is when the caller's setup began (reported to the
+/// observer once the lane sizes are known).
 ///
 /// A round costs what its live cells cost. It is driven from the
 /// [`LiveRows`] list — the rows active in at least one lane that has not
@@ -312,15 +458,15 @@ pub fn pagerank_batch_indexed_obs(
 ///   reduction grouping, so this is *not* bit-identical to
 ///   vertex-balanced runs (each configuration is itself deterministic).
 ///
-/// The per-lane L1-diff reduction also carries each lane's rank mass, so
+/// The per-lane residual reduction also carries each lane's rank mass, so
 /// the numeric-health guards check every live lane per iteration at the
 /// cost of one extra add per live cell. Recovery (renormalize/restart per
 /// [`crate::NumericPolicy`]) is per lane — healthy lanes are unaffected by
 /// a faulting sibling. Injected faults (`cfg.fault`) target original lane
 /// 0 at its first active vertex, wherever compaction has moved the lane.
-fn batch_iterate(
+pub(crate) fn batch_iterate<R: LaneRule>(
     lane_verts: &[&[VertexId]],
-    inits: &[Init<'_>],
+    rule: &mut R,
     cfg: &PrConfig,
     sched: Option<&Scheduler>,
     ws: &mut SpmmWorkspace,
@@ -337,8 +483,11 @@ fn batch_iterate(
     ws.x.resize(n * vl0, 0.0);
     ws.y.clear();
     ws.y.resize(n * vl0, 0.0);
-    for k in 0..vl0 {
-        initialize_lane(inits[k], k, vl0, lane_verts[k], n, &mut ws.x)?;
+    for (k, verts) in lane_verts.iter().enumerate() {
+        // An empty lane's column stays zero and the lane starts converged.
+        if !verts.is_empty() {
+            rule.seed(k, vl0, verts, n, &mut ws.x)?;
+        }
     }
     if let Some(FaultKind::CorruptReciprocal) = cfg.fault {
         if let Some(&v) = lane_verts[0]
@@ -352,9 +501,7 @@ fn batch_iterate(
     let dispatch = SimdDispatch::select(cfg.simd);
     obs.dispatch(dispatch.isa(), vl0);
 
-    // --- Batched power iteration ------------------------------------------
-    let alpha = cfg.alpha;
-    let damp = 1.0 - alpha;
+    // --- Batched iteration --------------------------------------------------
     let has_dangling = ws.dangling_mask.iter().any(|&m| m != 0);
     let mut stats: Vec<PrStats> = (0..vl0)
         .map(|k| PrStats {
@@ -367,10 +514,10 @@ fn batch_iterate(
 
     // Compact lane state: `vl` is the current effective width and
     // `lane_map[j]` the original lane occupying compact slot `j`. `done`
-    // and `all_done` live in compact space; `stats`, `n_act` and
-    // `lane_verts` stay in original lane order. Converged columns are
-    // parked at their original positions (stride `vl0`) when compaction
-    // drops them.
+    // and `all_done` live in compact space, as does whatever the rule
+    // keeps per lane; `stats`, `n_act` and `lane_verts` stay in original
+    // lane order. Converged columns are parked at their original positions
+    // (stride `vl0`) when compaction drops them.
     let mut vl = vl0;
     let mut lane_map: Vec<usize> = (0..vl0).collect();
     let mut parked: Vec<f64> = Vec::new();
@@ -417,21 +564,21 @@ fn batch_iterate(
             live_rows_stale = false;
             obs.live_rows(live_rows.edges, live_rows.cells, vl, live_rows.vector);
         }
-        // Dangling mass per live lane.
-        let mut base = [0.0f64; MAX_LANES];
+        // Dangling mass per live lane, then the rule's coefficient from it.
+        let mut coef = [0.0f64; MAX_LANES];
         if has_dangling {
             for &v in &live_rows.rows {
                 let v = v as usize;
                 for k in lanes(ws.dangling_mask[v] & live) {
-                    base[k] += ws.x[v * vl + k];
+                    coef[k] += ws.x[v * vl + k];
                 }
             }
         }
         for k in lanes(live) {
-            let n_k = n_act[lane_map[k]] as f64;
-            base[k] = alpha / n_k + damp * base[k] / n_k;
+            coef[k] = rule.coefficient(k, n_act[lane_map[k]], coef[k]);
         }
 
+        let rule_ref = &*rule;
         let list = &live_rows.rows;
         let vector_rows = live_rows.vector;
         let x = &ws.x;
@@ -471,8 +618,8 @@ fn batch_iterate(
                 }
                 let old = &x[v * vl..(v + 1) * vl];
                 for_each_cell(active_mask[v] & live, all_done, |k| {
-                    let val = base[k] + damp * acc[k];
-                    diff[k] += (val - old[k]).abs();
+                    let val = rule_ref.cell(k, v * vl + k, coef[k], acc[k]);
+                    diff[k] = rule_ref.residual(k, diff[k], (val - old[k]).abs());
                     mass[k] += val;
                     row[k] = val;
                 });
@@ -482,7 +629,7 @@ fn batch_iterate(
         let reduce = |mut a: ([f64; MAX_LANES], [f64; MAX_LANES]),
                       b: ([f64; MAX_LANES], [f64; MAX_LANES])| {
             for k in 0..MAX_LANES {
-                a.0[k] += b.0[k];
+                a.0[k] = rule_ref.residual(k, a.0[k], b.0[k]);
                 a.1[k] += b.1[k];
             }
             a
@@ -505,13 +652,14 @@ fn batch_iterate(
             for_each_cell(ws.active_mask[v] & live, all_done, |k| old[k] = new[k]);
         }
         // Per-lane health check and recovery; a faulted lane skips this
-        // iteration's convergence test (its diff reflects the pre-recovery
-        // iterate).
+        // iteration's convergence test (its residual reflects the
+        // pre-recovery iterate).
         let mut faulted = 0u64;
         if cfg.guard.enabled {
             for k in lanes(live) {
                 let lane = lane_map[k];
-                match guard_check(diff[k], mass[k], lane, iter, cfg, &mut stats[lane].health)? {
+                let guarded = rule.guard_mass(k, mass[k]);
+                match guard_check(diff[k], guarded, lane, iter, cfg, &mut stats[lane].health)? {
                     GuardAction::Proceed => {}
                     GuardAction::Renormalize { scale } => {
                         for &v in lane_verts[lane] {
@@ -521,7 +669,7 @@ fn batch_iterate(
                         obs.lane_guard(lane, iter, false);
                     }
                     GuardAction::Restart => {
-                        initialize_lane(Init::Uniform, k, vl, lane_verts[lane], n, &mut ws.x)?;
+                        rule.restart(k, vl, lane_verts[lane], &mut ws.x);
                         faulted |= 1 << k;
                         obs.lane_guard(lane, iter, true);
                     }
@@ -535,7 +683,7 @@ fn batch_iterate(
             if faulted & (1 << k) != 0 {
                 continue;
             }
-            if diff[k] < cfg.tol && !force {
+            if diff[k] < rule.tolerance(k) && !force {
                 stats[lane].converged = true;
                 done |= 1 << k;
                 live_rows_stale = true;
@@ -561,7 +709,7 @@ fn batch_iterate(
         // and guards touch only live columns.
         let lc = (!done & all_done).count_ones() as usize;
         if cfg.compaction && lc > 0 && vl >= 8 && lc <= vl / 2 {
-            let vl_new = compact_lanes(ws, vl, vl0, done, &mut lane_map, &mut parked);
+            let vl_new = compact_lanes(ws, rule, vl, vl0, done, &mut lane_map, &mut parked);
             obs.compaction(vl, vl_new);
             vl = vl_new;
             done = 0;
@@ -705,14 +853,11 @@ pub(crate) fn lane_mask_all(vl: usize) -> u64 {
 
 /// Repacks the interleaved batch state from `vl` columns down to the lanes
 /// still live in `done`, parking converged columns at their original
-/// positions (stride `vl0`) in `parked`. Returns the new effective width.
-///
-/// In-place repacking is safe row-ascending: row `v`'s destination ends at
-/// `(v + 1) * vl_new - 1 < (v + 1) * vl`, so writes never reach an unread
-/// source row, and the row's own source is staged through a stack buffer
-/// first.
-fn compact_lanes(
+/// positions (stride `vl0`) in `parked`; the rule repacks what it keeps
+/// per lane. Returns the new effective width.
+fn compact_lanes<R: LaneRule>(
     ws: &mut SpmmWorkspace,
+    rule: &mut R,
     vl: usize,
     vl0: usize,
     done: u64,
@@ -721,24 +866,17 @@ fn compact_lanes(
 ) -> usize {
     let n = ws.active_mask.len();
     let keep: Vec<usize> = (0..vl).filter(|j| done & (1u64 << j) == 0).collect();
-    let vl_new = keep.len();
     if parked.is_empty() {
         parked.resize(n * vl0, 0.0);
     }
-    let mut tmp = [0.0f64; MAX_LANES];
     for v in 0..n {
-        tmp[..vl].copy_from_slice(&ws.x[v * vl..(v + 1) * vl]);
         for j in lanes(done) {
-            parked[v * vl0 + lane_map[j]] = tmp[j];
-        }
-        for (jn, &j) in keep.iter().enumerate() {
-            ws.x[v * vl_new + jn] = tmp[j];
-        }
-        tmp[..vl].copy_from_slice(&ws.inv_deg[v * vl..(v + 1) * vl]);
-        for (jn, &j) in keep.iter().enumerate() {
-            ws.inv_deg[v * vl_new + jn] = tmp[j];
+            parked[v * vl0 + lane_map[j]] = ws.x[v * vl + j];
         }
     }
+    repack_columns(&mut ws.x, n, vl, &keep);
+    repack_columns(&mut ws.inv_deg, n, vl, &keep);
+    rule.compact(&keep, vl, n);
     for m in ws.active_mask.iter_mut() {
         *m = compress_bits(*m, &keep);
     }
@@ -749,7 +887,25 @@ fn compact_lanes(
         *m = compress_bits(*m, &keep);
     }
     *lane_map = keep.iter().map(|&j| lane_map[j]).collect();
-    vl_new
+    keep.len()
+}
+
+/// Repacks the interleaved `n`-row matrix `m` in place from stride `vl` to
+/// the columns `keep` (ascending), stride `keep.len()`.
+///
+/// In place is safe row-ascending: row `v`'s destination ends at
+/// `(v + 1) * keep.len() - 1 < (v + 1) * vl`, so writes never reach an
+/// unread source row, and the row's own source is staged through a stack
+/// buffer first.
+pub(crate) fn repack_columns(m: &mut [f64], n: usize, vl: usize, keep: &[usize]) {
+    let vl_new = keep.len();
+    let mut tmp = [0.0f64; MAX_LANES];
+    for v in 0..n {
+        tmp[..vl].copy_from_slice(&m[v * vl..(v + 1) * vl]);
+        for (jn, &j) in keep.iter().enumerate() {
+            m[v * vl_new + jn] = tmp[j];
+        }
+    }
 }
 
 /// Bit `jn` of the result is bit `keep[jn]` of `m`.
@@ -867,7 +1023,7 @@ pub(crate) fn window_runs(
 }
 
 /// Seeds lane `k` of the interleaved `x` (stride `vl`) over `verts`, the
-/// lane's active vertices in ascending order: the per-lane version of
+/// lane's active vertices (non-empty, ascending): the per-lane version of
 /// [`crate::pagerank::initialize`]. Slots off `verts` are left as they are
 /// — zero, since nothing ever writes a lane outside its active set. `n` is
 /// the vertex universe a caller-provided vector must span.
@@ -879,17 +1035,10 @@ fn initialize_lane(
     n: usize,
     x: &mut [f64],
 ) -> Result<(), KernelError> {
-    if verts.is_empty() {
-        return Ok(());
-    }
     let n_act_f = verts.len() as f64;
     let ids = || verts.iter().map(|&v| v as usize);
     match init {
-        Init::Uniform => {
-            for v in ids() {
-                x[v * vl + k] = 1.0 / n_act_f;
-            }
-        }
+        Init::Uniform => seed_uniform(k, vl, verts, x),
         Init::Provided(p) => {
             if p.len() != n {
                 return Err(KernelError::BadVectorLength {
@@ -905,7 +1054,8 @@ fn initialize_lane(
                 }
             }
             if sum <= 0.0 {
-                return initialize_lane(Init::Uniform, k, vl, verts, n, x);
+                seed_uniform(k, vl, verts, x);
+                return Ok(());
             }
             for v in ids() {
                 x[v * vl + k] = if p[v] > 0.0 { p[v] / sum } else { 0.0 };
@@ -928,7 +1078,8 @@ fn initialize_lane(
                 }
             }
             if shared == 0 || shared_sum <= 0.0 {
-                return initialize_lane(Init::Uniform, k, vl, verts, n, x);
+                seed_uniform(k, vl, verts, x);
+                return Ok(());
             }
             let factor = (shared as f64 / n_act_f) / shared_sum;
             for v in ids() {
@@ -941,6 +1092,14 @@ fn initialize_lane(
         }
     }
     Ok(())
+}
+
+/// The uniform start of lane `k`: `1/|verts|` on each of its vertices.
+fn seed_uniform(k: usize, vl: usize, verts: &[VertexId], x: &mut [f64]) {
+    let u = 1.0 / verts.len() as f64;
+    for &v in verts {
+        x[v as usize * vl + k] = u;
+    }
 }
 
 #[cfg(test)]
@@ -1404,6 +1563,168 @@ mod tests {
             ),
             "{err:?}"
         );
+    }
+
+    /// Which lane rule a fault-table batch runs under, and with it what
+    /// lane 0 is: a window, a personalized query or a Katz query.
+    #[derive(Debug, Clone, Copy)]
+    enum FaultRule {
+        Uniform,
+        Affine { katz_first: bool },
+    }
+
+    /// One batch over `ranges` under `rule`: per-lane stats and rank bits.
+    /// The affine batches put two queries on every window (lanes
+    /// `2w`, `2w + 1`), a seeded personalized one and a Katz one.
+    fn fault_batch(
+        rule: FaultRule,
+        t: &TemporalCsr,
+        ranges: &[TimeRange],
+        c: &PrConfig,
+    ) -> Result<(Vec<PrStats>, Vec<Vec<u64>>), KernelError> {
+        use crate::query::{
+            pagerank_query_batch, QueryBatch, QueryInit, QuerySpec, QueryWorkspace,
+        };
+        let n = t.num_vertices();
+        let lane_bits = |ws: &SpmmWorkspace, vl: usize| -> Vec<Vec<u64>> {
+            (0..vl)
+                .map(|k| lane_of(ws, k, vl).into_iter().map(f64::to_bits).collect())
+                .collect()
+        };
+        match rule {
+            FaultRule::Uniform => {
+                let inits = vec![Init::Uniform; ranges.len()];
+                let mut ws = SpmmWorkspace::default();
+                let stats = pagerank_batch(t, t, ranges, &inits, c, None, &mut ws)?;
+                Ok((stats, lane_bits(&ws, ranges.len())))
+            }
+            FaultRule::Affine { katz_first } => {
+                // Mass on every community, so no lane falls back.
+                let preference: Vec<f64> = (0..n).map(|v| 1.0 + (v % 3) as f64).collect();
+                let mut specs = vec![
+                    QuerySpec::Personalized {
+                        preference: &preference,
+                        alpha: 0.2,
+                    },
+                    QuerySpec::Katz {
+                        alpha_fraction: 0.8,
+                        beta: 1.0,
+                        tol: 1e-12,
+                    },
+                ];
+                if katz_first {
+                    specs.swap(0, 1);
+                }
+                let batch = QueryBatch::new(specs).unwrap();
+                let vl = 2 * ranges.len();
+                let inits = vec![QueryInit::Fresh; vl];
+                let mut ws = QueryWorkspace::default();
+                let out = pagerank_query_batch(t, t, ranges, &batch, &inits, c, None, &mut ws)?;
+                Ok((out.stats, lane_bits(&ws.base, vl)))
+            }
+        }
+    }
+
+    #[test]
+    fn fault_hooks_hit_lane_zero_under_both_rules() {
+        // Vertex 0 is the union's first row and is not active in lane 0,
+        // whatever lane 0 is: every hook has to find the lane's own first
+        // vertex. `moved` appends five empty windows, so at least half of
+        // at least eight lanes are done after round 1 and compaction has
+        // narrowed the stride — lane 0's cells sit elsewhere — before the
+        // NaN of round 2 is planted.
+        let (n, events, live_ranges) = disjoint_community_events();
+        let t = TemporalCsr::from_events(n, &events, true);
+        let fault = |fault| PrConfig {
+            fault: Some(fault),
+            ..cfg()
+        };
+        for rule in [
+            FaultRule::Uniform,
+            FaultRule::Affine { katz_first: false },
+            FaultRule::Affine { katz_first: true },
+        ] {
+            for moved in [false, true] {
+                let what = format!("{rule:?} moved={moved}");
+                let mut ranges = live_ranges.clone();
+                if moved {
+                    ranges.extend((0..5).map(|i| TimeRange::new(1000 + i * 10, 1009 + i * 10)));
+                }
+                let (clean, clean_bits) = fault_batch(rule, &t, &ranges, &cfg()).unwrap();
+                assert!(clean.iter().all(|s| s.converged && s.health.is_clean()));
+                assert!(
+                    clean[0].iterations > 2,
+                    "{what}: lane 0 must outlast the fault"
+                );
+
+                let nan = fault(crate::FaultKind::InjectNan { at_iter: 2 });
+                let (stats, bits) = fault_batch(rule, &t, &ranges, &nan).unwrap();
+                assert_eq!(
+                    stats[0].health.restarts, 1,
+                    "{what}: the NaN must be noticed"
+                );
+                assert!(stats[0].converged, "{what}");
+                for k in 1..stats.len() {
+                    assert_eq!(stats[k], clean[k], "{what}: sibling lane {k}");
+                    assert_eq!(bits[k], clean_bits[k], "{what}: sibling lane {k}");
+                }
+                for (v, (&a, &b)) in bits[0].iter().zip(&clean_bits[0]).enumerate() {
+                    let (a, b) = (f64::from_bits(a), f64::from_bits(b));
+                    assert!(
+                        (a - b).abs() < 1e-9,
+                        "{what}: lane 0 vertex {v}: {a} vs {b}"
+                    );
+                }
+
+                let force = fault(crate::FaultKind::ForceNonConvergence);
+                let (stats, _) = fault_batch(rule, &t, &ranges, &force).unwrap();
+                for (k, s) in stats.iter().enumerate() {
+                    let empty = s.active_vertices == 0;
+                    assert_eq!(s.converged, empty, "{what}: lane {k}");
+                    let expect = if empty { 0 } else { cfg().max_iters };
+                    assert_eq!(s.iterations, expect, "{what}: lane {k}");
+                }
+
+                let panic = fault(crate::FaultKind::PanicInKernel);
+                let caught = std::panic::catch_unwind(|| fault_batch(rule, &t, &ranges, &panic));
+                assert!(caught.is_err(), "{what}: the kernel must panic");
+            }
+        }
+    }
+
+    #[test]
+    fn corrupt_reciprocal_hits_lane_zero_under_the_affine_rule() {
+        // The query-axis half of `faults_target_the_first_vertex_active_in_
+        // lane_zero`: the thousandfold reciprocal lands on a vertex lane 0
+        // pulls from, so a personalized lane 0 gains mass and the guard
+        // escalates; a Katz lane 0 has no conserved mass to drift, and its
+        // siblings keep their bits.
+        let (n, events, ranges) = disjoint_community_events();
+        let t = TemporalCsr::from_events(n, &events, true);
+        let corrupt = PrConfig {
+            fault: Some(crate::FaultKind::CorruptReciprocal),
+            ..cfg()
+        };
+        let rule = FaultRule::Affine { katz_first: false };
+        let err = fault_batch(rule, &t, &ranges, &corrupt).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                KernelError::Numeric {
+                    fault: crate::NumericFault::MassDrift { lane: 0, .. },
+                    ..
+                }
+            ),
+            "{err:?}"
+        );
+        let rule = FaultRule::Affine { katz_first: true };
+        let (clean, clean_bits) = fault_batch(rule, &t, &ranges, &cfg()).unwrap();
+        let (stats, bits) = fault_batch(rule, &t, &ranges, &corrupt).unwrap();
+        assert_ne!(bits[0], clean_bits[0], "the corruption must reach lane 0");
+        for k in 1..stats.len() {
+            assert_eq!(stats[k], clean[k], "sibling lane {k}");
+            assert_eq!(bits[k], clean_bits[k], "sibling lane {k}");
+        }
     }
 
     #[test]

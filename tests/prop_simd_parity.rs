@@ -213,6 +213,107 @@ fn both_row_walks_run_and_agree_on_overlapping_windows() {
     }
 }
 
+#[test]
+fn query_batch_lanes_run_both_row_walks_and_agree() {
+    // The query-axis twin of the test above, at the kernel: lane
+    // `k = 2w + q` puts a personalized and a Katz query on each of 16
+    // windows, 32 lanes. A run is live in both queries of every window
+    // that holds it, so the overlapping windows start on the whole-stride
+    // walk, while the disjoint ones (2 live cells per run in 32 lanes)
+    // stay on the bit walk until compaction has narrowed the stride. Both
+    // lane rules' lanes must land on the mask walk's bits either way.
+    use tempopr::core::TelemetryKernelBridge;
+    use tempopr::kernel::{
+        pagerank_query_batch_obs, BatchObs, QueryBatch, QueryInit, QuerySpec, QueryWorkspace,
+    };
+    let log = one_event_per_tick_log();
+    let n = log.num_vertices();
+    let t = TemporalCsr::from_events(n, log.events(), true);
+    let preference: Vec<f64> = (0..n).map(|v| (v % 4) as f64).collect();
+    let batch = QueryBatch::new(vec![
+        QuerySpec::Personalized {
+            preference: &preference,
+            alpha: 0.2,
+        },
+        QuerySpec::Katz {
+            alpha_fraction: 0.85,
+            beta: 2.0,
+            tol: 1e-9,
+        },
+    ])
+    .unwrap();
+    let windows = |delta: i64| -> Vec<TimeRange> {
+        let spec = WindowSpec::covering(&log, delta, 25).unwrap();
+        (0..16).map(|w| spec.window(w)).collect()
+    };
+    let (overlapping, disjoint) = (windows(100), windows(12));
+    let vl = 32;
+    let inits = vec![QueryInit::Fresh; vl];
+    let pool = thread_pool(2).unwrap();
+    // (rank bits, iterations) per lane and (vector, walk) round counts.
+    type Run = (Vec<(Vec<u64>, usize)>, (u64, u64));
+    let run = |ranges: &[TimeRange], sched: Option<&Scheduler>, simd, compaction| -> Run {
+        let cfg = PrConfig {
+            simd,
+            compaction,
+            ..PrConfig::default()
+        };
+        let tele = Telemetry::enabled();
+        let bridge = TelemetryKernelBridge::new(&tele, 1);
+        let mut ws = QueryWorkspace::default();
+        let out = pool
+            .install(|| {
+                let obs = BatchObs::new(&bridge, &[]);
+                pagerank_query_batch_obs(&t, &t, ranges, &batch, &inits, &cfg, sched, &mut ws, obs)
+            })
+            .unwrap();
+        assert!(out.stats.iter().all(|s| s.converged));
+        let report = tele.report();
+        let rounds = (
+            report.counter("spmm.rounds_vector"),
+            report.counter("spmm.rounds_walk"),
+        );
+        let lanes = (0..vl)
+            .map(|k| (lane_bits(&ws.base, k, vl), out.stats[k].iterations))
+            .collect();
+        (lanes, rounds)
+    };
+    let env = std::env::var("TEMPOPR_SIMD").ok();
+    let auto_is_bitwalk = env.as_deref().map(str::trim) == Some("bitwalk");
+    for sched in [
+        None,
+        Some(Scheduler::new(Partitioner::Auto, 1)),
+        Some(Scheduler::new(Partitioner::Simple, 3)),
+        Some(Scheduler::new(Partitioner::Static, 1)),
+    ] {
+        let sched = sched.as_ref();
+        for simd in [SimdPolicy::BitWalk, SimdPolicy::Scalar, SimdPolicy::Auto] {
+            for compaction in [false, true] {
+                let what = format!("{simd:?} compaction={compaction} {sched:?}");
+                let (mut vector, mut walk) = (0, 0);
+                for ranges in [&overlapping, &disjoint] {
+                    let (reference, pinned) = run(ranges, sched, SimdPolicy::BitWalk, false);
+                    assert!(reference.iter().any(|&(_, it)| it > 1));
+                    assert_eq!(pinned.0, 0, "BitWalk pins the walk");
+                    let (got, rounds) = run(ranges, sched, simd, compaction);
+                    assert_eq!(got, reference, "{what}");
+                    vector += rounds.0;
+                    walk += rounds.1;
+                }
+                if simd == SimdPolicy::BitWalk || (simd == SimdPolicy::Auto && auto_is_bitwalk) {
+                    assert_eq!(vector, 0, "{what}");
+                } else {
+                    assert!(
+                        vector > 0 && walk > 0,
+                        "{what}: both walks must run across the two logs, got {vector} vector \
+                         and {walk} bit-walk rounds"
+                    );
+                }
+            }
+        }
+    }
+}
+
 proptest! {
     // Each case runs 60 configurations over up to 12 lanes.
     #![proptest_config(ProptestConfig::with_cases(16))]
