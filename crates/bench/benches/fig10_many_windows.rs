@@ -20,7 +20,6 @@ fn bench(c: &mut Criterion) {
             let kname = match kernel {
                 KernelKind::SpMV => "spmv",
                 KernelKind::SpMM { .. } => "spmm",
-                KernelKind::PushBlocking => "block",
             };
             for granularity in [1usize, 32] {
                 g.bench_function(format!("{mode:?}/{kname}/g{granularity}"), |b| {

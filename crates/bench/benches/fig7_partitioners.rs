@@ -22,7 +22,6 @@ fn bench(c: &mut Criterion) {
                     let kname = match kernel {
                         KernelKind::SpMV => "spmv",
                         KernelKind::SpMM { .. } => "spmm",
-                        KernelKind::PushBlocking => "block",
                     };
                     g.bench_function(format!("{mode:?}/{kname}/g{granularity}"), |b| {
                         b.iter(|| {

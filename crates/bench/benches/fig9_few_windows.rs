@@ -20,7 +20,6 @@ fn bench(c: &mut Criterion) {
             let kname = match kernel {
                 KernelKind::SpMV => "spmv",
                 KernelKind::SpMM { .. } => "spmm",
-                KernelKind::PushBlocking => "block",
             };
             for use_window_index in [true, false] {
                 let suffix = if use_window_index { "" } else { "/noindex" };

@@ -129,6 +129,5 @@ pub(crate) fn label_kernel(k: KernelKind) -> &'static str {
     match k {
         KernelKind::SpMV => "spmv",
         KernelKind::SpMM { .. } => "spmm",
-        KernelKind::PushBlocking => "block",
     }
 }

@@ -70,7 +70,6 @@ pub fn run(opts: &Opts) {
                     match kernel {
                         KernelKind::SpMV => "spmv".to_string(),
                         KernelKind::SpMM { lanes } => format!("spmm{lanes}"),
-                        KernelKind::PushBlocking => "push".to_string(),
                     },
                     overlap * 100.0,
                     sw as f64 / DAY as f64,

@@ -136,7 +136,7 @@ pub fn suggest_for_profile(profile: &WorkloadProfile) -> PostmortemConfig {
     };
     PostmortemConfig {
         // 0 = automatic: `engine::auto_multiwindows` sizes parts at about
-        // δ/sw windows for SpMV/push (≈2x traversal overhead, clamped to
+        // δ/sw windows for SpMV (≈2x traversal overhead, clamped to
         // 2..=64 windows per part) and widens them to give every SpMM lane
         // at least two regions (clamped to 2..=256).
         num_multiwindows: 0,

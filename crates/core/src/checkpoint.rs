@@ -75,41 +75,9 @@ pub const DRIVER_OFFLINE: u8 = 2;
 /// Driver id stored in the manifest header: streaming sliding-window.
 pub const DRIVER_STREAMING: u8 = 3;
 
-// ---------------------------------------------------------------------------
-// CRC32 (IEEE, reflected) — table generated at compile time; no external
-// crates in the offline build.
-// ---------------------------------------------------------------------------
-
-const fn crc32_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
-    let mut i = 0usize;
-    while i < 256 {
-        let mut c = i as u32;
-        let mut k = 0;
-        while k < 8 {
-            c = if c & 1 != 0 {
-                0xEDB8_8320 ^ (c >> 1)
-            } else {
-                c >> 1
-            };
-            k += 1;
-        }
-        table[i] = c;
-        i += 1;
-    }
-    table
-}
-
-static CRC_TABLE: [u32; 256] = crc32_table();
-
-/// CRC32 (IEEE 802.3 polynomial) of `bytes`.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut c = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        c = CRC_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
-    }
-    !c
-}
+/// CRC32 (IEEE 802.3 polynomial): the one the TCSR storage format uses,
+/// so `tempopr.ckpt.v1` and `tempopr.tcsr.v1` files share a checksum.
+pub use tempopr_graph::storage::crc32;
 
 // ---------------------------------------------------------------------------
 // Errors

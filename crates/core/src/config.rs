@@ -91,10 +91,6 @@ pub enum KernelKind {
         /// Number of simultaneous rank vectors (1..=64).
         lanes: usize,
     },
-    /// Push-style SpMV with propagation blocking (Beamer et al., cited in
-    /// the paper's §2.2 as compatible). The kernel itself is sequential;
-    /// window-level parallelism provides the outer concurrency.
-    PushBlocking,
 }
 
 impl Default for KernelKind {
@@ -112,7 +108,7 @@ pub enum InitMode {
     Full,
     /// Eq. 4 partial initialization wherever the previous window's ranks
     /// are already on-thread in the *same* multi-window part: consecutive
-    /// windows of an SpMV/push grain, and SpMM batches after the first.
+    /// windows of an SpMV grain, and SpMM batches after the first.
     /// Part and batch boundaries still start cold. The paper's default.
     #[default]
     Partial,
@@ -180,7 +176,7 @@ pub struct PostmortemConfig {
     /// failure as a `Failed` window instead (CLI `--recovery fail-only`).
     pub recovery: crate::exec::RecoveryPolicy,
     /// Overlap the next multi-window part's window-index construction with
-    /// the current window's kernel (in-order SpMV/push walks only; needs
+    /// the current window's kernel (in-order SpMV walks only; needs
     /// `use_window_index`). Ranks and deterministic traces are unchanged —
     /// the prefetch only moves wall-clock setup work off the critical
     /// path. Off by default.

@@ -55,10 +55,9 @@ use std::cell::Cell;
 use std::sync::{Arc, Mutex};
 use tempopr_graph::{plan_parts_for_budget, EventLog, MultiWindowGraph, StorageError, WindowSpec};
 use tempopr_kernel::{
-    overlap, pagerank_batch_indexed_obs, pagerank_batch_obs, pagerank_window_blocking_indexed_obs,
-    pagerank_window_blocking_obs, pagerank_window_indexed_obs, pagerank_window_obs, thread_pool,
-    worker_pool, BatchObs, BlockingWorkspace, Init, Obs, PrConfig, PrStats, PrWorkspace, Scheduler,
-    SpmmWorkspace,
+    overlap, pagerank_batch_indexed_obs, pagerank_batch_obs, pagerank_window_indexed_obs,
+    pagerank_window_obs, thread_pool, worker_pool, BatchObs, Init, Obs, PrConfig, PrStats,
+    PrWorkspace, Scheduler, SpmmWorkspace,
 };
 use tempopr_telemetry::{Phase as RunPhase, Telemetry};
 
@@ -381,7 +380,6 @@ impl PostmortemEngine {
         let windows = match self.cfg.kernel {
             KernelKind::SpMV => self.run_spmv(plan),
             KernelKind::SpMM { lanes } => self.run_spmm(lanes, plan),
-            KernelKind::PushBlocking => self.run_blocking(plan),
         };
         RunOutput {
             windows,
@@ -415,20 +413,36 @@ impl PostmortemEngine {
         match prev_part {
             Some(p) if p == part_idx && self.reuse_ranks() => Seed::InPart,
             Some(p) if p != part_idx && self.warm() => {
-                let prev_map = self.store.vertex_map(p);
-                let new_map = self.store.vertex_map(part_idx);
-                match warmstart::carry_ranks(prev_map, prev, new_map, carry_buf) {
-                    Some(_) => {
-                        self.tele.add("warmstart.seeded_windows", 1);
-                        Seed::Carried
-                    }
-                    None => {
-                        self.tele.add("warmstart.degenerate_windows", 1);
-                        Seed::Cold
-                    }
+                if self.carry_across(p, prev, part_idx, carry_buf) {
+                    self.tele.add("warmstart.seeded_windows", 1);
+                    Seed::Carried
+                } else {
+                    Seed::Cold
                 }
             }
             _ => Seed::Cold,
+        }
+    }
+
+    /// The cross-part carry of both in-order walks: remaps `ranks` (local
+    /// to part `from`) into part `to`'s vertex space. `false` — counted as
+    /// a degenerate carry, `out` unusable — when no usable mass survives
+    /// the boundary; the caller then starts cold.
+    fn carry_across(&self, from: usize, ranks: &[f64], to: usize, out: &mut Vec<f64>) -> bool {
+        let (from, to) = (self.store.vertex_map(from), self.store.vertex_map(to));
+        let carried = warmstart::carry_ranks(from, ranks, to, out).is_some();
+        if !carried {
+            self.tele.add("warmstart.degenerate_windows", 1);
+        }
+        carried
+    }
+
+    /// The scheduler handed *into* each kernel: parallelism inside a
+    /// PageRank belongs to the application-level and nested modes.
+    pub(crate) fn inner_scheduler(&self) -> Option<&Scheduler> {
+        match self.cfg.mode {
+            ParallelMode::ApplicationLevel | ParallelMode::Nested => Some(&self.cfg.scheduler),
+            ParallelMode::Sequential | ParallelMode::WindowLevel => None,
         }
     }
 
@@ -521,17 +535,23 @@ impl PostmortemEngine {
             .with_checkpoint(lock(&self.ckpt).clone())
     }
 
-    /// Computes one window with the SpMV kernel through the full recovery
-    /// ladder, returning its final local rank vector.
+    /// The one per-window driver: computes window `w` with the SpMV kernel
+    /// through the full recovery ladder — every window of the SpMV walk,
+    /// and every SpMM window that leaves its batch. `prev` is the vector
+    /// behind `seed` (`None` for a cold start). Returns the finalized
+    /// output and, when the window is valid, its local ranks: the next
+    /// window's seed. After a failed window the next one starts cold.
     fn single_window(
         &self,
         part: &MultiWindowGraph,
         w: usize,
+        seed: Seed,
         prev: Option<&[f64]>,
-        inner: Option<&Scheduler>,
         ws: &mut PrWorkspace,
-    ) -> (PrStats, WindowStatus, Vec<f64>, u16) {
+        meter: &mut SavingsMeter,
+    ) -> (WindowOutput, Option<Vec<f64>>) {
         let range = self.spec().window(w);
+        let inner = self.inner_scheduler();
         let (pull, push) = (part.pull_tcsr(), part.tcsr());
         let prcfg = PrConfig {
             fault: self.cfg.faults.fault_for(w),
@@ -576,7 +596,10 @@ impl PostmortemEngine {
             Some(x) => x,
             None => ws.ranks().to_vec(),
         };
-        (stats, status, ranks, attempts)
+        let valid = status.is_valid();
+        meter.record(&self.tele, seed, valid, stats.iterations);
+        let output = self.make_output(w, part, stats, &ranks, status, attempts);
+        (output, valid.then_some(ranks))
     }
 
     // --- SpMV path ------------------------------------------------------
@@ -589,32 +612,22 @@ impl PostmortemEngine {
             // Pool eligibility (in-order mode, no warm carry, no resume)
             // was checked by the worker plan: every part cold-starts its
             // first window exactly as the serial walk would.
-            let inner = (self.cfg.mode == ParallelMode::ApplicationLevel).then_some(sched);
             return self.pooled_parts(workers, |p| {
-                self.spmv_chunk(self.store.part_windows(p), inner, None, None)
+                self.spmv_chunk(self.store.part_windows(p), None, None)
             });
         }
         let pf = self.prefetcher();
         let pf = pf.as_ref().map(|p| p as &dyn Prefetcher);
         match self.cfg.mode {
-            ParallelMode::Sequential => {
-                self.spmv_chunk(plan.start..count, None, pf, plan.seed.clone())
-            }
-            ParallelMode::ApplicationLevel => {
-                self.spmv_chunk(plan.start..count, Some(sched), pf, plan.seed.clone())
+            ParallelMode::Sequential | ParallelMode::ApplicationLevel => {
+                self.spmv_chunk(plan.start..count, pf, plan.seed.clone())
             }
             // Resume never reaches the part-parallel modes (run_durable
             // rejects them with a non-empty prefix), so plan is trivial.
-            ParallelMode::WindowLevel => sched.map_reduce_range(
+            ParallelMode::WindowLevel | ParallelMode::Nested => sched.map_reduce_range(
                 count,
                 Vec::new(),
-                |r| self.spmv_chunk(r, None, None, None),
-                concat,
-            ),
-            ParallelMode::Nested => sched.map_reduce_range(
-                count,
-                Vec::new(),
-                |r| self.spmv_chunk(r, Some(sched), None, None),
+                |r| self.spmv_chunk(r, None, None),
                 concat,
             ),
         }
@@ -663,7 +676,6 @@ impl PostmortemEngine {
     fn spmv_chunk(
         &self,
         windows: std::ops::Range<usize>,
-        inner: Option<&Scheduler>,
         prefetcher: Option<&dyn Prefetcher>,
         resume: Option<(usize, Vec<f64>)>,
     ) -> Vec<WindowOutput> {
@@ -701,135 +713,13 @@ impl PostmortemEngine {
                     Seed::InPart => Some(prev.as_slice()),
                     Seed::Carried => Some(carry_buf.as_slice()),
                 };
-                let (stats, status, ranks, attempts) =
-                    self.single_window(part, w, seed_ref, inner, &mut ws);
-                let valid = status.is_valid();
-                meter.record(&self.tele, seed, valid, stats.iterations);
-                let output = self.make_output(w, part, stats, &ranks, status, attempts);
+                let (output, ranks) =
+                    self.single_window(part, w, seed, seed_ref, &mut ws, &mut meter);
                 // Keep this window's ranks as the next window's previous
                 // vector; after a failed window the next one starts cold.
-                if valid {
+                prev_part = ranks.is_some().then_some(part_idx);
+                if let Some(ranks) = ranks {
                     prev = ranks;
-                    prev_part = Some(part_idx);
-                } else {
-                    prev_part = None;
-                }
-                output
-            },
-        )
-    }
-
-    /// Propagation-blocking path: same window walk as SpMV, sequential
-    /// kernel (outer window-level parallelism still applies).
-    fn run_blocking(&self, plan: &RunPlan) -> Vec<WindowOutput> {
-        let count = self.spec().count;
-        let sched = &self.cfg.scheduler;
-        let workers = self.runtime_workers(plan);
-        if workers > 1 {
-            return self.pooled_parts(workers, |p| {
-                self.blocking_chunk(self.store.part_windows(p), None, None)
-            });
-        }
-        let pf = self.prefetcher();
-        let pf = pf.as_ref().map(|p| p as &dyn Prefetcher);
-        match self.cfg.mode {
-            ParallelMode::Sequential | ParallelMode::ApplicationLevel => {
-                self.blocking_chunk(plan.start..count, pf, plan.seed.clone())
-            }
-            ParallelMode::WindowLevel | ParallelMode::Nested => sched.map_reduce_range(
-                count,
-                Vec::new(),
-                |r| self.blocking_chunk(r, None, None),
-                concat,
-            ),
-        }
-    }
-
-    fn blocking_chunk(
-        &self,
-        windows: std::ops::Range<usize>,
-        prefetcher: Option<&dyn Prefetcher>,
-        resume: Option<(usize, Vec<f64>)>,
-    ) -> Vec<WindowOutput> {
-        let mut ws = BlockingWorkspace::default();
-        let (mut prev, mut prev_part): (Vec<f64>, Option<usize>) = match resume {
-            Some((p, ranks)) => (ranks, Some(p)),
-            None => (Vec::new(), None),
-        };
-        let mut carry_buf: Vec<f64> = Vec::new();
-        let mut meter = SavingsMeter::default();
-        let mut source = ShardedSource::new(&self.store);
-        run_windows(
-            &mut source,
-            windows,
-            prefetcher,
-            &self.tele,
-            |_, w, (part_idx, fetched)| {
-                let part_idx = *part_idx;
-                let part: &MultiWindowGraph = match fetched {
-                    Ok(p) => p,
-                    Err(e) => {
-                        prev_part = None;
-                        return self.fetch_failed_output(w, part_idx, e);
-                    }
-                };
-                let range = self.spec().window(w);
-                let seed = self.seed_for(part_idx, prev_part, &prev, &mut carry_buf);
-                let seed_ref: Option<&[f64]> = match seed {
-                    Seed::Cold => None,
-                    Seed::InPart => Some(&prev),
-                    Seed::Carried => Some(&carry_buf),
-                };
-                let (pull, push) = (part.pull_tcsr(), part.tcsr());
-                let prcfg = PrConfig {
-                    fault: self.cfg.faults.fault_for(w),
-                    ..self.cfg.pr
-                };
-                let n_local = pull.num_vertices();
-                let attempt_no = Cell::new(0u16);
-                let (stats, status, override_ranks, attempts) = {
-                    let ws = &mut ws;
-                    let attempt_no = &attempt_no;
-                    let kernel = move |uniform: bool| {
-                        let init = match seed_ref {
-                            Some(p) if !uniform => Init::Partial(p),
-                            _ => Init::Uniform,
-                        };
-                        attempt_no.set(attempt_no.get() + 1);
-                        let bridge = TelemetryKernelBridge::new(&self.tele, attempt_no.get());
-                        let obs = if self.tele.is_enabled() {
-                            Obs::new(&bridge, w as u32)
-                        } else {
-                            Obs::off()
-                        };
-                        if self.cfg.use_window_index {
-                            let view = part.index_view(w);
-                            pagerank_window_blocking_indexed_obs(
-                                pull, push, &view, init, &prcfg, ws, obs,
-                            )
-                        } else {
-                            pagerank_window_blocking_obs(pull, push, range, init, &prcfg, ws, obs)
-                        }
-                    };
-                    let oracle = || oracle_for(pull, push, range, &self.cfg.pr, MAX_ORACLE_ACTIVE);
-                    self.executor()
-                        .drive(w as u32, seed_ref.is_some(), n_local, kernel, oracle)
-                };
-                if !status.is_valid() {
-                    ws = BlockingWorkspace::default();
-                }
-                let valid = status.is_valid();
-                meter.record(&self.tele, seed, valid, stats.iterations);
-                let ranks: Vec<f64> = match override_ranks {
-                    Some(x) => x,
-                    None => ws.pr.x.clone(),
-                };
-                let output = self.make_output(w, part, stats, &ranks, status, attempts);
-                if valid {
-                    prev = ranks;
-                    prev_part = Some(part_idx);
-                } else {
-                    prev_part = None;
                 }
                 output
             },
@@ -846,9 +736,8 @@ impl PostmortemEngine {
             // No carry reaches a pooled part (the worker plan already
             // excluded warm mode), so each part's batches are exactly the
             // serial walk's.
-            let inner = (self.cfg.mode == ParallelMode::ApplicationLevel).then_some(sched);
             return self.pooled_parts(workers, |p| {
-                self.spmm_part(p, lanes, inner, None, &mut SavingsMeter::default())
+                self.spmm_part(p, lanes, None, &mut SavingsMeter::default())
                     .0
             });
         }
@@ -856,26 +745,15 @@ impl PostmortemEngine {
         // start before its predecessor finished); the carry chain belongs
         // to the in-order modes, mirroring the SpMV grain semantics.
         match self.cfg.mode {
-            ParallelMode::Sequential => self.spmm_in_order(lanes, None, plan),
-            ParallelMode::ApplicationLevel => self.spmm_in_order(lanes, Some(sched), plan),
-            ParallelMode::WindowLevel => sched.map_reduce_range(
+            ParallelMode::Sequential | ParallelMode::ApplicationLevel => {
+                self.spmm_in_order(lanes, plan)
+            }
+            ParallelMode::WindowLevel | ParallelMode::Nested => sched.map_reduce_range(
                 parts,
                 Vec::new(),
                 |r| {
                     r.flat_map(|p| {
-                        self.spmm_part(p, lanes, None, None, &mut SavingsMeter::default())
-                            .0
-                    })
-                    .collect()
-                },
-                concat,
-            ),
-            ParallelMode::Nested => sched.map_reduce_range(
-                parts,
-                Vec::new(),
-                |r| {
-                    r.flat_map(|p| {
-                        self.spmm_part(p, lanes, Some(sched), None, &mut SavingsMeter::default())
+                        self.spmm_part(p, lanes, None, &mut SavingsMeter::default())
                             .0
                     })
                     .collect()
@@ -888,12 +766,7 @@ impl PostmortemEngine {
     /// The in-order SpMM walk over parts, threading the cross-part carry:
     /// each part's last converged window seeds the next part's first batch
     /// (remapped between local vertex spaces) under [`InitMode::Warm`].
-    fn spmm_in_order(
-        &self,
-        lanes: usize,
-        inner: Option<&Scheduler>,
-        plan: &RunPlan,
-    ) -> Vec<WindowOutput> {
+    fn spmm_in_order(&self, lanes: usize, plan: &RunPlan) -> Vec<WindowOutput> {
         let mut out: Vec<WindowOutput> = Vec::new();
         let mut meter = SavingsMeter::default();
         // The previous part's final local ranks, and which part they're in.
@@ -904,20 +777,12 @@ impl PostmortemEngine {
         let start_part = self.part_index_of(plan.start);
         for p in start_part..self.store.num_parts() {
             let seed: Option<&[f64]> = match &carry {
-                Some((q, ranks)) if self.warm() => {
-                    let prev_map = self.store.vertex_map(*q);
-                    let new_map = self.store.vertex_map(p);
-                    match warmstart::carry_ranks(prev_map, ranks, new_map, &mut mapped) {
-                        Some(_) => Some(mapped.as_slice()),
-                        None => {
-                            self.tele.add("warmstart.degenerate_windows", 1);
-                            None
-                        }
-                    }
+                Some((q, ranks)) if self.warm() && self.carry_across(*q, ranks, p, &mut mapped) => {
+                    Some(mapped.as_slice())
                 }
                 _ => None,
             };
-            let (mut w_out, carry_out) = self.spmm_part(p, lanes, inner, seed, &mut meter);
+            let (mut w_out, carry_out) = self.spmm_part(p, lanes, seed, &mut meter);
             out.append(&mut w_out);
             // A part whose last window failed breaks the chain: the next
             // part starts cold rather than reusing a poisoned seed.
@@ -948,10 +813,10 @@ impl PostmortemEngine {
         &self,
         part_idx: usize,
         lanes: usize,
-        inner: Option<&Scheduler>,
         carry: Option<&[f64]>,
         meter: &mut SavingsMeter,
     ) -> (Vec<WindowOutput>, Option<Vec<f64>>) {
+        let inner = self.inner_scheduler();
         let fetched = match self.store.part(part_idx) {
             Ok(p) => p,
             Err(e) => return (self.failed_part_outputs(part_idx, &e), None),
@@ -1016,14 +881,9 @@ impl PostmortemEngine {
                 .into_iter()
                 .partition(|&lw| self.cfg.faults.fault_for(w0 + lw).is_none());
             for &lw in &faulted {
-                let r = lw / region;
-                let kind = seed_kind(j, &prev[r]);
-                let prev_ref = if reuse { prev[r].as_deref() } else { None };
-                let (stats, status, ranks, attempts) =
-                    self.single_window(part, w0 + lw, prev_ref, inner, &mut pr_ws);
-                meter.record(&self.tele, kind, status.is_valid(), stats.iterations);
-                prev[r] = status.is_valid().then(|| ranks.clone());
-                out.push(self.make_output(w0 + lw, part, stats, &ranks, status, attempts));
+                let slot = &mut prev[lw / region];
+                let kind = seed_kind(j, slot);
+                out.push(self.solo_lane(part, w0 + lw, kind, slot, &mut pr_ws, meter));
             }
             if clean.is_empty() {
                 continue;
@@ -1107,13 +967,8 @@ impl PostmortemEngine {
                         } else {
                             // Per-lane escalation: recompute this window
                             // alone through the recovery ladder.
-                            let r = lw / region;
-                            let prev_ref = if reuse { prev[r].as_deref() } else { None };
-                            let (stats2, status, ranks, attempts) =
-                                self.single_window(part, w, prev_ref, inner, &mut pr_ws);
-                            meter.record(&self.tele, kind, status.is_valid(), stats2.iterations);
-                            prev[r] = status.is_valid().then(|| ranks.clone());
-                            out.push(self.make_output(w, part, stats2, &ranks, status, attempts));
+                            let slot = &mut prev[lw / region];
+                            out.push(self.solo_lane(part, w, kind, slot, &mut pr_ws, meter));
                         }
                     }
                 }
@@ -1124,14 +979,9 @@ impl PostmortemEngine {
                         ws = SpmmWorkspace::default();
                     }
                     for &lw in &clean {
-                        let r = lw / region;
-                        let kind = seed_kind(j, &prev[r]);
-                        let prev_ref = if reuse { prev[r].as_deref() } else { None };
-                        let (stats, status, ranks, attempts) =
-                            self.single_window(part, w0 + lw, prev_ref, inner, &mut pr_ws);
-                        meter.record(&self.tele, kind, status.is_valid(), stats.iterations);
-                        prev[r] = status.is_valid().then(|| ranks.clone());
-                        out.push(self.make_output(w0 + lw, part, stats, &ranks, status, attempts));
+                        let slot = &mut prev[lw / region];
+                        let kind = seed_kind(j, slot);
+                        out.push(self.solo_lane(part, w0 + lw, kind, slot, &mut pr_ws, meter));
                     }
                 }
             }
@@ -1145,6 +995,29 @@ impl PostmortemEngine {
             None
         };
         (out, carry_out)
+    }
+
+    /// One window of an SpMM part solved alone — a faulted lane, an
+    /// escalated lane, or every lane of a failed batch: seeded from its
+    /// region's slot, which it then refreshes (a failed window empties it,
+    /// so the region's next batch starts cold).
+    fn solo_lane(
+        &self,
+        part: &MultiWindowGraph,
+        w: usize,
+        seed: Seed,
+        slot: &mut Option<Vec<f64>>,
+        ws: &mut PrWorkspace,
+        meter: &mut SavingsMeter,
+    ) -> WindowOutput {
+        let prev = if self.reuse_ranks() {
+            slot.as_deref()
+        } else {
+            None
+        };
+        let (output, ranks) = self.single_window(part, w, seed, prev, ws, meter);
+        *slot = ranks;
+        output
     }
 
     // --- Shared helpers ---------------------------------------------------
@@ -1351,7 +1224,7 @@ fn concat(mut a: Vec<WindowOutput>, mut b: Vec<WindowOutput>) -> Vec<WindowOutpu
 pub fn auto_multiwindows(spec: &WindowSpec, kernel: KernelKind) -> usize {
     let ratio = (spec.delta / spec.sw).max(1) as usize;
     let windows_per_part = match kernel {
-        KernelKind::SpMV | KernelKind::PushBlocking => ratio.clamp(2, 64),
+        KernelKind::SpMV => ratio.clamp(2, 64),
         KernelKind::SpMM { lanes } => ratio.max(2 * lanes.max(1)).clamp(2, 256),
     };
     spec.count.div_ceil(windows_per_part).max(1)
@@ -1525,11 +1398,7 @@ mod tests {
         // every kernel and parallel mode.
         let log = test_log();
         let spec = WindowSpec::covering(&log, 60, 25).unwrap();
-        for kernel in [
-            KernelKind::SpMV,
-            KernelKind::SpMM { lanes: 4 },
-            KernelKind::PushBlocking,
-        ] {
+        for kernel in [KernelKind::SpMV, KernelKind::SpMM { lanes: 4 }] {
             for mode in [
                 ParallelMode::Sequential,
                 ParallelMode::WindowLevel,
@@ -1557,6 +1426,64 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn both_in_order_walks_share_one_cross_part_carry() {
+        // Three parts of two disjoint-in-time windows each. Parts 0 and 1
+        // share vertices 0..4 (an overlapping boundary: the carry seeds);
+        // part 2 lives on 8..12 (a disjoint boundary: degenerate, cold).
+        let mut events = Vec::new();
+        for w in 0..6u32 {
+            let (base, n) = [(0, 4), (0, 4), (0, 6), (0, 6), (8, 4), (8, 4)][w as usize];
+            for i in 0..40u32 {
+                let (u, v) = (base + i % n, base + (i + 1 + i % 2) % n);
+                if u != v {
+                    events.push(Event::new(u, v, i64::from(w * 100 + i)));
+                }
+            }
+        }
+        let log = EventLog::from_unsorted(events, 12).unwrap();
+        let spec = WindowSpec::new(0, 50, 100, 6).unwrap();
+        let run = |kernel| {
+            let tele = Telemetry::enabled();
+            let cfg = PostmortemConfig {
+                kernel,
+                mode: ParallelMode::Sequential,
+                init_mode: InitMode::Warm,
+                num_multiwindows: 3,
+                pr: tight_cfg(),
+                ..Default::default()
+            };
+            let engine = PostmortemEngine::with_telemetry(&log, spec, cfg, tele.clone()).unwrap();
+            let out = engine.run();
+            assert!(!out.degraded);
+            (engine, tele.report(), out)
+        };
+        let (spmv, spmv_report, out) = run(KernelKind::SpMV);
+        // One lane: one region per part, so one seeded window per carry.
+        let (spmm, spmm_report, _) = run(KernelKind::SpMM { lanes: 1 });
+        assert_eq!(spmv.store.part_windows(1), 2..4);
+        for (name, expect) in [
+            ("warmstart.seeded_windows", 1),
+            ("warmstart.degenerate_windows", 1),
+        ] {
+            assert_eq!(spmv_report.counter(name), expect, "spmv {name}");
+            assert_eq!(spmm_report.counter(name), expect, "spmm {name}");
+        }
+        // Both walks hand the next part the same carried vector.
+        let local = |p: usize, w: usize| {
+            let ranks = out.windows[w].ranks.as_ref().expect("full retention");
+            ranks.to_local(spmv.store.vertex_map(p))
+        };
+        let (mut a, mut b) = (Vec::new(), Vec::new());
+        assert!(spmv.carry_across(0, &local(0, 1), 1, &mut a));
+        assert!(spmm.carry_across(0, &local(0, 1), 1, &mut b));
+        assert_eq!(a, b);
+        assert_eq!(a.len(), 6);
+        assert!(a[..4].iter().all(|&r| r > 0.0) && a[4..] == [0.0, 0.0]);
+        assert!(!spmv.carry_across(1, &local(1, 3), 2, &mut a));
+        assert!(!spmm.carry_across(1, &local(1, 3), 2, &mut b));
     }
 
     #[test]

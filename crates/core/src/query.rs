@@ -15,7 +15,7 @@
 //! the differential suites `tests/prop_query_batch.rs` /
 //! `tests/query_batch_edge_cases.rs`), and this driver only adds routing.
 
-use crate::config::{InitMode, KernelKind, ParallelMode, RetainMode};
+use crate::config::{InitMode, KernelKind, RetainMode};
 use crate::engine::PostmortemEngine;
 use crate::error::{EngineError, Phase};
 use crate::result::{rank_fingerprint, SparseRanks};
@@ -23,7 +23,7 @@ use crate::warmstart;
 use tempopr_graph::TimeRange;
 use tempopr_kernel::{
     pagerank_query_batch, KernelError, PrStats, QueryBatch, QueryInit, QuerySpec, QueryWorkspace,
-    Scheduler, MAX_LANES,
+    MAX_LANES,
 };
 
 /// One query to evaluate on every window of the run, in the *global*
@@ -132,7 +132,7 @@ impl PostmortemEngine {
     /// chains its own warm starts inside a part, and under
     /// [`InitMode::Warm`] each query's final vector is carried across part
     /// boundaries through the vertex maps. Parts are always walked in
-    /// order ([`ParallelMode`] only selects the *inner* scheduler).
+    /// order ([`crate::ParallelMode`] only selects the *inner* scheduler).
     ///
     /// Unlike [`PostmortemEngine::run`] there is no per-window recovery
     /// ladder: a kernel error aborts the run with the failing window and
@@ -189,10 +189,7 @@ impl PostmortemEngine {
             KernelKind::SpMM { lanes } => lanes.clamp(1, MAX_LANES),
             _ => MAX_LANES,
         };
-        let inner: Option<&Scheduler> = match cfg.mode {
-            ParallelMode::ApplicationLevel | ParallelMode::Nested => Some(&cfg.scheduler),
-            ParallelMode::Sequential | ParallelMode::WindowLevel => None,
-        };
+        let inner = self.inner_scheduler();
         let reuse = cfg.init_mode != InitMode::Full;
         let warm = cfg.init_mode == InitMode::Warm;
         let nq = queries.len();
@@ -393,7 +390,7 @@ impl PostmortemEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::PostmortemConfig;
+    use crate::config::{ParallelMode, PostmortemConfig};
     use tempopr_graph::{Event, EventLog, WindowSpec};
     use tempopr_kernel::{pagerank_window_personalized, PrConfig, PrWorkspace};
     use tempopr_telemetry::Telemetry;

@@ -170,8 +170,8 @@ pub enum StorageProfile {
 
 // --- CRC32 (IEEE, reflected) -------------------------------------------
 //
-// Same polynomial/table as `tempopr-core::checkpoint::crc32`; duplicated
-// here because the graph crate sits below core in the dependency order.
+// The workspace's one copy: `tempopr-core::checkpoint` re-exports it for
+// the checkpoint manifest format.
 
 const fn crc_table() -> [u32; 256] {
     let mut table = [0u32; 256];

@@ -22,8 +22,6 @@
 //!   and the affine lane rule, run by [`spmm`]'s loop;
 //! - [`simd`]: the runtime-dispatched whole-stride row walk of that loop
 //!   (the only module allowed `unsafe`);
-//! - [`propagation`]: a push-style kernel with propagation blocking
-//!   (Beamer et al., cited in §2.2 as compatible);
 //! - [`mod@reference`]: the slow, obvious implementation every kernel is
 //!   tested against.
 //!
@@ -45,7 +43,6 @@ pub mod linear_system;
 pub mod observe;
 pub mod pagerank;
 pub mod personalized;
-pub mod propagation;
 pub mod query;
 pub mod reference;
 pub mod scheduler;
@@ -61,10 +58,6 @@ pub use pagerank::{
     NumericPolicy, PrConfig, PrHealth, PrStats, PrWorkspace, MAX_RENORMALIZATIONS, MAX_RESTARTS,
 };
 pub use personalized::{pagerank_window_personalized, PersonalizedStats};
-pub use propagation::{
-    pagerank_window_blocking, pagerank_window_blocking_indexed,
-    pagerank_window_blocking_indexed_obs, pagerank_window_blocking_obs, BlockingWorkspace,
-};
 pub use query::{
     pagerank_query_batch, pagerank_query_batch_obs, QueryBatch, QueryBatchOutcome, QueryInit,
     QuerySpec, QueryWorkspace,

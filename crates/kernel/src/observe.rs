@@ -31,7 +31,7 @@ pub trait KernelObserver: Sync {
 
     /// One power/push iteration finished: `residual` is the L1 step
     /// difference, `mass` the iterate's total rank mass, `spmv_ns` the
-    /// wall time of the propagation pass and `check_ns` of the
+    /// wall time of the pull pass and `check_ns` of the
     /// guard/scatter/convergence tail (both 0 for batched lanes, which
     /// report round-level time via [`KernelObserver::on_batch_round`]).
     fn on_iteration(
@@ -53,8 +53,8 @@ pub trait KernelObserver: Sync {
     }
 
     /// One SpMM round finished: how many lanes were still live, how many
-    /// run entries the propagation pass walked (`edges`), and the round's
-    /// propagation/check wall time (shared by all lanes).
+    /// run entries the pull pass walked (`edges`), and the round's
+    /// pull/check wall time (shared by all lanes).
     fn on_batch_round(
         &self,
         iteration: u32,
@@ -155,7 +155,7 @@ impl<'a> Obs<'a> {
         }
     }
 
-    /// Reports one iteration; `t0`/`t_mid` bracket the propagation pass.
+    /// Reports one iteration; `t0`/`t_mid` bracket the pull pass.
     pub fn iteration(
         &self,
         iteration: usize,

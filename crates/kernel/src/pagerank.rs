@@ -314,69 +314,14 @@ pub fn pagerank_window_obs(
         });
     }
     ws.ensure(n);
-    let directed = !std::ptr::eq(pull, push);
-
-    // --- Degree / activity pass -----------------------------------------
     let t_setup = obs.now();
-    match sched {
-        Some(s) => {
-            let deg_out = &mut ws.deg_out;
-            s.map_reduce_slice_mut(
-                deg_out,
-                (),
-                |off, slice| {
-                    for (i, d) in slice.iter_mut().enumerate() {
-                        *d = push.active_degree((off + i) as VertexId, range) as u32;
-                    }
-                },
-                |_, _| (),
-            );
-        }
-        None => {
-            for v in 0..n {
-                ws.deg_out[v] = push.active_degree(v as VertexId, range) as u32;
-            }
-        }
-    }
-    if directed {
-        ws.deg_in.clear();
-        ws.deg_in.resize(n, 0);
-        match sched {
-            Some(s) => {
-                let deg_in = &mut ws.deg_in;
-                s.map_reduce_slice_mut(
-                    deg_in,
-                    (),
-                    |off, slice| {
-                        for (i, d) in slice.iter_mut().enumerate() {
-                            *d = pull.active_degree((off + i) as VertexId, range) as u32;
-                        }
-                    },
-                    |_, _| (),
-                );
-            }
-            None => {
-                for v in 0..n {
-                    ws.deg_in[v] = pull.active_degree(v as VertexId, range) as u32;
-                }
-            }
-        }
-    } else {
-        ws.deg_in.clear();
-    }
-    let mut has_dangling = false;
-    for v in 0..n {
-        let act = ws.deg_out[v] > 0 || (directed && ws.deg_in[v] > 0);
-        ws.active[v] = act;
-        if act {
-            ws.active_list.push(v as u32);
-            if ws.deg_out[v] == 0 {
-                has_dangling = true;
-            } else {
-                ws.inv_deg[v] = 1.0 / ws.deg_out[v] as f64;
-            }
-        }
-    }
+    let has_dangling = degree_pass(
+        !std::ptr::eq(pull, push),
+        |v| push.active_degree(v, range),
+        |v| pull.active_degree(v, range),
+        sched,
+        ws,
+    );
     power_iterate_window(
         pull,
         range,
@@ -388,6 +333,65 @@ pub fn pagerank_window_obs(
         obs,
         t_setup,
     )
+}
+
+/// The unindexed degree/activity pass of [`pagerank_window`] and
+/// [`pagerank_csr`]: fills `deg_out` (and, for a directed build, `deg_in`)
+/// through the scheduler, then builds the active list, the reciprocals and
+/// the activity flags in one order-dependent sequential sweep. Returns
+/// whether the graph has dangling vertices. Monomorphized per caller over
+/// the two degree lookups; the caller must have run [`PrWorkspace::ensure`].
+fn degree_pass<DO, DI>(
+    directed: bool,
+    out_degree: DO,
+    in_degree: DI,
+    sched: Option<&Scheduler>,
+    ws: &mut PrWorkspace,
+) -> bool
+where
+    DO: Fn(VertexId) -> usize + Sync,
+    DI: Fn(VertexId) -> usize + Sync,
+{
+    let n = ws.deg_out.len();
+    fill_degrees(&mut ws.deg_out, out_degree, sched);
+    // `deg_in` carries pull degrees for the activity test; empty when the
+    // build is symmetric.
+    ws.deg_in.clear();
+    if directed {
+        ws.deg_in.resize(n, 0);
+        fill_degrees(&mut ws.deg_in, in_degree, sched);
+    }
+    let mut has_dangling = false;
+    for v in 0..n {
+        let out = ws.deg_out[v];
+        let act = out > 0 || (directed && ws.deg_in[v] > 0);
+        ws.active[v] = act;
+        if act {
+            ws.active_list.push(v as u32);
+            if out == 0 {
+                has_dangling = true;
+            } else {
+                ws.inv_deg[v] = 1.0 / out as f64;
+            }
+        }
+    }
+    has_dangling
+}
+
+/// `deg[v] = degree(v)` for every vertex, as a row loop under a scheduler.
+fn fill_degrees<D>(deg: &mut [u32], degree: D, sched: Option<&Scheduler>)
+where
+    D: Fn(VertexId) -> usize + Sync,
+{
+    let fill = |off: usize, slice: &mut [u32]| {
+        for (i, d) in slice.iter_mut().enumerate() {
+            *d = degree((off + i) as VertexId) as u32;
+        }
+    };
+    match sched {
+        Some(s) => s.map_reduce_slice_mut(deg, (), fill, |_, _| ()),
+        None => fill(0, deg),
+    }
 }
 
 /// [`pagerank_window`] with the degree/activity phase served from a
@@ -446,7 +450,7 @@ pub fn pagerank_window_indexed_obs(
 /// Fills the workspace's degree/activity buffers from an index view in
 /// `O(|V_w active|)`. Returns whether the window has dangling vertices.
 /// The caller must have run [`PrWorkspace::ensure`] already.
-pub(crate) fn setup_from_index(view: &WindowIndexView<'_>, ws: &mut PrWorkspace) -> bool {
+fn setup_from_index(view: &WindowIndexView<'_>, ws: &mut PrWorkspace) -> bool {
     for (i, &v) in view.vertices.iter().enumerate() {
         let v = v as usize;
         ws.active[v] = true;
@@ -784,69 +788,14 @@ pub fn pagerank_csr_obs(
         });
     }
     ws.ensure(n);
-    let directed = !std::ptr::eq(pull, push);
     let t_setup = obs.now();
-    // Degree pass through the scheduler, like the temporal kernel's; in
-    // the directed case `deg_in` carries pull degrees for the activity
-    // test. The order-dependent active-list build stays sequential.
-    if directed {
-        ws.deg_in.clear();
-        ws.deg_in.resize(n, 0);
-    } else {
-        ws.deg_in.clear();
-    }
-    match sched {
-        Some(s) => {
-            let deg_out = &mut ws.deg_out;
-            s.map_reduce_slice_mut(
-                deg_out,
-                (),
-                |off, slice| {
-                    for (i, d) in slice.iter_mut().enumerate() {
-                        *d = push.degree((off + i) as VertexId) as u32;
-                    }
-                },
-                |_, _| (),
-            );
-            if directed {
-                let deg_in = &mut ws.deg_in;
-                s.map_reduce_slice_mut(
-                    deg_in,
-                    (),
-                    |off, slice| {
-                        for (i, d) in slice.iter_mut().enumerate() {
-                            *d = pull.degree((off + i) as VertexId) as u32;
-                        }
-                    },
-                    |_, _| (),
-                );
-            }
-        }
-        None => {
-            for v in 0..n {
-                ws.deg_out[v] = push.degree(v as VertexId) as u32;
-            }
-            if directed {
-                for v in 0..n {
-                    ws.deg_in[v] = pull.degree(v as VertexId) as u32;
-                }
-            }
-        }
-    }
-    let mut has_dangling = false;
-    for v in 0..n {
-        let out = ws.deg_out[v];
-        let act = out > 0 || (directed && ws.deg_in[v] > 0);
-        ws.active[v] = act;
-        if act {
-            ws.active_list.push(v as u32);
-            if out == 0 {
-                has_dangling = true;
-            } else {
-                ws.inv_deg[v] = 1.0 / out as f64;
-            }
-        }
-    }
+    let has_dangling = degree_pass(
+        !std::ptr::eq(pull, push),
+        |v| push.degree(v),
+        |v| pull.degree(v),
+        sched,
+        ws,
+    );
     obs.setup(ws.active_list.len(), t_setup);
     iterate_guarded(
         |x, inv_deg, _, v| pull_sum(pull.neighbors(v), x, inv_deg),

@@ -26,8 +26,8 @@ pub struct PersonalizedStats {
 
 /// Computes personalized PageRank for one window.
 ///
-/// `preference` is a non-negative weighting over the vertex space (any
-/// scale); it is masked to the window's active set and normalized. If no
+/// `preference` is a finite, non-negative weighting over the vertex space
+/// (any scale); it is masked to the window's active set and normalized. If no
 /// active vertex carries preference mass, the call falls back to the
 /// uniform teleport (= standard PageRank) and reports it via
 /// [`PersonalizedStats::uniform_fallback`]. Dangling mass teleports with
@@ -56,11 +56,10 @@ pub fn pagerank_window_personalized(
             got: preference.len(),
         });
     }
-    if !preference.iter().all(|&p| p >= 0.0) {
-        return Err(KernelError::BadVectorLength {
-            what: "preference (negative weight)",
-            expected: n,
-            got: preference.len(),
+    if !preference.iter().all(|&p| p.is_finite() && p >= 0.0) {
+        return Err(KernelError::BadQuery {
+            index: 0,
+            what: "preference weights must be finite and non-negative",
         });
     }
     ws.ensure(n);
@@ -91,8 +90,7 @@ pub fn pagerank_window_personalized(
     }
     let n_act_f = n_act as f64;
 
-    // Normalized teleport vector over the active set, stored in deg_in's
-    // slot... no — keep it separate and simple: a local buffer.
+    // Normalized teleport vector over the active set.
     let mut tele = vec![0.0f64; n];
     let mass: f64 = ws.active_list.iter().map(|&v| preference[v as usize]).sum();
     let uniform_fallback = mass <= 0.0;
@@ -369,19 +367,24 @@ mod tests {
     }
 
     #[test]
-    fn negative_preference_rejected() {
+    fn negative_nan_and_infinite_preference_rejected_as_bad_query() {
         let t = TemporalCsr::from_events(2, &[Event::new(0, 1, 1)], true);
-        let mut ws = PrWorkspace::default();
-        let r = pagerank_window_personalized(
-            &t,
-            &t,
-            TimeRange::new(0, 10),
-            &[1.0, -1.0],
-            &cfg(),
-            None,
-            &mut ws,
-        );
-        assert!(matches!(r, Err(KernelError::BadVectorLength { .. })));
+        for bad in [-1.0, f64::NAN, f64::INFINITY] {
+            let mut ws = PrWorkspace::default();
+            let r = pagerank_window_personalized(
+                &t,
+                &t,
+                TimeRange::new(0, 10),
+                &[1.0, bad],
+                &cfg(),
+                None,
+                &mut ws,
+            );
+            assert!(
+                matches!(r, Err(KernelError::BadQuery { index: 0, .. })),
+                "{bad}: {r:?}"
+            );
+        }
     }
 
     #[test]

@@ -57,8 +57,8 @@ use tempopr_graph::{TemporalCsr, TimeRange, VertexId};
 /// One query to evaluate on every window of the batch.
 #[derive(Debug, Clone, Copy)]
 pub enum QuerySpec<'a> {
-    /// Personalized PageRank: teleport to `preference` (non-negative, any
-    /// scale, length = vertex count) with damping `1 − alpha`.
+    /// Personalized PageRank: teleport to `preference` (finite, non-negative,
+    /// any scale, length = vertex count) with damping `1 − alpha`.
     Personalized {
         /// Preference weighting over the vertex space.
         preference: &'a [f64],
@@ -327,10 +327,10 @@ fn query_lanes<'a>(
                     got: preference.len(),
                 });
             }
-            if !preference.iter().all(|&p| p >= 0.0) {
+            if !preference.iter().all(|&p| p.is_finite() && p >= 0.0) {
                 return Err(KernelError::BadQuery {
                     index,
-                    what: "preference weights must be non-negative",
+                    what: "preference weights must be finite and non-negative",
                 });
             }
         }
@@ -854,10 +854,11 @@ mod tests {
             bad_af,
             Err(KernelError::BadQuery { index: 1, .. })
         ));
-        // Only the kernel call sees the weights: a negative or NaN one is
-        // a bad query, not a length error.
+        // Only the kernel call sees the weights: a negative, NaN or
+        // infinite one is a bad query, not a length error or a numeric
+        // fault after a wasted restart.
         let t = TemporalCsr::from_events(2, &[Event::new(0, 1, 0)], true);
-        for bad in [-1.0, f64::NAN] {
+        for bad in [-1.0, f64::NAN, f64::INFINITY] {
             let weights = [1.0, bad];
             let batch = QueryBatch::new(vec![
                 QuerySpec::Personalized {

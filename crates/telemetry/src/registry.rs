@@ -16,7 +16,7 @@ use std::sync::Mutex;
 ///
 /// The variants mirror the paper's cost breakdown: graph/partition
 /// construction, per-window setup (degree + activity pass, initialization),
-/// the SpMV/SpMM/push inner loop, the convergence + health check, and the
+/// the SpMV/SpMM inner loop, the convergence + health check, and the
 /// recovery ladder.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Phase {
@@ -24,7 +24,7 @@ pub enum Phase {
     Build,
     /// Per-window degree/activity pass and rank initialization.
     WindowSetup,
-    /// The pull-based rank propagation inner loop (SpMV, SpMM, push).
+    /// The pull-based rank-update inner loop (SpMV, SpMM).
     Spmv,
     /// Per-iteration convergence reduction, numeric guard, and scatter.
     ConvergenceCheck,

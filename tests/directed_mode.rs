@@ -47,11 +47,7 @@ fn directed_engine_matches_reference_all_kernels() {
     let log = directed_log();
     let spec = WindowSpec::covering(&log, 120, 40).unwrap();
     let expect = reference_directed(&log, spec);
-    for kernel in [
-        KernelKind::SpMV,
-        KernelKind::SpMM { lanes: 4 },
-        KernelKind::PushBlocking,
-    ] {
+    for kernel in [KernelKind::SpMV, KernelKind::SpMM { lanes: 4 }] {
         let cfg = PostmortemConfig {
             symmetric: false,
             kernel,

@@ -55,7 +55,6 @@ fn full_execution_matrix_agrees() {
             KernelKind::SpMV,
             KernelKind::SpMM { lanes: 4 },
             KernelKind::SpMM { lanes: 16 },
-            KernelKind::PushBlocking,
         ] {
             for partitioner in [Partitioner::Auto, Partitioner::Simple, Partitioner::Static] {
                 for granularity in [1usize, 7, 64] {
@@ -84,7 +83,7 @@ fn full_execution_matrix_agrees() {
             }
         }
     }
-    assert_eq!(configs_checked, 4 * 4 * 3 * 3 * 3 * 3);
+    assert_eq!(configs_checked, 4 * 3 * 3 * 3 * 3 * 3);
 }
 
 #[test]
@@ -130,11 +129,7 @@ fn iteration_counts_drop_with_partial_init_under_all_kernels() {
     }
     let log = EventLog::from_unsorted(events, 41).unwrap();
     let spec = WindowSpec::covering(&log, 1600, 50).unwrap();
-    for kernel in [
-        KernelKind::SpMV,
-        KernelKind::SpMM { lanes: 8 },
-        KernelKind::PushBlocking,
-    ] {
+    for kernel in [KernelKind::SpMV, KernelKind::SpMM { lanes: 8 }] {
         let run = |init_mode| {
             PostmortemEngine::new(
                 &log,

@@ -218,11 +218,7 @@ fn corrupt_reciprocal_under_fail_policy_fails_loudly() {
 fn injected_panic_is_isolated_per_window() {
     let log = skewed_log();
     let spec = spec_for(&log);
-    for kernel in [
-        KernelKind::SpMV,
-        KernelKind::SpMM { lanes: 4 },
-        KernelKind::PushBlocking,
-    ] {
+    for kernel in [KernelKind::SpMV, KernelKind::SpMM { lanes: 4 }] {
         for mode in [ParallelMode::Sequential, ParallelMode::Nested] {
             let clean = run(&log, spec, base_cfg(kernel, mode));
             let mut cfg = base_cfg(kernel, mode);
@@ -283,11 +279,7 @@ fn offline_and_streaming_survive_empty_inputs_and_report_status() {
 fn healthy_ranks_bit_identical_with_guards_on_and_off() {
     let log = skewed_log();
     let spec = spec_for(&log);
-    for kernel in [
-        KernelKind::SpMV,
-        KernelKind::SpMM { lanes: 4 },
-        KernelKind::PushBlocking,
-    ] {
+    for kernel in [KernelKind::SpMV, KernelKind::SpMM { lanes: 4 }] {
         for mode in [
             ParallelMode::Sequential,
             ParallelMode::WindowLevel,

@@ -4,10 +4,10 @@
 //! equals per-window SpMV.
 
 use proptest::prelude::*;
-use tempopr::graph::{Event, TemporalCsr, TimeRange};
+use tempopr::graph::{Csr, Event, TemporalCsr, TimeRange};
 use tempopr::kernel::{
-    pagerank_batch, pagerank_window_blocking, pagerank_window_vec, reference_pagerank,
-    BlockingWorkspace, Init, PrConfig, Scheduler, SpmmWorkspace,
+    pagerank_batch, pagerank_csr, pagerank_window, pagerank_window_vec, reference_pagerank, Init,
+    Partitioner, PrConfig, PrWorkspace, Scheduler, SpmmWorkspace,
 };
 
 const MAX_V: u32 = 20;
@@ -41,8 +41,73 @@ fn window_edges(events: &[Event], range: TimeRange) -> Vec<(u32, u32)> {
     out
 }
 
+/// The unindexed temporal kernel on `range` and the static kernel on that
+/// window's own CSR share one degree/activity pass: under every scheduler
+/// they must produce the same degrees, active list, reciprocals, stats and
+/// rank bits.
+fn assert_window_matches_its_static_csr(events: &[Event], range: TimeRange, symmetric: bool) {
+    let n = MAX_V as usize;
+    let in_window: Vec<Event> = events
+        .iter()
+        .filter(|e| range.contains(e.t))
+        .copied()
+        .collect();
+    let t_out = TemporalCsr::from_events(n, events, symmetric);
+    let t_in = (!symmetric).then(|| t_out.transpose());
+    let t_pull = t_in.as_ref().unwrap_or(&t_out);
+    let c_out = Csr::from_events(n, &in_window, symmetric);
+    let c_in = (!symmetric).then(|| c_out.transpose());
+    let c_pull = c_in.as_ref().unwrap_or(&c_out);
+    let bits = |x: &[f64]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    for sched in [
+        None,
+        Some(Scheduler::new(Partitioner::Auto, 1)),
+        Some(Scheduler::new(Partitioner::Static, 4)),
+    ] {
+        let sched = sched.as_ref();
+        let (mut tw, mut cw) = (PrWorkspace::default(), PrWorkspace::default());
+        let ts = pagerank_window(
+            t_pull,
+            &t_out,
+            range,
+            Init::Uniform,
+            &tight(),
+            sched,
+            &mut tw,
+        )
+        .unwrap();
+        let cs = pagerank_csr(c_pull, &c_out, Init::Uniform, &tight(), sched, &mut cw).unwrap();
+        assert_eq!(ts, cs, "stats under {:?}", sched);
+        assert_eq!(&tw.deg_out, &cw.deg_out);
+        assert_eq!(&tw.deg_in, &cw.deg_in);
+        assert_eq!(tw.deg_in.is_empty(), symmetric);
+        assert_eq!(&tw.active, &cw.active);
+        assert_eq!(&tw.active_list, &cw.active_list);
+        assert_eq!(bits(&tw.inv_deg), bits(&cw.inv_deg));
+        assert_eq!(bits(&tw.x), bits(&cw.x), "rank bits under {:?}", sched);
+    }
+}
+
+#[test]
+fn dangling_only_window_matches_its_static_csr() {
+    // Directed star 0→{1,2,3}: after one hop all mass sits on dangling
+    // vertices, so the pass's dangling flag decides every later iterate.
+    let events: Vec<Event> = (1..4).map(|v| Event::new(0, v, 10 + v as i64)).collect();
+    assert_window_matches_its_static_csr(&events, TimeRange::new(0, 100), false);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn unindexed_window_matches_its_static_csr(
+        events in arb_events(),
+        start in 0i64..300,
+        width in 1i64..200,
+        symmetric in any::<bool>(),
+    ) {
+        assert_window_matches_its_static_csr(&events, TimeRange::new(start, start + width), symmetric);
+    }
 
     #[test]
     fn spmv_matches_reference(events in arb_events(), start in 0i64..300, width in 1i64..200) {
@@ -146,18 +211,6 @@ proptest! {
         let r = reference_pagerank(MAX_V as usize, &edges, &tight());
         for v in 0..MAX_V as usize {
             prop_assert!((x[v] - r[v]).abs() < 1e-8, "vertex {}", v);
-        }
-    }
-
-    #[test]
-    fn propagation_blocking_matches_pull(events in arb_events(), start in 0i64..300, width in 1i64..200) {
-        let t = TemporalCsr::from_events(MAX_V as usize, &events, true);
-        let range = TimeRange::new(start, start + width);
-        let (pull, _) = pagerank_window_vec(&t, &t, range, Init::Uniform, &tight(), None).unwrap();
-        let mut ws = BlockingWorkspace::default();
-        pagerank_window_blocking(&t, &t, range, Init::Uniform, &tight(), &mut ws).unwrap();
-        for (v, (a, b)) in pull.iter().zip(ws.pr.x.iter()).enumerate() {
-            prop_assert!((a - b).abs() < 1e-9, "vertex {}", v);
         }
     }
 }

@@ -110,7 +110,6 @@ proptest! {
         for kernel in [
             KernelKind::SpMV,
             KernelKind::SpMM { lanes: 4 },
-            KernelKind::PushBlocking,
         ] {
             for mode in [ParallelMode::Sequential, ParallelMode::Nested] {
                 let cfg = PostmortemConfig {

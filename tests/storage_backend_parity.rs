@@ -87,7 +87,6 @@ proptest! {
             KernelKind::SpMV,
             KernelKind::SpMM { lanes: 4 },
             KernelKind::SpMM { lanes: 16 },
-            KernelKind::PushBlocking,
         ]),
         init_mode in prop::sample::select(vec![
             InitMode::Full,
@@ -261,11 +260,7 @@ fn infeasible_budget_reports_minimal_feasible() {
 fn worker_pool_is_bit_identical_and_budget_bounded() {
     let log = dense_log();
     let spec = WindowSpec::covering(&log, 120, 40).unwrap();
-    let kernels = [
-        KernelKind::SpMV,
-        KernelKind::SpMM { lanes: 4 },
-        KernelKind::PushBlocking,
-    ];
+    let kernels = [KernelKind::SpMV, KernelKind::SpMM { lanes: 4 }];
     // Serial references keyed by (kernel, partition): the pool cold-starts
     // at part boundaries exactly like the serial walk, so the partition —
     // not the worker count — is what determines the ranks.

@@ -69,11 +69,7 @@ fn assert_bit_identical(noop: &RunOutput, traced: &RunOutput, what: &str) {
 fn postmortem_enabled_vs_noop_bit_identical() {
     let log = skewed_log();
     let spec = spec_for(&log);
-    for kernel in [
-        KernelKind::SpMV,
-        KernelKind::SpMM { lanes: 4 },
-        KernelKind::PushBlocking,
-    ] {
+    for kernel in [KernelKind::SpMV, KernelKind::SpMM { lanes: 4 }] {
         for mode in [
             ParallelMode::Sequential,
             ParallelMode::WindowLevel,

@@ -199,11 +199,7 @@ fn disjoint_era_log() -> (EventLog, WindowSpec) {
 #[test]
 fn disjoint_windows_fall_back_to_full_init_bit_identically() {
     let (log, spec) = disjoint_era_log();
-    for kernel in [
-        KernelKind::SpMV,
-        KernelKind::SpMM { lanes: 4 },
-        KernelKind::PushBlocking,
-    ] {
+    for kernel in [KernelKind::SpMV, KernelKind::SpMM { lanes: 4 }] {
         let run = |init_mode| {
             run_with(
                 &log,

@@ -113,11 +113,7 @@ fn spec_extending_past_the_data() {
 fn single_window_works_under_every_kernel() {
     let log = gap_log();
     let spec = WindowSpec::new(0, 40, 1000, 1).unwrap();
-    for kernel in [
-        KernelKind::SpMV,
-        KernelKind::SpMM { lanes: 16 },
-        KernelKind::PushBlocking,
-    ] {
+    for kernel in [KernelKind::SpMV, KernelKind::SpMM { lanes: 16 }] {
         let out = PostmortemEngine::new(
             &log,
             spec,
