@@ -189,7 +189,7 @@ pub struct PostmortemConfig {
     /// Resident-memory budget in bytes for the part storage. When set, it
     /// overrides `num_multiwindows`: the planner picks the smallest part
     /// count whose footprint under the selected backend fits
-    /// ([`tempopr_graph::plan_parts_for_budget`]), and engine construction
+    /// ([`tempopr_graph::plan_partition`]), and engine construction
     /// fails with [`crate::error::EngineError::BudgetInfeasible`] — naming
     /// the minimal feasible budget — when nothing fits.
     pub memory_budget: Option<usize>,

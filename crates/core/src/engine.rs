@@ -53,7 +53,7 @@ use crate::storage::{PartRef, StorageBackend, TcsrStorage};
 use crate::warmstart;
 use std::cell::Cell;
 use std::sync::{Arc, Mutex};
-use tempopr_graph::{plan_parts_for_budget, EventLog, MultiWindowGraph, StorageError, WindowSpec};
+use tempopr_graph::{plan_partition, EventLog, MultiWindowGraph, StorageError, WindowSpec};
 use tempopr_kernel::{
     overlap, pagerank_batch_indexed_obs, pagerank_batch_obs, pagerank_window_indexed_obs,
     pagerank_window_obs, thread_pool, worker_pool, BatchObs, Init, Obs, PrConfig, PrStats,
@@ -123,9 +123,11 @@ impl PostmortemEngine {
         let slots = workers + usize::from(cfg.pipeline);
         // A memory budget overrides the explicit part count: the planner
         // picks the smallest feasible partitioning under the backend's
-        // footprint rule, or reports the minimal feasible budget.
-        let parts = if let Some(budget) = cfg.memory_budget {
-            plan_parts_for_budget(
+        // footprint rule, or reports the minimal feasible budget. What it
+        // weighed, ruled out from counts and had to build goes on record,
+        // and a partition it built is the store's to keep.
+        let (parts, planned) = if let Some(budget) = cfg.memory_budget {
+            let (stats, plan) = plan_partition(
                 log,
                 &spec,
                 budget,
@@ -133,16 +135,30 @@ impl PostmortemEngine {
                 cfg.partition,
                 cfg.storage.profile(),
                 slots,
-            )?
+            );
+            tele.add("storage.plan.candidates", stats.candidates as u64);
+            tele.add(
+                "storage.plan.rejected_by_bound",
+                stats.rejected_by_bound as u64,
+            );
+            tele.add("storage.plan.trial_builds", stats.trial_builds as u64);
+            tele.set_gauge("storage.plan.budget_bytes", budget as f64);
+            let plan = plan?;
+            tele.set_gauge("storage.plan.parts", plan.parts as f64);
+            tele.set_gauge("storage.plan.footprint_bytes", plan.footprint as f64);
+            // Bumped by the store when it takes `plan.encoded` over.
+            tele.add("storage.plan.reused", 0);
+            (plan.parts, plan.encoded)
         } else if cfg.num_multiwindows == 0 {
-            auto_multiwindows(&spec, cfg.kernel)
+            (auto_multiwindows(&spec, cfg.kernel), None)
         } else {
-            cfg.num_multiwindows
+            (cfg.num_multiwindows, None)
         };
         let mut store = TcsrStorage::build(
             log,
             spec,
             parts,
+            planned,
             cfg.symmetric,
             cfg.partition,
             &cfg.storage,

@@ -25,7 +25,7 @@
 //! The shard cache holds at most `slots` decoded parts — cached, pinned,
 //! or mid-decode — and evicts *before* decoding, so a run's decoded
 //! working set is bounded by the `slots` largest parts: exactly the
-//! footprint [`tempopr_graph::plan_parts_for_budget`] charges against the
+//! footprint [`tempopr_graph::plan_partition`] charges against the
 //! `memory_budget` when given the same slot count (workers plus prefetch
 //! depth; a serial non-pipelined walk has one slot and recovers the
 //! historical one-decoded-part rule). Parts a caller keeps pinned past
@@ -48,8 +48,8 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use tempopr_graph::multiwindow::PartitionStrategy;
 use tempopr_graph::{
-    CompressedPart, DecodeScratch, EventLog, MultiWindowGraph, MultiWindowSet, StorageError,
-    StorageProfile, TcsrFile, TcsrFileWriter, VertexId, VisitError, WindowSpec,
+    CompressedPart, DecodeScratch, EncodedPartition, EventLog, MultiWindowGraph, MultiWindowSet,
+    PartMeta, StorageError, StorageProfile, TcsrFile, TcsrFileWriter, VertexId, WindowSpec,
 };
 use tempopr_telemetry::Telemetry;
 
@@ -112,17 +112,6 @@ impl Deref for PartRef<'_> {
             PartRef::Shared(a) => a,
         }
     }
-}
-
-/// Always-resident per-part metadata (every backend): the carry, resume,
-/// and failure paths need these without touching the backend.
-struct PartMeta {
-    windows: Range<usize>,
-    vertex_map: Box<[VertexId]>,
-    /// Array footprint of the decoded part, recorded at encode time — the
-    /// amount a fetch reserves against the budget *before* its decode
-    /// allocates, so the high-water mark covers in-flight decodes.
-    decoded_bytes: usize,
 }
 
 enum Backing {
@@ -198,14 +187,16 @@ pub struct TcsrStorage {
 impl TcsrStorage {
     /// Builds the store for `log` under `spec` with `num_parts` requested
     /// parts and `slots` cache slots (clamped to at least one). The
-    /// non-resident backends stream the build part by part
-    /// ([`MultiWindowSet::visit_parts`]), so peak build memory stays near
-    /// one decoded part plus the encoded blobs.
+    /// non-resident backends take over `planned`, the partition the budget
+    /// planner built to measure, or stream the build part by part
+    /// ([`EncodedPartition::build`]), so peak build memory stays near one
+    /// decoded part plus the encoded blobs.
     #[allow(clippy::too_many_arguments)]
     pub fn build(
         log: &EventLog,
         spec: WindowSpec,
         num_parts: usize,
+        planned: Option<EncodedPartition>,
         symmetric: bool,
         strategy: PartitionStrategy,
         backend: &StorageBackend,
@@ -213,6 +204,13 @@ impl TcsrStorage {
         tele: Telemetry,
     ) -> Result<TcsrStorage, EngineError> {
         let num_global_vertices = log.num_vertices();
+        let encoded = || match planned {
+            Some(partition) => {
+                tele.add("storage.plan.reused", 1);
+                Ok(partition)
+            }
+            None => EncodedPartition::build(log, spec, num_parts, symmetric, strategy),
+        };
         let (backing, metas, base_bytes, compressed_total) = match backend {
             StorageBackend::Resident => {
                 let set = MultiWindowSet::build(log, spec, num_parts, symmetric, strategy)?;
@@ -220,14 +218,14 @@ impl TcsrStorage {
                 (Backing::Resident(set), Vec::new(), base, 0)
             }
             StorageBackend::Compressed => {
-                let (parts, metas) = encode_parts(log, spec, num_parts, symmetric, strategy)?;
+                let EncodedPartition { parts, metas } = encoded()?;
                 let total: usize = parts.iter().map(|p| p.payload_len()).sum();
                 let base =
                     parts.iter().map(|p| p.memory_bytes()).sum::<usize>() + meta_bytes(&metas);
                 (Backing::Compressed(parts), metas, base, total)
             }
             StorageBackend::OnDisk { dir } => {
-                let (parts, metas) = encode_parts(log, spec, num_parts, symmetric, strategy)?;
+                let EncodedPartition { parts, metas } = encoded()?;
                 std::fs::create_dir_all(dir).map_err(StorageError::from)?;
                 let path = dir.join("parts.tcsr");
                 let mut writer = TcsrFileWriter::create(&path, parts.len(), num_global_vertices)?;
@@ -561,40 +559,6 @@ fn meta_bytes(metas: &[PartMeta]) -> usize {
         .sum()
 }
 
-/// Streams the partition build, encoding each part and recording its
-/// resident metadata; never holds more than one decoded part.
-fn encode_parts(
-    log: &EventLog,
-    spec: WindowSpec,
-    num_parts: usize,
-    symmetric: bool,
-    strategy: PartitionStrategy,
-) -> Result<(Vec<CompressedPart>, Vec<PartMeta>), EngineError> {
-    let mut parts = Vec::new();
-    let mut metas = Vec::new();
-    MultiWindowSet::visit_parts::<std::convert::Infallible>(
-        log,
-        spec,
-        num_parts,
-        symmetric,
-        strategy,
-        |g| {
-            metas.push(PartMeta {
-                windows: g.windows(),
-                vertex_map: g.vertex_map().to_vec().into_boxed_slice(),
-                decoded_bytes: g.storage_bytes(),
-            });
-            parts.push(CompressedPart::encode(&g));
-            Ok(())
-        },
-    )
-    .map_err(|e| match e {
-        VisitError::Graph(g) => EngineError::Graph(g),
-        VisitError::Visitor(v) => match v {},
-    })?;
-    Ok((parts, metas))
-}
-
 /// Poison-tolerant lock (cache state is always consistent; a panicked
 /// window is isolated and reported elsewhere).
 fn lock(m: &Mutex<Cache>) -> MutexGuard<'_, Cache> {
@@ -643,6 +607,7 @@ mod tests {
             log,
             spec,
             parts,
+            None,
             true,
             PartitionStrategy::EqualWindows,
             backend,
@@ -674,6 +639,65 @@ mod tests {
                 assert_eq!(a.tcsr().timestamps(), b.tcsr().timestamps());
                 assert_eq!(a.tcsr().row_offsets(), b.tcsr().row_offsets());
             }
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn store_takes_over_the_partition_its_plan_built() {
+        let log = sample_log();
+        let spec = WindowSpec::covering(&log, 80, 30).unwrap();
+        let dir = tmpdir("handover");
+        for backend in backends(&dir) {
+            let profile = backend.profile();
+            let strategy = PartitionStrategy::EqualWindows;
+            // The tightest feasible budget: the bound cannot decide it.
+            let required =
+                tempopr_graph::plan_partition(&log, &spec, 1, true, strategy, profile, 1)
+                    .1
+                    .unwrap_err()
+                    .required;
+            let (stats, plan) =
+                tempopr_graph::plan_partition(&log, &spec, required, true, strategy, profile, 1);
+            let plan = plan.unwrap();
+            let resident = backend == StorageBackend::Resident;
+            assert_eq!(plan.encoded.is_none(), resident, "{backend}");
+            assert_eq!(stats.trial_builds == 0, resident, "{backend}");
+            let tele = Telemetry::enabled();
+            let planned = TcsrStorage::build(
+                &log,
+                spec,
+                plan.parts,
+                plan.encoded,
+                true,
+                strategy,
+                &backend,
+                1,
+                tele.clone(),
+            )
+            .unwrap();
+            // Taken over, not rebuilt — and the same store a build of its
+            // own would have made.
+            assert_eq!(
+                tele.report().counter("storage.plan.reused"),
+                u64::from(!resident),
+                "{backend}"
+            );
+            let fresh = build(&log, spec, plan.parts, &backend, 1, Telemetry::noop());
+            assert_eq!(planned.num_parts(), fresh.num_parts());
+            assert_eq!(planned.compressed_bytes(), fresh.compressed_bytes());
+            assert_eq!(planned.peak_resident_bytes(), fresh.peak_resident_bytes());
+            for p in 0..fresh.num_parts() {
+                assert_eq!(planned.part_windows(p), fresh.part_windows(p));
+                assert_eq!(planned.vertex_map(p), fresh.vertex_map(p));
+                let (a, b) = (planned.part(p).unwrap(), fresh.part(p).unwrap());
+                assert_eq!(a.tcsr(), b.tcsr(), "{backend} part {p}");
+            }
+            // The walk above, one part at a time, stayed within the plan.
+            assert!(
+                resident || planned.peak_resident_bytes() <= required,
+                "{backend}"
+            );
         }
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -36,8 +36,9 @@ pub use multiwindow::{
     parts_for_memory_budget, MultiWindowGraph, MultiWindowSet, PartitionStrategy, VisitError,
 };
 pub use storage::{
-    plan_parts_for_budget, BudgetError, CompressedPart, DecodeScratch, StorageError,
-    StorageProfile, TcsrFile, TcsrFileWriter,
+    plan_partition, plan_parts_for_budget, BudgetError, CompressedPart, DecodeScratch,
+    EncodedPartition, PartMeta, PartitionPlan, PlanStats, StorageError, StorageProfile, TcsrFile,
+    TcsrFileWriter,
 };
 pub use tcsr::{NeighborRun, TemporalCsr};
 pub use window::{TimeRange, WindowSpec};

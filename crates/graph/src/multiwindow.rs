@@ -288,26 +288,19 @@ impl MultiWindowSet {
         strategy: PartitionStrategy,
         mut f: impl FnMut(MultiWindowGraph) -> Result<(), E>,
     ) -> Result<usize, VisitError<E>> {
-        if num_parts == 0 {
-            return Err(VisitError::Graph(GraphError::ZeroMultiWindows));
-        }
-        let parts = num_parts.min(spec.count);
-        let boundaries = match strategy {
-            PartitionStrategy::EqualWindows => equal_window_boundaries(spec.count, parts),
-            PartitionStrategy::EqualEvents => equal_event_boundaries(log, &spec, parts),
-        };
-        debug_assert_eq!(boundaries.len(), parts + 1);
+        let boundaries =
+            part_boundaries(log, &spec, num_parts, strategy).map_err(VisitError::Graph)?;
         // Reusable global -> local scratch map (u32::MAX = absent).
         let mut local_of = vec![VertexId::MAX; log.num_vertices()];
-        for p in 0..parts {
-            let windows = boundaries[p]..boundaries[p + 1];
+        for b in boundaries.windows(2) {
+            let windows = b[0]..b[1];
             let span = spec.span_of(windows.clone());
             let events = log.slice_by_time(span.start, span.end);
             let ranges: Vec<TimeRange> = windows.clone().map(|w| spec.window(w)).collect();
             let part = build_part(windows, span, ranges, events, symmetric, &mut local_of);
             f(part).map_err(VisitError::Visitor)?;
         }
-        Ok(parts)
+        Ok(boundaries.len() - 1)
     }
 
     /// The window spec this set covers.
@@ -362,15 +355,14 @@ impl MultiWindowSet {
 /// The paper's memory rule (§4.1) — "a window graph should be accommodated
 /// by the system memory when computing Pagerank" — generalized over the
 /// storage backends. Returns the smallest part count whose resident
-/// footprint under `profile` fits `budget_bytes`, measured on the
-/// *actual* built parts (and their actual encoded sizes for the
-/// compressed/on-disk profiles) rather than the old a-priori
-/// `24·|V| + 12·|E|` estimate, which knew nothing about compression or
-/// paging.
+/// footprint under `profile` fits `budget_bytes`: the footprint of the
+/// *actual* built parts and their actual encoded sizes, which a candidate
+/// is built for only when its per-part counts cannot already rule it out
+/// ([`crate::storage::plan_partition`]).
 ///
 /// An infeasible budget — even one part per window does not fit — is a
 /// typed [`crate::storage::BudgetError`] carrying the minimal feasible
-/// budget, replacing the old silent `spec.count` fallback.
+/// budget.
 pub fn parts_for_memory_budget(
     log: &EventLog,
     spec: &WindowSpec,
@@ -387,6 +379,27 @@ pub fn parts_for_memory_budget(
         profile,
         1,
     )
+}
+
+/// The window fenceposts of the partition into `num_parts` groups (clamped
+/// to the window count): part `p` serves windows `b[p]..b[p + 1]`. Shared
+/// by the build and the budget planner's counting pass.
+pub(crate) fn part_boundaries(
+    log: &EventLog,
+    spec: &WindowSpec,
+    num_parts: usize,
+    strategy: PartitionStrategy,
+) -> Result<Vec<usize>, GraphError> {
+    if num_parts == 0 {
+        return Err(GraphError::ZeroMultiWindows);
+    }
+    let parts = num_parts.min(spec.count);
+    let boundaries = match strategy {
+        PartitionStrategy::EqualWindows => equal_window_boundaries(spec.count, parts),
+        PartitionStrategy::EqualEvents => equal_event_boundaries(log, spec, parts),
+    };
+    debug_assert_eq!(boundaries.len(), parts + 1);
+    Ok(boundaries)
 }
 
 /// Equal-count window boundaries: `parts + 1` fenceposts, first group(s)
@@ -463,12 +476,10 @@ fn build_part(
     for (i, &g) in vertices.iter().enumerate() {
         local_of[g as usize] = i as VertexId;
     }
-    // Remap events to local ids and build the local temporal CSR.
-    let local_events: Vec<Event> = events
-        .iter()
-        .map(|e| Event::new(local_of[e.u as usize], local_of[e.v as usize], e.t))
-        .collect();
-    let tcsr = TemporalCsr::from_events(vertices.len(), &local_events, symmetric);
+    // Build the local temporal CSR, renaming to local ids as entries are
+    // scattered (the log's slice is already in time order).
+    let local = |g: VertexId| local_of[g as usize];
+    let tcsr = TemporalCsr::from_time_sorted(vertices.len(), events, symmetric, local);
     let transpose = (!symmetric).then(|| tcsr.transpose());
     // Reset the scratch map for the next part.
     for &g in &vertices {

@@ -10,10 +10,9 @@
 //!   column ids are nondecreasing) and ascending timestamp deltas within
 //!   each neighbor run, LEB128 varints throughout. Decoding a part
 //!   ("decode on touch") rebuilds the exact `row`/`col`/`time` arrays and
-//!   recomputes the per-vertex time bounds with the same min/max pass as
-//!   [`crate::tcsr::TemporalCsr::from_events`], so every downstream
-//!   consumer (the window index, the kernels, rank fingerprints) sees
-//!   identical bits.
+//!   recomputes the per-vertex time bounds in the min/max pass the build
+//!   ends with, so every downstream consumer (the window index, the
+//!   kernels, rank fingerprints) sees identical bits.
 //! - [`TcsrFile`]: the `tempopr.tcsr.v1` on-disk format — a CRC'd sectioned
 //!   header (magic, version, part count, per-section `{offset, len, crc}`
 //!   table) followed by one [`CompressedPart`] payload per part-shard,
@@ -22,14 +21,16 @@
 //!   before any allocation, typed [`StorageError`]s, never panics on
 //!   malformed input.
 //!
-//! [`parts_for_memory_budget`](crate::multiwindow::parts_for_memory_budget)
-//! plans part counts against these backends' *actual* resident footprints
-//! (measured by trial-building and encoding candidate partitions) via
-//! [`StorageProfile`]; an infeasible budget surfaces as a typed
+//! [`plan_partition`] plans part counts against these backends' *actual*
+//! resident footprints via [`StorageProfile`]: a candidate partition is
+//! priced from per-part counts first, and built and encoded only when that
+//! lower bound cannot rule it out. An infeasible budget surfaces as a typed
 //! [`BudgetError`] carrying the minimal feasible budget.
 
 use crate::events::{EventLog, Timestamp, VertexId};
-use crate::multiwindow::{MultiWindowGraph, MultiWindowSet, PartitionStrategy, VisitError};
+use crate::multiwindow::{
+    part_boundaries, MultiWindowGraph, MultiWindowSet, PartitionStrategy, VisitError,
+};
 use crate::tcsr::TemporalCsr;
 use crate::window::{TimeRange, WindowSpec};
 use std::fmt;
@@ -173,33 +174,47 @@ pub enum StorageProfile {
 // The workspace's one copy: `tempopr-core::checkpoint` re-exports it for
 // the checkpoint manifest format.
 
-const fn crc_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
-    let mut i = 0;
-    while i < 256 {
-        let mut c = i as u32;
-        let mut k = 0;
-        while k < 8 {
-            c = if c & 1 != 0 {
-                0xEDB8_8320 ^ (c >> 1)
-            } else {
-                c >> 1
-            };
-            k += 1;
+/// Slicing-by-8 tables: `t[k][i]` is the register after byte `i` and `k`
+/// zero bytes — `8 (k + 1)` shift steps of `i`; `t[0]` is the byte table.
+const fn crc_tables() -> [[u32; 256]; 8] {
+    let mut t = [[0u32; 256]; 8];
+    let mut k = 0;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let mut c = i as u32;
+            let mut step = 0;
+            while step < 8 * (k + 1) {
+                c = if c & 1 != 0 {
+                    0xEDB8_8320 ^ (c >> 1)
+                } else {
+                    c >> 1
+                };
+                step += 1;
+            }
+            t[k][i] = c;
+            i += 1;
         }
-        table[i] = c;
-        i += 1;
+        k += 1;
     }
-    table
+    t
 }
 
-static CRC_TABLE: [u32; 256] = crc_table();
+static CRC_TABLES: [[u32; 256]; 8] = crc_tables();
 
-/// CRC-32 (IEEE 802.3, reflected) over `bytes`.
+/// CRC-32 (IEEE 802.3, reflected) over `bytes`, eight bytes a step.
 pub fn crc32(bytes: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
     let mut c = !0u32;
-    for &b in bytes {
-        c = (c >> 8) ^ CRC_TABLE[((c ^ u32::from(b)) & 0xff) as usize];
+    let mut chunks = bytes.chunks_exact(8);
+    for w in &mut chunks {
+        // Byte `k` (the register folded in) has `7 - k` bytes after it.
+        let w = [w[0], w[1], w[2], w[3], w[4], w[5], w[6], w[7]];
+        let x = u64::from(c) ^ u64::from_le_bytes(w);
+        c = (0..8).fold(0, |acc, k| acc ^ t[7 - k][(x >> (8 * k)) as usize & 0xff]);
+    }
+    for &b in chunks.remainder() {
+        c = (c >> 8) ^ t[0][((c ^ u32::from(b)) & 0xff) as usize];
     }
     !c
 }
@@ -537,12 +552,7 @@ fn decode_tcsr(
             prev_t = tm;
         }
     }
-    Ok(TemporalCsr::from_raw(
-        n,
-        row.into_boxed_slice(),
-        col.into_boxed_slice(),
-        time.into_boxed_slice(),
-    ))
+    Ok(TemporalCsr::from_raw(n, row, col, time))
 }
 
 // --- Decode scratch -----------------------------------------------------
@@ -805,14 +815,99 @@ impl TcsrFile {
 
 // --- Budget planning ----------------------------------------------------
 
-/// The resident footprint of one candidate partition under `profile` with
-/// `slots` cache slots (simultaneously decoded parts), measured on the
-/// *actual* built (and, for the non-resident profiles, encoded) parts
-/// rather than an a-priori estimate. The decoded working set is charged as
-/// the sum of the `slots` largest decoded parts — the worst simultaneous
+/// Always-resident metadata of one encoded part: carry, resume and failure
+/// paths need these without a decode.
+#[derive(Debug, Clone)]
+pub struct PartMeta {
+    /// Global window range the part serves.
+    pub windows: Range<usize>,
+    /// Sorted local -> global vertex map.
+    pub vertex_map: Box<[VertexId]>,
+    /// [`MultiWindowGraph::storage_bytes`] of the decoded part: what a
+    /// fetch reserves against the budget *before* its decode allocates.
+    pub decoded_bytes: usize,
+}
+
+/// A partition built and encoded part by part (one decoded part alive at a
+/// time). The planner's exact check and the non-resident stores both build
+/// through here, so a store can take over the partition its plan measured.
+#[derive(Debug, Clone)]
+pub struct EncodedPartition {
+    /// The encoded parts, in window order.
+    pub parts: Vec<CompressedPart>,
+    /// Their resident metadata, aligned with `parts`.
+    pub metas: Vec<PartMeta>,
+}
+
+impl EncodedPartition {
+    /// Builds and encodes the `num_parts`-part partition of `spec`.
+    pub fn build(
+        log: &EventLog,
+        spec: WindowSpec,
+        num_parts: usize,
+        symmetric: bool,
+        strategy: PartitionStrategy,
+    ) -> Result<EncodedPartition, crate::GraphError> {
+        let (mut parts, mut metas) = (Vec::new(), Vec::new());
+        let visit = |g: MultiWindowGraph| {
+            metas.push(PartMeta {
+                windows: g.windows(),
+                vertex_map: g.vertex_map().into(),
+                decoded_bytes: g.storage_bytes(),
+            });
+            parts.push(CompressedPart::encode(&g));
+            Ok::<(), std::convert::Infallible>(())
+        };
+        match MultiWindowSet::visit_parts(log, spec, num_parts, symmetric, strategy, visit) {
+            Ok(_) => Ok(EncodedPartition { parts, metas }),
+            Err(VisitError::Graph(e)) => Err(e),
+            Err(VisitError::Visitor(i)) => match i {},
+        }
+    }
+
+    /// The exact resident footprint under `profile` with `slots` cache slots.
+    pub fn footprint(&self, profile: StorageProfile, slots: usize) -> usize {
+        let sizes = self.parts.iter().zip(&self.metas);
+        let sizes = sizes.map(|(c, m)| (m.decoded_bytes, c.payload_len(), m.vertex_map.len()));
+        charge(profile, slots, &sizes.collect::<Vec<_>>())
+    }
+}
+
+/// The footprint rule over per-part `(decoded bytes, encoded bytes, mapped
+/// vertices)`, monotone in each. The decoded working set is charged as the
+/// sum of the `slots` largest decoded parts — the worst simultaneous
 /// occupancy a slot-bounded cache can reach — and the on-disk profile
 /// additionally charges one read-scratch buffer (worst section) per slot,
 /// since concurrent page-ins cannot share one buffer.
+fn charge(profile: StorageProfile, slots: usize, sizes: &[(usize, usize, usize)]) -> usize {
+    let mut decoded: Vec<usize> = sizes.iter().map(|s| s.0).collect();
+    decoded.sort_unstable_by(|a, b| b.cmp(a));
+    // A cache can never hold (or page in) more parts at once than exist:
+    // the charge saturates at the part count.
+    let slots = slots.clamp(1, sizes.len().max(1));
+    let worst_decoded: usize = decoded.iter().take(slots).sum();
+    let encoded = sizes.iter().map(|s| s.1);
+    let map_bytes: usize = sizes
+        .iter()
+        .map(|s| s.2 * std::mem::size_of::<VertexId>())
+        .sum();
+    match profile {
+        StorageProfile::Resident => decoded.first().copied().unwrap_or(0),
+        StorageProfile::Compressed => {
+            encoded.sum::<usize>() + map_bytes + sizes.len() * PART_RUNTIME_OVERHEAD + worst_decoded
+        }
+        StorageProfile::OnDisk => {
+            sizes.len() * (TCSR_SECTION_ENTRY_LEN + PART_RUNTIME_OVERHEAD)
+                + map_bytes
+                + slots * encoded.max().unwrap_or(0)
+                + worst_decoded
+        }
+    }
+}
+
+/// The resident footprint of one candidate partition under `profile` with
+/// `slots` cache slots, measured on the *actual* built and encoded parts:
+/// the exact measure every planning decision agrees with.
 fn partition_footprint(
     log: &EventLog,
     spec: &WindowSpec,
@@ -822,62 +917,167 @@ fn partition_footprint(
     profile: StorageProfile,
     slots: usize,
 ) -> usize {
-    let slots = slots.max(1);
-    let mut decoded_sizes: Vec<usize> = Vec::new();
-    let mut sum_compressed = 0usize;
-    let mut worst_compressed = 0usize;
-    let mut map_bytes = 0usize;
-    let visited = MultiWindowSet::visit_parts::<std::convert::Infallible>(
-        log,
-        *spec,
-        parts,
-        symmetric,
-        strategy,
-        |g| {
-            decoded_sizes.push(g.storage_bytes());
-            if profile != StorageProfile::Resident {
-                let c = CompressedPart::encode(&g);
-                sum_compressed += c.payload_len();
-                worst_compressed = worst_compressed.max(c.payload_len());
-                map_bytes += std::mem::size_of_val(g.vertex_map());
-            }
-            Ok(())
-        },
-    );
-    let effective = match visited {
-        Ok(n) => n,
-        Err(VisitError::Graph(_)) => return usize::MAX,
-        Err(VisitError::Visitor(i)) => match i {},
+    EncodedPartition::build(log, *spec, parts, symmetric, strategy)
+        .map_or(usize::MAX, |e| e.footprint(profile, slots))
+}
+
+/// A lower bound on [`partition_footprint`] from one marking pass over each
+/// part's time slice and no CSR: decoded and vertex-map bytes are closed
+/// forms of a part's distinct vertices, stored entries and windows, hence
+/// exact, and every varint the format must write is at least a byte. For
+/// [`StorageProfile::Resident`], which charges none, it *is* the footprint.
+fn footprint_lower_bound(
+    log: &EventLog,
+    spec: &WindowSpec,
+    parts: usize,
+    symmetric: bool,
+    strategy: PartitionStrategy,
+    profile: StorageProfile,
+    slots: usize,
+) -> usize {
+    let Ok(boundaries) = part_boundaries(log, spec, parts, strategy) else {
+        return usize::MAX;
     };
-    decoded_sizes.sort_unstable_by(|a, b| b.cmp(a));
-    // A cache can never hold (or page in) more parts at once than exist:
-    // the charge saturates at the part count.
-    let slots = slots.min(effective.max(1));
-    let worst_decoded: usize = decoded_sizes.iter().take(slots).sum();
-    match profile {
-        StorageProfile::Resident => decoded_sizes.first().copied().unwrap_or(0),
-        StorageProfile::Compressed => {
-            sum_compressed + map_bytes + effective * PART_RUNTIME_OVERHEAD + worst_decoded
+    let csrs = if symmetric { 1 } else { 2 };
+    // `seen[v] == p + 1` marks v counted for part p: no reset between parts.
+    let mut seen = vec![0usize; log.num_vertices()];
+    let size = |(p, b): (usize, &[usize])| {
+        let (windows, span) = (b[1] - b[0], spec.span_of(b[0]..b[1]));
+        let (mut vertices, mut entries) = (0usize, 0usize);
+        for e in log.slice_by_time(span.start, span.end) {
+            for x in [e.u, e.v] {
+                vertices += usize::from(std::mem::replace(&mut seen[x as usize], p + 1) != p + 1);
+            }
+            entries += if symmetric && e.u != e.v { 2 } else { 1 };
         }
-        StorageProfile::OnDisk => {
-            effective * (TCSR_SECTION_ENTRY_LEN + PART_RUNTIME_OVERHEAD)
-                + map_bytes
-                + slots * worst_compressed
-                + worst_decoded
-        }
-    }
+        // `storage_bytes`: map, ranges; per CSR offsets, entries, time bounds.
+        let csr = 8 * (vertices + 1) + 12 * entries + 16 * vertices;
+        let decoded = 4 * vertices + 16 * windows + csrs * csr;
+        // Eight header bytes, two varints a window, a gap per vertex; per
+        // CSR two counts, a row length per vertex, two varints an entry.
+        let encoded = 8 + 2 * windows + vertices + csrs * (2 + vertices + 2 * entries);
+        (decoded, encoded, vertices)
+    };
+    let sizes: Vec<_> = boundaries.windows(2).enumerate().map(size).collect();
+    charge(profile, slots, &sizes)
+}
+
+/// What one budget search did.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct PlanStats {
+    /// Candidate part counts weighed (ladder and bisection).
+    pub candidates: usize,
+    /// Candidates the count-based lower bound ruled out unbuilt.
+    pub rejected_by_bound: usize,
+    /// Candidates built and encoded for their exact footprint.
+    pub trial_builds: usize,
+}
+
+/// A feasible plan.
+#[derive(Debug, Clone)]
+pub struct PartitionPlan {
+    /// The smallest feasible part count.
+    pub parts: usize,
+    /// Its exact footprint in bytes (at most the budget).
+    pub footprint: usize,
+    /// The partition itself when the search had to build it to be sure
+    /// (non-resident profiles), for the store to take over.
+    pub encoded: Option<EncodedPartition>,
 }
 
 /// Plans the smallest part count whose resident footprint under `profile`
 /// with `slots` simultaneously-resident decoded parts fits `budget_bytes`,
-/// probing a geometric ladder of candidate counts (each candidate is
-/// trial-built — and trial-encoded for the non-resident profiles — so the
-/// numbers are actual footprints) and refining between the last infeasible
-/// and first feasible candidates. `slots` is the cache-slot count a
-/// shard-parallel run keeps pinned at once (workers plus prefetch depth);
-/// a serial walk passes 1 and recovers the historical one-decoded-part
-/// rule. Returns a [`BudgetError`] carrying the minimal feasible budget
-/// when even one-part-per-window does not fit.
+/// probing a geometric ladder of candidate counts and refining between the
+/// last infeasible and first feasible candidates. `slots` is the
+/// cache-slot count a shard-parallel run keeps pinned at once (workers
+/// plus prefetch depth); a serial walk passes 1 and recovers the
+/// historical one-decoded-part rule.
+///
+/// A candidate whose count-based lower bound already exceeds the budget is
+/// infeasible for certain and is never built; only one the bound cannot
+/// exclude is built and encoded for its exact footprint, and the last one
+/// found to fit — the answer — comes back in the plan. Every decision is
+/// the exact footprint's (DESIGN.md §12.3). An infeasible budget is a
+/// [`BudgetError`] carrying the smallest exact footprint on the ladder;
+/// the tally comes back either way.
+pub fn plan_partition(
+    log: &EventLog,
+    spec: &WindowSpec,
+    budget_bytes: usize,
+    symmetric: bool,
+    strategy: PartitionStrategy,
+    profile: StorageProfile,
+    slots: usize,
+) -> (PlanStats, Result<PartitionPlan, BudgetError>) {
+    let bound =
+        |parts| footprint_lower_bound(log, spec, parts, symmetric, strategy, profile, slots);
+    let mut stats = PlanStats::default();
+    // The last candidate found to fit. Ladder and bisection both end on
+    // their last fitting candidate, so this is the answer.
+    let mut fit = None;
+    let mut fits = |parts: usize| {
+        stats.candidates += 1;
+        let mut footprint = bound(parts);
+        if footprint > budget_bytes {
+            stats.rejected_by_bound += 1;
+            return false;
+        }
+        let mut encoded = None;
+        if profile != StorageProfile::Resident {
+            stats.trial_builds += 1;
+            encoded = EncodedPartition::build(log, *spec, parts, symmetric, strategy).ok();
+            footprint = encoded
+                .as_ref()
+                .map_or(usize::MAX, |e| e.footprint(profile, slots));
+        }
+        if footprint <= budget_bytes {
+            fit = Some(PartitionPlan {
+                parts,
+                footprint,
+                encoded,
+            });
+        }
+        footprint <= budget_bytes
+    };
+    let max = spec.count.max(1);
+    let mut candidates: Vec<usize> = Vec::new();
+    let mut c = 1usize;
+    while c < max {
+        candidates.push(c);
+        c = c.saturating_mul(2);
+    }
+    candidates.push(max);
+    let mut prev = 0usize;
+    for &cand in &candidates {
+        if fits(cand) {
+            // Refine: smallest count in (prev, cand] that still fits (the
+            // worst-part footprint shrinks with the count inside one
+            // ladder step, so a local binary search is sound).
+            let (mut lo, mut hi) = (prev + 1, cand);
+            while lo < hi {
+                let mid = lo + (hi - lo) / 2;
+                if fits(mid) {
+                    hi = mid;
+                } else {
+                    lo = mid + 1;
+                }
+            }
+            break;
+        }
+        prev = cand;
+    }
+    let exact = |&parts: &usize| match profile {
+        StorageProfile::Resident => bound(parts),
+        _ => partition_footprint(log, spec, parts, symmetric, strategy, profile, slots),
+    };
+    let plan = fit.ok_or_else(|| BudgetError {
+        required: candidates.iter().map(exact).min().unwrap_or(usize::MAX),
+        budget: budget_bytes,
+    });
+    (stats, plan)
+}
+
+/// [`plan_partition`], keeping only the part count.
 pub fn plan_parts_for_budget(
     log: &EventLog,
     spec: &WindowSpec,
@@ -887,42 +1087,8 @@ pub fn plan_parts_for_budget(
     profile: StorageProfile,
     slots: usize,
 ) -> Result<usize, BudgetError> {
-    let footprint =
-        |parts: usize| partition_footprint(log, spec, parts, symmetric, strategy, profile, slots);
-    let max = spec.count.max(1);
-    let mut candidates: Vec<usize> = Vec::new();
-    let mut c = 1usize;
-    while c < max {
-        candidates.push(c);
-        c = c.saturating_mul(2);
-    }
-    candidates.push(max);
-    let mut min_required = usize::MAX;
-    let mut prev = 0usize;
-    for &cand in &candidates {
-        let fp = footprint(cand);
-        min_required = min_required.min(fp);
-        if fp <= budget_bytes {
-            // Refine: smallest count in (prev, cand] that still fits (the
-            // worst-part footprint shrinks with the count inside one
-            // ladder step, so a local binary search is sound).
-            let (mut lo, mut hi) = (prev + 1, cand);
-            while lo < hi {
-                let mid = lo + (hi - lo) / 2;
-                if footprint(mid) <= budget_bytes {
-                    hi = mid;
-                } else {
-                    lo = mid + 1;
-                }
-            }
-            return Ok(lo);
-        }
-        prev = cand;
-    }
-    Err(BudgetError {
-        required: min_required,
-        budget: budget_bytes,
-    })
+    let plan = plan_partition(log, spec, budget_bytes, symmetric, strategy, profile, slots).1;
+    plan.map(|p| p.parts)
 }
 
 #[cfg(test)]
@@ -1177,6 +1343,280 @@ mod tests {
             Ok(four) => assert!(four >= one, "four-slot plan {four} < one-slot plan {one}"),
             Err(e) => assert!(e.required > budget),
         }
+    }
+
+    const PROFILES: [StorageProfile; 3] = [
+        StorageProfile::Resident,
+        StorageProfile::Compressed,
+        StorageProfile::OnDisk,
+    ];
+
+    /// Every `(symmetric, strategy, profile, slots)` the planner tests
+    /// sweep: both orientations and strategies, all profiles, 1 to 3 slots.
+    fn configurations() -> Vec<(bool, PartitionStrategy, StorageProfile, usize)> {
+        let mut all = Vec::new();
+        for symmetric in [true, false] {
+            for strategy in [
+                PartitionStrategy::EqualWindows,
+                PartitionStrategy::EqualEvents,
+            ] {
+                for profile in PROFILES {
+                    all.extend((1..=3).map(|slots| (symmetric, strategy, profile, slots)));
+                }
+            }
+        }
+        all
+    }
+
+    /// The planner this module had before it learned to count: every
+    /// candidate of the ladder and of the bisection is trial-built and
+    /// trial-encoded for its exact footprint. Kept as the oracle
+    /// [`plan_partition`] must agree with, decision for decision.
+    fn trial_build_oracle(
+        log: &EventLog,
+        spec: &WindowSpec,
+        budget_bytes: usize,
+        symmetric: bool,
+        strategy: PartitionStrategy,
+        profile: StorageProfile,
+        slots: usize,
+    ) -> Result<usize, BudgetError> {
+        let footprint = |parts: usize| {
+            partition_footprint(log, spec, parts, symmetric, strategy, profile, slots)
+        };
+        let max = spec.count.max(1);
+        let mut candidates: Vec<usize> = Vec::new();
+        let mut c = 1usize;
+        while c < max {
+            candidates.push(c);
+            c = c.saturating_mul(2);
+        }
+        candidates.push(max);
+        let mut min_required = usize::MAX;
+        let mut prev = 0usize;
+        for &cand in &candidates {
+            let fp = footprint(cand);
+            min_required = min_required.min(fp);
+            if fp <= budget_bytes {
+                let (mut lo, mut hi) = (prev + 1, cand);
+                while lo < hi {
+                    let mid = lo + (hi - lo) / 2;
+                    if footprint(mid) <= budget_bytes {
+                        hi = mid;
+                    } else {
+                        lo = mid + 1;
+                    }
+                }
+                return Ok(lo);
+            }
+            prev = cand;
+        }
+        Err(BudgetError {
+            required: min_required,
+            budget: budget_bytes,
+        })
+    }
+
+    #[test]
+    fn planner_equals_trial_build_oracle_across_every_feasibility_edge() {
+        let log = sample_log();
+        let spec = WindowSpec::covering(&log, 40, 20).unwrap();
+        assert!(spec.count >= 6, "the sweep wants a ladder and a bisection");
+        for (symmetric, strategy, profile, slots) in configurations() {
+            let exact = |parts| {
+                partition_footprint(&log, &spec, parts, symmetric, strategy, profile, slots)
+            };
+            // Budgets on, just under and just over the exact footprint of
+            // every candidate count: every decision the search can face
+            // flips in here.
+            let mut budgets = vec![0, 1, usize::MAX];
+            for fp in (1..=spec.count).map(exact) {
+                budgets.extend([fp - 1, fp, fp + 1]);
+            }
+            for budget in budgets {
+                let what = format!(
+                    "{profile:?} slots={slots} {strategy:?} symmetric={symmetric} budget={budget}"
+                );
+                let (stats, plan) =
+                    plan_partition(&log, &spec, budget, symmetric, strategy, profile, slots);
+                let oracle =
+                    trial_build_oracle(&log, &spec, budget, symmetric, strategy, profile, slots);
+                assert_eq!(
+                    plan.as_ref().map(|p| p.parts).map_err(|e| *e),
+                    oracle,
+                    "{what}"
+                );
+                assert!(stats.rejected_by_bound + stats.trial_builds <= stats.candidates);
+                let Ok(plan) = plan else { continue };
+                // The plan is priced at the exact footprint, and a built
+                // winner comes back with it.
+                assert_eq!(plan.footprint, exact(plan.parts), "{what}");
+                assert!(plan.footprint <= budget, "{what}");
+                match (profile, &plan.encoded) {
+                    (StorageProfile::Resident, None) => assert_eq!(stats.trial_builds, 0),
+                    (StorageProfile::Resident, Some(_)) => panic!("{what}: built"),
+                    (_, None) => panic!("{what}: winner not handed over"),
+                    (_, Some(e)) => {
+                        assert_eq!(e.parts.len(), plan.parts, "{what}");
+                        assert_eq!(e.footprint(profile, slots), plan.footprint, "{what}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn lower_bound_is_sound_and_exact_for_resident() {
+        let log = sample_log();
+        let spec = WindowSpec::covering(&log, 40, 20).unwrap();
+        for (symmetric, strategy, profile, slots) in configurations() {
+            for parts in 1..=spec.count {
+                let bound =
+                    footprint_lower_bound(&log, &spec, parts, symmetric, strategy, profile, slots);
+                let exact =
+                    partition_footprint(&log, &spec, parts, symmetric, strategy, profile, slots);
+                let what = format!(
+                    "{profile:?} slots={slots} parts={parts} {strategy:?} symmetric={symmetric}"
+                );
+                assert!(bound <= exact, "{what}: bound {bound} > exact {exact}");
+                if profile == StorageProfile::Resident {
+                    assert_eq!(bound, exact, "{what}");
+                } else {
+                    // Not vacuous either: the decoded terms are exact, so
+                    // the bound is most of the way.
+                    assert!(2 * bound > exact, "{what}: bound {bound} of {exact}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn counting_replaces_the_builds_it_can_rule_out() {
+        let log = sample_log();
+        let spec = WindowSpec::covering(&log, 40, 20).unwrap();
+        let plan = |budget, profile| {
+            plan_partition(
+                &log,
+                &spec,
+                budget,
+                true,
+                PartitionStrategy::default(),
+                profile,
+                1,
+            )
+        };
+        // Resident footprints are exact from counts: no build, feasible or
+        // not.
+        let one_part = plan(usize::MAX, StorageProfile::Resident)
+            .1
+            .unwrap()
+            .footprint;
+        for budget in [usize::MAX, one_part, one_part / 2, 1] {
+            let (stats, _) = plan(budget, StorageProfile::Resident);
+            assert_eq!(stats.trial_builds, 0, "budget {budget}");
+        }
+        // A budget below the smallest decoded part of the finest partition
+        // is infeasible by the bound alone on every rung of the ladder.
+        let smallest = MultiWindowSet::build(&log, spec, spec.count, true, Default::default())
+            .unwrap()
+            .graphs()
+            .iter()
+            .map(|g| g.storage_bytes())
+            .min()
+            .unwrap();
+        for profile in PROFILES {
+            let (stats, result) = plan(smallest - 1, profile);
+            assert!(result.is_err(), "{profile:?}");
+            assert_eq!(stats.trial_builds, 0, "{profile:?}");
+            assert_eq!(stats.rejected_by_bound, stats.candidates, "{profile:?}");
+            assert!(stats.candidates >= 4, "{profile:?}: 1, 2, 4, count");
+        }
+        // Where the bound cannot decide, the search builds — and fewer
+        // times than it weighs candidates once the budget is tight.
+        for profile in [StorageProfile::Compressed, StorageProfile::OnDisk] {
+            let required = plan(1, profile).1.unwrap_err().required;
+            let (stats, result) = plan(required, profile);
+            assert!(result.is_ok(), "{profile:?}");
+            assert!(stats.trial_builds >= 1, "{profile:?}");
+            assert!(stats.rejected_by_bound >= 1, "{profile:?}: {stats:?}");
+        }
+    }
+
+    #[test]
+    fn encoded_payloads_equal_those_of_comparison_sort_built_parts() {
+        use crate::tcsr::tests::comparison_sort_build;
+        let log = sample_log();
+        let spec = WindowSpec::covering(&log, 40, 20).unwrap();
+        for symmetric in [true, false] {
+            let set = MultiWindowSet::build(&log, spec, 3, symmetric, PartitionStrategy::default())
+                .unwrap();
+            assert_eq!(set.num_parts(), 3);
+            for part in set.graphs() {
+                // The oracle part: this part's events under its vertex map,
+                // through the comparison-sort build.
+                let span = part.span();
+                let local: Vec<Event> = log
+                    .slice_by_time(span.start, span.end)
+                    .iter()
+                    .map(|e| {
+                        let l = |g| part.local_id(g).unwrap();
+                        Event::new(l(e.u), l(e.v), e.t)
+                    })
+                    .collect();
+                let n = part.num_local_vertices();
+                let tcsr = comparison_sort_build(n, &local, symmetric);
+                let reversed: Vec<Event> =
+                    local.iter().map(|e| Event::new(e.v, e.u, e.t)).collect();
+                let transpose = (!symmetric).then(|| comparison_sort_build(n, &reversed, false));
+                let oracle = MultiWindowGraph::from_raw_parts(
+                    part.windows(),
+                    span,
+                    part.vertex_map().into(),
+                    tcsr,
+                    transpose,
+                    part.window_ranges().into(),
+                );
+                assert_parts_equal(part, &oracle);
+                assert_eq!(
+                    CompressedPart::encode(part).payload(),
+                    CompressedPart::encode(&oracle).payload(),
+                    "symmetric={symmetric} windows {:?}",
+                    part.windows()
+                );
+            }
+        }
+    }
+
+    /// The byte-at-a-time CRC-32 the slicing-by-8 loop replaced.
+    fn crc32_bytewise(bytes: &[u8]) -> u32 {
+        let mut c = !0u32;
+        for &b in bytes {
+            c = (c >> 8) ^ CRC_TABLES[0][((c ^ u32::from(b)) & 0xff) as usize];
+        }
+        !c
+    }
+
+    #[test]
+    fn crc32_equals_the_bytewise_loop_at_every_length_and_alignment() {
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        let mut buf = vec![0u8; (1 << 20) + 8];
+        for b in &mut buf {
+            // xorshift64: any fixed pseudo-random bytes do.
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            *b = (x >> 32) as u8;
+        }
+        for offset in 0..8 {
+            for len in 0..=64 {
+                let s = &buf[offset..offset + len];
+                assert_eq!(crc32(s), crc32_bytewise(s), "offset {offset} len {len}");
+            }
+            let s = &buf[offset..offset + (1 << 20)];
+            assert_eq!(crc32(s), crc32_bytewise(s), "offset {offset}, 1 MiB");
+        }
+        // The oracle is the standard CRC, not merely self-consistent.
+        assert_eq!(crc32_bytewise(b"123456789"), 0xCBF4_3926);
     }
 
     #[test]

@@ -100,6 +100,14 @@ impl<'a> Iterator for RunIter<'a> {
     }
 }
 
+/// Turns a histogram shifted by one (`hist[k + 1]` counts key `k`) into a
+/// counting scatter's offsets (`hist[k]` = entries with a key below `k`).
+fn prefix_sums(hist: &mut [usize]) {
+    for i in 1..hist.len() {
+        hist[i] += hist[i - 1];
+    }
+}
+
 impl TemporalCsr {
     /// Builds the temporal CSR from an event log.
     ///
@@ -107,10 +115,11 @@ impl TemporalCsr {
     /// `(u, v, t)` stores entries in both `u`'s and `v`'s adjacency;
     /// self-loop events store a single entry.
     pub fn from_log(log: &EventLog, symmetric: bool) -> Self {
-        Self::from_events(log.num_vertices(), log.events(), symmetric)
+        Self::from_time_sorted(log.num_vertices(), log.events(), symmetric, |v| v)
     }
 
-    /// Builds the temporal CSR from a raw slice of events (any order).
+    /// Builds the temporal CSR from a raw slice of events in any order (one
+    /// not in time order is copied and sorted in front of the one build path).
     ///
     /// ```
     /// use tempopr_graph::{Event, TemporalCsr, TimeRange};
@@ -126,61 +135,90 @@ impl TemporalCsr {
     /// assert_eq!(t.active_degree(0, TimeRange::new(0, 100)), 1);
     /// ```
     pub fn from_events(num_vertices: usize, events: &[Event], symmetric: bool) -> Self {
-        // Pass 1: count entries per vertex.
+        if events.windows(2).all(|w| w[0].t <= w[1].t) {
+            return Self::from_time_sorted(num_vertices, events, symmetric, |v| v);
+        }
+        let mut sorted = events.to_vec();
+        sorted.sort_by_key(|e| e.t);
+        Self::from_time_sorted(num_vertices, &sorted, symmetric, |v| v)
+    }
+
+    /// The build: an LSD radix sort of the stored entries on `(source,
+    /// neighbor)`, as two stable counting scatters over events in time
+    /// order — by neighbor, then by source. Stability carries the time
+    /// order through both, so rows come out sorted by `(neighbor, time)`
+    /// with no comparison; what the scatters cannot order are equal
+    /// `(u, v, t)` triples, which are indistinguishable. `local` renames
+    /// vertex ids on the fly (a part's global -> local map). The
+    /// intermediate is one 4-byte tag per entry: the event's index and, in
+    /// the low bit, whether the entry is its mirror `(v -> u)`.
+    ///
+    /// # Panics
+    /// Panics if `events` holds more than `2^31 - 1` events.
+    pub(crate) fn from_time_sorted(
+        num_vertices: usize,
+        events: &[Event],
+        symmetric: bool,
+        local: impl Fn(VertexId) -> VertexId,
+    ) -> Self {
+        assert!(events.len() < 1 << 31, "event index must fit a 31-bit tag");
+        let ends = |e: &Event| {
+            let (u, v) = (local(e.u) as usize, local(e.v) as usize);
+            debug_assert!(u.max(v) < num_vertices, "event vertex out of range");
+            (u, v, symmetric && u != v)
+        };
         let mut row = vec![0usize; num_vertices + 1];
+        let mut cursor = vec![0usize; num_vertices + 1];
         for e in events {
-            debug_assert!(
-                (e.u as usize) < num_vertices && (e.v as usize) < num_vertices,
-                "event vertex out of range"
-            );
-            row[e.u as usize + 1] += 1;
-            if symmetric && e.u != e.v {
-                row[e.v as usize + 1] += 1;
+            let (u, v, mirrored) = ends(e);
+            row[u + 1] += 1;
+            cursor[v + 1] += 1;
+            if mirrored {
+                row[v + 1] += 1;
+                cursor[u + 1] += 1;
             }
         }
-        for i in 0..num_vertices {
-            row[i + 1] += row[i];
-        }
+        prefix_sums(&mut row);
+        prefix_sums(&mut cursor);
         let total = row[num_vertices];
-        // Pass 2: scatter (col, time) pairs with a cursor array.
+        let mut by_neighbor = vec![0u32; total];
+        let mut place = |key: usize, tag: u32| {
+            by_neighbor[cursor[key]] = tag;
+            cursor[key] += 1;
+        };
+        for (i, e) in events.iter().enumerate() {
+            let (u, v, mirrored) = ends(e);
+            place(v, (i as u32) << 1);
+            if mirrored {
+                place(u, ((i as u32) << 1) | 1);
+            }
+        }
+        cursor.copy_from_slice(&row);
         let mut col = vec![0 as VertexId; total];
         let mut time = vec![0 as Timestamp; total];
-        let mut cursor: Vec<usize> = row[..num_vertices].to_vec();
-        let mut place = |src: VertexId, dst: VertexId, t: Timestamp| {
-            let c = &mut cursor[src as usize];
-            col[*c] = dst;
-            time[*c] = t;
-            *c += 1;
-        };
-        for e in events {
-            place(e.u, e.v, e.t);
-            if symmetric && e.u != e.v {
-                place(e.v, e.u, e.t);
-            }
+        for &tag in &by_neighbor {
+            let e = &events[(tag >> 1) as usize];
+            let (u, v, _) = ends(e);
+            let (src, dst) = if tag & 1 == 0 { (u, v) } else { (v, u) };
+            col[cursor[src]] = dst as VertexId;
+            time[cursor[src]] = e.t;
+            cursor[src] += 1;
         }
-        // `place` borrows col/time mutably; it falls out of use here.
-        // Pass 3: sort each row by (neighbor, time). Sorting index pairs via
-        // a scratch buffer keeps col/time parallel.
-        let mut scratch: Vec<(VertexId, Timestamp)> = Vec::new();
-        for v in 0..num_vertices {
-            let (lo, hi) = (row[v], row[v + 1]);
-            if hi - lo <= 1 {
-                continue;
-            }
-            scratch.clear();
-            scratch.extend(
-                col[lo..hi]
-                    .iter()
-                    .copied()
-                    .zip(time[lo..hi].iter().copied()),
-            );
-            scratch.sort_unstable();
-            for (i, &(c, t)) in scratch.iter().enumerate() {
-                col[lo + i] = c;
-                time[lo + i] = t;
-            }
-        }
-        // Per-vertex time bounds for window pruning.
+        Self::from_raw(num_vertices, row, col, time)
+    }
+
+    /// Assembles a CSR from its arrays — the last step of the build and
+    /// the storage codec's constructor — computing the per-vertex time
+    /// bounds in the one min/max pass both share, so a decoded CSR whose
+    /// arrays match a built one is indistinguishable from it.
+    pub(crate) fn from_raw(
+        num_vertices: usize,
+        row: Vec<usize>,
+        col: Vec<VertexId>,
+        time: Vec<Timestamp>,
+    ) -> Self {
+        debug_assert_eq!(row.len(), num_vertices + 1);
+        debug_assert_eq!(col.len(), time.len());
         let mut bounds = vec![(Timestamp::MAX, Timestamp::MIN); num_vertices];
         for v in 0..num_vertices {
             for &t in &time[row[v]..row[v + 1]] {
@@ -198,47 +236,31 @@ impl TemporalCsr {
         }
     }
 
-    /// Reassembles a CSR from decoded arrays (the storage codec's
-    /// constructor). The per-vertex time bounds are recomputed with the
-    /// same min/max pass as [`TemporalCsr::from_events`], so a decoded CSR
-    /// whose arrays match a built one is indistinguishable from it.
-    pub(crate) fn from_raw(
-        num_vertices: usize,
-        row: Box<[usize]>,
-        col: Box<[VertexId]>,
-        time: Box<[Timestamp]>,
-    ) -> Self {
-        debug_assert_eq!(row.len(), num_vertices + 1);
-        debug_assert_eq!(col.len(), time.len());
-        let mut bounds = vec![(Timestamp::MAX, Timestamp::MIN); num_vertices];
-        for v in 0..num_vertices {
-            for &t in &time[row[v]..row[v + 1]] {
-                let b = &mut bounds[v];
-                b.0 = b.0.min(t);
-                b.1 = b.1.max(t);
-            }
-        }
-        TemporalCsr {
-            num_vertices,
-            row,
-            col,
-            time,
-            bounds: bounds.into_boxed_slice(),
-        }
-    }
-
     /// Builds the transpose: every stored entry `(u -> v, t)` becomes
     /// `(v -> u, t)`. For a symmetric build this is a (wasteful) identity;
     /// it exists for the directed mode where pull-PageRank needs in-edges.
+    ///
+    /// One stable counting scatter by column: rows walked in source order
+    /// visit a column's entries by `(source, time)`, the transposed order.
     pub fn transpose(&self) -> TemporalCsr {
-        let mut events = Vec::with_capacity(self.col.len());
-        for v in 0..self.num_vertices {
-            let (lo, hi) = (self.row[v], self.row[v + 1]);
-            for i in lo..hi {
-                events.push(Event::new(self.col[i], v as VertexId, self.time[i]));
+        let n = self.num_vertices;
+        let mut row = vec![0usize; n + 1];
+        for &c in self.col.iter() {
+            row[c as usize + 1] += 1;
+        }
+        prefix_sums(&mut row);
+        let mut cursor = row.clone();
+        let mut col = vec![0 as VertexId; self.col.len()];
+        let mut time = vec![0 as Timestamp; self.col.len()];
+        for v in 0..n {
+            for i in self.row[v]..self.row[v + 1] {
+                let c = &mut cursor[self.col[i] as usize];
+                col[*c] = v as VertexId;
+                time[*c] = self.time[i];
+                *c += 1;
             }
         }
-        TemporalCsr::from_events(self.num_vertices, &events, false)
+        Self::from_raw(n, row, col, time)
     }
 
     /// Number of vertices in the universe.
@@ -366,11 +388,65 @@ impl TemporalCsr {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     fn ev(u: u32, v: u32, t: i64) -> Event {
         Event::new(u, v, t)
+    }
+
+    /// The build the counting scatters replaced, kept as their oracle:
+    /// scatter by source in input order, then comparison-sort every row by
+    /// `(neighbor, time)`.
+    pub(crate) fn comparison_sort_build(
+        num_vertices: usize,
+        events: &[Event],
+        symmetric: bool,
+    ) -> TemporalCsr {
+        let mut rows: Vec<Vec<(VertexId, Timestamp)>> = vec![Vec::new(); num_vertices];
+        for e in events {
+            rows[e.u as usize].push((e.v, e.t));
+            if symmetric && e.u != e.v {
+                rows[e.v as usize].push((e.u, e.t));
+            }
+        }
+        let mut row = vec![0usize];
+        let (mut col, mut time) = (Vec::new(), Vec::new());
+        for r in &mut rows {
+            r.sort_unstable();
+            col.extend(r.iter().map(|&(c, _)| c));
+            time.extend(r.iter().map(|&(_, t)| t));
+            row.push(col.len());
+        }
+        TemporalCsr::from_raw(num_vertices, row, col, time)
+    }
+
+    #[test]
+    fn build_equals_comparison_sort_oracle_in_any_input_order() {
+        // Self-loops, repeated triples, ties in time, an isolated vertex.
+        let mut events = paper_example();
+        events.extend([ev(3, 3, 20), ev(0, 1, 0), ev(0, 1, 0), ev(5, 2, 20)]);
+        let reversed: Vec<Event> = events.iter().rev().copied().collect();
+        for symmetric in [true, false] {
+            let oracle = comparison_sort_build(9, &events, symmetric);
+            assert_eq!(TemporalCsr::from_events(9, &events, symmetric), oracle);
+            assert_eq!(TemporalCsr::from_events(9, &reversed, symmetric), oracle);
+            let log = EventLog::from_unsorted(events.clone(), 9).unwrap();
+            assert_eq!(TemporalCsr::from_log(&log, symmetric), oracle);
+        }
+        assert_eq!(
+            TemporalCsr::from_events(0, &[], true),
+            comparison_sort_build(0, &[], true)
+        );
+    }
+
+    #[test]
+    fn transpose_equals_rebuilding_from_reversed_events() {
+        let events = paper_example();
+        let reversed: Vec<Event> = events.iter().map(|e| ev(e.v, e.u, e.t)).collect();
+        let t = TemporalCsr::from_events(7, &events, false);
+        assert_eq!(t.transpose(), comparison_sort_build(7, &reversed, false));
+        assert_eq!(t.transpose().transpose(), t);
     }
 
     /// The 7-vertex example of the paper's Fig. 2/3, with vertex ids shifted

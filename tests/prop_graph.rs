@@ -4,7 +4,9 @@
 //! parameters.
 
 use proptest::prelude::*;
-use tempopr::graph::{Event, EventLog, MultiWindowSet, PartitionStrategy, TemporalCsr, WindowSpec};
+use tempopr::graph::{
+    Event, EventLog, MultiWindowSet, PartitionStrategy, TemporalCsr, TimeRange, WindowSpec,
+};
 
 const MAX_V: u32 = 24;
 
@@ -31,8 +33,93 @@ fn brute_edges(events: &[Event], start: i64, end: i64) -> Vec<(u32, u32)> {
     out
 }
 
+/// Folds raw draws into a build input that leans on the degenerate shapes:
+/// a universe of `n` vertices whose top third never appears (isolated),
+/// timestamps below `times` (1: all equal; 4: ties abound and `(u, v, t)`
+/// triples repeat), self-loops wherever `u == v` is drawn, no event at all
+/// when `n == 0`.
+fn build_input(n: usize, times: i64, raw: &[(u32, u32, i64)]) -> Vec<Event> {
+    let used = (n - n / 3).max(1) as u32;
+    let event = |&(u, v, t): &(u32, u32, i64)| Event::new(u % used, v % used, t % times);
+    raw.iter()
+        .take(if n == 0 { 0 } else { raw.len() })
+        .map(event)
+        .collect()
+}
+
+/// The comparison-sort build the temporal CSR's counting scatters replaced:
+/// scatter by source in input order, `sort_unstable` each row by
+/// `(neighbor, time)`. Returns `(row_offsets, col_indices, timestamps)`.
+fn comparison_sort_oracle(
+    n: usize,
+    events: &[Event],
+    symmetric: bool,
+) -> (Vec<usize>, Vec<u32>, Vec<i64>) {
+    let mut rows: Vec<Vec<(u32, i64)>> = vec![Vec::new(); n];
+    for e in events {
+        rows[e.u as usize].push((e.v, e.t));
+        if symmetric && e.u != e.v {
+            rows[e.v as usize].push((e.u, e.t));
+        }
+    }
+    let mut row = vec![0usize];
+    let (mut col, mut time) = (Vec::new(), Vec::new());
+    for r in &mut rows {
+        r.sort_unstable();
+        col.extend(r.iter().map(|&(c, _)| c));
+        time.extend(r.iter().map(|&(_, t)| t));
+        row.push(col.len());
+    }
+    (row, col, time)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The radix build is the comparison-sort build, array for array, on
+    /// time-sorted and shuffled input alike; `transpose` twice is the
+    /// identity on directed builds.
+    #[test]
+    fn radix_build_equals_comparison_sort_oracle(
+        n in 0usize..25,
+        times in prop::sample::select(vec![1i64, 4, 500]),
+        raw in prop::collection::vec((0u32..1000, 0u32..1000, 0i64..500), 0..150),
+        symmetric in any::<bool>(),
+        time_sorted in any::<bool>(),
+    ) {
+        let mut events = build_input(n, times, &raw);
+        if time_sorted {
+            events.sort_by_key(|e| e.t);
+        }
+        let t = TemporalCsr::from_events(n, &events, symmetric);
+        let (row, col, time) = comparison_sort_oracle(n, &events, symmetric);
+        prop_assert_eq!(t.num_vertices(), n);
+        prop_assert_eq!(t.row_offsets(), &row[..]);
+        prop_assert_eq!(t.col_indices(), &col[..]);
+        prop_assert_eq!(t.timestamps(), &time[..]);
+        // Per-vertex time bounds: tight around the row's timestamps, and
+        // never active for an isolated vertex.
+        for v in 0..n {
+            let times = &time[row[v]..row[v + 1]];
+            let may = |lo, hi| t.vertex_may_be_active(v as u32, TimeRange::new(lo, hi));
+            match (times.iter().min(), times.iter().max()) {
+                (Some(&lo), Some(&hi)) => {
+                    prop_assert!(may(lo, lo) && may(hi, hi), "vertex {}", v);
+                    prop_assert!(!may(-1000, lo - 1) && !may(hi + 1, 1000), "vertex {}", v);
+                }
+                _ => prop_assert!(!may(-1000, 1000), "isolated vertex {}", v),
+            }
+        }
+        if !symmetric {
+            let reversed: Vec<Event> = events.iter().map(|e| Event::new(e.v, e.u, e.t)).collect();
+            let (row, col, time) = comparison_sort_oracle(n, &reversed, false);
+            let tt = t.transpose();
+            prop_assert_eq!(tt.row_offsets(), &row[..]);
+            prop_assert_eq!(tt.col_indices(), &col[..]);
+            prop_assert_eq!(tt.timestamps(), &time[..]);
+            prop_assert_eq!(tt.transpose(), t);
+        }
+    }
 
     #[test]
     fn tcsr_window_edges_match_bruteforce(events in arb_events(), start in 0i64..500, width in 1i64..300) {

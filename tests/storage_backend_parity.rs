@@ -251,6 +251,99 @@ fn infeasible_budget_reports_minimal_feasible() {
     }
 }
 
+/// The build phase puts the planner's decision on record: how many
+/// candidate part counts it weighed, how many its counting pass ruled out
+/// unbuilt, how many it had to build, whether the store took the winner
+/// over, and the plan against the budget — in the metrics a
+/// `--metrics-out` file carries, on the failing path too.
+#[test]
+fn build_phase_reports_what_the_planner_did() {
+    let log = dense_log();
+    let spec = WindowSpec::covering(&log, 120, 40).unwrap();
+    for (name, backend, dir) in backends("planrecord") {
+        let resident = backend == StorageBackend::Resident;
+        let cfg = |budget| PostmortemConfig {
+            storage: backend.clone(),
+            memory_budget: Some(budget),
+            mode: ParallelMode::ApplicationLevel,
+            kernel: KernelKind::SpMV,
+            pr: tight_pr(),
+            ..PostmortemConfig::default()
+        };
+        // Infeasible: the tally survives the typed error, and a budget
+        // this small never needs a build to be refused.
+        let tele = Telemetry::enabled();
+        let required = match PostmortemEngine::with_telemetry(&log, spec, cfg(8), tele.clone()) {
+            Err(EngineError::BudgetInfeasible { required, .. }) => required,
+            Err(other) => panic!("{name}: unexpected error {other}"),
+            Ok(_) => panic!("{name}: an 8-byte budget should be infeasible"),
+        };
+        let refused = tele.report();
+        let candidates = refused.counter("storage.plan.candidates");
+        assert!(candidates >= 2, "{name}: a ladder, not one probe");
+        assert_eq!(
+            refused.counter("storage.plan.rejected_by_bound"),
+            candidates,
+            "{name}"
+        );
+        assert_eq!(refused.counter("storage.plan.trial_builds"), 0, "{name}");
+        assert_eq!(
+            refused.gauge("storage.plan.budget_bytes"),
+            Some(8.0),
+            "{name}"
+        );
+        assert_eq!(refused.gauge("storage.plan.parts"), None, "{name}");
+        // Feasible, on the edge: the record matches the engine built.
+        let tele = Telemetry::enabled();
+        let engine = PostmortemEngine::with_telemetry(&log, spec, cfg(required), tele.clone())
+            .unwrap_or_else(|e| panic!("{name}: {e}"));
+        let report = tele.report();
+        let builds = report.counter("storage.plan.trial_builds");
+        let ruled_out = report.counter("storage.plan.rejected_by_bound");
+        assert!(
+            ruled_out + builds <= report.counter("storage.plan.candidates"),
+            "{name}"
+        );
+        assert_eq!(builds == 0, resident, "{name}: {builds} trial builds");
+        assert_eq!(
+            report.counter("storage.plan.reused"),
+            u64::from(!resident),
+            "{name}"
+        );
+        assert_eq!(
+            report.gauge("storage.plan.parts"),
+            Some(engine.num_parts() as f64),
+            "{name}"
+        );
+        assert_eq!(
+            report.gauge("storage.plan.budget_bytes"),
+            Some(required as f64),
+            "{name}"
+        );
+        // At most the budget (the bisection may land on a count between
+        // two ladder rungs that is cheaper than either).
+        let footprint = report.gauge("storage.plan.footprint_bytes");
+        assert!(
+            footprint.is_some_and(|f| f > 0.0 && f <= required as f64),
+            "{name}: {footprint:?}"
+        );
+        let json = report.to_json();
+        for key in [
+            "storage.plan.candidates",
+            "storage.plan.reused",
+            "storage.plan.parts",
+        ] {
+            assert!(
+                json.contains(key),
+                "{name}: {key} missing from the metrics JSON"
+            );
+        }
+        if let Some(d) = dir {
+            let _ = std::fs::remove_dir_all(d);
+        }
+    }
+}
+
 /// The shard worker pool is a pure scheduling choice: for every backend ×
 /// kernel × worker count, the pooled run's fingerprints are bit-identical
 /// to a serial one-worker run over the same partition, and the measured
