@@ -13,10 +13,10 @@
 //! - **Application-level parallelism** walks windows in order and hands the
 //!   scheduler to the SpMV/SpMM kernel instead.
 //! - **Nested** does both on one rayon pool.
-//! - **SpMM region scheduling** splits each multi-window graph's windows
-//!   into `lanes` contiguous regions and batches the `j`-th window of every
-//!   region, so every batch after the first partially initializes from the
-//!   previous batch (§4.4).
+//! - **SpMM region scheduling** (§4.4, `Regions`) splits each part's
+//!   windows into contiguous regions and batches the `j`-th window of every
+//!   region, each batch partially initialized from the previous one. The
+//!   window walk and the query walk ([`crate::query`]) share it.
 //! - Under [`InitMode::Partial`] reuse never crosses a multi-window
 //!   boundary (§4.2): vertex numberings differ between parts. Under
 //!   [`InitMode::Warm`] the in-order walks carry the last converged vector
@@ -119,7 +119,7 @@ impl PostmortemEngine {
         // one prefetch slot when the decode/compute pipeline is on; the
         // budget planner charges exactly that many simultaneously-resident
         // decoded parts.
-        let (workers, _) = planned_workers(&cfg);
+        let (workers, _) = shard_workers(&cfg, None, false);
         let slots = workers + usize::from(cfg.pipeline);
         // A memory budget overrides the explicit part count: the planner
         // picks the smallest feasible partitioning under the backend's
@@ -360,14 +360,15 @@ impl PostmortemEngine {
                 InitMode::Warm => 2.0,
             },
         );
-        let (workers, cap) = self.runtime_worker_plan(&plan);
+        let parts = Some(self.store.num_parts());
+        let (workers, cap) = shard_workers(&self.cfg, parts, plan.start > 0 || plan.seed.is_some());
         self.tele.set_gauge("storage.workers", workers as f64);
-        if cap.is_some() && workers < self.requested_workers() {
+        if cap.is_some() {
             self.tele.add("storage.workers_capped", 1);
         }
         let mut out = match &self.pool {
-            Some(p) => p.install(|| self.run_inner(&plan)),
-            None => self.run_inner(&plan),
+            Some(p) => p.install(|| self.run_inner(&plan, workers)),
+            None => self.run_inner(&plan, workers),
         };
         out.windows.append(&mut restored);
         out.windows.sort_by_key(|w| w.window);
@@ -392,10 +393,10 @@ impl PostmortemEngine {
         out
     }
 
-    fn run_inner(&self, plan: &RunPlan) -> RunOutput {
+    fn run_inner(&self, plan: &RunPlan, workers: usize) -> RunOutput {
         let windows = match self.cfg.kernel {
-            KernelKind::SpMV => self.run_spmv(plan),
-            KernelKind::SpMM { lanes } => self.run_spmm(lanes, plan),
+            KernelKind::SpMV => self.run_spmv(plan, workers),
+            KernelKind::SpMM { lanes } => self.run_spmm(lanes, plan, workers),
         };
         RunOutput {
             windows,
@@ -440,11 +441,17 @@ impl PostmortemEngine {
         }
     }
 
-    /// The cross-part carry of both in-order walks: remaps `ranks` (local
-    /// to part `from`) into part `to`'s vertex space. `false` — counted as
-    /// a degenerate carry, `out` unusable — when no usable mass survives
-    /// the boundary; the caller then starts cold.
-    fn carry_across(&self, from: usize, ranks: &[f64], to: usize, out: &mut Vec<f64>) -> bool {
+    /// The one cross-part carry, of the in-order window walks and the query
+    /// walk: remaps `ranks` (local to part `from`) into part `to`'s vertex
+    /// space. `false` — counted as a degenerate carry, `out` unusable —
+    /// when no usable mass survives the boundary; the caller starts cold.
+    pub(crate) fn carry_across(
+        &self,
+        from: usize,
+        ranks: &[f64],
+        to: usize,
+        out: &mut Vec<f64>,
+    ) -> bool {
         let (from, to) = (self.store.vertex_map(from), self.store.vertex_map(to));
         let carried = warmstart::carry_ranks(from, ranks, to, out).is_some();
         if !carried {
@@ -464,48 +471,22 @@ impl PostmortemEngine {
 
     // --- Shard worker pool ------------------------------------------------
 
-    /// The configured worker request, with `0` resolved to the core count.
-    fn requested_workers(&self) -> usize {
-        resolve_worker_request(self.cfg.storage_workers)
-    }
-
     /// The shard-worker count a plain [`PostmortemEngine::run`] will use,
     /// plus the reason it was capped below the request (if it was). Ranks
     /// are bit-identical at every count: configurations whose seeding
     /// crosses part boundaries in order run serial instead of silently
     /// changing results, and this is where callers learn why.
     pub fn storage_worker_plan(&self) -> (usize, Option<WorkerCap>) {
-        let (w, cap) = planned_workers(&self.cfg);
-        let parts = self.store.num_parts();
-        if w > parts {
-            return (parts.max(1), Some(WorkerCap::Parts));
-        }
-        (w, cap)
-    }
-
-    /// [`PostmortemEngine::storage_worker_plan`] with the run plan's own
-    /// constraint: resuming mid-walk replays in-order state no pool can
-    /// reproduce, so a resumed run is serial.
-    fn runtime_worker_plan(&self, plan: &RunPlan) -> (usize, Option<WorkerCap>) {
-        let (w, cap) = self.storage_worker_plan();
-        if w > 1 && (plan.start > 0 || plan.seed.is_some()) {
-            return (1, Some(WorkerCap::Resume));
-        }
-        (w, cap)
-    }
-
-    fn runtime_workers(&self, plan: &RunPlan) -> usize {
-        self.runtime_worker_plan(plan).0
+        shard_workers(&self.cfg, Some(self.store.num_parts()), false)
     }
 
     /// Runs the per-part computation over independent parts on the shard
     /// worker pool: each worker claims the next unprocessed part from a
     /// shared queue, and — when the pipeline is on — prefetches the part
-    /// after it into a free cache slot while its own part computes (the
-    /// depth-1 decode/compute overlap, same slot the budget was charged
-    /// for). Only reached by configurations whose seeding never crosses
-    /// part boundaries, so the concatenated outputs are bit-identical to
-    /// the serial in-order walk.
+    /// after it ([`PostmortemEngine::prefetch_part`]) while its own part
+    /// computes. Only reached by configurations whose seeding never
+    /// crosses part boundaries, so the concatenated outputs are
+    /// bit-identical to the serial in-order walk.
     fn pooled_parts<F>(&self, workers: usize, compute: F) -> Vec<WindowOutput>
     where
         F: Fn(usize) -> Vec<WindowOutput> + Sync,
@@ -513,20 +494,8 @@ impl PostmortemEngine {
         let results = worker_pool(workers, self.store.num_parts(), |p, q| {
             if self.cfg.pipeline {
                 let next = q.peek();
-                let (_bg, out, stall) = overlap(
-                    || {
-                        if let Some(n) = next {
-                            if self.store.prefetch(n) {
-                                // Decoded into a free slot: build its
-                                // window index off the critical path too.
-                                if let Ok(part) = self.store.part(n) {
-                                    let _ = part.window_index();
-                                }
-                            }
-                        }
-                    },
-                    || compute(p),
-                );
+                let (_bg, out, stall) =
+                    overlap(|| next.map(|n| self.prefetch_part(n)), || compute(p));
                 self.tele.add_phase_ns(
                     RunPhase::PipelineStall,
                     u64::try_from(stall.as_nanos()).unwrap_or(u64::MAX),
@@ -538,6 +507,23 @@ impl PostmortemEngine {
             }
         });
         results.into_iter().flatten().collect()
+    }
+
+    /// The one next-part prefetch, of the in-order prefetcher and the shard
+    /// pool: the non-resident backends decode part `p` into a *free* cache
+    /// slot (the prefetch slot the budget was charged for) and decline when
+    /// none is available, so a prefetch never overshoots the certified
+    /// bound; then, when the run is indexed, the part's window index is
+    /// built off the critical path. A declined or failed prefetch is
+    /// dropped: the walk's own fetch of the part surfaces any error.
+    fn prefetch_part(&self, p: usize) {
+        let available =
+            matches!(self.store.backend(), StorageBackend::Resident) || self.store.prefetch(p);
+        if available && self.cfg.use_window_index {
+            if let Ok(part) = self.store.part(p) {
+                let _ = part.window_index();
+            }
+        }
     }
 
     // --- Execution-layer adapters -----------------------------------------
@@ -620,10 +606,9 @@ impl PostmortemEngine {
 
     // --- SpMV path ------------------------------------------------------
 
-    fn run_spmv(&self, plan: &RunPlan) -> Vec<WindowOutput> {
+    fn run_spmv(&self, plan: &RunPlan, workers: usize) -> Vec<WindowOutput> {
         let count = self.spec().count;
         let sched = &self.cfg.scheduler;
-        let workers = self.runtime_workers(plan);
         if workers > 1 {
             // Pool eligibility (in-order mode, no warm carry, no resume)
             // was checked by the worker plan: every part cold-starts its
@@ -744,18 +729,20 @@ impl PostmortemEngine {
 
     // --- SpMM path ------------------------------------------------------
 
-    fn run_spmm(&self, lanes: usize, plan: &RunPlan) -> Vec<WindowOutput> {
+    fn run_spmm(&self, lanes: usize, plan: &RunPlan, workers: usize) -> Vec<WindowOutput> {
         let parts = self.store.num_parts();
         let sched = &self.cfg.scheduler;
-        let workers = self.runtime_workers(plan);
+        // A part walked with no carry in: what the pool and the
+        // part-parallel modes run.
+        let cold_part = |p| {
+            self.spmm_part(p, lanes, None, &mut SavingsMeter::default())
+                .0
+        };
         if workers > 1 {
             // No carry reaches a pooled part (the worker plan already
             // excluded warm mode), so each part's batches are exactly the
             // serial walk's.
-            return self.pooled_parts(workers, |p| {
-                self.spmm_part(p, lanes, None, &mut SavingsMeter::default())
-                    .0
-            });
+            return self.pooled_parts(workers, cold_part);
         }
         // The part-parallel modes cannot carry across parts (each part may
         // start before its predecessor finished); the carry chain belongs
@@ -767,13 +754,7 @@ impl PostmortemEngine {
             ParallelMode::WindowLevel | ParallelMode::Nested => sched.map_reduce_range(
                 parts,
                 Vec::new(),
-                |r| {
-                    r.flat_map(|p| {
-                        self.spmm_part(p, lanes, None, &mut SavingsMeter::default())
-                            .0
-                    })
-                    .collect()
-                },
+                |r| r.flat_map(cold_part).collect(),
                 concat,
             ),
         }
@@ -808,9 +789,9 @@ impl PostmortemEngine {
     }
 
     /// Computes every window of one multi-window graph with the batched
-    /// kernel, using the paper's region scheduling: windows are split into
-    /// `lanes` contiguous regions and batch `j` processes the `j`-th window
-    /// of each region, partially initialized from batch `j-1`.
+    /// kernel over the part's region schedule ([`Regions`], one chain per
+    /// window slot): batch `j` processes the `j`-th window of each region,
+    /// partially initialized from batch `j-1`.
     ///
     /// Windows with a planned fault are routed through the per-window
     /// SpMV path instead (the batch kernel cannot target a fault at one
@@ -839,27 +820,10 @@ impl PostmortemEngine {
         };
         let part: &MultiWindowGraph = &fetched;
         let w0 = part.windows().start;
-        let nw = part.num_windows();
-        let reuse = self.reuse_ranks();
-        let mut vl = lanes.clamp(1, tempopr_kernel::MAX_LANES).min(nw);
-        if reuse {
-            // Regions must span at least two windows or there is only one
-            // batch and nothing ever gets partially initialized — the
-            // paper's warning that a high vector length erodes the partial
-            // initialization benefit, resolved in favor of partial init.
-            // (Warm carry additionally seeds batch 0, but the in-part
-            // chain is still worth preserving.)
-            vl = vl.min((nw / 2).max(1));
-        }
-        let region = nw.div_ceil(vl);
-        let mut prev: Vec<Option<Vec<f64>>> = vec![None; vl];
+        let mut regions = Regions::new(lanes, 1, part.num_windows(), self.reuse_ranks());
         if let Some(seed) = carry {
-            // Seed every region's first window from the carried vector.
-            let seeded = (0..vl).filter(|r| r * region < nw).count();
-            for slot in prev.iter_mut().take(seeded) {
-                *slot = Some(seed.to_vec());
-            }
-            self.tele.add("warmstart.seeded_windows", seeded as u64);
+            self.tele
+                .add("warmstart.seeded_windows", regions.seed_heads(0, seed));
         }
         let mut ws = SpmmWorkspace::default();
         let mut pr_ws = PrWorkspace::default();
@@ -867,39 +831,15 @@ impl PostmortemEngine {
         // lane is copied out through it instead of allocating a fresh
         // vector per lane per batch.
         let mut lane_buf: Vec<f64> = Vec::new();
-        let mut out: Vec<WindowOutput> = Vec::with_capacity(nw);
-        // How a lane's window is being seeded this batch: batch 0 only ever
-        // holds the cross-part carry; later batches hold in-part chains.
-        let seed_kind = |j: usize, slot: &Option<Vec<f64>>| {
-            if !reuse || slot.is_none() {
-                Seed::Cold
-            } else if j == 0 {
-                Seed::Carried
-            } else {
-                Seed::InPart
-            }
-        };
-        for j in 0..region {
-            // Lane r handles part-local window r*region + j, if it exists.
-            let mut lanes_now: Vec<usize> = Vec::with_capacity(vl);
-            for r in 0..vl {
-                let lw = r * region + j;
-                if lw < nw {
-                    lanes_now.push(lw);
-                }
-            }
-            if lanes_now.is_empty() {
-                break;
-            }
+        let mut out: Vec<WindowOutput> = Vec::with_capacity(part.num_windows());
+        for j in 0..regions.batches() {
             // Faulted windows leave the batch and run individually through
             // the full recovery ladder.
-            let (clean, faulted): (Vec<usize>, Vec<usize>) = lanes_now
-                .into_iter()
+            let (clean, faulted): (Vec<usize>, Vec<usize>) = regions
+                .batch(j)
                 .partition(|&lw| self.cfg.faults.fault_for(w0 + lw).is_none());
             for &lw in &faulted {
-                let slot = &mut prev[lw / region];
-                let kind = seed_kind(j, slot);
-                out.push(self.solo_lane(part, w0 + lw, kind, slot, &mut pr_ws, meter));
+                out.push(self.solo_lane(part, j, lw, &mut regions, &mut pr_ws, meter));
             }
             if clean.is_empty() {
                 continue;
@@ -916,13 +856,7 @@ impl PostmortemEngine {
             let batch = {
                 let inits: Vec<Init<'_>> = clean
                     .iter()
-                    .map(|&lw| {
-                        let r = lw / region;
-                        match (&prev[r], reuse) {
-                            (Some(p), true) => Init::Partial(p),
-                            _ => Init::Uniform,
-                        }
-                    })
+                    .map(|&lw| regions.seed(lw, 0).map_or(Init::Uniform, Init::Partial))
                     .collect();
                 let (pull, push) = (part.pull_tcsr(), part.tcsr());
                 let obs = if self.tele.is_enabled() {
@@ -963,28 +897,18 @@ impl PostmortemEngine {
                 Ok(Ok(stats)) => {
                     lane_buf.resize(ws.x.len() / nlanes, 0.0);
                     for (i, &lw) in clean.iter().enumerate() {
-                        let w = w0 + lw;
                         let st = stats[i];
-                        let kind = seed_kind(j, &prev[lw / region]);
                         if st.converged || self.cfg.pr.max_iters == 0 {
                             let status = classify_converged(&st);
                             ws.copy_lane_into(i, nlanes, &mut lane_buf);
+                            let kind = seed_kind(&regions, j, lw);
                             meter.record(&self.tele, kind, true, st.iterations);
-                            out.push(self.make_output(w, part, st, &lane_buf, status, 1));
-                            // Reuse the warm-start slot's allocation when
-                            // its length already matches.
-                            let slot = &mut prev[lw / region];
-                            match slot {
-                                Some(p) if p.len() == lane_buf.len() => {
-                                    p.copy_from_slice(&lane_buf);
-                                }
-                                _ => *slot = Some(lane_buf.clone()),
-                            }
+                            out.push(self.make_output(w0 + lw, part, st, &lane_buf, status, 1));
+                            regions.keep(lw, 0, &lane_buf);
                         } else {
                             // Per-lane escalation: recompute this window
                             // alone through the recovery ladder.
-                            let slot = &mut prev[lw / region];
-                            out.push(self.solo_lane(part, w, kind, slot, &mut pr_ws, meter));
+                            out.push(self.solo_lane(part, j, lw, &mut regions, &mut pr_ws, meter));
                         }
                     }
                 }
@@ -995,44 +919,40 @@ impl PostmortemEngine {
                         ws = SpmmWorkspace::default();
                     }
                     for &lw in &clean {
-                        let slot = &mut prev[lw / region];
-                        let kind = seed_kind(j, slot);
-                        out.push(self.solo_lane(part, w0 + lw, kind, slot, &mut pr_ws, meter));
+                        out.push(self.solo_lane(part, j, lw, &mut regions, &mut pr_ws, meter));
                     }
                 }
             }
         }
-        // The part's own carry: its last window's converged local ranks.
-        // `prev` tracks validity per region, so a failed final window (or
-        // one that never ran) yields `None` and the chain breaks cleanly.
-        let carry_out = if self.warm() && nw > 0 {
-            prev[(nw - 1) / region].take()
+        // The part's own carry: its last window's converged local ranks (a
+        // failed final window broke its chain, so the next part starts cold).
+        let carry_out = if self.warm() {
+            regions.carry_out(0)
         } else {
             None
         };
         (out, carry_out)
     }
 
-    /// One window of an SpMM part solved alone — a faulted lane, an
-    /// escalated lane, or every lane of a failed batch: seeded from its
-    /// region's slot, which it then refreshes (a failed window empties it,
-    /// so the region's next batch starts cold).
+    /// Part-local window `lw` of batch `j` of an SpMM part solved alone — a
+    /// faulted lane, an escalated lane, or every lane of a failed batch:
+    /// seeded from its region's chain, which it then continues (a failed
+    /// window breaks it, so the region's next batch starts cold).
     fn solo_lane(
         &self,
         part: &MultiWindowGraph,
-        w: usize,
-        seed: Seed,
-        slot: &mut Option<Vec<f64>>,
+        j: usize,
+        lw: usize,
+        regions: &mut Regions,
         ws: &mut PrWorkspace,
         meter: &mut SavingsMeter,
     ) -> WindowOutput {
-        let prev = if self.reuse_ranks() {
-            slot.as_deref()
-        } else {
-            None
-        };
-        let (output, ranks) = self.single_window(part, w, seed, prev, ws, meter);
-        *slot = ranks;
+        let (w, seed) = (part.windows().start + lw, seed_kind(regions, j, lw));
+        let (output, ranks) = self.single_window(part, w, seed, regions.seed(lw, 0), ws, meter);
+        match ranks {
+            Some(ranks) => regions.keep(lw, 0, &ranks),
+            None => regions.break_chain(lw, 0),
+        }
         output
     }
 
@@ -1089,20 +1009,7 @@ impl Prefetcher for PartIndexPrefetcher<'_> {
     }
 
     fn prefetch(&self, window: usize) {
-        let p = self.engine.part_index_of(window);
-        let store = &self.engine.store;
-        // The non-resident backends decode into a *free* cache slot (the
-        // prefetch slot the budget was charged for) and decline when none
-        // is available — a prefetch never overshoots the certified bound.
-        // A declined or failed prefetch is simply dropped: the walk's own
-        // fetch of the same part will surface any error as a `Failed`
-        // window.
-        let available = matches!(store.backend(), StorageBackend::Resident) || store.prefetch(p);
-        if available {
-            if let Ok(part) = store.part(p) {
-                let _ = part.window_index();
-            }
-        }
+        self.engine.prefetch_part(self.engine.part_index_of(window));
     }
 }
 
@@ -1145,34 +1052,43 @@ impl std::fmt::Display for WorkerCap {
     }
 }
 
-/// `0` means one worker per available core.
-fn resolve_worker_request(requested: usize) -> usize {
-    if requested == 0 {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-    } else {
-        requested
-    }
-}
-
-/// Resolves the shard-worker request against the bit-identity constraints
-/// known at build time (mode and init policy; the part count and resume
-/// state are applied later). Used by engine construction to size the cache
-/// — and the budget charge — before the store exists.
-fn planned_workers(cfg: &PostmortemConfig) -> (usize, Option<WorkerCap>) {
-    let requested = resolve_worker_request(cfg.storage_workers);
+/// The one shard-worker rule: the [`PostmortemConfig::storage_workers`]
+/// request (`0` = one per core) and the reason it was capped, if it was.
+/// The caps apply in order — a request of at most one, then
+/// [`WorkerCap::PartParallelMode`], [`WorkerCap::WarmCarry`],
+/// [`WorkerCap::Parts`] (when the part count is known) and
+/// [`WorkerCap::Resume`] — so engine construction (cache slots and budget
+/// charge, before the store exists), [`PostmortemEngine::storage_worker_plan`]
+/// and the run plan each apply what they know.
+fn shard_workers(
+    cfg: &PostmortemConfig,
+    parts: Option<usize>,
+    resumed: bool,
+) -> (usize, Option<WorkerCap>) {
+    let requested = match cfg.storage_workers {
+        0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
+        n => n,
+    };
     if requested <= 1 {
         return (1, None);
     }
-    match cfg.mode {
-        ParallelMode::Sequential | ParallelMode::ApplicationLevel => {}
-        _ => return (1, Some(WorkerCap::PartParallelMode)),
+    if !matches!(
+        cfg.mode,
+        ParallelMode::Sequential | ParallelMode::ApplicationLevel
+    ) {
+        return (1, Some(WorkerCap::PartParallelMode));
     }
     if cfg.init_mode == InitMode::Warm {
         return (1, Some(WorkerCap::WarmCarry));
     }
-    (requested, None)
+    let (workers, cap) = match parts {
+        Some(parts) if requested > parts => (parts.max(1), Some(WorkerCap::Parts)),
+        _ => (requested, None),
+    };
+    if workers > 1 && resumed {
+        return (1, Some(WorkerCap::Resume));
+    }
+    (workers, cap)
 }
 
 /// How one window's rank vector was seeded.
@@ -1184,6 +1100,112 @@ enum Seed {
     InPart,
     /// Cross-boundary carry remapped through the vertex maps.
     Carried,
+}
+
+/// How window `lw` of SpMM batch `j` is seeded: batch 0 only ever holds the
+/// cross-part carry; later batches hold in-part chains.
+fn seed_kind(regions: &Regions, j: usize, lw: usize) -> Seed {
+    match regions.seed(lw, 0) {
+        None => Seed::Cold,
+        Some(_) if j == 0 => Seed::Carried,
+        Some(_) => Seed::InPart,
+    }
+}
+
+/// The paper's region scheduling (§4.4) over one part's `nw` windows, for
+/// both lane-batched walks: the window walk runs one chain per window slot,
+/// the query walk `nq` (lane `k = w·nq + q`). The windows split into
+/// `slots` contiguous regions; batch `j` holds the `j`-th window of every
+/// region, and each (slot, chain) keeps its last valid ranks — the next
+/// batch's partial initialization.
+pub(crate) struct Regions {
+    nw: usize,
+    len: usize,
+    chains: usize,
+    reuse: bool,
+    prev: Vec<Option<Vec<f64>>>,
+}
+
+impl Regions {
+    /// `⌊budget / chains⌋` window slots, at least one and at most `nw`.
+    /// When ranks are reused, regions must span at least two windows or
+    /// there is only one batch and nothing ever gets partially initialized
+    /// — the paper's warning that a high vector length erodes the partial
+    /// initialization benefit, resolved in favor of partial init.
+    pub(crate) fn new(budget: usize, chains: usize, nw: usize, reuse: bool) -> Self {
+        let mut slots = (budget.clamp(1, tempopr_kernel::MAX_LANES) / chains)
+            .max(1)
+            .min(nw);
+        if reuse {
+            slots = slots.min((nw / 2).max(1));
+        }
+        Regions {
+            nw,
+            len: nw.div_ceil(slots),
+            chains,
+            reuse,
+            prev: vec![None; slots * chains],
+        }
+    }
+
+    /// How many batches walk the part (the region length).
+    pub(crate) fn batches(&self) -> usize {
+        self.len
+    }
+
+    /// Batch `j`'s part-local windows, in slot order.
+    pub(crate) fn batch(&self, j: usize) -> std::iter::StepBy<std::ops::Range<usize>> {
+        (j..self.nw).step_by(self.len)
+    }
+
+    /// Where (window `lw`, `chain`) keeps its chain.
+    fn slot(&self, lw: usize, chain: usize) -> usize {
+        lw / self.len * self.chains + chain
+    }
+
+    /// The vector seeding (window `lw`, `chain`), if its chain holds one.
+    pub(crate) fn seed(&self, lw: usize, chain: usize) -> Option<&[f64]> {
+        self.prev[self.slot(lw, chain)].as_deref()
+    }
+
+    /// Seeds `chain` at every region head from a vector carried across the
+    /// part boundary; returns the windows seeded (`warmstart.seeded_windows`).
+    pub(crate) fn seed_heads(&mut self, chain: usize, carried: &[f64]) -> u64 {
+        let mut seeded = 0;
+        for lw in self.batch(0) {
+            let s = self.slot(lw, chain);
+            self.prev[s] = Some(carried.to_vec());
+            seeded += 1;
+        }
+        seeded
+    }
+
+    /// Keeps a converged lane's `ranks` as its chain's next seed, reusing
+    /// the slot's allocation; nothing is kept when ranks are not reused.
+    pub(crate) fn keep(&mut self, lw: usize, chain: usize, ranks: &[f64]) {
+        if !self.reuse {
+            return;
+        }
+        let s = self.slot(lw, chain);
+        match &mut self.prev[s] {
+            Some(v) if v.len() == ranks.len() => v.copy_from_slice(ranks),
+            slot => *slot = Some(ranks.to_vec()),
+        }
+    }
+
+    /// Breaks (window `lw`, `chain`)'s chain: its region's next window
+    /// starts cold rather than from a poisoned seed.
+    pub(crate) fn break_chain(&mut self, lw: usize, chain: usize) {
+        let s = self.slot(lw, chain);
+        self.prev[s] = None;
+    }
+
+    /// `chain`'s carry-out: the part's last window's ranks, `None` if that
+    /// window broke its chain.
+    pub(crate) fn carry_out(&mut self, chain: usize) -> Option<Vec<f64>> {
+        let s = self.slot(self.nw - 1, chain);
+        self.prev[s].take()
+    }
 }
 
 /// Running estimate behind the `warmstart.iterations_saved` counter: each
@@ -1252,7 +1274,7 @@ mod tests {
     use crate::config::{InitMode, KernelKind, ParallelMode, PostmortemConfig, RetainMode};
     use crate::result::SparseRanks;
     use tempopr_graph::Event;
-    use tempopr_kernel::{Partitioner, PrConfig};
+    use tempopr_kernel::{Partitioner, PrConfig, MAX_LANES};
 
     fn test_log() -> EventLog {
         let mut events = Vec::new();
@@ -1444,14 +1466,13 @@ mod tests {
         }
     }
 
-    #[test]
-    fn both_in_order_walks_share_one_cross_part_carry() {
-        // Three parts of two disjoint-in-time windows each. Parts 0 and 1
-        // share vertices 0..4 (an overlapping boundary: the carry seeds);
-        // part 2 lives on 8..12 (a disjoint boundary: degenerate, cold).
+    /// Three parts of `per_part` disjoint-in-time windows each. Parts 0 and
+    /// 1 share vertices 0..4 (an overlapping boundary: the carry seeds);
+    /// part 2 lives on 8..12 (a disjoint boundary: degenerate, cold).
+    fn boundary_log(per_part: u32) -> (EventLog, WindowSpec) {
         let mut events = Vec::new();
-        for w in 0..6u32 {
-            let (base, n) = [(0, 4), (0, 4), (0, 6), (0, 6), (8, 4), (8, 4)][w as usize];
+        for w in 0..3 * per_part {
+            let (base, n) = [(0, 4), (0, 6), (8, 4)][(w / per_part) as usize];
             for i in 0..40u32 {
                 let (u, v) = (base + i % n, base + (i + 1 + i % 2) % n);
                 if u != v {
@@ -1460,7 +1481,15 @@ mod tests {
             }
         }
         let log = EventLog::from_unsorted(events, 12).unwrap();
-        let spec = WindowSpec::new(0, 50, 100, 6).unwrap();
+        (
+            log,
+            WindowSpec::new(0, 50, 100, 3 * per_part as usize).unwrap(),
+        )
+    }
+
+    #[test]
+    fn both_in_order_walks_share_one_cross_part_carry() {
+        let (log, spec) = boundary_log(2);
         let run = |kernel| {
             let tele = Telemetry::enabled();
             let cfg = PostmortemConfig {
@@ -1500,6 +1529,199 @@ mod tests {
         assert!(a[..4].iter().all(|&r| r > 0.0) && a[4..] == [0.0, 0.0]);
         assert!(!spmv.carry_across(1, &local(1, 3), 2, &mut a));
         assert!(!spmm.carry_across(1, &local(1, 3), 2, &mut b));
+    }
+
+    #[test]
+    fn query_walk_shares_the_window_walks_cross_part_carry() {
+        // Four windows a part and two lanes: two regions, so a carry seeds
+        // two heads. One query on the same parts must count what the
+        // window walk counts — the carry and its bookkeeping are one code.
+        let (log, spec) = boundary_log(4);
+        let cfg = PostmortemConfig {
+            kernel: KernelKind::SpMM { lanes: 2 },
+            mode: ParallelMode::Sequential,
+            init_mode: InitMode::Warm,
+            num_multiwindows: 3,
+            pr: tight_cfg(),
+            ..Default::default()
+        };
+        let (windows, queries) = (Telemetry::enabled(), Telemetry::enabled());
+        let engine = PostmortemEngine::with_telemetry(&log, spec, cfg.clone(), windows.clone());
+        assert!(!engine.unwrap().run().degraded);
+        let engine = PostmortemEngine::with_telemetry(&log, spec, cfg, queries.clone()).unwrap();
+        let query = crate::query::EngineQuery::seeded(0, 12, 0.15);
+        assert!(engine.run_queries(&[query]).unwrap().all_converged());
+        for (name, expect) in [
+            ("warmstart.seeded_windows", 2),
+            ("warmstart.degenerate_windows", 1),
+        ] {
+            assert_eq!(windows.report().counter(name), expect, "windows {name}");
+            assert_eq!(queries.report().counter(name), expect, "queries {name}");
+        }
+    }
+
+    #[test]
+    fn regions_reproduce_the_parents_two_region_walks() {
+        // The oracle: the formulas of the two hand-written region walks
+        // `Regions` replaced, one per walk — the window walk's slot count
+        // (`spmm_part`) and the query walk's (`run_queries_inner`, whose
+        // budget arrived clamped).
+        let window_slots = |lanes: usize, nw: usize| lanes.clamp(1, MAX_LANES).min(nw);
+        let query_slots = |budget: usize, gnq: usize, nw: usize| (budget / gnq).max(1).min(nw);
+        // Batch membership and every window's seed slot depend on the grid
+        // point only through (nw, slots, chains): walked once per shape.
+        let mut walked = std::collections::HashSet::new();
+        for nw in 1..=130 {
+            for budget in 1..=64 {
+                for chains in 1..=64 {
+                    for reuse in [false, true] {
+                        let mut vl = query_slots(budget.clamp(1, MAX_LANES), chains, nw);
+                        if chains == 1 {
+                            assert_eq!(vl, window_slots(budget, nw));
+                        }
+                        if reuse {
+                            vl = vl.min((nw / 2).max(1));
+                        }
+                        let region = nw.div_ceil(vl);
+                        let mut r = Regions::new(budget, chains, nw, reuse);
+                        assert_eq!(r.batches(), region);
+                        let last = (nw - 1) / region * chains;
+                        assert_eq!(r.slot(nw - 1, chains - 1), last + chains - 1);
+                        let heads = (0..vl).filter(|s| s * region < nw).count();
+                        assert_eq!(r.seed_heads(chains - 1, &[]), heads as u64);
+                        if !walked.insert((nw, vl, chains)) {
+                            continue;
+                        }
+                        let mut seen = vec![0u8; nw];
+                        for j in 0..region {
+                            let parent = (0..vl).map(|s| s * region + j).filter(|&lw| lw < nw);
+                            assert!(r.batch(j).eq(parent), "nw {nw} vl {vl} batch {j}");
+                            for lw in r.batch(j) {
+                                seen[lw] += 1;
+                                for c in [0, chains - 1] {
+                                    assert_eq!(r.slot(lw, c), (lw / region) * chains + c);
+                                }
+                            }
+                        }
+                        assert!(seen.iter().all(|&n| n == 1), "nw {nw} vl {vl}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn one_shard_worker_rule_equals_the_parents_six_functions() {
+        // The oracle: the six functions `shard_workers` replaced.
+        fn resolve_worker_request(requested: usize) -> usize {
+            if requested == 0 {
+                std::thread::available_parallelism()
+                    .map(|n| n.get())
+                    .unwrap_or(1)
+            } else {
+                requested
+            }
+        }
+        fn planned_workers(cfg: &PostmortemConfig) -> (usize, Option<WorkerCap>) {
+            let requested = resolve_worker_request(cfg.storage_workers);
+            if requested <= 1 {
+                return (1, None);
+            }
+            match cfg.mode {
+                ParallelMode::Sequential | ParallelMode::ApplicationLevel => {}
+                _ => return (1, Some(WorkerCap::PartParallelMode)),
+            }
+            if cfg.init_mode == InitMode::Warm {
+                return (1, Some(WorkerCap::WarmCarry));
+            }
+            (requested, None)
+        }
+        fn storage_worker_plan(cfg: &PostmortemConfig, parts: usize) -> (usize, Option<WorkerCap>) {
+            let (w, cap) = planned_workers(cfg);
+            if w > parts {
+                return (parts.max(1), Some(WorkerCap::Parts));
+            }
+            (w, cap)
+        }
+        fn runtime_worker_plan(
+            cfg: &PostmortemConfig,
+            parts: usize,
+            resumed: bool,
+        ) -> (usize, Option<WorkerCap>) {
+            let (w, cap) = storage_worker_plan(cfg, parts);
+            if w > 1 && resumed {
+                return (1, Some(WorkerCap::Resume));
+            }
+            (w, cap)
+        }
+        let mut rows = 0;
+        for mode in [
+            ParallelMode::Sequential,
+            ParallelMode::WindowLevel,
+            ParallelMode::ApplicationLevel,
+            ParallelMode::Nested,
+        ] {
+            for init_mode in [InitMode::Full, InitMode::Partial, InitMode::Warm] {
+                for storage_workers in [0, 1, 2, 4] {
+                    let cfg = PostmortemConfig {
+                        mode,
+                        init_mode,
+                        storage_workers,
+                        ..Default::default()
+                    };
+                    assert_eq!(shard_workers(&cfg, None, false), planned_workers(&cfg));
+                    for parts in [1, 2, 5] {
+                        let plan = storage_worker_plan(&cfg, parts);
+                        assert_eq!(shard_workers(&cfg, Some(parts), false), plan);
+                        for resumed in [false, true] {
+                            let (w, cap) = runtime_worker_plan(&cfg, parts, resumed);
+                            assert_eq!(shard_workers(&cfg, Some(parts), resumed), (w, cap));
+                            // `storage.workers_capped` used to test
+                            // `cap && w < requested`; a cap alone says it.
+                            let capped = w < resolve_worker_request(storage_workers);
+                            assert_eq!(cap.is_some(), cap.is_some() && capped);
+                            rows += 1;
+                        }
+                    }
+                }
+            }
+        }
+        assert_eq!(rows, 4 * 3 * 4 * 3 * 2);
+    }
+
+    #[test]
+    fn pooled_prefetch_builds_window_indexes_only_for_indexed_runs() {
+        // A pooled, pipelined run prefetches the next part; an unindexed
+        // run must not build an index nothing reads (and the budget never
+        // charged). Cached parts are checked after the run, so this holds
+        // under every claim order.
+        let log = test_log();
+        let spec = WindowSpec::covering(&log, 60, 25).unwrap();
+        let dir = std::env::temp_dir().join(format!("tempopr_engine_pf_{}", std::process::id()));
+        for storage in [
+            StorageBackend::Compressed,
+            StorageBackend::OnDisk { dir: dir.clone() },
+        ] {
+            for use_window_index in [false, true] {
+                let cfg = PostmortemConfig {
+                    mode: ParallelMode::Sequential,
+                    storage: storage.clone(),
+                    storage_workers: 2,
+                    pipeline: true,
+                    use_window_index,
+                    num_multiwindows: 4,
+                    pr: tight_cfg(),
+                    ..Default::default()
+                };
+                let engine = PostmortemEngine::new(&log, spec, cfg).unwrap();
+                assert_eq!(engine.storage_worker_plan(), (2, None));
+                assert!(!engine.run().degraded);
+                let parts = engine.num_parts();
+                let indexed = (0..parts).filter(|&p| engine.store.part_ready(p)).count();
+                assert_eq!(indexed > 0, use_window_index, "{storage} indexed {indexed}");
+            }
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -4,11 +4,11 @@
 //! part's temporal CSR across up to [`MAX_LANES`] (window, query) lanes.
 //! This module is the driver above it: it walks the multi-window parts in
 //! order, remaps each personalized preference from the global vertex space
-//! into every part's local numbering, plans the lane budget across window
-//! slots and queries (region scheduling, exactly like the window-only SpMM
-//! walk), chains per-query warm starts within a part, and — under
-//! [`InitMode::Warm`] — carries each query's converged vector across part
-//! boundaries through [`crate::warmstart::carry_ranks`].
+//! into every part's local numbering, builds the query batch, and lays
+//! its lanes out over the engine's region walk — one chain per query in
+//! every window slot, which chains per-query warm starts within a part
+//! and, under [`InitMode::Warm`], carries each query's converged vector
+//! across part boundaries through the engine's one cross-part carry.
 //!
 //! The batched results are the single-query kernels' results: the kernel
 //! guarantees bit-identity per lane (see `crates/kernel/src/query.rs` and
@@ -16,10 +16,9 @@
 //! `tests/query_batch_edge_cases.rs`), and this driver only adds routing.
 
 use crate::config::{InitMode, KernelKind, RetainMode};
-use crate::engine::PostmortemEngine;
+use crate::engine::{PostmortemEngine, Regions};
 use crate::error::{EngineError, Phase};
 use crate::result::{rank_fingerprint, SparseRanks};
-use crate::warmstart;
 use tempopr_graph::TimeRange;
 use tempopr_kernel::{
     pagerank_query_batch, KernelError, PrStats, QueryBatch, QueryInit, QuerySpec, QueryWorkspace,
@@ -153,28 +152,15 @@ impl PostmortemEngine {
         let n_global = self.num_global_vertices();
         for (index, q) in queries.iter().enumerate() {
             if let EngineQuery::Personalized { preference, .. } = q {
-                if preference.len() != n_global {
-                    return Err(EngineError::kernel(
-                        None,
-                        None,
-                        Phase::Setup,
-                        KernelError::BadQuery {
-                            index,
-                            what: "preference length must equal the global vertex count",
-                        },
-                    ));
-                }
-                if preference.iter().any(|p| !p.is_finite() || *p < 0.0) {
-                    return Err(EngineError::kernel(
-                        None,
-                        None,
-                        Phase::Setup,
-                        KernelError::BadQuery {
-                            index,
-                            what: "preference entries must be finite and non-negative",
-                        },
-                    ));
-                }
+                let what = if preference.len() != n_global {
+                    "preference length must equal the global vertex count"
+                } else if preference.iter().any(|p| !p.is_finite() || *p < 0.0) {
+                    "preference entries must be finite and non-negative"
+                } else {
+                    continue;
+                };
+                let bad = KernelError::BadQuery { index, what };
+                return Err(EngineError::kernel(None, None, Phase::Setup, bad));
             }
         }
         match self.pool() {
@@ -191,132 +177,75 @@ impl PostmortemEngine {
         };
         let inner = self.inner_scheduler();
         let reuse = cfg.init_mode != InitMode::Full;
-        let warm = cfg.init_mode == InitMode::Warm;
-        let nq = queries.len();
-        // Each query's carry across part boundaries: the part that
-        // produced it plus its final converged local ranks.
-        let mut carry: Vec<Option<(usize, Vec<f64>)>> = vec![None; nq];
+        // Each query's carry across part boundaries (warm init only): the
+        // part that produced it plus its final converged local ranks.
+        let mut carry: Vec<Option<(usize, Vec<f64>)>> = vec![None; queries.len()];
         let mut out = QueryRunOutput::default();
         let mut ws = QueryWorkspace::default();
         let mut lane_buf: Vec<f64> = Vec::new();
         let mut carry_buf: Vec<f64> = Vec::new();
-        // Query chunks: at most `budget` queries per kernel call, each
-        // chunk getting `⌊budget / chunk⌋ ≥ 1` window slots.
-        let q_starts: Vec<usize> = (0..nq).step_by(budget.min(nq)).collect();
         for p in 0..self.num_parts() {
             let fetched = self.part(p)?;
             let part = &*fetched;
-            let nw = part.num_windows();
-            if nw == 0 {
-                continue;
-            }
-            let w0 = part.windows().start;
-            let vmap = part.vertex_map();
-            let n_local = part.num_local_vertices();
-            for &q0 in &q_starts {
-                let qs: Vec<usize> = (q0..(q0 + budget).min(nq)).collect();
-                let gnq = qs.len();
-                // Remap personalized preferences into this part's local
-                // vertex space; Katz queries carry no vector.
-                let local_prefs: Vec<Option<Vec<f64>>> = qs
+            let (w0, vmap) = (part.windows().start, part.vertex_map());
+            // Query chunks of at most `budget` queries per kernel call.
+            for (c, qs) in queries.chunks(budget).enumerate() {
+                let q0 = c * budget;
+                // Personalized preferences in this part's local vertex
+                // space; Katz queries carry no vector.
+                let local: Vec<Vec<f64>> = qs
                     .iter()
-                    .map(|&q| match &queries[q] {
+                    .map(|q| match q {
                         EngineQuery::Personalized { preference, .. } => {
-                            Some(vmap.iter().map(|&g| preference[g as usize]).collect())
+                            vmap.iter().map(|&g| preference[g as usize]).collect()
                         }
-                        EngineQuery::Katz { .. } => None,
+                        EngineQuery::Katz { .. } => Vec::new(),
                     })
                     .collect();
-                let specs: Vec<QuerySpec<'_>> = qs
-                    .iter()
-                    .zip(&local_prefs)
-                    .map(|(&q, lp)| match (&queries[q], lp) {
-                        (EngineQuery::Personalized { alpha, .. }, Some(pref)) => {
-                            QuerySpec::Personalized {
-                                preference: pref,
-                                alpha: *alpha,
-                            }
-                        }
-                        (
-                            EngineQuery::Katz {
-                                alpha_fraction,
-                                beta,
-                                tol,
-                            },
-                            _,
-                        ) => QuerySpec::Katz {
-                            alpha_fraction: *alpha_fraction,
-                            beta: *beta,
-                            tol: *tol,
-                        },
-                        // A personalized query always has its local
-                        // preference; unreachable by construction.
-                        (EngineQuery::Personalized { alpha, .. }, None) => {
-                            QuerySpec::Personalized {
-                                preference: &[],
-                                alpha: *alpha,
-                            }
-                        }
-                    })
-                    .collect();
-                let batch = QueryBatch::new(specs)
+                let specs = qs.iter().zip(&local).map(|(q, preference)| match *q {
+                    EngineQuery::Personalized { alpha, .. } => {
+                        QuerySpec::Personalized { preference, alpha }
+                    }
+                    EngineQuery::Katz {
+                        alpha_fraction,
+                        beta,
+                        tol,
+                    } => QuerySpec::Katz {
+                        alpha_fraction,
+                        beta,
+                        tol,
+                    },
+                });
+                let batch = QueryBatch::new(specs.collect())
                     .map_err(|e| EngineError::kernel(None, Some(p), Phase::Setup, e))?;
-                // Region scheduling over this part's windows, exactly as
-                // in the window-only SpMM walk: `wb` window slots stride
-                // the part, batch `j` runs the `j`-th window of each
-                // region seeded from batch `j-1`.
-                let mut wb = (budget / gnq).max(1).min(nw);
-                if reuse {
-                    wb = wb.min((nw / 2).max(1));
-                }
-                let region = nw.div_ceil(wb);
-                // prev[r·gnq + i]: query `qs[i]`'s last valid local ranks
-                // in window-slot `r`'s chain.
-                let mut prev: Vec<Option<Vec<f64>>> = vec![None; wb * gnq];
-                if warm {
-                    for (i, &q) in qs.iter().enumerate() {
-                        let Some((cp, ranks)) = &carry[q] else {
-                            continue;
-                        };
-                        let prev_map = self.storage().vertex_map(*cp);
-                        match warmstart::carry_ranks(prev_map, ranks, vmap, &mut carry_buf) {
-                            Some(_) => {
-                                let mut seeded = 0u64;
-                                for r in 0..wb {
-                                    if r * region < nw {
-                                        prev[r * gnq + i] = Some(carry_buf.clone());
-                                        seeded += 1;
-                                    }
-                                }
-                                self.telemetry().add("warmstart.seeded_windows", seeded);
-                            }
-                            None => {
-                                self.telemetry().add("warmstart.degenerate_windows", 1);
-                            }
+                // One chain per query in every window slot.
+                let mut regions = Regions::new(budget, qs.len(), part.num_windows(), reuse);
+                for (i, c) in carry[q0..q0 + qs.len()].iter().enumerate() {
+                    if let Some((from, ranks)) = c {
+                        if self.carry_across(*from, ranks, p, &mut carry_buf) {
+                            let seeded = regions.seed_heads(i, &carry_buf);
+                            self.telemetry().add("warmstart.seeded_windows", seeded);
                         }
                     }
                 }
-                for j in 0..region {
-                    let wslots: Vec<usize> = (0..wb)
-                        .map(|r| r * region + j)
-                        .filter(|&lw| lw < nw)
-                        .collect();
-                    if wslots.is_empty() {
-                        break;
-                    }
+                for j in 0..regions.batches() {
+                    let wslots: Vec<usize> = regions.batch(j).collect();
                     let ranges: Vec<TimeRange> = wslots
                         .iter()
                         .map(|&lw| self.spec().window(w0 + lw))
                         .collect();
-                    let inits: Vec<QueryInit<'_>> = wslots
+                    // Lane k = w·nq + q: (window slot, query) pairs in
+                    // kernel lane order.
+                    let lanes: Vec<(usize, usize)> = wslots
                         .iter()
-                        .flat_map(|&lw| {
-                            let r = lw / region;
-                            (0..gnq).map(move |i| (r, i))
-                        })
-                        .map(|(r, i)| match &prev[r * gnq + i] {
-                            Some(v) if reuse => QueryInit::Warm(v),
-                            _ => QueryInit::Fresh,
+                        .flat_map(|&lw| (0..qs.len()).map(move |i| (lw, i)))
+                        .collect();
+                    let inits: Vec<QueryInit<'_>> = lanes
+                        .iter()
+                        .map(|&(lw, i)| {
+                            regions
+                                .seed(lw, i)
+                                .map_or(QueryInit::Fresh, QueryInit::Warm)
                         })
                         .collect();
                     let res = pagerank_query_batch(
@@ -332,40 +261,29 @@ impl PostmortemEngine {
                     .map_err(|e| {
                         EngineError::kernel(Some(w0 + wslots[0]), Some(p), Phase::Iterate, e)
                     })?;
-                    drop(inits);
-                    let nlanes = wslots.len() * gnq;
-                    for (wi, &lw) in wslots.iter().enumerate() {
-                        for (i, &q) in qs.iter().enumerate() {
-                            let k = wi * gnq + i;
-                            let st = res.stats[k];
-                            lane_buf.resize(n_local, 0.0);
-                            ws.copy_lane_into(k, nlanes, &mut lane_buf);
-                            let fingerprint = rank_fingerprint(&lane_buf, Some(vmap));
-                            let ranks = (cfg.retain == RetainMode::Full)
-                                .then(|| SparseRanks::from_local(&lane_buf, vmap));
-                            out.outputs.push(QueryOutput {
-                                window: w0 + lw,
-                                query: q,
-                                stats: st,
-                                uniform_fallback: res.uniform_fallback[k],
-                                katz_alpha: res.katz_alpha[k],
-                                fingerprint,
-                                ranks,
-                            });
-                            // A non-converged lane breaks its query's warm
-                            // chain rather than poisoning the next window.
-                            let ok = st.converged || cfg.pr.max_iters == 0;
-                            let slot = &mut prev[(lw / region) * gnq + i];
-                            match (ok, slot.as_mut()) {
-                                (true, Some(v)) if v.len() == lane_buf.len() => {
-                                    v.copy_from_slice(&lane_buf);
-                                }
-                                (true, _) => *slot = Some(lane_buf.clone()),
-                                (false, _) => *slot = None,
-                            }
+                    lane_buf.resize(part.num_local_vertices(), 0.0);
+                    for (k, &(lw, i)) in lanes.iter().enumerate() {
+                        let st = res.stats[k];
+                        ws.copy_lane_into(k, lanes.len(), &mut lane_buf);
+                        out.outputs.push(QueryOutput {
+                            window: w0 + lw,
+                            query: q0 + i,
+                            stats: st,
+                            uniform_fallback: res.uniform_fallback[k],
+                            katz_alpha: res.katz_alpha[k],
+                            fingerprint: rank_fingerprint(&lane_buf, Some(vmap)),
+                            ranks: (cfg.retain == RetainMode::Full)
+                                .then(|| SparseRanks::from_local(&lane_buf, vmap)),
+                        });
+                        // A non-converged lane breaks its query's warm chain
+                        // rather than poisoning the next window.
+                        if st.converged || cfg.pr.max_iters == 0 {
+                            regions.keep(lw, i, &lane_buf);
+                        } else {
+                            regions.break_chain(lw, i);
                         }
                     }
-                    self.telemetry().add("query.batched", nlanes as u64);
+                    self.telemetry().add("query.batched", lanes.len() as u64);
                     self.telemetry()
                         .add("query.retired", res.lanes_retired as u64);
                     self.telemetry()
@@ -373,11 +291,9 @@ impl PostmortemEngine {
                     out.lanes_retired += res.lanes_retired;
                     out.iterations_saved += res.iterations_saved;
                 }
-                // This part's carry-out per query: its last window's
-                // converged local ranks (None breaks the chain cleanly).
-                if warm {
-                    for (i, &q) in qs.iter().enumerate() {
-                        carry[q] = prev[((nw - 1) / region) * gnq + i].take().map(|v| (p, v));
+                if cfg.init_mode == InitMode::Warm {
+                    for (i, c) in carry[q0..q0 + qs.len()].iter_mut().enumerate() {
+                        *c = regions.carry_out(i).map(|v| (p, v));
                     }
                 }
             }
