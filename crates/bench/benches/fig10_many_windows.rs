@@ -17,10 +17,7 @@ fn bench(c: &mut Criterion) {
         ParallelMode::WindowLevel,
     ] {
         for kernel in [KernelKind::SpMM { lanes: 16 }, KernelKind::SpMV] {
-            let kname = match kernel {
-                KernelKind::SpMV => "spmv",
-                KernelKind::SpMM { .. } => "spmm",
-            };
+            let kname = kernel.name();
             for granularity in [1usize, 32] {
                 g.bench_function(format!("{mode:?}/{kname}/g{granularity}"), |b| {
                     b.iter(|| {

@@ -19,10 +19,7 @@ fn bench(c: &mut Criterion) {
         ] {
             for kernel in [KernelKind::SpMM { lanes: 16 }, KernelKind::SpMV] {
                 for granularity in [1usize, 16, 256] {
-                    let kname = match kernel {
-                        KernelKind::SpMV => "spmv",
-                        KernelKind::SpMM { .. } => "spmm",
-                    };
+                    let kname = kernel.name();
                     g.bench_function(format!("{mode:?}/{kname}/g{granularity}"), |b| {
                         b.iter(|| {
                             let cfg = PostmortemConfig {

@@ -17,10 +17,7 @@ fn bench(c: &mut Criterion) {
         ParallelMode::WindowLevel,
     ] {
         for kernel in [KernelKind::SpMM { lanes: 16 }, KernelKind::SpMV] {
-            let kname = match kernel {
-                KernelKind::SpMV => "spmv",
-                KernelKind::SpMM { .. } => "spmm",
-            };
+            let kname = kernel.name();
             for use_window_index in [true, false] {
                 let suffix = if use_window_index { "" } else { "/noindex" };
                 g.bench_function(format!("{mode:?}/{kname}{suffix}"), |b| {

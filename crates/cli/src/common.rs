@@ -54,8 +54,8 @@ pub struct Opts {
     /// scheduler an experiment constructs.
     pub edge_balance: bool,
     /// Override the window-seeding mode of every postmortem run
-    /// (`--init-mode full|partial|warm`); `None` keeps each experiment's
-    /// own choice.
+    /// (`--init-mode full|partial|warm|auto`); `None` keeps each
+    /// experiment's own choice.
     pub init_mode: Option<InitMode>,
 }
 

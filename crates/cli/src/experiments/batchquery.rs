@@ -99,9 +99,9 @@ pub fn run(opts: &Opts) {
         pr,
         ..Default::default()
     };
-    let bitwise = cfg.init_mode == InitMode::Full;
     let engine = PostmortemEngine::with_telemetry(&log, spec, cfg, tele.clone())
         .unwrap_or_else(|e| fail(format!("engine build: {e}")));
+    let bitwise = engine.config().init_mode == InitMode::Full;
     let (batched, t_batched) = time(|| {
         engine
             .run_queries(&queries)

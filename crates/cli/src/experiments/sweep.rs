@@ -97,7 +97,7 @@ pub fn run(p: SweepParams, opts: &Opts) {
                         "{:<8} {:<18} {:<6} {:>12} {:>10.3} {:>8.1}x",
                         label_part(partitioner),
                         label_mode(mode),
-                        label_kernel(kernel),
+                        kernel.name(),
                         g,
                         t.as_secs_f64(),
                         t_str.as_secs_f64() / t.as_secs_f64().max(1e-9)
@@ -122,12 +122,5 @@ pub(crate) fn label_mode(m: ParallelMode) -> &'static str {
         ParallelMode::WindowLevel => "window-level",
         ParallelMode::ApplicationLevel => "pr-level",
         ParallelMode::Nested => "nested",
-    }
-}
-
-pub(crate) fn label_kernel(k: KernelKind) -> &'static str {
-    match k {
-        KernelKind::SpMV => "spmv",
-        KernelKind::SpMM { .. } => "spmm",
     }
 }

@@ -65,20 +65,22 @@ pub fn run(opts: &Opts) {
                 };
                 let (out, t) = time_postmortem_traced(&log, spec, cfg, opts, tele.clone());
                 let report = tele.report();
+                // `--init-mode auto` is labelled with the mode it resolved
+                // to, read back from the engine's `init.mode` gauge.
+                let ran = [InitMode::Full, InitMode::Partial, InitMode::Warm]
+                    .into_iter()
+                    .find(|&m| report.gauge("init.mode") == Some(f64::from(m as u8)))
+                    .unwrap_or(init_mode);
                 println!(
                     "{:<10} {:>7.0}% {:>9.2} {:>8} {:<8} {:>11} {:>12} {:>7} {:>11} {:>9.3}",
                     match kernel {
-                        KernelKind::SpMV => "spmv".to_string(),
                         KernelKind::SpMM { lanes } => format!("spmm{lanes}"),
+                        other => other.name().to_string(),
                     },
                     overlap * 100.0,
                     sw as f64 / DAY as f64,
                     spec.count,
-                    match init_mode {
-                        InitMode::Full => "full",
-                        InitMode::Partial => "partial",
-                        InitMode::Warm => "warm",
-                    },
+                    ran.name(),
                     out.total_iterations(),
                     median(out.windows.iter().map(|w| w.stats.iterations).collect()),
                     report.counter("warmstart.seeded_windows"),

@@ -216,7 +216,12 @@ fn parse_flags(args: &[String]) -> Result<(Opts, Option<String>, ToolFlags), Str
                     "full" => tempopr_core::InitMode::Full,
                     "partial" => tempopr_core::InitMode::Partial,
                     "warm" => tempopr_core::InitMode::Warm,
-                    other => return Err(format!("bad --init-mode '{other}' (full|partial|warm)")),
+                    "auto" => tempopr_core::InitMode::Auto,
+                    other => {
+                        return Err(format!(
+                            "bad --init-mode '{other}' (full|partial|warm|auto)"
+                        ))
+                    }
                 });
                 i += 2;
             }
@@ -346,8 +351,9 @@ fn print_help() {
          --no-compaction  disable converged-lane compaction in the SpMM \
          kernel\n\
          --init-mode  window seeding: full (uniform) | partial (Eq. 4 \
-         within a part) | warm (carry across part/batch boundaries too); \
-         default: each experiment's own choice\n\
+         within a part) | warm (carry across part/batch boundaries too) | \
+         auto (from the measured window overlap); default: each \
+         experiment's own choice\n\
          --edge-balance   edge-balanced parallel chunks (degree-weighted \
          boundaries) instead of vertex-balanced\n\
          --storage    where multi-window parts rest between touches \
@@ -430,6 +436,7 @@ mod tests {
             ("full", InitMode::Full),
             ("partial", InitMode::Partial),
             ("warm", InitMode::Warm),
+            ("auto", InitMode::Auto),
         ] {
             let (opts, _, _) = flags(&["--init-mode", arg]).unwrap();
             assert_eq!(opts.init_mode, Some(mode));

@@ -80,9 +80,24 @@ pub enum ParallelMode {
     Nested,
 }
 
+impl ParallelMode {
+    /// Whether each PageRank kernel is handed the scheduler (parallelism
+    /// inside a PageRank): the application-level and nested modes.
+    pub fn parallel_kernel(self) -> bool {
+        matches!(self, ParallelMode::ApplicationLevel | ParallelMode::Nested)
+    }
+}
+
 /// Which kernel computes each window (paper §4.4).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum KernelKind {
+    /// Chosen at engine construction from what the windows share
+    /// ([`crate::advisor::resolve`]): SpMV when consecutive windows have
+    /// (almost) no events in common and the kernel gets no multi-threaded
+    /// scheduler, SpMM with 16 lanes otherwise. A built engine never holds
+    /// it.
+    #[default]
+    Auto,
     /// One SpMV-style power iteration per window.
     SpMV,
     /// SpMM-inspired batching: `lanes` windows of one multi-window graph
@@ -93,25 +108,30 @@ pub enum KernelKind {
     },
 }
 
-impl Default for KernelKind {
-    fn default() -> Self {
-        KernelKind::SpMM { lanes: 16 }
+impl KernelKind {
+    /// Short label: `auto`, `spmv` or `spmm` (the lane count left out).
+    pub fn name(self) -> &'static str {
+        match self {
+            KernelKind::Auto => "auto",
+            KernelKind::SpMV => "spmv",
+            KernelKind::SpMM { .. } => "spmm",
+        }
     }
 }
 
 /// How each window's rank vector is seeded before iterating (§4.2 plus
-/// the cross-boundary warm-start extension).
+/// the cross-boundary warm-start extension). The discriminant is the
+/// `init.mode` gauge's value.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum InitMode {
     /// Every window starts from the uniform distribution (no reuse; the
     /// paper's full-initialization baseline).
-    Full,
+    Full = 0,
     /// Eq. 4 partial initialization wherever the previous window's ranks
     /// are already on-thread in the *same* multi-window part: consecutive
     /// windows of an SpMV grain, and SpMM batches after the first.
     /// Part and batch boundaries still start cold. The paper's default.
-    #[default]
-    Partial,
+    Partial = 1,
     /// Partial initialization plus cross-boundary carry: the converged
     /// ranks of one part's last window seed the next part's first window
     /// (remapped between the parts' local vertex spaces), and the first
@@ -119,7 +139,24 @@ pub enum InitMode {
     /// Degenerate carries (no shared vertices, vanished rank mass) fall
     /// back to full initialization — never NaN. In-order walks only:
     /// part-parallel modes have no previous part to carry from.
-    Warm,
+    Warm = 2,
+    /// Chosen at engine construction from the measured window overlap by
+    /// the advisor's decision table ([`crate::advisor::resolve`]). A built
+    /// engine never holds it.
+    #[default]
+    Auto = 3,
+}
+
+impl InitMode {
+    /// The `--init-mode` spelling: `full`, `partial`, `warm` or `auto`.
+    pub fn name(self) -> &'static str {
+        match self {
+            InitMode::Full => "full",
+            InitMode::Partial => "partial",
+            InitMode::Warm => "warm",
+            InitMode::Auto => "auto",
+        }
+    }
 }
 
 /// How much output each window retains.
@@ -140,7 +177,8 @@ pub struct PostmortemConfig {
     /// `0` selects automatically from the window-overlap ratio and the
     /// kernel: parts sized so one SpMV traverses about twice the window's
     /// own events, or wide enough to feed all SpMM lanes (see
-    /// [`crate::engine::auto_multiwindows`]).
+    /// [`crate::advisor::auto_multiwindows`]; a kernel left
+    /// [`KernelKind::Auto`] keeps the 16-lane SpMM rule).
     pub num_multiwindows: usize,
     /// How windows are grouped into multi-window graphs.
     pub partition: PartitionStrategy,
@@ -150,12 +188,15 @@ pub struct PostmortemConfig {
     pub pr: PrConfig,
     /// Parallelization level.
     pub mode: ParallelMode,
-    /// SpMV or SpMM kernel.
+    /// SpMV or SpMM kernel; [`KernelKind::Auto`] (the default) resolves
+    /// from the measured window overlap.
     pub kernel: KernelKind,
     /// Partitioner + grain size for every parallel loop.
     pub scheduler: Scheduler,
     /// How windows are seeded: full (uniform), partial (Eq. 4 within a
-    /// part), or warm (partial plus cross-part/cross-batch carry).
+    /// part), or warm (partial plus cross-part/cross-batch carry);
+    /// [`InitMode::Auto`] (the default) resolves from the measured window
+    /// overlap.
     pub init_mode: InitMode,
     /// Serve each kernel's degree/activity setup from the per-window
     /// [`tempopr_graph::WindowIndex`] (built lazily, once per multi-window
@@ -217,7 +258,7 @@ impl Default for PostmortemConfig {
             mode: ParallelMode::Nested,
             kernel: KernelKind::default(),
             scheduler: Scheduler::default(),
-            init_mode: InitMode::Partial,
+            init_mode: InitMode::default(),
             use_window_index: true,
             threads: 0,
             retain: RetainMode::Full,
@@ -241,6 +282,7 @@ impl PostmortemConfig {
             mode: ParallelMode::ApplicationLevel,
             kernel: KernelKind::SpMV,
             scheduler: Scheduler::new(tempopr_kernel::Partitioner::Static, 1),
+            init_mode: InitMode::Partial,
             ..Default::default()
         }
     }
@@ -255,8 +297,9 @@ mod tests {
     fn defaults_match_paper_recommendations() {
         let c = PostmortemConfig::default();
         assert_eq!(c.mode, ParallelMode::Nested);
-        assert_eq!(c.kernel, KernelKind::SpMM { lanes: 16 });
-        assert_eq!(c.init_mode, InitMode::Partial);
+        // Kernel and init are chosen per workload at engine construction.
+        assert_eq!(c.kernel, KernelKind::Auto);
+        assert_eq!(c.init_mode, InitMode::Auto);
         assert!(c.use_window_index);
         assert!(c.symmetric);
         assert_eq!(c.scheduler.partitioner, Partitioner::Auto);

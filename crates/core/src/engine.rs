@@ -3,7 +3,10 @@
 //! [`PostmortemEngine::new`] builds the multi-window representation once
 //! (§4.1); [`PostmortemEngine::run`] then computes PageRank for every
 //! window under the configured parallelization level (§4.3), kernel
-//! (SpMV or SpMM, §4.4), and partial-initialization policy (§4.2).
+//! (SpMV or SpMM, §4.4), and partial-initialization policy (§4.2). A
+//! kernel or init mode left `Auto` is resolved first, from the measured
+//! window overlap ([`crate::advisor::resolve`]); the engine keeps only
+//! the resolved values.
 //!
 //! ## How the paper's mechanisms map onto the run loop
 //! - **Window-level parallelism** schedules *window indices* through the
@@ -39,6 +42,7 @@
 //! window completes normally. The run output carries a `degraded` flag; no
 //! failure is silent and no failure aborts the run.
 
+use crate::advisor::{self, auto_multiwindows, WorkloadProfile};
 use crate::checkpoint::{
     self, CheckpointError, CheckpointOptions, CheckpointRecord, CheckpointSink,
 };
@@ -111,10 +115,24 @@ impl PostmortemEngine {
     pub fn with_telemetry(
         log: &EventLog,
         spec: WindowSpec,
-        cfg: PostmortemConfig,
+        mut cfg: PostmortemConfig,
         tele: Telemetry,
     ) -> Result<Self, EngineError> {
         let build = tele.phase(RunPhase::Build);
+        // Fields left automatic are resolved before anything reads them:
+        // the shard-worker rule, the part rule, the walks and the config
+        // hash only ever see concrete values. Parts keep the rule of the
+        // kernel as configured (`Auto` has its own).
+        let profile = WorkloadProfile::measure(log, &spec, cfg.threads);
+        let part_rule = cfg.kernel;
+        let auto_fields = advisor::resolve(&mut cfg, &profile);
+        let lanes = match cfg.kernel {
+            KernelKind::SpMM { lanes } => lanes,
+            _ => 0,
+        };
+        tele.set_gauge("plan.kernel_lanes", lanes as f64);
+        tele.set_gauge("plan.mean_overlap", profile.mean_overlap);
+        tele.set_gauge("plan.auto_fields", auto_fields as f64);
         // The shard cache holds one decoded part per planned worker plus
         // one prefetch slot when the decode/compute pipeline is on; the
         // budget planner charges exactly that many simultaneously-resident
@@ -150,7 +168,7 @@ impl PostmortemEngine {
             tele.add("storage.plan.reused", 0);
             (plan.parts, plan.encoded)
         } else if cfg.num_multiwindows == 0 {
-            (auto_multiwindows(&spec, cfg.kernel), None)
+            (auto_multiwindows(&spec, part_rule), None)
         } else {
             (cfg.num_multiwindows, None)
         };
@@ -217,7 +235,7 @@ impl PostmortemEngine {
         self.store.spec()
     }
 
-    /// The configuration in effect.
+    /// The configuration in effect, with every `Auto` field resolved.
     pub fn config(&self) -> &PostmortemConfig {
         &self.cfg
     }
@@ -352,14 +370,8 @@ impl PostmortemEngine {
     }
 
     fn run_with_plan(&self, plan: RunPlan, mut restored: Vec<WindowOutput>) -> RunOutput {
-        self.tele.set_gauge(
-            "init.mode",
-            match self.cfg.init_mode {
-                InitMode::Full => 0.0,
-                InitMode::Partial => 1.0,
-                InitMode::Warm => 2.0,
-            },
-        );
+        self.tele
+            .set_gauge("init.mode", f64::from(self.cfg.init_mode as u8));
         let parts = Some(self.store.num_parts());
         let (workers, cap) = shard_workers(&self.cfg, parts, plan.start > 0 || plan.seed.is_some());
         self.tele.set_gauge("storage.workers", workers as f64);
@@ -395,8 +407,9 @@ impl PostmortemEngine {
 
     fn run_inner(&self, plan: &RunPlan, workers: usize) -> RunOutput {
         let windows = match self.cfg.kernel {
-            KernelKind::SpMV => self.run_spmv(plan, workers),
             KernelKind::SpMM { lanes } => self.run_spmm(lanes, plan, workers),
+            // SpMV: a built engine holds no `Auto`.
+            _ => self.run_spmv(plan, workers),
         };
         RunOutput {
             windows,
@@ -460,13 +473,13 @@ impl PostmortemEngine {
         carried
     }
 
-    /// The scheduler handed *into* each kernel: parallelism inside a
-    /// PageRank belongs to the application-level and nested modes.
+    /// The scheduler handed *into* each kernel
+    /// ([`ParallelMode::parallel_kernel`]).
     pub(crate) fn inner_scheduler(&self) -> Option<&Scheduler> {
-        match self.cfg.mode {
-            ParallelMode::ApplicationLevel | ParallelMode::Nested => Some(&self.cfg.scheduler),
-            ParallelMode::Sequential | ParallelMode::WindowLevel => None,
-        }
+        self.cfg
+            .mode
+            .parallel_kernel()
+            .then_some(&self.cfg.scheduler)
     }
 
     // --- Shard worker pool ------------------------------------------------
@@ -1058,9 +1071,10 @@ impl std::fmt::Display for WorkerCap {
 /// [`WorkerCap::PartParallelMode`], [`WorkerCap::WarmCarry`],
 /// [`WorkerCap::Parts`] (when the part count is known) and
 /// [`WorkerCap::Resume`] — so engine construction (cache slots and budget
-/// charge, before the store exists), [`PostmortemEngine::storage_worker_plan`]
-/// and the run plan each apply what they know.
-fn shard_workers(
+/// charge, before the store exists), [`PostmortemEngine::storage_worker_plan`],
+/// the run plan and the `Auto` init resolution ([`advisor::resolve`]) each
+/// apply what they know.
+pub(crate) fn shard_workers(
     cfg: &PostmortemConfig,
     parts: Option<usize>,
     resumed: bool,
@@ -1248,24 +1262,6 @@ fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
 fn concat(mut a: Vec<WindowOutput>, mut b: Vec<WindowOutput>) -> Vec<WindowOutput> {
     a.append(&mut b);
     a
-}
-
-/// Automatic multi-window count (used when `num_multiwindows == 0`).
-///
-/// A part spanning `w` consecutive windows makes one window's SpMV
-/// traverse roughly `((w-1)·sw + δ) / δ` times the window's own events, so
-/// for the SpMV kernel parts hold about `δ/sw` windows (≈ 2x traversal
-/// overhead, ≈ 2x event duplication — the paper's memory/performance
-/// tradeoff of §4.1 resolved at its knee). The SpMM kernel shares each
-/// traversal across its lanes, so parts are kept wide enough to feed every
-/// lane with two regions (preserving partial initialization, §4.4).
-pub fn auto_multiwindows(spec: &WindowSpec, kernel: KernelKind) -> usize {
-    let ratio = (spec.delta / spec.sw).max(1) as usize;
-    let windows_per_part = match kernel {
-        KernelKind::SpMV => ratio.clamp(2, 64),
-        KernelKind::SpMM { lanes } => ratio.max(2 * lanes.max(1)).clamp(2, 256),
-    };
-    spec.count.div_ceil(windows_per_part).max(1)
 }
 
 #[cfg(test)]
@@ -1722,6 +1718,72 @@ mod tests {
             }
         }
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn auto_runs_the_explicit_plan_it_resolves_to_bit_for_bit() {
+        // δ 20 / sw 40 leaves every window disjoint from the next; δ 60 /
+        // sw 25 shares more than half of each window with its successor.
+        let log = test_log();
+        let spmm16 = KernelKind::SpMM { lanes: 16 };
+        for (delta, sw, kernel, init_mode) in [
+            (20, 40, KernelKind::SpMV, InitMode::Full),
+            (60, 25, spmm16, InitMode::Warm),
+        ] {
+            let spec = WindowSpec::covering(&log, delta, sw).unwrap();
+            let build = |cfg: PostmortemConfig| {
+                let tele = Telemetry::enabled();
+                let engine = PostmortemEngine::with_telemetry(&log, spec, cfg, tele.clone());
+                let engine = engine.unwrap();
+                let out = engine.run();
+                assert!(!out.degraded);
+                (
+                    engine.config().clone(),
+                    engine.num_parts(),
+                    out,
+                    tele.report(),
+                )
+            };
+            // One thread: on more, a disjoint log keeps SpMM (the kernel
+            // would get a multi-threaded scheduler).
+            let (auto_cfg, auto_parts, auto, report) = build(PostmortemConfig {
+                threads: 1,
+                pr: tight_cfg(),
+                ..Default::default()
+            });
+            let (explicit_cfg, explicit_parts, explicit, explicit_report) =
+                build(PostmortemConfig {
+                    kernel,
+                    init_mode,
+                    // The part count an `Auto` kernel keeps: SpMM{16}'s.
+                    num_multiwindows: auto_multiwindows(&spec, spmm16),
+                    threads: 1,
+                    pr: tight_cfg(),
+                    ..Default::default()
+                });
+            assert_eq!((auto_cfg.kernel, auto_cfg.init_mode), (kernel, init_mode));
+            assert_eq!(explicit_cfg.kernel, kernel);
+            assert_eq!(auto_parts, explicit_parts);
+            assert_eq!(auto.windows.len(), spec.count);
+            for (a, e) in auto.windows.iter().zip(&explicit.windows) {
+                assert_eq!(a, e, "delta {delta} sw {sw} window {}", a.window);
+                assert_eq!(a.fingerprint.to_bits(), e.fingerprint.to_bits());
+            }
+            let lanes = if kernel == KernelKind::SpMV {
+                0.0
+            } else {
+                16.0
+            };
+            assert_eq!(report.gauge("plan.kernel_lanes"), Some(lanes));
+            assert_eq!(report.gauge("plan.auto_fields"), Some(2.0));
+            assert_eq!(explicit_report.gauge("plan.auto_fields"), Some(0.0));
+            assert_eq!(report.gauge("init.mode"), Some(f64::from(init_mode as u8)));
+            let overlap = report.gauge("plan.mean_overlap").unwrap();
+            assert_eq!(
+                overlap < advisor::OVERLAP_FULL_BELOW,
+                kernel == KernelKind::SpMV
+            );
+        }
     }
 
     #[test]

@@ -40,7 +40,9 @@ pub mod result;
 pub mod storage;
 pub mod warmstart;
 
-pub use advisor::{suggest, suggest_for_profile, suggested_multiwindows, WorkloadProfile};
+pub use advisor::{
+    auto_multiwindows, suggest, suggest_for_profile, suggested_multiwindows, WorkloadProfile,
+};
 pub use checkpoint::{
     corrupt_manifest, resume_scan, CheckpointError, CheckpointOptions, CheckpointRecord,
     CheckpointSink, CorruptionKind, ManifestHeader, ResumeState,
@@ -48,7 +50,7 @@ pub use checkpoint::{
 pub use config::{
     FaultPlan, InitMode, KernelKind, ParallelMode, PostmortemConfig, RetainMode, WindowFault,
 };
-pub use engine::{auto_multiwindows, PostmortemEngine, WorkerCap};
+pub use engine::{PostmortemEngine, WorkerCap};
 pub use error::{EngineError, Phase};
 pub use exec::{
     Prefetcher, RecoveryPolicy, ShardedSource, WindowExecutor, WindowSource, MAX_ORACLE_ACTIVE,

@@ -61,6 +61,9 @@ fn run_case(
                 num_multiwindows: 3,
                 mode: ParallelMode::ApplicationLevel,
                 kernel: KernelKind::SpMV,
+                // Pinned, not resolved: "pm" is the crash/resume run under
+                // partial init (this log's overlap would resolve to warm).
+                init_mode: InitMode::Partial,
                 pr: tight_pr(),
                 ..PostmortemConfig::default()
             };

@@ -51,6 +51,7 @@ fn directed_engine_matches_reference_all_kernels() {
         let cfg = PostmortemConfig {
             symmetric: false,
             kernel,
+            init_mode: InitMode::Partial,
             pr: tight_pr(),
             ..Default::default()
         };

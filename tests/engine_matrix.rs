@@ -40,6 +40,7 @@ fn full_execution_matrix_agrees() {
         PostmortemConfig {
             mode: ParallelMode::Sequential,
             kernel: KernelKind::SpMV,
+            init_mode: InitMode::Partial,
             pr: tight_pr(),
             ..Default::default()
         },

@@ -43,6 +43,9 @@ fn base_cfg(kernel: KernelKind, mode: ParallelMode) -> PostmortemConfig {
     PostmortemConfig {
         kernel,
         mode,
+        // Pinned, not resolved: the healthy-window bit checks compare runs
+        // whose part boundaries start cold.
+        init_mode: InitMode::Partial,
         pr: tight_pr(),
         num_multiwindows: 2,
         ..Default::default()

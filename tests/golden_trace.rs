@@ -13,7 +13,7 @@
 //! `BLESS=1 cargo test --test golden_trace`
 
 use tempopr::core::{
-    FaultPlan, KernelKind, ParallelMode, PostmortemConfig, PostmortemEngine, WindowStatus,
+    FaultPlan, InitMode, KernelKind, ParallelMode, PostmortemConfig, PostmortemEngine, WindowStatus,
 };
 use tempopr::graph::{Event, EventLog, WindowSpec};
 use tempopr::kernel::{FaultKind, PrConfig, SimdPolicy};
@@ -43,6 +43,8 @@ fn golden_cfg() -> PostmortemConfig {
         num_multiwindows: 2,
         mode: ParallelMode::Sequential,
         kernel: KernelKind::SpMV,
+        // Pinned, not resolved: the snapshot was blessed under it.
+        init_mode: InitMode::Partial,
         threads: 1,
         pr: PrConfig {
             max_iters: 60,
@@ -110,6 +112,7 @@ fn spmm_trace_is_stable_across_simd_policies_and_compaction() {
             num_multiwindows: 2,
             mode: ParallelMode::Sequential,
             kernel: KernelKind::SpMM { lanes: 8 },
+            init_mode: InitMode::Partial,
             threads: 1,
             pr: PrConfig {
                 max_iters: 60,

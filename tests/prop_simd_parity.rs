@@ -111,6 +111,7 @@ fn nested_on_one_thread_is_sequential_bitwise_on_disjoint_windows() {
             threads: 1,
             mode,
             kernel: KernelKind::SpMM { lanes },
+            init_mode: InitMode::Partial,
             ..PostmortemConfig::default()
         };
         let out = PostmortemEngine::new(&log, spec, cfg).unwrap().run();
@@ -149,6 +150,7 @@ fn both_row_walks_run_and_agree_on_overlapping_windows() {
         let cfg = PostmortemConfig {
             threads: 2,
             kernel: KernelKind::SpMM { lanes: 16 },
+            init_mode: InitMode::Partial,
             scheduler: sched,
             pr: PrConfig {
                 simd,
@@ -414,6 +416,7 @@ proptest! {
         // compaction) at the same scheduler configuration.
         let base = PostmortemConfig {
             kernel: KernelKind::SpMM { lanes },
+            init_mode: InitMode::Partial,
             mode: ParallelMode::Nested,
             scheduler: Scheduler::new(partitioner, granularity),
             pipeline,
@@ -478,6 +481,7 @@ proptest! {
         let run = |simd: SimdPolicy, compaction: bool| -> Vec<u64> {
             let cfg = PostmortemConfig {
                 kernel: KernelKind::SpMM { lanes },
+                init_mode: InitMode::Partial,
                 mode: ParallelMode::Nested,
                 scheduler: Scheduler::new(partitioner, granularity),
                 symmetric,
@@ -519,6 +523,7 @@ proptest! {
         let spec = WindowSpec::covering(&log, delta, sw).unwrap();
         let cfg = |balance: Balance| PostmortemConfig {
             kernel: KernelKind::SpMM { lanes },
+            init_mode: InitMode::Partial,
             mode: ParallelMode::Nested,
             scheduler: Scheduler::new(Partitioner::Simple, granularity).with_balance(balance),
             ..PostmortemConfig::default()

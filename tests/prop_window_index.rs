@@ -115,6 +115,7 @@ proptest! {
                 let cfg = PostmortemConfig {
                     num_multiwindows: parts,
                     kernel,
+                    init_mode: InitMode::Partial,
                     mode,
                     symmetric,
                     ..Default::default()

@@ -151,6 +151,8 @@ fn checkpoint_resume_is_backend_agnostic() {
         num_multiwindows: 3,
         mode: ParallelMode::ApplicationLevel,
         kernel: KernelKind::SpMV,
+        // Pinned, not resolved: this log's overlap would resolve to warm.
+        init_mode: InitMode::Partial,
         pr: tight_pr(),
         storage: backend,
         ..PostmortemConfig::default()
@@ -217,6 +219,7 @@ fn infeasible_budget_reports_minimal_feasible() {
             memory_budget: Some(8),
             mode: ParallelMode::ApplicationLevel,
             kernel: KernelKind::SpMV,
+            init_mode: InitMode::Partial,
             pr: tight_pr(),
             ..PostmortemConfig::default()
         };
@@ -267,6 +270,7 @@ fn build_phase_reports_what_the_planner_did() {
             memory_budget: Some(budget),
             mode: ParallelMode::ApplicationLevel,
             kernel: KernelKind::SpMV,
+            init_mode: InitMode::Partial,
             pr: tight_pr(),
             ..PostmortemConfig::default()
         };
@@ -371,6 +375,9 @@ fn worker_pool_is_bit_identical_and_budget_bounded() {
                     storage_workers: workers,
                     mode: ParallelMode::ApplicationLevel,
                     kernel: *kernel,
+                    // Pinned, not resolved: `Auto` never resolves to warm
+                    // under a pool, so it would differ from the serial walk.
+                    init_mode: InitMode::Partial,
                     pr: tight_pr(),
                     retain: RetainMode::Summary,
                     ..PostmortemConfig::default()
@@ -419,6 +426,7 @@ fn worker_pool_is_bit_identical_and_budget_bounded() {
                         num_multiwindows: parts,
                         mode: ParallelMode::ApplicationLevel,
                         kernel: *kernel,
+                        init_mode: InitMode::Partial,
                         pr: tight_pr(),
                         retain: RetainMode::Summary,
                         ..PostmortemConfig::default()
@@ -457,6 +465,7 @@ fn sharded_run_stays_within_budget() {
             memory_budget: Some(1),
             mode: ParallelMode::ApplicationLevel,
             kernel: KernelKind::SpMV,
+            init_mode: InitMode::Partial,
             pr: tight_pr(),
             retain: RetainMode::Summary,
             ..PostmortemConfig::default()

@@ -38,6 +38,7 @@ fn base_cfg(kernel: KernelKind, mode: ParallelMode) -> PostmortemConfig {
     PostmortemConfig {
         kernel,
         mode,
+        init_mode: InitMode::Partial,
         num_multiwindows: 2,
         retain: RetainMode::Full,
         ..Default::default()
