@@ -42,4 +42,4 @@ pub use storage::{
 };
 pub use tcsr::{NeighborRun, TemporalCsr};
 pub use window::{TimeRange, WindowSpec};
-pub use windowindex::{WindowIndex, WindowIndexView};
+pub use windowindex::{LiveRuns, WindowIndex, WindowIndexView};

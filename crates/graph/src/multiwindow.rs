@@ -138,13 +138,14 @@ impl MultiWindowGraph {
         &self.ranges
     }
 
-    /// The per-window activity/degree index, building it on first use.
+    /// The window index, building it on first use.
     ///
-    /// The build is a single pass over this part's temporal CSR(s) covering
-    /// every served window; afterwards a kernel's degree/activity setup for
-    /// window `w` is an `O(|V_w active|)` copy out of
-    /// [`Self::index_view`]. Thread-safe: concurrent callers block on one
-    /// build.
+    /// The build is a single pass over this part's pull runs deciding every
+    /// served window's runs (a directed part adds a pass over its push runs
+    /// for out-degrees); afterwards a kernel reads window bits instead of
+    /// timestamps, and its degree/activity setup for window `w` is an
+    /// `O(|V_w active|)` copy out of [`Self::index_view`]. Thread-safe:
+    /// concurrent callers block on one build.
     pub fn window_index(&self) -> &WindowIndex {
         self.index
             .get_or_init(|| WindowIndex::build(&self.tcsr, self.transpose.as_ref(), &self.ranges))

@@ -8,11 +8,13 @@
 //! `[Ts, Te]` iff its run contains a timestamp in that range, which a short
 //! forward scan decides with early exit.
 //!
-//! A window's PageRank reads every stored entry of its active rows once,
-//! `Θ(entries)`, to decide which runs the window holds; the kernels keep
-//! the answer (the SpMV kernel as a list of in-window neighbors, the
-//! batched kernel as per-run lane masks), so a power iteration costs the
-//! in-window runs, not the stored entries. That one pass still grows with
+//! Which runs a window holds is decided once per part: the part's
+//! [`WindowIndex`](crate::WindowIndex) reads every stored timestamp in one
+//! pass and keeps, for every run some window holds, its neighbor and the
+//! bits of the windows holding it. The kernels read those bits (the SpMV
+//! kernel filters the run list by its window's bit, the batched kernel
+//! turns each window's bit into its lane), so a power iteration costs the
+//! in-window runs, not the stored entries. The one pass still grows with
 //! everything stored — which is why the representation is partitioned into
 //! [multi-window graphs](crate::multiwindow) when the full log is much
 //! larger than any single window.

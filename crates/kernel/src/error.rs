@@ -102,6 +102,10 @@ pub enum KernelError {
     /// A query batch contained no queries (or was given no windows) — a
     /// batched run over nothing is a caller bug, not an empty result.
     EmptyBatch,
+    /// A window-index view is not over the kernel's vertex universe, or a
+    /// batch's views do not all come from one index (their run lists
+    /// differ).
+    ForeignIndexViews,
     /// A query specification is invalid (parameter out of range).
     BadQuery {
         /// Index of the offending query within its batch.
@@ -144,6 +148,10 @@ impl fmt::Display for KernelError {
             KernelError::EmptyBatch => {
                 write!(f, "query batch is empty (no queries or no windows)")
             }
+            KernelError::ForeignIndexViews => write!(
+                f,
+                "index views must come from one window index over the kernel's vertices"
+            ),
             KernelError::BadQuery { index, what } => {
                 write!(f, "query {index} is invalid: {what}")
             }

@@ -7,7 +7,11 @@
 //! compact list ([`PrWorkspace::pull_nbr`]). An iteration is then a
 //! gather-sum over that list, so a window costs one `Θ(entries)` filter
 //! pass plus `iterations × in-window runs` — the paper's `Θ(entries)` per
-//! SpMV is paid once per window instead of once per iteration. The kernel
+//! SpMV is paid once per window instead of once per iteration. The indexed
+//! kernel reads no timestamp at all: its filter keeps the runs of the
+//! part's [`WindowIndex`](tempopr_graph::WindowIndex) run list that carry
+//! the window's bit, the part's membership having been decided once for
+//! every window it serves. The kernel
 //! supports three initializations: uniform, a caller-provided vector, and
 //! the paper's *partial initialization* (Eq. 4) from the previous window's
 //! ranks.
@@ -37,7 +41,6 @@ use crate::error::{FaultKind, KernelError, NumericFault};
 use crate::observe::Obs;
 use crate::scheduler::Scheduler;
 use crate::simd::SimdPolicy;
-use crate::spmm::window_runs;
 use std::time::Instant;
 use tempopr_graph::{Csr, TemporalCsr, TimeRange, VertexId, WindowIndexView};
 
@@ -323,8 +326,8 @@ pub fn pagerank_window_obs(
         ws,
     );
     power_iterate_window(
-        pull,
-        range,
+        pull.row_offsets(),
+        |v, nbr| nbr.extend(pull.active_neighbors(v, range)),
         has_dangling,
         init,
         cfg,
@@ -394,10 +397,12 @@ where
     }
 }
 
-/// [`pagerank_window`] with the degree/activity phase served from a
-/// precomputed [`WindowIndexView`] instead of a scan of the CSR: setup
-/// drops from `Θ(entries)` to `O(|V_w active|)`. The iteration itself is
-/// identical, so ranks match the unindexed kernel bit-for-bit.
+/// [`pagerank_window`] with the window decided by a precomputed
+/// [`WindowIndexView`] instead of a scan of the CSR: the degree/activity
+/// phase is an `O(|V_w active|)` copy, and the filter pass keeps the runs
+/// of the index's run list that carry the window's bit, reading no
+/// timestamp. The kept neighbours and the iteration are the unindexed
+/// kernel's, so ranks match it bit-for-bit.
 pub fn pagerank_window_indexed(
     pull: &TemporalCsr,
     push: &TemporalCsr,
@@ -430,13 +435,17 @@ pub fn pagerank_window_indexed_obs(
             push: push.num_vertices(),
         });
     }
+    if view.runs.row.len() != n + 1 {
+        return Err(KernelError::ForeignIndexViews);
+    }
     ws.ensure(n);
     ws.deg_in.clear();
     let t_setup = obs.now();
     let has_dangling = setup_from_index(view, ws);
+    let (runs, window) = (view.runs, view.window);
     power_iterate_window(
-        pull,
-        view.range,
+        runs.row,
+        |v, nbr| nbr.extend(runs.neighbors_in(v, window)),
         has_dangling,
         init,
         cfg,
@@ -532,14 +541,15 @@ pub(crate) fn guard_check(
 }
 
 /// The shared tail of [`pagerank_window`] and [`pagerank_window_indexed`]:
-/// the window's one filter pass ([`build_pull_list`], the last step of the
-/// setup that began at `t_setup`), then initialization plus damped power
+/// the window's one filter pass ([`build_pull_list`] with `filter`, the
+/// last step of the setup that began at `t_setup`; `read` holds the row
+/// offsets of the entries it reads), then initialization plus damped power
 /// iteration over the active list already present in `ws`, each pull sum a
 /// gather over the filtered list.
 #[allow(clippy::too_many_arguments)]
-fn power_iterate_window(
-    pull: &TemporalCsr,
-    range: TimeRange,
+fn power_iterate_window<F>(
+    read: &[usize],
+    filter: F,
     has_dangling: bool,
     init: Init<'_>,
     cfg: &PrConfig,
@@ -547,12 +557,14 @@ fn power_iterate_window(
     ws: &mut PrWorkspace,
     obs: Obs<'_>,
     t_setup: Option<Instant>,
-) -> Result<PrStats, KernelError> {
-    build_pull_list(pull, range, sched, ws);
+) -> Result<PrStats, KernelError>
+where
+    F: Fn(VertexId, &mut Vec<VertexId>) + Sync,
+{
+    build_pull_list(filter, sched, ws);
     obs.setup(ws.active_list.len(), t_setup);
     obs.window_runs(|| {
-        let row = pull.row_offsets();
-        let entries = |&v: &u32| (row[v as usize + 1] - row[v as usize]) as u64;
+        let entries = |&v: &u32| (read[v as usize + 1] - read[v as usize]) as u64;
         (
             ws.active_list.iter().map(entries).sum(),
             ws.pull_nbr.len() as u64,
@@ -579,34 +591,35 @@ fn power_iterate_window(
 }
 
 /// Filters the window's pull adjacency into `ws.pull_off` / `ws.pull_nbr`:
-/// one [`window_runs`] walk over the active rows, as a row loop under a
-/// scheduler (tasks fold in row order, so the list is the sequential one).
-fn build_pull_list(
-    pull: &TemporalCsr,
-    range: TimeRange,
-    sched: Option<&Scheduler>,
-    ws: &mut PrWorkspace,
-) {
+/// `filter(v, nbr)` appends, in stored order, the in-window neighbours of
+/// each active row `v` — a window's membership is decided here once, and
+/// the power iterations gather over the list. A row loop under a scheduler
+/// (tasks fold in row order, so the list is the sequential one).
+fn build_pull_list<F>(filter: F, sched: Option<&Scheduler>, ws: &mut PrWorkspace)
+where
+    F: Fn(VertexId, &mut Vec<VertexId>) + Sync,
+{
     let list = &ws.active_list;
     ws.pull_off.clear();
     ws.pull_off.resize(list.len() + 1, 0);
     ws.pull_nbr.clear();
     let counts = &mut ws.pull_off[1..];
+    let walk = |rows: &[u32], counts: &mut [usize], nbr: &mut Vec<VertexId>| {
+        for (&v, count) in rows.iter().zip(counts) {
+            let before = nbr.len();
+            filter(v, nbr);
+            *count = nbr.len() - before;
+        }
+    };
     match sched {
-        None => window_runs(pull, range, list, counts, &mut ws.pull_nbr),
+        None => walk(list, counts, &mut ws.pull_nbr),
         Some(s) => {
             ws.pull_nbr = s.map_reduce_slice_mut(
                 counts,
                 Vec::new(),
                 |off, counts| {
                     let mut nbr = Vec::new();
-                    window_runs(
-                        pull,
-                        range,
-                        &list[off..off + counts.len()],
-                        counts,
-                        &mut nbr,
-                    );
+                    walk(&list[off..off + counts.len()], counts, &mut nbr);
                     nbr
                 },
                 |mut a, b| {
@@ -1245,6 +1258,21 @@ mod tests {
             .unwrap();
             assert_eq!(plain, ws.x, "directed window {j}");
         }
+        // A view over another vertex universe is refused, not indexed out
+        // of bounds.
+        let small = TemporalCsr::from_events(3, &[Event::new(0, 1, 3)], true);
+        let foreign = WindowIndex::build(&small, None, &ranges);
+        let mut ws = PrWorkspace::default();
+        let err = pagerank_window_indexed(
+            &t,
+            &t,
+            &foreign.view(0),
+            Init::Uniform,
+            &cfg(),
+            None,
+            &mut ws,
+        );
+        assert_eq!(err.unwrap_err(), KernelError::ForeignIndexViews);
     }
 
     /// Events before, inside and after the window `[100, 199]`, chosen so

@@ -49,10 +49,10 @@ use crate::observe::BatchObs;
 use crate::pagerank::{PrConfig, PrStats};
 use crate::scheduler::Scheduler;
 use crate::spmm::{
-    batch_iterate, compress_bits, lanes_from_masks, repack_columns, LaneRule, SpmmWorkspace,
+    batch_iterate, compress_bits, lanes_from_views, repack_columns, LaneRule, SpmmWorkspace,
     MAX_LANES,
 };
-use tempopr_graph::{TemporalCsr, TimeRange, VertexId};
+use tempopr_graph::{LiveRuns, TemporalCsr, TimeRange, VertexId, WindowIndex, WindowIndexView};
 
 /// One query to evaluate on every window of the batch.
 #[derive(Debug, Clone, Copy)]
@@ -262,11 +262,18 @@ pub fn pagerank_query_batch_obs(
     ws: &mut QueryWorkspace,
     obs: BatchObs<'_>,
 ) -> Result<QueryBatchOutcome, KernelError> {
+    let n = check_queries(pull, push, ranges.len(), batch, inits.len())?;
     let t_setup = obs.now();
+    let index = WindowIndex::build(push, (!std::ptr::eq(pull, push)).then_some(pull), ranges);
+    let views: Vec<_> = (0..ranges.len()).map(|j| index.view(j)).collect();
     let QueryWorkspace { base, tele } = ws;
-    let (lane_verts, mut rule) = query_lanes(pull, push, ranges, batch, inits, cfg, base, tele)?;
-    let lane_verts: Vec<&[VertexId]> = lane_verts.iter().map(Vec::as_slice).collect();
-    let stats = batch_iterate(&lane_verts, &mut rule, cfg, sched, base, obs, t_setup)?;
+    let mut rule = query_lanes(&views, n, batch, inits, cfg, base, tele)?;
+    let nq = batch.len();
+    let lane_verts: Vec<&[VertexId]> = (0..views.len() * nq)
+        .map(|k| views[k / nq].vertices)
+        .collect();
+    let runs = index.live_runs();
+    let stats = batch_iterate(&lane_verts, runs, &mut rule, cfg, sched, base, obs, t_setup)?;
     let it_max = stats.iter().map(|s| s.iterations).max().unwrap_or(0) as u64;
     let iterations_saved: u64 = stats.iter().map(|s| it_max - s.iterations as u64).sum();
     Ok(QueryBatchOutcome {
@@ -278,35 +285,28 @@ pub fn pagerank_query_batch_obs(
     })
 }
 
-/// Everything of a (window × query) batch that precedes the round loop:
-/// argument checks, the mask-derived setup of `base` over the lane layout
-/// `k = w·nq + q`, and the per-lane parameters and teleport matrix that
-/// make up the batch's [`LaneRule`]. Returns each lane's active vertices
-/// beside the rule.
-#[allow(clippy::too_many_arguments)]
-fn query_lanes<'a>(
+/// The argument checks of a (window × query) batch: at least one window,
+/// at most [`MAX_LANES`] lanes, one init per lane, one vertex universe, and
+/// preferences that span it with finite non-negative weights (parameter
+/// ranges were checked by [`QueryBatch::new`]). Returns the universe size.
+fn check_queries(
     pull: &TemporalCsr,
     push: &TemporalCsr,
-    ranges: &[TimeRange],
+    nw: usize,
     batch: &QueryBatch<'_>,
-    inits: &'a [QueryInit<'a>],
-    cfg: &PrConfig,
-    base: &mut SpmmWorkspace,
-    tele: &'a mut Vec<f64>,
-) -> Result<(Vec<Vec<VertexId>>, AffineTeleport<'a>), KernelError> {
-    let nq = batch.len();
-    let nw = ranges.len();
+    inits: usize,
+) -> Result<usize, KernelError> {
     if nw == 0 {
         return Err(KernelError::EmptyBatch);
     }
-    let vl = nw * nq;
+    let vl = nw * batch.len();
     if vl > MAX_LANES {
         return Err(KernelError::BadLaneCount { got: vl });
     }
-    if inits.len() != vl {
+    if inits != vl {
         return Err(KernelError::LaneMismatch {
             lanes: vl,
-            args: inits.len(),
+            args: inits,
         });
     }
     let n = pull.num_vertices();
@@ -316,8 +316,6 @@ fn query_lanes<'a>(
             push: push.num_vertices(),
         });
     }
-    // Parameter ranges were checked by `QueryBatch::new`; what only the
-    // graph can tell is whether a preference spans its vertices.
     for (index, spec) in batch.queries().iter().enumerate() {
         if let QuerySpec::Personalized { preference, .. } = spec {
             if preference.len() != n {
@@ -335,21 +333,33 @@ fn query_lanes<'a>(
             }
         }
     }
+    Ok(n)
+}
 
-    // Lane k = w·nq + q shares window w's range across all nq queries, so
-    // run masks repeat their bit pattern per window: a run live in a window
-    // is live in all of its queries, which is what puts query batches on
-    // the whole-stride row walk more often than window batches.
-    let lane_ranges: Vec<TimeRange> = (0..vl).map(|k| ranges[k / nq]).collect();
-    let has_katz = batch.queries().iter().any(|q| q.is_katz());
-    let mut max_pull_deg = vec![0u32; vl];
-    let lane_verts = lanes_from_masks(
-        pull,
-        push,
-        &lane_ranges,
-        base,
-        has_katz.then_some(&mut max_pull_deg[..]),
-    );
+/// Everything of a (window × query) batch that precedes the round loop,
+/// over `views` of one index on `n` vertices: the indexed setup of `base`
+/// with each window's bit copied to its `nq` lanes `k = w·nq + q` (so a
+/// run live in a window is live in all of its queries, which is what puts
+/// query batches on the whole-stride row walk more often than window
+/// batches), and the per-lane parameters and teleport matrix that make up
+/// the batch's [`LaneRule`].
+fn query_lanes<'a>(
+    views: &[WindowIndexView<'_>],
+    n: usize,
+    batch: &QueryBatch<'_>,
+    inits: &'a [QueryInit<'a>],
+    cfg: &PrConfig,
+    base: &mut SpmmWorkspace,
+    tele: &'a mut Vec<f64>,
+) -> Result<AffineTeleport<'a>, KernelError> {
+    let nq = batch.len();
+    let vl = views.len() * nq;
+    let runs = lanes_from_views(views, nq, n, true, base)?;
+    let max_pull_deg = if batch.queries().iter().any(|q| q.is_katz()) {
+        max_pull_degrees(runs, views)
+    } else {
+        Vec::new()
+    };
 
     // Per-lane parameters — `alpha`, `scale` (damp for PPR, attenuation for
     // Katz), tolerance, the Katz lane set — and the teleport / baseline
@@ -367,7 +377,8 @@ fn query_lanes<'a>(
     };
     rule.tele.clear();
     rule.tele.resize(n * vl, 0.0);
-    for (k, verts) in lane_verts.iter().enumerate() {
+    for k in 0..vl {
+        let verts = views[k / nq].vertices;
         let ids = || verts.iter().map(|&v| v as usize);
         match batch.queries()[k % nq] {
             QuerySpec::Personalized { preference, alpha } => {
@@ -402,7 +413,7 @@ fn query_lanes<'a>(
                 rule.katz |= 1u64 << k;
                 rule.tol[k] = tol;
                 if !verts.is_empty() {
-                    let a = alpha_fraction / (max_pull_deg[k] + 1) as f64;
+                    let a = alpha_fraction / (max_pull_deg[k / nq] + 1) as f64;
                     rule.katz_alpha[k] = a;
                     rule.scale[k] = a;
                     for v in ids() {
@@ -417,7 +428,19 @@ fn query_lanes<'a>(
             }
         }
     }
-    Ok((lane_verts, rule))
+    Ok(rule)
+}
+
+/// Each view's largest in-window pull degree — the most runs of one row
+/// its window holds — the bound a Katz lane's attenuation is a fraction of.
+fn max_pull_degrees(runs: LiveRuns<'_>, views: &[WindowIndexView<'_>]) -> Vec<u32> {
+    views
+        .iter()
+        .map(|view| {
+            let held = |r: &[usize]| (r[0]..r[1]).filter(|&i| runs.holds(i, view.window)).count();
+            runs.row.windows(2).map(held).max().unwrap_or(0) as u32
+        })
+        .collect()
 }
 
 /// The lane rule of a (window × query) batch: per lane the affine update
@@ -1078,12 +1101,22 @@ mod tests {
 
             let mut ws = QueryWorkspace::default();
             let QueryWorkspace { base, tele } = &mut ws;
-            let (lane_verts, rule) =
-                query_lanes(&t, &t, &ranges, &batch, &inits, &c, base, tele).unwrap();
-            let verts: Vec<&[VertexId]> = lane_verts.iter().map(Vec::as_slice).collect();
+            let index = WindowIndex::build(&t, None, &ranges);
+            let views: Vec<_> = (0..4).map(|j| index.view(j)).collect();
+            let rule = query_lanes(&views, n, &batch, &inits, &c, base, tele).unwrap();
+            let verts: Vec<&[VertexId]> = (0..vl).map(|k| views[k / 2].vertices).collect();
             let mut rule = Poisoned(rule);
-            let stats =
-                batch_iterate(&verts, &mut rule, &c, None, base, BatchObs::off(), None).unwrap();
+            let stats = batch_iterate(
+                &verts,
+                index.live_runs(),
+                &mut rule,
+                &c,
+                None,
+                base,
+                BatchObs::off(),
+                None,
+            )
+            .unwrap();
             assert_eq!(stats, out.stats, "compaction={compaction}");
             let mut inactive = 0;
             for v in 0..n {

@@ -10,12 +10,17 @@
 //! SpMM is prized for.
 //!
 //! Window membership per run is folded into a per-run **lane bitmask**,
-//! computed once per batch (the single extra read of the matrix, one sweep
-//! per run: `build_run_masks`) and then reused by every iteration, so the
-//! per-iteration inner loop is pure arithmetic: over whole strides with the
-//! mask applied as an AND where runs are live in enough of the stride
+//! decided before the first round and then reused by every iteration, so
+//! the per-iteration inner loop is pure arithmetic: over whole strides with
+//! the mask applied as an AND where runs are live in enough of the stride
 //! ([`SimdDispatch::accumulate_row`]), over the mask's set bits where they
-//! are not ([`VECTOR_ROW_RULE`]).
+//! are not ([`VECTOR_ROW_RULE`]). No batch reads a timestamp: a
+//! [`WindowIndex`] decided every run's windows once, and the batch turns
+//! each view's window bit into its lane through one 256-entry table per
+//! mask byte (`LaneTable`). An indexed batch walks its part's index in
+//! place while most runs of the index are ones it holds, and copies out
+//! the runs it holds otherwise; the unindexed entries build an index over
+//! their own windows and keep its runs.
 //!
 //! There is one round loop, `batch_iterate`, for every lane batch in the
 //! crate. What a lane *is* — a window under the uniform teleport here, a
@@ -33,7 +38,7 @@ use crate::scheduler::{Balance, Scheduler};
 use crate::simd::SimdDispatch;
 use std::ops::Range;
 use std::time::Instant;
-use tempopr_graph::{NeighborRun, TemporalCsr, TimeRange, Timestamp, VertexId, WindowIndexView};
+use tempopr_graph::{LiveRuns, TemporalCsr, TimeRange, VertexId, WindowIndex, WindowIndexView};
 
 /// Maximum lanes per batch (masks are `u64`).
 pub const MAX_LANES: usize = 64;
@@ -55,11 +60,16 @@ pub struct SpmmWorkspace {
     /// Vertices active in at least one lane, ascending — iterations loop
     /// over this compact list instead of the whole vertex space.
     pub active_list: Vec<u32>,
-    /// Run-compressed pull adjacency: offsets per vertex (`n+1`).
+    /// The batch's own run-compressed pull adjacency, the runs some lane
+    /// holds: offsets per vertex (`n+1`). An unindexed batch always keeps
+    /// one; an indexed batch only when it did not walk its index's run list
+    /// in place, and leaves this and `run_nbr` empty when it did — so a
+    /// reader that sizes the batch by `run_nbr` reads 0 for such a batch.
     pub run_row: Vec<usize>,
-    /// Neighbor per run.
+    /// Neighbor per run of the batch's own list (see `run_row`).
     pub run_nbr: Vec<VertexId>,
-    /// In-window lane bitmask per run.
+    /// In-window lane bitmask per run of the list the batch walked: its own
+    /// list, or the index's with an empty mask on runs no lane holds.
     pub run_mask: Vec<u64>,
 }
 
@@ -75,15 +85,97 @@ impl SpmmWorkspace {
     }
 }
 
+/// A run-compressed pull adjacency as the round loop reads it: row `v`'s
+/// runs are `row[v]..row[v + 1]` of `nbr`, and `SpmmWorkspace::run_mask`
+/// holds their lane masks. [`batch_iterate`] borrows it: the index's list,
+/// or the workspace's own copy of the runs the batch holds.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct RunRows<'a> {
+    pub(crate) row: &'a [usize],
+    pub(crate) nbr: &'a [VertexId],
+}
+
+impl RunRows<'_> {
+    #[inline]
+    fn of(&self, v: usize) -> Range<usize> {
+        self.row[v]..self.row[v + 1]
+    }
+}
+
+/// An indexed batch copies out the runs its lanes hold once at least
+/// `1 / EMPTY_RUN_SHARE` of its index's run list is runs no lane holds;
+/// below that it walks the list in place. Every round pays for every run
+/// it walks, and a batch runs many rounds per copy; but the copy costs a
+/// neighbour per held run and a row offset per vertex that the in-place
+/// walk does not keep. Batches of consecutive overlapping windows hold all
+/// but a few runs of their part (`few-large-windows`: 8 %, in place); a
+/// batch of every other window of a part whose windows barely overlap
+/// misses about half (43–54 % on `many-small-windows` and on a δ = sw
+/// HepTh grid, where the in-place walk made `run()` 1.5× slower), and
+/// copies.
+const EMPTY_RUN_SHARE: usize = 4;
+
+/// Window bits to lane masks: one 256-entry table per byte of window bits
+/// that holds a window the batch uses, so a run's lane mask is one lookup
+/// per such byte, whatever the number of lanes or of windows.
+struct LaneTable {
+    /// `(byte position, lanes of every value of that byte)`.
+    tables: Vec<(usize, [u64; 256])>,
+}
+
+impl LaneTable {
+    /// The table spreading window `j` to `lanes` for every `(j, lanes)`
+    /// given; windows not given select no lane.
+    fn new(windows: impl IntoIterator<Item = (usize, u64)>) -> Self {
+        let mut bits: Vec<(usize, [u64; 8])> = Vec::new();
+        for (j, lanes) in windows {
+            let slot = match bits.iter().position(|&(b, _)| b == j / 8) {
+                Some(i) => i,
+                None => {
+                    bits.push((j / 8, [0; 8]));
+                    bits.len() - 1
+                }
+            };
+            bits[slot].1[j % 8] |= lanes;
+        }
+        let tables = bits
+            .into_iter()
+            .map(|(b, per_bit)| {
+                let mut t = [0u64; 256];
+                for x in 1..256usize {
+                    t[x] = t[x & (x - 1)] | per_bit[x.trailing_zeros() as usize];
+                }
+                (b, t)
+            })
+            .collect();
+        LaneTable { tables }
+    }
+
+    /// Appends to `out` the lanes of every run of `bits`, `bytes` bytes per
+    /// run.
+    fn gather(&self, bits: &[u8], bytes: usize, out: &mut Vec<u64>) {
+        match self.tables.as_slice() {
+            // Every window of the batch in one byte: one lookup per run.
+            [(b, t)] => out.extend(bits.chunks_exact(bytes).map(|r| t[r[*b] as usize])),
+            tables => out.extend(
+                bits.chunks_exact(bytes)
+                    .map(|r| tables.iter().fold(0, |m, (b, t)| m | t[r[*b] as usize])),
+            ),
+        }
+    }
+}
+
 /// Runs PageRank simultaneously on up to [`MAX_LANES`] windows of the same
 /// temporal CSR.
 ///
-/// `ranges[k]` is lane `k`'s window; `inits[k]` its initialization (see
-/// [`Init`]). `pull`/`push` as in [`crate::pagerank::pagerank_window`];
-/// pass the same reference for symmetric builds. Lanes converge
-/// independently; iteration stops when every lane has converged (or at
-/// `cfg.max_iters`). Results are interleaved in `ws.x`
-/// (use [`SpmmWorkspace::copy_lane_into`]).
+/// `ranges[k]` is lane `k`'s window (any order); `inits[k]` its
+/// initialization (see [`Init`]). `pull`/`push` as in
+/// [`crate::pagerank::pagerank_window`]; pass the same reference for
+/// symmetric builds. Lanes converge independently; iteration stops when
+/// every lane has converged (or at `cfg.max_iters`). Results are
+/// interleaved in `ws.x` (use [`SpmmWorkspace::copy_lane_into`]). Window
+/// membership is decided by a [`WindowIndex`] over `ranges`, built for the
+/// call; the runs it keeps stay in `ws.run_row` / `ws.run_nbr`.
 pub fn pagerank_batch(
     pull: &TemporalCsr,
     push: &TemporalCsr,
@@ -110,115 +202,21 @@ pub fn pagerank_batch_obs(
     ws: &mut SpmmWorkspace,
     obs: BatchObs<'_>,
 ) -> Result<Vec<PrStats>, KernelError> {
-    let vl = ranges.len();
-    if vl == 0 || vl > MAX_LANES {
-        return Err(KernelError::BadLaneCount { got: vl });
-    }
-    if inits.len() != vl {
-        return Err(KernelError::LaneMismatch {
-            lanes: vl,
-            args: inits.len(),
-        });
-    }
-    let n = pull.num_vertices();
-    if push.num_vertices() != n {
-        return Err(KernelError::MismatchedUniverses {
-            pull: n,
-            push: push.num_vertices(),
-        });
-    }
+    let n = check_lanes(pull, push, ranges.len(), inits.len())?;
     let t_setup = obs.now();
-    let lane_verts = lanes_from_masks(pull, push, ranges, ws, None);
-    let lane_verts: Vec<&[VertexId]> = lane_verts.iter().map(Vec::as_slice).collect();
-    let mut rule = UniformTeleport::new(cfg, inits);
-    batch_iterate(&lane_verts, &mut rule, cfg, sched, ws, obs, t_setup)
+    let index = WindowIndex::build(push, (!std::ptr::eq(pull, push)).then_some(pull), ranges);
+    let views: Vec<_> = (0..ranges.len()).map(|j| index.view(j)).collect();
+    window_batch(&views, inits, n, true, cfg, sched, ws, obs, t_setup)
 }
 
-/// The unindexed per-batch setup, shared by the window batch and the
-/// (window × query) batch of [`crate::query`]: builds the run masks of
-/// `ranges` over every row (the single extra read of the matrix) and
-/// derives from them, into `ws`, each lane's `1/outdeg`, the activity and
-/// dangling masks and the union active list. Out-degrees come from the
-/// pull masks on a symmetric build (`pull` and `push` the same structure)
-/// and from a walk of the push runs otherwise. Returns each lane's active
-/// vertices, ascending — what an index view serves precomputed.
-///
-/// `max_pull_deg`, when asked for, receives each lane's largest in-window
-/// pull degree (the bound a Katz lane's attenuation is a fraction of).
-pub(crate) fn lanes_from_masks(
-    pull: &TemporalCsr,
-    push: &TemporalCsr,
-    ranges: &[TimeRange],
-    ws: &mut SpmmWorkspace,
-    mut max_pull_deg: Option<&mut [u32]>,
-) -> Vec<Vec<VertexId>> {
-    let (n, vl) = (pull.num_vertices(), ranges.len());
-    let directed = !std::ptr::eq(pull, push);
-    build_run_masks(pull, ranges, 0..n, ws);
-    ws.inv_deg.clear();
-    ws.inv_deg.resize(n * vl, 0.0);
-    ws.active_mask.clear();
-    ws.active_mask.resize(n, 0);
-    ws.dangling_mask.clear();
-    ws.dangling_mask.resize(n, 0);
-    ws.active_list.clear();
-    let mut lane_verts: Vec<Vec<VertexId>> = vec![Vec::new(); vl];
-    let mut deg = vec![0u32; vl]; // per-vertex scratch
-    for v in 0..n {
-        let masks = &ws.run_mask[ws.run_row[v]..ws.run_row[v + 1]];
-        let in_mask = masks.iter().fold(0u64, |all, &m| all | m);
-        if !directed || max_pull_deg.is_some() {
-            deg.fill(0);
-            for &m in masks {
-                for k in lanes(m) {
-                    deg[k] += 1;
-                }
-            }
-            if let Some(max) = max_pull_deg.as_deref_mut() {
-                for (max, &d) in max.iter_mut().zip(&deg) {
-                    *max = (*max).max(d);
-                }
-            }
-        }
-        if directed {
-            deg.fill(0);
-            for run in push.runs(v as VertexId) {
-                for (k, r) in ranges.iter().enumerate() {
-                    if run.active_in(*r) {
-                        deg[k] += 1;
-                    }
-                }
-            }
-        }
-        let mut active = in_mask;
-        let mut dangling = 0u64;
-        for (k, &d) in deg.iter().enumerate() {
-            if d > 0 {
-                active |= 1 << k;
-                ws.inv_deg[v * vl + k] = 1.0 / d as f64;
-            } else if active & (1 << k) != 0 {
-                dangling |= 1 << k;
-            }
-        }
-        ws.active_mask[v] = active;
-        ws.dangling_mask[v] = dangling;
-        if active != 0 {
-            ws.active_list.push(v as u32);
-        }
-        for k in lanes(active) {
-            lane_verts[k].push(v as VertexId);
-        }
-    }
-    lane_verts
-}
-
-/// [`pagerank_batch`] with per-lane degrees and activity served from
-/// precomputed [`WindowIndexView`]s instead of degree walks over the push
-/// structure: the per-batch setup keeps only the pull-mask read of the
-/// union-active rows (needed for the iteration adjacency; a row outside
-/// every view has no in-window run), eliminating the `Θ(entries · vl)`
-/// out-degree pass, and lanes are seeded from the views' vertex lists.
-/// Ranks match [`pagerank_batch`] bit-for-bit.
+/// [`pagerank_batch`] with every window decided by the part's
+/// [`WindowIndex`]: per-lane degrees and activity are copied out of the
+/// [`WindowIndexView`]s and each run's lane mask is gathered from its
+/// window bits through a `LaneTable` — no timestamp is read. The batch
+/// walks the index's run list in place, a run no lane holds with an empty
+/// mask, unless such runs are common enough that it copies out the runs it
+/// holds instead (`EMPTY_RUN_SHARE`). All views must come from one index
+/// over `pull`'s vertices. Ranks match [`pagerank_batch`] bit-for-bit.
 pub fn pagerank_batch_indexed(
     pull: &TemporalCsr,
     push: &TemporalCsr,
@@ -244,14 +242,26 @@ pub fn pagerank_batch_indexed_obs(
     ws: &mut SpmmWorkspace,
     obs: BatchObs<'_>,
 ) -> Result<Vec<PrStats>, KernelError> {
-    let vl = views.len();
+    let n = check_lanes(pull, push, views.len(), inits.len())?;
+    let t_setup = obs.now();
+    window_batch(views, inits, n, false, cfg, sched, ws, obs, t_setup)
+}
+
+/// The argument checks both window batches share: `1..=MAX_LANES` lanes,
+/// one init per lane, one vertex universe. Returns its size.
+fn check_lanes(
+    pull: &TemporalCsr,
+    push: &TemporalCsr,
+    vl: usize,
+    inits: usize,
+) -> Result<usize, KernelError> {
     if vl == 0 || vl > MAX_LANES {
         return Err(KernelError::BadLaneCount { got: vl });
     }
-    if inits.len() != vl {
+    if inits != vl {
         return Err(KernelError::LaneMismatch {
             lanes: vl,
-            args: inits.len(),
+            args: inits,
         });
     }
     let n = pull.num_vertices();
@@ -261,23 +271,69 @@ pub fn pagerank_batch_indexed_obs(
             push: push.num_vertices(),
         });
     }
+    Ok(n)
+}
 
-    let t_setup = obs.now();
+/// One window per lane over `views`, under the uniform teleport.
+#[allow(clippy::too_many_arguments)]
+fn window_batch(
+    views: &[WindowIndexView<'_>],
+    inits: &[Init<'_>],
+    n: usize,
+    own: bool,
+    cfg: &PrConfig,
+    sched: Option<&Scheduler>,
+    ws: &mut SpmmWorkspace,
+    obs: BatchObs<'_>,
+    t_setup: Option<Instant>,
+) -> Result<Vec<PrStats>, KernelError> {
+    let runs = lanes_from_views(views, 1, n, own, ws)?;
+    let lane_verts: Vec<&[VertexId]> = views.iter().map(|v| v.vertices).collect();
+    let mut rule = UniformTeleport::new(cfg, inits);
+    batch_iterate(&lane_verts, runs, &mut rule, cfg, sched, ws, obs, t_setup)
+}
+
+/// The per-batch setup of every lane batch in the crate, read off one
+/// [`WindowIndex`] over `n` vertices: lane `k = w·nq + q` is query `q` on
+/// `views[w]`'s window (`nq = 1`: one window per lane), so each view's
+/// `1/outdeg`, activity and dangling vertices are copied to its `nq` lanes,
+/// and each run's lane mask is gathered from its window bits through one
+/// [`LaneTable`]. Fills every mask and the union active list of `ws` and
+/// returns the index's run list. The batch walks that list in place unless
+/// `own` asks for its held runs in `ws.run_row` / `ws.run_nbr` (the
+/// unindexed entries, whose index does not outlive the call) or runs no
+/// lane holds make up `1 / EMPTY_RUN_SHARE` of it.
+pub(crate) fn lanes_from_views<'a>(
+    views: &[WindowIndexView<'a>],
+    nq: usize,
+    n: usize,
+    own: bool,
+    ws: &mut SpmmWorkspace,
+) -> Result<LiveRuns<'a>, KernelError> {
+    let runs = views[0].runs;
+    let shared = |v: &WindowIndexView<'_>| {
+        std::ptr::eq(v.runs.row, runs.row) && std::ptr::eq(v.runs.bits, runs.bits)
+    };
+    if runs.row.len() != n + 1 || !views.iter().all(shared) {
+        return Err(KernelError::ForeignIndexViews);
+    }
+    let vl = views.len() * nq;
+    let queries = lane_mask_all(nq);
     ws.inv_deg.clear();
     ws.inv_deg.resize(n * vl, 0.0);
     ws.active_mask.clear();
     ws.active_mask.resize(n, 0);
     ws.dangling_mask.clear();
     ws.dangling_mask.resize(n, 0);
-    for (k, view) in views.iter().enumerate() {
-        let bit = 1u64 << k;
-        for (i, &v) in view.vertices.iter().enumerate() {
+    for (w, view) in views.iter().enumerate() {
+        let lanes = queries << (w * nq);
+        for (&v, &inv) in view.vertices.iter().zip(view.inv_deg) {
             let v = v as usize;
-            ws.active_mask[v] |= bit;
-            ws.inv_deg[v * vl + k] = view.inv_deg[i];
+            ws.active_mask[v] |= lanes;
+            ws.inv_deg[v * vl + w * nq..v * vl + (w + 1) * nq].fill(inv);
         }
         for &v in view.dangling {
-            ws.dangling_mask[v as usize] |= bit;
+            ws.dangling_mask[v as usize] |= lanes;
         }
     }
     ws.active_list.clear();
@@ -286,14 +342,36 @@ pub fn pagerank_batch_indexed_obs(
             ws.active_list.push(v as u32);
         }
     }
-    let ranges: Vec<TimeRange> = views.iter().map(|v| v.range).collect();
-    let rows = std::mem::take(&mut ws.active_list);
-    build_run_masks(pull, &ranges, rows.iter().map(|&v| v as usize), ws);
-    ws.active_list = rows;
-    let lane_verts: Vec<&[VertexId]> = views.iter().map(|v| v.vertices).collect();
-
-    let mut rule = UniformTeleport::new(cfg, inits);
-    batch_iterate(&lane_verts, &mut rule, cfg, sched, ws, obs, t_setup)
+    let table = LaneTable::new(
+        views
+            .iter()
+            .enumerate()
+            .map(|(w, v)| (v.window, queries << (w * nq))),
+    );
+    ws.run_mask.clear();
+    table.gather(runs.bits, runs.bytes, &mut ws.run_mask);
+    ws.run_row.clear();
+    ws.run_nbr.clear();
+    let empty = ws.run_mask.iter().filter(|&&m| m == 0).count();
+    if own || (empty > 0 && empty * EMPTY_RUN_SHARE >= ws.run_mask.len()) {
+        // Keep the held runs, their masks moved down in place.
+        ws.run_row.reserve(n + 1);
+        ws.run_row.push(0);
+        let mut kept = 0;
+        for row in runs.row.windows(2) {
+            for i in row[0]..row[1] {
+                let m = ws.run_mask[i];
+                if m != 0 {
+                    ws.run_mask[kept] = m;
+                    ws.run_nbr.push(runs.nbr[i]);
+                    kept += 1;
+                }
+            }
+            ws.run_row.push(kept);
+        }
+        ws.run_mask.truncate(kept);
+    }
+    Ok(runs)
 }
 
 /// What the callers of [`batch_iterate`] differ in, and nothing else: how
@@ -418,9 +496,44 @@ impl LaneRule for UniformTeleport<'_> {
     fn compact(&mut self, _keep: &[usize], _vl: usize, _n: usize) {}
 }
 
-/// The one lane-batched round loop: lane seeding plus the masked batched
-/// iteration over the run-compressed adjacency and activity masks already
-/// present in `ws`, with everything a caller may vary supplied by `rule`
+/// The one lane-batched round loop, run after [`lanes_from_views`] filled
+/// `ws`: over the runs that setup kept in `ws.run_row` / `ws.run_nbr` when
+/// it kept any, and over the index's run list `index` otherwise.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn batch_iterate<R: LaneRule>(
+    lane_verts: &[&[VertexId]],
+    index: LiveRuns<'_>,
+    rule: &mut R,
+    cfg: &PrConfig,
+    sched: Option<&Scheduler>,
+    ws: &mut SpmmWorkspace,
+    obs: BatchObs<'_>,
+    t_setup: Option<Instant>,
+) -> Result<Vec<PrStats>, KernelError> {
+    // The own list is lent out of `ws` for the rounds and handed back.
+    let (row, nbr) = (
+        std::mem::take(&mut ws.run_row),
+        std::mem::take(&mut ws.run_nbr),
+    );
+    let runs = if row.is_empty() {
+        RunRows {
+            row: index.row,
+            nbr: index.nbr,
+        }
+    } else {
+        RunRows {
+            row: &row,
+            nbr: &nbr,
+        }
+    };
+    let out = rounds(lane_verts, runs, rule, cfg, sched, ws, obs, t_setup);
+    (ws.run_row, ws.run_nbr) = (row, nbr);
+    out
+}
+
+/// Lane seeding plus the masked batched iteration over the run-compressed
+/// adjacency `runs` (whose lane masks, like the activity masks, are
+/// already in `ws`), with everything a caller may vary supplied by `rule`
 /// (see [`LaneRule`]). `lane_verts[k]` lists lane `k`'s active vertices,
 /// ascending; `t_setup` is when the caller's setup began (reported to the
 /// observer once the lane sizes are known).
@@ -464,8 +577,10 @@ impl LaneRule for UniformTeleport<'_> {
 /// [`crate::NumericPolicy`]) is per lane — healthy lanes are unaffected by
 /// a faulting sibling. Injected faults (`cfg.fault`) target original lane
 /// 0 at its first active vertex, wherever compaction has moved the lane.
-pub(crate) fn batch_iterate<R: LaneRule>(
+#[allow(clippy::too_many_arguments)]
+fn rounds<R: LaneRule>(
     lane_verts: &[&[VertexId]],
+    runs: RunRows<'_>,
     rule: &mut R,
     cfg: &PrConfig,
     sched: Option<&Scheduler>,
@@ -560,7 +675,7 @@ pub(crate) fn batch_iterate<R: LaneRule>(
         // keep their current values; only live lanes pay for it.
         let live = !done & all_done;
         if live_rows_stale {
-            live_rows.rebuild(ws, live, vl, dispatch.dense(), sched);
+            live_rows.rebuild(ws, runs, live, vl, dispatch.dense(), sched);
             live_rows_stale = false;
             obs.live_rows(live_rows.edges, live_rows.cells, vl, live_rows.vector);
         }
@@ -584,8 +699,7 @@ pub(crate) fn batch_iterate<R: LaneRule>(
         let x = &ws.x;
         let inv_deg = &ws.inv_deg;
         let active_mask = &ws.active_mask;
-        let run_row = &ws.run_row;
-        let run_nbr = &ws.run_nbr;
+        let run_nbr = runs.nbr;
         let run_mask = &ws.run_mask;
         // Compact next-iterate matrix: row r of `ws.y` belongs to
         // live_rows.rows[r]; its live cells are scattered back into `ws.x`
@@ -598,18 +712,18 @@ pub(crate) fn batch_iterate<R: LaneRule>(
             for (r, row) in rows.chunks_exact_mut(vl).enumerate() {
                 let v = list[r0 + r] as usize;
                 acc[..vl].iter_mut().for_each(|a| *a = 0.0);
-                let runs = run_row[v]..run_row[v + 1];
+                let row_runs = runs.of(v);
                 if vector_rows {
                     dispatch.accumulate_row(
                         &mut acc[..vl],
-                        &run_nbr[runs.clone()],
-                        &run_mask[runs],
+                        &run_nbr[row_runs.clone()],
+                        &run_mask[row_runs],
                         live,
                         x,
                         inv_deg,
                     );
                 } else {
-                    for i in runs {
+                    for i in row_runs {
                         let u = run_nbr[i] as usize;
                         for k in lanes(run_mask[i] & live) {
                             acc[k] += x[u * vl + k] * inv_deg[u * vl + k];
@@ -758,7 +872,8 @@ pub(crate) struct LiveRows {
     /// and compaction cannot move the reduction grouping. Empty without a
     /// scheduler.
     pub(crate) chunks: Vec<Range<usize>>,
-    /// Run entries one pull walk over `rows` visits (reported per round).
+    /// Run entries one pull walk over `rows` visits (reported per round),
+    /// runs with an empty lane mask included.
     pub(crate) edges: u64,
     /// Live (run, lane) cells among them: `Σ popcount(run_mask & live)`.
     pub(crate) cells: u64,
@@ -770,7 +885,8 @@ pub(crate) struct LiveRows {
 impl LiveRows {
     /// Recomputes the list for the `live` lane mask (in the bit numbering
     /// `ws.active_mask` currently uses, over `vl` effective lanes) and,
-    /// from it, the run and live-cell counts, the walk they select
+    /// from it and the batch's `runs`, the run and live-cell counts, the
+    /// walk they select
     /// (`dense` is whether the SIMD policy allows the row walk at all) and
     /// the task plan: even rows under [`Balance::Vertex`], degree-weighted
     /// boundaries under [`Balance::Edge`] (weight = run count + 1 so
@@ -778,6 +894,7 @@ impl LiveRows {
     pub(crate) fn rebuild(
         &mut self,
         ws: &SpmmWorkspace,
+        runs: RunRows<'_>,
         live: u64,
         vl: usize,
         dense: bool,
@@ -789,10 +906,9 @@ impl LiveRows {
                 .iter()
                 .filter(|&&v| ws.active_mask[v as usize] & live != 0),
         );
-        let runs = |v: u32| ws.run_row[v as usize]..ws.run_row[v as usize + 1];
         (self.edges, self.cells) = (0, 0);
         for &v in &self.rows {
-            let masks = &ws.run_mask[runs(v)];
+            let masks = &ws.run_mask[runs.of(v as usize)];
             self.edges += masks.len() as u64;
             self.cells += masks
                 .iter()
@@ -806,7 +922,7 @@ impl LiveRows {
                 let mut acc = 0usize;
                 prefix.push(0);
                 for &v in &self.rows {
-                    acc += runs(v).len() + 1;
+                    acc += runs.of(v as usize).len() + 1;
                     prefix.push(acc);
                 }
                 s.chunks_weighted(&prefix)
@@ -915,111 +1031,6 @@ pub(crate) fn compress_bits(m: u64, keep: &[usize]) -> u64 {
         out |= ((m >> j) & 1) << jn;
     }
     out
-}
-
-/// Builds the run-compressed pull adjacency with per-run lane masks,
-/// walking only `rows` (ascending): every other row gets an empty run
-/// range. Callers that know the union-active rows pass those — a row
-/// active in no lane has no in-window run — and the rest pass `0..n`.
-///
-/// When `ranges` ascend in start and in end (every engine caller's do,
-/// repeats included: the query axis hands each window's range once per
-/// query) a run's mask comes from one sweep over its timestamps
-/// ([`sweep_run_mask`]); any other order asks each lane in turn.
-pub(crate) fn build_run_masks(
-    pull: &TemporalCsr,
-    ranges: &[TimeRange],
-    rows: impl IntoIterator<Item = usize>,
-    ws: &mut SpmmWorkspace,
-) {
-    let n = pull.num_vertices();
-    let ascending = ranges
-        .windows(2)
-        .all(|w| w[0].start <= w[1].start && w[0].end <= w[1].end);
-    ws.run_row.clear();
-    ws.run_row.reserve(n + 1);
-    ws.run_nbr.clear();
-    ws.run_mask.clear();
-    ws.run_row.push(0);
-    for v in rows {
-        // Rows skipped since the last walked one start and end here.
-        ws.run_row.resize(v + 1, ws.run_nbr.len());
-        for run in pull.runs(v as VertexId) {
-            let m = if ascending {
-                sweep_run_mask(run.times, ranges)
-            } else {
-                scan_run_mask(&run, ranges)
-            };
-            if m != 0 {
-                ws.run_nbr.push(run.neighbor);
-                ws.run_mask.push(m);
-            }
-        }
-        ws.run_row.push(ws.run_nbr.len());
-    }
-    ws.run_row.resize(n + 1, ws.run_nbr.len());
-}
-
-/// The lanes whose range holds one of a run's events, asked lane by lane
-/// with [`NeighborRun::active_in`]: the definition, for ranges in any
-/// order.
-fn scan_run_mask(run: &NeighborRun<'_>, ranges: &[TimeRange]) -> u64 {
-    let mut m = 0u64;
-    for (k, r) in ranges.iter().enumerate() {
-        if run.active_in(*r) {
-            m |= 1 << k;
-        }
-    }
-    m
-}
-
-/// [`scan_run_mask`] in one pass over the run's ascending `times`, for
-/// `ranges` ascending in start and in end. The lanes holding a timestamp
-/// `t` are then one interval `lo..hi` of the lane order — `hi` counts the
-/// ranges that start at or before `t`, `lo` those that end before it, both
-/// by comparison without a branch — ORed into the mask for every timestamp
-/// inside the batch's span (first start to last end); the ones before it
-/// are skipped and the first one past it ends the sweep.
-fn sweep_run_mask(times: &[Timestamp], ranges: &[TimeRange]) -> u64 {
-    let (Some(first), Some(last)) = (ranges.first(), ranges.last()) else {
-        return 0;
-    };
-    let mut m = 0u64;
-    for &t in times {
-        if t < first.start {
-            continue;
-        }
-        if t > last.end {
-            break;
-        }
-        let (mut lo, mut hi) = (0usize, 0usize);
-        for r in ranges {
-            hi += usize::from(r.start <= t);
-            lo += usize::from(r.end < t);
-        }
-        // `lo >= hi` (a gap between ranges) leaves nothing of the prefix.
-        m |= lane_mask_all(hi) & !lane_mask_all(lo);
-    }
-    m
-}
-
-/// The one-window form of [`build_run_masks`], for the SpMV kernel: walks
-/// the pull runs of `rows` and appends to `nbr`, in stored order, the
-/// neighbour of every run active in `range`, writing each row's count into
-/// `counts` (one slot per row). A window's membership is decided here once;
-/// the power iterations gather over the list.
-pub(crate) fn window_runs(
-    pull: &TemporalCsr,
-    range: TimeRange,
-    rows: &[u32],
-    counts: &mut [usize],
-    nbr: &mut Vec<VertexId>,
-) {
-    for (&v, count) in rows.iter().zip(counts) {
-        let before = nbr.len();
-        nbr.extend(pull.active_neighbors(v, range));
-        *count = nbr.len() - before;
-    }
 }
 
 /// Seeds lane `k` of the interleaved `x` (stride `vl`) over `verts`, the
@@ -1143,6 +1154,14 @@ mod tests {
         let mut out = vec![0.0; ws.x.len() / vl];
         ws.copy_lane_into(k, vl, &mut out);
         out
+    }
+
+    /// The run list an unindexed batch left in `ws`.
+    fn own(ws: &SpmmWorkspace) -> RunRows<'_> {
+        RunRows {
+            row: &ws.run_row,
+            nbr: &ws.run_nbr,
+        }
     }
 
     #[test]
@@ -1280,11 +1299,23 @@ mod tests {
         let is = pagerank_batch_indexed(&t, &t, &views, &inits, &cfg(), None, &mut ixd).unwrap();
         assert_eq!(ps, is);
         assert_eq!(plain.x, ixd.x, "ranks must be bit-identical");
-        // The union-row mask build leaves the same adjacency as the full
-        // scan: rows outside every view have no in-window run.
-        assert_eq!(plain.run_row, ixd.run_row);
-        assert_eq!(plain.run_nbr, ixd.run_nbr);
-        assert_eq!(plain.run_mask, ixd.run_mask);
+        // The indexed batch walks the index's run list in place: its lane
+        // masks, with the empty ones of runs no lane holds dropped, are the
+        // unindexed batch's, run for run.
+        assert!(ixd.run_row.is_empty() && ixd.run_nbr.is_empty());
+        let runs = idx.live_runs();
+        let kept: Vec<(VertexId, u64)> = (0..25)
+            .flat_map(|v| runs.row[v]..runs.row[v + 1])
+            .map(|i| (runs.nbr[i], ixd.run_mask[i]))
+            .filter(|&(_, m)| m != 0)
+            .collect();
+        let want: Vec<(VertexId, u64)> = plain
+            .run_nbr
+            .iter()
+            .copied()
+            .zip(plain.run_mask.iter().copied())
+            .collect();
+        assert_eq!(kept, want);
         // Directed, with a scheduler.
         let out = TemporalCsr::from_events(25, &events, false);
         let pull = out.transpose();
@@ -1296,6 +1327,142 @@ mod tests {
         let mut dixd = SpmmWorkspace::default();
         pagerank_batch_indexed(&pull, &out, &dviews, &inits, &cfg(), Some(&s), &mut dixd).unwrap();
         assert_eq!(dplain.x, dixd.x, "directed ranks must be bit-identical");
+    }
+
+    #[test]
+    fn indexed_batch_copies_its_runs_where_the_index_holds_many_it_does_not() {
+        use tempopr_graph::WindowIndex;
+        // Eight disjoint windows: all of them, or seven, hold most of the
+        // index's runs and walk it in place; every other one (the engine's
+        // region batches) holds about half and copies out its own. Few
+        // events per vertex pair, so most runs live in one window.
+        let mut seed = 3u64;
+        let mut next = |m: u64| {
+            seed = seed
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (seed >> 33) % m
+        };
+        let events: Vec<Event> = (0..150)
+            .map(|_| Event::new(next(25) as u32, next(25) as u32, next(360) as i64))
+            .filter(|e| e.u != e.v)
+            .collect();
+        let t = TemporalCsr::from_events(25, &events, true);
+        let ranges: Vec<TimeRange> = (0..8)
+            .map(|k| TimeRange::new(k * 45, k * 45 + 44))
+            .collect();
+        let idx = WindowIndex::build(&t, None, &ranges);
+        let total = idx.live_runs().nbr.len();
+        for lanes in [
+            (0..8).collect::<Vec<_>>(),
+            (0..7).collect(),
+            vec![0, 2, 4, 6],
+            vec![7, 5, 3, 1],
+        ] {
+            let views: Vec<_> = lanes.iter().map(|&j| idx.view(j)).collect();
+            let lane_ranges: Vec<_> = lanes.iter().map(|&j| ranges[j]).collect();
+            let inits = vec![Init::Uniform; lanes.len()];
+            let mut plain = SpmmWorkspace::default();
+            let ps =
+                pagerank_batch(&t, &t, &lane_ranges, &inits, &cfg(), None, &mut plain).unwrap();
+            let mut ixd = SpmmWorkspace::default();
+            let is =
+                pagerank_batch_indexed(&t, &t, &views, &inits, &cfg(), None, &mut ixd).unwrap();
+            assert_eq!(ps, is, "lanes {lanes:?}");
+            assert_eq!(
+                plain.x, ixd.x,
+                "lanes {lanes:?}: ranks must be bit-identical"
+            );
+            let empty = total - plain.run_nbr.len();
+            let copies = empty * EMPTY_RUN_SHARE >= total;
+            assert_eq!(
+                copies,
+                lanes.len() == 4,
+                "lanes {lanes:?}: {empty} of {total}"
+            );
+            if copies {
+                // The held runs alone, as the unindexed batch keeps them.
+                assert_eq!(ixd.run_row, plain.run_row, "lanes {lanes:?}");
+                assert_eq!(ixd.run_nbr, plain.run_nbr, "lanes {lanes:?}");
+                assert_eq!(ixd.run_mask, plain.run_mask, "lanes {lanes:?}");
+            } else {
+                assert!(ixd.run_row.is_empty() && ixd.run_nbr.is_empty());
+                assert_eq!(ixd.run_mask.len(), total);
+            }
+        }
+    }
+
+    #[test]
+    fn indexed_batch_is_bit_identical_on_unordered_ranges() {
+        use tempopr_graph::WindowIndex;
+        // Neither ascending nor consistently nested, as a public caller may
+        // hand them: lanes take any subset of the index's windows in any
+        // order.
+        let ranges = [
+            TimeRange::new(700, 720),
+            TimeRange::new(0, 10),
+            TimeRange::new(300, 305),
+            TimeRange::new(100, 900),
+            TimeRange::new(500, 501),
+        ];
+        let mut seed = 7u64;
+        let mut next = |m: u64| {
+            seed = seed
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (seed >> 33) % m
+        };
+        let events: Vec<Event> = (0..400)
+            .map(|_| Event::new(next(20) as u32, next(20) as u32, next(1000) as i64))
+            .filter(|e| e.u != e.v)
+            .collect();
+        for symmetric in [true, false] {
+            let out = TemporalCsr::from_events(20, &events, symmetric);
+            let transpose = (!symmetric).then(|| out.transpose());
+            let pull = transpose.as_ref().unwrap_or(&out);
+            let idx = WindowIndex::build(&out, transpose.as_ref(), &ranges);
+            for lanes in [vec![0, 1, 2, 3, 4], vec![3, 1, 4], vec![4, 0]] {
+                let views: Vec<_> = lanes.iter().map(|&j| idx.view(j)).collect();
+                let lane_ranges: Vec<_> = lanes.iter().map(|&j| ranges[j]).collect();
+                let inits = vec![Init::Uniform; lanes.len()];
+                let mut plain = SpmmWorkspace::default();
+                let ps = pagerank_batch(pull, &out, &lane_ranges, &inits, &cfg(), None, &mut plain)
+                    .unwrap();
+                let mut ixd = SpmmWorkspace::default();
+                let is = pagerank_batch_indexed(pull, &out, &views, &inits, &cfg(), None, &mut ixd)
+                    .unwrap();
+                let what = format!("symmetric={symmetric} lanes={lanes:?}");
+                assert_eq!(ps, is, "{what}");
+                assert_eq!(plain.x, ixd.x, "{what}: ranks must be bit-identical");
+                for (k, &j) in lanes.iter().enumerate() {
+                    let (expect, _) =
+                        pagerank_window_vec(pull, &out, ranges[j], Init::Uniform, &cfg(), None)
+                            .unwrap();
+                    assert_close(&lane_of(&ixd, k, lanes.len()), &expect, 1e-9);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn foreign_index_views_are_refused() {
+        use tempopr_graph::WindowIndex;
+        let t = TemporalCsr::from_events(25, &sample_events(), true);
+        let small = TemporalCsr::from_events(5, &[Event::new(0, 1, 3)], true);
+        let ranges = [TimeRange::new(0, 100), TimeRange::new(50, 200)];
+        let (a, b) = (
+            WindowIndex::build(&t, None, &ranges),
+            WindowIndex::build(&t, None, &ranges),
+        );
+        let inits = vec![Init::Uniform; 2];
+        let mut ws = SpmmWorkspace::default();
+        let mixed = [a.view(0), b.view(1)];
+        let err = pagerank_batch_indexed(&t, &t, &mixed, &inits, &cfg(), None, &mut ws);
+        assert_eq!(err.unwrap_err(), KernelError::ForeignIndexViews);
+        let other = WindowIndex::build(&small, None, &ranges);
+        let views = [other.view(0), other.view(1)];
+        let err = pagerank_batch_indexed(&t, &t, &views, &inits, &cfg(), None, &mut ws);
+        assert_eq!(err.unwrap_err(), KernelError::ForeignIndexViews);
     }
 
     #[test]
@@ -1774,21 +1941,21 @@ mod tests {
         };
         let s = Scheduler::new(Partitioner::Simple, 4);
         let mut live = LiveRows::default();
-        live.rebuild(&ws, 0b111, 3, true, Some(&s));
+        live.rebuild(&ws, own(&ws), 0b111, 3, true, Some(&s));
         assert_eq!(live.rows, ws.active_list);
         assert_eq!(live.edges, ws.run_nbr.len() as u64);
         assert_eq!(live.chunks, s.row_chunks(30));
         // Lane 1 alone: vertices 7..=20 and nothing else.
-        live.rebuild(&ws, 0b010, 3, true, Some(&s));
+        live.rebuild(&ws, own(&ws), 0b010, 3, true, Some(&s));
         assert_eq!(live.rows, (7..=20).collect::<Vec<u32>>());
         assert_eq!(live.edges, runs_of(&live.rows));
         assert_eq!(live.chunks, s.row_chunks(14));
         let edge = s.with_balance(crate::scheduler::Balance::Edge);
-        live.rebuild(&ws, 0b101, 3, true, Some(&edge));
+        live.rebuild(&ws, own(&ws), 0b101, 3, true, Some(&edge));
         assert_eq!(live.rows.len(), 16);
         assert_eq!(live.chunks.len(), s.row_chunks(16).len());
         assert_eq!(live.chunks.last().map(|c| c.end), Some(16));
-        live.rebuild(&ws, 0b101, 3, true, None);
+        live.rebuild(&ws, own(&ws), 0b101, 3, true, None);
         assert!(live.chunks.is_empty());
     }
 
@@ -1800,20 +1967,22 @@ mod tests {
         let (n, events, ranges) = disjoint_community_events();
         let t = TemporalCsr::from_events(n, &events, true);
         let mut ws = SpmmWorkspace::default();
-        build_run_masks(&t, &ranges, 0..n, &mut ws);
+        let idx = tempopr_graph::WindowIndex::build(&t, None, &ranges);
+        let views: Vec<_> = (0..3).map(|j| idx.view(j)).collect();
+        lanes_from_views(&views, 1, n, true, &mut ws).unwrap();
         ws.active_list = (0..n as u32).collect();
         ws.active_mask = vec![0b111; n];
         let mut live = LiveRows::default();
         for (vl, vector) in [(3, true), (8, true), (9, false), (16, false)] {
-            live.rebuild(&ws, 0b111, vl, true, None);
+            live.rebuild(&ws, own(&ws), 0b111, vl, true, None);
             assert_eq!(live.cells, live.edges);
             assert_eq!(live.vector, vector, "vl={vl}");
-            live.rebuild(&ws, 0b111, vl, false, None);
+            live.rebuild(&ws, own(&ws), 0b111, vl, false, None);
             assert!(!live.vector, "BitWalk pins the bit walk, vl={vl}");
         }
         // Cells are counted under `live`: with lane 1 converged its runs
         // stay in the rows' ranges but hold no live cell.
-        live.rebuild(&ws, 0b101, 3, true, None);
+        live.rebuild(&ws, own(&ws), 0b101, 3, true, None);
         assert_eq!(live.edges, ws.run_nbr.len() as u64);
         let lane1 = ws.run_mask.iter().filter(|&&m| m == 0b010).count() as u64;
         assert!(lane1 > 0);

@@ -1,14 +1,84 @@
-//! Property-based tests of the per-window activity/degree index: for
-//! arbitrary event logs, window grids, and partitionings, every
-//! [`WindowIndexView`] must agree with a brute-force scan of the part's
-//! temporal CSR, and the engine must produce bit-identical results with
-//! the index on and off.
+//! Property-based tests of the window index: for arbitrary event logs,
+//! window grids, and partitionings, every [`WindowIndexView`] must agree
+//! with a brute-force scan of the part's temporal CSR, the index's run list
+//! must hold exactly the runs some window holds with exactly the windows
+//! [`NeighborRun::active_in`] names, and the kernels and the engine must
+//! produce bit-identical results with the index on and off.
 
 use proptest::prelude::*;
-use tempopr::graph::{Event, EventLog, MultiWindowSet, PartitionStrategy, TimeRange, WindowSpec};
+use tempopr::graph::{
+    Event, EventLog, MultiWindowGraph, MultiWindowSet, PartitionStrategy, TimeRange, WindowSpec,
+};
+use tempopr::kernel::{
+    pagerank_batch, pagerank_batch_indexed, pagerank_window, pagerank_window_indexed, Init,
+    PrConfig, PrWorkspace, SimdPolicy, SpmmWorkspace,
+};
 use tempopr::prelude::*;
 
 const MAX_V: u32 = 24;
+
+/// Windows per part the run list's bitsets are checked at: one byte, one
+/// past it, one word, one past it, and past the SpMM part rule's 64 lanes.
+const WINDOW_COUNTS: [usize; 6] = [1, 8, 9, 64, 65, 200];
+
+/// `(delta, sw)` in one of three regimes: windows shorter than their
+/// stride (gaps between them), far longer (`δ ≫ sw`), or anything.
+fn arb_grid() -> impl Strategy<Value = (i64, i64)> {
+    (0usize..3, 1i64..40, 1i64..40, 16i64..64).prop_map(|(regime, a, b, k)| match regime {
+        0 => (a.min(b).max(1), a.max(b) + 1),
+        1 => {
+            let sw = 1 + a % 5;
+            (sw * k, sw)
+        }
+        _ => (a, b),
+    })
+}
+
+/// The one part of a single-part build over `count` windows.
+fn one_part(
+    events: Vec<Event>,
+    grid: (i64, i64),
+    t0: i64,
+    count: usize,
+    directed: bool,
+) -> MultiWindowSet {
+    let log = EventLog::from_unsorted(events, MAX_V as usize).unwrap();
+    let spec = WindowSpec::new(t0, grid.0, grid.1, count).unwrap();
+    MultiWindowSet::build(&log, spec, 1, !directed, PartitionStrategy::EqualWindows).unwrap()
+}
+
+fn bits(x: &[f64]) -> Vec<u64> {
+    x.iter().map(|v| v.to_bits()).collect()
+}
+
+/// The index's run list against the definition: every pull run some window
+/// holds appears once, in stored order, with bit `j` set iff window `j`
+/// holds it, and no other run appears.
+fn check_live_runs(part: &MultiWindowGraph) {
+    let pull = part.pull_tcsr();
+    let ranges = part.window_ranges();
+    let runs = part.window_index().live_runs();
+    let n = part.num_local_vertices();
+    prop_assert_eq!(runs.row.len(), n + 1);
+    let mut i = 0;
+    for v in 0..n as u32 {
+        prop_assert_eq!(runs.row[v as usize], i, "vertex {}", v);
+        for run in pull.runs(v) {
+            let live: Vec<bool> = ranges.iter().map(|&r| run.active_in(r)).collect();
+            if !live.contains(&true) {
+                continue;
+            }
+            prop_assert_eq!(runs.nbr[i], run.neighbor, "vertex {} run {}", v, i);
+            for (j, &l) in live.iter().enumerate() {
+                prop_assert_eq!(runs.holds(i, j), l, "vertex {} run {} window {}", v, i, j);
+            }
+            i += 1;
+        }
+    }
+    prop_assert_eq!(runs.row[n], i);
+    prop_assert_eq!(runs.nbr.len(), i);
+    prop_assert_eq!(runs.bits.len(), i * ranges.len().div_ceil(8));
+}
 
 fn arb_events() -> impl Strategy<Value = Vec<Event>> {
     prop::collection::vec(
@@ -93,6 +163,84 @@ proptest! {
         for w in 0..spec.count {
             let part = set.part_of(w);
             check_view_against_bruteforce(part, w, spec.window(w), directed);
+        }
+        for part in set.graphs() {
+            check_live_runs(part);
+        }
+    }
+
+    #[test]
+    fn run_bits_match_active_in_at_every_window_count(
+        events in arb_events(),
+        grid in arb_grid(),
+        t0 in -50i64..50,
+        count in prop::sample::select(WINDOW_COUNTS.to_vec()),
+        directed in any::<bool>(),
+    ) {
+        let set = one_part(events, grid, t0, count, directed);
+        let part = &set.graphs()[0];
+        prop_assert_eq!(part.num_windows(), count);
+        check_live_runs(part);
+        for (j, &range) in part.window_ranges().iter().enumerate() {
+            check_view_against_bruteforce(part, j, range, directed);
+        }
+    }
+
+    #[test]
+    fn region_batches_are_bit_identical_indexed_or_not(
+        events in arb_events(),
+        grid in arb_grid(),
+        t0 in -50i64..50,
+        count in prop::sample::select(WINDOW_COUNTS.to_vec()),
+        slots in 1usize..17,
+        directed in any::<bool>(),
+    ) {
+        // Batches as the engine's regions cut them: region length
+        // `r = ⌈nw / slots⌉`, batch `j` holding windows `j, j + r, …`.
+        let set = one_part(events, grid, t0, count, directed);
+        let part = &set.graphs()[0];
+        let (pull, push) = (part.pull_tcsr(), part.tcsr());
+        let index = part.window_index();
+        let ranges = part.window_ranges();
+        let r = count.div_ceil(slots.min(count));
+        for simd in [SimdPolicy::Scalar, SimdPolicy::Auto] {
+            for compaction in [false, true] {
+                let cfg = PrConfig { simd, compaction, ..PrConfig::default() };
+                for j in 0..r {
+                    let lanes: Vec<usize> = (j..count).step_by(r).collect();
+                    let views: Vec<_> = lanes.iter().map(|&w| index.view(w)).collect();
+                    let lane_ranges: Vec<TimeRange> = lanes.iter().map(|&w| ranges[w]).collect();
+                    let inits = vec![Init::Uniform; lanes.len()];
+                    let mut plain = SpmmWorkspace::default();
+                    let ps = pagerank_batch(pull, push, &lane_ranges, &inits, &cfg, None, &mut plain)
+                        .unwrap();
+                    let mut ixd = SpmmWorkspace::default();
+                    let is = pagerank_batch_indexed(pull, push, &views, &inits, &cfg, None, &mut ixd)
+                        .unwrap();
+                    prop_assert_eq!(&ps, &is, "{:?} compaction={} batch {}", simd, compaction, j);
+                    prop_assert_eq!(bits(&plain.x), bits(&ixd.x), "{:?} compaction={} batch {}", simd, compaction, j);
+                    // The indexed batch walked the index's list in place, or
+                    // copied out exactly the runs the unindexed batch keeps.
+                    if ixd.run_row.is_empty() {
+                        prop_assert_eq!(ixd.run_mask.len(), index.live_runs().nbr.len());
+                    } else {
+                        prop_assert_eq!(&ixd.run_row, &plain.run_row, "batch {}", j);
+                        prop_assert_eq!(&ixd.run_nbr, &plain.run_nbr, "batch {}", j);
+                        prop_assert_eq!(&ixd.run_mask, &plain.run_mask, "batch {}", j);
+                    }
+                }
+            }
+        }
+        // The SpMV kernel filters the same run list by each window's bit.
+        let cfg = PrConfig::default();
+        for (w, &range) in ranges.iter().enumerate() {
+            let mut plain = PrWorkspace::default();
+            let ps = pagerank_window(pull, push, range, Init::Uniform, &cfg, None, &mut plain).unwrap();
+            let mut ixd = PrWorkspace::default();
+            let is = pagerank_window_indexed(pull, push, &index.view(w), Init::Uniform, &cfg, None, &mut ixd)
+                .unwrap();
+            prop_assert_eq!(ps, is, "window {}", w);
+            prop_assert_eq!(bits(plain.ranks()), bits(ixd.ranks()), "window {}", w);
         }
     }
 
