@@ -201,8 +201,7 @@ pub fn auto_multiwindows(spec: &WindowSpec, kernel: KernelKind) -> usize {
 pub fn resolve(cfg: &mut PostmortemConfig, profile: &WorkloadProfile) -> usize {
     let mut auto_fields = 0;
     if cfg.kernel == KernelKind::Auto {
-        let threaded_kernel = || cfg.mode.parallel_kernel() && profile.threads() > 1;
-        cfg.kernel = if profile.mean_overlap < OVERLAP_FULL_BELOW && !threaded_kernel() {
+        cfg.kernel = if batching_shares_nothing(cfg, profile) {
             KernelKind::SpMV
         } else {
             KernelKind::SpMM { lanes: AUTO_LANES }
@@ -219,6 +218,17 @@ pub fn resolve(cfg: &mut PostmortemConfig, profile: &WorkloadProfile) -> usize {
         auto_fields += 1;
     }
     auto_fields
+}
+
+/// Whether lanes of different windows gain nothing from one batch:
+/// consecutive windows share less than [`OVERLAP_FULL_BELOW`] of their
+/// events, and the kernel gets no multi-threaded scheduler to dispatch
+/// each batch's row loops to. `Auto` then resolves to SpMV ([`resolve`]),
+/// and a `Full` region walk cuts its lane budget
+/// (`engine::Regions::new`).
+pub(crate) fn batching_shares_nothing(cfg: &PostmortemConfig, profile: &WorkloadProfile) -> bool {
+    profile.mean_overlap < OVERLAP_FULL_BELOW
+        && !(cfg.mode.parallel_kernel() && profile.threads() > 1)
 }
 
 /// Applies §6.3.6's rules to a measured workload; kernel and init mode

@@ -77,6 +77,10 @@ pub struct PostmortemEngine {
     /// Event-log fingerprint, fixed at build time for the checkpoint
     /// manifest header (the engine does not retain the log itself).
     log_fp: u64,
+    /// Whether lanes of different windows gain nothing from one batch
+    /// ([`advisor::batching_shares_nothing`]), which the region walk's
+    /// lane budget reads.
+    unshared: bool,
     /// Run-scoped durable sink, set only inside
     /// [`PostmortemEngine::run_durable`]; `executor()` attaches it so
     /// every finalized window is persisted without threading a parameter
@@ -194,12 +198,14 @@ impl PostmortemEngine {
             None
         };
         let log_fp = checkpoint::log_fingerprint(log);
+        let unshared = advisor::batching_shares_nothing(&cfg, &profile);
         Ok(PostmortemEngine {
             store,
             cfg,
             pool,
             tele,
             log_fp,
+            unshared,
             ckpt: Mutex::new(None),
         })
     }
@@ -420,6 +426,13 @@ impl PostmortemEngine {
     /// Whether any previous-rank seeding is enabled (`Partial` or `Warm`).
     fn reuse_ranks(&self) -> bool {
         self.cfg.init_mode != InitMode::Full
+    }
+
+    /// The region walk of one part's `nw` windows under a lane `budget`
+    /// split into `chains` lanes per window slot, for this run's init mode,
+    /// measured overlap and scheduler ([`Regions::new`]).
+    pub(crate) fn regions(&self, budget: usize, chains: usize, nw: usize) -> Regions {
+        Regions::new(budget, chains, nw, self.reuse_ranks(), self.unshared)
     }
 
     /// Whether cross-boundary carry is enabled.
@@ -833,7 +846,7 @@ impl PostmortemEngine {
         };
         let part: &MultiWindowGraph = &fetched;
         let w0 = part.windows().start;
-        let mut regions = Regions::new(lanes, 1, part.num_windows(), self.reuse_ranks());
+        let mut regions = self.regions(lanes, 1, part.num_windows());
         if let Some(seed) = carry {
             self.tele
                 .add("warmstart.seeded_windows", regions.seed_heads(0, seed));
@@ -1146,10 +1159,26 @@ impl Regions {
     /// there is only one batch and nothing ever gets partially initialized
     /// — the paper's warning that a high vector length erodes the partial
     /// initialization benefit, resolved in favor of partial init.
-    pub(crate) fn new(budget: usize, chains: usize, nw: usize, reuse: bool) -> Self {
-        let mut slots = (budget.clamp(1, tempopr_kernel::MAX_LANES) / chains)
-            .max(1)
-            .min(nw);
+    ///
+    /// When lanes of different windows gain nothing from one batch
+    /// (`unshared`, [`advisor::batching_shares_nothing`]: the windows share
+    /// no edge and the kernel runs unthreaded) and nothing is reused, the
+    /// budget is cut to `max(AUTO_LANES, chains)`: a query batch holds one
+    /// window's queries, a window batch [`advisor::AUTO_LANES`] windows.
+    /// Under `Full` init every lane's arithmetic is independent of who
+    /// shares its batch, so the cut moves no bit.
+    pub(crate) fn new(
+        budget: usize,
+        chains: usize,
+        nw: usize,
+        reuse: bool,
+        unshared: bool,
+    ) -> Self {
+        let mut budget = budget.clamp(1, tempopr_kernel::MAX_LANES);
+        if unshared && !reuse {
+            budget = budget.min(advisor::AUTO_LANES.max(chains));
+        }
+        let mut slots = (budget / chains).max(1).min(nw);
         if reuse {
             slots = slots.min((nw / 2).max(1));
         }
@@ -1165,6 +1194,11 @@ impl Regions {
     /// How many batches walk the part (the region length).
     pub(crate) fn batches(&self) -> usize {
         self.len
+    }
+
+    /// Window slots per batch (`plan.query_slots` on the query walk).
+    pub(crate) fn slots(&self) -> usize {
+        self.prev.len() / self.chains
     }
 
     /// Batch `j`'s part-local windows, in slot order.
@@ -1561,7 +1595,10 @@ mod tests {
         // The oracle: the formulas of the two hand-written region walks
         // `Regions` replaced, one per walk — the window walk's slot count
         // (`spmm_part`) and the query walk's (`run_queries_inner`, whose
-        // budget arrived clamped).
+        // budget arrived clamped). They hold whenever batching shares
+        // something or ranks are reused; when it shares nothing under full
+        // init the budget they split is first cut to `max(AUTO_LANES,
+        // chains)`.
         let window_slots = |lanes: usize, nw: usize| lanes.clamp(1, MAX_LANES).min(nw);
         let query_slots = |budget: usize, gnq: usize, nw: usize| (budget / gnq).max(1).min(nw);
         // Batch membership and every window's seed slot depend on the grid
@@ -1570,16 +1607,25 @@ mod tests {
         for nw in 1..=130 {
             for budget in 1..=64 {
                 for chains in 1..=64 {
-                    for reuse in [false, true] {
-                        let mut vl = query_slots(budget.clamp(1, MAX_LANES), chains, nw);
-                        if chains == 1 {
+                    for (reuse, unshared) in
+                        [(false, false), (true, false), (true, true), (false, true)]
+                    {
+                        let parents = reuse || !unshared;
+                        let split = if parents {
+                            budget
+                        } else {
+                            budget.min(advisor::AUTO_LANES.max(chains))
+                        };
+                        let mut vl = query_slots(split.clamp(1, MAX_LANES), chains, nw);
+                        if chains == 1 && parents {
                             assert_eq!(vl, window_slots(budget, nw));
                         }
                         if reuse {
                             vl = vl.min((nw / 2).max(1));
                         }
                         let region = nw.div_ceil(vl);
-                        let mut r = Regions::new(budget, chains, nw, reuse);
+                        let mut r = Regions::new(budget, chains, nw, reuse, unshared);
+                        assert_eq!(r.slots(), vl);
                         assert_eq!(r.batches(), region);
                         let last = (nw - 1) / region * chains;
                         assert_eq!(r.slot(nw - 1, chains - 1), last + chains - 1);
@@ -1604,6 +1650,13 @@ mod tests {
                 }
             }
         }
+        // `batch-query`'s shape: 16 queries on 12 disjoint windows under
+        // full init on an unthreaded kernel run 12 batches of one window;
+        // overlapping windows or a threaded kernel keep the parent's 3
+        // batches of 4, and so does any reuse.
+        assert_eq!(Regions::new(64, 16, 12, false, true).batches(), 12);
+        assert_eq!(Regions::new(64, 16, 12, false, false).batches(), 3);
+        assert_eq!(Regions::new(64, 16, 12, true, true).batches(), 3);
     }
 
     #[test]

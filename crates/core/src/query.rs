@@ -1,14 +1,17 @@
 //! Engine-level (window × query) batch runs.
 //!
-//! [`tempopr_kernel::pagerank_query_batch`] amortizes one traversal of a
-//! part's temporal CSR across up to [`MAX_LANES`] (window, query) lanes.
-//! This module is the driver above it: it walks the multi-window parts in
-//! order, remaps each personalized preference from the global vertex space
-//! into every part's local numbering, builds the query batch, and lays
-//! its lanes out over the engine's region walk — one chain per query in
-//! every window slot, which chains per-query warm starts within a part
-//! and, under [`InitMode::Warm`], carries each query's converged vector
-//! across part boundaries through the engine's one cross-part carry.
+//! [`tempopr_kernel::pagerank_query_batch_indexed`] amortizes one traversal
+//! of a part's temporal CSR across up to [`MAX_LANES`] (window, query)
+//! lanes. This module is the driver above it: it walks the multi-window
+//! parts in order, remaps each personalized preference from the global
+//! vertex space into every part's local numbering, builds the query batch,
+//! and lays its lanes out over the engine's region walk — one chain per
+//! query in every window slot, which chains per-query warm starts within a
+//! part and, under [`InitMode::Warm`], carries each query's converged
+//! vector across part boundaries through the engine's one cross-part
+//! carry. Every batch reads the part's cached window index; with
+//! `use_window_index: false` it calls the unindexed
+//! [`tempopr_kernel::pagerank_query_batch`] instead.
 //!
 //! The batched results are the single-query kernels' results: the kernel
 //! guarantees bit-identity per lane (see `crates/kernel/src/query.rs` and
@@ -16,13 +19,13 @@
 //! `tests/query_batch_edge_cases.rs`), and this driver only adds routing.
 
 use crate::config::{InitMode, KernelKind, RetainMode};
-use crate::engine::{PostmortemEngine, Regions};
+use crate::engine::PostmortemEngine;
 use crate::error::{EngineError, Phase};
 use crate::result::{rank_fingerprint, SparseRanks};
 use tempopr_graph::TimeRange;
 use tempopr_kernel::{
-    pagerank_query_batch, KernelError, PrStats, QueryBatch, QueryInit, QuerySpec, QueryWorkspace,
-    MAX_LANES,
+    pagerank_query_batch, pagerank_query_batch_indexed, BatchObs, KernelError, PrStats, QueryBatch,
+    QueryInit, QuerySpec, QueryWorkspace, MAX_LANES,
 };
 
 /// One query to evaluate on every window of the run, in the *global*
@@ -126,20 +129,28 @@ impl PostmortemEngine {
     /// Planning: the lane budget (the SpMM `lanes` setting, or
     /// [`MAX_LANES`] under other kernels) is split into `⌊budget/nq⌋`
     /// window slots × `nq` queries; query lists wider than the budget are
-    /// chunked. Window slots follow the same region scheduling as the
-    /// window-only SpMM walk, so under [`InitMode::Partial`] each query
-    /// chains its own warm starts inside a part, and under
-    /// [`InitMode::Warm`] each query's final vector is carried across part
-    /// boundaries through the vertex maps. Parts are always walked in
-    /// order ([`crate::ParallelMode`] only selects the *inner* scheduler).
+    /// chunked. Under [`InitMode::Full`] on windows that share no events
+    /// (the engine's measured overlap), with a kernel that runs unthreaded,
+    /// the budget is first cut to `max(AUTO_LANES, nq)`, so a batch holds
+    /// one window's queries instead of lanes that share no edge. Window
+    /// slots follow the same region scheduling as the window-only SpMM
+    /// walk, so under [`InitMode::Partial`] each query chains its own warm
+    /// starts inside a part, and under [`InitMode::Warm`] each query's
+    /// final vector is carried across part boundaries through the vertex
+    /// maps. Parts are always walked in order ([`crate::ParallelMode`] only
+    /// selects the *inner* scheduler). With `use_window_index` every batch
+    /// reads the part's cached window index, the one the window walk
+    /// builds.
     ///
     /// Unlike [`PostmortemEngine::run`] there is no per-window recovery
     /// ladder: a kernel error aborts the run with the failing window and
     /// part attached, and a non-converged lane is reported in its
     /// [`QueryOutput::stats`] (it simply breaks that query's warm chain).
     ///
-    /// Telemetry: `query.batched` (lanes computed), `query.retired`
-    /// (lanes compaction retired early), `query.iterations_saved`.
+    /// Telemetry: `query.batches` (kernel calls), `query.batched` (lanes
+    /// computed), `query.retired` (lanes compaction retired early),
+    /// `query.iterations_saved`, and the gauge `plan.query_slots` (window
+    /// slots of the widest batch).
     pub fn run_queries(&self, queries: &[EngineQuery]) -> Result<QueryRunOutput, EngineError> {
         if queries.is_empty() {
             return Err(EngineError::kernel(
@@ -176,7 +187,8 @@ impl PostmortemEngine {
             _ => MAX_LANES,
         };
         let inner = self.inner_scheduler();
-        let reuse = cfg.init_mode != InitMode::Full;
+        // The widest query batch's window slots (`plan.query_slots`).
+        let mut slots = 0;
         // Each query's carry across part boundaries (warm init only): the
         // part that produced it plus its final converged local ranks.
         let mut carry: Vec<Option<(usize, Vec<f64>)>> = vec![None; queries.len()];
@@ -219,7 +231,8 @@ impl PostmortemEngine {
                 let batch = QueryBatch::new(specs.collect())
                     .map_err(|e| EngineError::kernel(None, Some(p), Phase::Setup, e))?;
                 // One chain per query in every window slot.
-                let mut regions = Regions::new(budget, qs.len(), part.num_windows(), reuse);
+                let mut regions = self.regions(budget, qs.len(), part.num_windows());
+                slots = slots.max(regions.slots());
                 for (i, c) in carry[q0..q0 + qs.len()].iter().enumerate() {
                     if let Some((from, ranks)) = c {
                         if self.carry_across(*from, ranks, p, &mut carry_buf) {
@@ -230,10 +243,6 @@ impl PostmortemEngine {
                 }
                 for j in 0..regions.batches() {
                     let wslots: Vec<usize> = regions.batch(j).collect();
-                    let ranges: Vec<TimeRange> = wslots
-                        .iter()
-                        .map(|&lw| self.spec().window(w0 + lw))
-                        .collect();
                     // Lane k = w·nq + q: (window slot, query) pairs in
                     // kernel lane order.
                     let lanes: Vec<(usize, usize)> = wslots
@@ -248,16 +257,30 @@ impl PostmortemEngine {
                                 .map_or(QueryInit::Fresh, QueryInit::Warm)
                         })
                         .collect();
-                    let res = pagerank_query_batch(
-                        part.pull_tcsr(),
-                        part.tcsr(),
-                        &ranges,
-                        &batch,
-                        &inits,
-                        &cfg.pr,
-                        inner,
-                        &mut ws,
-                    )
+                    let (pull, push) = (part.pull_tcsr(), part.tcsr());
+                    let res = if cfg.use_window_index {
+                        let index = part.window_index();
+                        let views: Vec<_> = wslots.iter().map(|&lw| index.view(lw)).collect();
+                        pagerank_query_batch_indexed(
+                            pull,
+                            push,
+                            &views,
+                            &batch,
+                            &inits,
+                            &cfg.pr,
+                            inner,
+                            &mut ws,
+                            BatchObs::off(),
+                        )
+                    } else {
+                        let ranges: Vec<TimeRange> = wslots
+                            .iter()
+                            .map(|&lw| self.spec().window(w0 + lw))
+                            .collect();
+                        pagerank_query_batch(
+                            pull, push, &ranges, &batch, &inits, &cfg.pr, inner, &mut ws,
+                        )
+                    }
                     .map_err(|e| {
                         EngineError::kernel(Some(w0 + wslots[0]), Some(p), Phase::Iterate, e)
                     })?;
@@ -283,6 +306,7 @@ impl PostmortemEngine {
                             regions.break_chain(lw, i);
                         }
                     }
+                    self.telemetry().add("query.batches", 1);
                     self.telemetry().add("query.batched", lanes.len() as u64);
                     self.telemetry()
                         .add("query.retired", res.lanes_retired as u64);
@@ -298,6 +322,7 @@ impl PostmortemEngine {
                 }
             }
         }
+        self.telemetry().set_gauge("plan.query_slots", slots as f64);
         out.outputs.sort_by_key(|o| (o.window, o.query));
         Ok(out)
     }
@@ -306,6 +331,7 @@ impl PostmortemEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::advisor;
     use crate::config::{ParallelMode, PostmortemConfig};
     use tempopr_graph::{Event, EventLog, WindowSpec};
     use tempopr_kernel::{pagerank_window_personalized, PrConfig, PrWorkspace};
@@ -412,6 +438,106 @@ mod tests {
                 assert_eq!(cell.stats.iterations, ps.pr.iterations);
                 assert_eq!(cell.uniform_fallback, ps.uniform_fallback);
             }
+        }
+    }
+
+    #[test]
+    fn indexed_unindexed_and_looped_runs_are_bit_identical_under_full_init() {
+        // The part's cached index against `use_window_index: false` and
+        // against one `run_queries` call per query, on a disjoint log
+        // (batches of one region cut to `AUTO_LANES`) and an overlapping
+        // one (the full 64-lane budget), in both orderings of the kernel's
+        // reduction that are sequential.
+        let log = sample_log(25, 160);
+        let queries = sample_queries(25);
+        let nq = queries.len();
+        for (delta, sw, budget) in [(20, 40, advisor::AUTO_LANES), (100, 40, MAX_LANES)] {
+            let spec = WindowSpec::covering(&log, delta, sw).unwrap();
+            for mode in [ParallelMode::Sequential, ParallelMode::Nested] {
+                let run = |use_window_index: bool, qs: &[EngineQuery]| {
+                    let cfg = PostmortemConfig {
+                        kernel: KernelKind::SpMM { lanes: MAX_LANES },
+                        init_mode: InitMode::Full,
+                        mode,
+                        threads: 1,
+                        use_window_index,
+                        num_multiwindows: 1,
+                        pr: tight(),
+                        ..PostmortemConfig::default()
+                    };
+                    let tele = Telemetry::enabled();
+                    let engine = PostmortemEngine::with_telemetry(&log, spec, cfg, tele.clone());
+                    (engine.unwrap().run_queries(qs).unwrap(), tele.report())
+                };
+                let (indexed, report) = run(true, &queries);
+                let (plain, _) = run(false, &queries);
+                let what = format!("delta {delta} sw {sw} {mode:?}");
+                let slots = (budget / nq).min(spec.count);
+                assert_eq!(
+                    report.gauge("plan.query_slots"),
+                    Some(slots as f64),
+                    "{what}"
+                );
+                assert_eq!(
+                    report.counter("query.batches"),
+                    spec.count.div_ceil(slots) as u64,
+                    "{what}"
+                );
+                assert_eq!(indexed.outputs.len(), spec.count * nq, "{what}");
+                let same = |a: &QueryOutput, b: &QueryOutput| {
+                    assert_eq!(a.window, b.window, "{what}");
+                    assert_eq!(a.stats, b.stats, "{what} window {}", a.window);
+                    assert_eq!(a.uniform_fallback, b.uniform_fallback, "{what}");
+                    assert_eq!(a.katz_alpha.to_bits(), b.katz_alpha.to_bits(), "{what}");
+                    assert_eq!(a.fingerprint.to_bits(), b.fingerprint.to_bits(), "{what}");
+                    assert_eq!(a.ranks, b.ranks, "{what} window {}", a.window);
+                };
+                for (a, b) in indexed.outputs.iter().zip(&plain.outputs) {
+                    assert_eq!(a.query, b.query);
+                    same(a, b);
+                }
+                assert_eq!(indexed.lanes_retired, plain.lanes_retired, "{what}");
+                for (q, query) in queries.iter().enumerate() {
+                    let (looped, _) = run(true, std::slice::from_ref(query));
+                    for (w, cell) in looped.outputs.iter().enumerate() {
+                        same(indexed.get(w, q).unwrap(), cell);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_threaded_kernel_keeps_the_whole_lane_budget_on_disjoint_windows() {
+        // Wide batches amortize a threaded kernel's per-row-loop dispatch,
+        // so the disjoint log's budget is cut only where the kernel runs
+        // unthreaded.
+        let log = sample_log(25, 160);
+        let spec = WindowSpec::covering(&log, 20, 40).unwrap();
+        let queries = sample_queries(25);
+        for (mode, threads, budget) in [
+            (ParallelMode::Nested, 2, MAX_LANES),
+            (ParallelMode::ApplicationLevel, 2, MAX_LANES),
+            (ParallelMode::Sequential, 2, advisor::AUTO_LANES),
+            (ParallelMode::Nested, 1, advisor::AUTO_LANES),
+        ] {
+            let cfg = PostmortemConfig {
+                kernel: KernelKind::SpMM { lanes: MAX_LANES },
+                init_mode: InitMode::Full,
+                mode,
+                threads,
+                num_multiwindows: 1,
+                ..PostmortemConfig::default()
+            };
+            let tele = Telemetry::enabled();
+            let engine = PostmortemEngine::with_telemetry(&log, spec, cfg, tele.clone()).unwrap();
+            engine.run_queries(&queries).unwrap();
+            let slots = (budget / queries.len()).min(spec.count);
+            assert_eq!(
+                tele.report().gauge("plan.query_slots"),
+                Some(slots as f64),
+                "{mode:?} on {threads} threads"
+            );
         }
     }
 

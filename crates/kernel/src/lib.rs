@@ -59,8 +59,8 @@ pub use pagerank::{
 };
 pub use personalized::{pagerank_window_personalized, PersonalizedStats};
 pub use query::{
-    pagerank_query_batch, pagerank_query_batch_obs, QueryBatch, QueryBatchOutcome, QueryInit,
-    QuerySpec, QueryWorkspace,
+    pagerank_query_batch, pagerank_query_batch_indexed, pagerank_query_batch_obs, QueryBatch,
+    QueryBatchOutcome, QueryInit, QuerySpec, QueryWorkspace,
 };
 pub use reference::reference_pagerank;
 pub use scheduler::{

@@ -43,6 +43,15 @@
 //! columns parked, teleport and per-lane parameters repacked alongside the
 //! rank matrix), so a grid whose easy points finish in 10 iterations stops
 //! paying for them while the hard points run on.
+//!
+//! Window membership comes from a [`WindowIndex`], through one of two
+//! entries. [`pagerank_query_batch`] builds an index over its own ranges
+//! for the call and keeps the runs its lanes hold.
+//! [`pagerank_query_batch_indexed`] reads views of an index the caller
+//! already holds — the engine passes its part's cached index — and walks
+//! that index's run list in place, or copies out its held runs where a
+//! quarter of the list is runs no lane holds, as the indexed window batch
+//! does. Both give the same bits.
 
 use crate::error::KernelError;
 use crate::observe::BatchObs;
@@ -52,6 +61,7 @@ use crate::spmm::{
     batch_iterate, compress_bits, lanes_from_views, repack_columns, LaneRule, SpmmWorkspace,
     MAX_LANES,
 };
+use std::time::Instant;
 use tempopr_graph::{LiveRuns, TemporalCsr, TimeRange, VertexId, WindowIndex, WindowIndexView};
 
 /// One query to evaluate on every window of the batch.
@@ -222,7 +232,9 @@ pub struct QueryBatchOutcome {
 /// [`crate::pagerank::pagerank_window`] (same reference for symmetric
 /// builds). Results are interleaved in `ws.base.x`
 /// ([`QueryWorkspace::copy_lane_into`]). `cfg.tol` governs personalized
-/// lanes; Katz lanes use their own [`QuerySpec::Katz::tol`].
+/// lanes; Katz lanes use their own [`QuerySpec::Katz::tol`]. Window
+/// membership is decided by a [`WindowIndex`] over `ranges`, built for the
+/// call; [`pagerank_query_batch_indexed`] reads one the caller holds.
 #[allow(clippy::too_many_arguments)]
 pub fn pagerank_query_batch(
     pull: &TemporalCsr,
@@ -266,13 +278,58 @@ pub fn pagerank_query_batch_obs(
     let t_setup = obs.now();
     let index = WindowIndex::build(push, (!std::ptr::eq(pull, push)).then_some(pull), ranges);
     let views: Vec<_> = (0..ranges.len()).map(|j| index.view(j)).collect();
+    query_batch(&views, n, true, batch, inits, cfg, sched, ws, obs, t_setup)
+}
+
+/// [`pagerank_query_batch`] with every window decided by the part's
+/// [`WindowIndex`]: lane `k = w·nq + q` evaluates `batch.queries()[q]` on
+/// `views[w]`'s window, and no index is built for the call. The batch walks
+/// the index's run list in place unless runs no lane holds make up a
+/// quarter of it, when it copies out the runs it holds
+/// ([`crate::pagerank_batch_indexed`]'s rule). All views must come from one
+/// index over `pull`'s vertices ([`KernelError::ForeignIndexViews`]
+/// otherwise). Ranks, stats, `uniform_fallback`, `katz_alpha` and
+/// `lanes_retired` match [`pagerank_query_batch`] over the views' ranges bit
+/// for bit; `obs` as in [`pagerank_query_batch_obs`].
+#[allow(clippy::too_many_arguments)]
+pub fn pagerank_query_batch_indexed(
+    pull: &TemporalCsr,
+    push: &TemporalCsr,
+    views: &[WindowIndexView<'_>],
+    batch: &QueryBatch<'_>,
+    inits: &[QueryInit<'_>],
+    cfg: &PrConfig,
+    sched: Option<&Scheduler>,
+    ws: &mut QueryWorkspace,
+    obs: BatchObs<'_>,
+) -> Result<QueryBatchOutcome, KernelError> {
+    let n = check_queries(pull, push, views.len(), batch, inits.len())?;
+    let t_setup = obs.now();
+    query_batch(views, n, false, batch, inits, cfg, sched, ws, obs, t_setup)
+}
+
+/// One (window × query) batch over `views` of one index on `n` vertices,
+/// after the argument checks: the setup of [`query_lanes`] (`own` as in
+/// `spmm::lanes_from_views`), the round loop and the outcome.
+#[allow(clippy::too_many_arguments)]
+fn query_batch(
+    views: &[WindowIndexView<'_>],
+    n: usize,
+    own: bool,
+    batch: &QueryBatch<'_>,
+    inits: &[QueryInit<'_>],
+    cfg: &PrConfig,
+    sched: Option<&Scheduler>,
+    ws: &mut QueryWorkspace,
+    obs: BatchObs<'_>,
+    t_setup: Option<Instant>,
+) -> Result<QueryBatchOutcome, KernelError> {
     let QueryWorkspace { base, tele } = ws;
-    let mut rule = query_lanes(&views, n, batch, inits, cfg, base, tele)?;
+    let (mut rule, runs) = query_lanes(views, n, own, batch, inits, cfg, base, tele)?;
     let nq = batch.len();
     let lane_verts: Vec<&[VertexId]> = (0..views.len() * nq)
         .map(|k| views[k / nq].vertices)
         .collect();
-    let runs = index.live_runs();
     let stats = batch_iterate(&lane_verts, runs, &mut rule, cfg, sched, base, obs, t_setup)?;
     let it_max = stats.iter().map(|s| s.iterations).max().unwrap_or(0) as u64;
     let iterations_saved: u64 = stats.iter().map(|s| it_max - s.iterations as u64).sum();
@@ -342,19 +399,21 @@ fn check_queries(
 /// run live in a window is live in all of its queries, which is what puts
 /// query batches on the whole-stride row walk more often than window
 /// batches), and the per-lane parameters and teleport matrix that make up
-/// the batch's [`LaneRule`].
-fn query_lanes<'a>(
-    views: &[WindowIndexView<'_>],
+/// the batch's [`LaneRule`]. Returns the rule and the index's run list.
+#[allow(clippy::too_many_arguments)]
+fn query_lanes<'a, 'i>(
+    views: &[WindowIndexView<'i>],
     n: usize,
+    own: bool,
     batch: &QueryBatch<'_>,
     inits: &'a [QueryInit<'a>],
     cfg: &PrConfig,
     base: &mut SpmmWorkspace,
     tele: &'a mut Vec<f64>,
-) -> Result<AffineTeleport<'a>, KernelError> {
+) -> Result<(AffineTeleport<'a>, LiveRuns<'i>), KernelError> {
     let nq = batch.len();
     let vl = views.len() * nq;
-    let runs = lanes_from_views(views, nq, n, true, base)?;
+    let runs = lanes_from_views(views, nq, n, own, base)?;
     let max_pull_deg = if batch.queries().iter().any(|q| q.is_katz()) {
         max_pull_degrees(runs, views)
     } else {
@@ -428,7 +487,7 @@ fn query_lanes<'a>(
             }
         }
     }
-    Ok(rule)
+    Ok((rule, runs))
 }
 
 /// Each view's largest in-window pull degree — the most runs of one row
@@ -751,6 +810,140 @@ mod tests {
         );
         assert!(out.katz_alpha[0] > 0.0);
         assert_eq!(out.katz_alpha[1], 0.0);
+    }
+
+    #[test]
+    fn indexed_entry_bit_matches_the_unindexed_one() {
+        // Views of one index over eight disjoint windows against
+        // `pagerank_query_batch` over the same ranges: personalized and
+        // Katz lanes, symmetric and directed parts, and subsets of the
+        // windows on both sides of the copy rule — the whole index and all
+        // but one window walk it in place, half of it or one window copy
+        // out their held runs.
+        use crate::spmm::EMPTY_RUN_SHARE;
+        let mut seed = 11u64;
+        let mut next = |m: u64| {
+            seed = seed
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (seed >> 33) % m
+        };
+        let n = 25;
+        let events: Vec<Event> = (0..300)
+            .map(|_| Event::new(next(25) as u32, next(25) as u32, next(360) as i64))
+            .filter(|e| e.u != e.v)
+            .collect();
+        let ranges: Vec<TimeRange> = (0..8)
+            .map(|k| TimeRange::new(k * 45, k * 45 + 44))
+            .collect();
+        let (sparse, dense) = (
+            seed_pref(n, &[(3, 1.0)]),
+            seed_pref(n, &[(7, 2.0), (11, 1.0)]),
+        );
+        let batch = QueryBatch::new(vec![
+            QuerySpec::Personalized {
+                preference: &sparse,
+                alpha: 0.15,
+            },
+            QuerySpec::Personalized {
+                preference: &dense,
+                alpha: 0.3,
+            },
+            QuerySpec::Katz {
+                alpha_fraction: 0.85,
+                beta: 1.0,
+                tol: 1e-11,
+            },
+        ])
+        .unwrap();
+        let nq = batch.len();
+        let mut retired = 0;
+        for symmetric in [true, false] {
+            let out = TemporalCsr::from_events(n, &events, symmetric);
+            let transpose = (!symmetric).then(|| out.transpose());
+            let pull = transpose.as_ref().unwrap_or(&out);
+            let index = WindowIndex::build(&out, transpose.as_ref(), &ranges);
+            let total = index.live_runs().nbr.len();
+            for (windows, copies) in [
+                ((0..8).collect::<Vec<_>>(), false),
+                ((0..7).collect(), false),
+                (vec![6, 4, 2, 0], true),
+                (vec![5], true),
+            ] {
+                let what = format!("symmetric={symmetric} windows={windows:?}");
+                let views: Vec<_> = windows.iter().map(|&j| index.view(j)).collect();
+                let own: Vec<_> = windows.iter().map(|&j| ranges[j]).collect();
+                let inits = vec![QueryInit::Fresh; windows.len() * nq];
+                let mut plain = QueryWorkspace::default();
+                let expect = pagerank_query_batch(
+                    pull,
+                    &out,
+                    &own,
+                    &batch,
+                    &inits,
+                    &cfg(),
+                    None,
+                    &mut plain,
+                )
+                .unwrap();
+                let mut ixd = QueryWorkspace::default();
+                let got = pagerank_query_batch_indexed(
+                    pull,
+                    &out,
+                    &views,
+                    &batch,
+                    &inits,
+                    &cfg(),
+                    None,
+                    &mut ixd,
+                    BatchObs::off(),
+                )
+                .unwrap();
+                assert_eq!(got, expect, "{what}");
+                retired += got.lanes_retired;
+                assert_eq!(bits(&ixd.base.x), bits(&plain.base.x), "{what}: ranks");
+                let empty = total - plain.base.run_nbr.len();
+                assert_eq!(
+                    empty * EMPTY_RUN_SHARE >= total,
+                    copies,
+                    "{what}: {empty} of {total}"
+                );
+                if copies {
+                    assert_eq!(ixd.base.run_row, plain.base.run_row, "{what}");
+                    assert_eq!(ixd.base.run_nbr, plain.base.run_nbr, "{what}");
+                } else {
+                    assert!(
+                        ixd.base.run_nbr.is_empty(),
+                        "{what}: walks the index in place"
+                    );
+                    assert_eq!(ixd.base.run_mask.len(), total, "{what}");
+                }
+            }
+        }
+        assert!(retired > 0, "compaction must fire somewhere");
+        // Views must come from one index over the batch's vertices.
+        let t = TemporalCsr::from_events(n, &events, true);
+        let (a, b) = (
+            WindowIndex::build(&t, None, &ranges),
+            WindowIndex::build(&t, None, &ranges),
+        );
+        let small = TemporalCsr::from_events(5, &[Event::new(0, 1, 3)], true);
+        let other = WindowIndex::build(&small, None, &ranges);
+        let inits = vec![QueryInit::Fresh; 2 * nq];
+        for views in [[a.view(0), b.view(1)], [other.view(0), other.view(1)]] {
+            let err = pagerank_query_batch_indexed(
+                &t,
+                &t,
+                &views,
+                &batch,
+                &inits,
+                &cfg(),
+                None,
+                &mut QueryWorkspace::default(),
+                BatchObs::off(),
+            );
+            assert_eq!(err.unwrap_err(), KernelError::ForeignIndexViews);
+        }
     }
 
     #[test]
@@ -1103,12 +1296,13 @@ mod tests {
             let QueryWorkspace { base, tele } = &mut ws;
             let index = WindowIndex::build(&t, None, &ranges);
             let views: Vec<_> = (0..4).map(|j| index.view(j)).collect();
-            let rule = query_lanes(&views, n, &batch, &inits, &c, base, tele).unwrap();
+            let (rule, runs) =
+                query_lanes(&views, n, true, &batch, &inits, &c, base, tele).unwrap();
             let verts: Vec<&[VertexId]> = (0..vl).map(|k| views[k / 2].vertices).collect();
             let mut rule = Poisoned(rule);
             let stats = batch_iterate(
                 &verts,
-                index.live_runs(),
+                runs,
                 &mut rule,
                 &c,
                 None,

@@ -113,7 +113,7 @@ impl RunRows<'_> {
 /// misses about half (43–54 % on `many-small-windows` and on a δ = sw
 /// HepTh grid, where the in-place walk made `run()` 1.5× slower), and
 /// copies.
-const EMPTY_RUN_SHARE: usize = 4;
+pub(crate) const EMPTY_RUN_SHARE: usize = 4;
 
 /// Window bits to lane masks: one 256-entry table per byte of window bits
 /// that holds a window the batch uses, so a run's lane mask is one lookup

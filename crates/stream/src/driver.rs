@@ -150,17 +150,21 @@ pub fn run_streaming_durable(
     opts: &CheckpointOptions,
     tele: &Telemetry,
 ) -> Result<RunOutput, EngineError> {
-    let header = checkpoint::ManifestHeader::new(
-        checkpoint::DRIVER_STREAMING,
-        streaming_config_hash(cfg),
-        checkpoint::log_fingerprint(log),
-        &spec,
-    );
+    // The manifest's identity, hashed over the whole log only when the run
+    // writes or resumes one.
+    let header = (!opts.is_noop()).then(|| {
+        checkpoint::ManifestHeader::new(
+            checkpoint::DRIVER_STREAMING,
+            streaming_config_hash(cfg),
+            checkpoint::log_fingerprint(log),
+            &spec,
+        )
+    });
     let mut prefix: Vec<CheckpointRecord> = Vec::new();
-    if let Some(from) = &opts.resume {
+    if let (Some(from), Some(header)) = (&opts.resume, &header) {
         let scan = {
             let _t = tele.phase(RunPhase::ResumeScan);
-            checkpoint::resume_scan(from, &header)?
+            checkpoint::resume_scan(from, header)?
         };
         tele.add("checkpoint.corrupt_discarded", scan.corrupt_discarded);
         prefix = scan.records;
@@ -180,16 +184,16 @@ pub fn run_streaming_durable(
         })
         .flatten();
     let mut restored: Vec<WindowOutput> = prefix.iter().map(|r| r.to_output(cfg.retain)).collect();
-    let ckpt = match &opts.dir {
-        Some(dir) => Some(Arc::new(CheckpointSink::create(
+    let ckpt = match (&opts.dir, &header) {
+        (Some(dir), Some(header)) => Some(Arc::new(CheckpointSink::create(
             dir,
-            &header,
+            header,
             &prefix,
             opts.every,
             cfg.faults.crash_after_checkpoint,
             tele.clone(),
         )?)),
-        None => None,
+        _ => None,
     };
     let inner = || run_streaming_inner(log, spec, cfg, start, seed, ckpt.as_ref(), tele);
     let mut out = if cfg.threads > 0 {

@@ -5,7 +5,8 @@
 //! arbitrary event logs, window layouts, seed sparsities, alpha values,
 //! SIMD policies, and compaction settings (DESIGN.md §11 derives why the
 //! sequential batched lane performs the exact scalar arithmetic of its
-//! single-query kernel).
+//! single-query kernel). The indexed entry, over views of an index the
+//! caller holds, must be bit for bit the unindexed one.
 //!
 //! The engine-level driver is checked the same way: under full
 //! initialization and sequential scheduling every cell of
@@ -17,10 +18,10 @@
 use proptest::prelude::*;
 use tempopr::analytics::{katz_window, KatzConfig};
 use tempopr::core::EngineQuery;
-use tempopr::graph::{Event, EventLog, TemporalCsr, TimeRange, WindowSpec};
+use tempopr::graph::{Event, EventLog, TemporalCsr, TimeRange, WindowIndex, WindowSpec};
 use tempopr::kernel::{
-    pagerank_query_batch, pagerank_window_personalized, PrWorkspace, QueryBatch, QueryInit,
-    QuerySpec, QueryWorkspace,
+    pagerank_query_batch, pagerank_query_batch_indexed, pagerank_window_personalized, BatchObs,
+    PrWorkspace, QueryBatch, QueryInit, QuerySpec, QueryWorkspace,
 };
 use tempopr::prelude::*;
 
@@ -121,6 +122,66 @@ proptest! {
             prop_assert_eq!(res.stats[k].iterations, kz.iterations);
             prop_assert_eq!(res.katz_alpha[k], kz.alpha);
         }
+    }
+
+    /// Kernel level, indexed entry: a batch over views of one index — any
+    /// non-empty subset of its windows, in any order, on a symmetric or a
+    /// directed graph — is bit for bit the unindexed batch over the same
+    /// ranges: ranks, stats, fallback flags, Katz attenuations and retired
+    /// lanes, whether it walks the index in place or copies its runs out.
+    #[test]
+    fn indexed_batch_bit_matches_the_unindexed_batch(
+        events in arb_events(),
+        windows in 1usize..7,
+        width in 5i64..150,
+        stride in 10i64..120,
+        pick in 1u32..64,
+        reverse in any::<bool>(),
+        symmetric in any::<bool>(),
+        seed in 0..MAX_V,
+        simd in prop::sample::select(vec![
+            SimdPolicy::Auto,
+            SimdPolicy::Scalar,
+            SimdPolicy::BitWalk,
+        ]),
+        compaction in any::<bool>(),
+    ) {
+        let n = MAX_V as usize;
+        let out = TemporalCsr::from_events(n, &events, symmetric);
+        let transpose = (!symmetric).then(|| out.transpose());
+        let pull = transpose.as_ref().unwrap_or(&out);
+        let ranges: Vec<TimeRange> = (0..windows)
+            .map(|w| TimeRange::new(w as i64 * stride, w as i64 * stride + width))
+            .collect();
+        let index = WindowIndex::build(&out, transpose.as_ref(), &ranges);
+        let mut chosen: Vec<usize> = (0..windows).filter(|&w| pick & (1 << w) != 0).collect();
+        if chosen.is_empty() {
+            chosen.push(pick as usize % windows);
+        }
+        if reverse {
+            chosen.reverse();
+        }
+        let mut pref = vec![0.0f64; n];
+        pref[seed as usize] = 1.0;
+        let batch = QueryBatch::new(vec![
+            QuerySpec::Personalized { preference: &pref, alpha: 0.2 },
+            QuerySpec::Katz { alpha_fraction: 0.7, beta: 1.0, tol: 1e-11 },
+        ]).unwrap();
+        let cfg = tight_pr(simd, compaction);
+        let inits = vec![QueryInit::Fresh; chosen.len() * batch.len()];
+        let own: Vec<TimeRange> = chosen.iter().map(|&w| ranges[w]).collect();
+        let mut plain = QueryWorkspace::default();
+        let expect = pagerank_query_batch(pull, &out, &own, &batch, &inits, &cfg, None, &mut plain)
+            .unwrap();
+        let views: Vec<_> = chosen.iter().map(|&w| index.view(w)).collect();
+        let mut ixd = QueryWorkspace::default();
+        let got = pagerank_query_batch_indexed(
+            pull, &out, &views, &batch, &inits, &cfg, None, &mut ixd, BatchObs::off(),
+        ).unwrap();
+        prop_assert_eq!(got, expect);
+        let a: Vec<u64> = ixd.base.x.iter().map(|x| x.to_bits()).collect();
+        let b: Vec<u64> = plain.base.x.iter().map(|x| x.to_bits()).collect();
+        prop_assert_eq!(a, b);
     }
 
     /// Engine level: `run_queries` against a hand-rolled loop over the
