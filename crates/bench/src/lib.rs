@@ -1,15 +1,12 @@
-//! Shared setup for the criterion benches (one bench target per paper
-//! table/figure). Workloads are generated at a small scale so the whole
-//! suite runs in minutes; the CLI harness (`tempopr <figN>`) runs the same
-//! experiments at larger scales.
+//! Shared setup for the criterion benches: the microbenches and ablations
+//! no other harness measures. Each table and figure of the paper is
+//! reproduced by the CLI (`tempopr <figN>`, `tempopr all`), and end-to-end
+//! and per-layer timings come from the repo's benchmark (`BENCHMARK.json`).
+//! Workloads are generated at a small scale so the suite runs in minutes.
 
-use tempopr_core::{
-    run_offline, OfflineConfig, PostmortemConfig, PostmortemEngine, RetainMode, RunOutput,
-};
+use tempopr_core::{PostmortemConfig, PostmortemEngine, RetainMode, RunOutput};
 use tempopr_datagen::Dataset;
 use tempopr_graph::{EventLog, WindowSpec};
-use tempopr_kernel::PrConfig;
-use tempopr_stream::{run_streaming, StreamingConfig};
 
 /// Scale used by all bench workloads.
 pub const BENCH_SCALE: f64 = 0.001;
@@ -30,42 +27,8 @@ pub fn bench_workload(dataset: Dataset, windows: usize) -> (EventLog, WindowSpec
     (log, spec)
 }
 
-/// The benches' shared PageRank parameters (library defaults).
-pub fn bench_pr() -> PrConfig {
-    PrConfig::default()
-}
-
 /// Runs the postmortem engine with summary retention.
 pub fn postmortem(log: &EventLog, spec: WindowSpec, mut cfg: PostmortemConfig) -> RunOutput {
     cfg.retain = RetainMode::Summary;
-    cfg.pr = bench_pr();
     PostmortemEngine::new(log, spec, cfg).expect("engine").run()
-}
-
-/// Runs the streaming baseline with summary retention.
-pub fn streaming(log: &EventLog, spec: WindowSpec) -> RunOutput {
-    run_streaming(
-        log,
-        spec,
-        &StreamingConfig {
-            pr: bench_pr(),
-            retain: RetainMode::Summary,
-            ..Default::default()
-        },
-    )
-    .expect("streaming run")
-}
-
-/// Runs the offline baseline with summary retention.
-pub fn offline(log: &EventLog, spec: WindowSpec) -> RunOutput {
-    run_offline(
-        log,
-        spec,
-        &OfflineConfig {
-            pr: bench_pr(),
-            retain: RetainMode::Summary,
-            ..Default::default()
-        },
-    )
-    .expect("offline run")
 }

@@ -96,7 +96,7 @@ pub fn workload(dataset: Dataset, sw: i64, delta: i64, opts: &Opts) -> (EventLog
 }
 
 /// Builds a window spec with an explicit target window count (Figs. 7-10
-/// fix the count: 256, 6, 1024).
+/// fix the count: 256, 6, 1024), within [`workload`]'s capped spec.
 pub fn workload_with_count(
     dataset: Dataset,
     sw: i64,
@@ -104,10 +104,8 @@ pub fn workload_with_count(
     count: usize,
     opts: &Opts,
 ) -> (EventLog, WindowSpec) {
-    let log = dataset.spec().generate(opts.scale, opts.seed);
-    let natural =
-        WindowSpec::covering(&log, delta, sw).unwrap_or_else(|e| fail(format!("window spec: {e}")));
-    let spec = WindowSpec::new(natural.t0, delta, sw, count.min(natural.count))
+    let (log, capped) = workload(dataset, sw, delta, opts);
+    let spec = WindowSpec::new(capped.t0, delta, sw, count.min(capped.count))
         .unwrap_or_else(|e| fail(format!("window spec: {e}")));
     (log, spec)
 }
@@ -219,4 +217,22 @@ pub fn parse_dataset(s: &str) -> Option<Dataset> {
         "askubuntu" => Dataset::AskUbuntu,
         _ => return None,
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::experiments::sweep;
+
+    #[test]
+    fn max_windows_caps_a_fixed_count_sweep() {
+        let p = sweep::fig10();
+        let opts = Opts {
+            scale: 0.001,
+            max_windows: 8,
+            ..Opts::default()
+        };
+        let (_, spec) = workload_with_count(Dataset::WikiTalk, p.sw, p.delta, p.windows, &opts);
+        assert_eq!(spec.count, 8);
+    }
 }

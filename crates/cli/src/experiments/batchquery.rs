@@ -7,8 +7,7 @@
 //! re-reading it once per query. Both sides run full initialization and
 //! sequential scheduling, so every cell is bit-identical between them —
 //! the experiment checks that before it reports a single number. The
-//! committed-numbers source for the EXPERIMENTS.md batched-query table
-//! and the `batch_query_throughput` entry of BENCH_kernel.json.
+//! committed-numbers source for the EXPERIMENTS.md batched-query table.
 
 use crate::common::{fail, pr_config, time, workload, write_metrics, Opts};
 use tempopr_core::{

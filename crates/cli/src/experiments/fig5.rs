@@ -2,10 +2,12 @@
 //!
 //! Postmortem runs the paper's "bare-bone" configuration: partial
 //! initialization, 6 multi-window graphs, application-level parallelism,
-//! static scheduler — deliberately untuned.
+//! static scheduler — deliberately untuned. The `default_s` column runs
+//! the library's `PostmortemConfig::default()` on the same windows.
 
 use crate::common::{
-    secs, time_offline, time_postmortem_traced, time_streaming, workload, write_metrics, Opts,
+    secs, time_offline, time_postmortem, time_postmortem_traced, time_streaming, workload,
+    write_metrics, Opts,
 };
 use tempopr_core::PostmortemConfig;
 use tempopr_datagen::{Dataset, DAY};
@@ -32,7 +34,7 @@ pub fn run(opts: &Opts) {
         opts.scale
     );
     println!(
-        "{:<24} {:>8} {:>12} {:>8} {:>12} {:>12} {:>12} {:>10} {:>10}",
+        "{:<24} {:>8} {:>12} {:>8} {:>12} {:>12} {:>12} {:>10} {:>10} {:>10}",
         "dataset",
         "sw_days",
         "delta_days",
@@ -41,7 +43,8 @@ pub fn run(opts: &Opts) {
         "streaming_s",
         "postmortem_s",
         "pm_vs_str",
-        "pm_vs_off"
+        "pm_vs_off",
+        "default_s"
     );
     // One sink accumulates across every panel's postmortem run; enabling
     // it is opt-in via --metrics-out (observation is bit-identical but
@@ -63,8 +66,9 @@ pub fn run(opts: &Opts) {
                 opts,
                 tele.clone(),
             );
+            let (_, t_def) = time_postmortem(&log, spec, PostmortemConfig::default(), opts);
             println!(
-                "{:<24} {:>8} {:>12} {:>8} {:>12} {:>12} {:>12} {:>9.1}x {:>9.1}x",
+                "{:<24} {:>8} {:>12} {:>8} {:>12} {:>12} {:>12} {:>9.1}x {:>9.1}x {:>10}",
                 dataset.name(),
                 sw / DAY,
                 delta / DAY,
@@ -74,6 +78,7 @@ pub fn run(opts: &Opts) {
                 secs(t_pm),
                 t_str.as_secs_f64() / t_pm.as_secs_f64().max(1e-9),
                 t_off.as_secs_f64() / t_pm.as_secs_f64().max(1e-9),
+                secs(t_def),
             );
         }
     }

@@ -150,13 +150,6 @@ impl WorkloadProfile {
     }
 }
 
-/// The paper's suggested number of multi-window graphs: "large enough" that
-/// out-of-window traversal stops mattering, without wasting memory — we use
-/// one part per ~8 windows, at least 6, capped by the window count.
-pub fn suggested_multiwindows(windows: usize) -> usize {
-    (windows / 8).max(6).min(windows.max(1))
-}
-
 /// Automatic multi-window count (used when `num_multiwindows == 0`).
 ///
 /// A part spanning `w` consecutive windows makes one window's SpMV
@@ -350,15 +343,6 @@ mod tests {
         let mut p = WorkloadProfile::measure(&log, &spec, 64);
         p.threads = 64; // few windows vs many threads
         assert_eq!(suggest_for_profile(&p).mode, ParallelMode::ApplicationLevel);
-    }
-
-    #[test]
-    fn suggested_multiwindow_counts() {
-        assert_eq!(suggested_multiwindows(1), 1);
-        assert_eq!(suggested_multiwindows(6), 6);
-        assert_eq!(suggested_multiwindows(48), 6);
-        assert_eq!(suggested_multiwindows(80), 10);
-        assert_eq!(suggested_multiwindows(1024), 128);
     }
 
     fn profile(mean_overlap: f64, max_share: f64) -> WorkloadProfile {

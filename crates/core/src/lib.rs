@@ -40,9 +40,7 @@ pub mod result;
 pub mod storage;
 pub mod warmstart;
 
-pub use advisor::{
-    auto_multiwindows, suggest, suggest_for_profile, suggested_multiwindows, WorkloadProfile,
-};
+pub use advisor::{auto_multiwindows, suggest, suggest_for_profile, WorkloadProfile};
 pub use checkpoint::{
     corrupt_manifest, resume_scan, CheckpointError, CheckpointOptions, CheckpointRecord,
     CheckpointSink, CorruptionKind, ManifestHeader, ResumeState,
