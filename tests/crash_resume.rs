@@ -15,8 +15,9 @@
 //! the longest valid prefix — never panicking, never producing different
 //! ranks — or to refuse loudly when the header itself is unusable.
 
+use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
-use tempopr::core::checkpoint::{CheckpointError, MANIFEST_NAME};
+use tempopr::core::checkpoint::{crc32, CheckpointError, ManifestHeader, MANIFEST_NAME};
 use tempopr::prelude::*;
 
 fn test_log() -> EventLog {
@@ -371,5 +372,244 @@ fn wrong_driver_manifest_is_incompatible() {
         ),
         "expected Incompatible, got {err:?}"
     );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+// ---------------------------------------------------------------------------
+// The manifest bytes, pinned, and every bit flip and cut of them
+// ---------------------------------------------------------------------------
+
+const DRIVERS: [&str; 3] = ["postmortem", "offline", "streaming"];
+
+/// Length and CRC32 of each driver's manifest for [`run_small`]: a change
+/// to the record layout, the header, the flush order or the ranks shows
+/// here, in a test that reads bytes rather than round-tripping them.
+const MANIFEST_PINS: [(&str, usize, u32); 3] = [
+    ("postmortem", 711, 0x66F6_037F),
+    ("offline", 711, 0x74B1_7008),
+    ("streaming", 716, 0x83F5_6D9F),
+];
+
+/// Six vertices, 75 time steps, five windows: small enough to damage
+/// every bit of the manifest.
+fn small_log() -> EventLog {
+    let events = (0..75u32)
+        .map(|i| ((i * 5 + 1) % 6, (i * i + 3) % 6, i))
+        .filter(|(u, v, _)| u != v)
+        .map(|(u, v, t)| Event::new(u, v, t as i64))
+        .collect();
+    EventLog::from_unsorted(events, 6).unwrap()
+}
+
+/// A kernel panic fails window 1; forced non-convergence at window 3 is
+/// rescued by the recovery ladder; every other window is `Ok`.
+fn small_faults() -> FaultPlan {
+    FaultPlan {
+        faults: vec![
+            WindowFault {
+                window: 1,
+                fault: FaultKind::PanicInKernel,
+            },
+            WindowFault {
+                window: 3,
+                fault: FaultKind::ForceNonConvergence,
+            },
+        ],
+        ..FaultPlan::default()
+    }
+}
+
+/// One single-threaded durable pass of `driver` over [`small_log`].
+fn run_small(
+    driver: &str,
+    opts: &CheckpointOptions,
+    tele: &Telemetry,
+) -> Result<RunOutput, EngineError> {
+    let log = small_log();
+    let spec = WindowSpec::covering(&log, 30, 15).unwrap();
+    match driver {
+        "postmortem" => {
+            let cfg = PostmortemConfig {
+                num_multiwindows: 2,
+                mode: ParallelMode::Sequential,
+                kernel: KernelKind::SpMV,
+                init_mode: InitMode::Partial,
+                threads: 1,
+                pr: tight_pr(),
+                faults: small_faults(),
+                ..PostmortemConfig::default()
+            };
+            PostmortemEngine::with_telemetry(&log, spec, cfg, tele.clone())?.run_durable(opts)
+        }
+        "offline" => {
+            let cfg = OfflineConfig {
+                threads: 1,
+                pr: tight_pr(),
+                faults: small_faults(),
+                recovery: RecoveryPolicy::ladder(),
+                ..OfflineConfig::default()
+            };
+            run_offline_durable(&log, spec, &cfg, opts, tele)
+        }
+        "streaming" => {
+            let cfg = StreamingConfig {
+                threads: 1,
+                pr: tight_pr(),
+                faults: small_faults(),
+                recovery: RecoveryPolicy::ladder(),
+                ..StreamingConfig::default()
+            };
+            run_streaming_durable(&log, spec, &cfg, opts, tele)
+        }
+        other => panic!("unknown driver {other}"),
+    }
+}
+
+/// Writes `driver`'s small manifest into a fresh directory and returns
+/// the directory, the manifest bytes and the run that wrote them.
+fn small_manifest(driver: &str, name: &str) -> (PathBuf, Vec<u8>, RunOutput) {
+    let dir = tmp_dir(name);
+    let opts = CheckpointOptions {
+        dir: Some(dir.clone()),
+        every: 1,
+        resume: None,
+    };
+    let out = run_small(driver, &opts, &Telemetry::noop()).unwrap();
+    let statuses: Vec<&WindowStatus> = out.windows.iter().map(|w| &w.status).collect();
+    let pattern = statuses.iter().enumerate().all(|(w, s)| match w {
+        1 => matches!(s, WindowStatus::Failed { .. }),
+        3 => matches!(s, WindowStatus::Recovered { .. }),
+        _ => **s == WindowStatus::Ok,
+    });
+    assert!(pattern, "{driver}: statuses {statuses:?}");
+    let bytes = std::fs::read(dir.join(MANIFEST_NAME)).unwrap();
+    (dir, bytes, out)
+}
+
+#[test]
+fn small_manifests_are_byte_pinned() {
+    for (driver, len, crc) in MANIFEST_PINS {
+        let (dir, bytes, _) = small_manifest(driver, &format!("pin_{driver}"));
+        assert_eq!(
+            (bytes.len(), crc32(&bytes)),
+            (len, crc),
+            "{driver}: manifest bytes moved"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+/// The identity a resume of `bytes` is checked against: the undamaged
+/// header's own fields (60 bytes; `tempopr.ckpt.v1`).
+fn header_of(bytes: &[u8]) -> ManifestHeader {
+    let word = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap());
+    ManifestHeader {
+        driver: bytes[6],
+        config_hash: word(8),
+        log_fingerprint: word(16),
+        t0: word(24) as i64,
+        delta: word(32) as i64,
+        sw: word(40) as i64,
+        count: word(48),
+    }
+}
+
+/// The offset one past each record frame (`payload_len u32 | crc u32 |
+/// payload`) of an undamaged manifest.
+fn record_ends(bytes: &[u8]) -> Vec<usize> {
+    let mut ends = Vec::new();
+    let mut at = 60;
+    while at < bytes.len() {
+        let len = u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap()) as usize;
+        at += 8 + len;
+        ends.push(at);
+    }
+    assert_eq!(at, bytes.len(), "records do not tile the manifest");
+    ends
+}
+
+/// Every single-bit flip and every truncation of each driver's small
+/// manifest. Damage to the 60-byte header is refused with a typed error
+/// (`Incompatible` for the version field, which is read before the
+/// checksum; `Corrupt` everywhere else); damage to record `r` resumes
+/// from the `r` records before it, counts one discard (none when a cut
+/// falls exactly between records) and reproduces the undamaged run's
+/// bits. Every case is read by `resume_scan`, and every header case and
+/// every distinct record outcome also resumes through the driver.
+#[test]
+fn every_bit_flip_and_truncation_of_a_small_manifest_is_handled() {
+    std::thread::scope(|s| {
+        for driver in DRIVERS {
+            s.spawn(move || mutate_small_manifest(driver));
+        }
+    });
+}
+
+fn mutate_small_manifest(driver: &str) {
+    let (dir, pristine, baseline) = small_manifest(driver, &format!("mutate_{driver}"));
+    let path = dir.join(MANIFEST_NAME);
+    let expect = header_of(&pristine);
+    let ends = record_ends(&pristine);
+    let resume_only = CheckpointOptions {
+        dir: None,
+        every: 1,
+        resume: Some(dir.clone()),
+    };
+    let flips = (0..pristine.len() * 8).map(|i| {
+        let mut bytes = pristine.clone();
+        bytes[i / 8] ^= 1 << (i % 8);
+        (
+            format!("flip byte {} bit {}", i / 8, i % 8),
+            bytes,
+            Some(i / 8),
+        )
+    });
+    let cuts =
+        (0..pristine.len()).map(|len| (format!("cut at {len}"), pristine[..len].to_vec(), None));
+    // (records kept, discards) -> one damaged manifest giving it.
+    let mut outcomes: BTreeMap<(usize, u64), Vec<u8>> = BTreeMap::new();
+    for (what, bytes, flipped) in flips.chain(cuts) {
+        std::fs::write(&path, &bytes).unwrap();
+        let damaged_at = flipped.unwrap_or(bytes.len());
+        if damaged_at < 60 {
+            let version_field = flipped.is_some_and(|off| (4..6).contains(&off));
+            let err = run_small(driver, &resume_only, &Telemetry::noop()).unwrap_err();
+            let typed = match err {
+                EngineError::Checkpoint(CheckpointError::Incompatible(_)) => version_field,
+                EngineError::Checkpoint(CheckpointError::Corrupt(_)) => !version_field,
+                _ => false,
+            };
+            assert!(typed, "{driver}, {what}: refused with {err:?}");
+            continue;
+        }
+        let scan = resume_scan(&dir, &expect).unwrap();
+        let kept = ends.iter().filter(|&&e| e <= damaged_at).count();
+        let torn = flipped.is_some() || !(damaged_at == 60 || ends.contains(&damaged_at));
+        assert_eq!(
+            (scan.records.len(), scan.corrupt_discarded),
+            (kept, u64::from(torn)),
+            "{driver}, {what}: resumable prefix"
+        );
+        assert!(kept < ends.len(), "{driver}, {what}: prefix not shorter");
+        outcomes.entry((kept, u64::from(torn))).or_insert(bytes);
+    }
+    for ((kept, discarded), bytes) in outcomes {
+        std::fs::write(&path, &bytes).unwrap();
+        let tele = Telemetry::enabled();
+        let resumed = run_small(driver, &resume_only, &tele).unwrap();
+        let case = format!("{driver}, {kept} records kept");
+        assert_bit_identical(&case, &baseline, &resumed);
+        let report = tele.report();
+        assert_eq!(
+            report.counter("checkpoint.resume_skipped"),
+            kept as u64,
+            "{case}"
+        );
+        assert_eq!(
+            report.counter("checkpoint.corrupt_discarded"),
+            discarded,
+            "{case}"
+        );
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
