@@ -6,7 +6,8 @@
 //! single append-only *manifest* file so an interrupted run can be resumed
 //! with `--resume` and reproduce the uninterrupted run's fingerprints
 //! bit-for-bit (the drivers re-seed warm-start carries from the last
-//! checkpointed window).
+//! checkpointed window). All three drivers run that lifecycle through one
+//! [`DurableRun`].
 //!
 //! On-disk format (`tempopr.ckpt.v1`, all integers little-endian):
 //!
@@ -43,12 +44,12 @@
 
 use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
-use std::io::{Read, Write};
+use std::io::Write;
 use std::path::{Path, PathBuf};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
-use crate::result::{RecoveryKind, SparseRanks, WindowOutput, WindowStatus};
-use crate::RetainMode;
+use crate::result::{RecoveryKind, RunOutput, SparseRanks, WindowOutput, WindowStatus};
+use crate::{lock, RetainMode};
 use tempopr_graph::{EventLog, WindowSpec};
 use tempopr_kernel::{PrHealth, PrStats};
 use tempopr_telemetry::{Phase as RunPhase, Telemetry};
@@ -65,7 +66,8 @@ const VERSION: u16 = 1;
 const HEADER_LEN: usize = 60;
 /// Fixed (rank- and diagnostic-free) payload length; shorter frames are torn.
 const PAYLOAD_MIN: usize = 8 + 1 + 1 + 2 + 8 + 1 + 8 + 4 + 4 + 8 + 4 + 4;
-/// Cap on the persisted diagnostic string of a failed window.
+/// Cap in bytes on the persisted diagnostic string of a failed window
+/// (cut on a character boundary at or below it).
 const DIAG_CAP: usize = 4096;
 
 /// Driver id stored in the manifest header: postmortem engine.
@@ -365,7 +367,8 @@ impl CheckpointRecord {
             ),
             WindowStatus::Failed { diagnostic } => (2, 0, diagnostic.as_str()),
         };
-        let diag = &diag.as_bytes()[..diag.len().min(DIAG_CAP)];
+        // Cut on a character boundary: the stored prefix stays valid UTF-8.
+        let diag = &diag.as_bytes()[..diag.floor_char_boundary(DIAG_CAP)];
         let n = self.ranks.vertices.len();
         let mut b = Vec::with_capacity(PAYLOAD_MIN + diag.len() + n * 12);
         b.extend_from_slice(&(self.window as u64).to_le_bytes());
@@ -655,8 +658,123 @@ impl CheckpointSink {
     }
 }
 
-fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+// ---------------------------------------------------------------------------
+// The run lifecycle
+// ---------------------------------------------------------------------------
+
+/// One run's manifest lifecycle, shared by the postmortem, offline and
+/// streaming drivers: [`DurableRun::open`] resumes the manifest's valid
+/// prefix and opens the sink, the driver walks windows
+/// [`DurableRun::start`]`..count` (seeding from [`DurableRun::seed`] and
+/// persisting through [`DurableRun::sink`]), and [`DurableRun::finish`]
+/// flushes the sink and merges the restored prefix into the run output.
+pub struct DurableRun {
+    tele: Telemetry,
+    count: usize,
+    prefix: Vec<CheckpointRecord>,
+    sink: Option<Arc<CheckpointSink>>,
+}
+
+impl DurableRun {
+    /// A run that neither writes nor resumes a manifest and records no
+    /// checkpoint counter: only [`DurableRun::finish`]'s epilogue applies.
+    pub(crate) fn transient(count: usize, tele: &Telemetry) -> DurableRun {
+        DurableRun {
+            tele: tele.clone(),
+            count,
+            prefix: Vec::new(),
+            sink: None,
+        }
+    }
+
+    /// Opens the lifecycle of a run of `driver` over `spec`. The manifest
+    /// identity — `identity()` returns the config hash and the event-log
+    /// fingerprint — is computed only when `opts` writes or resumes a
+    /// manifest. A resume keeps the longest valid prefix, at most
+    /// `spec.count` records; when that prefix is non-empty, `clip` maps its
+    /// length to the length the driver can resume from (or refuses the
+    /// resume), before the sink rewrites the kept prefix into `opts.dir`.
+    pub fn open(
+        opts: &CheckpointOptions,
+        driver: u8,
+        spec: &WindowSpec,
+        identity: impl FnOnce() -> (u64, u64),
+        clip: impl FnOnce(usize) -> Result<usize, CheckpointError>,
+        crash_after: Option<usize>,
+        tele: &Telemetry,
+    ) -> Result<DurableRun, CheckpointError> {
+        let mut run = DurableRun::transient(spec.count, tele);
+        let header = (!opts.is_noop()).then(|| {
+            let (config_hash, log_fingerprint) = identity();
+            ManifestHeader::new(driver, config_hash, log_fingerprint, spec)
+        });
+        if let (Some(from), Some(header)) = (&opts.resume, &header) {
+            let scan = {
+                let _t = tele.phase(RunPhase::ResumeScan);
+                resume_scan(from, header)?
+            };
+            tele.add("checkpoint.corrupt_discarded", scan.corrupt_discarded);
+            run.prefix = scan.records;
+            run.prefix.truncate(spec.count);
+            if !run.prefix.is_empty() {
+                let keep = clip(run.prefix.len())?;
+                run.prefix.truncate(keep);
+            }
+        }
+        tele.add("checkpoint.resume_skipped", run.start() as u64);
+        if let (Some(dir), Some(header)) = (&opts.dir, &header) {
+            let sink = CheckpointSink::create(
+                dir,
+                header,
+                &run.prefix,
+                opts.every,
+                crash_after,
+                tele.clone(),
+            )?;
+            run.sink = Some(Arc::new(sink));
+        }
+        Ok(run)
+    }
+
+    /// The first window the driver computes: every earlier one is restored.
+    pub fn start(&self) -> usize {
+        self.prefix.len()
+    }
+
+    /// The window before [`DurableRun::start`] and its ranks, when the run
+    /// resumes mid-sequence after a valid window: the seed an
+    /// uninterrupted in-order walk would carry into `start`.
+    pub fn seed(&self) -> Option<(usize, &SparseRanks)> {
+        let last = self.prefix.last()?;
+        (self.start() < self.count && last.status.is_valid()).then_some((last.window, &last.ranks))
+    }
+
+    /// The sink every finalized window is persisted through, when the run
+    /// writes a manifest.
+    pub fn sink(&self) -> Option<&Arc<CheckpointSink>> {
+        self.sink.as_ref()
+    }
+
+    /// Flushes the sink's buffered tail, then completes the driver's
+    /// `windows` (`start..count`) with the restored prefix under `retain`,
+    /// in window order, and records the run's status.
+    pub fn finish(self, mut windows: Vec<WindowOutput>, retain: RetainMode) -> RunOutput {
+        if let Some(sink) = &self.sink {
+            sink.finish();
+        }
+        windows.extend(self.prefix.iter().map(|r| r.to_output(retain)));
+        windows.sort_by_key(|w| w.window);
+        let mut out = RunOutput {
+            windows,
+            degraded: false, // set by finalize_status
+        };
+        out.finalize_status();
+        out.assert_complete(self.count);
+        self.tele.add("windows.total", out.windows.len() as u64);
+        self.tele
+            .set_gauge("run.degraded", f64::from(u8::from(out.degraded)));
+        out
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -677,13 +795,7 @@ pub struct ResumeState {
 /// longest valid record prefix. Corruption inside the record region is
 /// tolerated (torn-tail rule); corruption of the header is not.
 pub fn resume_scan(dir: &Path, expect: &ManifestHeader) -> Result<ResumeState, CheckpointError> {
-    let path = if dir.is_dir() {
-        dir.join(MANIFEST_NAME)
-    } else {
-        dir.to_path_buf()
-    };
-    let mut bytes = Vec::new();
-    File::open(&path)?.read_to_end(&mut bytes)?;
+    let bytes = std::fs::read(manifest_path(dir))?;
     ManifestHeader::decode_expecting(&bytes, expect)?;
     let mut state = ResumeState::default();
     let mut at = HEADER_LEN;
@@ -717,6 +829,16 @@ pub fn resume_scan(dir: &Path, expect: &ManifestHeader) -> Result<ResumeState, C
     Ok(state)
 }
 
+/// The manifest in checkpoint directory `dir`, or `dir` itself when it
+/// names the manifest file.
+fn manifest_path(dir: &Path) -> PathBuf {
+    if dir.is_dir() {
+        dir.join(MANIFEST_NAME)
+    } else {
+        dir.to_path_buf()
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Corruption injection (tests / CI)
 // ---------------------------------------------------------------------------
@@ -742,13 +864,8 @@ pub enum CorruptionKind {
 /// Applies `kind` to the manifest in `dir`, simulating external damage
 /// (no temp-file discipline — that is the point).
 pub fn corrupt_manifest(dir: &Path, kind: CorruptionKind) -> Result<(), CheckpointError> {
-    let path = if dir.is_dir() {
-        dir.join(MANIFEST_NAME)
-    } else {
-        dir.to_path_buf()
-    };
-    let mut bytes = Vec::new();
-    File::open(&path)?.read_to_end(&mut bytes)?;
+    let path = manifest_path(dir);
+    let mut bytes = std::fs::read(&path)?;
     match kind {
         CorruptionKind::BitFlip { offset } => {
             if offset >= bytes.len() {
@@ -843,6 +960,24 @@ mod tests {
             let back = CheckpointRecord::decode(&r.encode()).unwrap();
             assert_eq!(back, r);
         }
+    }
+
+    #[test]
+    fn long_diagnostic_is_cut_to_a_valid_prefix() {
+        // 1 500 three-byte characters: byte 4096 falls inside one.
+        let long = "\u{20ac}".repeat(1500);
+        let r = rec(
+            2,
+            WindowStatus::Failed {
+                diagnostic: long.clone(),
+            },
+        );
+        let back = CheckpointRecord::decode(&r.encode()).unwrap();
+        let WindowStatus::Failed { diagnostic } = back.status else {
+            panic!("status lost: {:?}", back.status);
+        };
+        assert_eq!(diagnostic.len(), 4095);
+        assert!(long.starts_with(&diagnostic));
     }
 
     #[test]

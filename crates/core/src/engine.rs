@@ -43,14 +43,13 @@
 //! failure is silent and no failure aborts the run.
 
 use crate::advisor::{self, auto_multiwindows, WorkloadProfile};
-use crate::checkpoint::{
-    self, CheckpointError, CheckpointOptions, CheckpointRecord, CheckpointSink,
-};
+use crate::checkpoint::{self, CheckpointError, CheckpointOptions, CheckpointSink, DurableRun};
 use crate::config::{InitMode, KernelKind, ParallelMode, PostmortemConfig};
 use crate::error::EngineError;
 use crate::exec::{
     classify_converged, isolate, oracle_for, run_windows, Prefetcher, ShardedSource, WindowExecutor,
 };
+use crate::lock;
 use crate::observe::TelemetryKernelBridge;
 use crate::result::{RunOutput, WindowOutput, WindowStatus};
 use crate::storage::{PartRef, StorageBackend, TcsrStorage};
@@ -81,10 +80,10 @@ pub struct PostmortemEngine {
     /// ([`advisor::batching_shares_nothing`]), which the region walk's
     /// lane budget reads.
     unshared: bool,
-    /// Run-scoped durable sink, set only inside
-    /// [`PostmortemEngine::run_durable`]; `executor()` attaches it so
-    /// every finalized window is persisted without threading a parameter
-    /// through the kernel walks.
+    /// Run-scoped durable sink, held for the span of one run from its
+    /// [`DurableRun`]; `executor()` attaches it so every finalized window
+    /// is persisted without threading a parameter through the kernel
+    /// walks.
     ckpt: Mutex<Option<Arc<CheckpointSink>>>,
 }
 
@@ -92,7 +91,7 @@ pub struct PostmortemEngine {
 /// seeded: `seed` holds the part index and part-local ranks of the last
 /// durable window, reproducing the in-order walk state an uninterrupted
 /// run would have at `start`.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 struct RunPlan {
     start: usize,
     seed: Option<(usize, Vec<f64>)>,
@@ -259,7 +258,7 @@ impl PostmortemEngine {
     /// ranks (even through the recovery ladder) are reported as
     /// [`WindowStatus::Failed`] and the output's `degraded` flag is set.
     pub fn run(&self) -> RunOutput {
-        self.run_with_plan(RunPlan::default(), Vec::new())
+        self.run_with(DurableRun::transient(self.spec().count, &self.tele))
     }
 
     /// [`PostmortemEngine::run`] with durability: when `opts` names a
@@ -284,76 +283,37 @@ impl PostmortemEngine {
         if opts.is_noop() {
             return Ok(self.run());
         }
-        let header = checkpoint::ManifestHeader::new(
+        let durable = DurableRun::open(
+            opts,
             checkpoint::DRIVER_POSTMORTEM,
-            self.config_hash(),
-            self.log_fp,
             self.spec(),
-        );
-        let count = self.spec().count;
-        let mut prefix: Vec<CheckpointRecord> = Vec::new();
-        if let Some(from) = &opts.resume {
-            let scan = {
-                let _t = self.tele.phase(RunPhase::ResumeScan);
-                checkpoint::resume_scan(from, &header)?
-            };
-            self.tele
-                .add("checkpoint.corrupt_discarded", scan.corrupt_discarded);
-            prefix = scan.records;
-            prefix.truncate(count);
-            if !prefix.is_empty() {
-                match self.cfg.mode {
-                    ParallelMode::Sequential | ParallelMode::ApplicationLevel => {}
-                    _ => {
-                        return Err(CheckpointError::Unsupported(
-                            "postmortem resume needs an in-order mode (sequential or \
-                             application-level); part-parallel grain chains are not \
-                             reproducible from a trimmed window range"
-                                .into(),
-                        )
-                        .into())
-                    }
-                }
-                if matches!(self.cfg.kernel, KernelKind::SpMM { .. }) && prefix.len() < count {
-                    let boundary = self
-                        .store
-                        .part_windows(self.part_index_of(prefix.len()))
-                        .start;
-                    prefix.truncate(boundary);
-                }
-            }
+            || (self.config_hash(), self.log_fp),
+            |k| self.resume_point(k),
+            self.cfg.faults.crash_after_checkpoint,
+            &self.tele,
+        )?;
+        Ok(self.run_with(durable))
+    }
+
+    /// Where a resume of a `k`-window prefix restarts: `k` itself, or under
+    /// SpMM the first window of the part holding window `k`. Refused
+    /// outside the in-order modes.
+    fn resume_point(&self, k: usize) -> Result<usize, CheckpointError> {
+        if !matches!(
+            self.cfg.mode,
+            ParallelMode::Sequential | ParallelMode::ApplicationLevel
+        ) {
+            return Err(CheckpointError::Unsupported(
+                "postmortem resume needs an in-order mode (sequential or \
+                 application-level); part-parallel grain chains are not \
+                 reproducible from a trimmed window range"
+                    .into(),
+            ));
         }
-        let k = prefix.len();
-        self.tele.add("checkpoint.resume_skipped", k as u64);
-        let seed = (k > 0 && k < count)
-            .then(|| {
-                let last = &prefix[k - 1];
-                last.status.is_valid().then(|| {
-                    let p = self.part_index_of(k - 1);
-                    (p, last.ranks.to_local(self.store.vertex_map(p)))
-                })
-            })
-            .flatten();
-        let restored: Vec<WindowOutput> = prefix
-            .iter()
-            .map(|r| r.to_output(self.cfg.retain))
-            .collect();
-        if let Some(dir) = &opts.dir {
-            let sink = CheckpointSink::create(
-                dir,
-                &header,
-                &prefix,
-                opts.every,
-                self.cfg.faults.crash_after_checkpoint,
-                self.tele.clone(),
-            )?;
-            *lock(&self.ckpt) = Some(Arc::new(sink));
+        if matches!(self.cfg.kernel, KernelKind::SpMM { .. }) && k < self.spec().count {
+            return Ok(self.store.part_windows(self.part_index_of(k)).start);
         }
-        let out = self.run_with_plan(RunPlan { start: k, seed }, restored);
-        if let Some(sink) = lock(&self.ckpt).take() {
-            sink.finish();
-        }
-        Ok(out)
+        Ok(k)
     }
 
     /// The compatibility hash of this run's configuration: FNV-1a over the
@@ -375,7 +335,19 @@ impl PostmortemEngine {
         checkpoint::hash_config(&format!("{c:?}"))
     }
 
-    fn run_with_plan(&self, plan: RunPlan, mut restored: Vec<WindowOutput>) -> RunOutput {
+    /// Runs windows `durable.start()..count`, seeded from the last durable
+    /// window's ranks mapped into its part, and completes the output
+    /// through `durable`.
+    fn run_with(&self, durable: DurableRun) -> RunOutput {
+        let seed = durable.seed().map(|(w, ranks)| {
+            let p = self.part_index_of(w);
+            (p, ranks.to_local(self.store.vertex_map(p)))
+        });
+        let plan = RunPlan {
+            start: durable.start(),
+            seed,
+        };
+        *lock(&self.ckpt) = durable.sink().cloned();
         self.tele
             .set_gauge("init.mode", f64::from(self.cfg.init_mode as u8));
         let parts = Some(self.store.num_parts());
@@ -384,17 +356,12 @@ impl PostmortemEngine {
         if cap.is_some() {
             self.tele.add("storage.workers_capped", 1);
         }
-        let mut out = match &self.pool {
+        let windows = match &self.pool {
             Some(p) => p.install(|| self.run_inner(&plan, workers)),
             None => self.run_inner(&plan, workers),
         };
-        out.windows.append(&mut restored);
-        out.windows.sort_by_key(|w| w.window);
-        out.finalize_status();
-        out.assert_complete(self.spec().count);
-        self.tele.add("windows.total", out.windows.len() as u64);
-        self.tele
-            .set_gauge("run.degraded", f64::from(u8::from(out.degraded)));
+        *lock(&self.ckpt) = None;
+        let out = durable.finish(windows, self.cfg.retain);
         // Measured after the run so lazily-built window indexes count.
         self.tele
             .set_gauge("memory.multiwindow_bytes", self.store.memory_bytes() as f64);
@@ -411,15 +378,11 @@ impl PostmortemEngine {
         out
     }
 
-    fn run_inner(&self, plan: &RunPlan, workers: usize) -> RunOutput {
-        let windows = match self.cfg.kernel {
+    fn run_inner(&self, plan: &RunPlan, workers: usize) -> Vec<WindowOutput> {
+        match self.cfg.kernel {
             KernelKind::SpMM { lanes } => self.run_spmm(lanes, plan, workers),
             // SpMV: a built engine holds no `Auto`.
             _ => self.run_spmv(plan, workers),
-        };
-        RunOutput {
-            windows,
-            degraded: false, // recomputed by finalize_status
         }
     }
 
@@ -1285,12 +1248,6 @@ impl SavingsMeter {
             Seed::InPart => {}
         }
     }
-}
-
-/// Poison-tolerant lock (a panicked window is already isolated and
-/// reported; the sink slot itself is always in a consistent state).
-fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
 fn concat(mut a: Vec<WindowOutput>, mut b: Vec<WindowOutput>) -> Vec<WindowOutput> {

@@ -60,3 +60,11 @@ pub use result::{
     rank_fingerprint, RecoveryKind, RunOutput, SparseRanks, WindowOutput, WindowStatus,
 };
 pub use storage::{PartRef, StorageBackend, TcsrStorage};
+
+/// Locks `m`, recovering from poison: a panicking window is isolated and
+/// reported by the execution layer, and every mutex here (the checkpoint
+/// sink, the shard cache, the offline prefetch slot, the engine's sink
+/// slot) holds state that is consistent between operations.
+pub(crate) fn lock<T>(m: &std::sync::Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+}

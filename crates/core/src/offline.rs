@@ -15,12 +15,13 @@
 //! overlap the next window's CSR construction with the current kernel when
 //! [`OfflineConfig::pipeline`] is set.
 
-use crate::checkpoint::{self, CheckpointOptions, CheckpointRecord, CheckpointSink};
+use crate::checkpoint::{self, CheckpointOptions, CheckpointSink, DurableRun};
 use crate::config::{FaultPlan, RetainMode};
 use crate::error::EngineError;
 use crate::exec::{
     oracle_from_events, run_windows, Prefetcher, RecoveryPolicy, WindowExecutor, WindowSource,
 };
+use crate::lock;
 use crate::observe::TelemetryKernelBridge;
 use crate::result::{RunOutput, WindowOutput};
 use std::cell::Cell;
@@ -132,56 +133,22 @@ pub fn run_offline_durable(
     opts: &CheckpointOptions,
     tele: &Telemetry,
 ) -> Result<RunOutput, EngineError> {
-    // The manifest's identity, hashed over the whole log only when the run
-    // writes or resumes one.
-    let header = (!opts.is_noop()).then(|| {
-        checkpoint::ManifestHeader::new(
-            checkpoint::DRIVER_OFFLINE,
-            offline_config_hash(cfg),
-            checkpoint::log_fingerprint(log),
-            &spec,
-        )
-    });
-    let mut prefix: Vec<CheckpointRecord> = Vec::new();
-    if let (Some(from), Some(header)) = (&opts.resume, &header) {
-        let scan = {
-            let _t = tele.phase(RunPhase::ResumeScan);
-            checkpoint::resume_scan(from, header)?
-        };
-        tele.add("checkpoint.corrupt_discarded", scan.corrupt_discarded);
-        prefix = scan.records;
-        prefix.truncate(spec.count);
-    }
-    let start = prefix.len();
-    tele.add("checkpoint.resume_skipped", start as u64);
-    let mut restored: Vec<WindowOutput> = prefix.iter().map(|r| r.to_output(cfg.retain)).collect();
-    let ckpt = match (&opts.dir, &header) {
-        (Some(dir), Some(header)) => Some(Arc::new(CheckpointSink::create(
-            dir,
-            header,
-            &prefix,
-            opts.every,
-            cfg.faults.crash_after_checkpoint,
-            tele.clone(),
-        )?)),
-        _ => None,
-    };
-    let inner = || run_offline_inner(log, spec, cfg, start, ckpt.as_ref(), tele);
-    let mut out = if cfg.threads > 0 {
+    let durable = DurableRun::open(
+        opts,
+        checkpoint::DRIVER_OFFLINE,
+        &spec,
+        || (offline_config_hash(cfg), checkpoint::log_fingerprint(log)),
+        Ok,
+        cfg.faults.crash_after_checkpoint,
+        tele,
+    )?;
+    let inner = || run_offline_inner(log, spec, cfg, durable.start(), durable.sink(), tele);
+    let windows = if cfg.threads > 0 {
         thread_pool(cfg.threads)?.install(inner)
     } else {
         inner()
     };
-    if let Some(sink) = &ckpt {
-        sink.finish();
-    }
-    out.windows.append(&mut restored);
-    out.windows.sort_by_key(|w| w.window);
-    out.finalize_status();
-    out.assert_complete(spec.count);
-    tele.add("windows.total", out.windows.len() as u64);
-    tele.set_gauge("run.degraded", f64::from(u8::from(out.degraded)));
-    Ok(out)
+    Ok(durable.finish(windows, cfg.retain))
 }
 
 /// Compatibility hash of an offline configuration: FNV-1a over the config's
@@ -193,21 +160,39 @@ fn offline_config_hash(cfg: &OfflineConfig) -> u64 {
     checkpoint::hash_config(&format!("{c:?}"))
 }
 
-/// Locks the prefetch cache, recovering from poison (a panicked prefetch
-/// must not take the run down).
-fn lock(m: &Mutex<Option<(usize, Csr)>>) -> std::sync::MutexGuard<'_, Option<(usize, Csr)>> {
-    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-}
-
-/// [`WindowSource`] of the offline model: slices the event log and
-/// (re)builds one CSR per window, recycling the previous window's arrays.
-/// With a prefetch cache attached, a CSR built ahead of time by the
-/// [`OfflinePrefetcher`] is claimed instead of rebuilt.
-struct OfflineSource<'a> {
+/// One window's CSR over the whole vertex universe: the per-window
+/// construction the offline model pays for, rebuilt into `spare`'s
+/// buffers when a recycled CSR is at hand.
+#[derive(Clone, Copy)]
+struct WindowCsrs<'a> {
     log: &'a EventLog,
     spec: WindowSpec,
     symmetric: bool,
     tele: &'a Telemetry,
+}
+
+impl WindowCsrs<'_> {
+    fn build(&self, window: usize, spare: Option<Csr>) -> Csr {
+        let range = self.spec.window(window);
+        let _build = self.tele.phase(RunPhase::Build);
+        let events = self.log.slice_by_time(range.start, range.end);
+        let n = self.log.num_vertices();
+        match spare {
+            Some(mut csr) => {
+                csr.rebuild_from_events(n, events, self.symmetric);
+                csr
+            }
+            None => Csr::from_events(n, events, self.symmetric),
+        }
+    }
+}
+
+/// [`WindowSource`] of the offline model: (re)builds one CSR per window,
+/// recycling the previous window's arrays. With a prefetch cache
+/// attached, a CSR built ahead of time by the [`OfflinePrefetcher`] is
+/// claimed instead of rebuilt.
+struct OfflineSource<'a> {
+    csrs: WindowCsrs<'a>,
     cache: Option<&'a Mutex<Option<(usize, Csr)>>>,
     spare: Option<Csr>,
 }
@@ -224,20 +209,7 @@ impl WindowSource for OfflineSource<'_> {
                 }
             }
         }
-        let range = self.spec.window(window);
-        let build = self.tele.phase(RunPhase::Build);
-        let events = self.log.slice_by_time(range.start, range.end);
-        // The per-window construction the offline model pays for: a fresh
-        // CSR over the whole universe, into the recycled buffers.
-        let csr = match self.spare.take() {
-            Some(mut spare) => {
-                spare.rebuild_from_events(self.log.num_vertices(), events, self.symmetric);
-                spare
-            }
-            None => Csr::from_events(self.log.num_vertices(), events, self.symmetric),
-        };
-        drop(build);
-        csr
+        self.csrs.build(window, self.spare.take())
     }
 
     fn finalize(&mut self, _window: usize, csr: Csr) {
@@ -249,32 +221,19 @@ impl WindowSource for OfflineSource<'_> {
 /// kernel runs. Construction records only wall-clock build time (no trace
 /// events), so the overlapped run's deterministic trace is unchanged.
 struct OfflinePrefetcher<'a> {
-    log: &'a EventLog,
-    spec: WindowSpec,
-    symmetric: bool,
-    tele: &'a Telemetry,
+    csrs: WindowCsrs<'a>,
     cache: &'a Mutex<Option<(usize, Csr)>>,
 }
 
 impl Prefetcher for OfflinePrefetcher<'_> {
     fn next_after(&self, window: usize) -> Option<usize> {
         let next = window + 1;
-        (next < self.spec.count).then_some(next)
+        (next < self.csrs.spec.count).then_some(next)
     }
 
     fn prefetch(&self, window: usize) {
         let spare = lock(self.cache).take().map(|(_, csr)| csr);
-        let range = self.spec.window(window);
-        let build = self.tele.phase(RunPhase::Build);
-        let events = self.log.slice_by_time(range.start, range.end);
-        let csr = match spare {
-            Some(mut csr) => {
-                csr.rebuild_from_events(self.log.num_vertices(), events, self.symmetric);
-                csr
-            }
-            None => Csr::from_events(self.log.num_vertices(), events, self.symmetric),
-        };
-        drop(build);
+        let csr = self.csrs.build(window, spare);
         *lock(self.cache) = Some((window, csr));
     }
 }
@@ -286,18 +245,21 @@ fn run_offline_inner(
     start: usize,
     ckpt: Option<&Arc<CheckpointSink>>,
     tele: &Telemetry,
-) -> RunOutput {
-    let windows = if cfg.parallel_windows {
+) -> Vec<WindowOutput> {
+    let csrs = WindowCsrs {
+        log,
+        spec,
+        symmetric: cfg.symmetric,
+        tele,
+    };
+    if cfg.parallel_windows {
         cfg.scheduler.map_reduce_range(
             spec.count - start,
             Vec::new(),
             |r| {
                 let mut ws = PrWorkspace::default();
                 let mut source = OfflineSource {
-                    log,
-                    spec,
-                    symmetric: cfg.symmetric,
-                    tele,
+                    csrs,
                     cache: None,
                     spare: None,
                 };
@@ -317,19 +279,13 @@ fn run_offline_inner(
     } else {
         let cache = Mutex::new(None);
         let prefetcher = cfg.pipeline.then_some(OfflinePrefetcher {
-            log,
-            spec,
-            symmetric: cfg.symmetric,
-            tele,
+            csrs,
             cache: &cache,
         });
         let prefetcher = prefetcher.as_ref().map(|p| p as &dyn Prefetcher);
         let mut ws = PrWorkspace::default();
         let mut source = OfflineSource {
-            log,
-            spec,
-            symmetric: cfg.symmetric,
-            tele,
+            csrs,
             cache: cfg.pipeline.then_some(&cache),
             spare: None,
         };
@@ -352,10 +308,6 @@ fn run_offline_inner(
                 )
             },
         )
-    };
-    RunOutput {
-        windows,
-        degraded: false, // recomputed by finalize_status
     }
 }
 

@@ -42,6 +42,7 @@
 //! decline otherwise — a prefetch never pushes the occupancy past `slots`.
 
 use crate::error::EngineError;
+use crate::lock;
 use std::ops::{Deref, Range};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -557,12 +558,6 @@ fn meta_bytes(metas: &[PartMeta]) -> usize {
             m.vertex_map.len() * std::mem::size_of::<VertexId>() + std::mem::size_of::<PartMeta>()
         })
         .sum()
-}
-
-/// Poison-tolerant lock (cache state is always consistent; a panicked
-/// window is isolated and reported elsewhere).
-fn lock(m: &Mutex<Cache>) -> MutexGuard<'_, Cache> {
-    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
 #[cfg(test)]

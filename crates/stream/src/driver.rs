@@ -20,7 +20,7 @@ use crate::pagerank::{local_push_pagerank, streaming_pagerank_obs};
 use crate::store::StreamingGraph;
 use std::cell::Cell;
 use std::sync::Arc;
-use tempopr_core::checkpoint::{self, CheckpointOptions, CheckpointRecord, CheckpointSink};
+use tempopr_core::checkpoint::{self, CheckpointOptions, CheckpointSink, DurableRun};
 use tempopr_core::exec::{
     oracle_from_events, run_windows, RecoveryPolicy, WindowExecutor, WindowSource,
 };
@@ -150,67 +150,28 @@ pub fn run_streaming_durable(
     opts: &CheckpointOptions,
     tele: &Telemetry,
 ) -> Result<RunOutput, EngineError> {
-    // The manifest's identity, hashed over the whole log only when the run
-    // writes or resumes one.
-    let header = (!opts.is_noop()).then(|| {
-        checkpoint::ManifestHeader::new(
-            checkpoint::DRIVER_STREAMING,
-            streaming_config_hash(cfg),
-            checkpoint::log_fingerprint(log),
-            &spec,
-        )
-    });
-    let mut prefix: Vec<CheckpointRecord> = Vec::new();
-    if let (Some(from), Some(header)) = (&opts.resume, &header) {
-        let scan = {
-            let _t = tele.phase(RunPhase::ResumeScan);
-            checkpoint::resume_scan(from, header)?
-        };
-        tele.add("checkpoint.corrupt_discarded", scan.corrupt_discarded);
-        prefix = scan.records;
-        prefix.truncate(spec.count);
-    }
-    let start = prefix.len();
-    tele.add("checkpoint.resume_skipped", start as u64);
+    let durable = DurableRun::open(
+        opts,
+        checkpoint::DRIVER_STREAMING,
+        &spec,
+        || (streaming_config_hash(cfg), checkpoint::log_fingerprint(log)),
+        Ok,
+        cfg.faults.crash_after_checkpoint,
+        tele,
+    )?;
     // The warm-start seed: the last durable window's ranks, if it was
     // valid. An invalid tail record leaves `seed` empty and the first
     // recomputed window cold-restarts, like the uninterrupted run.
-    let seed = (start > 0)
-        .then(|| {
-            let last = &prefix[start - 1];
-            last.status
-                .is_valid()
-                .then(|| last.ranks.to_dense(log.num_vertices()))
-        })
-        .flatten();
-    let mut restored: Vec<WindowOutput> = prefix.iter().map(|r| r.to_output(cfg.retain)).collect();
-    let ckpt = match (&opts.dir, &header) {
-        (Some(dir), Some(header)) => Some(Arc::new(CheckpointSink::create(
-            dir,
-            header,
-            &prefix,
-            opts.every,
-            cfg.faults.crash_after_checkpoint,
-            tele.clone(),
-        )?)),
-        _ => None,
-    };
-    let inner = || run_streaming_inner(log, spec, cfg, start, seed, ckpt.as_ref(), tele);
-    let mut out = if cfg.threads > 0 {
+    let seed = durable
+        .seed()
+        .map(|(_, ranks)| ranks.to_dense(log.num_vertices()));
+    let inner = || run_streaming_inner(log, spec, cfg, durable.start(), seed, durable.sink(), tele);
+    let windows = if cfg.threads > 0 {
         thread_pool(cfg.threads)?.install(inner)
     } else {
         inner()
     };
-    if let Some(sink) = &ckpt {
-        sink.finish();
-    }
-    out.windows.append(&mut restored);
-    out.windows.sort_by_key(|w| w.window);
-    out.finalize_status();
-    out.assert_complete(spec.count);
-    tele.add("windows.total", out.windows.len() as u64);
-    tele.set_gauge("run.degraded", f64::from(u8::from(out.degraded)));
-    Ok(out)
+    Ok(durable.finish(windows, cfg.retain))
 }
 
 /// Compatibility hash of a streaming configuration: FNV-1a over the
@@ -284,7 +245,7 @@ fn run_streaming_inner(
     seed: Option<Vec<f64>>,
     ckpt: Option<&Arc<CheckpointSink>>,
     tele: &Telemetry,
-) -> RunOutput {
+) -> Vec<WindowOutput> {
     let n = log.num_vertices();
     let mut ws = PrWorkspace::default();
     let (mut prev, mut have_prev) = match seed {
@@ -416,10 +377,7 @@ fn run_streaming_inner(
         output
     });
     tele.set_gauge("memory.stream_bytes", source.graph.memory_bytes() as f64);
-    RunOutput {
-        windows,
-        degraded: false, // recomputed by finalize_status
-    }
+    windows
 }
 
 #[cfg(test)]
