@@ -11,8 +11,8 @@ use tempopr_core::TelemetryKernelBridge;
 use tempopr_datagen::Dataset;
 use tempopr_graph::{TemporalCsr, TimeRange, WindowIndex};
 use tempopr_kernel::{
-    pagerank_batch, pagerank_window, pagerank_window_indexed, pagerank_window_obs, GuardConfig,
-    Init, Obs, PrConfig, PrWorkspace, SimdPolicy, SpmmWorkspace,
+    pagerank_batch, pagerank_window, pagerank_window_indexed, pagerank_window_indexed_obs,
+    GuardConfig, Init, Obs, PrConfig, PrWorkspace, SimdPolicy, SpmmWorkspace,
 };
 use tempopr_telemetry::Telemetry;
 
@@ -139,17 +139,18 @@ fn bench(c: &mut Criterion) {
     });
 
     // --- telemetry_overhead: observation hooks on the SpMV hot loop ------
-    // A disabled carrier is a branch on a None reference per observation
-    // site, so `off` must track the plain entry point (<1%); `on` measures
-    // the full price of recording (timestamps, trace events, counters) —
-    // unbounded, but kept honest here. A fresh sink per invocation bounds
-    // trace memory during the measurement.
+    // On the indexed entry, the one the engine runs. A disabled carrier is
+    // a branch on a None reference per observation site, so `off` must
+    // track the plain entry point (<1%); `on` measures the full price of
+    // recording (timestamps, trace events, counters) — unbounded, but kept
+    // honest here. A fresh sink per invocation bounds trace memory during
+    // the measurement.
     g.bench_function("telemetry_overhead/baseline", |b| {
         b.iter(|| {
-            pagerank_window(
+            pagerank_window_indexed(
                 &tcsr,
                 &tcsr,
-                bench_window,
+                &index_full.view(j),
                 Init::Uniform,
                 &full_cfg,
                 None,
@@ -159,10 +160,10 @@ fn bench(c: &mut Criterion) {
     });
     g.bench_function("telemetry_overhead/off", |b| {
         b.iter(|| {
-            pagerank_window_obs(
+            pagerank_window_indexed_obs(
                 &tcsr,
                 &tcsr,
-                bench_window,
+                &index_full.view(j),
                 Init::Uniform,
                 &full_cfg,
                 None,
@@ -175,10 +176,10 @@ fn bench(c: &mut Criterion) {
         b.iter(|| {
             let tele = Telemetry::enabled();
             let bridge = TelemetryKernelBridge::new(&tele, 1);
-            pagerank_window_obs(
+            pagerank_window_indexed_obs(
                 &tcsr,
                 &tcsr,
-                bench_window,
+                &index_full.view(j),
                 Init::Uniform,
                 &full_cfg,
                 None,

@@ -21,8 +21,8 @@ pub fn run(opts: &Opts) {
     let (_, t_str) = time_streaming(&log, spec, opts);
     println!("# streaming baseline: {:.3}s", t_str.as_secs_f64());
     println!(
-        "{:<18} {:>13} {:>12} {:>8} {:>10} {:>9}",
-        "level", "multiwindows", "granularity", "index", "time_s", "speedup"
+        "{:<18} {:>13} {:>12} {:>10} {:>9}",
+        "level", "multiwindows", "granularity", "time_s", "speedup"
     );
     for mode in [
         ParallelMode::ApplicationLevel,
@@ -31,29 +31,22 @@ pub fn run(opts: &Opts) {
     ] {
         for &mw in &[6usize, 32, 256, 512, 1024] {
             for &g in GRANULARITIES.iter().step_by(3) {
-                // The window-index ablation: few wide parts make each
-                // window's unindexed degree pass traverse many foreign
-                // events, which the per-window index eliminates.
-                for use_window_index in [true, false] {
-                    let cfg = PostmortemConfig {
-                        mode,
-                        kernel: KernelKind::SpMV,
-                        scheduler: Scheduler::new(Partitioner::Auto, g),
-                        num_multiwindows: mw,
-                        use_window_index,
-                        ..Default::default()
-                    };
-                    let (_, t) = time_postmortem(&log, spec, cfg, opts);
-                    println!(
-                        "{:<18} {:>13} {:>12} {:>8} {:>10.3} {:>8.1}x",
-                        label_mode(mode),
-                        mw,
-                        g,
-                        if use_window_index { "yes" } else { "no" },
-                        t.as_secs_f64(),
-                        t_str.as_secs_f64() / t.as_secs_f64().max(1e-9)
-                    );
-                }
+                let cfg = PostmortemConfig {
+                    mode,
+                    kernel: KernelKind::SpMV,
+                    scheduler: Scheduler::new(Partitioner::Auto, g),
+                    num_multiwindows: mw,
+                    ..Default::default()
+                };
+                let (_, t) = time_postmortem(&log, spec, cfg, opts);
+                println!(
+                    "{:<18} {:>13} {:>12} {:>10.3} {:>8.1}x",
+                    label_mode(mode),
+                    mw,
+                    g,
+                    t.as_secs_f64(),
+                    t_str.as_secs_f64() / t.as_secs_f64().max(1e-9)
+                );
             }
         }
     }

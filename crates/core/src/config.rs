@@ -198,11 +198,6 @@ pub struct PostmortemConfig {
     /// [`InitMode::Auto`] (the default) resolves from the measured window
     /// overlap.
     pub init_mode: InitMode,
-    /// Serve each kernel's degree/activity setup from the per-window
-    /// [`tempopr_graph::WindowIndex`] (built lazily, once per multi-window
-    /// graph) instead of rescanning the part's temporal CSR per window.
-    /// Ranks are identical either way; disable only for ablation.
-    pub use_window_index: bool,
     /// Worker threads (0 = rayon default: all cores).
     pub threads: usize,
     /// Output retention.
@@ -216,11 +211,13 @@ pub struct PostmortemConfig {
     /// historical behavior is the full ladder; `fail_only` surfaces every
     /// failure as a `Failed` window instead (CLI `--recovery fail-only`).
     pub recovery: crate::exec::RecoveryPolicy,
-    /// Overlap the next multi-window part's window-index construction with
-    /// the current window's kernel (in-order SpMV walks only; needs
-    /// `use_window_index`). Ranks and deterministic traces are unchanged —
-    /// the prefetch only moves wall-clock setup work off the critical
-    /// path. Off by default.
+    /// Prefetch the next multi-window part — its decode or page-in under
+    /// the non-resident backends, then its window index — while the
+    /// current part computes. The in-order SpMV walk and the shard pool
+    /// (either kernel) prefetch; the in-order SpMM walk and the
+    /// part-parallel modes ignore it. Ranks and deterministic traces are
+    /// unchanged — the prefetch only moves wall-clock setup work off the
+    /// critical path. Off by default.
     pub pipeline: bool,
     /// Where the multi-window parts rest between touches
     /// ([`crate::storage::TcsrStorage`]): fully resident (default),
@@ -259,7 +256,6 @@ impl Default for PostmortemConfig {
             kernel: KernelKind::default(),
             scheduler: Scheduler::default(),
             init_mode: InitMode::default(),
-            use_window_index: true,
             threads: 0,
             retain: RetainMode::Full,
             faults: FaultPlan::default(),
@@ -300,7 +296,6 @@ mod tests {
         // Kernel and init are chosen per workload at engine construction.
         assert_eq!(c.kernel, KernelKind::Auto);
         assert_eq!(c.init_mode, InitMode::Auto);
-        assert!(c.use_window_index);
         assert!(c.symmetric);
         assert_eq!(c.scheduler.partitioner, Partitioner::Auto);
     }

@@ -58,9 +58,8 @@ use std::cell::Cell;
 use std::sync::{Arc, Mutex};
 use tempopr_graph::{plan_partition, EventLog, MultiWindowGraph, StorageError, WindowSpec};
 use tempopr_kernel::{
-    overlap, pagerank_batch_indexed_obs, pagerank_batch_obs, pagerank_window_indexed_obs,
-    pagerank_window_obs, thread_pool, worker_pool, BatchObs, Init, Obs, PrConfig, PrStats,
-    PrWorkspace, Scheduler, SpmmWorkspace,
+    overlap, pagerank_batch_indexed_obs, pagerank_window_indexed_obs, thread_pool, worker_pool,
+    BatchObs, Init, Obs, PrConfig, PrStats, PrWorkspace, Scheduler, SpmmWorkspace,
 };
 use tempopr_telemetry::{Phase as RunPhase, Telemetry};
 
@@ -323,14 +322,16 @@ impl PostmortemEngine {
     /// bit-identical to resident ones, so a checkpoint taken under one
     /// backend resumes under any other — with the *resolved* part count
     /// hashed in their place (partitioning does shape the in-order walk).
-    /// The shard-worker count is masked for the same reason: pooled parts
-    /// produce the serial walk's ranks bit for bit.
+    /// The shard-worker count and `pipeline` are masked for the same
+    /// reason: pooled parts produce the serial walk's ranks bit for bit,
+    /// and a prefetch only moves wall-clock work.
     fn config_hash(&self) -> u64 {
         let mut c = self.cfg.clone();
         c.faults.crash_after_checkpoint = None;
         c.storage = StorageBackend::Resident;
         c.memory_budget = None;
         c.storage_workers = 1;
+        c.pipeline = false;
         c.num_multiwindows = self.store.num_parts();
         checkpoint::hash_config(&format!("{c:?}"))
     }
@@ -502,13 +503,13 @@ impl PostmortemEngine {
     /// pool: the non-resident backends decode part `p` into a *free* cache
     /// slot (the prefetch slot the budget was charged for) and decline when
     /// none is available, so a prefetch never overshoots the certified
-    /// bound; then, when the run is indexed, the part's window index is
-    /// built off the critical path. A declined or failed prefetch is
-    /// dropped: the walk's own fetch of the part surfaces any error.
+    /// bound; then the part's window index is built off the critical path.
+    /// A declined or failed prefetch is dropped: the walk's own fetch of
+    /// the part surfaces any error.
     fn prefetch_part(&self, p: usize) {
         let available =
             matches!(self.store.backend(), StorageBackend::Resident) || self.store.prefetch(p);
-        if available && self.cfg.use_window_index {
+        if available {
             if let Ok(part) = self.store.part(p) {
                 let _ = part.window_index();
             }
@@ -568,12 +569,8 @@ impl PostmortemEngine {
                 } else {
                     Obs::off()
                 };
-                if self.cfg.use_window_index {
-                    let view = part.index_view(w);
-                    pagerank_window_indexed_obs(pull, push, &view, init, &prcfg, inner, ws, obs)
-                } else {
-                    pagerank_window_obs(pull, push, range, init, &prcfg, inner, ws, obs)
-                }
+                let view = part.index_view(w);
+                pagerank_window_indexed_obs(pull, push, &view, init, &prcfg, inner, ws, obs)
             };
             let oracle = || oracle_for(pull, push, range, &self.cfg.pr, MAX_ORACLE_ACTIVE);
             self.executor()
@@ -623,11 +620,11 @@ impl PostmortemEngine {
         }
     }
 
-    /// The window-index prefetcher, when the in-order walks should overlap
-    /// the next part's setup (decode-on-touch for the non-resident
+    /// The window-index prefetcher, when the in-order SpMV walk should
+    /// overlap the next part's setup (decode-on-touch for the non-resident
     /// backends, then index construction) with the current kernel.
     fn prefetcher(&self) -> Option<PartIndexPrefetcher<'_>> {
-        (self.cfg.pipeline && self.cfg.use_window_index && self.store.num_parts() > 1)
+        (self.cfg.pipeline && self.store.num_parts() > 1)
             .then_some(PartIndexPrefetcher { engine: self })
     }
 
@@ -833,10 +830,6 @@ impl PostmortemEngine {
             if clean.is_empty() {
                 continue;
             }
-            let ranges: Vec<_> = clean
-                .iter()
-                .map(|&lw| self.spec().window(w0 + lw))
-                .collect();
             // Lane → global-window map so batched observations land on the
             // right trace rows; a whole batch is always attempt 1 (lane
             // escalation reruns through `single_window`).
@@ -854,31 +847,18 @@ impl PostmortemEngine {
                     BatchObs::off()
                 };
                 isolate(|| {
-                    if self.cfg.use_window_index {
-                        let index = part.window_index();
-                        let views: Vec<_> = clean.iter().map(|&lw| index.view(lw)).collect();
-                        pagerank_batch_indexed_obs(
-                            pull,
-                            push,
-                            &views,
-                            &inits,
-                            &self.cfg.pr,
-                            inner,
-                            &mut ws,
-                            obs,
-                        )
-                    } else {
-                        pagerank_batch_obs(
-                            pull,
-                            push,
-                            &ranges,
-                            &inits,
-                            &self.cfg.pr,
-                            inner,
-                            &mut ws,
-                            obs,
-                        )
-                    }
+                    let index = part.window_index();
+                    let views: Vec<_> = clean.iter().map(|&lw| index.view(lw)).collect();
+                    pagerank_batch_indexed_obs(
+                        pull,
+                        push,
+                        &views,
+                        &inits,
+                        &self.cfg.pr,
+                        inner,
+                        &mut ws,
+                        obs,
+                    )
                 })
             };
             let nlanes = clean.len();
@@ -1261,7 +1241,7 @@ mod tests {
     use crate::config::{InitMode, KernelKind, ParallelMode, PostmortemConfig, RetainMode};
     use crate::result::SparseRanks;
     use tempopr_graph::Event;
-    use tempopr_kernel::{Partitioner, PrConfig, MAX_LANES};
+    use tempopr_kernel::{pagerank_window, Partitioner, PrConfig, MAX_LANES};
 
     fn test_log() -> EventLog {
         let mut events = Vec::new();
@@ -1417,37 +1397,61 @@ mod tests {
     }
 
     #[test]
-    fn indexed_and_unindexed_runs_are_identical() {
-        // The window index must not change a single bit of the output:
-        // fingerprints, iteration counts, and rank vectors all match across
-        // every kernel and parallel mode.
+    fn spmv_windows_bit_match_the_timestamp_scan_reference() {
+        // Every engine window reads its part's window index; the unindexed
+        // `pagerank_window`, walked over the same part's temporal CSR with
+        // the same in-part seed chain, filters by timestamp instead. Local
+        // ranks and stats must match bit for bit.
         let log = test_log();
         let spec = WindowSpec::covering(&log, 60, 25).unwrap();
-        for kernel in [KernelKind::SpMV, KernelKind::SpMM { lanes: 4 }] {
-            for mode in [
-                ParallelMode::Sequential,
-                ParallelMode::WindowLevel,
-                ParallelMode::ApplicationLevel,
-                ParallelMode::Nested,
-            ] {
-                let mk = |use_window_index| PostmortemConfig {
-                    kernel,
-                    mode,
-                    use_window_index,
-                    pr: tight_cfg(),
-                    num_multiwindows: 3,
-                    ..Default::default()
-                };
-                let indexed = PostmortemEngine::new(&log, spec, mk(true)).unwrap().run();
-                let plain = PostmortemEngine::new(&log, spec, mk(false)).unwrap().run();
-                for (x, y) in indexed.windows.iter().zip(plain.windows.iter()) {
-                    assert_eq!(x.window, y.window);
-                    assert_eq!(x.stats, y.stats, "{kernel:?} {mode:?} window {}", x.window);
+        for init_mode in [InitMode::Full, InitMode::Partial] {
+            let cfg = PostmortemConfig {
+                kernel: KernelKind::SpMV,
+                mode: ParallelMode::Sequential,
+                threads: 1,
+                init_mode,
+                pr: tight_cfg(),
+                num_multiwindows: 3,
+                ..Default::default()
+            };
+            let engine = PostmortemEngine::new(&log, spec, cfg).unwrap();
+            let out = engine.run();
+            let mut ws = PrWorkspace::default();
+            for p in 0..engine.num_parts() {
+                let part = engine.part(p).unwrap();
+                let mut prev: Option<Vec<f64>> = None;
+                for w in part.windows() {
+                    let init = match &prev {
+                        Some(x) if init_mode == InitMode::Partial => Init::Partial(x),
+                        _ => Init::Uniform,
+                    };
+                    let (pull, push) = (part.pull_tcsr(), part.tcsr());
+                    let stats = pagerank_window(
+                        pull,
+                        push,
+                        spec.window(w),
+                        init,
+                        &tight_cfg(),
+                        None,
+                        &mut ws,
+                    )
+                    .unwrap();
+                    let got = &out.windows[w];
+                    let what = format!("{init_mode:?} window {w}");
                     assert_eq!(
-                        x.fingerprint, y.fingerprint,
-                        "{kernel:?} {mode:?} window {}",
-                        x.window
+                        (&got.status, got.attempts),
+                        (&WindowStatus::Ok, 1),
+                        "{what}"
                     );
+                    assert_eq!(got.stats, stats, "{what}");
+                    let expect = SparseRanks::from_local(ws.ranks(), part.vertex_map());
+                    let ranks = got.ranks.as_ref().unwrap();
+                    assert_eq!(ranks.vertices, expect.vertices, "{what}");
+                    let bits = |r: &SparseRanks| -> Vec<u64> {
+                        r.values.iter().map(|x| x.to_bits()).collect()
+                    };
+                    assert_eq!(bits(ranks), bits(&expect), "{what}");
+                    prev = Some(ws.ranks().to_vec());
                 }
             }
         }
@@ -1696,11 +1700,10 @@ mod tests {
     }
 
     #[test]
-    fn pooled_prefetch_builds_window_indexes_only_for_indexed_runs() {
-        // A pooled, pipelined run prefetches the next part; an unindexed
-        // run must not build an index nothing reads (and the budget never
-        // charged). Cached parts are checked after the run, so this holds
-        // under every claim order.
+    fn pooled_prefetch_builds_the_next_parts_window_index() {
+        // A pooled, pipelined run prefetches the next part and builds its
+        // window index off the critical path. Cached parts are checked
+        // after the run, so this holds under every claim order.
         let log = test_log();
         let spec = WindowSpec::covering(&log, 60, 25).unwrap();
         let dir = std::env::temp_dir().join(format!("tempopr_engine_pf_{}", std::process::id()));
@@ -1708,24 +1711,21 @@ mod tests {
             StorageBackend::Compressed,
             StorageBackend::OnDisk { dir: dir.clone() },
         ] {
-            for use_window_index in [false, true] {
-                let cfg = PostmortemConfig {
-                    mode: ParallelMode::Sequential,
-                    storage: storage.clone(),
-                    storage_workers: 2,
-                    pipeline: true,
-                    use_window_index,
-                    num_multiwindows: 4,
-                    pr: tight_cfg(),
-                    ..Default::default()
-                };
-                let engine = PostmortemEngine::new(&log, spec, cfg).unwrap();
-                assert_eq!(engine.storage_worker_plan(), (2, None));
-                assert!(!engine.run().degraded);
-                let parts = engine.num_parts();
-                let indexed = (0..parts).filter(|&p| engine.store.part_ready(p)).count();
-                assert_eq!(indexed > 0, use_window_index, "{storage} indexed {indexed}");
-            }
+            let cfg = PostmortemConfig {
+                mode: ParallelMode::Sequential,
+                storage: storage.clone(),
+                storage_workers: 2,
+                pipeline: true,
+                num_multiwindows: 4,
+                pr: tight_cfg(),
+                ..Default::default()
+            };
+            let engine = PostmortemEngine::new(&log, spec, cfg).unwrap();
+            assert_eq!(engine.storage_worker_plan(), (2, None));
+            assert!(!engine.run().degraded);
+            let parts = engine.num_parts();
+            let indexed = (0..parts).filter(|&p| engine.store.part_ready(p)).count();
+            assert!(indexed > 0, "{storage} indexed {indexed}");
         }
         let _ = std::fs::remove_dir_all(&dir);
     }

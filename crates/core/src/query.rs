@@ -9,9 +9,8 @@
 //! query in every window slot, which chains per-query warm starts within a
 //! part and, under [`InitMode::Warm`], carries each query's converged
 //! vector across part boundaries through the engine's one cross-part
-//! carry. Every batch reads the part's cached window index; with
-//! `use_window_index: false` it calls the unindexed
-//! [`tempopr_kernel::pagerank_query_batch`] instead.
+//! carry. Every batch reads the part's cached window index, the one the
+//! window walk builds.
 //!
 //! The batched results are the single-query kernels' results: the kernel
 //! guarantees bit-identity per lane (see `crates/kernel/src/query.rs` and
@@ -22,10 +21,9 @@ use crate::config::{InitMode, KernelKind, RetainMode};
 use crate::engine::PostmortemEngine;
 use crate::error::{EngineError, Phase};
 use crate::result::{rank_fingerprint, SparseRanks};
-use tempopr_graph::TimeRange;
 use tempopr_kernel::{
-    pagerank_query_batch, pagerank_query_batch_indexed, BatchObs, KernelError, PrStats, QueryBatch,
-    QueryInit, QuerySpec, QueryWorkspace, MAX_LANES,
+    pagerank_query_batch_indexed, BatchObs, KernelError, PrStats, QueryBatch, QueryInit, QuerySpec,
+    QueryWorkspace, MAX_LANES,
 };
 
 /// One query to evaluate on every window of the run, in the *global*
@@ -138,9 +136,8 @@ impl PostmortemEngine {
     /// starts inside a part, and under [`InitMode::Warm`] each query's
     /// final vector is carried across part boundaries through the vertex
     /// maps. Parts are always walked in order ([`crate::ParallelMode`] only
-    /// selects the *inner* scheduler). With `use_window_index` every batch
-    /// reads the part's cached window index, the one the window walk
-    /// builds.
+    /// selects the *inner* scheduler). Every batch reads the part's cached
+    /// window index, the one the window walk builds.
     ///
     /// Unlike [`PostmortemEngine::run`] there is no per-window recovery
     /// ladder: a kernel error aborts the run with the failing window and
@@ -258,29 +255,19 @@ impl PostmortemEngine {
                         })
                         .collect();
                     let (pull, push) = (part.pull_tcsr(), part.tcsr());
-                    let res = if cfg.use_window_index {
-                        let index = part.window_index();
-                        let views: Vec<_> = wslots.iter().map(|&lw| index.view(lw)).collect();
-                        pagerank_query_batch_indexed(
-                            pull,
-                            push,
-                            &views,
-                            &batch,
-                            &inits,
-                            &cfg.pr,
-                            inner,
-                            &mut ws,
-                            BatchObs::off(),
-                        )
-                    } else {
-                        let ranges: Vec<TimeRange> = wslots
-                            .iter()
-                            .map(|&lw| self.spec().window(w0 + lw))
-                            .collect();
-                        pagerank_query_batch(
-                            pull, push, &ranges, &batch, &inits, &cfg.pr, inner, &mut ws,
-                        )
-                    }
+                    let index = part.window_index();
+                    let views: Vec<_> = wslots.iter().map(|&lw| index.view(lw)).collect();
+                    let res = pagerank_query_batch_indexed(
+                        pull,
+                        push,
+                        &views,
+                        &batch,
+                        &inits,
+                        &cfg.pr,
+                        inner,
+                        &mut ws,
+                        BatchObs::off(),
+                    )
                     .map_err(|e| {
                         EngineError::kernel(Some(w0 + wslots[0]), Some(p), Phase::Iterate, e)
                     })?;
@@ -442,25 +429,23 @@ mod tests {
     }
 
     #[test]
-    fn indexed_unindexed_and_looped_runs_are_bit_identical_under_full_init() {
-        // The part's cached index against `use_window_index: false` and
-        // against one `run_queries` call per query, on a disjoint log
-        // (batches of one region cut to `AUTO_LANES`) and an overlapping
-        // one (the full 64-lane budget), in both orderings of the kernel's
-        // reduction that are sequential.
+    fn batched_and_looped_runs_are_bit_identical_under_full_init() {
+        // One `run_queries` call against one call per query, on a disjoint
+        // log (batches of one region cut to `AUTO_LANES`) and an
+        // overlapping one (the full 64-lane budget), in both orderings of
+        // the kernel's reduction that are sequential.
         let log = sample_log(25, 160);
         let queries = sample_queries(25);
         let nq = queries.len();
         for (delta, sw, budget) in [(20, 40, advisor::AUTO_LANES), (100, 40, MAX_LANES)] {
             let spec = WindowSpec::covering(&log, delta, sw).unwrap();
             for mode in [ParallelMode::Sequential, ParallelMode::Nested] {
-                let run = |use_window_index: bool, qs: &[EngineQuery]| {
+                let run = |qs: &[EngineQuery]| {
                     let cfg = PostmortemConfig {
                         kernel: KernelKind::SpMM { lanes: MAX_LANES },
                         init_mode: InitMode::Full,
                         mode,
                         threads: 1,
-                        use_window_index,
                         num_multiwindows: 1,
                         pr: tight(),
                         ..PostmortemConfig::default()
@@ -469,8 +454,7 @@ mod tests {
                     let engine = PostmortemEngine::with_telemetry(&log, spec, cfg, tele.clone());
                     (engine.unwrap().run_queries(qs).unwrap(), tele.report())
                 };
-                let (indexed, report) = run(true, &queries);
-                let (plain, _) = run(false, &queries);
+                let (batched, report) = run(&queries);
                 let what = format!("delta {delta} sw {sw} {mode:?}");
                 let slots = (budget / nq).min(spec.count);
                 assert_eq!(
@@ -483,24 +467,17 @@ mod tests {
                     spec.count.div_ceil(slots) as u64,
                     "{what}"
                 );
-                assert_eq!(indexed.outputs.len(), spec.count * nq, "{what}");
-                let same = |a: &QueryOutput, b: &QueryOutput| {
-                    assert_eq!(a.window, b.window, "{what}");
-                    assert_eq!(a.stats, b.stats, "{what} window {}", a.window);
-                    assert_eq!(a.uniform_fallback, b.uniform_fallback, "{what}");
-                    assert_eq!(a.katz_alpha.to_bits(), b.katz_alpha.to_bits(), "{what}");
-                    assert_eq!(a.fingerprint.to_bits(), b.fingerprint.to_bits(), "{what}");
-                    assert_eq!(a.ranks, b.ranks, "{what} window {}", a.window);
-                };
-                for (a, b) in indexed.outputs.iter().zip(&plain.outputs) {
-                    assert_eq!(a.query, b.query);
-                    same(a, b);
-                }
-                assert_eq!(indexed.lanes_retired, plain.lanes_retired, "{what}");
+                assert_eq!(batched.outputs.len(), spec.count * nq, "{what}");
                 for (q, query) in queries.iter().enumerate() {
-                    let (looped, _) = run(true, std::slice::from_ref(query));
-                    for (w, cell) in looped.outputs.iter().enumerate() {
-                        same(indexed.get(w, q).unwrap(), cell);
+                    let (looped, _) = run(std::slice::from_ref(query));
+                    for (w, b) in looped.outputs.iter().enumerate() {
+                        let a = batched.get(w, q).unwrap();
+                        assert_eq!(a.window, b.window, "{what}");
+                        assert_eq!(a.stats, b.stats, "{what} window {w}");
+                        assert_eq!(a.uniform_fallback, b.uniform_fallback, "{what}");
+                        assert_eq!(a.katz_alpha.to_bits(), b.katz_alpha.to_bits(), "{what}");
+                        assert_eq!(a.fingerprint.to_bits(), b.fingerprint.to_bits(), "{what}");
+                        assert_eq!(a.ranks, b.ranks, "{what} window {w}");
                     }
                 }
             }

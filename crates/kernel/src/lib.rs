@@ -25,6 +25,15 @@
 //! - [`mod@reference`]: the slow, obvious implementation every kernel is
 //!   tested against.
 //!
+//! Every window kernel decides membership through a
+//! [`tempopr_graph::WindowIndex`], and has two entries. The `_indexed` one
+//! reads views of an index the caller holds — the engine passes its part's
+//! cached index — and takes an observation carrier in its `_obs` form (the
+//! query batch, as an argument). The plain one takes time ranges:
+//! [`pagerank_window`] filters each run by its timestamps, the batches
+//! build an index over their own ranges for the call. The plain entries
+//! are the reference the indexed ones are tested against, bit for bit.
+//!
 //! All kernels return `Result<_, `[`KernelError`]`>` and run under
 //! per-iteration numeric-health guards (see [`GuardConfig`] /
 //! [`NumericPolicy`]); deterministic faults can be injected via
@@ -54,13 +63,13 @@ pub use linear_system::solve_pagerank_exact;
 pub use observe::{BatchObs, KernelObserver, Obs};
 pub use pagerank::{
     pagerank_csr, pagerank_csr_obs, pagerank_window, pagerank_window_indexed,
-    pagerank_window_indexed_obs, pagerank_window_obs, pagerank_window_vec, GuardConfig, Init,
-    NumericPolicy, PrConfig, PrHealth, PrStats, PrWorkspace, MAX_RENORMALIZATIONS, MAX_RESTARTS,
+    pagerank_window_indexed_obs, pagerank_window_vec, GuardConfig, Init, NumericPolicy, PrConfig,
+    PrHealth, PrStats, PrWorkspace, MAX_RENORMALIZATIONS, MAX_RESTARTS,
 };
 pub use personalized::{pagerank_window_personalized, PersonalizedStats};
 pub use query::{
-    pagerank_query_batch, pagerank_query_batch_indexed, pagerank_query_batch_obs, QueryBatch,
-    QueryBatchOutcome, QueryInit, QuerySpec, QueryWorkspace,
+    pagerank_query_batch, pagerank_query_batch_indexed, QueryBatch, QueryBatchOutcome, QueryInit,
+    QuerySpec, QueryWorkspace,
 };
 pub use reference::reference_pagerank;
 pub use scheduler::{
@@ -68,6 +77,5 @@ pub use scheduler::{
 };
 pub use simd::{SimdDispatch, SimdPolicy};
 pub use spmm::{
-    pagerank_batch, pagerank_batch_indexed, pagerank_batch_indexed_obs, pagerank_batch_obs,
-    SpmmWorkspace, MAX_LANES,
+    pagerank_batch, pagerank_batch_indexed, pagerank_batch_indexed_obs, SpmmWorkspace, MAX_LANES,
 };

@@ -11,10 +11,11 @@
 //! kernel reads no timestamp at all: its filter keeps the runs of the
 //! part's [`WindowIndex`](tempopr_graph::WindowIndex) run list that carry
 //! the window's bit, the part's membership having been decided once for
-//! every window it serves. The kernel
-//! supports three initializations: uniform, a caller-provided vector, and
-//! the paper's *partial initialization* (Eq. 4) from the previous window's
-//! ranks.
+//! every window it serves. The engine runs the indexed kernel;
+//! [`pagerank_window`], which reads timestamps, is the reference it is
+//! tested against. The kernel supports three initializations: uniform, a
+//! caller-provided vector, and the paper's *partial initialization* (Eq. 4)
+//! from the previous window's ranks.
 //!
 //! ## Shared semantics
 //! All PageRank implementations in this workspace agree on:
@@ -282,7 +283,9 @@ fn pull_sum(in_nbrs: &[VertexId], x: &[f64], inv_deg: &[f64]) -> f64 {
 /// application-level parallelism); otherwise everything is sequential (the
 /// inner kernel of window-level parallelism).
 ///
-/// The result lands in `ws.x` (see [`PrWorkspace::ranks`]).
+/// The result lands in `ws.x` (see [`PrWorkspace::ranks`]). This entry
+/// decides the window by timestamp and is the reference the indexed entry
+/// ([`pagerank_window_indexed`], which the engine runs) is tested against.
 pub fn pagerank_window(
     pull: &TemporalCsr,
     push: &TemporalCsr,
@@ -292,23 +295,6 @@ pub fn pagerank_window(
     sched: Option<&Scheduler>,
     ws: &mut PrWorkspace,
 ) -> Result<PrStats, KernelError> {
-    pagerank_window_obs(pull, push, range, init, cfg, sched, ws, Obs::off())
-}
-
-/// [`pagerank_window`] with an observation carrier (see
-/// [`crate::observe`]). Observation is read-only: ranks are bit-identical
-/// with any sink attached.
-#[allow(clippy::too_many_arguments)]
-pub fn pagerank_window_obs(
-    pull: &TemporalCsr,
-    push: &TemporalCsr,
-    range: TimeRange,
-    init: Init<'_>,
-    cfg: &PrConfig,
-    sched: Option<&Scheduler>,
-    ws: &mut PrWorkspace,
-    obs: Obs<'_>,
-) -> Result<PrStats, KernelError> {
     let n = pull.num_vertices();
     if push.num_vertices() != n {
         return Err(KernelError::MismatchedUniverses {
@@ -317,7 +303,6 @@ pub fn pagerank_window_obs(
         });
     }
     ws.ensure(n);
-    let t_setup = obs.now();
     let has_dangling = degree_pass(
         !std::ptr::eq(pull, push),
         |v| push.active_degree(v, range),
@@ -333,8 +318,8 @@ pub fn pagerank_window_obs(
         cfg,
         sched,
         ws,
-        obs,
-        t_setup,
+        Obs::off(),
+        None,
     )
 }
 

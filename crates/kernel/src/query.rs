@@ -44,14 +44,15 @@
 //! rank matrix), so a grid whose easy points finish in 10 iterations stops
 //! paying for them while the hard points run on.
 //!
-//! Window membership comes from a [`WindowIndex`], through one of two
-//! entries. [`pagerank_query_batch`] builds an index over its own ranges
-//! for the call and keeps the runs its lanes hold.
-//! [`pagerank_query_batch_indexed`] reads views of an index the caller
-//! already holds — the engine passes its part's cached index — and walks
-//! that index's run list in place, or copies out its held runs where a
-//! quarter of the list is runs no lane holds, as the indexed window batch
-//! does. Both give the same bits.
+//! Window membership comes from a [`WindowIndex`].
+//! [`pagerank_query_batch_indexed`], the entry the engine runs, reads views
+//! of an index the caller already holds — the part's cached one — and
+//! walks that index's run list in place, or copies out its held runs where
+//! a quarter of the list is runs no lane holds, as the indexed window batch
+//! does. [`pagerank_query_batch`] takes time ranges instead, builds an
+//! index over them for the call and keeps the runs its lanes hold: the
+//! reference the indexed entry is tested against, and the entry for
+//! callers that hold no index. Both give the same bits.
 
 use crate::error::KernelError;
 use crate::observe::BatchObs;
@@ -234,7 +235,8 @@ pub struct QueryBatchOutcome {
 /// ([`QueryWorkspace::copy_lane_into`]). `cfg.tol` governs personalized
 /// lanes; Katz lanes use their own [`QuerySpec::Katz::tol`]. Window
 /// membership is decided by a [`WindowIndex`] over `ranges`, built for the
-/// call; [`pagerank_query_batch_indexed`] reads one the caller holds.
+/// call; [`pagerank_query_batch_indexed`], which the engine runs, reads one
+/// the caller holds.
 #[allow(clippy::too_many_arguments)]
 pub fn pagerank_query_batch(
     pull: &TemporalCsr,
@@ -246,39 +248,11 @@ pub fn pagerank_query_batch(
     sched: Option<&Scheduler>,
     ws: &mut QueryWorkspace,
 ) -> Result<QueryBatchOutcome, KernelError> {
-    pagerank_query_batch_obs(
-        pull,
-        push,
-        ranges,
-        batch,
-        inits,
-        cfg,
-        sched,
-        ws,
-        BatchObs::off(),
-    )
-}
-
-/// [`pagerank_query_batch`] with an observation carrier (see
-/// [`crate::observe`]). Observation is read-only; ranks are bit-identical
-/// with any sink attached.
-#[allow(clippy::too_many_arguments)]
-pub fn pagerank_query_batch_obs(
-    pull: &TemporalCsr,
-    push: &TemporalCsr,
-    ranges: &[TimeRange],
-    batch: &QueryBatch<'_>,
-    inits: &[QueryInit<'_>],
-    cfg: &PrConfig,
-    sched: Option<&Scheduler>,
-    ws: &mut QueryWorkspace,
-    obs: BatchObs<'_>,
-) -> Result<QueryBatchOutcome, KernelError> {
     let n = check_queries(pull, push, ranges.len(), batch, inits.len())?;
-    let t_setup = obs.now();
     let index = WindowIndex::build(push, (!std::ptr::eq(pull, push)).then_some(pull), ranges);
     let views: Vec<_> = (0..ranges.len()).map(|j| index.view(j)).collect();
-    query_batch(&views, n, true, batch, inits, cfg, sched, ws, obs, t_setup)
+    let off = BatchObs::off();
+    query_batch(&views, n, true, batch, inits, cfg, sched, ws, off, None)
 }
 
 /// [`pagerank_query_batch`] with every window decided by the part's
@@ -290,7 +264,8 @@ pub fn pagerank_query_batch_obs(
 /// index over `pull`'s vertices ([`KernelError::ForeignIndexViews`]
 /// otherwise). Ranks, stats, `uniform_fallback`, `katz_alpha` and
 /// `lanes_retired` match [`pagerank_query_batch`] over the views' ranges bit
-/// for bit; `obs` as in [`pagerank_query_batch_obs`].
+/// for bit. Observation through `obs` (see [`crate::observe`]) is
+/// read-only: ranks are bit-identical with any sink attached.
 #[allow(clippy::too_many_arguments)]
 pub fn pagerank_query_batch_indexed(
     pull: &TemporalCsr,

@@ -7,11 +7,11 @@
 //! splitter: a parallel call hands its tasks, in order, to at most one
 //! freshly scoped thread per pool thread as contiguous blocks, runs them
 //! inline when the pool has one thread or there is one task, and folds the
-//! per-task results left to right from the identity (`with_max_len` is
-//! ignored). So a [`Partitioner`] decides exactly one thing here: where the
-//! task boundaries fall — which fixes how much per-task setup a loop pays
-//! and how its floating-point reduction is grouped. There are two kinds of
-//! loop, and the partitioners mean different things on each.
+//! per-task results left to right from the identity. So a [`Partitioner`]
+//! decides exactly one thing here: where the task boundaries fall — which
+//! fixes how much per-task setup a loop pays and how its floating-point
+//! reduction is grouped. There are two kinds of loop, and the partitioners
+//! mean different things on each.
 //!
 //! **Window- and part-level loops** ([`Scheduler::for_each_range`],
 //! [`Scheduler::map_reduce_range`], [`Scheduler::for_each_range_seq`], all
@@ -215,22 +215,7 @@ impl Scheduler {
         if n == 0 {
             return;
         }
-        let chunks = self.chunks(n);
-        match self.partitioner {
-            // A splitting pool may merge neighboring chunks into one task
-            // (the shim runs them as given).
-            Partitioner::Auto => {
-                chunks.into_par_iter().for_each(&f);
-            }
-            // Eager: force one task per chunk.
-            Partitioner::Simple => {
-                chunks.into_par_iter().with_max_len(1).for_each(&f);
-            }
-            // Static: chunks are already one-per-thread; forbid merging.
-            Partitioner::Static => {
-                chunks.into_par_iter().with_max_len(1).for_each(&f);
-            }
-        }
+        self.chunks(n).into_par_iter().for_each(&f);
     }
 
     /// Parallel map-reduce over index chunks: `map` produces a partial
@@ -244,15 +229,10 @@ impl Scheduler {
         if n == 0 {
             return identity;
         }
-        let chunks = self.chunks(n);
-        let iter = chunks.into_par_iter();
-        match self.partitioner {
-            Partitioner::Auto => iter.map(&map).reduce(|| identity.clone(), &reduce),
-            Partitioner::Simple | Partitioner::Static => iter
-                .with_max_len(1)
-                .map(&map)
-                .reduce(|| identity.clone(), &reduce),
-        }
+        self.chunks(n)
+            .into_par_iter()
+            .map(&map)
+            .reduce(|| identity.clone(), &reduce)
     }
 
     /// Parallel pass over disjoint mutable chunks of `data` (cut by
@@ -348,16 +328,10 @@ impl Scheduler {
             row = c.end;
         }
         assert_eq!(row, rows, "chunks must cover every row");
-        let iter = parts.into_par_iter();
-        match self.partitioner {
-            Partitioner::Auto => iter
-                .map(|(r, s)| map(r, s))
-                .reduce(|| identity.clone(), &reduce),
-            Partitioner::Simple | Partitioner::Static => iter
-                .with_max_len(1)
-                .map(|(r, s)| map(r, s))
-                .reduce(|| identity.clone(), &reduce),
-        }
+        parts
+            .into_par_iter()
+            .map(|(r, s)| map(r, s))
+            .reduce(|| identity.clone(), &reduce)
     }
 
     /// Sequential fallback with identical chunking, used by the

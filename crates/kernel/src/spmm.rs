@@ -17,10 +17,10 @@
 //! are not ([`VECTOR_ROW_RULE`]). No batch reads a timestamp: a
 //! [`WindowIndex`] decided every run's windows once, and the batch turns
 //! each view's window bit into its lane through one 256-entry table per
-//! mask byte (`LaneTable`). An indexed batch walks its part's index in
-//! place while most runs of the index are ones it holds, and copies out
-//! the runs it holds otherwise; the unindexed entries build an index over
-//! their own windows and keep its runs.
+//! mask byte (`LaneTable`). An indexed batch, the one the engine runs,
+//! walks its part's index in place while most runs of the index are ones
+//! it holds, and copies out the runs it holds otherwise; the unindexed
+//! entries build an index over their own windows and keep its runs.
 //!
 //! There is one round loop, `batch_iterate`, for every lane batch in the
 //! crate. What a lane *is* — a window under the uniform teleport here, a
@@ -175,7 +175,9 @@ impl LaneTable {
 /// every lane has converged (or at `cfg.max_iters`). Results are
 /// interleaved in `ws.x` (use [`SpmmWorkspace::copy_lane_into`]). Window
 /// membership is decided by a [`WindowIndex`] over `ranges`, built for the
-/// call; the runs it keeps stay in `ws.run_row` / `ws.run_nbr`.
+/// call; the runs it keeps stay in `ws.run_row` / `ws.run_nbr`. It is the
+/// reference that [`pagerank_batch_indexed`], the entry the engine runs, is
+/// tested against.
 pub fn pagerank_batch(
     pull: &TemporalCsr,
     push: &TemporalCsr,
@@ -185,28 +187,11 @@ pub fn pagerank_batch(
     sched: Option<&Scheduler>,
     ws: &mut SpmmWorkspace,
 ) -> Result<Vec<PrStats>, KernelError> {
-    pagerank_batch_obs(pull, push, ranges, inits, cfg, sched, ws, BatchObs::off())
-}
-
-/// [`pagerank_batch`] with an observation carrier (see [`crate::observe`]).
-/// Observation is read-only: ranks are bit-identical with any sink
-/// attached.
-#[allow(clippy::too_many_arguments)]
-pub fn pagerank_batch_obs(
-    pull: &TemporalCsr,
-    push: &TemporalCsr,
-    ranges: &[TimeRange],
-    inits: &[Init<'_>],
-    cfg: &PrConfig,
-    sched: Option<&Scheduler>,
-    ws: &mut SpmmWorkspace,
-    obs: BatchObs<'_>,
-) -> Result<Vec<PrStats>, KernelError> {
     let n = check_lanes(pull, push, ranges.len(), inits.len())?;
-    let t_setup = obs.now();
     let index = WindowIndex::build(push, (!std::ptr::eq(pull, push)).then_some(pull), ranges);
     let views: Vec<_> = (0..ranges.len()).map(|j| index.view(j)).collect();
-    window_batch(&views, inits, n, true, cfg, sched, ws, obs, t_setup)
+    let off = BatchObs::off();
+    window_batch(&views, inits, n, true, cfg, sched, ws, off, None)
 }
 
 /// [`pagerank_batch`] with every window decided by the part's
@@ -2013,10 +1998,12 @@ mod tests {
         let inits = vec![Init::Uniform; 3];
         let rec = Rounds::default();
         let mut ws = SpmmWorkspace::default();
-        pagerank_batch_obs(
+        let index = WindowIndex::build(&t, None, &ranges);
+        let views: Vec<_> = (0..ranges.len()).map(|j| index.view(j)).collect();
+        pagerank_batch_indexed_obs(
             &t,
             &t,
-            &ranges,
+            &views,
             &inits,
             &cfg(),
             None,
@@ -2073,10 +2060,12 @@ mod tests {
         let inits = vec![Init::Uniform; 16];
         let rec = Rec::default();
         let mut ws = SpmmWorkspace::default();
-        pagerank_batch_obs(
+        let index = WindowIndex::build(&t, None, &ranges);
+        let views: Vec<_> = (0..ranges.len()).map(|j| index.view(j)).collect();
+        pagerank_batch_indexed_obs(
             &t,
             &t,
-            &ranges,
+            &views,
             &inits,
             &cfg(),
             None,

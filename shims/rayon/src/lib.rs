@@ -6,17 +6,16 @@
 //! on them:
 //!
 //! - [`prelude::IntoParallelIterator`] on `Vec<T>` and `Range<usize>`,
-//!   with `with_max_len`, `for_each`, `map`, `reduce`, and `collect`
-//!   (order-preserving);
+//!   with `for_each`, `map`, `reduce`, and `collect` (order-preserving);
 //! - [`ThreadPool`] / [`ThreadPoolBuilder`] where `install` scopes the
 //!   thread count seen by [`current_num_threads`] (and by parallel calls
 //!   issued inside the closure) to the pool's size;
 //! - panics in worker closures propagate to the caller.
 //!
 //! Scheduling is static (contiguous chunks, one per worker) rather than
-//! work-stealing; `with_max_len` is accepted and ignored. Every consumer in
-//! this workspace pre-chunks work through `tempopr_kernel::Scheduler`, so
-//! the difference only affects load balancing, never results.
+//! work-stealing. Every consumer in this workspace pre-chunks work through
+//! `tempopr_kernel::Scheduler`, so the difference only affects load
+//! balancing, never results.
 
 #![forbid(unsafe_code)]
 
@@ -198,11 +197,6 @@ pub mod iter {
     }
 
     impl<T: Send> ParIter<T> {
-        /// Accepted for API compatibility; chunking here is always static.
-        pub fn with_max_len(self, _max: usize) -> Self {
-            self
-        }
-
         /// Consumes every item in parallel.
         pub fn for_each<F: Fn(T) + Sync>(self, f: F) {
             run_parallel(self.items, f);
@@ -224,11 +218,6 @@ pub mod iter {
     }
 
     impl<T: Send, R: Send, F: Fn(T) -> R + Sync> MapParIter<T, F> {
-        /// Accepted for API compatibility; chunking here is always static.
-        pub fn with_max_len(self, _max: usize) -> Self {
-            self
-        }
-
         /// Maps in parallel and folds the results with `op` from `identity`.
         pub fn reduce<ID, OP>(self, identity: ID, op: OP) -> R
         where

@@ -390,6 +390,17 @@ const MANIFEST_PINS: [(&str, usize, u32); 3] = [
     ("streaming", 716, 0x83F5_6D9F),
 ];
 
+/// The header CRC (bytes 56..60) of each driver's small manifest. The
+/// whole-file CRC above cannot see the header: a CRC run over a message
+/// followed by that message's own CRC always ends in the same state, so
+/// every byte before 60 cancels out of it. This pin covers the driver id,
+/// config hash, log fingerprint and window spec.
+const HEADER_CRC_PINS: [(&str, u32); 3] = [
+    ("postmortem", 0xD165_5057),
+    ("offline", 0x965C_2D85),
+    ("streaming", 0x21FF_1D45),
+];
+
 /// Six vertices, 75 time steps, five windows: small enough to damage
 /// every bit of the manifest.
 fn small_log() -> EventLog {
@@ -495,6 +506,8 @@ fn small_manifests_are_byte_pinned() {
             (len, crc),
             "{driver}: manifest bytes moved"
         );
+        let header_crc = HEADER_CRC_PINS.iter().find(|p| p.0 == driver).unwrap().1;
+        assert_eq!(crc32(&bytes[..56]), header_crc, "{driver}: header moved");
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -225,8 +225,9 @@ fn query_batch_lanes_run_both_row_walks_and_agree() {
     // stay on the bit walk until compaction has narrowed the stride. Both
     // lane rules' lanes must land on the mask walk's bits either way.
     use tempopr::core::TelemetryKernelBridge;
+    use tempopr::graph::WindowIndex;
     use tempopr::kernel::{
-        pagerank_query_batch_obs, BatchObs, QueryBatch, QueryInit, QuerySpec, QueryWorkspace,
+        pagerank_query_batch_indexed, BatchObs, QueryBatch, QueryInit, QuerySpec, QueryWorkspace,
     };
     let log = one_event_per_tick_log();
     let n = log.num_vertices();
@@ -263,10 +264,14 @@ fn query_batch_lanes_run_both_row_walks_and_agree() {
         let tele = Telemetry::enabled();
         let bridge = TelemetryKernelBridge::new(&tele, 1);
         let mut ws = QueryWorkspace::default();
+        let index = WindowIndex::build(&t, None, ranges);
+        let views: Vec<_> = (0..ranges.len()).map(|j| index.view(j)).collect();
         let out = pool
             .install(|| {
                 let obs = BatchObs::new(&bridge, &[]);
-                pagerank_query_batch_obs(&t, &t, ranges, &batch, &inits, &cfg, sched, &mut ws, obs)
+                pagerank_query_batch_indexed(
+                    &t, &t, &views, &batch, &inits, &cfg, sched, &mut ws, obs,
+                )
             })
             .unwrap();
         assert!(out.stats.iter().all(|s| s.converged));

@@ -137,7 +137,8 @@ proptest! {
 /// nine (write × resume) backend pairs reproduce the uninterrupted
 /// resident run bit for bit. The compatibility hash deliberately masks
 /// the storage choice (same partition, same ranks), so a spill file is
-/// never a resume barrier.
+/// never a resume barrier; and it masks `pipeline`, so every resume flips
+/// the write's prefetch setting.
 #[test]
 fn checkpoint_resume_is_backend_agnostic() {
     let log = dense_log();
@@ -147,7 +148,7 @@ fn checkpoint_resume_is_backend_agnostic() {
         "workload too small: {} windows",
         spec.count
     );
-    let cfg_for = |backend: StorageBackend| PostmortemConfig {
+    let cfg_for = |backend: StorageBackend, pipeline: bool| PostmortemConfig {
         num_multiwindows: 3,
         mode: ParallelMode::ApplicationLevel,
         kernel: KernelKind::SpMV,
@@ -155,14 +156,17 @@ fn checkpoint_resume_is_backend_agnostic() {
         init_mode: InitMode::Partial,
         pr: tight_pr(),
         storage: backend,
+        pipeline,
         ..PostmortemConfig::default()
     };
-    let baseline = PostmortemEngine::new(&log, spec, cfg_for(StorageBackend::Resident))
+    let baseline = PostmortemEngine::new(&log, spec, cfg_for(StorageBackend::Resident, false))
         .unwrap()
         .run_durable(&CheckpointOptions::default())
         .unwrap();
-    for (wname, wbackend, wdir) in backends("ck_write") {
-        for (rname, rbackend, rdir) in backends("ck_resume") {
+    for (i, (wname, wbackend, wdir)) in backends("ck_write").into_iter().enumerate() {
+        for (j, (rname, rbackend, rdir)) in backends("ck_resume").into_iter().enumerate() {
+            // Both directions: half the pairs write pipelined.
+            let pipelined = (i + j) % 2 == 0;
             let ckdir = scratch_dir("ck_manifest");
             std::fs::create_dir_all(&ckdir).unwrap();
             let write_opts = CheckpointOptions {
@@ -170,7 +174,7 @@ fn checkpoint_resume_is_backend_agnostic() {
                 every: 1,
                 resume: None,
             };
-            PostmortemEngine::new(&log, spec, cfg_for(wbackend.clone()))
+            PostmortemEngine::new(&log, spec, cfg_for(wbackend.clone(), pipelined))
                 .unwrap()
                 .run_durable(&write_opts)
                 .unwrap();
@@ -183,7 +187,7 @@ fn checkpoint_resume_is_backend_agnostic() {
                 every: 1,
                 resume: Some(ckdir.clone()),
             };
-            let resumed = PostmortemEngine::new(&log, spec, cfg_for(rbackend.clone()))
+            let resumed = PostmortemEngine::new(&log, spec, cfg_for(rbackend.clone(), !pipelined))
                 .unwrap()
                 .run_durable(&resume_opts)
                 .unwrap();
