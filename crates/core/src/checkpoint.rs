@@ -284,28 +284,57 @@ impl ManifestHeader {
 /// chain, so any semantic config change (tolerance, kernel, init mode,
 /// fault plan, ...) changes the hash and blocks an incompatible resume.
 pub fn hash_config(debug_rendering: &str) -> u64 {
-    fnv1a(0xcbf2_9ce4_8422_2325, debug_rendering.as_bytes())
+    fnv1a(FNV_OFFSET, debug_rendering.as_bytes())
 }
 
-/// FNV-1a fingerprint of an event log: vertex-universe size plus every
-/// `(u, v, t)` in order. O(|E|), computed once per durable run.
+/// FNV-1a fingerprint of an event log: the vertex-universe size (8 bytes)
+/// plus every `(u, v, t)` in order (4 + 4 + 8 bytes), little-endian. O(|E|),
+/// computed by every [`PostmortemEngine::new`](crate::engine::PostmortemEngine::new)
+/// and by the offline and streaming drivers when they write or resume a
+/// manifest. It is evaluated a field at a time (`fnv1a_word`), and its
+/// value is the byte-serial FNV-1a's over the same bytes.
 pub fn log_fingerprint(log: &EventLog) -> u64 {
-    let mut h = fnv1a(
-        0xcbf2_9ce4_8422_2325,
-        &(log.num_vertices() as u64).to_le_bytes(),
-    );
+    let mut h = fnv1a_word(FNV_OFFSET, log.num_vertices() as u64, 8);
     for e in log.events() {
-        h = fnv1a(h, &e.u.to_le_bytes());
-        h = fnv1a(h, &e.v.to_le_bytes());
-        h = fnv1a(h, &e.t.to_le_bytes());
+        h = fnv1a_word(h, u64::from(e.u), 4);
+        h = fnv1a_word(h, u64::from(e.v), 4);
+        h = fnv1a_word(h, e.t as u64, 8);
     }
     h
+}
+
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
+/// `FNV_PRIME^k` (mod 2^64) for `k` in `0..=8`.
+const FNV_PRIME_POW: [u64; 9] = {
+    let mut pow = [1u64; 9];
+    let mut k = 1;
+    while k < 9 {
+        pow[k] = pow[k - 1].wrapping_mul(FNV_PRIME);
+        k += 1;
+    }
+    pow
+};
+
+/// [`fnv1a`] over the `width` little-endian bytes of `x` (whose bytes from
+/// `width` on are zero): the bytes up to its highest non-zero one are
+/// hashed one at a time, and the zero bytes above it fold into one multiply,
+/// since FNV-1a's step on a zero byte is `(h ^ 0)·P = h·P`.
+#[inline(always)]
+fn fnv1a_word(mut h: u64, mut x: u64, width: usize) -> u64 {
+    let significant = (64 - x.leading_zeros() as usize).div_ceil(8);
+    for _ in 0..significant {
+        h = (h ^ (x & 0xff)).wrapping_mul(FNV_PRIME);
+        x >>= 8;
+    }
+    h.wrapping_mul(FNV_PRIME_POW[width - significant])
 }
 
 fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        h = h.wrapping_mul(FNV_PRIME);
     }
     h
 }
@@ -1123,6 +1152,97 @@ mod tests {
             WindowStatus::Recovered { .. }
         ));
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The byte-serial FNV-1a over the log's little-endian bytes: what
+    /// [`log_fingerprint`]'s value is defined as.
+    fn log_fingerprint_bytewise(log: &EventLog) -> u64 {
+        let mut h = fnv1a(FNV_OFFSET, &(log.num_vertices() as u64).to_le_bytes());
+        for e in log.events() {
+            h = fnv1a(h, &e.u.to_le_bytes());
+            h = fnv1a(h, &e.v.to_le_bytes());
+            h = fnv1a(h, &e.t.to_le_bytes());
+        }
+        h
+    }
+
+    /// Bytes up to the highest non-zero one.
+    fn significant_bytes(x: u64) -> u32 {
+        (64 - x.leading_zeros()).div_ceil(8)
+    }
+
+    /// The distinct significant-byte counts of `xs`, ascending.
+    fn byte_counts(xs: impl Iterator<Item = u64>) -> Vec<u32> {
+        let mut counts: Vec<u32> = xs.map(significant_bytes).collect();
+        counts.sort_unstable();
+        counts.dedup();
+        counts
+    }
+
+    #[test]
+    fn log_fingerprint_equals_the_bytewise_fnv1a() {
+        use tempopr_graph::Event;
+        // Every significant-byte count a field can take: 0..=4 for ids,
+        // 0..=8 for times, and both signs of the time axis.
+        let ids = [
+            0,
+            1,
+            255,
+            256,
+            65_535,
+            65_536,
+            (1 << 24) - 1,
+            1 << 24,
+            u32::MAX,
+        ];
+        let times = [
+            0,
+            1,
+            -1,
+            255,
+            256,
+            1 << 16,
+            1 << 24,
+            1 << 31,
+            1 << 32,
+            1 << 40,
+            1 << 48,
+            1 << 56,
+            -(1 << 31),
+            -(1 << 40),
+            i64::MIN,
+            i64::MAX,
+        ];
+        assert_eq!(
+            byte_counts(ids.iter().map(|&u| u64::from(u))),
+            [0, 1, 2, 3, 4]
+        );
+        assert_eq!(
+            byte_counts(times.iter().map(|&t| t as u64)),
+            [0, 1, 2, 3, 4, 5, 6, 7, 8]
+        );
+        let mut events = Vec::new();
+        for (i, &t) in times.iter().enumerate() {
+            for (j, &u) in ids.iter().enumerate() {
+                events.push(Event::new(u, ids[(i + j) % ids.len()], t));
+            }
+        }
+        // A universe of 2^32 takes 5 bytes; one of 200 takes 1.
+        let wide = EventLog::from_unsorted(events, u32::MAX as usize + 1).unwrap();
+        let narrow = EventLog::from_unsorted(
+            times
+                .iter()
+                .map(|&t| Event::new(199, (t as u64 % 200) as u32, t))
+                .collect(),
+            200,
+        )
+        .unwrap();
+        assert_eq!(significant_bytes(wide.num_vertices() as u64), 5);
+        assert_eq!(significant_bytes(narrow.num_vertices() as u64), 1);
+        for log in [&wide, &narrow] {
+            assert_eq!(log_fingerprint(log), log_fingerprint_bytewise(log));
+        }
+        assert_ne!(log_fingerprint(&wide), log_fingerprint(&narrow));
     }
 
     #[test]

@@ -89,6 +89,15 @@ impl WindowSpec {
                 "window count must be at least 1".into(),
             ));
         }
+        // The last window's end, `t0 + (count - 1)·sw + δ`, bounds every
+        // start and end `window(i)` computes.
+        let last_end = i128::from(t0) + (count as i128 - 1) * i128::from(sw) + i128::from(delta);
+        if last_end > i128::from(Timestamp::MAX) {
+            return Err(GraphError::InvalidWindowSpec(format!(
+                "the last of {count} windows (t0 {t0}, sw {sw}, delta {delta}) ends past \
+                 the largest timestamp"
+            )));
+        }
         Ok(WindowSpec {
             t0,
             delta,
@@ -122,11 +131,19 @@ impl WindowSpec {
         if delta <= 0 || sw <= 0 {
             return Self::new(t0, delta, sw, 1);
         }
-        let m = ((t_last - t0) / sw) as usize;
-        Self::new(t0, delta, sw, m + 1)
+        let Some(span) = t_last.checked_sub(t0) else {
+            return Err(GraphError::InvalidWindowSpec(format!(
+                "the log's time span {t0}..={t_last} exceeds the largest timestamp"
+            )));
+        };
+        Self::new(t0, delta, sw, (span / sw) as usize + 1)
     }
 
     /// The `i`-th window `[T0 + i*sw, T0 + i*sw + δ]`.
+    ///
+    /// Exact for every spec [`Self::new`] accepts, even where `i*sw` alone
+    /// leaves the time axis; fields set by hand past the axis saturate at
+    /// its ends.
     ///
     /// # Panics
     /// Panics if `i >= count`.
@@ -137,8 +154,9 @@ impl WindowSpec {
             "window index {i} out of range {}",
             self.count
         );
-        let start = self.t0 + (i as Timestamp) * self.sw;
-        TimeRange::new(start, start + self.delta)
+        let start = i128::from(self.t0) + i as i128 * i128::from(self.sw);
+        let on_axis = |t: i128| t.clamp(Timestamp::MIN.into(), Timestamp::MAX.into()) as Timestamp;
+        TimeRange::new(on_axis(start), on_axis(start + i128::from(self.delta)))
     }
 
     /// Iterates over all windows in order.
@@ -232,6 +250,66 @@ mod tests {
         assert_eq!(spec.window(3), TimeRange::new(250, 330));
         // Last window start (250) <= last event (260); a 5th would start at
         // 300 > 260.
+    }
+
+    #[test]
+    fn covering_refuses_a_span_past_the_time_axis() {
+        let log = EventLog::from_sorted(
+            vec![
+                Event::new(0, 1, Timestamp::MIN),
+                Event::new(1, 2, Timestamp::MAX),
+            ],
+            3,
+        )
+        .unwrap();
+        assert!(matches!(
+            WindowSpec::covering(&log, 10, 5),
+            Err(GraphError::InvalidWindowSpec(_))
+        ));
+        // The widest span that fits still covers.
+        let log = EventLog::from_sorted(
+            vec![Event::new(0, 1, -1), Event::new(1, 2, Timestamp::MAX - 1)],
+            3,
+        )
+        .unwrap();
+        let spec = WindowSpec::covering(&log, 1, Timestamp::MAX).unwrap();
+        assert_eq!(spec.count, 2);
+        assert_eq!(
+            spec.window(1),
+            TimeRange::new(Timestamp::MAX - 1, Timestamp::MAX)
+        );
+    }
+
+    #[test]
+    fn new_refuses_a_last_window_past_the_time_axis() {
+        let max = Timestamp::MAX;
+        for (t0, delta, sw, count) in [
+            (max - 10, 11, 1, 1),
+            (0, 2, max / 2, 3),
+            (0, 1, 1, usize::MAX),
+            (Timestamp::MIN, max, max, 3),
+            (Timestamp::MIN, 2, max, 3),
+        ] {
+            assert!(
+                matches!(
+                    WindowSpec::new(t0, delta, sw, count),
+                    Err(GraphError::InvalidWindowSpec(_))
+                ),
+                "{t0} {delta} {sw} {count}"
+            );
+        }
+        // The last window may end at the largest timestamp, and every
+        // window of such a spec is computed, even where `i·sw` alone leaves
+        // the axis.
+        for (t0, delta, sw, count) in [
+            (max - 10, 10, 1, 1),
+            (Timestamp::MIN + 1, max, max, 2),
+            (Timestamp::MIN, 1, max, 3),
+        ] {
+            let spec = WindowSpec::new(t0, delta, sw, count).unwrap();
+            assert_eq!(spec.window(count - 1).end, max);
+            assert_eq!(spec.span().end, max);
+        }
     }
 
     #[test]
