@@ -9,7 +9,9 @@
 //! checkpointed window). All three drivers run that lifecycle through one
 //! [`DurableRun`].
 //!
-//! On-disk format (`tempopr.ckpt.v1`, all integers little-endian):
+//! On-disk format (`tempopr.ckpt.v1`, all integers little-endian; the
+//! sealed header, the record frame and their reader are
+//! [`tempopr_graph::framing`]'s):
 //!
 //! ```text
 //! manifest.ckpt = header | record*
@@ -33,10 +35,11 @@
 //! order (SpMM region interleaving, offline parallel windows), so the
 //! manifest always holds a *contiguous prefix* of windows `0..k`.
 //!
-//! Torn-tail rule: a reader accepts the longest prefix of records that
-//! frame, checksum, decode, and number contiguously; the first short,
-//! corrupt, or out-of-sequence record ends the scan and everything after it
-//! is discarded (`checkpoint.corrupt_discarded`). Header problems are never
+//! Torn-tail rule ([`framing::Reader::record`] frames and checksums): a
+//! reader accepts the longest prefix of records that frame, checksum,
+//! decode, and number contiguously; the first short, corrupt, or
+//! out-of-sequence record ends the scan and everything after it is
+//! discarded (`checkpoint.corrupt_discarded`). Header problems are never
 //! silently repaired: a bad magic or checksum is [`CheckpointError::Corrupt`],
 //! a version or compatibility-hash mismatch is
 //! [`CheckpointError::Incompatible`] — a resume either provably matches the
@@ -50,6 +53,7 @@ use std::sync::{Arc, Mutex};
 
 use crate::result::{RecoveryKind, RunOutput, SparseRanks, WindowOutput, WindowStatus};
 use crate::{lock, RetainMode};
+use tempopr_graph::framing::{self, FrameError, HeaderError, Reader};
 use tempopr_graph::{EventLog, WindowSpec};
 use tempopr_kernel::{PrHealth, PrStats};
 use tempopr_telemetry::{Phase as RunPhase, Telemetry};
@@ -79,7 +83,7 @@ pub const DRIVER_STREAMING: u8 = 3;
 
 /// CRC32 (IEEE 802.3 polynomial): the one the TCSR storage format uses,
 /// so `tempopr.ckpt.v1` and `tempopr.tcsr.v1` files share a checksum.
-pub use tempopr_graph::storage::crc32;
+pub use tempopr_graph::framing::crc32;
 
 // ---------------------------------------------------------------------------
 // Errors
@@ -127,9 +131,10 @@ impl From<std::io::Error> for CheckpointError {
     }
 }
 
-impl From<String> for CheckpointError {
-    fn from(short_read: String) -> Self {
-        CheckpointError::Corrupt(short_read)
+/// A header or record field cut short: corruption.
+impl From<FrameError> for CheckpointError {
+    fn from(e: FrameError) -> Self {
+        CheckpointError::Corrupt(e.to_string())
     }
 }
 
@@ -209,8 +214,6 @@ impl ManifestHeader {
 
     fn encode(&self) -> Vec<u8> {
         let mut b = Vec::with_capacity(HEADER_LEN);
-        b.extend_from_slice(&MAGIC);
-        b.extend_from_slice(&VERSION.to_le_bytes());
         b.push(self.driver);
         b.push(0); // flags, reserved
         b.extend_from_slice(&self.config_hash.to_le_bytes());
@@ -219,37 +222,23 @@ impl ManifestHeader {
         b.extend_from_slice(&self.delta.to_le_bytes());
         b.extend_from_slice(&self.sw.to_le_bytes());
         b.extend_from_slice(&self.count.to_le_bytes());
-        let crc = crc32(&b);
-        b.extend_from_slice(&crc.to_le_bytes());
-        b
+        framing::sealed_header(MAGIC, VERSION, &b)
     }
 
     /// Parses and validates a header against the resuming run's expected
-    /// identity. Field order of checks: structural corruption first
-    /// (magic, truncation), then version, then checksum, then identity.
+    /// identity. Order of checks: truncation, then the sealed-header rule's
+    /// magic, version and checksum ([`framing::open_header`]), then identity.
     fn decode_expecting(bytes: &[u8], expect: &ManifestHeader) -> Result<(), CheckpointError> {
-        if bytes.len() < HEADER_LEN {
-            return Err(CheckpointError::Corrupt(format!(
-                "header truncated: {} of {HEADER_LEN} bytes",
-                bytes.len()
-            )));
-        }
-        let mut c = Cursor::new(&bytes[..HEADER_LEN]);
-        if c.bytes(4)? != MAGIC {
-            return Err(CheckpointError::Corrupt(
-                "bad magic (not a tempopr.ckpt file)".into(),
-            ));
-        }
-        let version = c.u16()?;
-        if version != VERSION {
-            return Err(CheckpointError::Incompatible(format!(
+        let header = bytes.get(..HEADER_LEN).ok_or(FrameError::Short)?;
+        let mut c = framing::open_header(header, MAGIC, VERSION).map_err(|e| match e {
+            HeaderError::Magic => {
+                CheckpointError::Corrupt("bad magic (not a tempopr.ckpt file)".into())
+            }
+            HeaderError::Version(version) => CheckpointError::Incompatible(format!(
                 "checkpoint format version {version} (this build reads v{VERSION})"
-            )));
-        }
-        let stored_crc = u32::from_le_bytes([bytes[56], bytes[57], bytes[58], bytes[59]]);
-        if crc32(&bytes[..56]) != stored_crc {
-            return Err(CheckpointError::Corrupt("header checksum mismatch".into()));
-        }
+            )),
+            HeaderError::Crc => CheckpointError::Corrupt("header checksum mismatch".into()),
+        })?;
         let driver = c.u8()?;
         let _flags = c.u8()?;
         let config_hash = c.u64()?;
@@ -422,18 +411,8 @@ impl CheckpointRecord {
         b
     }
 
-    /// Length-and-CRC framed encoding, ready to append to a manifest.
-    fn frame(&self) -> Vec<u8> {
-        let payload = self.encode();
-        let mut f = Vec::with_capacity(8 + payload.len());
-        f.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        f.extend_from_slice(&crc32(&payload).to_le_bytes());
-        f.extend_from_slice(&payload);
-        f
-    }
-
-    fn decode(payload: &[u8]) -> Result<CheckpointRecord, String> {
-        let mut c = Cursor::new(payload);
+    fn decode(payload: &[u8]) -> Result<CheckpointRecord, CheckpointError> {
+        let mut c = Reader::new(payload);
         let window = c.u64()? as usize;
         let status_code = c.u8()?;
         let via = c.u8()?;
@@ -450,10 +429,7 @@ impl CheckpointRecord {
         let n = c.u32()? as usize;
         // Bound the preallocation by what the payload can actually hold.
         if c.remaining() < n.saturating_mul(12) {
-            return Err(format!(
-                "rank section declares {n} entries but only {} bytes remain",
-                c.remaining()
-            ));
+            return Err(FrameError::Short.into());
         }
         let mut vertices = Vec::with_capacity(n);
         for _ in 0..n {
@@ -464,7 +440,7 @@ impl CheckpointRecord {
             values.push(f64::from_bits(c.u64()?));
         }
         if c.remaining() != 0 {
-            return Err(format!("{} trailing payload bytes", c.remaining()));
+            return Err(CheckpointError::Corrupt("trailing payload bytes".into()));
         }
         let status = match (status_code, via) {
             (0, _) => WindowStatus::Ok,
@@ -478,7 +454,7 @@ impl CheckpointRecord {
                 via: RecoveryKind::DenseOracle,
             },
             (2, _) => WindowStatus::Failed { diagnostic },
-            (s, v) => return Err(format!("unknown status/via {s}/{v}")),
+            (s, v) => return Err(CheckpointError::Corrupt(format!("status/via {s}/{v}"))),
         };
         Ok(CheckpointRecord {
             window,
@@ -496,50 +472,6 @@ impl CheckpointRecord {
             fingerprint,
             ranks: SparseRanks { vertices, values },
         })
-    }
-}
-
-/// Little-endian pull parser over a byte slice; every read is
-/// bounds-checked and surfaces a torn record as an error string.
-struct Cursor<'a> {
-    buf: &'a [u8],
-    at: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        Cursor { buf, at: 0 }
-    }
-    fn remaining(&self) -> usize {
-        self.buf.len() - self.at
-    }
-    fn bytes(&mut self, n: usize) -> Result<&'a [u8], String> {
-        if self.remaining() < n {
-            return Err(format!("short read: wanted {n}, had {}", self.remaining()));
-        }
-        let s = &self.buf[self.at..self.at + n];
-        self.at += n;
-        Ok(s)
-    }
-    fn u8(&mut self) -> Result<u8, String> {
-        Ok(self.bytes(1)?[0])
-    }
-    fn u16(&mut self) -> Result<u16, String> {
-        let b = self.bytes(2)?;
-        Ok(u16::from_le_bytes([b[0], b[1]]))
-    }
-    fn u32(&mut self) -> Result<u32, String> {
-        let b = self.bytes(4)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-    }
-    fn u64(&mut self) -> Result<u64, String> {
-        let b = self.bytes(8)?;
-        Ok(u64::from_le_bytes([
-            b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7],
-        ]))
-    }
-    fn i64(&mut self) -> Result<i64, String> {
-        Ok(self.u64()? as i64)
     }
 }
 
@@ -598,7 +530,7 @@ impl CheckpointSink {
         let path = dir.join(MANIFEST_NAME);
         let mut bytes = header.encode();
         for rec in prefix {
-            bytes.extend_from_slice(&rec.frame());
+            bytes.extend_from_slice(&framing::record(&rec.encode()));
         }
         {
             let mut f = File::create(&tmp)?;
@@ -635,7 +567,8 @@ impl CheckpointSink {
         if st.file.is_none() {
             return;
         }
-        st.pending.insert(rec.window, rec.frame());
+        st.pending
+            .insert(rec.window, framing::record(&rec.encode()));
         while let Some(frame) = {
             let key = st.next;
             st.pending.remove(&key)
@@ -827,34 +760,18 @@ pub fn resume_scan(dir: &Path, expect: &ManifestHeader) -> Result<ResumeState, C
     let bytes = std::fs::read(manifest_path(dir))?;
     ManifestHeader::decode_expecting(&bytes, expect)?;
     let mut state = ResumeState::default();
-    let mut at = HEADER_LEN;
-    loop {
-        let rest = &bytes[at..];
-        if rest.is_empty() {
-            return Ok(state);
+    // `rest` follows the accepted prefix; a framed and checksummed record
+    // must also decode and number on from it, or it and all after it go.
+    let mut rest = Reader::new(&bytes[HEADER_LEN..]);
+    let mut next = rest;
+    while let Some(payload) = next.record(PAYLOAD_MIN) {
+        match CheckpointRecord::decode(payload) {
+            Ok(rec) if rec.window == state.records.len() => state.records.push(rec),
+            _ => break,
         }
-        if rest.len() < 8 {
-            break; // torn frame header
-        }
-        let len = u32::from_le_bytes([rest[0], rest[1], rest[2], rest[3]]) as usize;
-        let crc = u32::from_le_bytes([rest[4], rest[5], rest[6], rest[7]]);
-        if len < PAYLOAD_MIN || rest.len() - 8 < len {
-            break; // implausible or truncated payload
-        }
-        let payload = &rest[8..8 + len];
-        if crc32(payload) != crc {
-            break; // bit corruption
-        }
-        let Ok(rec) = CheckpointRecord::decode(payload) else {
-            break; // framed and checksummed but undecodable
-        };
-        if rec.window != state.records.len() {
-            break; // non-contiguous: later records are unusable too
-        }
-        state.records.push(rec);
-        at += 8 + len;
+        rest = next;
     }
-    state.corrupt_discarded = 1;
+    state.corrupt_discarded = u64::from(rest.remaining() != 0);
     Ok(state)
 }
 
@@ -910,9 +827,10 @@ pub fn corrupt_manifest(dir: &Path, kind: CorruptionKind) -> Result<(), Checkpoi
             if bytes.len() < HEADER_LEN {
                 return Err(CheckpointError::Corrupt("manifest too short".into()));
             }
-            bytes[4..6].copy_from_slice(&(VERSION + 1).to_le_bytes());
-            let crc = crc32(&bytes[..56]);
-            bytes[56..60].copy_from_slice(&crc.to_le_bytes());
+            let mut stale = bytes[..HEADER_LEN - 4].to_vec();
+            stale[4..6].copy_from_slice(&(VERSION + 1).to_le_bytes());
+            framing::seal(&mut stale);
+            bytes[..HEADER_LEN].copy_from_slice(&stale);
         }
     }
     std::fs::write(&path, &bytes)?;

@@ -6,7 +6,8 @@
 //! conventions). Vertices are `u32`, timestamps `i64`.
 //!
 //! Binary format: magic `TPRE`, version byte, little-endian `u64` vertex
-//! count and event count, then `(u32, u32, i64)` triples.
+//! count and event count, then `(u32, u32, i64)` triples, streamed through
+//! a `BufReader` and decoded a record at a time by [`crate::framing::Reader`].
 //!
 //! Real-world postmortem logs are messy: truncated downloads, forged or
 //! corrupted headers, mixed-in garbage lines. Every reader here is
@@ -16,6 +17,7 @@
 
 use crate::error::GraphError;
 use crate::events::{Event, EventLog};
+use crate::framing::{FrameError, Reader};
 use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
 use std::path::Path;
 
@@ -68,6 +70,13 @@ impl std::error::Error for IoError {}
 impl From<io::Error> for IoError {
     fn from(e: io::Error) -> Self {
         IoError::Io(e)
+    }
+}
+
+/// A field cut short: the truncation `read_exact` reports.
+impl From<FrameError> for IoError {
+    fn from(e: FrameError) -> Self {
+        IoError::Io(io::Error::new(io::ErrorKind::UnexpectedEof, e))
     }
 }
 
@@ -390,24 +399,23 @@ fn read_binary_impl<R: Read>(
     mode: ParseMode,
 ) -> Result<(EventLog, IngestReport), IoError> {
     let mut r = BufReader::new(reader);
-    let mut magic = [0u8; 4];
-    r.read_exact(&mut magic)?;
-    if &magic != MAGIC {
-        return Err(IoError::BadHeader(format!("magic {magic:?}")));
+    // Magic and version are checked before the counts are read, so a file
+    // too short for its counts still reports a foreign magic or version.
+    let mut head = [0u8; HEADER_LEN as usize];
+    r.read_exact(&mut head[..4])?;
+    if head[..4] != MAGIC[..] {
+        return Err(IoError::BadHeader(format!("magic {:?}", &head[..4])));
     }
-    let mut ver = [0u8; 1];
-    r.read_exact(&mut ver)?;
-    if ver[0] != VERSION {
+    r.read_exact(&mut head[4..5])?;
+    if head[4] != VERSION {
         return Err(IoError::BadHeader(format!(
             "unsupported version {}",
-            ver[0]
+            head[4]
         )));
     }
-    let mut u64buf = [0u8; 8];
-    r.read_exact(&mut u64buf)?;
-    let num_vertices = u64::from_le_bytes(u64buf);
-    r.read_exact(&mut u64buf)?;
-    let count = u64::from_le_bytes(u64buf);
+    r.read_exact(&mut head[5..])?;
+    let mut counts = Reader::new(&head[5..]);
+    let (num_vertices, count) = (counts.u64()?, counts.u64()?);
     // Sanity: the declared counts must be representable and, when the
     // input size is known, consistent with the bytes actually present.
     if num_vertices > u32::MAX as u64 + 1 {
@@ -429,17 +437,10 @@ fn read_binary_impl<R: Read>(
     let count = count as usize;
     let mut events = Vec::with_capacity(count.min(MAX_PREALLOC_RECORDS));
     let mut rec = [0u8; RECORD_LEN];
-    let mut word4 = [0u8; 4];
-    let mut word8 = [0u8; 8];
     for _ in 0..count {
         r.read_exact(&mut rec)?;
-        word4.copy_from_slice(&rec[0..4]);
-        let u = u32::from_le_bytes(word4);
-        word4.copy_from_slice(&rec[4..8]);
-        let v = u32::from_le_bytes(word4);
-        word8.copy_from_slice(&rec[8..16]);
-        let t = i64::from_le_bytes(word8);
-        events.push(Event::new(u, v, t));
+        let mut f = Reader::new(&rec);
+        events.push(Event::new(f.u32()?, f.u32()?, f.i64()?));
     }
     let mut report = IngestReport {
         lines: count,
@@ -455,16 +456,7 @@ fn read_binary_impl<R: Read>(
     // Probe past the declared section: a well-formed file ends exactly
     // after the last record, so any further byte means the header's count
     // disagrees with the content.
-    let mut trailing = 0usize;
-    let mut probe = [0u8; 4096];
-    loop {
-        match r.read(&mut probe) {
-            Ok(0) => break,
-            Ok(n) => trailing += n,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(e) => return Err(e.into()),
-        }
-    }
+    let trailing = r.bytes().try_fold(0usize, |n, b| b.map(|_| n + 1))?;
     if trailing > 0 {
         let message = format!("{trailing} trailing bytes after the declared {count} records");
         match mode {

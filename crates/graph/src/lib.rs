@@ -21,6 +21,7 @@
 pub mod csr;
 pub mod error;
 pub mod events;
+pub mod framing;
 pub mod io;
 pub mod multiwindow;
 pub mod storage;

@@ -13,13 +13,14 @@
 //!   recomputes the per-vertex time bounds in the min/max pass the build
 //!   ends with, so every downstream consumer (the window index, the
 //!   kernels, rank fingerprints) sees identical bits.
-//! - [`TcsrFile`]: the `tempopr.tcsr.v1` on-disk format — a CRC'd sectioned
-//!   header (magic, version, part count, per-section `{offset, len, crc}`
-//!   table) followed by one [`CompressedPart`] payload per part-shard,
-//!   paged in per shard through a reusable [`DecodeScratch`] buffer. The
-//!   reader follows the `graph::io` discipline: length and count guards
-//!   before any allocation, typed [`StorageError`]s, never panics on
-//!   malformed input.
+//! - [`TcsrFile`]: the `tempopr.tcsr.v1` on-disk format — a sealed header
+//!   (magic, version, part count, vertex count) and section table (one
+//!   `{offset, len, crc}` per part-shard), then one [`CompressedPart`]
+//!   payload per part-shard, paged in per shard through a reusable
+//!   [`DecodeScratch`] buffer. Its varints, CRCs, sealed-header rule and
+//!   little-endian reads are [`crate::framing`]'s; the reader guards
+//!   lengths and counts before any allocation and returns typed
+//!   [`StorageError`]s, never a panic.
 //!
 //! [`plan_partition`] plans part counts against these backends' *actual*
 //! resident footprints via [`StorageProfile`]: a candidate partition is
@@ -28,6 +29,7 @@
 //! [`BudgetError`] carrying the minimal feasible budget.
 
 use crate::events::{EventLog, Timestamp, VertexId};
+use crate::framing::{self, crc32, put_ivarint, put_uvarint, HeaderError, Reader};
 use crate::multiwindow::{
     part_boundaries, MultiWindowGraph, MultiWindowSet, PartitionStrategy, VisitError,
 };
@@ -125,6 +127,13 @@ fn corrupt(section: &str, detail: impl Into<String>) -> StorageError {
     }
 }
 
+/// A payload read that ran short or overflowed.
+impl From<framing::FrameError> for StorageError {
+    fn from(e: framing::FrameError) -> Self {
+        corrupt("payload", e.to_string())
+    }
+}
+
 /// An infeasible memory budget: even the best evaluated partition needs
 /// `required` bytes resident, which exceeds `budget`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -169,113 +178,6 @@ pub enum StorageProfile {
     OnDisk,
 }
 
-// --- CRC32 (IEEE, reflected) -------------------------------------------
-//
-// The workspace's one copy: `tempopr-core::checkpoint` re-exports it for
-// the checkpoint manifest format.
-
-/// Slicing-by-8 tables: `t[k][i]` is the register after byte `i` and `k`
-/// zero bytes — `8 (k + 1)` shift steps of `i`; `t[0]` is the byte table.
-const fn crc_tables() -> [[u32; 256]; 8] {
-    let mut t = [[0u32; 256]; 8];
-    let mut k = 0;
-    while k < 8 {
-        let mut i = 0;
-        while i < 256 {
-            let mut c = i as u32;
-            let mut step = 0;
-            while step < 8 * (k + 1) {
-                c = if c & 1 != 0 {
-                    0xEDB8_8320 ^ (c >> 1)
-                } else {
-                    c >> 1
-                };
-                step += 1;
-            }
-            t[k][i] = c;
-            i += 1;
-        }
-        k += 1;
-    }
-    t
-}
-
-static CRC_TABLES: [[u32; 256]; 8] = crc_tables();
-
-/// CRC-32 (IEEE 802.3, reflected) over `bytes`, eight bytes a step.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let t = &CRC_TABLES;
-    let mut c = !0u32;
-    let mut chunks = bytes.chunks_exact(8);
-    for w in &mut chunks {
-        // Byte `k` (the register folded in) has `7 - k` bytes after it.
-        let w = [w[0], w[1], w[2], w[3], w[4], w[5], w[6], w[7]];
-        let x = u64::from(c) ^ u64::from_le_bytes(w);
-        c = (0..8).fold(0, |acc, k| acc ^ t[7 - k][(x >> (8 * k)) as usize & 0xff]);
-    }
-    for &b in chunks.remainder() {
-        c = (c >> 8) ^ t[0][((c ^ u32::from(b)) & 0xff) as usize];
-    }
-    !c
-}
-
-// --- Varint codec -------------------------------------------------------
-
-fn put_uvarint(buf: &mut Vec<u8>, mut x: u64) {
-    loop {
-        let b = (x & 0x7f) as u8;
-        x >>= 7;
-        if x == 0 {
-            buf.push(b);
-            return;
-        }
-        buf.push(b | 0x80);
-    }
-}
-
-fn get_uvarint(bytes: &[u8], pos: &mut usize) -> Result<u64, StorageError> {
-    let mut x = 0u64;
-    let mut shift = 0u32;
-    loop {
-        let &b = bytes
-            .get(*pos)
-            .ok_or_else(|| corrupt("payload", "truncated varint"))?;
-        *pos += 1;
-        if shift == 63 && b > 1 {
-            return Err(corrupt("payload", "varint overflows u64"));
-        }
-        x |= u64::from(b & 0x7f) << shift;
-        if b & 0x80 == 0 {
-            return Ok(x);
-        }
-        shift += 7;
-        if shift > 63 {
-            return Err(corrupt("payload", "varint longer than 10 bytes"));
-        }
-    }
-}
-
-fn zigzag(v: i64) -> u64 {
-    ((v << 1) ^ (v >> 63)) as u64
-}
-
-fn unzigzag(u: u64) -> i64 {
-    ((u >> 1) as i64) ^ -((u & 1) as i64)
-}
-
-fn put_ivarint(buf: &mut Vec<u8>, v: i64) {
-    put_uvarint(buf, zigzag(v));
-}
-
-fn get_ivarint(bytes: &[u8], pos: &mut usize) -> Result<i64, StorageError> {
-    get_uvarint(bytes, pos).map(unzigzag)
-}
-
-fn get_usize(bytes: &[u8], pos: &mut usize, what: &str) -> Result<usize, StorageError> {
-    let v = get_uvarint(bytes, pos)?;
-    usize::try_from(v).map_err(|_| corrupt("payload", format!("{what} {v} overflows usize")))
-}
-
 // --- Compressed part ----------------------------------------------------
 
 /// One multi-window part in its delta-varint resting form. Encoding is
@@ -311,14 +213,9 @@ impl CompressedPart {
         let vmap = part.vertex_map();
         put_uvarint(&mut buf, vmap.len() as u64);
         let mut prev = 0u64;
-        for (i, &g) in vmap.iter().enumerate() {
-            let g = u64::from(g);
-            if i == 0 {
-                put_uvarint(&mut buf, g);
-            } else {
-                put_uvarint(&mut buf, g - prev);
-            }
-            prev = g;
+        for &g in vmap {
+            put_uvarint(&mut buf, u64::from(g) - prev);
+            prev = u64::from(g);
         }
         let transpose = part.transpose_tcsr();
         buf.push(u8::from(transpose.is_some()));
@@ -341,24 +238,21 @@ impl CompressedPart {
     /// section) into the resident working form, validating every count
     /// before allocating.
     pub fn decode_payload(bytes: &[u8]) -> Result<MultiWindowGraph, StorageError> {
-        let pos = &mut 0usize;
-        let &version = bytes
-            .first()
-            .ok_or_else(|| corrupt("payload", "empty payload"))?;
-        *pos += 1;
+        let mut r = Reader::new(bytes);
+        let version = r.u8()?;
         if version != PAYLOAD_VERSION {
             return Err(corrupt(
                 "payload",
                 format!("payload version {version}, expected {PAYLOAD_VERSION}"),
             ));
         }
-        let w_start = get_usize(bytes, pos, "window start")?;
-        let w_end = get_usize(bytes, pos, "window end")?;
+        let w_start = r.uvarint_usize()?;
+        let w_end = r.uvarint_usize()?;
         if w_end < w_start {
             return Err(corrupt("payload", "window range end precedes start"));
         }
-        let span = TimeRange::new(get_ivarint(bytes, pos)?, get_ivarint(bytes, pos)?);
-        let nranges = get_usize(bytes, pos, "range count")?;
+        let span = TimeRange::new(r.ivarint()?, r.ivarint()?);
+        let nranges = r.uvarint_usize()?;
         if nranges != w_end - w_start {
             return Err(corrupt(
                 "payload",
@@ -371,45 +265,38 @@ impl CompressedPart {
         }
         let mut ranges = Vec::with_capacity(nranges);
         for _ in 0..nranges {
-            ranges.push(TimeRange::new(
-                get_ivarint(bytes, pos)?,
-                get_ivarint(bytes, pos)?,
-            ));
+            ranges.push(TimeRange::new(r.ivarint()?, r.ivarint()?));
         }
-        let nverts = get_usize(bytes, pos, "vertex count")?;
+        let nverts = r.uvarint_usize()?;
         if nverts > bytes.len() {
             return Err(corrupt("payload", "vertex count exceeds payload size"));
         }
         let mut vertices: Vec<VertexId> = Vec::with_capacity(nverts);
         let mut prev = 0u64;
         for i in 0..nverts {
-            let d = get_uvarint(bytes, pos)?;
-            let g = if i == 0 { d } else { prev + d };
+            let d = r.uvarint()?;
             if i > 0 && d == 0 {
                 return Err(corrupt("payload", "vertex map not strictly increasing"));
             }
-            prev = g;
-            let g = VertexId::try_from(g)
-                .map_err(|_| corrupt("payload", format!("vertex id {g} overflows u32")))?;
+            let g = prev.checked_add(d).and_then(|g| VertexId::try_from(g).ok());
+            let g = g.ok_or_else(|| corrupt("payload", "vertex id overflows u32"))?;
+            prev = u64::from(g);
             vertices.push(g);
         }
-        let &has_transpose = bytes
-            .get(*pos)
-            .ok_or_else(|| corrupt("payload", "truncated transpose flag"))?;
-        *pos += 1;
+        let has_transpose = r.u8()?;
         if has_transpose > 1 {
             return Err(corrupt("payload", "transpose flag must be 0 or 1"));
         }
-        let tcsr = decode_tcsr(bytes, pos, nverts, span.start)?;
+        let tcsr = decode_tcsr(&mut r, nverts, span.start)?;
         let transpose = if has_transpose == 1 {
-            Some(decode_tcsr(bytes, pos, nverts, span.start)?)
+            Some(decode_tcsr(&mut r, nverts, span.start)?)
         } else {
             None
         };
-        if *pos != bytes.len() {
+        if r.remaining() != 0 {
             return Err(corrupt(
                 "payload",
-                format!("{} trailing bytes after decode", bytes.len() - *pos),
+                format!("{} trailing bytes after decode", r.remaining()),
             ));
         }
         Ok(MultiWindowGraph::from_raw_parts(
@@ -458,19 +345,14 @@ fn encode_tcsr(buf: &mut Vec<u8>, t: &TemporalCsr, base: Timestamp) {
         let mut prev_t = 0i64;
         for i in lo..hi {
             let (c, tm) = (col[i], time[i]);
-            if i == lo {
-                put_uvarint(buf, u64::from(c));
-                put_ivarint(buf, tm - base);
+            // Rows are sorted by (neighbor, time): the column gap (from 0 at
+            // a row's first entry) is nonnegative, and a zero gap after it
+            // means "same run", where the time delta is nonnegative too.
+            put_uvarint(buf, u64::from(c - prev_col));
+            if i > lo && c == prev_col {
+                put_uvarint(buf, (tm - prev_t) as u64);
             } else {
-                // Rows are sorted by (neighbor, time): the column gap is
-                // nonnegative, and a zero gap means "same run" where the
-                // time delta is nonnegative too.
-                put_uvarint(buf, u64::from(c - prev_col));
-                if c == prev_col {
-                    put_uvarint(buf, (tm - prev_t) as u64);
-                } else {
-                    put_ivarint(buf, tm - base);
-                }
+                put_ivarint(buf, tm - base);
             }
             prev_col = c;
             prev_t = tm;
@@ -479,29 +361,28 @@ fn encode_tcsr(buf: &mut Vec<u8>, t: &TemporalCsr, base: Timestamp) {
 }
 
 fn decode_tcsr(
-    bytes: &[u8],
-    pos: &mut usize,
+    r: &mut Reader<'_>,
     expect_vertices: usize,
     base: Timestamp,
 ) -> Result<TemporalCsr, StorageError> {
-    let n = get_usize(bytes, pos, "tcsr vertex count")?;
+    let n = r.uvarint_usize()?;
     if n != expect_vertices {
         return Err(corrupt(
             "payload",
             format!("tcsr has {n} vertices, part map has {expect_vertices}"),
         ));
     }
-    let total = get_usize(bytes, pos, "tcsr entry count")?;
+    let total = r.uvarint_usize()?;
     // Every entry costs >= 2 payload bytes (col gap + time delta), every
     // vertex >= 1 (degree): refuse forged counts before allocating.
-    if n > bytes.len() || total > 2 * bytes.len() {
+    if n > r.remaining() || total > 2 * r.remaining() {
         return Err(corrupt("payload", "tcsr counts exceed payload size"));
     }
     let mut row = Vec::with_capacity(n + 1);
     row.push(0usize);
     let mut acc = 0usize;
     for _ in 0..n {
-        let d = get_usize(bytes, pos, "degree")?;
+        let d = r.uvarint_usize()?;
         acc = acc
             .checked_add(d)
             .ok_or_else(|| corrupt("payload", "degree sum overflows"))?;
@@ -520,32 +401,22 @@ fn decode_tcsr(
         let mut prev_col = 0u32;
         let mut prev_t = 0i64;
         for i in lo..hi {
-            let (c, tm) = if i == lo {
-                let c = get_uvarint(bytes, pos)?;
-                let c = VertexId::try_from(c)
-                    .map_err(|_| corrupt("payload", format!("column {c} overflows u32")))?;
-                (c, base + get_ivarint(bytes, pos)?)
+            // The column gap runs from 0 at a row's first entry; a zero gap
+            // after it continues the neighbor run with a nonnegative time
+            // delta, and any other entry carries its time against `base`.
+            let c = u64::from(prev_col).saturating_add(r.uvarint()?);
+            let c = VertexId::try_from(c).ok().filter(|&c| (c as usize) < n);
+            let c = c.ok_or_else(|| {
+                corrupt("payload", format!("column out of range for {n} vertices"))
+            })?;
+            let tm = if i > lo && c == prev_col {
+                let d = i64::try_from(r.uvarint()?)
+                    .map_err(|_| corrupt("payload", "time delta overflows i64"))?;
+                prev_t.checked_add(d)
             } else {
-                let gap = get_uvarint(bytes, pos)?;
-                let c = u64::from(prev_col) + gap;
-                let c = VertexId::try_from(c)
-                    .map_err(|_| corrupt("payload", format!("column {c} overflows u32")))?;
-                let tm = if gap == 0 {
-                    let d = get_uvarint(bytes, pos)?;
-                    let d = i64::try_from(d)
-                        .map_err(|_| corrupt("payload", "time delta overflows i64"))?;
-                    prev_t + d
-                } else {
-                    base + get_ivarint(bytes, pos)?
-                };
-                (c, tm)
+                base.checked_add(r.ivarint()?)
             };
-            if (c as usize) >= n {
-                return Err(corrupt(
-                    "payload",
-                    format!("column {c} out of range for {n} vertices"),
-                ));
-            }
+            let tm = tm.ok_or_else(|| corrupt("payload", "timestamp overflows i64"))?;
             col.push(c);
             time.push(tm);
             prev_col = c;
@@ -581,7 +452,8 @@ impl DecodeScratch {
 #[derive(Debug)]
 pub struct TcsrFileWriter {
     file: File,
-    sections: Vec<(u64, u64, u32)>,
+    /// The section table so far: `offset u64 | len u64 | crc u32` per part.
+    table: Vec<u8>,
     num_parts: usize,
     cursor: u64,
 }
@@ -599,21 +471,16 @@ impl TcsrFileWriter {
             )));
         }
         let mut file = File::create(path)?;
-        let mut header = Vec::with_capacity(TCSR_HEADER_LEN);
-        header.extend_from_slice(&TCSR_MAGIC);
-        header.extend_from_slice(&TCSR_VERSION.to_le_bytes());
-        header.extend_from_slice(&(num_parts as u32).to_le_bytes());
-        header.extend_from_slice(&(num_global_vertices as u64).to_le_bytes());
-        let crc = crc32(&header);
-        header.extend_from_slice(&crc.to_le_bytes());
-        file.write_all(&header)?;
+        let mut fields = (num_parts as u32).to_le_bytes().to_vec();
+        fields.extend_from_slice(&(num_global_vertices as u64).to_le_bytes());
+        file.write_all(&framing::sealed_header(TCSR_MAGIC, TCSR_VERSION, &fields))?;
         // Placeholder table, back-patched by `finish`.
         let table_len = num_parts * TCSR_SECTION_ENTRY_LEN + 4;
         file.write_all(&vec![0u8; table_len])?;
         let cursor = (TCSR_HEADER_LEN + table_len) as u64;
         Ok(TcsrFileWriter {
             file,
-            sections: Vec::with_capacity(num_parts),
+            table: Vec::with_capacity(table_len),
             num_parts,
             cursor,
         })
@@ -621,17 +488,18 @@ impl TcsrFileWriter {
 
     /// Appends one part's payload as the next section.
     pub fn append(&mut self, part: &CompressedPart) -> Result<(), StorageError> {
-        if self.sections.len() == self.num_parts {
+        if self.table.len() == self.num_parts * TCSR_SECTION_ENTRY_LEN {
             return Err(StorageError::BadHeader(format!(
                 "more parts appended than the declared {}",
                 self.num_parts
             )));
         }
-        let payload = part.payload();
+        let (payload, len) = (part.payload(), part.payload_len() as u64);
         self.file.write_all(payload)?;
-        self.sections
-            .push((self.cursor, payload.len() as u64, crc32(payload)));
-        self.cursor += payload.len() as u64;
+        self.table.extend_from_slice(&self.cursor.to_le_bytes());
+        self.table.extend_from_slice(&len.to_le_bytes());
+        self.table.extend_from_slice(&crc32(payload).to_le_bytes());
+        self.cursor += len;
         Ok(())
     }
 
@@ -639,23 +507,16 @@ impl TcsrFileWriter {
     /// sections than declared (the header's count is load-bearing for the
     /// reader's preallocation guard).
     pub fn finish(mut self) -> Result<(), StorageError> {
-        if self.sections.len() != self.num_parts {
+        let written = self.table.len() / TCSR_SECTION_ENTRY_LEN;
+        if written != self.num_parts {
             return Err(StorageError::BadHeader(format!(
-                "{} sections written, {} declared",
-                self.sections.len(),
+                "{written} sections written, {} declared",
                 self.num_parts
             )));
         }
-        let mut table = Vec::with_capacity(self.num_parts * TCSR_SECTION_ENTRY_LEN);
-        for &(off, len, crc) in &self.sections {
-            table.extend_from_slice(&off.to_le_bytes());
-            table.extend_from_slice(&len.to_le_bytes());
-            table.extend_from_slice(&crc.to_le_bytes());
-        }
-        let table_crc = crc32(&table);
+        framing::seal(&mut self.table);
         self.file.seek(SeekFrom::Start(TCSR_HEADER_LEN as u64))?;
-        self.file.write_all(&table)?;
-        self.file.write_all(&table_crc.to_le_bytes())?;
+        self.file.write_all(&self.table)?;
         self.file.flush()?;
         self.file.sync_all()?;
         Ok(())
@@ -689,28 +550,19 @@ impl TcsrFile {
         let mut header = [0u8; TCSR_HEADER_LEN];
         file.read_exact(&mut header)
             .map_err(|_| StorageError::BadHeader("file shorter than the fixed header".into()))?;
-        if header[0..4] != TCSR_MAGIC {
-            return Err(StorageError::BadHeader("bad magic".into()));
-        }
-        let version = u16::from_le_bytes([header[4], header[5]]);
-        if version != TCSR_VERSION {
-            return Err(StorageError::Unsupported(version));
-        }
-        let declared_crc = u32::from_le_bytes([header[18], header[19], header[20], header[21]]);
-        if crc32(&header[..18]) != declared_crc {
-            return Err(StorageError::BadHeader("header CRC mismatch".into()));
-        }
-        let num_parts = u32::from_le_bytes([header[6], header[7], header[8], header[9]]) as usize;
+        let mut fields =
+            framing::open_header(&header, TCSR_MAGIC, TCSR_VERSION).map_err(|e| match e {
+                HeaderError::Magic => StorageError::BadHeader("bad magic".into()),
+                HeaderError::Version(v) => StorageError::Unsupported(v),
+                HeaderError::Crc => StorageError::BadHeader("header CRC mismatch".into()),
+            })?;
+        let num_parts = fields.u32()? as usize;
         if num_parts == 0 || num_parts > TCSR_MAX_PARTS {
             return Err(StorageError::BadHeader(format!(
                 "part count {num_parts} outside 1..={TCSR_MAX_PARTS}"
             )));
         }
-        let num_global_vertices = u64::from_le_bytes([
-            header[10], header[11], header[12], header[13], header[14], header[15], header[16],
-            header[17],
-        ]);
-        let num_global_vertices = usize::try_from(num_global_vertices)
+        let num_global_vertices = usize::try_from(fields.u64()?)
             .map_err(|_| StorageError::BadHeader("vertex count overflows usize".into()))?;
         let table_len = num_parts * TCSR_SECTION_ENTRY_LEN;
         if file_len < (TCSR_HEADER_LEN + table_len + 4) as u64 {
@@ -720,25 +572,12 @@ impl TcsrFile {
         }
         let mut table = vec![0u8; table_len + 4];
         file.read_exact(&mut table)?;
-        let declared = u32::from_le_bytes([
-            table[table_len],
-            table[table_len + 1],
-            table[table_len + 2],
-            table[table_len + 3],
-        ]);
-        if crc32(&table[..table_len]) != declared {
-            return Err(corrupt("section-table", "table CRC mismatch"));
-        }
+        let mut entries = framing::unseal(&table)
+            .ok_or_else(|| corrupt("section-table", "table CRC mismatch"))?;
         let mut sections = Vec::with_capacity(num_parts);
         for p in 0..num_parts {
-            let e = &table[p * TCSR_SECTION_ENTRY_LEN..(p + 1) * TCSR_SECTION_ENTRY_LEN];
-            let offset = u64::from_le_bytes([e[0], e[1], e[2], e[3], e[4], e[5], e[6], e[7]]);
-            let len = u64::from_le_bytes([e[8], e[9], e[10], e[11], e[12], e[13], e[14], e[15]]);
-            let crc = u32::from_le_bytes([e[16], e[17], e[18], e[19]]);
-            let end = offset
-                .checked_add(len)
-                .ok_or_else(|| corrupt("section-table", format!("section {p} offset overflow")))?;
-            if end > file_len {
+            let (offset, len, crc) = (entries.u64()?, entries.u64()?, entries.u32()?);
+            if offset.checked_add(len).is_none_or(|end| end > file_len) {
                 return Err(corrupt(
                     "section-table",
                     format!("section {p} extends past end of file"),
@@ -1127,33 +966,6 @@ mod tests {
             assert_eq!(x.col_indices(), y.col_indices());
             assert_eq!(x.timestamps(), y.timestamps());
         }
-    }
-
-    #[test]
-    fn varint_roundtrip_edge_values() {
-        for x in [0u64, 1, 127, 128, 300, u64::from(u32::MAX), u64::MAX] {
-            let mut buf = Vec::new();
-            put_uvarint(&mut buf, x);
-            let mut pos = 0;
-            assert_eq!(get_uvarint(&buf, &mut pos).unwrap(), x);
-            assert_eq!(pos, buf.len());
-        }
-        for v in [0i64, -1, 1, i64::MIN, i64::MAX, -123456789] {
-            let mut buf = Vec::new();
-            put_ivarint(&mut buf, v);
-            let mut pos = 0;
-            assert_eq!(get_ivarint(&buf, &mut pos).unwrap(), v);
-        }
-    }
-
-    #[test]
-    fn truncated_varint_is_typed_error() {
-        let buf = vec![0x80u8, 0x80];
-        let mut pos = 0;
-        assert!(matches!(
-            get_uvarint(&buf, &mut pos),
-            Err(StorageError::Corrupt { .. })
-        ));
     }
 
     #[test]
@@ -1587,36 +1399,50 @@ mod tests {
         }
     }
 
-    /// The byte-at-a-time CRC-32 the slicing-by-8 loop replaced.
-    fn crc32_bytewise(bytes: &[u8]) -> u32 {
-        let mut c = !0u32;
-        for &b in bytes {
-            c = (c >> 8) ^ CRC_TABLES[0][((c ^ u32::from(b)) & 0xff) as usize];
-        }
-        !c
-    }
-
+    /// Payloads whose varints are each in range but whose sums leave the
+    /// integer they decode into: a vertex-map gap past `u64::MAX`, a row's
+    /// first time past `i64::MAX` from the span start, a same-run time
+    /// delta past it, and a column gap past `u64::MAX`. Each is refused as
+    /// corrupt, never an overflow.
     #[test]
-    fn crc32_equals_the_bytewise_loop_at_every_length_and_alignment() {
-        let mut x = 0x9E37_79B9_7F4A_7C15u64;
-        let mut buf = vec![0u8; (1 << 20) + 8];
-        for b in &mut buf {
-            // xorshift64: any fixed pseudo-random bytes do.
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            *b = (x >> 32) as u8;
-        }
-        for offset in 0..8 {
-            for len in 0..=64 {
-                let s = &buf[offset..offset + len];
-                assert_eq!(crc32(s), crc32_bytewise(s), "offset {offset} len {len}");
+    fn overflowing_payload_sums_are_corrupt_not_panics() {
+        // Version, windows 0..0, `span`, no ranges, the vertex map `gaps`,
+        // no transpose, then a CSR whose first row holds `entries` and
+        // whose other rows are empty (degrees first).
+        let payload = |span: i64, gaps: &[u64], entries: &[(u64, i64)]| {
+            let mut b = vec![PAYLOAD_VERSION, 0, 0];
+            put_ivarint(&mut b, span);
+            put_ivarint(&mut b, span);
+            b.push(0);
+            put_uvarint(&mut b, gaps.len() as u64);
+            gaps.iter().for_each(|&g| put_uvarint(&mut b, g));
+            b.push(0);
+            put_uvarint(&mut b, gaps.len() as u64);
+            put_uvarint(&mut b, entries.len() as u64);
+            put_uvarint(&mut b, entries.len() as u64);
+            b.extend(vec![0; gaps.len() - 1]);
+            for (i, &(col, t)) in entries.iter().enumerate() {
+                put_uvarint(&mut b, col);
+                // A column gap of 0 after the first entry reads a raw delta.
+                if i > 0 && col == 0 {
+                    put_uvarint(&mut b, t as u64);
+                } else {
+                    put_ivarint(&mut b, t);
+                }
             }
-            let s = &buf[offset..offset + (1 << 20)];
-            assert_eq!(crc32(s), crc32_bytewise(s), "offset {offset}, 1 MiB");
+            b
+        };
+        for (what, bytes) in [
+            ("vertex gap", payload(0, &[5, u64::MAX], &[])),
+            ("row's first time", payload(i64::MAX, &[0], &[(0, 1)])),
+            ("same-run time", payload(0, &[0], &[(0, i64::MAX), (0, 5)])),
+            ("column gap", payload(0, &[0, 1], &[(1, 0), (u64::MAX, 0)])),
+        ] {
+            match CompressedPart::decode_payload(&bytes) {
+                Err(StorageError::Corrupt { section, .. }) => assert_eq!(section, "payload"),
+                other => panic!("{what}: expected Corrupt, got {other:?}"),
+            }
         }
-        // The oracle is the standard CRC, not merely self-consistent.
-        assert_eq!(crc32_bytewise(b"123456789"), 0xCBF4_3926);
     }
 
     #[test]

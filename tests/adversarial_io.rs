@@ -158,3 +158,40 @@ fn report_summary_mentions_everything_it_counted() {
     assert!(!report.diagnostics.is_empty());
     assert!(report.diagnostics.len() <= IngestReport::MAX_DIAGNOSTICS);
 }
+
+/// Every single-bit flip and every cut of a six-event binary file. Every
+/// cut is a truncation the header's count exposes: an I/O error. No flip
+/// panics; a flip in the magic or the version is a bad header, and one in
+/// the record count is a bad header (the count overflows, or leaves
+/// trailing bytes) or an I/O error (it runs past the end of the file).
+#[test]
+fn every_bit_flip_and_cut_of_a_small_binary_file_is_handled() {
+    let log = EventLog::from_unsorted(
+        (0..6u32)
+            .map(|i| Event::new(i, (i * 5 + 2) % 7, i64::from(i) * 1000 - 2500))
+            .collect(),
+        7,
+    )
+    .unwrap();
+    let mut pristine = Vec::new();
+    write_binary(&log, &mut pristine).unwrap();
+    assert_eq!(pristine.len(), 21 + 6 * 16);
+    assert_eq!(read_binary(&pristine[..]).unwrap(), log);
+    for cut in 0..pristine.len() {
+        match read_binary(&pristine[..cut]) {
+            Err(IoError::Io(_)) => {}
+            other => panic!("cut at {cut}: {other:?}"),
+        }
+    }
+    for bit in 0..pristine.len() * 8 {
+        let (byte, mut bytes) = (bit / 8, pristine.clone());
+        bytes[byte] ^= 1 << (bit % 8);
+        let got = read_binary(&bytes[..]);
+        let typed = match byte {
+            0..5 => matches!(got, Err(IoError::BadHeader(_))),
+            13..21 => matches!(got, Err(IoError::BadHeader(_) | IoError::Io(_))),
+            _ => true,
+        };
+        assert!(typed, "flip byte {byte} bit {}: {got:?}", bit % 8);
+    }
+}

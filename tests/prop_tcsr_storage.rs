@@ -13,7 +13,7 @@
 use proptest::prelude::*;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use tempopr::graph::storage::{TCSR_HEADER_LEN, TCSR_VERSION};
+use tempopr::graph::storage::{TCSR_HEADER_LEN, TCSR_SECTION_ENTRY_LEN, TCSR_VERSION};
 use tempopr::graph::{
     CompressedPart, DecodeScratch, MultiWindowGraph, MultiWindowSet, PartitionStrategy,
     StorageError, TcsrFile, TcsrFileWriter,
@@ -189,6 +189,119 @@ fn stale_version_is_rejected_typed() {
         match opened {
             Err(StorageError::Unsupported(v)) => assert_eq!(v, alien),
             other => panic!("version {alien}: expected Unsupported, got {other:?}"),
+        }
+    }
+}
+
+/// A small two-part file: its bytes, its parts and each part's payload.
+fn small_two_part_file() -> (Vec<u8>, Vec<MultiWindowGraph>, Vec<Vec<u8>>) {
+    let log = EventLog::from_unsorted(
+        (0..14u32)
+            .map(|i| Event::new(i % 5, (i * 3 + 1) % 5, i64::from(i) * 5))
+            .collect(),
+        5,
+    )
+    .unwrap();
+    let spec = WindowSpec::covering(&log, 30, 20).unwrap();
+    let (parts, bytes) = build_file(&log, spec, 2, false, PartitionStrategy::EqualWindows);
+    assert_eq!(parts.len(), 2);
+    let payloads = parts
+        .iter()
+        .map(|p| CompressedPart::encode(p).payload().to_vec())
+        .collect();
+    (bytes, parts, payloads)
+}
+
+/// What opening `bytes` and reading every part gives: `ok` when every part
+/// reads back equal to `parts`, else the first typed error (`part p: ...`
+/// when the header and table opened), tagged by variant and section.
+fn outcome(bytes: &[u8], parts: &[MultiWindowGraph]) -> String {
+    let tag = |e: &StorageError| match e {
+        StorageError::Io(_) => "Io".to_string(),
+        StorageError::BadHeader(_) => "BadHeader".to_string(),
+        StorageError::Unsupported(_) => "Unsupported".to_string(),
+        StorageError::Corrupt { section, .. } => format!("Corrupt({section})"),
+    };
+    match open_and_read_all(bytes).0 {
+        Err(e) => tag(&e),
+        Ok(reads) => {
+            assert_eq!(reads.len(), parts.len());
+            for (p, read) in reads.iter().enumerate() {
+                match read {
+                    Ok(got) => assert_parts_equal(&parts[p], got),
+                    Err(e) => return format!("part {p}: {}", tag(e)),
+                }
+            }
+            "ok".to_string()
+        }
+    }
+}
+
+/// Every single-bit flip and every truncation of a small two-part file is
+/// refused with the typed error of the region it hits, and an undamaged
+/// part still reads back bit for bit: magic, header fields and header CRC
+/// give `BadHeader`, the version `Unsupported`, the section table its
+/// CRC's `Corrupt(section-table)`, and a payload its own section's
+/// `Corrupt(payload)`. Every cut is `BadHeader` while the header and
+/// table are incomplete, and `Corrupt(section-table)` once they are not
+/// (the last section then runs past the end of the file).
+#[test]
+fn every_bit_flip_and_truncation_of_a_small_file_is_typed() {
+    let (pristine, parts, payloads) = small_two_part_file();
+    assert_eq!(outcome(&pristine, &parts), "ok");
+    let table_end = TCSR_HEADER_LEN + parts.len() * TCSR_SECTION_ENTRY_LEN + 4;
+    let mut section_ends = Vec::new();
+    let mut end = table_end;
+    for payload in &payloads {
+        end += payload.len();
+        section_ends.push(end);
+    }
+    assert_eq!(end, pristine.len(), "sections tile the file");
+    let region = |byte: usize| match byte {
+        0..4 => "BadHeader".to_string(),
+        4..6 => "Unsupported".to_string(),
+        b if b < TCSR_HEADER_LEN => "BadHeader".to_string(),
+        b if b < table_end => "Corrupt(section-table)".to_string(),
+        b => {
+            let p = section_ends.iter().position(|&e| b < e).unwrap();
+            format!("part {p}: Corrupt(payload)")
+        }
+    };
+    for bit in 0..pristine.len() * 8 {
+        let mut bytes = pristine.clone();
+        bytes[bit / 8] ^= 1 << (bit % 8);
+        assert_eq!(
+            outcome(&bytes, &parts),
+            region(bit / 8),
+            "flip byte {} bit {}",
+            bit / 8,
+            bit % 8
+        );
+    }
+    for cut in 0..pristine.len() {
+        let want = if cut < table_end {
+            "BadHeader"
+        } else {
+            "Corrupt(section-table)"
+        };
+        assert_eq!(outcome(&pristine[..cut], &parts), want, "cut at {cut}");
+    }
+}
+
+/// Every single-bit flip of each section's payload, fed straight to the
+/// decoder past the section CRC that would catch it: the decoder returns
+/// a part or `Corrupt`, never panics (overflow checks are on in tests).
+#[test]
+fn payload_decoder_survives_every_bit_flip() {
+    let (_, _, payloads) = small_two_part_file();
+    for (p, payload) in payloads.iter().enumerate() {
+        for bit in 0..payload.len() * 8 {
+            let mut bytes = payload.clone();
+            bytes[bit / 8] ^= 1 << (bit % 8);
+            match CompressedPart::decode_payload(&bytes) {
+                Ok(_) | Err(StorageError::Corrupt { .. }) => {}
+                Err(e) => panic!("part {p} flip bit {bit}: {e:?}"),
+            }
         }
     }
 }
