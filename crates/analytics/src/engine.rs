@@ -8,8 +8,8 @@ use crate::components::components_window;
 use crate::degree::degree_stats;
 use crate::kcore::kcore_window;
 use crate::triangles::triangles_window;
-use rayon::prelude::*;
 use tempopr_graph::{EventLog, GraphError, MultiWindowSet, PartitionStrategy, WindowSpec};
+use tempopr_kernel::scheduler::{current_threads, worker_pool};
 
 /// Which structure metrics to compute per window.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -89,7 +89,7 @@ pub fn temporal_structure(
     let set = MultiWindowSet::build(log, spec, parts, true, PartitionStrategy::EqualWindows)?;
     let one = |w: usize| summarize_window(&set, w, cfg);
     let out = if cfg.parallel {
-        (0..spec.count).into_par_iter().map(one).collect()
+        worker_pool(current_threads(), spec.count, |w, _| one(w))
     } else {
         (0..spec.count).map(one).collect()
     };

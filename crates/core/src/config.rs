@@ -75,7 +75,8 @@ pub enum ParallelMode {
     /// Windows in order; parallelism inside each PageRank (§4.3.2). The
     /// paper also calls this "PR-level" parallelization.
     ApplicationLevel,
-    /// Both at once, on one work-stealing pool (§4.3.3).
+    /// Both at once, under one thread budget (§4.3.3): each window-level
+    /// thread starts its own threads for every row loop.
     #[default]
     Nested,
 }
@@ -198,7 +199,7 @@ pub struct PostmortemConfig {
     /// [`InitMode::Auto`] (the default) resolves from the measured window
     /// overlap.
     pub init_mode: InitMode,
-    /// Worker threads (0 = rayon default: all cores).
+    /// Worker threads (0 = every core).
     pub threads: usize,
     /// Output retention.
     pub retain: RetainMode,

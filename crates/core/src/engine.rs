@@ -15,7 +15,8 @@
 //!   grain exactly as §4.3.1 describes for TBB work-stealing chunks.
 //! - **Application-level parallelism** walks windows in order and hands the
 //!   scheduler to the SpMV/SpMM kernel instead.
-//! - **Nested** does both on one rayon pool.
+//! - **Nested** does both under one thread budget, whose threads every
+//!   nested loop inherits ([`tempopr_kernel::scheduler`]).
 //! - **SpMM region scheduling** (§4.4, `Regions`) splits each part's
 //!   windows into contiguous regions and batches the `j`-th window of every
 //!   region, each batch partially initialized from the previous one. The
@@ -58,8 +59,9 @@ use std::cell::Cell;
 use std::sync::{Arc, Mutex};
 use tempopr_graph::{plan_partition, EventLog, MultiWindowGraph, StorageError, WindowSpec};
 use tempopr_kernel::{
-    overlap, pagerank_batch_indexed_obs, pagerank_window_indexed_obs, thread_pool, worker_pool,
-    BatchObs, Init, Obs, PrConfig, PrStats, PrWorkspace, Scheduler, SpmmWorkspace,
+    overlap, pagerank_batch_indexed_obs, pagerank_window_indexed_obs, scheduler::ThreadPool,
+    thread_pool, worker_pool, BatchObs, Init, Obs, PrConfig, PrStats, PrWorkspace, Scheduler,
+    SpmmWorkspace,
 };
 use tempopr_telemetry::{Phase as RunPhase, Telemetry};
 
@@ -70,7 +72,7 @@ pub use crate::exec::MAX_ORACLE_ACTIVE;
 pub struct PostmortemEngine {
     store: TcsrStorage,
     cfg: PostmortemConfig,
-    pool: Option<rayon::ThreadPool>,
+    pool: Option<ThreadPool>,
     tele: Telemetry,
     /// Event-log fingerprint, fixed at build time for the checkpoint
     /// manifest header (the engine does not retain the log itself).
@@ -190,11 +192,10 @@ impl PostmortemEngine {
         }
         drop(build);
         tele.set_gauge("run.multiwindows", store.num_parts() as f64);
-        let pool = if cfg.threads > 0 {
-            Some(thread_pool(cfg.threads)?)
-        } else {
-            None
-        };
+        let pool = (cfg.threads > 0).then(|| {
+            let Ok(pool) = thread_pool(cfg.threads);
+            pool
+        });
         let log_fp = checkpoint::log_fingerprint(log);
         let unshared = advisor::batching_shares_nothing(&cfg, &profile);
         Ok(PostmortemEngine {
@@ -246,7 +247,7 @@ impl PostmortemEngine {
 
     /// The engine-owned thread pool, for sibling drivers (the query-batch
     /// runner) that must install it exactly like [`PostmortemEngine::run`].
-    pub(crate) fn pool(&self) -> Option<&rayon::ThreadPool> {
+    pub(crate) fn pool(&self) -> Option<&ThreadPool> {
         self.pool.as_ref()
     }
 

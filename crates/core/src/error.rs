@@ -52,8 +52,6 @@ pub enum EngineError {
         /// The underlying kernel error.
         source: KernelError,
     },
-    /// The worker thread pool could not be built.
-    ThreadPool(String),
     /// A durable run could not write or resume from its checkpoint
     /// manifest (resume-time incompatibility or corruption; write-time
     /// failures after startup only degrade durability, never the run).
@@ -122,7 +120,6 @@ impl std::fmt::Display for EngineError {
                 }
                 write!(f, "): {source}")
             }
-            EngineError::ThreadPool(m) => write!(f, "thread pool: {m}"),
             EngineError::Checkpoint(e) => write!(f, "checkpoint: {e}"),
             EngineError::Storage { part, source } => {
                 f.write_str("storage")?;
@@ -146,7 +143,6 @@ impl std::error::Error for EngineError {
             EngineError::Graph(e) => Some(e),
             EngineError::Io(e) => Some(e),
             EngineError::Kernel { source, .. } => Some(source),
-            EngineError::ThreadPool(_) => None,
             EngineError::Checkpoint(e) => Some(e),
             EngineError::Storage { source, .. } => Some(source),
             EngineError::BudgetInfeasible { .. } => None,
@@ -192,14 +188,11 @@ impl From<IoError> for EngineError {
 
 impl From<KernelError> for EngineError {
     fn from(e: KernelError) -> Self {
-        match e {
-            KernelError::ThreadPool(m) => EngineError::ThreadPool(m),
-            other => EngineError::Kernel {
-                window: None,
-                part: None,
-                phase: Phase::Setup,
-                source: other,
-            },
+        EngineError::Kernel {
+            window: None,
+            part: None,
+            phase: Phase::Setup,
+            source: e,
         }
     }
 }

@@ -42,7 +42,7 @@ pub struct OfflineConfig {
     /// Scheduler for the across-window loop (and, when
     /// `parallel_windows` is false, for inside-PageRank parallelism).
     pub scheduler: Scheduler,
-    /// Worker threads (0 = rayon default).
+    /// Worker threads (0 = every core).
     pub threads: usize,
     /// Output retention.
     pub retain: RetainMode,
@@ -144,7 +144,8 @@ pub fn run_offline_durable(
     )?;
     let inner = || run_offline_inner(log, spec, cfg, durable.start(), durable.sink(), tele);
     let windows = if cfg.threads > 0 {
-        thread_pool(cfg.threads)?.install(inner)
+        let Ok(pool) = thread_pool(cfg.threads);
+        pool.install(inner)
     } else {
         inner()
     };

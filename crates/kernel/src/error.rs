@@ -97,8 +97,6 @@ pub enum KernelError {
     },
     /// The dense PageRank system was numerically singular.
     SingularSystem,
-    /// A worker thread pool could not be constructed.
-    ThreadPool(String),
     /// A query batch contained no queries (or was given no windows) — a
     /// batched run over nothing is a caller bug, not an empty result.
     EmptyBatch,
@@ -144,7 +142,6 @@ impl fmt::Display for KernelError {
                 "active set {active} exceeds max_active {max_active} (dense solve is O(n^3))"
             ),
             KernelError::SingularSystem => write!(f, "singular PageRank system"),
-            KernelError::ThreadPool(m) => write!(f, "failed to build thread pool: {m}"),
             KernelError::EmptyBatch => {
                 write!(f, "query batch is empty (no queries or no windows)")
             }

@@ -10,8 +10,9 @@
 //!   one multi-window graph simultaneously on interleaved rank vectors —
 //!   and the crate's one lane-batched round loop, generic over a lane rule;
 //! - [`scheduler`]: the TBB partitioner analogues (auto / simple / static,
-//!   with a grain size) for window-level and row-level loops, on the
-//!   vendored rayon shim;
+//!   with a grain size) for window-level and row-level loops, plus
+//!   [`overlap`] and [`worker_pool`] — the one module that starts threads,
+//!   each inheriting the thread budget its caller installed;
 //! - [`linear_system`]: exact dense solution of the paper's Eq. 2 (the
 //!   validation oracle for every iterative kernel);
 //! - [`personalized`]: windowed personalized PageRank (seed-relative

@@ -1,17 +1,31 @@
-//! Partitioner-aware parallel scheduling (paper §4.3, §6.3.2).
+//! Partitioner-aware parallel scheduling (paper §4.3, §6.3.2), and the one
+//! place in the workspace that starts a thread.
 //!
-//! The paper drives both window-level and vertex-level loops through Intel
-//! TBB, comparing `auto_partitioner`, `simple_partitioner`, and
-//! `static_partitioner` at many grain sizes. This workspace runs on the
-//! vendored `shims/rayon`, which has no work stealing and no adaptive
-//! splitter: a parallel call hands its tasks, in order, to at most one
-//! freshly scoped thread per pool thread as contiguous blocks, runs them
-//! inline when the pool has one thread or there is one task, and folds the
-//! per-task results left to right from the identity. So a [`Partitioner`]
-//! decides exactly one thing here: where the task boundaries fall — which
-//! fixes how much per-task setup a loop pays and how its floating-point
-//! reduction is grouped. There are two kinds of loop, and the partitioners
-//! mean different things on each.
+//! The paper runs its window-level, vertex-level and nested loops on one
+//! scheduler, Intel TBB, comparing `auto_partitioner`,
+//! `simple_partitioner`, and `static_partitioner` at many grain sizes.
+//! Here every thread is started by this module's one spawn helper, which
+//! hands the new thread the caller's thread budget, and joined by its one
+//! join helper, which re-raises a worker's panic on the caller with its
+//! own payload. The budget is the count installed by the innermost
+//! [`ThreadPool::install`] (every core outside one); [`current_threads`]
+//! reads it. Three verbs sit on the two helpers:
+//!
+//! - every [`Scheduler`] loop hands its tasks, in order, to at most
+//!   [`current_threads`] scoped threads as contiguous blocks, runs them
+//!   inline when the budget is one thread or there is one task, and folds
+//!   the per-task results left to right from the identity;
+//! - [`overlap`] runs one closure on a helper thread beside the caller;
+//! - [`worker_pool`] runs a given number of workers pulling indices from
+//!   one [`WorkQueue`].
+//!
+//! Threads live only as long as the call that starts them: nothing is
+//! parked and nothing is stolen, and a loop nested in each of T workers
+//! starts up to T threads of its own. So a [`Partitioner`] decides exactly
+//! one thing here: where the task boundaries fall — which fixes how much
+//! per-task setup a loop pays and how its floating-point reduction is
+//! grouped. There are two kinds of loop, and the partitioners mean
+//! different things on each.
 //!
 //! **Window- and part-level loops** ([`Scheduler::for_each_range`],
 //! [`Scheduler::map_reduce_range`], [`Scheduler::for_each_range_seq`], all
@@ -39,9 +53,105 @@
 //!   that makes, like TBB's `simple_partitioner` — the curve of Fig. 7.
 //! - [`Partitioner::Static`]: one even piece per pool thread, as above.
 
-use rayon::prelude::*;
+use std::cell::Cell;
+use std::convert::Infallible;
+use std::num::NonZeroUsize;
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::thread::{Scope, ScopedJoinHandle};
+use std::time::{Duration, Instant};
+
+thread_local! {
+    /// The count installed by the innermost enclosing [`ThreadPool::install`]
+    /// on this thread, or inherited from the thread that started it.
+    static BUDGET: Cell<Option<usize>> = const { Cell::new(None) };
+}
+
+fn all_cores() -> usize {
+    std::thread::available_parallelism().map_or(1, NonZeroUsize::get)
+}
+
+/// How many threads a parallel loop issued here may use: the innermost
+/// installed [`ThreadPool`]'s count, or every core outside one.
+pub fn current_threads() -> usize {
+    BUDGET.with(Cell::get).unwrap_or_else(all_cores)
+}
+
+/// A thread budget. Threads are started per call and scoped to it, so a
+/// pool is only a count, which [`ThreadPool::install`] makes the budget of
+/// every loop, [`overlap`] and [`worker_pool`] issued inside — on this
+/// thread and on every thread they start.
+#[derive(Debug)]
+pub struct ThreadPool {
+    threads: usize,
+}
+
+impl ThreadPool {
+    /// Runs `op` with this pool's count as the budget, restoring the
+    /// enclosing one when `op` returns or unwinds.
+    pub fn install<R>(&self, op: impl FnOnce() -> R) -> R {
+        struct Restore(Option<usize>);
+        impl Drop for Restore {
+            fn drop(&mut self) {
+                BUDGET.with(|b| b.set(self.0));
+            }
+        }
+        let _restore = Restore(BUDGET.with(|b| b.replace(Some(self.threads))));
+        op()
+    }
+}
+
+/// A pool of `threads` threads (0 = every core). Experiments use dedicated
+/// pools so thread count is an explicit experimental variable instead of
+/// global state. Building one cannot fail.
+pub fn thread_pool(threads: usize) -> Result<ThreadPool, Infallible> {
+    let threads = if threads == 0 { all_cores() } else { threads };
+    Ok(ThreadPool { threads })
+}
+
+/// Starts `f` on a thread of `s` that sees the caller's budget.
+fn spawn<'scope, T, F>(s: &'scope Scope<'scope, '_>, f: F) -> ScopedJoinHandle<'scope, T>
+where
+    T: Send + 'scope,
+    F: FnOnce() -> T + Send + 'scope,
+{
+    let budget = BUDGET.with(Cell::get);
+    s.spawn(move || {
+        BUDGET.with(|b| b.set(budget));
+        f()
+    })
+}
+
+/// Waits for `h`, re-raising its panic on the caller with its own payload.
+fn join<T>(h: ScopedJoinHandle<'_, T>) -> T {
+    h.join()
+        .unwrap_or_else(|payload| std::panic::resume_unwind(payload))
+}
+
+/// Runs `f` over `tasks` on at most `threads` threads, one contiguous block
+/// of tasks each, and returns the results in task order. One thread or one
+/// task runs inline on the caller.
+fn run_parallel<T: Send, R: Send>(
+    threads: usize,
+    tasks: Vec<T>,
+    f: impl Fn(T) -> R + Sync,
+) -> Vec<R> {
+    let n = tasks.len();
+    if threads <= 1 || n <= 1 {
+        return tasks.into_iter().map(f).collect();
+    }
+    let block = n.div_ceil(threads.min(n));
+    let (f, mut tasks) = (&f, tasks.into_iter());
+    std::thread::scope(|s| {
+        let handles: Vec<_> = (0..n.div_ceil(block))
+            .map(|_| {
+                let mine: Vec<T> = tasks.by_ref().take(block).collect();
+                spawn(s, move || mine.into_iter().map(f).collect::<Vec<R>>())
+            })
+            .collect();
+        handles.into_iter().flat_map(join).collect()
+    })
+}
 
 /// TBB partitioner analogue selecting how an index range is split (see
 /// the module docs for what each does on window loops and on row loops).
@@ -59,7 +169,8 @@ pub enum Partitioner {
 /// Most row tasks per pool thread under [`Partitioner::Auto`]: enough
 /// pieces for a stealing pool to even out skewed rows, few enough that
 /// per-task setup (the SpMM body zeroes and folds `3 × 64` accumulators)
-/// stays invisible beside the rows themselves.
+/// stays invisible beside the rows themselves. Without stealing, each
+/// thread here runs its block of up to this many tasks in order.
 pub const AUTO_TASKS_PER_THREAD: usize = 4;
 
 /// How chunk boundaries weigh the work they enclose.
@@ -126,10 +237,7 @@ impl Scheduler {
         let g = self.granularity.max(1);
         let chunk = match self.partitioner {
             Partitioner::Auto | Partitioner::Simple => g,
-            Partitioner::Static => {
-                let t = rayon::current_num_threads().max(1);
-                n.div_ceil(t).max(1)
-            }
+            Partitioner::Static => n.div_ceil(current_threads()).max(1),
         };
         let mut out = Vec::with_capacity(n.div_ceil(chunk));
         let mut lo = 0;
@@ -153,7 +261,7 @@ impl Scheduler {
         if n == 0 {
             return Vec::new();
         }
-        let threads = rayon::current_num_threads();
+        let threads = current_threads();
         let cap = if threads <= 1 {
             1
         } else {
@@ -212,10 +320,7 @@ impl Scheduler {
     where
         F: Fn(Range<usize>) + Sync,
     {
-        if n == 0 {
-            return;
-        }
-        self.chunks(n).into_par_iter().for_each(&f);
+        run_parallel(current_threads(), self.chunks(n), f);
     }
 
     /// Parallel map-reduce over index chunks: `map` produces a partial
@@ -226,13 +331,9 @@ impl Scheduler {
         M: Fn(Range<usize>) -> T + Sync,
         R: Fn(T, T) -> T + Sync + Send,
     {
-        if n == 0 {
-            return identity;
-        }
-        self.chunks(n)
-            .into_par_iter()
-            .map(&map)
-            .reduce(|| identity.clone(), &reduce)
+        run_parallel(current_threads(), self.chunks(n), map)
+            .into_iter()
+            .fold(identity, reduce)
     }
 
     /// Parallel pass over disjoint mutable chunks of `data` (cut by
@@ -328,10 +429,9 @@ impl Scheduler {
             row = c.end;
         }
         assert_eq!(row, rows, "chunks must cover every row");
-        parts
-            .into_par_iter()
-            .map(|(r, s)| map(r, s))
-            .reduce(|| identity.clone(), &reduce)
+        run_parallel(current_threads(), parts, |(r, s)| map(r, s))
+            .into_iter()
+            .fold(identity, reduce)
     }
 
     /// Sequential fallback with identical chunking, used by the
@@ -350,29 +450,23 @@ impl Scheduler {
 /// the calling thread, returning both results plus how long the caller had
 /// to *wait* for the background task after its own work finished (the
 /// pipeline stall). The scope guarantees the helper joined before this
-/// returns, so both closures may borrow from the caller's stack.
+/// returns, so both closures may borrow from the caller's stack. The
+/// helper sees the caller's thread budget; its panic resurfaces here.
 ///
 /// This is the primitive behind the executor's setup/compute overlap: the
 /// next window's setup runs as `background` while the current window's
 /// kernel runs as `foreground`.
-pub fn overlap<RA, RB, FA, FB>(background: FA, foreground: FB) -> (RA, RB, std::time::Duration)
+pub fn overlap<RA, RB, FA, FB>(background: FA, foreground: FB) -> (RA, RB, Duration)
 where
     RA: Send,
     FA: FnOnce() -> RA + Send,
     FB: FnOnce() -> RB,
 {
     std::thread::scope(|s| {
-        let handle = s.spawn(background);
+        let handle = spawn(s, background);
         let fg = foreground();
-        let wait_start = std::time::Instant::now();
-        let bg = match handle.join() {
-            Ok(v) => v,
-            // Propagate a background panic on the calling thread so the
-            // driver's own isolation (if any) sees it; overlap itself adds
-            // no swallowing.
-            Err(payload) => std::panic::resume_unwind(payload),
-        };
-        (bg, fg, wait_start.elapsed())
+        let wait_start = Instant::now();
+        (join(handle), fg, wait_start.elapsed())
     })
 }
 
@@ -415,62 +509,31 @@ impl WorkQueue {
 /// pulling from a shared [`WorkQueue`], returning the per-index results in
 /// index order. `work` receives the claimed index and the queue (so it can
 /// `peek` ahead); with `workers <= 1` or a single item everything runs
-/// inline on the caller with zero thread overhead. Worker panics propagate
-/// on the calling thread after the scope joins, mirroring [`overlap`].
+/// inline on the caller with zero thread overhead. Every worker sees the
+/// caller's thread budget, however many `workers` there are, and a worker's
+/// panic resurfaces on the caller, as in [`overlap`].
 pub fn worker_pool<T, F>(workers: usize, n: usize, work: F) -> Vec<T>
 where
     T: Send,
     F: Fn(usize, &WorkQueue) -> T + Sync,
 {
     let queue = WorkQueue::new(n);
-    if workers <= 1 || n <= 1 {
-        let mut out = Vec::with_capacity(n);
+    // A result rides home with the index it was claimed for; each index is
+    // claimed exactly once, so sorting by it restores index order.
+    let drain = |()| {
+        let mut got = Vec::new();
         while let Some(i) = queue.claim() {
-            out.push(work(i, &queue));
+            got.push((i, work(i, &queue)));
         }
-        return out;
-    }
-    let mut slots: Vec<Option<T>> = (0..n).map(|_| None).collect();
-    std::thread::scope(|s| {
-        let handles: Vec<_> = (0..workers.min(n))
-            .map(|_| {
-                s.spawn(|| {
-                    // Claimed results ride home with the worker: each index
-                    // is claimed exactly once, so no slot is written twice.
-                    let mut got: Vec<(usize, T)> = Vec::new();
-                    while let Some(i) = queue.claim() {
-                        got.push((i, work(i, &queue)));
-                    }
-                    got
-                })
-            })
-            .collect();
-        for h in handles {
-            match h.join() {
-                Ok(got) => {
-                    for (i, r) in got {
-                        slots[i] = Some(r);
-                    }
-                }
-                Err(payload) => std::panic::resume_unwind(payload),
-            }
-        }
-    });
-    let out: Vec<T> = slots.into_iter().flatten().collect();
-    assert_eq!(out.len(), n, "worker pool lost results");
-    out
-}
-
-/// Builds a rayon thread pool with `threads` workers (0 = rayon default,
-/// i.e. all cores). Experiments use dedicated pools so thread count is an
-/// explicit experimental variable instead of global state.
-pub fn thread_pool(threads: usize) -> Result<rayon::ThreadPool, crate::KernelError> {
-    let mut b = rayon::ThreadPoolBuilder::new();
-    if threads > 0 {
-        b = b.num_threads(threads);
-    }
-    b.build()
-        .map_err(|e| crate::KernelError::ThreadPool(e.to_string()))
+        got
+    };
+    let tasks = vec![(); workers.max(1).min(n)];
+    let mut got: Vec<(usize, T)> = run_parallel(workers, tasks, drain)
+        .into_iter()
+        .flatten()
+        .collect();
+    got.sort_unstable_by_key(|&(i, _)| i);
+    got.into_iter().map(|(_, r)| r).collect()
 }
 
 #[cfg(test)]
@@ -508,7 +571,7 @@ mod tests {
     #[test]
     fn static_splits_by_thread_count() {
         let s = Scheduler::new(Partitioner::Static, 1);
-        let t = rayon::current_num_threads().max(1);
+        let t = current_threads();
         let chunks = s.chunks(10 * t);
         assert_eq!(chunks.len(), t);
     }
@@ -926,6 +989,128 @@ mod tests {
             }
             seen.fetch_max(i, Ordering::Relaxed);
         });
+    }
+
+    #[test]
+    fn run_parallel_visits_every_task_once() {
+        let hits: Vec<AtomicUsize> = (0..100).map(|_| AtomicUsize::new(0)).collect();
+        run_parallel(4, (0..100).collect(), |i: usize| {
+            hits[i].fetch_add(1, Ordering::Relaxed);
+        });
+        assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
+    }
+
+    #[test]
+    fn run_parallel_collects_in_task_order() {
+        for threads in [1usize, 2, 3, 64] {
+            let out = run_parallel(threads, (0..50).collect(), |i: usize| i * 2);
+            assert_eq!(out, (0..50).map(|i| i * 2).collect::<Vec<_>>(), "{threads}");
+        }
+    }
+
+    #[test]
+    fn map_reduce_range_sums_on_every_budget() {
+        for threads in [1usize, 2, 5] {
+            let s = Scheduler::new(Partitioner::Simple, 1);
+            let sum = thread_pool(threads)
+                .unwrap()
+                .install(|| s.map_reduce_range(101, 0usize, |r| r.sum(), |a, b| a + b));
+            assert_eq!(sum, 5050, "{threads}");
+        }
+    }
+
+    #[test]
+    fn install_scopes_the_thread_count() {
+        let outside = current_threads();
+        assert!(outside >= 1);
+        let pool = thread_pool(3).unwrap();
+        assert_eq!(pool.install(current_threads), 3);
+        let inner = pool.install(|| thread_pool(2).unwrap().install(current_threads));
+        assert_eq!(inner, 2);
+        // Restored on return and on unwind.
+        assert_eq!(current_threads(), outside);
+        let r = std::panic::catch_unwind(|| pool.install(|| panic!("boom")));
+        assert!(r.is_err());
+        assert_eq!(current_threads(), outside);
+        assert_eq!(
+            thread_pool(0).unwrap().install(current_threads),
+            all_cores()
+        );
+    }
+
+    #[test]
+    fn run_parallel_worker_panic_propagates() {
+        let r = std::panic::catch_unwind(|| {
+            run_parallel(4, (0..64).collect(), |i: usize| assert!(i < 10, "boom {i}"));
+        });
+        assert!(r.is_err());
+    }
+
+    /// A thread started by `worker_pool` or `overlap` sees the installing
+    /// pool's count, not every core, so its row loops do not split again.
+    #[test]
+    fn every_started_thread_inherits_the_budget() {
+        let row_tasks = || Scheduler::default().row_chunks(1000).len();
+        thread_pool(1).unwrap().install(|| {
+            assert_eq!(row_tasks(), 1);
+            assert_eq!(worker_pool(2, 2, |_, _| row_tasks()), vec![1, 1]);
+            assert_eq!(overlap(row_tasks, || ()).0, 1);
+        });
+        // Nested loop workers see the installed count too.
+        let seen = Mutex::new(Vec::new());
+        let s = Scheduler::new(Partitioner::Simple, 1);
+        thread_pool(3).unwrap().install(|| {
+            s.for_each_range(3, |_| {
+                s.for_each_range(3, |_| seen.lock().unwrap().push(current_threads()));
+            });
+        });
+        assert_eq!(*seen.lock().unwrap(), vec![3; 9]);
+    }
+
+    /// The three verbs over the one spawn and join: results in task order,
+    /// and a worker's panic payload reaches the caller as itself.
+    #[test]
+    fn every_verb_returns_in_task_order_and_reraises_the_payload() {
+        type Verb = fn(bool) -> Vec<usize>;
+        let chunked: Verb = |fail| {
+            let s = Scheduler::new(Partitioner::Simple, 1);
+            thread_pool(3).unwrap().install(|| {
+                s.map_reduce_range(
+                    6,
+                    Vec::new(),
+                    |r| {
+                        assert!(!(fail && r.start == 4), "boom");
+                        vec![r.start]
+                    },
+                    |a, b| [a, b].concat(),
+                )
+            })
+        };
+        let overlapped: Verb = |fail| {
+            let (bg, fg, _) = overlap(
+                || {
+                    assert!(!fail, "boom");
+                    vec![0, 1, 2]
+                },
+                || vec![3, 4, 5],
+            );
+            [bg, fg].concat()
+        };
+        let pooled: Verb = |fail| {
+            worker_pool(3, 6, |i, _| {
+                assert!(!(fail && i == 4), "boom");
+                i
+            })
+        };
+        for (name, verb) in [
+            ("chunked", chunked),
+            ("overlap", overlapped),
+            ("pool", pooled),
+        ] {
+            assert_eq!(verb(false), vec![0, 1, 2, 3, 4, 5], "{name}");
+            let payload = std::panic::catch_unwind(|| verb(true)).unwrap_err();
+            assert_eq!(payload.downcast_ref::<&str>(), Some(&"boom"), "{name}");
+        }
     }
 
     #[test]

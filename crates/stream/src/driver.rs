@@ -56,7 +56,7 @@ pub struct StreamingConfig {
     pub scheduler: Scheduler,
     /// Use in-kernel parallelism at all.
     pub parallel_kernel: bool,
-    /// Worker threads (0 = rayon default).
+    /// Worker threads (0 = every core).
     pub threads: usize,
     /// Output retention.
     pub retain: RetainMode,
@@ -167,7 +167,8 @@ pub fn run_streaming_durable(
         .map(|(_, ranks)| ranks.to_dense(log.num_vertices()));
     let inner = || run_streaming_inner(log, spec, cfg, durable.start(), seed, durable.sink(), tele);
     let windows = if cfg.threads > 0 {
-        thread_pool(cfg.threads)?.install(inner)
+        let Ok(pool) = thread_pool(cfg.threads);
+        pool.install(inner)
     } else {
         inner()
     };

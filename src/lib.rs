@@ -10,7 +10,7 @@
 //! - [`graph`]: event logs, sliding windows, temporal CSR, multi-window
 //!   graphs;
 //! - [`kernel`]: SpMV / SpMM PageRank kernels and TBB-style partitioners
-//!   over rayon;
+//!   over one scoped-thread scheduler;
 //! - [`core`]: the postmortem engine (partial initialization,
 //!   window/application/nested parallelism) and the offline baseline;
 //! - [`stream`]: the STINGER-like streaming baseline with incremental

@@ -450,6 +450,42 @@ fn worker_pool_is_bit_identical_and_budget_bounded() {
     }
 }
 
+/// The shard pool under a one-thread budget: each of two workers runs its
+/// parts' row loops inside `threads: 1`, and the ranks are bit-identical
+/// to the one-worker walk over the same partition.
+#[test]
+fn worker_pool_under_one_thread_is_bit_identical() {
+    let log = dense_log();
+    let spec = WindowSpec::covering(&log, 120, 40).unwrap();
+    for kernel in [KernelKind::SpMV, KernelKind::SpMM { lanes: 4 }] {
+        let run = |workers: usize| {
+            let cfg = PostmortemConfig {
+                threads: 1,
+                storage_workers: workers,
+                num_multiwindows: 4,
+                mode: ParallelMode::ApplicationLevel,
+                kernel,
+                init_mode: InitMode::Partial,
+                pr: tight_pr(),
+                retain: RetainMode::Summary,
+                ..PostmortemConfig::default()
+            };
+            let tele = Telemetry::enabled();
+            let out = PostmortemEngine::with_telemetry(&log, spec, cfg, tele.clone())
+                .unwrap()
+                .run();
+            assert!(out.windows.iter().all(|w| w.status == WindowStatus::Ok));
+            assert_eq!(
+                tele.report().gauge("storage.workers"),
+                Some(workers as f64),
+                "{kernel:?}"
+            );
+            fingerprints(&out)
+        };
+        assert_eq!(run(2), run(1), "{kernel:?}: two workers diverge from one");
+    }
+}
+
 /// The out-of-core contract end to end: under a budget smaller than the
 /// workload's uncompressed footprint, the compressed and on-disk backends
 /// complete the run, evict shards along the way, and keep the measured
