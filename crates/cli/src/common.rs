@@ -41,8 +41,9 @@ pub struct Opts {
     /// Write run telemetry (`tempopr.metrics.v1` JSON) to this path;
     /// experiments that support it also print a phase-breakdown summary.
     pub metrics_out: Option<String>,
-    /// Overlap the next part's window-index build with the current
-    /// window's kernel in the postmortem runs (in-order walks only).
+    /// Prefetch the next part (its decode or page-in, then its window
+    /// index) under the whole of the current part's compute in the
+    /// postmortem runs' walks over parts.
     pub pipeline: bool,
     /// SpMM inner-loop implementation (`--simd auto|scalar|bitwalk`);
     /// ablation axis for the vectorized hot path.

@@ -344,8 +344,9 @@ fn print_help() {
          --dataset    restrict fig4/fig11 to one dataset\n\
          --metrics-out  write run telemetry JSON (fig5 also prints a \
          phase breakdown)\n\
-         --pipeline   overlap the next part's window-index build with the \
-         current window's kernel (postmortem runs)\n\
+         --pipeline   prefetch the next part (its decode or page-in, then \
+         its window index) under the whole of the current part's compute \
+         (postmortem runs)\n\
          --simd       SpMM inner loop: auto (detect, default) | scalar | \
          bitwalk (pre-vectorization mask walk)\n\
          --no-compaction  disable converged-lane compaction in the SpMM \
@@ -365,7 +366,8 @@ fn print_help() {
          or fails with the minimal feasible budget; accepts KiB/MiB/GiB \
          suffixes\n\
          --storage-workers  shard workers over independent parts \
-         (postmortem runs): 1 = serial walk (default), 0 = one per core; \
+         (postmortem runs): 1 = serial walk (default), 0 = one per \
+         thread of the run (--threads, or every core); \
          the budget is charged one decoded part per worker (plus the \
          pipeline's prefetch slot) and ranks stay bit-identical at every \
          count"

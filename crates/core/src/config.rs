@@ -87,6 +87,16 @@ impl ParallelMode {
     pub fn parallel_kernel(self) -> bool {
         matches!(self, ParallelMode::ApplicationLevel | ParallelMode::Nested)
     }
+
+    /// Whether windows run in order on one walk (the sequential and
+    /// application-level modes): the modes that carry across parts,
+    /// resume, prefetch and run a shard pool.
+    pub(crate) fn in_order(self) -> bool {
+        matches!(
+            self,
+            ParallelMode::Sequential | ParallelMode::ApplicationLevel
+        )
+    }
 }
 
 /// Which kernel computes each window (paper §4.4).
@@ -213,12 +223,12 @@ pub struct PostmortemConfig {
     /// failure as a `Failed` window instead (CLI `--recovery fail-only`).
     pub recovery: crate::exec::RecoveryPolicy,
     /// Prefetch the next multi-window part — its decode or page-in under
-    /// the non-resident backends, then its window index — while the
-    /// current part computes. The in-order SpMV walk and the shard pool
-    /// (either kernel) prefetch; the in-order SpMM walk and the
-    /// part-parallel modes ignore it. Ranks and deterministic traces are
-    /// unchanged — the prefetch only moves wall-clock setup work off the
-    /// critical path. Off by default.
+    /// the non-resident backends, then its window index — under the whole
+    /// of the current part's compute, in every walk over parts: the
+    /// in-order walk and the shard pool, of either kernel. The
+    /// part-parallel modes' grains ignore it. Ranks and deterministic
+    /// traces are unchanged — the prefetch only moves wall-clock setup
+    /// work off the critical path. Off by default.
     pub pipeline: bool,
     /// Where the multi-window parts rest between touches
     /// ([`crate::storage::TcsrStorage`]): fully resident (default),
@@ -236,7 +246,8 @@ pub struct PostmortemConfig {
     /// independent multi-window parts execute concurrently, each worker
     /// double-buffering the decode/page-in of its next part behind the
     /// current part's compute. `1` (the default) is the historical serial
-    /// walk; `0` asks for one worker per available core. The budget
+    /// walk; `0` asks for one worker per thread of the run's budget
+    /// (`threads`, or every available core when that is `0` too). The budget
     /// planner charges `workers + prefetch depth` simultaneously-resident
     /// decoded parts against `memory_budget`. Ranks stay bit-identical:
     /// configurations whose seeding crosses part boundaries in order

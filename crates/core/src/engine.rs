@@ -17,6 +17,14 @@
 //!   scheduler to the SpMV/SpMM kernel instead.
 //! - **Nested** does both under one thread budget, whose threads every
 //!   nested loop inherits ([`tempopr_kernel::scheduler`]).
+//! - **One walk over parts** (§4.1: the multi-window graphs are built once
+//!   and processed one part at a time). The in-order modes walk parts in
+//!   order on one thread, threading the cross-part carry; with more than
+//!   one shard worker they walk them on the shard pool with no carry.
+//!   Either way each part step fetches and pins its part, then, under
+//!   `pipeline`, prefetches the next part while the whole part computes.
+//!   Both kernels supply only the step: SpMV walks the part's windows
+//!   one by one, SpMM in region batches.
 //! - **SpMM region scheduling** (§4.4, `Regions`) splits each part's
 //!   windows into contiguous regions and batches the `j`-th window of every
 //!   region, each batch partially initialized from the previous one. The
@@ -45,17 +53,16 @@
 
 use crate::advisor::{self, auto_multiwindows, WorkloadProfile};
 use crate::checkpoint::{self, CheckpointError, CheckpointOptions, CheckpointSink, DurableRun};
-use crate::config::{InitMode, KernelKind, ParallelMode, PostmortemConfig};
+use crate::config::{InitMode, KernelKind, PostmortemConfig};
 use crate::error::EngineError;
-use crate::exec::{
-    classify_converged, isolate, oracle_for, run_windows, Prefetcher, ShardedSource, WindowExecutor,
-};
+use crate::exec::{classify_converged, isolate, oracle_for, WindowExecutor};
 use crate::lock;
 use crate::observe::TelemetryKernelBridge;
 use crate::result::{RunOutput, WindowOutput, WindowStatus};
 use crate::storage::{PartRef, StorageBackend, TcsrStorage};
 use crate::warmstart;
 use std::cell::Cell;
+use std::ops::Range;
 use std::sync::{Arc, Mutex};
 use tempopr_graph::{plan_partition, EventLog, MultiWindowGraph, StorageError, WindowSpec};
 use tempopr_kernel::{
@@ -95,8 +102,28 @@ pub struct PostmortemEngine {
 #[derive(Debug, Clone)]
 struct RunPlan {
     start: usize,
-    seed: Option<(usize, Vec<f64>)>,
+    seed: Carry,
 }
+
+/// The in-order walk's state between windows: the part and local ranks of
+/// the last valid window, `None` after a failed one (the next window starts
+/// cold).
+type Carry = Option<(usize, Vec<f64>)>;
+
+/// A kernel's part step ([`PostmortemEngine::walk_parts`]): given part
+/// `p`, the fetched part, the windows of it to compute, the carry in and the
+/// walk's savings meter, it pushes those windows' outputs and returns the
+/// carry out.
+type PartStep<'a> = dyn Fn(
+        usize,
+        &MultiWindowGraph,
+        Range<usize>,
+        Carry,
+        &mut SavingsMeter,
+        &mut Vec<WindowOutput>,
+    ) -> Carry
+    + Sync
+    + 'a;
 
 impl PostmortemEngine {
     /// Builds the multi-window representation for `log` under `spec`.
@@ -271,7 +298,8 @@ impl PostmortemEngine {
     /// bit-identical to an uninterrupted run.
     ///
     /// Resuming a non-empty prefix requires an in-order mode
-    /// ([`ParallelMode::Sequential`] or [`ParallelMode::ApplicationLevel`]):
+    /// ([`ParallelMode::Sequential`](crate::config::ParallelMode::Sequential)
+    /// or [`ParallelMode::ApplicationLevel`](crate::config::ParallelMode::ApplicationLevel)):
     /// the part-parallel modes chain seeds per scheduler grain, which a
     /// trimmed window range cannot reproduce. Checkpoint *writing* works
     /// under every mode (records are reordered into window order before
@@ -299,10 +327,7 @@ impl PostmortemEngine {
     /// SpMM the first window of the part holding window `k`. Refused
     /// outside the in-order modes.
     fn resume_point(&self, k: usize) -> Result<usize, CheckpointError> {
-        if !matches!(
-            self.cfg.mode,
-            ParallelMode::Sequential | ParallelMode::ApplicationLevel
-        ) {
+        if !self.cfg.mode.in_order() {
             return Err(CheckpointError::Unsupported(
                 "postmortem resume needs an in-order mode (sequential or \
                  application-level); part-parallel grain chains are not \
@@ -452,7 +477,7 @@ impl PostmortemEngine {
     }
 
     /// The scheduler handed *into* each kernel
-    /// ([`ParallelMode::parallel_kernel`]).
+    /// ([`crate::config::ParallelMode::parallel_kernel`]).
     pub(crate) fn inner_scheduler(&self) -> Option<&Scheduler> {
         self.cfg
             .mode
@@ -471,40 +496,87 @@ impl PostmortemEngine {
         shard_workers(&self.cfg, Some(self.store.num_parts()), false)
     }
 
-    /// Runs the per-part computation over independent parts on the shard
-    /// worker pool: each worker claims the next unprocessed part from a
-    /// shared queue, and — when the pipeline is on — prefetches the part
-    /// after it ([`PostmortemEngine::prefetch_part`]) while its own part
-    /// computes. Only reached by configurations whose seeding never
-    /// crosses part boundaries, so the concatenated outputs are
-    /// bit-identical to the serial in-order walk.
-    fn pooled_parts<F>(&self, workers: usize, compute: F) -> Vec<WindowOutput>
-    where
-        F: Fn(usize) -> Vec<WindowOutput> + Sync,
-    {
-        let results = worker_pool(workers, self.store.num_parts(), |p, q| {
-            if self.cfg.pipeline {
-                let next = q.peek();
-                let (_bg, out, stall) =
-                    overlap(|| next.map(|n| self.prefetch_part(n)), || compute(p));
-                self.tele.add_phase_ns(
-                    RunPhase::PipelineStall,
-                    u64::try_from(stall.as_nanos()).unwrap_or(u64::MAX),
-                );
-                self.tele.add("pipeline.prefetches", 1);
-                out
-            } else {
-                compute(p)
+    // --- The part walk -----------------------------------------------------
+
+    /// The one walk over parts, of both kernels: `step` computes the
+    /// windows of one fetched part that fall in `windows`, from the walk
+    /// state before its first window, pushes their outputs and returns the
+    /// walk state after its last. With one worker the parts run in order on
+    /// this thread, threading that state (`carry`, a [`Carry`]) from part
+    /// to part; with more they run on the shard pool with no carry, which
+    /// the worker plan guarantees none of them needs, so the concatenated
+    /// outputs are the in-order walk's bit for bit.
+    ///
+    /// Each part step fetches and pins its part first — a prefetch's
+    /// eviction can then never take it — and, when `pipeline` is on and
+    /// the next part is not ready, overlaps that part's prefetch
+    /// ([`PostmortemEngine::prefetch_part`]) with the whole of this part's
+    /// compute. The part-parallel modes' grains walk without prefetch. A
+    /// part that cannot be fetched fails its windows and breaks the carry.
+    fn walk_parts(
+        &self,
+        windows: Range<usize>,
+        mut carry: Carry,
+        workers: usize,
+        step: &PartStep,
+    ) -> Vec<WindowOutput> {
+        if windows.is_empty() {
+            return Vec::new();
+        }
+        let pipeline = self.cfg.pipeline && self.cfg.mode.in_order();
+        let parts = self.part_index_of(windows.start)..self.part_index_of(windows.end - 1) + 1;
+        let part_step = |p: usize,
+                         next: Option<usize>,
+                         carry: Carry,
+                         meter: &mut SavingsMeter,
+                         out: &mut Vec<WindowOutput>| {
+            let range = self.store.part_windows(p);
+            let range = range.start.max(windows.start)..range.end.min(windows.end);
+            out.reserve(range.len());
+            let part = match self.store.part(p) {
+                Ok(part) => part,
+                Err(e) => {
+                    out.extend(range.map(|w| self.fetch_failed_output(w, p, &e)));
+                    return None;
+                }
+            };
+            let compute = || step(p, &part, range, carry, meter, out);
+            match next.filter(|&n| pipeline && !self.store.part_ready(n)) {
+                Some(n) => {
+                    let (_, carry, stall) = overlap(|| self.prefetch_part(n), compute);
+                    self.tele.add_phase_ns(
+                        RunPhase::PipelineStall,
+                        u64::try_from(stall.as_nanos()).unwrap_or(u64::MAX),
+                    );
+                    self.tele.add("pipeline.prefetches", 1);
+                    carry
+                }
+                None => compute(),
             }
-        });
-        results.into_iter().flatten().collect()
+        };
+        if workers > 1 {
+            let at = |i: usize| parts.start + i;
+            let results = worker_pool(workers, parts.len(), |i, q| {
+                let (mut out, mut meter) = (Vec::new(), SavingsMeter::default());
+                part_step(at(i), q.peek().map(at), None, &mut meter, &mut out);
+                out
+            });
+            return results.into_iter().flatten().collect();
+        }
+        let mut meter = SavingsMeter::default();
+        let mut out = Vec::with_capacity(windows.len());
+        for p in parts.clone() {
+            let next = (p + 1 < parts.end).then_some(p + 1);
+            carry = part_step(p, next, carry, &mut meter, &mut out);
+        }
+        out
     }
 
-    /// The one next-part prefetch, of the in-order prefetcher and the shard
-    /// pool: the non-resident backends decode part `p` into a *free* cache
-    /// slot (the prefetch slot the budget was charged for) and decline when
-    /// none is available, so a prefetch never overshoots the certified
-    /// bound; then the part's window index is built off the critical path.
+    /// The one next-part prefetch, of [`PostmortemEngine::walk_parts`]: the
+    /// non-resident backends decode part `p` into a *free* cache slot (the
+    /// prefetch slot the budget was charged for) and decline when none is
+    /// available, so a prefetch never overshoots the certified bound; then
+    /// the part's window index is built off the critical path.
     /// A declined or failed prefetch is dropped: the walk's own fetch of
     /// the part surfaces any error.
     fn prefetch_part(&self, p: usize) {
@@ -595,38 +667,19 @@ impl PostmortemEngine {
 
     fn run_spmv(&self, plan: &RunPlan, workers: usize) -> Vec<WindowOutput> {
         let count = self.spec().count;
-        let sched = &self.cfg.scheduler;
-        if workers > 1 {
-            // Pool eligibility (in-order mode, no warm carry, no resume)
-            // was checked by the worker plan: every part cold-starts its
-            // first window exactly as the serial walk would.
-            return self.pooled_parts(workers, |p| {
-                self.spmv_chunk(self.store.part_windows(p), None, None)
-            });
+        let step: &PartStep = &|p, part, windows, carry, meter, out| {
+            self.spmv_chunk(p, part, windows, carry, meter, out)
+        };
+        if self.cfg.mode.in_order() {
+            return self.walk_parts(plan.start..count, plan.seed.clone(), workers, step);
         }
-        let pf = self.prefetcher();
-        let pf = pf.as_ref().map(|p| p as &dyn Prefetcher);
-        match self.cfg.mode {
-            ParallelMode::Sequential | ParallelMode::ApplicationLevel => {
-                self.spmv_chunk(plan.start..count, pf, plan.seed.clone())
-            }
-            // Resume never reaches the part-parallel modes (run_durable
-            // rejects them with a non-empty prefix), so plan is trivial.
-            ParallelMode::WindowLevel | ParallelMode::Nested => sched.map_reduce_range(
-                count,
-                Vec::new(),
-                |r| self.spmv_chunk(r, None, None),
-                concat,
-            ),
-        }
-    }
-
-    /// The window-index prefetcher, when the in-order SpMV walk should
-    /// overlap the next part's setup (decode-on-touch for the non-resident
-    /// backends, then index construction) with the current kernel.
-    fn prefetcher(&self) -> Option<PartIndexPrefetcher<'_>> {
-        (self.cfg.pipeline && self.store.num_parts() > 1)
-            .then_some(PartIndexPrefetcher { engine: self })
+        // Resume never reaches the part-parallel modes (run_durable rejects
+        // them with a non-empty prefix), so plan is trivial; a grain walks
+        // its windows in order, across parts.
+        let grain = |r| self.walk_parts(r, None, 1, step);
+        self.cfg
+            .scheduler
+            .map_reduce_range(count, Vec::new(), grain, concat)
     }
 
     /// Finalizes one window as `Failed` because its part could not be
@@ -649,130 +702,67 @@ impl PostmortemEngine {
         )
     }
 
-    /// [`PostmortemEngine::fetch_failed_output`] for a whole part (the
-    /// batched SpMM walk fetches per part, not per window).
-    fn failed_part_outputs(&self, part_idx: usize, err: &StorageError) -> Vec<WindowOutput> {
-        self.store
-            .part_windows(part_idx)
-            .map(|w| self.fetch_failed_output(w, part_idx, err))
-            .collect()
-    }
-
-    /// Processes a contiguous run of windows in order on the current
-    /// thread, threading partial initialization through consecutive windows
-    /// of the same multi-window graph.
+    /// Computes `windows` of part `p` in order on the current thread,
+    /// threading partial initialization through consecutive windows: the
+    /// SpMV walk's part step. `carry` is the walk state before the first
+    /// window — the part and local ranks of the last valid window, the
+    /// previous part's or, under a mid-part resume, this part's own (absent
+    /// if it failed, so the window cold-starts exactly as the uninterrupted
+    /// walk would after an invalid window). Pushes the outputs and returns
+    /// the state after the last window.
     fn spmv_chunk(
         &self,
-        windows: std::ops::Range<usize>,
-        prefetcher: Option<&dyn Prefetcher>,
-        resume: Option<(usize, Vec<f64>)>,
-    ) -> Vec<WindowOutput> {
+        p: usize,
+        part: &MultiWindowGraph,
+        windows: Range<usize>,
+        carry: Carry,
+        meter: &mut SavingsMeter,
+        out: &mut Vec<WindowOutput>,
+    ) -> Carry {
         let mut ws = PrWorkspace::default();
-        // A resume seed replays the walk state as of the first window: the
-        // last durable window's part and local ranks (absent if it failed,
-        // so the first recomputed window cold-starts exactly as the
-        // uninterrupted walk would after an invalid window).
-        let (mut prev, mut prev_part): (Vec<f64>, Option<usize>) = match resume {
-            Some((p, ranks)) => (ranks, Some(p)),
+        let (mut prev, mut prev_part) = match carry {
+            Some((q, ranks)) => (ranks, Some(q)),
             None => (Vec::new(), None),
         };
         let mut carry_buf: Vec<f64> = Vec::new();
-        let mut meter = SavingsMeter::default();
-        let mut source = ShardedSource::new(&self.store);
-        run_windows(
-            &mut source,
-            windows,
-            prefetcher,
-            &self.tele,
-            |_, w, (part_idx, fetched)| {
-                let part_idx = *part_idx;
-                let part: &MultiWindowGraph = match fetched {
-                    Ok(p) => p,
-                    Err(e) => {
-                        // A lost shard breaks the warm chain like any
-                        // other failed window.
-                        prev_part = None;
-                        return self.fetch_failed_output(w, part_idx, e);
-                    }
-                };
-                let seed = self.seed_for(part_idx, prev_part, &prev, &mut carry_buf);
-                let seed_ref = match seed {
-                    Seed::Cold => None,
-                    Seed::InPart => Some(prev.as_slice()),
-                    Seed::Carried => Some(carry_buf.as_slice()),
-                };
-                let (output, ranks) =
-                    self.single_window(part, w, seed, seed_ref, &mut ws, &mut meter);
-                // Keep this window's ranks as the next window's previous
-                // vector; after a failed window the next one starts cold.
-                prev_part = ranks.is_some().then_some(part_idx);
-                if let Some(ranks) = ranks {
-                    prev = ranks;
-                }
-                output
-            },
-        )
+        out.extend(windows.map(|w| {
+            let seed = self.seed_for(p, prev_part, &prev, &mut carry_buf);
+            let seed_ref = match seed {
+                Seed::Cold => None,
+                Seed::InPart => Some(prev.as_slice()),
+                Seed::Carried => Some(carry_buf.as_slice()),
+            };
+            let (output, ranks) = self.single_window(part, w, seed, seed_ref, &mut ws, meter);
+            // Keep this window's ranks as the next window's previous
+            // vector; after a failed window the next one starts cold.
+            prev_part = ranks.is_some().then_some(p);
+            if let Some(ranks) = ranks {
+                prev = ranks;
+            }
+            output
+        }));
+        prev_part.map(|q| (q, prev))
     }
 
     // --- SpMM path ------------------------------------------------------
 
     fn run_spmm(&self, lanes: usize, plan: &RunPlan, workers: usize) -> Vec<WindowOutput> {
-        let parts = self.store.num_parts();
-        let sched = &self.cfg.scheduler;
-        // A part walked with no carry in: what the pool and the
-        // part-parallel modes run.
-        let cold_part = |p| {
-            self.spmm_part(p, lanes, None, &mut SavingsMeter::default())
-                .0
-        };
-        if workers > 1 {
-            // No carry reaches a pooled part (the worker plan already
-            // excluded warm mode), so each part's batches are exactly the
-            // serial walk's.
-            return self.pooled_parts(workers, cold_part);
+        let step: &PartStep =
+            &|p, part, _, carry, meter, out| self.spmm_part(p, part, lanes, carry, meter, out);
+        if self.cfg.mode.in_order() {
+            let windows = plan.start..self.spec().count;
+            return self.walk_parts(windows, plan.seed.clone(), workers, step);
         }
         // The part-parallel modes cannot carry across parts (each part may
-        // start before its predecessor finished); the carry chain belongs
-        // to the in-order modes, mirroring the SpMV grain semantics.
-        match self.cfg.mode {
-            ParallelMode::Sequential | ParallelMode::ApplicationLevel => {
-                self.spmm_in_order(lanes, plan)
-            }
-            ParallelMode::WindowLevel | ParallelMode::Nested => sched.map_reduce_range(
-                parts,
-                Vec::new(),
-                |r| r.flat_map(cold_part).collect(),
-                concat,
-            ),
-        }
-    }
-
-    /// The in-order SpMM walk over parts, threading the cross-part carry:
-    /// each part's last converged window seeds the next part's first batch
-    /// (remapped between local vertex spaces) under [`InitMode::Warm`].
-    fn spmm_in_order(&self, lanes: usize, plan: &RunPlan) -> Vec<WindowOutput> {
-        let mut out: Vec<WindowOutput> = Vec::new();
-        let mut meter = SavingsMeter::default();
-        // The previous part's final local ranks, and which part they're in.
-        // A resume plan starts at a part boundary with exactly that shape:
-        // the preceding part's last durable window as the incoming carry.
-        let mut carry: Option<(usize, Vec<f64>)> = plan.seed.clone();
-        let mut mapped: Vec<f64> = Vec::new();
-        let start_part = self.part_index_of(plan.start);
-        for p in start_part..self.store.num_parts() {
-            let seed: Option<&[f64]> = match &carry {
-                Some((q, ranks)) if self.warm() && self.carry_across(*q, ranks, p, &mut mapped) => {
-                    Some(mapped.as_slice())
-                }
-                _ => None,
-            };
-            let (mut w_out, carry_out) = self.spmm_part(p, lanes, seed, &mut meter);
-            out.append(&mut w_out);
-            // A part whose last window failed breaks the chain: the next
-            // part starts cold rather than reusing a poisoned seed.
-            carry = carry_out.map(|ranks| (p, ranks));
-        }
-        out
+        // start before its predecessor finished): every part is a walk of
+        // its own, with no carry in.
+        let grain = |r: Range<usize>| {
+            r.flat_map(|p| self.walk_parts(self.store.part_windows(p), None, 1, step))
+                .collect()
+        };
+        self.cfg
+            .scheduler
+            .map_reduce_range(self.store.num_parts(), Vec::new(), grain, concat)
     }
 
     /// Computes every window of one multi-window graph with the batched
@@ -785,32 +775,32 @@ impl PostmortemEngine {
     /// window), and lanes that fail or stall inside a batch escalate
     /// individually — a poisoned lane never drags its batch-mates down.
     ///
-    /// `carry` is the previous part's final converged vector, already
-    /// remapped into this part's local vertex space: when present it seeds
-    /// the first window of *every* region, closing the hole where batch 0
-    /// always cold-started (and where a vector length of `nw` made every
-    /// window batch-0, silently erasing partial init entirely). Returns
-    /// the outputs plus the part's own carry-out — the last window's local
-    /// ranks, `None` if that window failed (a poisoned seed must not
-    /// escape) or when warm carry is off.
+    /// `carry` is the previous part's final converged vector and its part:
+    /// under [`InitMode::Warm`], remapped into this part's local vertex
+    /// space, it seeds the first window of *every* region, closing the
+    /// hole where batch 0 always cold-started (and where a vector length
+    /// of `nw` made every window batch-0, silently erasing partial init
+    /// entirely). Pushes the outputs, in batch order, and returns the part's
+    /// own carry-out — the last window's local ranks, `None` if that window
+    /// failed (a poisoned seed must not escape) or when warm carry is off.
     fn spmm_part(
         &self,
-        part_idx: usize,
+        p: usize,
+        part: &MultiWindowGraph,
         lanes: usize,
-        carry: Option<&[f64]>,
+        carry: Carry,
         meter: &mut SavingsMeter,
-    ) -> (Vec<WindowOutput>, Option<Vec<f64>>) {
+        out: &mut Vec<WindowOutput>,
+    ) -> Carry {
         let inner = self.inner_scheduler();
-        let fetched = match self.store.part(part_idx) {
-            Ok(p) => p,
-            Err(e) => return (self.failed_part_outputs(part_idx, &e), None),
-        };
-        let part: &MultiWindowGraph = &fetched;
         let w0 = part.windows().start;
         let mut regions = self.regions(lanes, 1, part.num_windows());
-        if let Some(seed) = carry {
-            self.tele
-                .add("warmstart.seeded_windows", regions.seed_heads(0, seed));
+        let mut mapped = Vec::new();
+        if let Some((q, ranks)) = carry {
+            if self.warm() && self.carry_across(q, &ranks, p, &mut mapped) {
+                self.tele
+                    .add("warmstart.seeded_windows", regions.seed_heads(0, &mapped));
+            }
         }
         let mut ws = SpmmWorkspace::default();
         let mut pr_ws = PrWorkspace::default();
@@ -818,7 +808,6 @@ impl PostmortemEngine {
         // lane is copied out through it instead of allocating a fresh
         // vector per lane per batch.
         let mut lane_buf: Vec<f64> = Vec::new();
-        let mut out: Vec<WindowOutput> = Vec::with_capacity(part.num_windows());
         for j in 0..regions.batches() {
             // Faulted windows leave the batch and run individually through
             // the full recovery ladder.
@@ -901,7 +890,7 @@ impl PostmortemEngine {
         } else {
             None
         };
-        (out, carry_out)
+        carry_out.map(|ranks| (p, ranks))
     }
 
     /// Part-local window `lw` of batch `j` of an SpMM part solved alone — a
@@ -954,35 +943,6 @@ impl PostmortemEngine {
     }
 }
 
-/// [`Prefetcher`] overlapping the *next* part's setup — decode-on-touch
-/// for the non-resident backends, then the lazy window-index construction
-/// — with the current window's kernel. The index sits behind a `OnceLock`,
-/// the shard cache behind a mutex, and neither records trace events, so
-/// prefetching is invisible to ranks and deterministic traces — it only
-/// moves setup time off the critical path.
-struct PartIndexPrefetcher<'a> {
-    engine: &'a PostmortemEngine,
-}
-
-impl Prefetcher for PartIndexPrefetcher<'_> {
-    fn next_after(&self, window: usize) -> Option<usize> {
-        let next = window + 1;
-        if next >= self.engine.spec().count {
-            return None;
-        }
-        let p = self.engine.part_index_of(next);
-        if p == self.engine.part_index_of(window) {
-            // Same part: its setup is already (being) done by this window.
-            return None;
-        }
-        (!self.engine.store.part_ready(p)).then_some(next)
-    }
-
-    fn prefetch(&self, window: usize) {
-        self.engine.prefetch_part(self.engine.part_index_of(window));
-    }
-}
-
 /// Why the effective shard-worker count was capped below the configured
 /// [`PostmortemConfig::storage_workers`] request. Every cap exists to keep
 /// ranks bit-identical to the serial walk — the alternative would be
@@ -1023,7 +983,8 @@ impl std::fmt::Display for WorkerCap {
 }
 
 /// The one shard-worker rule: the [`PostmortemConfig::storage_workers`]
-/// request (`0` = one per core) and the reason it was capped, if it was.
+/// request (`0` = the run's thread budget: `threads`, or every core when
+/// that is `0` too) and the reason it was capped, if it was.
 /// The caps apply in order — a request of at most one, then
 /// [`WorkerCap::PartParallelMode`], [`WorkerCap::WarmCarry`],
 /// [`WorkerCap::Parts`] (when the part count is known) and
@@ -1036,17 +997,15 @@ pub(crate) fn shard_workers(
     parts: Option<usize>,
     resumed: bool,
 ) -> (usize, Option<WorkerCap>) {
-    let requested = match cfg.storage_workers {
-        0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
-        n => n,
+    let requested = match (cfg.storage_workers, cfg.threads) {
+        (0, 0) => std::thread::available_parallelism().map_or(1, |n| n.get()),
+        (0, threads) => threads,
+        (n, _) => n,
     };
     if requested <= 1 {
         return (1, None);
     }
-    if !matches!(
-        cfg.mode,
-        ParallelMode::Sequential | ParallelMode::ApplicationLevel
-    ) {
+    if !cfg.mode.in_order() {
         return (1, Some(WorkerCap::PartParallelMode));
     }
     if cfg.init_mode == InitMode::Warm {
@@ -1729,6 +1688,81 @@ mod tests {
             assert!(indexed > 0, "{storage} indexed {indexed}");
         }
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn pipelined_in_order_walks_prefetch_every_next_part_and_decode_each_once() {
+        // Both kernels walk parts in order through one part step: with the
+        // pipeline on, every part but the last has its successor prefetched
+        // under it, and since the walk pins its own part before the
+        // prefetch evicts, every part is decoded exactly once.
+        let log = test_log();
+        let spec = WindowSpec::covering(&log, 60, 25).unwrap();
+        let dir = std::env::temp_dir().join(format!("tempopr_engine_walk_{}", std::process::id()));
+        let run = |kernel, storage: &StorageBackend, pipeline| {
+            let cfg = PostmortemConfig {
+                kernel,
+                mode: ParallelMode::Sequential,
+                init_mode: InitMode::Partial,
+                threads: 1,
+                storage: storage.clone(),
+                pipeline,
+                num_multiwindows: 4,
+                pr: tight_cfg(),
+                ..Default::default()
+            };
+            let tele = Telemetry::enabled();
+            let engine = PostmortemEngine::with_telemetry(&log, spec, cfg, tele.clone()).unwrap();
+            let out = engine.run();
+            (engine.num_parts() as u64, out, tele.report())
+        };
+        let summary = |out: &RunOutput| -> Vec<_> {
+            let w = out.windows.iter();
+            w.map(|w| {
+                (
+                    w.status.clone(),
+                    w.stats.iterations,
+                    w.fingerprint.to_bits(),
+                )
+            })
+            .collect()
+        };
+        for kernel in [KernelKind::SpMV, KernelKind::SpMM { lanes: 4 }] {
+            for storage in [
+                StorageBackend::Compressed,
+                StorageBackend::OnDisk { dir: dir.clone() },
+            ] {
+                let what = format!("{kernel:?} {storage}");
+                let (_, serial, _) = run(kernel, &storage, false);
+                for _ in 0..10 {
+                    let (parts, out, report) = run(kernel, &storage, true);
+                    assert!(parts >= 3, "{what}: {parts} parts");
+                    assert_eq!(report.counter("pipeline.prefetches"), parts - 1, "{what}");
+                    assert_eq!(report.counter("storage.decodes"), parts, "{what}");
+                    assert_eq!(summary(&out), summary(&serial), "{what}");
+                }
+            }
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn zero_storage_workers_means_the_runs_thread_budget() {
+        // `storage_workers: 0` asks for the run's thread budget, not every
+        // core: one thread, one shard worker.
+        let log = test_log();
+        let spec = WindowSpec::covering(&log, 60, 25).unwrap();
+        let cfg = PostmortemConfig {
+            mode: ParallelMode::ApplicationLevel,
+            init_mode: InitMode::Full,
+            threads: 1,
+            storage_workers: 0,
+            num_multiwindows: 4,
+            ..Default::default()
+        };
+        let engine = PostmortemEngine::new(&log, spec, cfg).unwrap();
+        assert!(engine.num_parts() >= 2);
+        assert_eq!(engine.storage_worker_plan(), (1, None));
     }
 
     #[test]

@@ -14,29 +14,27 @@
 //!   `Failed`/`Recovered`/`Ok` classification in the workspace funnels
 //!   through here.
 //! - [`WindowSource`] is the per-driver adapter producing one work item per
-//!   window (a multi-window part index, a freshly built CSR, a mutated
-//!   streaming store) and recycling it afterwards.
+//!   window (a freshly built CSR, a mutated streaming store) and recycling
+//!   it afterwards.
 //! - [`run_windows`] walks a window range through setup → compute →
-//!   finalize, optionally overlapping the *next* window's setup (via a
-//!   [`Prefetcher`]) with the current window's kernel on a scoped helper
-//!   thread. The time the kernel finishes *before* the prefetch is recorded
-//!   under the `pipeline_stall` phase. With no prefetcher the loop is a
-//!   plain sequential walk, byte-identical in trace output to the
-//!   pre-refactor drivers.
+//!   finalize for the offline and streaming drivers, optionally overlapping
+//!   the *next* window's setup (via a [`Prefetcher`]) with the current
+//!   window's kernel on a helper thread. The time the kernel finishes
+//!   *before* the prefetch is recorded under the `pipeline_stall` phase.
+//!   The postmortem engine walks parts instead, with its own part walk
+//!   ([`crate::engine`]), and calls [`WindowExecutor`] per window.
 //!
-//! Deterministic-trace contract: for non-pipelined runs this module emits
-//! exactly the event sequence the drivers emitted before the refactor —
-//! recovery counter+marker pairs from `drive`, then `WindowStart` and the
-//! terminal marker from `finalize` — so blessed `tempopr.trace.v1`
-//! snapshots remain valid.
+//! Deterministic-trace contract: per window this module emits the recovery
+//! counter+marker pairs from `drive`, then `WindowStart` and the terminal
+//! marker from `finalize`, and a prefetch emits nothing, so the
+//! `tempopr.trace.v1` projection is the same with pipelining on or off.
 
 use crate::checkpoint::{CheckpointRecord, CheckpointSink};
 use crate::config::RetainMode;
 use crate::result::{rank_fingerprint, RecoveryKind, SparseRanks, WindowOutput, WindowStatus};
-use crate::storage::{PartRef, TcsrStorage};
 use std::ops::Range;
 use std::sync::Arc;
-use tempopr_graph::{Event, StorageError, TemporalCsr, TimeRange};
+use tempopr_graph::{Event, TemporalCsr, TimeRange};
 use tempopr_kernel::{
     overlap, solve_pagerank_exact, KernelError, NumericPolicy, PrConfig, PrHealth, PrStats,
 };
@@ -419,8 +417,8 @@ pub fn oracle_from_events(
 
 /// A driver adapter yielding one work item per window.
 ///
-/// `setup` performs the per-window preparation (part lookup, CSR build,
-/// streaming update batch) and is the stage [`run_windows`] can overlap
+/// `setup` performs the per-window preparation (CSR build, streaming
+/// update batch) and is the stage [`run_windows`] can overlap
 /// with the previous window's kernel; `finalize` takes the item back after
 /// compute so buffers can be recycled across windows.
 pub trait WindowSource {
@@ -434,35 +432,6 @@ pub trait WindowSource {
     /// that recycle buffers (the offline CSR rebuilder) reclaim them here.
     fn finalize(&mut self, window: usize, item: Self::Item) {
         let _ = (window, item);
-    }
-}
-
-/// [`WindowSource`] over a [`TcsrStorage`]: the per-window work item is
-/// the window's part index plus the fetched part handle. For the resident
-/// backend the fetch is a borrow; for the compressed/on-disk backends it
-/// is a decode-on-touch through the storage's bounded shard cache, so an
-/// in-order walk holds at most one decoded part-shard at a time (plus any
-/// the pipeline prefetcher pins one step ahead). A fetch failure is
-/// carried in the item rather than raised: the driver finalizes that
-/// window as [`WindowStatus::Failed`] and the walk continues — the
-/// storage layer inherits the recovery ladder's no-abort contract.
-pub struct ShardedSource<'a> {
-    storage: &'a TcsrStorage,
-}
-
-impl<'a> ShardedSource<'a> {
-    /// A source walking windows against `storage`.
-    pub fn new(storage: &'a TcsrStorage) -> Self {
-        ShardedSource { storage }
-    }
-}
-
-impl<'a> WindowSource for ShardedSource<'a> {
-    type Item = (usize, Result<PartRef<'a>, StorageError>);
-
-    fn setup(&mut self, window: usize) -> Self::Item {
-        let p = self.storage.part_index_of(window);
-        (p, self.storage.part(p))
     }
 }
 
@@ -490,8 +459,7 @@ pub trait Prefetcher: Sync {
 /// a [`Prefetcher`], the next window's setup runs on a scoped helper
 /// thread *while* `compute` runs; any time `compute` finishes first is
 /// recorded under the `pipeline_stall` phase. Without one, this is a plain
-/// in-order loop emitting exactly the same trace as the historical
-/// drivers.
+/// in-order loop; the deterministic trace is the same either way.
 pub fn run_windows<S, F>(
     source: &mut S,
     windows: Range<usize>,

@@ -50,9 +50,7 @@ pub use config::{
 };
 pub use engine::{PostmortemEngine, WorkerCap};
 pub use error::{EngineError, Phase};
-pub use exec::{
-    Prefetcher, RecoveryPolicy, ShardedSource, WindowExecutor, WindowSource, MAX_ORACLE_ACTIVE,
-};
+pub use exec::{Prefetcher, RecoveryPolicy, WindowExecutor, WindowSource, MAX_ORACLE_ACTIVE};
 pub use observe::TelemetryKernelBridge;
 pub use offline::{run_offline, run_offline_durable, run_offline_traced, OfflineConfig};
 pub use query::{EngineQuery, QueryOutput, QueryRunOutput};

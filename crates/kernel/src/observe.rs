@@ -4,9 +4,13 @@
 //! [`KernelObserver`] trait and the [`Obs`]/[`BatchObs`] carriers, and the
 //! driver layer (tempopr-core's observe module, invoked from the kernel
 //! closures its execution layer drives) supplies an implementation that
-//! forwards to its telemetry sink. Every existing kernel entry point has an `_obs`
-//! twin taking a carrier; the original names delegate with [`Obs::off`],
-//! so observation is strictly opt-in.
+//! forwards to its telemetry sink. The entries the drivers run take a
+//! carrier: `pagerank_window_indexed`, `pagerank_batch_indexed` and
+//! `pagerank_csr` through an `_obs` twin (the plain names delegate with
+//! [`Obs::off`] / [`BatchObs::off`]), and `pagerank_query_batch_indexed`
+//! as an argument. The unindexed references the tests compare against
+//! (`pagerank_window`, `pagerank_batch`, `pagerank_query_batch`) and the
+//! remaining entries have no carrier. Observation is strictly opt-in.
 //!
 //! # Contract
 //!
