@@ -75,7 +75,8 @@ pub struct DurableArgs {
     pub driver: Driver,
     /// Checkpoint directory to write (`--checkpoint-dir`).
     pub checkpoint_dir: Option<String>,
-    /// Flush cadence in windows (`--checkpoint-every`, default 1).
+    /// Records per hand-over to the checkpoint drainer, so at most one
+    /// sync per that many windows (`--checkpoint-every`, default 1).
     pub checkpoint_every: usize,
     /// Checkpoint directory to resume from (`--resume`).
     pub resume: Option<String>,

@@ -27,13 +27,21 @@
 //!     diag_len u32 | diag bytes | nranks u32 | vertex u32 * | rank_bits u64 *
 //! ```
 //!
-//! Durability discipline: the header (and, on resume, the validated record
-//! prefix) is written to a temp file, fsynced, and renamed into place;
-//! records are appended with `write_all` + `fdatasync` per flush batch
-//! (`--checkpoint-every N` buffers N in-order records per fsync). Records
-//! are written strictly in window order even when windows complete out of
-//! order (SpMM region interleaving, offline parallel windows), so the
-//! manifest always holds a *contiguous prefix* of windows `0..k`.
+//! Durability discipline: no sync runs on the compute thread. The caller
+//! writes the header (and, on resume, the validated record prefix) to a
+//! temp file, so an unusable directory fails before any window computes.
+//! [`DurableRun::run`] then runs the driver's compute beside one drainer
+//! thread ([`CheckpointSink`]). The drainer fsyncs the temp file, renames
+//! it into place (keeping its file handle) and syncs the directory; then
+//! it group-commits: each pass takes every record handed over so far, appends
+//! them with one `write_all` and makes them durable with one `fdatasync`.
+//! The compute side hands records over `--checkpoint-every N` at a time,
+//! so there is at most one sync per N records, and fewer when hand-overs
+//! queue behind a sync in flight. Records are written strictly in window
+//! order even when windows complete out of order (SpMM region
+//! interleaving, offline parallel windows), so the manifest always holds a
+//! *contiguous prefix* of windows `0..k`; the run returns once the last
+//! record is durable.
 //!
 //! Torn-tail rule ([`framing::Reader::record`] frames and checksums): a
 //! reader accepts the longest prefix of records that frame, checksum,
@@ -46,16 +54,17 @@
 //! original run's config and event log or refuses to start.
 
 use std::collections::BTreeMap;
-use std::fs::{File, OpenOptions};
+use std::fs::File;
 use std::io::Write;
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
+use std::time::Duration;
 
 use crate::result::{RecoveryKind, RunOutput, SparseRanks, WindowOutput, WindowStatus};
 use crate::{lock, RetainMode};
 use tempopr_graph::framing::{self, FrameError, HeaderError, Reader};
 use tempopr_graph::{EventLog, WindowSpec};
-use tempopr_kernel::{PrHealth, PrStats};
+use tempopr_kernel::{overlap, PrHealth, PrStats};
 use tempopr_telemetry::{Phase as RunPhase, Telemetry};
 
 /// File name of the checkpoint manifest inside `--checkpoint-dir`.
@@ -149,9 +158,12 @@ impl From<FrameError> for CheckpointError {
 pub struct CheckpointOptions {
     /// Directory to write the manifest into (`None` = no checkpointing).
     pub dir: Option<PathBuf>,
-    /// Flush/fsync batch size in windows: `N` buffers up to `N` in-order
-    /// records per fsync (a crash loses at most the buffered tail, which
-    /// is recomputed on resume). `0` behaves as `1`.
+    /// Hand-over batch size in windows: the compute side passes in-order
+    /// records to the drainer `N` at a time, so the drainer syncs at most
+    /// once per `N` records (hand-overs that queue behind a sync in flight
+    /// share the next one). A crash loses what is not yet durable: the
+    /// records still batched, queued or in flight behind the last
+    /// completed sync, which a resume recomputes. `0` behaves as `1`.
     pub every: usize,
     /// Directory holding a manifest to resume from (`None` = fresh run).
     pub resume: Option<PathBuf>,
@@ -479,45 +491,112 @@ impl CheckpointRecord {
 // Writing
 // ---------------------------------------------------------------------------
 
-/// Durable, ordered writer for one run's checkpoint manifest.
+/// Durable, ordered writer for one run's checkpoint manifest, in two
+/// halves that share one queue.
 ///
-/// Windows may finish in any order (SpMM regions, offline parallel
-/// windows); the sink buffers out-of-order records and appends strictly in
-/// window order so the on-disk manifest is always a contiguous prefix.
-/// Write failures disable the sink (counted in `checkpoint.write_errors`)
-/// rather than failing the run — durability degrades, the computation does
-/// not.
+/// - **Compute side**, [`CheckpointSink::offer`]: encodes a finished
+///   window's record, holds it until its predecessors arrive (windows may
+///   finish in any order: SpMM regions, offline parallel windows), and
+///   hands in-order frames to the drainer `every` records at a time. It
+///   never writes and never syncs.
+/// - **Drainer**, run by [`DurableRun::run`] on a helper thread beside the
+///   driver's compute: it first makes the manifest's header durable under
+///   its final name, then repeatedly takes *everything* handed over, writes
+///   it with one `write_all` and makes it durable with one `sync_data`
+///   (group commit: hand-overs that queue while a sync is in flight share
+///   the next one), until the sink is closed and the queue empty.
+///
+/// The on-disk manifest is therefore always a contiguous prefix. Write,
+/// sync and rename failures disable the sink (counted in
+/// `checkpoint.write_errors`) rather than failing the run — durability
+/// degrades, the computation does not.
 pub struct CheckpointSink {
     tele: Telemetry,
     every: usize,
     crash_after: Option<usize>,
     state: Mutex<SinkState>,
+    /// Wakes the drainer: frames handed over, or the sink closed.
+    handed: Condvar,
+    /// The manifest, written only by the drainer.
+    manifest: Mutex<Manifest>,
 }
 
 struct SinkState {
-    /// Append handle; `None` after a write error (sink disabled).
-    file: Option<File>,
     /// Completed records waiting for their predecessors.
     pending: BTreeMap<usize, Vec<u8>>,
-    /// Next window id to append.
+    /// Next window id to order.
     next: usize,
-    /// In-order frames accumulated since the last fsync.
-    buf: Vec<u8>,
-    /// Records inside `buf`.
-    buffered: usize,
-    /// The crash-injection window has been drained into `buf`.
+    /// In-order frames not yet handed over (fewer than `every` records).
+    batch: Vec<u8>,
+    /// Records inside `batch`.
+    batched: usize,
+    /// Frames handed over to the drainer, in window order.
+    queue: Vec<u8>,
+    /// Records inside `queue`.
+    queued: usize,
+    /// The crash-injection window has been handed over; nothing after it
+    /// is ordered or queued.
     crash_armed: bool,
+    /// No further offers: the drainer empties the queue and stops.
+    closed: bool,
+    /// A write, sync or rename failed: offers are dropped.
+    disabled: bool,
+}
+
+impl SinkState {
+    /// Moves the in-order batch onto the drainer's queue.
+    fn hand_over(&mut self) {
+        self.queue.append(&mut self.batch);
+        self.queued += std::mem::take(&mut self.batched);
+    }
+}
+
+/// The manifest file and, until the drainer makes it durable, the rename
+/// that publishes its header. The handle stays open across the rename.
+struct Manifest {
+    file: File,
+    /// `(temp path, final path)` of the pending rename.
+    publish: Option<(PathBuf, PathBuf)>,
+}
+
+impl Manifest {
+    /// Syncs the header (and any resumed prefix) written at create time,
+    /// renames it into place and syncs the directory where the platform
+    /// allows it. A no-op once done.
+    fn publish(&mut self) -> std::io::Result<()> {
+        let Some((tmp, path)) = self.publish.take() else {
+            return Ok(());
+        };
+        self.file.sync_all()?;
+        std::fs::rename(&tmp, &path)?;
+        if let Some(Ok(dir)) = path.parent().map(File::open) {
+            let _ = dir.sync_all();
+        }
+        Ok(())
+    }
+}
+
+/// Closes its sink when dropped, so the drainer stops even when the
+/// compute beside it unwinds.
+struct CloseOnDrop<'a>(&'a CheckpointSink);
+
+impl Drop for CloseOnDrop<'_> {
+    fn drop(&mut self) {
+        self.0.close();
+    }
 }
 
 impl CheckpointSink {
-    /// Creates (or atomically rewrites) the manifest in `dir` with `header`
-    /// and the already-validated `prefix` records, then opens it for
-    /// appending from window `prefix.len()`.
+    /// Writes `header` and the already-validated `prefix` records to a temp
+    /// file in `dir`; the drainer syncs it and renames it over the manifest
+    /// before its first record. The sink then orders records from window
+    /// `prefix.len()`. An unusable directory fails here, before any window
+    /// computes.
     ///
-    /// `crash_after` is deterministic fault injection: after the record for
-    /// that window becomes durable, the process aborts
+    /// `crash_after` is deterministic fault injection: once the record for
+    /// that window is durable, the process aborts
     /// ([`crate::config::FaultPlan::crash_after_checkpoint`]).
-    pub fn create(
+    pub(crate) fn create(
         dir: &Path,
         header: &ManifestHeader,
         prefix: &[CheckpointRecord],
@@ -527,96 +606,147 @@ impl CheckpointSink {
     ) -> Result<CheckpointSink, CheckpointError> {
         std::fs::create_dir_all(dir)?;
         let tmp = dir.join(MANIFEST_TMP);
-        let path = dir.join(MANIFEST_NAME);
         let mut bytes = header.encode();
         for rec in prefix {
             bytes.extend_from_slice(&framing::record(&rec.encode()));
         }
-        {
-            let mut f = File::create(&tmp)?;
-            f.write_all(&bytes)?;
-            f.sync_all()?;
-        }
-        std::fs::rename(&tmp, &path)?;
-        // Make the rename itself durable where the platform allows it.
-        if let Ok(d) = File::open(dir) {
-            let _ = d.sync_all();
-        }
-        let file = OpenOptions::new().append(true).open(&path)?;
+        let mut file = File::create(&tmp)?;
+        file.write_all(&bytes)?;
         Ok(CheckpointSink {
             tele,
             every: every.max(1),
             crash_after,
             state: Mutex::new(SinkState {
-                file: Some(file),
                 pending: BTreeMap::new(),
                 next: prefix.len(),
-                buf: Vec::new(),
-                buffered: 0,
+                batch: Vec::new(),
+                batched: 0,
+                queue: Vec::new(),
+                queued: 0,
                 crash_armed: false,
+                closed: false,
+                disabled: false,
+            }),
+            handed: Condvar::new(),
+            manifest: Mutex::new(Manifest {
+                file,
+                publish: Some((tmp, dir.join(MANIFEST_NAME))),
             }),
         })
     }
 
     /// Offers a completed window. Records arriving out of order are held
-    /// until their predecessors arrive; in-order records are appended (and
-    /// fsynced every `every` records, or immediately when the
-    /// crash-injection window becomes drainable).
+    /// until their predecessors arrive; in-order records are handed to the
+    /// drainer every `every` records, or at once when the crash-injection
+    /// window is among them. Returns without writing or syncing.
     pub fn offer(&self, rec: &CheckpointRecord) {
+        let frame = framing::record(&rec.encode());
         let mut st = lock(&self.state);
-        if st.file.is_none() {
+        if st.disabled || st.crash_armed {
             return;
         }
-        st.pending
-            .insert(rec.window, framing::record(&rec.encode()));
-        while let Some(frame) = {
-            let key = st.next;
-            st.pending.remove(&key)
-        } {
-            st.buf.extend_from_slice(&frame);
-            st.buffered += 1;
-            if self.crash_after == Some(st.next) {
-                st.crash_armed = true;
-            }
+        st.pending.insert(rec.window, frame);
+        while !st.crash_armed {
+            let window = st.next;
+            let Some(frame) = st.pending.remove(&window) else {
+                break;
+            };
+            st.batch.extend_from_slice(&frame);
+            st.batched += 1;
             st.next += 1;
+            st.crash_armed = self.crash_after == Some(window);
         }
-        if st.buffered >= self.every || st.crash_armed {
-            self.flush_locked(&mut st);
-        }
-        if st.crash_armed && st.file.is_some() {
-            // The injected crash point: the record for window k is durable,
-            // nothing after it is. abort() skips destructors and exit
-            // handlers — the closest safe stand-in for a kill -9.
-            std::process::abort();
+        if st.batched >= self.every || st.crash_armed {
+            st.hand_over();
+            self.handed.notify_one();
         }
     }
 
-    /// Flushes any buffered tail (end of run, possibly mid-batch).
-    pub fn finish(&self) {
+    /// Hands over the last partial batch and lets the drainer stop once
+    /// the queue is empty.
+    fn close(&self) {
         let mut st = lock(&self.state);
-        if st.buffered > 0 {
-            self.flush_locked(&mut st);
+        st.hand_over();
+        st.closed = true;
+        self.handed.notify_one();
+    }
+
+    /// Drops everything not yet durable and every later offer.
+    fn disable(&self) {
+        self.tele.add("checkpoint.write_errors", 1);
+        let mut st = lock(&self.state);
+        st.disabled = true;
+        st.pending.clear();
+        st.batch.clear();
+        st.batched = 0;
+        st.queue.clear();
+        st.queued = 0;
+    }
+
+    /// The drainer loop: publishes the header, then group-commits the
+    /// queue until the sink is closed and the queue empty.
+    fn drain(&self) {
+        let mut manifest = lock(&self.manifest);
+        let published = {
+            let _t = self.tele.phase(RunPhase::CheckpointWrite);
+            manifest.publish()
+        };
+        if published.is_err() {
+            self.disable();
+        }
+        let mut frames = Vec::new();
+        loop {
+            let (records, crash) = {
+                let mut st = lock(&self.state);
+                while st.queue.is_empty() && !st.closed {
+                    st = self
+                        .handed
+                        .wait(st)
+                        .unwrap_or_else(std::sync::PoisonError::into_inner);
+                }
+                if st.queue.is_empty() {
+                    return;
+                }
+                frames.clear();
+                std::mem::swap(&mut frames, &mut st.queue);
+                (std::mem::take(&mut st.queued), st.crash_armed)
+            };
+            let res = {
+                let _t = self.tele.phase(RunPhase::CheckpointWrite);
+                let file = &mut manifest.file;
+                file.write_all(&frames).and_then(|()| file.sync_data())
+            };
+            if res.is_err() {
+                self.disable();
+                continue;
+            }
+            self.tele.add("checkpoint.writes", records as u64);
+            self.tele.add("checkpoint.bytes", frames.len() as u64);
+            self.tele.add("checkpoint.syncs", 1);
+            if crash {
+                // The injected crash point: the record for window k is
+                // durable, nothing after it is. abort() skips destructors
+                // and exit handlers — the closest safe stand-in for a
+                // kill -9.
+                std::process::abort();
+            }
         }
     }
 
-    fn flush_locked(&self, st: &mut SinkState) {
-        let Some(file) = st.file.as_mut() else {
-            return;
-        };
-        let _t = self.tele.phase(RunPhase::CheckpointWrite);
-        let res = file.write_all(&st.buf).and_then(|()| file.sync_data());
-        match res {
-            Ok(()) => {
-                self.tele.add("checkpoint.writes", st.buffered as u64);
-                self.tele.add("checkpoint.bytes", st.buf.len() as u64);
-            }
-            Err(_) => {
-                self.tele.add("checkpoint.write_errors", 1);
-                st.file = None;
-            }
-        }
-        st.buf.clear();
-        st.buffered = 0;
+    /// Runs `compute` on the calling thread while the drainer runs on a
+    /// helper; the sink is closed when `compute` returns or unwinds, and
+    /// this returns once the last handed-over record is durable, with
+    /// `compute`'s result and how long the caller waited for the drainer.
+    /// A panic in `compute` resurfaces here with its own payload.
+    fn run<R>(&self, compute: impl FnOnce() -> R) -> (R, Duration) {
+        let ((), out, stall) = overlap(
+            || self.drain(),
+            || {
+                let _close = CloseOnDrop(self);
+                compute()
+            },
+        );
+        (out, stall)
     }
 }
 
@@ -626,10 +756,10 @@ impl CheckpointSink {
 
 /// One run's manifest lifecycle, shared by the postmortem, offline and
 /// streaming drivers: [`DurableRun::open`] resumes the manifest's valid
-/// prefix and opens the sink, the driver walks windows
-/// [`DurableRun::start`]`..count` (seeding from [`DurableRun::seed`] and
-/// persisting through [`DurableRun::sink`]), and [`DurableRun::finish`]
-/// flushes the sink and merges the restored prefix into the run output.
+/// prefix and opens the sink, and [`DurableRun::run`] runs the driver's
+/// compute over windows [`DurableRun::start`]`..count` (seeding from
+/// [`DurableRun::seed`] and persisting through [`DurableRun::sink`]) beside
+/// the sink's drainer, then merges the restored prefix into the run output.
 pub struct DurableRun {
     tele: Telemetry,
     count: usize,
@@ -639,7 +769,8 @@ pub struct DurableRun {
 
 impl DurableRun {
     /// A run that neither writes nor resumes a manifest and records no
-    /// checkpoint counter: only [`DurableRun::finish`]'s epilogue applies.
+    /// checkpoint counter: [`DurableRun::run`] calls its compute inline and
+    /// applies only the epilogue.
     pub(crate) fn transient(count: usize, tele: &Telemetry) -> DurableRun {
         DurableRun {
             tele: tele.clone(),
@@ -655,7 +786,7 @@ impl DurableRun {
     /// manifest. A resume keeps the longest valid prefix, at most
     /// `spec.count` records; when that prefix is non-empty, `clip` maps its
     /// length to the length the driver can resume from (or refuses the
-    /// resume), before the sink rewrites the kept prefix into `opts.dir`.
+    /// resume), before the sink writes the kept prefix into `opts.dir`.
     pub fn open(
         opts: &CheckpointOptions,
         driver: u8,
@@ -717,13 +848,36 @@ impl DurableRun {
         self.sink.as_ref()
     }
 
-    /// Flushes the sink's buffered tail, then completes the driver's
-    /// `windows` (`start..count`) with the restored prefix under `retain`,
-    /// in window order, and records the run's status.
-    pub fn finish(self, mut windows: Vec<WindowOutput>, retain: RetainMode) -> RunOutput {
-        if let Some(sink) = &self.sink {
-            sink.finish();
-        }
+    /// Runs the driver's `compute` — windows `start..count`, reading
+    /// [`DurableRun::start`], [`DurableRun::seed`] and
+    /// [`DurableRun::sink`] from the run it is handed — and completes its
+    /// output with the restored prefix under `retain`, in window order,
+    /// recording the run's status.
+    ///
+    /// With a sink, `compute` runs beside the sink's drainer and this
+    /// returns only once the last record is durable; the wait is the
+    /// `checkpoint.stall_s` gauge. A panic in `compute` closes the sink,
+    /// lets the drainer make what was handed over durable, and resurfaces
+    /// here with its own payload. Without a sink, `compute` runs inline.
+    pub fn run(
+        self,
+        retain: RetainMode,
+        compute: impl FnOnce(&DurableRun) -> Vec<WindowOutput>,
+    ) -> RunOutput {
+        let windows = match &self.sink {
+            Some(sink) => {
+                let (windows, stall) = sink.run(|| compute(&self));
+                self.tele
+                    .set_gauge("checkpoint.stall_s", stall.as_secs_f64());
+                windows
+            }
+            None => compute(&self),
+        };
+        self.complete(windows, retain)
+    }
+
+    /// Completes the driver's `windows` with the restored prefix.
+    fn complete(self, mut windows: Vec<WindowOutput>, retain: RetainMode) -> RunOutput {
         windows.extend(self.prefix.iter().map(|r| r.to_output(retain)));
         windows.sort_by_key(|w| w.window);
         let mut out = RunOutput {
@@ -878,12 +1032,18 @@ mod tests {
         d
     }
 
+    /// Offers `records` in the given order beside the sink's drainer.
+    fn offer_all(sink: &CheckpointSink, records: &[CheckpointRecord]) {
+        sink.run(|| {
+            for r in records {
+                sink.offer(r);
+            }
+        });
+    }
+
     fn write_all(dir: &Path, h: &ManifestHeader, records: &[CheckpointRecord], every: usize) {
         let sink = CheckpointSink::create(dir, h, &[], every, None, Telemetry::noop()).unwrap();
-        for r in records {
-            sink.offer(r);
-        }
-        sink.finish();
+        offer_all(&sink, records);
     }
 
     #[test]
@@ -932,10 +1092,11 @@ mod tests {
         let dir = tmpdir("order");
         let h = header();
         let sink = CheckpointSink::create(&dir, &h, &[], 1, None, Telemetry::noop()).unwrap();
-        for w in [2usize, 0, 3, 1] {
-            sink.offer(&rec(w, WindowStatus::Ok));
-        }
-        sink.finish();
+        let records: Vec<_> = [2usize, 0, 3, 1]
+            .into_iter()
+            .map(|w| rec(w, WindowStatus::Ok))
+            .collect();
+        offer_all(&sink, &records);
         let state = resume_scan(&dir, &h).unwrap();
         assert_eq!(state.records.len(), 4);
         for (i, r) in state.records.iter().enumerate() {
@@ -1056,19 +1217,127 @@ mod tests {
         // Reopen keeping only 2 records, then append a fresh window 2.
         let prefix: Vec<CheckpointRecord> = (0..2).map(|w| rec(w, WindowStatus::Ok)).collect();
         let sink = CheckpointSink::create(&dir, &h, &prefix, 1, None, Telemetry::noop()).unwrap();
-        sink.offer(&rec(
+        let fresh = rec(
             2,
             WindowStatus::Recovered {
                 via: RecoveryKind::FullInitRetry,
             },
-        ));
-        sink.finish();
+        );
+        offer_all(&sink, &[fresh]);
         let state = resume_scan(&dir, &h).unwrap();
         assert_eq!(state.records.len(), 3);
         assert!(matches!(
             state.records[2].status,
             WindowStatus::Recovered { .. }
         ));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn one_sync_commits_everything_queued_before_the_drainer_takes_it() {
+        let dir = tmpdir("group");
+        let h = header();
+        let tele = Telemetry::enabled();
+        let sink = CheckpointSink::create(&dir, &h, &[], 1, None, tele.clone()).unwrap();
+        // Four hand-overs queue before the drainer starts: it takes them
+        // in one write and one sync.
+        for w in 0..4 {
+            sink.offer(&rec(w, WindowStatus::Ok));
+        }
+        offer_all(&sink, &[]);
+        let report = tele.report();
+        assert_eq!(report.counter("checkpoint.writes"), 4);
+        assert_eq!(report.counter("checkpoint.syncs"), 1);
+        assert_eq!(resume_scan(&dir, &h).unwrap().records.len(), 4);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_panicking_compute_resurfaces_and_leaves_a_valid_prefix() {
+        let dir = tmpdir("panic");
+        let h = header();
+        let opts = CheckpointOptions {
+            dir: Some(dir.clone()),
+            ..CheckpointOptions::default()
+        };
+        let spec = WindowSpec {
+            t0: h.t0,
+            delta: h.delta,
+            sw: h.sw,
+            count: h.count as usize,
+        };
+        let tele = Telemetry::noop();
+        let identity = || (h.config_hash, h.log_fingerprint);
+        let run = DurableRun::open(&opts, h.driver, &spec, identity, Ok, None, &tele).unwrap();
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                run.run(RetainMode::Full, |run| {
+                    let sink = run.sink().unwrap();
+                    // Out of order: window 1 waits for window 0.
+                    sink.offer(&rec(1, WindowStatus::Ok));
+                    sink.offer(&rec(0, WindowStatus::Ok));
+                    std::panic::panic_any("compute failed at window 2")
+                })
+            }));
+            let payload = caught.err().and_then(|p| p.downcast::<&str>().ok());
+            let _ = tx.send(payload.map(|p| *p));
+        });
+        let payload = rx
+            .recv_timeout(std::time::Duration::from_secs(60))
+            .expect("the drainer hung the run");
+        assert_eq!(payload, Some("compute failed at window 2"));
+        let state = resume_scan(&dir, &h).unwrap();
+        assert_eq!(
+            state.records,
+            [rec(0, WindowStatus::Ok), rec(1, WindowStatus::Ok)]
+        );
+        assert_eq!(state.corrupt_discarded, 0);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_write_error_disables_the_sink_and_leaves_the_ranks_alone() {
+        use crate::config::{InitMode, KernelKind, ParallelMode, PostmortemConfig};
+        use crate::engine::PostmortemEngine;
+        use tempopr_graph::Event;
+        let events = (0..300u32)
+            .map(|i| Event::new((i * 13 + 2) % 20, (i * 7 + 5) % 20, i64::from(i)))
+            .filter(|e| e.u != e.v)
+            .collect();
+        let log = EventLog::from_unsorted(events, 20).unwrap();
+        let spec = WindowSpec::covering(&log, 60, 30).unwrap();
+        let cfg = PostmortemConfig {
+            num_multiwindows: 2,
+            mode: ParallelMode::Sequential,
+            kernel: KernelKind::SpMV,
+            init_mode: InitMode::Partial,
+            threads: 1,
+            ..PostmortemConfig::default()
+        };
+        let tele = Telemetry::enabled();
+        let engine = PostmortemEngine::with_telemetry(&log, spec, cfg, tele.clone()).unwrap();
+        let plain = engine.run();
+        let dir = tmpdir("readonly");
+        let opts = CheckpointOptions {
+            dir: Some(dir.clone()),
+            ..CheckpointOptions::default()
+        };
+        let run =
+            DurableRun::open(&opts, DRIVER_POSTMORTEM, &spec, || (1, 2), Ok, None, &tele).unwrap();
+        // The drainer's handle can no longer write.
+        let sink = run.sink().unwrap();
+        lock(&sink.manifest).file = File::open(dir.join(MANIFEST_TMP)).unwrap();
+        let durable = engine.run_with(run);
+        let report = tele.report();
+        assert_eq!(report.counter("checkpoint.write_errors"), 1);
+        assert_eq!(report.counter("checkpoint.writes"), 0);
+        assert_eq!(durable.windows.len(), spec.count);
+        for (a, b) in plain.windows.iter().zip(&durable.windows) {
+            assert_eq!(a.fingerprint.to_bits(), b.fingerprint.to_bits());
+            assert_eq!(a.ranks, b.ranks);
+            assert_eq!(a.status, b.status);
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 

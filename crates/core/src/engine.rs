@@ -365,7 +365,7 @@ impl PostmortemEngine {
     /// Runs windows `durable.start()..count`, seeded from the last durable
     /// window's ranks mapped into its part, and completes the output
     /// through `durable`.
-    fn run_with(&self, durable: DurableRun) -> RunOutput {
+    pub(crate) fn run_with(&self, durable: DurableRun) -> RunOutput {
         let seed = durable.seed().map(|(w, ranks)| {
             let p = self.part_index_of(w);
             (p, ranks.to_local(self.store.vertex_map(p)))
@@ -383,12 +383,11 @@ impl PostmortemEngine {
         if cap.is_some() {
             self.tele.add("storage.workers_capped", 1);
         }
-        let windows = match &self.pool {
+        let out = durable.run(self.cfg.retain, |_| match &self.pool {
             Some(p) => p.install(|| self.run_inner(&plan, workers)),
             None => self.run_inner(&plan, workers),
-        };
+        });
         *lock(&self.ckpt) = None;
-        let out = durable.finish(windows, self.cfg.retain);
         // Measured after the run so lazily-built window indexes count.
         self.tele
             .set_gauge("memory.multiwindow_bytes", self.store.memory_bytes() as f64);

@@ -142,14 +142,15 @@ pub fn run_offline_durable(
         cfg.faults.crash_after_checkpoint,
         tele,
     )?;
-    let inner = || run_offline_inner(log, spec, cfg, durable.start(), durable.sink(), tele);
-    let windows = if cfg.threads > 0 {
-        let Ok(pool) = thread_pool(cfg.threads);
-        pool.install(inner)
-    } else {
-        inner()
-    };
-    Ok(durable.finish(windows, cfg.retain))
+    Ok(durable.run(cfg.retain, |durable| {
+        let inner = || run_offline_inner(log, spec, cfg, durable.start(), durable.sink(), tele);
+        if cfg.threads > 0 {
+            let Ok(pool) = thread_pool(cfg.threads);
+            pool.install(inner)
+        } else {
+            inner()
+        }
+    }))
 }
 
 /// Compatibility hash of an offline configuration: FNV-1a over the config's

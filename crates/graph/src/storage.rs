@@ -574,16 +574,35 @@ impl TcsrFile {
         file.read_exact(&mut table)?;
         let mut entries = framing::unseal(&table)
             .ok_or_else(|| corrupt("section-table", "table CRC mismatch"))?;
+        // The writer lays sections out back to back after the table, so
+        // they must tile the rest of the file in order: a permuted,
+        // overlapping or gapped table is corrupt even when its CRC holds.
+        let mut end = (TCSR_HEADER_LEN + table_len + 4) as u64;
         let mut sections = Vec::with_capacity(num_parts);
         for p in 0..num_parts {
             let (offset, len, crc) = (entries.u64()?, entries.u64()?, entries.u32()?);
-            if offset.checked_add(len).is_none_or(|end| end > file_len) {
+            if offset != end {
                 return Err(corrupt(
                     "section-table",
-                    format!("section {p} extends past end of file"),
+                    format!("section {p} starts at {offset}, not at {end}"),
                 ));
             }
+            end = offset
+                .checked_add(len)
+                .filter(|&e| e <= file_len)
+                .ok_or_else(|| {
+                    corrupt(
+                        "section-table",
+                        format!("section {p} extends past end of file"),
+                    )
+                })?;
             sections.push(Section { offset, len, crc });
+        }
+        if end != file_len {
+            return Err(corrupt(
+                "section-table",
+                format!("sections end at {end}, the file at {file_len}"),
+            ));
         }
         Ok(TcsrFile {
             file: Mutex::new(file),
@@ -1028,6 +1047,59 @@ mod tests {
         let mut w = w;
         w.append(&CompressedPart::encode(&set.graphs()[0])).unwrap();
         assert!(matches!(w.finish(), Err(StorageError::BadHeader(_))));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A three-part file whose section table is forged with its CRC
+    /// recomputed: every section still passes its own CRC, so only the
+    /// tiling rule can refuse the table.
+    #[test]
+    fn forged_section_tables_that_do_not_tile_the_file_are_corrupt() {
+        let dir = std::env::temp_dir().join(format!("tcsr_forged_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("parts.tcsr");
+        let (set, _) = sample_set(false, 3);
+        let mut w = TcsrFileWriter::create(&path, 3, 11).unwrap();
+        for part in set.graphs() {
+            w.append(&CompressedPart::encode(part)).unwrap();
+        }
+        w.finish().unwrap();
+        let pristine = std::fs::read(&path).unwrap();
+        let table = TCSR_HEADER_LEN..TCSR_HEADER_LEN + 3 * TCSR_SECTION_ENTRY_LEN;
+        // Moves entry `e`'s offset by `start` and its length by `len`.
+        fn nudge(entries: &mut [u8], e: usize, start: i64, len: i64) {
+            for (field, by) in [(0, start), (1, len)] {
+                let at = e * TCSR_SECTION_ENTRY_LEN + field * 8;
+                let x = u64::from_le_bytes(entries[at..at + 8].try_into().unwrap());
+                entries[at..at + 8].copy_from_slice(&x.wrapping_add_signed(by).to_le_bytes());
+            }
+        }
+        for what in ["swapped", "overlapping", "gapped"] {
+            let mut entries = pristine[table.clone()].to_vec();
+            match what {
+                "swapped" => {
+                    let (first, rest) = entries.split_at_mut(TCSR_SECTION_ENTRY_LEN);
+                    first.swap_with_slice(&mut rest[..TCSR_SECTION_ENTRY_LEN]);
+                }
+                // Section 1 starts one byte inside section 0.
+                "overlapping" => nudge(&mut entries, 1, -1, 1),
+                // One byte between sections 0 and 1; the last still ends
+                // at the end of the file.
+                _ => nudge(&mut entries, 1, 1, -1),
+            }
+            framing::seal(&mut entries);
+            let mut bytes = pristine.clone();
+            bytes[table.start..table.end + 4].copy_from_slice(&entries);
+            std::fs::write(&path, &bytes).unwrap();
+            match TcsrFile::open(&path) {
+                Err(StorageError::Corrupt { section, .. }) => {
+                    assert_eq!(section, "section-table", "{what}");
+                }
+                other => panic!("{what}: opened as {other:?}"),
+            }
+        }
+        std::fs::write(&path, &pristine).unwrap();
+        assert_eq!(TcsrFile::open(&path).unwrap().num_parts(), 3);
         std::fs::remove_dir_all(&dir).ok();
     }
 

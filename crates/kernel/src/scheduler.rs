@@ -453,9 +453,10 @@ impl Scheduler {
 /// returns, so both closures may borrow from the caller's stack. The
 /// helper sees the caller's thread budget; its panic resurfaces here.
 ///
-/// This is the primitive behind the executor's setup/compute overlap: the
-/// next window's setup runs as `background` while the current window's
-/// kernel runs as `foreground`.
+/// This is the primitive behind the pipelines: the next window's setup or
+/// the next part's prefetch runs as `background` while the current
+/// window's or part's compute runs as `foreground`, and a durable run's
+/// checkpoint drainer runs as `background` beside the whole run.
 pub fn overlap<RA, RB, FA, FB>(background: FA, foreground: FB) -> (RA, RB, Duration)
 where
     RA: Send,

@@ -165,14 +165,16 @@ pub fn run_streaming_durable(
     let seed = durable
         .seed()
         .map(|(_, ranks)| ranks.to_dense(log.num_vertices()));
-    let inner = || run_streaming_inner(log, spec, cfg, durable.start(), seed, durable.sink(), tele);
-    let windows = if cfg.threads > 0 {
-        let Ok(pool) = thread_pool(cfg.threads);
-        pool.install(inner)
-    } else {
-        inner()
-    };
-    Ok(durable.finish(windows, cfg.retain))
+    Ok(durable.run(cfg.retain, |durable| {
+        let inner =
+            || run_streaming_inner(log, spec, cfg, durable.start(), seed, durable.sink(), tele);
+        if cfg.threads > 0 {
+            let Ok(pool) = thread_pool(cfg.threads);
+            pool.install(inner)
+        } else {
+            inner()
+        }
+    }))
 }
 
 /// Compatibility hash of a streaming configuration: FNV-1a over the

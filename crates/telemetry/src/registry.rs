@@ -33,7 +33,11 @@ pub enum Phase {
     /// Time the pipelined executor spent waiting for an overlapped
     /// window-setup prefetch that had not finished when the kernel did.
     PipelineStall,
-    /// Durable checkpoint appends: record encoding, `write_all`, fsync.
+    /// Durable checkpoint I/O on the sink's drainer thread: the header's
+    /// create-time sync and rename, then each group commit's `write_all` +
+    /// `sync_data`. Record encoding, on the compute thread, is not in it;
+    /// neither is the compute thread's end-of-run wait for the drainer
+    /// (gauge `checkpoint.stall_s`).
     CheckpointWrite,
     /// Resume-time manifest scan: header verification plus the
     /// longest-valid-prefix record walk.

@@ -17,7 +17,9 @@
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
-use tempopr::core::checkpoint::{crc32, CheckpointError, ManifestHeader, MANIFEST_NAME};
+use tempopr::core::checkpoint::{
+    crc32, CheckpointError, CheckpointRecord, DurableRun, ManifestHeader, MANIFEST_NAME,
+};
 use tempopr::prelude::*;
 
 fn test_log() -> EventLog {
@@ -625,4 +627,125 @@ fn mutate_small_manifest(driver: &str) {
         );
     }
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+// ---------------------------------------------------------------------------
+// The drainer: a panicking compute, and group commit moving no byte
+// ---------------------------------------------------------------------------
+
+/// A driver's compute that offers windows 0..3 out of order and then
+/// panics: the panic reaches the caller with its own payload, nothing
+/// hangs (a watchdog bounds the wait), and the manifest is byte for byte
+/// the pinned offline manifest's first three records.
+#[test]
+fn a_panicking_compute_resurfaces_and_keeps_a_durable_prefix() {
+    let (pinned_dir, pristine, out) = small_manifest("offline", "panic_pinned");
+    let _ = std::fs::remove_dir_all(&pinned_dir);
+    let header = header_of(&pristine);
+    let records: Vec<CheckpointRecord> = out
+        .windows
+        .iter()
+        .map(|w| CheckpointRecord {
+            window: w.window,
+            status: w.status.clone(),
+            attempts: w.attempts,
+            stats: w.stats,
+            fingerprint: w.fingerprint,
+            ranks: w.ranks.clone().unwrap(),
+        })
+        .collect();
+    let dir = tmp_dir("panic_compute");
+    let opts = CheckpointOptions {
+        dir: Some(dir.clone()),
+        every: 1,
+        resume: None,
+    };
+    let log = small_log();
+    let spec = WindowSpec::covering(&log, 30, 15).unwrap();
+    let identity = || (header.config_hash, header.log_fingerprint);
+    let tele = Telemetry::noop();
+    let durable = DurableRun::open(&opts, header.driver, &spec, identity, Ok, None, &tele).unwrap();
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            durable.run(RetainMode::Full, |durable| {
+                let sink = durable.sink().unwrap();
+                for w in [2, 0, 1] {
+                    sink.offer(&records[w]);
+                }
+                std::panic::panic_any("compute failed at window 3")
+            })
+        }));
+        let payload = caught.err().and_then(|p| p.downcast::<&str>().ok());
+        let _ = tx.send(payload.map(|p| *p));
+    });
+    let payload = rx
+        .recv_timeout(std::time::Duration::from_secs(60))
+        .expect("the drainer hung the run");
+    assert_eq!(payload, Some("compute failed at window 3"));
+    let bytes = std::fs::read(dir.join(MANIFEST_NAME)).unwrap();
+    assert_eq!(bytes, pristine[..record_ends(&pristine)[2]]);
+    assert_eq!(resume_scan(&dir, &header).unwrap().records.len(), 3);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Group commit moves no byte. Under full init the manifest's records are
+/// equal across SpMV / SpMM{4} × `Sequential` / `WindowLevel` × threads
+/// {1, 2} — the window-level modes finish windows out of order — and the
+/// whole manifest across `every` {1, 3, 8}. Every window is
+/// written once, and the drainer's data syncs are at least one and at
+/// most one per hand-over of `every` records.
+#[test]
+fn manifest_bytes_do_not_depend_on_sync_batching_or_completion_order() {
+    let log = test_log();
+    let spec = WindowSpec::covering(&log, 120, 40).unwrap();
+    let mut reference: Option<Vec<u8>> = None;
+    for kernel in [KernelKind::SpMV, KernelKind::SpMM { lanes: 4 }] {
+        for mode in [ParallelMode::Sequential, ParallelMode::WindowLevel] {
+            for threads in [1, 2] {
+                let cfg = PostmortemConfig {
+                    num_multiwindows: 3,
+                    mode,
+                    kernel,
+                    init_mode: InitMode::Full,
+                    threads,
+                    pr: tight_pr(),
+                    ..PostmortemConfig::default()
+                };
+                let mut whole: Option<Vec<u8>> = None;
+                for every in [1, 3, 8] {
+                    let case = format!("{kernel:?} {mode:?} threads {threads} every {every}");
+                    let dir = tmp_dir("group_commit");
+                    let tele = Telemetry::enabled();
+                    PostmortemEngine::with_telemetry(&log, spec, cfg.clone(), tele.clone())
+                        .unwrap()
+                        .run_durable(&CheckpointOptions {
+                            dir: Some(dir.clone()),
+                            every,
+                            resume: None,
+                        })
+                        .unwrap();
+                    let bytes = std::fs::read(dir.join(MANIFEST_NAME)).unwrap();
+                    let _ = std::fs::remove_dir_all(&dir);
+                    let report = tele.report();
+                    let writes = report.counter("checkpoint.writes");
+                    let syncs = report.counter("checkpoint.syncs");
+                    assert_eq!(writes, spec.count as u64, "{case}: records written");
+                    assert!(
+                        (1..=writes.div_ceil(every as u64)).contains(&syncs),
+                        "{case}: {syncs} syncs for {writes} records"
+                    );
+                    assert_eq!(record_ends(&bytes).len(), spec.count, "{case}");
+                    match &whole {
+                        Some(w) => assert_eq!(&bytes, w, "{case}: manifest moved"),
+                        None => whole = Some(bytes.clone()),
+                    }
+                    match &reference {
+                        Some(r) => assert_eq!(&bytes[60..], &r[..], "{case}: records moved"),
+                        None => reference = Some(bytes[60..].to_vec()),
+                    }
+                }
+            }
+        }
+    }
 }
