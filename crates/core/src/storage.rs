@@ -44,7 +44,7 @@
 use crate::error::EngineError;
 use crate::lock;
 use std::ops::{Deref, Range};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use tempopr_graph::multiwindow::PartitionStrategy;
@@ -65,8 +65,11 @@ pub enum StorageBackend {
     /// a bounded shard cache.
     Compressed,
     /// Parts rest in a `tempopr.tcsr.v1` file under `dir`, paged in per
-    /// part-shard. The file (`parts.tcsr`) is written at engine build time
-    /// and left in place — the caller owns the directory's lifetime.
+    /// part-shard. The file (`parts.tcsr`) is per-engine scratch: every
+    /// engine build writes a fresh one, never syncs it, renames it over the
+    /// previous one, and pages only from its own. A crash can leave it
+    /// torn (its CRCs catch that), and no later process reads it. The
+    /// caller owns the directory's lifetime.
     OnDisk {
         /// Directory holding (or to hold) the `parts.tcsr` file.
         dir: PathBuf,
@@ -227,15 +230,8 @@ impl TcsrStorage {
             }
             StorageBackend::OnDisk { dir } => {
                 let EncodedPartition { parts, metas } = encoded()?;
-                std::fs::create_dir_all(dir).map_err(StorageError::from)?;
-                let path = dir.join("parts.tcsr");
-                let mut writer = TcsrFileWriter::create(&path, parts.len(), num_global_vertices)?;
-                for part in &parts {
-                    writer.append(part)?;
-                }
-                writer.finish()?;
+                let file = write_spill(dir, &parts, num_global_vertices)?;
                 drop(parts);
-                let file = TcsrFile::open(&path)?;
                 let total: usize = (0..file.num_parts()).map(|p| file.section_len(p)).sum();
                 let base = file.memory_bytes() + meta_bytes(&metas);
                 (Backing::OnDisk(file), metas, base, total)
@@ -551,6 +547,52 @@ impl TcsrStorage {
     }
 }
 
+/// Writes `parts` as this engine's spill file under `dir` and opens it.
+///
+/// The spill file is scratch: every build rewrites it, no later process
+/// reads it, so it is never synced, and its CRCs catch a torn one. It is
+/// written under a name unique to this process and this build, opened,
+/// and only then renamed over `parts.tcsr`. The open handle keeps its
+/// inode, so a second engine built over the same directory replaces the
+/// name, never the file an earlier engine is still paging from.
+fn write_spill(
+    dir: &Path,
+    parts: &[CompressedPart],
+    num_global_vertices: usize,
+) -> Result<TcsrFile, StorageError> {
+    std::fs::create_dir_all(dir)?;
+    let (tmp, mut writer) = loop {
+        let tmp = spill_temp(dir, SPILL_SEQ.fetch_add(1, Ordering::Relaxed));
+        match TcsrFileWriter::create_new(&tmp, parts.len(), num_global_vertices) {
+            // Another process with this pid (a dead one, or one in another
+            // pid namespace sharing the directory) holds it: take the next.
+            Err(StorageError::Io(e)) if e.kind() == std::io::ErrorKind::AlreadyExists => {}
+            created => break (tmp, created?),
+        }
+    };
+    let written = parts
+        .iter()
+        .try_for_each(|part| writer.append(part))
+        .and_then(|()| writer.finish())
+        .and_then(|()| TcsrFile::open(&tmp))
+        .and_then(|file| {
+            std::fs::rename(&tmp, dir.join("parts.tcsr"))?;
+            Ok(file)
+        });
+    if written.is_err() {
+        let _ = std::fs::remove_file(&tmp);
+    }
+    written
+}
+
+/// Numbers this process's spill-file builds, for their temp names.
+static SPILL_SEQ: AtomicUsize = AtomicUsize::new(0);
+
+/// The temp name of this process's `n`th spill-file build under `dir`.
+fn spill_temp(dir: &Path, n: usize) -> PathBuf {
+    dir.join(format!(".parts.tcsr.{}.{n}.tmp", std::process::id()))
+}
+
 fn meta_bytes(metas: &[PartMeta]) -> usize {
     metas
         .iter()
@@ -635,6 +677,35 @@ mod tests {
                 assert_eq!(a.tcsr().row_offsets(), b.tcsr().row_offsets());
             }
         }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_temp_name_a_dead_process_left_behind_is_skipped() {
+        let log = sample_log();
+        let spec = WindowSpec::covering(&log, 80, 30).unwrap();
+        let dir = tmpdir("stale_temp");
+        std::fs::create_dir_all(&dir).unwrap();
+        // Another process with this pid left the next few temp names.
+        let next = SPILL_SEQ.load(Ordering::Relaxed);
+        for n in next..next + 4 {
+            std::fs::write(spill_temp(&dir, n), b"stale").unwrap();
+        }
+        let backend = StorageBackend::OnDisk { dir: dir.clone() };
+        let store = build(&log, spec, 3, &backend, 1, Telemetry::noop());
+        let resident = build(
+            &log,
+            spec,
+            3,
+            &StorageBackend::Resident,
+            1,
+            Telemetry::noop(),
+        );
+        for p in 0..store.num_parts() {
+            let (a, b) = (store.part(p).unwrap(), resident.part(p).unwrap());
+            assert_eq!(a.tcsr().col_indices(), b.tcsr().col_indices());
+        }
+        assert!(dir.join("parts.tcsr").is_file());
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -36,7 +36,7 @@ use crate::multiwindow::{
 use crate::tcsr::TemporalCsr;
 use crate::window::{TimeRange, WindowSpec};
 use std::fmt;
-use std::fs::File;
+use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::ops::Range;
 use std::path::Path;
@@ -459,8 +459,39 @@ pub struct TcsrFileWriter {
 }
 
 impl TcsrFileWriter {
-    /// Creates the file and reserves the header + section table.
+    /// Creates (or truncates) the file and reserves the header + section
+    /// table.
     pub fn create(
+        path: &Path,
+        num_parts: usize,
+        num_global_vertices: usize,
+    ) -> Result<TcsrFileWriter, StorageError> {
+        Self::open_with(
+            OpenOptions::new().write(true).create(true).truncate(true),
+            path,
+            num_parts,
+            num_global_vertices,
+        )
+    }
+
+    /// Like [`TcsrFileWriter::create`], but fails with an
+    /// [`std::io::ErrorKind::AlreadyExists`] I/O error instead of
+    /// truncating a file already at `path`.
+    pub fn create_new(
+        path: &Path,
+        num_parts: usize,
+        num_global_vertices: usize,
+    ) -> Result<TcsrFileWriter, StorageError> {
+        Self::open_with(
+            OpenOptions::new().write(true).create_new(true),
+            path,
+            num_parts,
+            num_global_vertices,
+        )
+    }
+
+    fn open_with(
+        options: &OpenOptions,
         path: &Path,
         num_parts: usize,
         num_global_vertices: usize,
@@ -470,7 +501,7 @@ impl TcsrFileWriter {
                 "part count {num_parts} outside 1..={TCSR_MAX_PARTS}"
             )));
         }
-        let mut file = File::create(path)?;
+        let mut file = options.open(path)?;
         let mut fields = (num_parts as u32).to_le_bytes().to_vec();
         fields.extend_from_slice(&(num_global_vertices as u64).to_le_bytes());
         file.write_all(&framing::sealed_header(TCSR_MAGIC, TCSR_VERSION, &fields))?;
@@ -503,9 +534,13 @@ impl TcsrFileWriter {
         Ok(())
     }
 
-    /// Writes the section table and flushes. Refuses to finish with fewer
-    /// sections than declared (the header's count is load-bearing for the
-    /// reader's preallocation guard).
+    /// Writes the section table. Refuses to finish with fewer sections
+    /// than declared (the header's count is load-bearing for the reader's
+    /// preallocation guard).
+    ///
+    /// The bytes are handed to the OS and not synced: a crash can leave
+    /// the file torn, which the header, table and section CRCs catch on
+    /// read.
     pub fn finish(mut self) -> Result<(), StorageError> {
         let written = self.table.len() / TCSR_SECTION_ENTRY_LEN;
         if written != self.num_parts {
@@ -517,8 +552,6 @@ impl TcsrFileWriter {
         framing::seal(&mut self.table);
         self.file.seek(SeekFrom::Start(TCSR_HEADER_LEN as u64))?;
         self.file.write_all(&self.table)?;
-        self.file.flush()?;
-        self.file.sync_all()?;
         Ok(())
     }
 }

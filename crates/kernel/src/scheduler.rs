@@ -157,7 +157,12 @@ fn run_parallel<T: Send, R: Send>(
 /// the module docs for what each does on window loops and on row loops).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Partitioner {
-    /// As few tasks as keep the pool busy (TBB `auto_partitioner`).
+    /// On row loops, as few tasks as keep the pool busy (TBB
+    /// `auto_partitioner`). On window and part loops it cuts like
+    /// [`Partitioner::Simple`], one task per `granularity` indices, and
+    /// each task starts cold: at the default grain of 1, a part-parallel
+    /// SpMV walk seeds no window from its predecessor, even on one
+    /// thread.
     #[default]
     Auto,
     /// Eager splitting down to grain-sized chunks (TBB `simple_partitioner`).

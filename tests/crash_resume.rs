@@ -59,7 +59,7 @@ fn run_case(
         spec.count
     );
     match case {
-        "pm" | "pm_warm_pipe" | "pm_spmm_warm" => {
+        "pm" | "pm_warm_pipe" | "pm_spmm_warm" | "pm_ondisk" => {
             let mut cfg = PostmortemConfig {
                 num_multiwindows: 3,
                 mode: ParallelMode::ApplicationLevel,
@@ -79,6 +79,17 @@ fn run_case(
                     cfg.mode = ParallelMode::Sequential;
                     cfg.kernel = KernelKind::SpMM { lanes: 4 };
                     cfg.init_mode = InitMode::Warm;
+                }
+                "pm_ondisk" => {
+                    // Spills beside the manifest, so the crashed run and
+                    // its resumes share one spill directory. The
+                    // uninterrupted run has no directory and stays
+                    // resident: the config hash masks the storage choice.
+                    if let Some(dir) = opts.resume.as_ref().or(opts.dir.as_ref()) {
+                        cfg.storage = StorageBackend::OnDisk {
+                            dir: dir.join("spill"),
+                        };
+                    }
                 }
                 _ => {}
             }
@@ -232,6 +243,14 @@ fn postmortem_spmm_resume_clips_to_part_boundary() {
     // the prefix down to the part boundary and recompute the partial part
     // whole, still bit-identically.
     crash_resume_roundtrip("pm_spmm_warm", 4, 1);
+}
+
+#[test]
+fn postmortem_ondisk_crash_resume_rebuilds_its_own_spill_file() {
+    // The crashed process left a spill file behind; the resumed process
+    // builds over the same spill directory and pages only from the file it
+    // wrote itself.
+    crash_resume_roundtrip("pm_ondisk", 2, 1);
 }
 
 #[test]

@@ -562,3 +562,134 @@ fn sharded_run_stays_within_budget() {
         }
     }
 }
+
+/// A log over the same 40 vertices as `dense_log` but with other edges, so
+/// its spill file's bytes differ.
+fn other_log() -> EventLog {
+    let mut events = Vec::new();
+    for i in 0..1500u32 {
+        let u = (i * 13 + 5) % 40;
+        let v = (i * 3 + 2) % 40;
+        if u != v {
+            events.push(Event::new(u, v, (i % 700) as i64));
+        }
+    }
+    EventLog::from_unsorted(events, 40).unwrap()
+}
+
+/// The engine configuration of the spill-file tests, on `storage`.
+fn spill_cfg(storage: StorageBackend) -> PostmortemConfig {
+    PostmortemConfig {
+        num_multiwindows: 3,
+        mode: ParallelMode::ApplicationLevel,
+        kernel: KernelKind::SpMV,
+        init_mode: InitMode::Partial,
+        pr: tight_pr(),
+        storage,
+        ..PostmortemConfig::default()
+    }
+}
+
+fn assert_all_ok(out: &RunOutput, what: &str) {
+    let bad: Vec<_> = out
+        .windows
+        .iter()
+        .filter(|w| w.status != WindowStatus::Ok)
+        .map(|w| (w.window, w.status.clone()))
+        .collect();
+    assert!(bad.is_empty(), "{what}: degraded windows {bad:?}");
+}
+
+/// Two engines built over one spill directory: the second build replaces
+/// the `parts.tcsr` name, never the file the first engine pages from, so
+/// the first engine's run after it is still bit-identical to resident.
+#[test]
+fn a_second_engine_over_the_same_spill_dir_leaves_the_first_alone() {
+    let dir = scratch_dir("shared");
+    let ondisk = || StorageBackend::OnDisk { dir: dir.clone() };
+    let (log_a, log_b) = (dense_log(), other_log());
+    let spec_a = WindowSpec::covering(&log_a, 120, 40).unwrap();
+    let spec_b = WindowSpec::covering(&log_b, 90, 30).unwrap();
+    let want_a = fingerprints(
+        &PostmortemEngine::new(&log_a, spec_a, spill_cfg(StorageBackend::Resident))
+            .unwrap()
+            .run(),
+    );
+    let want_b = fingerprints(
+        &PostmortemEngine::new(&log_b, spec_b, spill_cfg(StorageBackend::Resident))
+            .unwrap()
+            .run(),
+    );
+    let a = PostmortemEngine::new(&log_a, spec_a, spill_cfg(ondisk())).unwrap();
+    let b = PostmortemEngine::new(&log_b, spec_b, spill_cfg(ondisk())).unwrap();
+    let out_a = a.run();
+    assert_all_ok(&out_a, "engine A");
+    assert_eq!(
+        fingerprints(&out_a),
+        want_a,
+        "engine A diverges from resident"
+    );
+    let out_b = b.run();
+    assert_all_ok(&out_b, "engine B");
+    assert_eq!(
+        fingerprints(&out_b),
+        want_b,
+        "engine B diverges from resident"
+    );
+    // Both builds renamed their file into place; neither left a temp file.
+    let names: Vec<_> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name())
+        .collect();
+    assert_eq!(names, ["parts.tcsr"], "spill dir after two builds");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// No engine reads a spill file it did not write: a `parts.tcsr` already
+/// in the directory, whether garbage or another engine's file cut short
+/// (what an unsynced crash can leave), does not change a single bit of
+/// the run.
+#[test]
+fn an_ondisk_engine_never_reads_a_spill_file_it_did_not_write() {
+    let log = dense_log();
+    let spec = WindowSpec::covering(&log, 120, 40).unwrap();
+    let want = fingerprints(
+        &PostmortemEngine::new(&log, spec, spill_cfg(StorageBackend::Resident))
+            .unwrap()
+            .run(),
+    );
+    let other = scratch_dir("other");
+    let other_spec = WindowSpec::covering(&other_log(), 90, 30).unwrap();
+    drop(
+        PostmortemEngine::new(
+            &other_log(),
+            other_spec,
+            spill_cfg(StorageBackend::OnDisk { dir: other.clone() }),
+        )
+        .unwrap(),
+    );
+    let foreign = std::fs::read(other.join("parts.tcsr")).unwrap();
+    let _ = std::fs::remove_dir_all(&other);
+    let garbage: Vec<u8> = (0..4096u32)
+        .map(|i| (i.wrapping_mul(2_654_435_761) >> 24) as u8)
+        .collect();
+    let seeds = [
+        ("garbage", garbage),
+        ("torn", foreign[..foreign.len() * 2 / 3].to_vec()),
+    ];
+    for (name, bytes) in seeds {
+        let dir = scratch_dir(name);
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::write(dir.join("parts.tcsr"), &bytes).unwrap();
+        let out = PostmortemEngine::new(
+            &log,
+            spec,
+            spill_cfg(StorageBackend::OnDisk { dir: dir.clone() }),
+        )
+        .unwrap()
+        .run();
+        assert_all_ok(&out, name);
+        assert_eq!(fingerprints(&out), want, "{name}: diverges from resident");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
