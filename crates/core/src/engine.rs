@@ -58,13 +58,15 @@ use crate::error::EngineError;
 use crate::exec::{classify_converged, isolate, oracle_for, WindowExecutor};
 use crate::lock;
 use crate::observe::TelemetryKernelBridge;
-use crate::result::{RunOutput, WindowOutput, WindowStatus};
+use crate::result::{RunOutput, WindowOutput, WindowRanks, WindowStatus};
 use crate::storage::{PartRef, StorageBackend, TcsrStorage};
 use crate::warmstart;
 use std::cell::Cell;
 use std::ops::Range;
 use std::sync::{Arc, Mutex};
-use tempopr_graph::{plan_partition, EventLog, MultiWindowGraph, StorageError, WindowSpec};
+use tempopr_graph::{
+    plan_partition, EventLog, MultiWindowGraph, StorageError, VertexId, WindowSpec,
+};
 use tempopr_kernel::{
     overlap, pagerank_batch_indexed_obs, pagerank_window_indexed_obs, scheduler::ThreadPool,
     thread_pool, worker_pool, BatchObs, Init, Obs, PrConfig, PrStats, PrWorkspace, Scheduler,
@@ -652,13 +654,19 @@ impl PostmortemEngine {
             // A panic may have left the workspace inconsistent.
             *ws = PrWorkspace::default();
         }
+        // The kernel's ranks are zero off the window's active vertices, so
+        // the output walks those; a recovery override is walked whole.
+        let active = override_ranks
+            .is_none()
+            .then(|| part.index_view(w).vertices);
         let ranks = match override_ranks {
             Some(x) => x,
             None => ws.ranks().to_vec(),
         };
         let valid = status.is_valid();
         meter.record(&self.tele, seed, valid, stats.iterations);
-        let output = self.make_output(w, part, stats, &ranks, status, attempts);
+        let local = WindowRanks::local(&ranks, part.vertex_map(), active);
+        let output = self.executor().finalize(w, local, stats, status, attempts);
         (output, valid.then_some(ranks))
     }
 
@@ -687,13 +695,12 @@ impl PostmortemEngine {
     /// continues.
     fn fetch_failed_output(&self, w: usize, part_idx: usize, err: &StorageError) -> WindowOutput {
         self.tele.add("storage.fetch_failures", 1);
-        let map = self.store.vertex_map(part_idx);
-        let zeros = vec![0.0; map.len()];
+        // No ranks: an empty window of the part.
+        let none = WindowRanks::local(&[], self.store.vertex_map(part_idx), Some(&[]));
         self.executor().finalize(
             w,
-            Some(map),
+            none,
             PrStats::empty(),
-            &zeros,
             WindowStatus::Failed {
                 diagnostic: format!("storage fetch failed: {err}"),
             },
@@ -803,10 +810,10 @@ impl PostmortemEngine {
         }
         let mut ws = SpmmWorkspace::default();
         let mut pr_ws = PrWorkspace::default();
-        // One deinterleave buffer for the whole partition: every converged
-        // lane is copied out through it instead of allocating a fresh
-        // vector per lane per batch.
-        let mut lane_buf: Vec<f64> = Vec::new();
+        // One deinterleave buffer for the whole part: every converged lane
+        // is copied out through it instead of allocating a fresh vector per
+        // lane per batch.
+        let mut lane_buf = LaneBuf::default();
         for j in 0..regions.batches() {
             // Faulted windows leave the batch and run individually through
             // the full recovery ladder.
@@ -853,16 +860,20 @@ impl PostmortemEngine {
             let nlanes = clean.len();
             match batch {
                 Ok(Ok(stats)) => {
-                    lane_buf.resize(ws.x.len() / nlanes, 0.0);
+                    let index = part.window_index();
                     for (i, &lw) in clean.iter().enumerate() {
                         let st = stats[i];
                         if st.converged || self.cfg.pr.max_iters == 0 {
                             let status = classify_converged(&st);
-                            ws.copy_lane_into(i, nlanes, &mut lane_buf);
                             let kind = seed_kind(&regions, j, lw);
                             meter.record(&self.tele, kind, true, st.iterations);
-                            out.push(self.make_output(w0 + lw, part, st, &lane_buf, status, 1));
-                            regions.keep(lw, 0, &lane_buf);
+                            let active = index.view(lw).vertices;
+                            lane_buf.with_lane(&ws.x, i, nlanes, active, |ranks| {
+                                let local =
+                                    WindowRanks::local(ranks, part.vertex_map(), Some(active));
+                                out.push(self.executor().finalize(w0 + lw, local, st, status, 1));
+                                regions.keep(lw, 0, ranks);
+                            });
                         } else {
                             // Per-lane escalation: recompute this window
                             // alone through the recovery ladder.
@@ -918,27 +929,6 @@ impl PostmortemEngine {
 
     fn part_index_of(&self, window: usize) -> usize {
         self.store.part_index_of(window)
-    }
-
-    /// Terminal output assembly, delegated to the shared execution layer
-    /// with this part's local→global vertex map.
-    fn make_output(
-        &self,
-        window: usize,
-        part: &MultiWindowGraph,
-        stats: PrStats,
-        local_ranks: &[f64],
-        status: WindowStatus,
-        attempts: u16,
-    ) -> WindowOutput {
-        self.executor().finalize(
-            window,
-            Some(part.vertex_map()),
-            stats,
-            local_ranks,
-            status,
-            attempts,
-        )
     }
 }
 
@@ -1155,6 +1145,39 @@ impl Regions {
     pub(crate) fn carry_out(&mut self, chain: usize) -> Option<Vec<f64>> {
         let s = self.slot(self.nw - 1, chain);
         self.prev[s].take()
+    }
+}
+
+/// The deinterleave buffer of a lane-batched walk: one lane of a finished
+/// batch at a time, over its part's local vertices. The buffer is zero
+/// between uses and a lane writes only its active vertices, so a lane costs
+/// its active set, not the part's vertex range, and the vector a use sees
+/// is dense-correct for [`Regions::keep`]. Both walks reuse one buffer
+/// across lanes and batches; the query walk across parts too.
+#[derive(Debug, Default)]
+pub(crate) struct LaneBuf(Vec<f64>);
+
+impl LaneBuf {
+    /// Calls `f` with lane `k` of the interleaved `x` (stride `vl`), one
+    /// entry per row of `x`: the lane's cells at its `active` vertices,
+    /// zero elsewhere. Zeroes those cells again afterwards.
+    pub(crate) fn with_lane<R>(
+        &mut self,
+        x: &[f64],
+        k: usize,
+        vl: usize,
+        active: &[VertexId],
+        f: impl FnOnce(&[f64]) -> R,
+    ) -> R {
+        self.0.resize(x.len() / vl, 0.0);
+        for &v in active {
+            self.0[v as usize] = x[v as usize * vl + k];
+        }
+        let out = f(&self.0);
+        for &v in active {
+            self.0[v as usize] = 0.0;
+        }
+        out
     }
 }
 

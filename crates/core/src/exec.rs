@@ -31,7 +31,7 @@
 
 use crate::checkpoint::{CheckpointRecord, CheckpointSink};
 use crate::config::RetainMode;
-use crate::result::{rank_fingerprint, RecoveryKind, SparseRanks, WindowOutput, WindowStatus};
+use crate::result::{RecoveryKind, WindowOutput, WindowRanks, WindowStatus};
 use std::ops::Range;
 use std::sync::Arc;
 use tempopr_graph::{Event, TemporalCsr, TimeRange};
@@ -274,17 +274,17 @@ impl<'a> WindowExecutor<'a> {
     /// Assembles one window's terminal [`WindowOutput`]: terminal counters
     /// and trace markers, the canonical rank fingerprint, and retention.
     ///
-    /// `local_ranks` is the window's final rank vector; with a
-    /// local→global `vertex_map` entries are renumbered (multi-window
-    /// parts), without one the vector is dense over the global universe
-    /// (offline/streaming). Failed windows pass their all-zero override
-    /// vector, yielding an empty sparse vector and a zero fingerprint.
+    /// `ranks` is the window's final rank vector (see [`WindowRanks`]):
+    /// renumbered through its part's vertex map on multi-window parts, and
+    /// walked over the window's active vertices when it names them, dense
+    /// over the global universe otherwise (offline/streaming). Failed
+    /// windows pass no ranks (an all-zero vector, or an empty active
+    /// list), yielding an empty sparse vector and a zero fingerprint.
     pub fn finalize(
         &self,
         window: usize,
-        vertex_map: Option<&[u32]>,
+        ranks: WindowRanks<'_>,
         stats: PrStats,
-        local_ranks: &[f64],
         status: WindowStatus,
         attempts: u16,
     ) -> WindowOutput {
@@ -305,15 +305,11 @@ impl<'a> WindowExecutor<'a> {
             attempts,
             stats.iterations as u32,
         ));
-        let fingerprint = rank_fingerprint(local_ranks, vertex_map);
         // The sparse vector is built whenever either consumer needs it; a
         // checkpoint record always carries it (resume re-seeding needs the
         // ranks even under summary retention).
-        let mut sparse =
-            (self.ckpt.is_some() || self.retain == RetainMode::Full).then(|| match vertex_map {
-                Some(map) => SparseRanks::from_local(local_ranks, map),
-                None => SparseRanks::from_dense(local_ranks),
-            });
+        let (fingerprint, mut sparse) =
+            ranks.output(self.ckpt.is_some() || self.retain == RetainMode::Full);
         if let Some(sink) = &self.ckpt {
             let ranks = if self.retain == RetainMode::Full {
                 sparse.clone().unwrap_or_default()

@@ -55,7 +55,7 @@ pub use observe::TelemetryKernelBridge;
 pub use offline::{run_offline, run_offline_durable, run_offline_traced, OfflineConfig};
 pub use query::{EngineQuery, QueryOutput, QueryRunOutput};
 pub use result::{
-    rank_fingerprint, RecoveryKind, RunOutput, SparseRanks, WindowOutput, WindowStatus,
+    rank_fingerprint, RecoveryKind, RunOutput, SparseRanks, WindowOutput, WindowRanks, WindowStatus,
 };
 pub use storage::{PartRef, StorageBackend, TcsrStorage};
 

@@ -108,8 +108,9 @@ impl KernelObserver for TelemetryKernelBridge<'_> {
         self.tele.observe("spmm.batch_lanes", f64::from(lanes));
     }
 
-    fn on_batch_compaction(&self, from_lanes: u32, to_lanes: u32) {
+    fn on_batch_compaction(&self, from_lanes: u32, to_lanes: u32, rows: u64) {
         self.tele.add("spmm.compactions", 1);
+        self.tele.add("spmm.compaction_rows", rows);
         self.tele.add(
             "spmm.lanes_compacted",
             u64::from(from_lanes.saturating_sub(to_lanes)),
@@ -159,7 +160,7 @@ mod tests {
         b.on_guard(3, 1, true);
         b.on_batch_round(1, 2, 4, 120, 10, 5);
         b.on_batch_dispatch("avx2", 4);
-        b.on_batch_compaction(4, 1);
+        b.on_batch_compaction(4, 1, 37);
         b.on_batch_live_rows(120, 300, 4, true);
         b.on_batch_row_walk(true);
         b.on_batch_row_walk(true);
@@ -173,6 +174,7 @@ mod tests {
         assert_eq!(report.counter("kernel.isa.avx2"), 1);
         assert_eq!(report.counter("spmm.compactions"), 1);
         assert_eq!(report.counter("spmm.lanes_compacted"), 3);
+        assert_eq!(report.counter("spmm.compaction_rows"), 37);
         assert_eq!(report.counter("spmm.live_rows_rebuilds"), 1);
         assert_eq!(report.counter("spmm.live_runs"), 120);
         assert_eq!(report.counter("spmm.live_cells"), 300);

@@ -23,7 +23,7 @@ use crate::exec::{
 };
 use crate::lock;
 use crate::observe::TelemetryKernelBridge;
-use crate::result::{RunOutput, WindowOutput};
+use crate::result::{RunOutput, WindowOutput, WindowRanks};
 use std::cell::Cell;
 use std::sync::{Arc, Mutex};
 use tempopr_graph::{Csr, EventLog, WindowSpec};
@@ -374,7 +374,7 @@ fn offline_compute(
         Some(x) => x,
         None => ws.ranks(),
     };
-    executor.finalize(w, None, stats, local, status, attempts)
+    executor.finalize(w, WindowRanks::dense(local), stats, status, attempts)
 }
 
 #[cfg(test)]

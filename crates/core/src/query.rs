@@ -18,12 +18,13 @@
 //! `tests/query_batch_edge_cases.rs`), and this driver only adds routing.
 
 use crate::config::{InitMode, KernelKind, RetainMode};
-use crate::engine::PostmortemEngine;
+use crate::engine::{LaneBuf, PostmortemEngine};
 use crate::error::{EngineError, Phase};
-use crate::result::{rank_fingerprint, SparseRanks};
+use crate::observe::TelemetryKernelBridge;
+use crate::result::{SparseRanks, WindowRanks};
 use tempopr_kernel::{
-    pagerank_query_batch_indexed, BatchObs, KernelError, PrStats, QueryBatch, QueryInit, QuerySpec,
-    QueryWorkspace, MAX_LANES,
+    pagerank_query_batch_indexed, BatchObs, KernelError, KernelObserver, PrStats, QueryBatch,
+    QueryInit, QuerySpec, QueryWorkspace, MAX_LANES,
 };
 
 /// One query to evaluate on every window of the run, in the *global*
@@ -146,8 +147,14 @@ impl PostmortemEngine {
     ///
     /// Telemetry: `query.batches` (kernel calls), `query.batched` (lanes
     /// computed), `query.retired` (lanes compaction retired early),
-    /// `query.iterations_saved`, and the gauge `plan.query_slots` (window
-    /// slots of the widest batch).
+    /// `query.iterations_saved`, the gauge `plan.query_slots` (window
+    /// slots of the widest batch), and the kernel's compaction counters
+    /// (`spmm.compactions`, `spmm.lanes_compacted`, and
+    /// `spmm.compaction_rows`, the rows compaction walked).
+    ///
+    /// Every output is read off its window's active vertices: the lane's
+    /// cells there, its fingerprint and its sparse ranks cost what the
+    /// window holds, not the part's vertex range.
     pub fn run_queries(&self, queries: &[EngineQuery]) -> Result<QueryRunOutput, EngineError> {
         if queries.is_empty() {
             return Err(EngineError::kernel(
@@ -191,7 +198,14 @@ impl PostmortemEngine {
         let mut carry: Vec<Option<(usize, Vec<f64>)>> = vec![None; queries.len()];
         let mut out = QueryRunOutput::default();
         let mut ws = QueryWorkspace::default();
-        let mut lane_buf: Vec<f64> = Vec::new();
+        let mut lane_buf = LaneBuf::default();
+        let bridge = TelemetryKernelBridge::new(self.telemetry(), 1);
+        let compactions = Compactions(&bridge);
+        let obs = if self.telemetry().is_enabled() {
+            BatchObs::new(&compactions, &[])
+        } else {
+            BatchObs::off()
+        };
         let mut carry_buf: Vec<f64> = Vec::new();
         for p in 0..self.num_parts() {
             let fetched = self.part(p)?;
@@ -258,40 +272,35 @@ impl PostmortemEngine {
                     let index = part.window_index();
                     let views: Vec<_> = wslots.iter().map(|&lw| index.view(lw)).collect();
                     let res = pagerank_query_batch_indexed(
-                        pull,
-                        push,
-                        &views,
-                        &batch,
-                        &inits,
-                        &cfg.pr,
-                        inner,
-                        &mut ws,
-                        BatchObs::off(),
+                        pull, push, &views, &batch, &inits, &cfg.pr, inner, &mut ws, obs,
                     )
                     .map_err(|e| {
                         EngineError::kernel(Some(w0 + wslots[0]), Some(p), Phase::Iterate, e)
                     })?;
-                    lane_buf.resize(part.num_local_vertices(), 0.0);
                     for (k, &(lw, i)) in lanes.iter().enumerate() {
                         let st = res.stats[k];
-                        ws.copy_lane_into(k, lanes.len(), &mut lane_buf);
-                        out.outputs.push(QueryOutput {
-                            window: w0 + lw,
-                            query: q0 + i,
-                            stats: st,
-                            uniform_fallback: res.uniform_fallback[k],
-                            katz_alpha: res.katz_alpha[k],
-                            fingerprint: rank_fingerprint(&lane_buf, Some(vmap)),
-                            ranks: (cfg.retain == RetainMode::Full)
-                                .then(|| SparseRanks::from_local(&lane_buf, vmap)),
+                        let active = views[k / qs.len()].vertices;
+                        lane_buf.with_lane(&ws.base.x, k, lanes.len(), active, |ranks| {
+                            let (fingerprint, sparse) =
+                                WindowRanks::local(ranks, vmap, Some(active))
+                                    .output(cfg.retain == RetainMode::Full);
+                            out.outputs.push(QueryOutput {
+                                window: w0 + lw,
+                                query: q0 + i,
+                                stats: st,
+                                uniform_fallback: res.uniform_fallback[k],
+                                katz_alpha: res.katz_alpha[k],
+                                fingerprint,
+                                ranks: sparse,
+                            });
+                            // A non-converged lane breaks its query's warm
+                            // chain rather than poisoning the next window.
+                            if st.converged || cfg.pr.max_iters == 0 {
+                                regions.keep(lw, i, ranks);
+                            } else {
+                                regions.break_chain(lw, i);
+                            }
                         });
-                        // A non-converged lane breaks its query's warm chain
-                        // rather than poisoning the next window.
-                        if st.converged || cfg.pr.max_iters == 0 {
-                            regions.keep(lw, i, &lane_buf);
-                        } else {
-                            regions.break_chain(lw, i);
-                        }
                     }
                     self.telemetry().add("query.batches", 1);
                     self.telemetry().add("query.batched", lanes.len() as u64);
@@ -315,11 +324,24 @@ impl PostmortemEngine {
     }
 }
 
+/// The one observation a query batch reports: its compactions (the
+/// `spmm.compactions`, `spmm.lanes_compacted` and `spmm.compaction_rows`
+/// counters). The rest of the bridge stays off the query walk, whose lanes
+/// are (window, query) cells rather than windows.
+struct Compactions<'a>(&'a TelemetryKernelBridge<'a>);
+
+impl KernelObserver for Compactions<'_> {
+    fn on_batch_compaction(&self, from_lanes: u32, to_lanes: u32, rows: u64) {
+        self.0.on_batch_compaction(from_lanes, to_lanes, rows);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::advisor;
     use crate::config::{ParallelMode, PostmortemConfig};
+    use crate::result::rank_fingerprint;
     use tempopr_graph::{Event, EventLog, WindowSpec};
     use tempopr_kernel::{pagerank_window_personalized, PrConfig, PrWorkspace};
     use tempopr_telemetry::Telemetry;

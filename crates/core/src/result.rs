@@ -16,15 +16,7 @@ pub struct SparseRanks {
 impl SparseRanks {
     /// Builds from a dense global vector, keeping strictly positive entries.
     pub fn from_dense(dense: &[f64]) -> Self {
-        let mut vertices = Vec::new();
-        let mut values = Vec::new();
-        for (v, &x) in dense.iter().enumerate() {
-            if x > 0.0 {
-                vertices.push(v as u32);
-                values.push(x);
-            }
-        }
-        SparseRanks { vertices, values }
+        WindowRanks::dense(dense).sparse()
     }
 
     /// Builds from local ranks plus a sorted local→global vertex map,
@@ -32,15 +24,7 @@ impl SparseRanks {
     /// output sorted without extra work.
     pub fn from_local(local: &[f64], vertex_map: &[u32]) -> Self {
         debug_assert_eq!(local.len(), vertex_map.len());
-        let mut vertices = Vec::new();
-        let mut values = Vec::new();
-        for (l, &x) in local.iter().enumerate() {
-            if x > 0.0 {
-                vertices.push(vertex_map[l]);
-                values.push(x);
-            }
-        }
-        SparseRanks { vertices, values }
+        WindowRanks::local(local, vertex_map, None).sparse()
     }
 
     /// Reconstructs the dense global vector this was built from. Exact,
@@ -137,23 +121,106 @@ impl SparseRanks {
 /// entries of a local rank vector, in local-index order. With a
 /// local→global `vertex_map` the hash is taken over global ids (so two
 /// models with different internal numberings agree); without one the local
-/// index *is* the global id (dense vectors). This is the single
-/// implementation all three drivers and [`SparseRanks::fingerprint`] share
-/// — the summation order is part of the bit-identity contract between the
-/// drivers and the golden traces.
+/// index *is* the global id (dense vectors). All three drivers and
+/// [`SparseRanks::fingerprint`] sum through [`WindowRanks`], the one
+/// implementation — the summation order is part of the bit-identity
+/// contract between the drivers and the golden traces.
 pub fn rank_fingerprint(local: &[f64], vertex_map: Option<&[u32]>) -> f64 {
     if let Some(map) = vertex_map {
         debug_assert_eq!(local.len(), map.len());
     }
-    local
-        .iter()
-        .enumerate()
-        .filter(|&(_, &x)| x > 0.0)
-        .map(|(l, &x)| {
-            let v = vertex_map.map_or(l as u32, |m| m[l]);
-            x * hash01(v)
-        })
-        .sum()
+    WindowRanks {
+        local,
+        vertex_map,
+        active: None,
+    }
+    .fingerprint()
+}
+
+/// A window's final rank vector as its outputs read it: the ranks by local
+/// index, whose ids those indices are, and where the vector can be
+/// nonzero. Its fingerprint and sparse form walk the positive entries in
+/// local-index order, so with an `active` list they cost what the window
+/// holds, not the vector's length, and carry the bits the dense walk
+/// gives.
+#[derive(Debug, Clone, Copy)]
+pub struct WindowRanks<'a> {
+    /// Ranks by local index.
+    pub local: &'a [f64],
+    /// Sorted local→global vertex map; `None` when the local index is the
+    /// global id.
+    pub vertex_map: Option<&'a [u32]>,
+    /// Local indices, ascending, off which `local` is zero (a window's
+    /// active vertices); `None` for every index.
+    pub active: Option<&'a [u32]>,
+}
+
+impl<'a> WindowRanks<'a> {
+    /// A vector over the global vertex space (offline, streaming).
+    pub fn dense(local: &'a [f64]) -> Self {
+        WindowRanks {
+            local,
+            vertex_map: None,
+            active: None,
+        }
+    }
+
+    /// A part-local vector renumbered through `vertex_map`, zero off
+    /// `active` when given.
+    pub fn local(local: &'a [f64], vertex_map: &'a [u32], active: Option<&'a [u32]>) -> Self {
+        WindowRanks {
+            local,
+            vertex_map: Some(vertex_map),
+            active,
+        }
+    }
+
+    /// `(global id, rank)` of every strictly positive entry among
+    /// `indices`, in their order.
+    fn ranked<'s>(
+        &'s self,
+        indices: impl Iterator<Item = usize> + 's,
+    ) -> impl Iterator<Item = (u32, f64)> + 's {
+        indices
+            .filter(|&l| self.local[l] > 0.0)
+            .map(|l| (self.vertex_map.map_or(l as u32, |m| m[l]), self.local[l]))
+    }
+
+    /// The canonical fingerprint (see [`rank_fingerprint`]), over `active`
+    /// when given and every index otherwise. An empty window sums no term,
+    /// which is `Iterator::sum`'s empty value, exactly as the dense walk
+    /// over an all-zero vector gives.
+    pub fn fingerprint(&self) -> f64 {
+        let term = |(v, x): (u32, f64)| x * hash01(v);
+        match self.active {
+            Some(active) => self
+                .ranked(active.iter().map(|&l| l as usize))
+                .map(term)
+                .sum(),
+            None => self.ranked(0..self.local.len()).map(term).sum(),
+        }
+    }
+
+    /// The strictly positive entries, by global id.
+    pub fn sparse(&self) -> SparseRanks {
+        let (vertices, values) = match self.active {
+            Some(active) => self.ranked(active.iter().map(|&l| l as usize)).unzip(),
+            None => self.ranked(0..self.local.len()).unzip(),
+        };
+        SparseRanks { vertices, values }
+    }
+
+    /// The fingerprint and, when `sparse`, the sparse form. Either way the
+    /// vector is walked once: with the sparse form the fingerprint sums
+    /// over its entries, which are the same terms in the same order.
+    pub fn output(&self, sparse: bool) -> (f64, Option<SparseRanks>) {
+        if sparse {
+            let ranks = self.sparse();
+            (ranks.fingerprint(), Some(ranks))
+        } else {
+            (self.fingerprint(), None)
+        }
+    }
 }
 
 /// SplitMix64-based hash of a vertex id into `[0, 1)`.
@@ -367,6 +434,35 @@ mod tests {
         let via_dense_helper = rank_fingerprint(&dense, None);
         let via_dense_sparse = SparseRanks::from_dense(&dense).fingerprint();
         assert_eq!(via_dense_helper.to_bits(), via_dense_sparse.to_bits());
+
+        // The active-list walk: same entries, same order, same bits, and
+        // the same sparse vector, whether or not it is asked for.
+        let local = [0.0, 0.3, 0.0, 0.0, 0.5, 0.2, 0.0];
+        let map = [1u32, 4, 6, 9, 11, 12, 20];
+        let active = [1u32, 3, 4, 5];
+        let walk = WindowRanks::local(&local, &map, Some(&active));
+        let (fp, sparse) = walk.output(true);
+        assert_eq!(fp.to_bits(), rank_fingerprint(&local, Some(&map)).to_bits());
+        assert_eq!(walk.output(false), (fp, None));
+        assert_eq!(sparse, Some(SparseRanks::from_local(&local, &map)));
+
+        // An empty window: no active vertex and an all-zero vector. Both
+        // walks sum no term, so both give `Iterator::sum`'s empty value
+        // (`-0.0` on current toolchains), bit for bit; an accumulator
+        // started at `0.0` would flip the sign bit.
+        let zeros = [0.0; 4];
+        let empty = WindowRanks::local(&zeros, &map[..4], Some(&[]));
+        let dense_fp = rank_fingerprint(&zeros, Some(&map[..4]));
+        let none: f64 = std::iter::empty::<f64>().sum();
+        assert_eq!(dense_fp.to_bits(), none.to_bits());
+        assert_eq!(empty.fingerprint().to_bits(), dense_fp.to_bits());
+        let (fp, sparse) = empty.output(true);
+        assert_eq!(fp.to_bits(), dense_fp.to_bits());
+        assert_eq!(sparse, Some(SparseRanks::default()));
+        assert_eq!(
+            SparseRanks::default().fingerprint().to_bits(),
+            dense_fp.to_bits()
+        );
     }
 
     #[test]

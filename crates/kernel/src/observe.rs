@@ -79,9 +79,10 @@ pub trait KernelObserver: Sync {
     }
 
     /// Converged-lane compaction repacked the batch from `from_lanes` to
-    /// `to_lanes` effective lanes.
-    fn on_batch_compaction(&self, from_lanes: u32, to_lanes: u32) {
-        let _ = (from_lanes, to_lanes);
+    /// `to_lanes` effective lanes, walking `rows` rows: the batch's union
+    /// active rows, not its part's vertex range.
+    fn on_batch_compaction(&self, from_lanes: u32, to_lanes: u32, rows: u64) {
+        let _ = (from_lanes, to_lanes, rows);
     }
 
     /// The window batch rebuilt its live-row list (a lane converged or
@@ -289,10 +290,10 @@ impl<'a> BatchObs<'a> {
         }
     }
 
-    /// Reports a converged-lane compaction.
-    pub(crate) fn compaction(&self, from_lanes: usize, to_lanes: usize) {
+    /// Reports a converged-lane compaction over `rows` rows.
+    pub(crate) fn compaction(&self, from_lanes: usize, to_lanes: usize, rows: usize) {
         if let Some(sink) = self.sink {
-            sink.on_batch_compaction(from_lanes as u32, to_lanes as u32);
+            sink.on_batch_compaction(from_lanes as u32, to_lanes as u32, rows as u64);
         }
     }
 
@@ -367,11 +368,11 @@ mod tests {
                 .unwrap()
                 .push(format!("dispatch {isa} l{lanes}"));
         }
-        fn on_batch_compaction(&self, from: u32, to: u32) {
+        fn on_batch_compaction(&self, from: u32, to: u32, rows: u64) {
             self.events
                 .lock()
                 .unwrap()
-                .push(format!("compact {from}->{to}"));
+                .push(format!("compact {from}->{to} r{rows}"));
         }
         fn on_batch_live_rows(&self, runs: u64, cells: u64, lanes: u32, vector: bool) {
             self.events
@@ -407,7 +408,7 @@ mod tests {
         b.setup(&[1, 2], None);
         b.round(1, 2, 2, 10, None, None);
         b.dispatch("scalar", 2);
-        b.compaction(2, 1);
+        b.compaction(2, 1, 5);
         b.live_rows(10, 12, 2, true);
         b.row_walk(true);
         b.lane_iteration(0, 1, 0.5, 1.0);
@@ -463,7 +464,7 @@ mod tests {
         let b = BatchObs::new(&rec, &[]);
         b.dispatch("avx2", 8);
         b.round(2, 5, 8, 1234, None, None);
-        b.compaction(8, 3);
+        b.compaction(8, 3, 17);
         b.live_rows(1234, 2000, 3, true);
         b.row_walk(false);
         let got = rec.events.lock().unwrap().clone();
@@ -472,7 +473,7 @@ mod tests {
             vec![
                 "dispatch avx2 l8",
                 "round i2 live5/8 e1234",
-                "compact 8->3",
+                "compact 8->3 r17",
                 "rows r1234 c2000 l3 vector=true",
                 "walk vector=false"
             ]

@@ -616,9 +616,9 @@ impl LaneRule for AffineTeleport<'_> {
         }
     }
 
-    fn compact(&mut self, keep: &[usize], vl: usize, n: usize) {
+    fn compact(&mut self, keep: &[usize], vl: usize, rows: &[u32]) {
         self.lanes_retired += vl - keep.len();
-        repack_columns(self.tele, n, vl, keep);
+        repack_columns(self.tele, rows, vl, keep);
         self.katz = compress_bits(self.katz, keep);
         for p in [&mut self.alpha, &mut self.scale, &mut self.tol] {
             *p = keep.iter().map(|&j| p[j]).collect();
@@ -1223,8 +1223,8 @@ mod tests {
         fn guard_mass(&self, k: usize, mass: f64) -> f64 {
             self.0.guard_mass(k, mass)
         }
-        fn compact(&mut self, keep: &[usize], vl: usize, n: usize) {
-            self.0.compact(keep, vl, n);
+        fn compact(&mut self, keep: &[usize], vl: usize, rows: &[u32]) {
+            self.0.compact(keep, vl, rows);
         }
     }
 

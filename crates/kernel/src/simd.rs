@@ -36,7 +36,12 @@
 //! also clears a NaN or an infinity sitting in that slot — and
 //! `(+0.0) · inv_deg` is `+0.0` because the kernels keep `inv_deg` finite
 //! and non-negative (also under `FaultKind::CorruptReciprocal`, a finite
-//! thousandfold). The accumulator is a sum of non-negative products from
+//! thousandfold). That holds in every row, not only the batch's own:
+//! converged-lane compaction repacks only the rows some lane of the batch
+//! holds, so after a repack a row outside the batch holds stale bytes of
+//! the wider layout. They are copies of `inv_deg` entries, so finite and
+//! non-negative too, and a run of the in-place walk that reaches such a
+//! row selects no lane there. The accumulator is a sum of non-negative products from
 //! `+0.0`, so it is non-negative or already NaN, and `acc + (+0.0)` is
 //! `acc` bit for bit in both cases (only `-0.0`, which cannot occur, would
 //! change). So a masked-off lane keeps its value and a selected lane sees

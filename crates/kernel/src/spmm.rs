@@ -412,9 +412,10 @@ pub(crate) trait LaneRule: Sync {
     fn guard_mass(&self, k: usize, mass: f64) -> f64;
 
     /// Compaction is narrowing the stride from `vl` to the slots `keep`
-    /// (ascending) over `n` vertices: repack whatever per-lane state the
-    /// rule owns the same way ([`repack_columns`] for a matrix).
-    fn compact(&mut self, keep: &[usize], vl: usize, n: usize);
+    /// (ascending) over the batch's active `rows` (ascending): repack
+    /// whatever per-lane state the rule owns the same way
+    /// ([`repack_columns`] for a matrix).
+    fn compact(&mut self, keep: &[usize], vl: usize, rows: &[u32]);
 }
 
 /// The lane rule of the window batch: every lane teleports uniformly over
@@ -478,7 +479,7 @@ impl LaneRule for UniformTeleport<'_> {
         mass
     }
 
-    fn compact(&mut self, _keep: &[usize], _vl: usize, _n: usize) {}
+    fn compact(&mut self, _keep: &[usize], _vl: usize, _rows: &[u32]) {}
 }
 
 /// The one lane-batched round loop, run after [`lanes_from_views`] filled
@@ -547,9 +548,14 @@ pub(crate) fn batch_iterate<R: LaneRule>(
 /// - **Converged-lane compaction** ([`PrConfig::compaction`]): once at
 ///   most half of at least 8 effective lanes are still live, the
 ///   interleaved state is repacked to the live lanes, shrinking the
-///   effective `vl`; converged columns are parked at their original
-///   positions and merged back after the loop. Each lane's summation
-///   sequence is unchanged, so ranks stay bit-identical.
+///   effective `vl`. The first compaction sets the full-stride `x` aside
+///   as the park, where converged columns stay at their original
+///   positions, and the live columns move to a narrow matrix; after the
+///   loop they are merged back. Compaction and the merge walk the batch's
+///   union active rows (`ws.active_list`) only, so they cost what the
+///   batch's windows hold, not the part's vertex range; no other row holds
+///   a cell any lane reads or writes. Each lane's summation sequence is
+///   unchanged, so ranks stay bit-identical.
 /// - **Edge-balanced chunking** ([`Balance::Edge`] on the scheduler):
 ///   parallel chunk boundaries follow the run-count prefix sum instead of
 ///   row counts. Like a grain-size change, moving chunk boundaries moves
@@ -616,8 +622,9 @@ fn rounds<R: LaneRule>(
     // `lane_map[j]` the original lane occupying compact slot `j`. `done`
     // and `all_done` live in compact space, as does whatever the rule
     // keeps per lane; `stats`, `n_act` and `lane_verts` stay in original
-    // lane order. Converged columns are parked at their original positions
-    // (stride `vl0`) when compaction drops them.
+    // lane order. Converged columns stay at their original positions
+    // (stride `vl0`) in `parked`, the full-stride `x` the first
+    // compaction set aside.
     let mut vl = vl0;
     let mut lane_map: Vec<usize> = (0..vl0).collect();
     let mut parked: Vec<f64> = Vec::new();
@@ -808,8 +815,8 @@ fn rounds<R: LaneRule>(
         // and guards touch only live columns.
         let lc = (!done & all_done).count_ones() as usize;
         if cfg.compaction && lc > 0 && vl >= 8 && lc <= vl / 2 {
-            let vl_new = compact_lanes(ws, rule, vl, vl0, done, &mut lane_map, &mut parked);
-            obs.compaction(vl, vl_new);
+            let vl_new = compact_lanes(ws, rule, runs, vl, vl0, done, &mut lane_map, &mut parked);
+            obs.compaction(vl, vl_new, ws.active_list.len());
             vl = vl_new;
             done = 0;
             all_done = lane_mask_all(vl);
@@ -817,11 +824,12 @@ fn rounds<R: LaneRule>(
             live_rows_stale = true;
         }
     }
-    // Merge the still-compact columns back over the parked ones and
-    // restore the full `vl0`-stride layout (`ws.x` kept its `n * vl0`
-    // allocation throughout, so the swap hands back a full-size buffer).
+    // Merge the still-compact columns of the active rows back into the
+    // park, the full-stride `x` the first compaction set aside, and hand
+    // it back: every other cell of it already holds its final value.
     if vl != vl0 {
-        for v in 0..n {
+        for &v in &ws.active_list {
+            let v = v as usize;
             for (j, &orig) in lane_map.iter().enumerate() {
                 parked[v * vl0 + orig] = ws.x[v * vl + j];
             }
@@ -953,12 +961,22 @@ pub(crate) fn lane_mask_all(vl: usize) -> u64 {
 }
 
 /// Repacks the interleaved batch state from `vl` columns down to the lanes
-/// still live in `done`, parking converged columns at their original
-/// positions (stride `vl0`) in `parked`; the rule repacks what it keeps
-/// per lane. Returns the new effective width.
+/// still live in `done`, over the batch's union active rows
+/// (`ws.active_list`) alone: no other row holds a cell a lane reads or
+/// writes. The first compaction (`vl == vl0`) makes the full-stride `x`
+/// itself the park, since it already holds every converged column and every
+/// row no lane holds at their original positions, and moves only the live
+/// columns of the active rows into a fresh narrow matrix; a later one parks
+/// its newly converged columns there (stride `vl0`) and repacks in place.
+/// `inv_deg`, the masks and the rule's per-lane state are repacked in
+/// place, so rows outside the batch keep stale but finite `inv_deg` copies
+/// (see the `crate::simd` module docs for why the whole-stride walk may
+/// read them). Returns the new effective width.
+#[allow(clippy::too_many_arguments)]
 fn compact_lanes<R: LaneRule>(
     ws: &mut SpmmWorkspace,
     rule: &mut R,
+    runs: RunRows<'_>,
     vl: usize,
     vl0: usize,
     done: u64,
@@ -967,41 +985,53 @@ fn compact_lanes<R: LaneRule>(
 ) -> usize {
     let n = ws.active_mask.len();
     let keep: Vec<usize> = (0..vl).filter(|j| done & (1u64 << j) == 0).collect();
-    if parked.is_empty() {
-        parked.resize(n * vl0, 0.0);
-    }
-    for v in 0..n {
-        for j in lanes(done) {
-            parked[v * vl0 + lane_map[j]] = ws.x[v * vl + j];
+    let rows = &ws.active_list;
+    if vl == vl0 {
+        let vl_new = keep.len();
+        let mut narrow = vec![0.0; n * vl_new];
+        for &v in rows {
+            let v = v as usize;
+            for (jn, &j) in keep.iter().enumerate() {
+                narrow[v * vl_new + jn] = ws.x[v * vl + j];
+            }
         }
+        *parked = std::mem::replace(&mut ws.x, narrow);
+    } else {
+        for &v in rows {
+            let v = v as usize;
+            for j in lanes(done) {
+                parked[v * vl0 + lane_map[j]] = ws.x[v * vl + j];
+            }
+        }
+        repack_columns(&mut ws.x, rows, vl, &keep);
     }
-    repack_columns(&mut ws.x, n, vl, &keep);
-    repack_columns(&mut ws.inv_deg, n, vl, &keep);
-    rule.compact(&keep, vl, n);
-    for m in ws.active_mask.iter_mut() {
-        *m = compress_bits(*m, &keep);
-    }
-    for m in ws.dangling_mask.iter_mut() {
-        *m = compress_bits(*m, &keep);
-    }
-    for m in ws.run_mask.iter_mut() {
-        *m = compress_bits(*m, &keep);
+    repack_columns(&mut ws.inv_deg, rows, vl, &keep);
+    rule.compact(&keep, vl, rows);
+    for &v in rows {
+        let v = v as usize;
+        ws.active_mask[v] = compress_bits(ws.active_mask[v], &keep);
+        ws.dangling_mask[v] = compress_bits(ws.dangling_mask[v], &keep);
+        for m in &mut ws.run_mask[runs.of(v)] {
+            *m = compress_bits(*m, &keep);
+        }
     }
     *lane_map = keep.iter().map(|&j| lane_map[j]).collect();
     keep.len()
 }
 
-/// Repacks the interleaved `n`-row matrix `m` in place from stride `vl` to
-/// the columns `keep` (ascending), stride `keep.len()`.
+/// Repacks the rows `rows` (ascending) of the interleaved matrix `m` in
+/// place from stride `vl` to the columns `keep` (ascending), stride
+/// `keep.len()`; every other row is left as it is.
 ///
 /// In place is safe row-ascending: row `v`'s destination ends at
-/// `(v + 1) * keep.len() - 1 < (v + 1) * vl`, so writes never reach an
-/// unread source row, and the row's own source is staged through a stack
-/// buffer first.
-pub(crate) fn repack_columns(m: &mut [f64], n: usize, vl: usize, keep: &[usize]) {
+/// `(v + 1) * keep.len() - 1 < (v + 1) * vl`, so writes never reach the
+/// source of a later row, and the row's own source is staged through a
+/// stack buffer first.
+pub(crate) fn repack_columns(m: &mut [f64], rows: &[u32], vl: usize, keep: &[usize]) {
     let vl_new = keep.len();
     let mut tmp = [0.0f64; MAX_LANES];
-    for v in 0..n {
+    for &v in rows {
+        let v = v as usize;
         tmp[..vl].copy_from_slice(&m[v * vl..(v + 1) * vl]);
         for (jn, &j) in keep.iter().enumerate() {
             m[v * vl_new + jn] = tmp[j];
@@ -2044,14 +2074,14 @@ mod tests {
         #[derive(Default)]
         struct Rec {
             dispatches: Mutex<Vec<(&'static str, u32)>>,
-            compactions: Mutex<Vec<(u32, u32)>>,
+            compactions: Mutex<Vec<(u32, u32, u64)>>,
         }
         impl KernelObserver for Rec {
             fn on_batch_dispatch(&self, isa: &'static str, lanes: u32) {
                 self.dispatches.lock().unwrap().push((isa, lanes));
             }
-            fn on_batch_compaction(&self, from: u32, to: u32) {
-                self.compactions.lock().unwrap().push((from, to));
+            fn on_batch_compaction(&self, from: u32, to: u32, rows: u64) {
+                self.compactions.lock().unwrap().push((from, to, rows));
             }
         }
         let events = sample_events();
@@ -2082,9 +2112,11 @@ mod tests {
             !compactions.is_empty(),
             "staggered convergence must trigger at least one compaction"
         );
-        for &(from, to) in &compactions {
+        for &(from, to, rows) in &compactions {
             assert!(to < from, "compaction must shrink: {from} -> {to}");
             assert!(to as usize <= from as usize / 2);
+            // Compaction walks the batch's active rows, not all 25.
+            assert_eq!(rows, ws.active_list.len() as u64);
         }
     }
 

@@ -24,7 +24,7 @@ use tempopr_core::checkpoint::{self, CheckpointOptions, CheckpointSink, DurableR
 use tempopr_core::exec::{
     oracle_from_events, run_windows, RecoveryPolicy, WindowExecutor, WindowSource,
 };
-use tempopr_core::{EngineError, RunOutput, WindowOutput};
+use tempopr_core::{EngineError, RunOutput, WindowOutput, WindowRanks};
 use tempopr_core::{FaultPlan, RetainMode, TelemetryKernelBridge};
 use tempopr_graph::{EventLog, WindowSpec};
 use tempopr_kernel::{thread_pool, Init, Obs, PrConfig, PrWorkspace, Scheduler};
@@ -368,7 +368,7 @@ fn run_streaming_inner(
             Some(x) => x,
             None => ws.ranks(),
         };
-        let output = executor.finalize(w, None, stats, local, status, attempts);
+        let output = executor.finalize(w, WindowRanks::dense(local), stats, status, attempts);
         // The next window warm-starts from this window's *final* ranks —
         // including oracle-recovered ones — or cold-starts after a failure.
         if valid {

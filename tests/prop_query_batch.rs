@@ -25,6 +25,11 @@ use tempopr::kernel::{
 };
 use tempopr::prelude::*;
 
+mod sparse_part;
+use sparse_part::{
+    arb_sparse_part, in_place_and_copied_batches, sparse_part_ranges, CLUSTER, HUBS,
+};
+
 const MAX_V: u32 = 20;
 
 fn arb_events() -> impl Strategy<Value = Vec<Event>> {
@@ -261,6 +266,64 @@ proptest! {
                             w, q, init_mode, cell.fingerprint, fp
                         );
                     }
+                }
+            }
+        }
+    }
+}
+
+proptest! {
+    // Each case runs 14 batches over up to 28 lanes.
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// Kernel level, small windows of a large part: each window holds at
+    /// most an eighth of its part's vertices, so compaction and the lane
+    /// merge walk far fewer rows than the part has, and a batch of all but
+    /// one window walks the index in place, reading rows of the left-out
+    /// window through runs no lane holds after compaction left stale
+    /// `inv_deg` bytes there. Every SIMD policy, with compaction on and
+    /// off, must give the ranks and stats of the compaction-off mask walk
+    /// on both run-list walks, in place and copied out.
+    #[test]
+    fn small_windows_of_a_large_part_keep_their_bits(
+        part in arb_sparse_part(8),
+        seed in 0..HUBS + 8 * CLUSTER,
+    ) {
+        let (events, n) = part;
+        let t = TemporalCsr::from_events(n, &events, true);
+        let index = WindowIndex::build(&t, None, &sparse_part_ranges(8));
+        let mut pref = vec![0.0f64; n];
+        pref[seed as usize] = 1.0;
+        let weights: Vec<f64> = (0..n).map(|v| (v % 3) as f64).collect();
+        let batch = QueryBatch::new(vec![
+            QuerySpec::Personalized { preference: &pref, alpha: 0.1 },
+            QuerySpec::Personalized { preference: &weights, alpha: 0.3 },
+            QuerySpec::Katz { alpha_fraction: 0.5, beta: 1.0, tol: 1e-11 },
+            QuerySpec::Katz { alpha_fraction: 0.9, beta: 2.0, tol: 1e-11 },
+        ]).unwrap();
+        let [most, fewest] = in_place_and_copied_batches(&index, 2);
+        for (chosen, in_place) in [(most, true), (fewest, false)] {
+            let views: Vec<_> = chosen.iter().map(|&w| index.view(w)).collect();
+            let inits = vec![QueryInit::Fresh; chosen.len() * batch.len()];
+            let run = |simd, compaction| {
+                let cfg = tight_pr(simd, compaction);
+                let mut ws = QueryWorkspace::default();
+                let out = pagerank_query_batch_indexed(
+                    &t, &t, &views, &batch, &inits, &cfg, None, &mut ws, BatchObs::off(),
+                ).unwrap();
+                let bits: Vec<u64> = ws.base.x.iter().map(|x| x.to_bits()).collect();
+                (out.stats, bits, ws.base.run_nbr.is_empty())
+            };
+            let (stats, bits, walked) = run(SimdPolicy::BitWalk, false);
+            prop_assert_eq!(walked, in_place, "batch {:?}", chosen);
+            for v in &views {
+                prop_assert!(v.vertices.len() * 8 <= n, "{} of {} vertices", v.vertices.len(), n);
+            }
+            for simd in [SimdPolicy::BitWalk, SimdPolicy::Scalar, SimdPolicy::Auto] {
+                for compaction in [false, true] {
+                    let got = run(simd, compaction);
+                    prop_assert_eq!(&got.0, &stats, "{:?} compaction={} {:?}", simd, compaction, chosen);
+                    prop_assert_eq!(&got.1, &bits, "{:?} compaction={} {:?}", simd, compaction, chosen);
                 }
             }
         }

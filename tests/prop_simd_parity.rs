@@ -17,10 +17,15 @@
 //! depend on which other lanes share its batch or when they converge.
 
 use proptest::prelude::*;
-use tempopr::graph::{Event, EventLog, TemporalCsr, WindowSpec};
-use tempopr::kernel::{pagerank_batch, thread_pool, PrStats, SpmmWorkspace};
+use tempopr::graph::{Event, EventLog, TemporalCsr, WindowIndex, WindowSpec};
+use tempopr::kernel::{
+    pagerank_batch, pagerank_batch_indexed, thread_pool, PrStats, SpmmWorkspace,
+};
 use tempopr::prelude::*;
 use tempopr::telemetry::Telemetry;
+
+mod sparse_part;
+use sparse_part::{arb_sparse_part, in_place_and_copied_batches, sparse_part_ranges, HUBS};
 
 const MAX_V: u32 = 24;
 
@@ -547,6 +552,63 @@ proptest! {
         prop_assert_eq!(vertex.len(), edge.len());
         for (w, (a, b)) in vertex.iter().zip(edge.iter()).enumerate() {
             prop_assert!((a - b).abs() < 1e-7, "window {}: {} vs {}", w, a, b);
+        }
+    }
+}
+
+proptest! {
+    // Each case runs 14 batches of up to 15 lanes on each orientation.
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// Window lanes over small windows of a large part: the twin of the
+    /// query suite's case. Fifteen of sixteen windows walk the index in
+    /// place, so once compaction has narrowed the stride enough for the
+    /// whole-stride walk, the hub rows' runs of the left-out window read
+    /// rows outside the batch, which hold stale `inv_deg` bytes after the
+    /// repack; eight windows copy their runs out. Every SIMD policy, with
+    /// compaction on and off, must give the compaction-off mask walk's
+    /// ranks and stats.
+    #[test]
+    fn small_windows_of_a_large_part_keep_their_bits(
+        part in arb_sparse_part(16),
+        symmetric in any::<bool>(),
+    ) {
+        let (events, n) = part;
+        let out = TemporalCsr::from_events(n, &events, symmetric);
+        let transposed = (!symmetric).then(|| out.transpose());
+        let pull = transposed.as_ref().unwrap_or(&out);
+        let index = WindowIndex::build(&out, transposed.as_ref(), &sparse_part_ranges(16));
+        let [most, fewest] = in_place_and_copied_batches(&index, 8);
+        let on_hubs: Vec<f64> = (0..n).map(|v| f64::from(u8::from(v < HUBS as usize))).collect();
+        for (chosen, in_place) in [(most, true), (fewest, false)] {
+            let views: Vec<_> = chosen.iter().map(|&w| index.view(w)).collect();
+            // Every other lane starts with all its mass on the hubs, so
+            // lanes converge rounds apart and compaction fires.
+            let inits: Vec<Init<'_>> = (0..chosen.len())
+                .map(|k| if k % 2 == 0 { Init::Uniform } else { Init::Provided(&on_hubs) })
+                .collect();
+            let run = |simd, compaction| {
+                let cfg = PrConfig { simd, compaction, max_iters: 500, ..PrConfig::default() };
+                let mut ws = SpmmWorkspace::default();
+                let stats =
+                    pagerank_batch_indexed(pull, &out, &views, &inits, &cfg, None, &mut ws)
+                        .unwrap();
+                let bits: Vec<u64> = ws.x.iter().map(|x| x.to_bits()).collect();
+                (stats, bits, ws.run_nbr.is_empty())
+            };
+            let (stats, bits, walked) = run(SimdPolicy::BitWalk, false);
+            prop_assert_eq!(walked, in_place, "batch {:?}", chosen);
+            for v in &views {
+                prop_assert!(v.vertices.len() * 8 <= n, "{} of {} vertices", v.vertices.len(), n);
+            }
+            for simd in [SimdPolicy::BitWalk, SimdPolicy::Scalar, SimdPolicy::Auto] {
+                for compaction in [false, true] {
+                    let got = run(simd, compaction);
+                    let what = format!("{simd:?} compaction={compaction} {chosen:?}");
+                    prop_assert_eq!(&got.0, &stats, "{}", what);
+                    prop_assert_eq!(&got.1, &bits, "{}", what);
+                }
+            }
         }
     }
 }
