@@ -1,4 +1,4 @@
-//! Durable checkpoint/resume for long window runs (`tempopr.ckpt.v1`).
+//! Durable checkpoint/resume for long window runs (`tempopr.ckpt.v2`).
 //!
 //! A long postmortem replay can spend hours converging hundreds of windows;
 //! without durability a crash at window 900/1000 discards every finished
@@ -9,7 +9,7 @@
 //! checkpointed window). All three drivers run that lifecycle through one
 //! [`DurableRun`].
 //!
-//! On-disk format (`tempopr.ckpt.v1`, all integers little-endian; the
+//! On-disk format (`tempopr.ckpt.v2`, all integers little-endian; the
 //! sealed header, the record frame and their reader are
 //! [`tempopr_graph::framing`]'s):
 //!
@@ -26,6 +26,11 @@
 //!     renormalizations u32 | restarts u32 | fingerprint_bits u64 |
 //!     diag_len u32 | diag bytes | nranks u32 | vertex u32 * | rank_bits u64 *
 //! ```
+//!
+//! `config_hash` is [`hash_config`]'s FNV-1a; `log_fingerprint` is
+//! [`log_fingerprint`]'s XXH64 of the event log. A v1 manifest, whose
+//! fingerprint was an FNV-1a of the same bytes, is refused by the version
+//! check as [`CheckpointError::Incompatible`].
 //!
 //! Durability discipline: no sync runs on the compute thread. The caller
 //! writes the header (and, on resume, the validated record prefix) to a
@@ -63,7 +68,7 @@ use std::time::Duration;
 use crate::result::{RecoveryKind, RunOutput, SparseRanks, WindowOutput, WindowStatus};
 use crate::{lock, RetainMode};
 use tempopr_graph::framing::{self, FrameError, HeaderError, Reader};
-use tempopr_graph::{EventLog, WindowSpec};
+use tempopr_graph::{Event, EventLog, WindowSpec};
 use tempopr_kernel::{overlap, PrHealth, PrStats};
 use tempopr_telemetry::{Phase as RunPhase, Telemetry};
 
@@ -71,10 +76,11 @@ use tempopr_telemetry::{Phase as RunPhase, Telemetry};
 pub const MANIFEST_NAME: &str = "manifest.ckpt";
 /// Temp-file name used for atomic header/prefix rewrites.
 const MANIFEST_TMP: &str = "manifest.tmp";
-/// `tempopr.ckpt.v1` magic.
+/// `tempopr.ckpt` magic.
 const MAGIC: [u8; 4] = *b"TPCK";
-/// Format version this build reads and writes.
-const VERSION: u16 = 1;
+/// Format version this build reads and writes. v2 changed the value of
+/// the header's `log_fingerprint` (XXH64, was FNV-1a), not its layout.
+const VERSION: u16 = 2;
 /// Encoded header length in bytes.
 const HEADER_LEN: usize = 60;
 /// Fixed (rank- and diagnostic-free) payload length; shorter frames are torn.
@@ -91,7 +97,7 @@ pub const DRIVER_OFFLINE: u8 = 2;
 pub const DRIVER_STREAMING: u8 = 3;
 
 /// CRC32 (IEEE 802.3 polynomial): the one the TCSR storage format uses,
-/// so `tempopr.ckpt.v1` and `tempopr.tcsr.v1` files share a checksum.
+/// so `tempopr.ckpt.v2` and `tempopr.tcsr.v1` files share a checksum.
 pub use tempopr_graph::framing::crc32;
 
 // ---------------------------------------------------------------------------
@@ -247,7 +253,7 @@ impl ManifestHeader {
                 CheckpointError::Corrupt("bad magic (not a tempopr.ckpt file)".into())
             }
             HeaderError::Version(version) => CheckpointError::Incompatible(format!(
-                "checkpoint format version {version} (this build reads v{VERSION})"
+                "checkpoint format v{version} (this build reads v{VERSION})"
             )),
             HeaderError::Crc => CheckpointError::Corrupt("header checksum mismatch".into()),
         })?;
@@ -288,49 +294,92 @@ pub fn hash_config(debug_rendering: &str) -> u64 {
     fnv1a(FNV_OFFSET, debug_rendering.as_bytes())
 }
 
-/// FNV-1a fingerprint of an event log: the vertex-universe size (8 bytes)
-/// plus every `(u, v, t)` in order (4 + 4 + 8 bytes), little-endian. O(|E|),
-/// computed by every [`PostmortemEngine::new`](crate::engine::PostmortemEngine::new)
+/// Fingerprint of an event log: XXH64 (seed 0) of the vertex-universe
+/// size as a `u64` followed by every `(u, v, t)` in order (4 + 4 + 8
+/// bytes), all little-endian. That stream is 8 + 16·|E| bytes, the word
+/// sequence `num_vertices, u | v << 32, t, …`, so it is hashed a word at a
+/// time straight from [`EventLog::events`]: each 32-byte stripe is one
+/// event pair plus the word carried in front of it. O(|E|), computed by
+/// every [`PostmortemEngine::new`](crate::engine::PostmortemEngine::new)
 /// and by the offline and streaming drivers when they write or resume a
-/// manifest. It is evaluated a field at a time (`fnv1a_word`), and its
-/// value is the byte-serial FNV-1a's over the same bytes.
+/// manifest.
 pub fn log_fingerprint(log: &EventLog) -> u64 {
-    let mut h = fnv1a_word(FNV_OFFSET, log.num_vertices() as u64, 8);
-    for e in log.events() {
-        h = fnv1a_word(h, u64::from(e.u), 4);
-        h = fnv1a_word(h, u64::from(e.v), 4);
-        h = fnv1a_word(h, e.t as u64, 8);
+    let events = log.events();
+    let words = |e: &Event| (u64::from(e.u) | (u64::from(e.v) << 32), e.t as u64);
+    // The word in front of the next stripe: the universe size, then the
+    // `t` of each pair's second event.
+    let mut carry = log.num_vertices() as u64;
+    let pairs = events.chunks_exact(2);
+    let rest = pairs.remainder();
+    let mut h = if events.len() >= 2 {
+        let mut acc = [
+            XXH_P1.wrapping_add(XXH_P2),
+            XXH_P2,
+            0,
+            XXH_P1.wrapping_neg(),
+        ];
+        for pair in pairs {
+            let (a0, b0) = words(&pair[0]);
+            let (a1, b1) = words(&pair[1]);
+            acc[0] = xxh_round(acc[0], carry);
+            acc[1] = xxh_round(acc[1], a0);
+            acc[2] = xxh_round(acc[2], b0);
+            acc[3] = xxh_round(acc[3], a1);
+            carry = b1;
+        }
+        // Converge the four lanes, then merge each one in.
+        let h = acc[0]
+            .rotate_left(1)
+            .wrapping_add(acc[1].rotate_left(7))
+            .wrapping_add(acc[2].rotate_left(12))
+            .wrapping_add(acc[3].rotate_left(18));
+        acc.iter().fold(h, |h, &a| {
+            (h ^ xxh_round(0, a))
+                .wrapping_mul(XXH_P1)
+                .wrapping_add(XXH_P4)
+        })
+    } else {
+        XXH_P5
+    };
+    h = h.wrapping_add(8 + 16 * events.len() as u64);
+    h = xxh_tail_word(h, carry);
+    for e in rest {
+        let (a, b) = words(e);
+        h = xxh_tail_word(xxh_tail_word(h, a), b);
     }
-    h
+    // The final avalanche.
+    h ^= h >> 33;
+    h = h.wrapping_mul(XXH_P2);
+    h ^= h >> 29;
+    h = h.wrapping_mul(XXH_P3);
+    h ^ (h >> 32)
+}
+
+const XXH_P1: u64 = 0x9E37_79B1_85EB_CA87;
+const XXH_P2: u64 = 0xC2B2_AE3D_27D4_EB4F;
+const XXH_P3: u64 = 0x1656_67B1_9E37_79F9;
+const XXH_P4: u64 = 0x85EB_CA77_C2B2_AE63;
+const XXH_P5: u64 = 0x27D4_EB2F_1656_67C5;
+
+/// XXH64's lane step: one 8-byte input word into an accumulator.
+#[inline(always)]
+fn xxh_round(acc: u64, input: u64) -> u64 {
+    acc.wrapping_add(input.wrapping_mul(XXH_P2))
+        .rotate_left(31)
+        .wrapping_mul(XXH_P1)
+}
+
+/// XXH64's step for one 8-byte word of the tail after the last stripe.
+#[inline(always)]
+fn xxh_tail_word(h: u64, word: u64) -> u64 {
+    (h ^ xxh_round(0, word))
+        .rotate_left(27)
+        .wrapping_mul(XXH_P1)
+        .wrapping_add(XXH_P4)
 }
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-/// `FNV_PRIME^k` (mod 2^64) for `k` in `0..=8`.
-const FNV_PRIME_POW: [u64; 9] = {
-    let mut pow = [1u64; 9];
-    let mut k = 1;
-    while k < 9 {
-        pow[k] = pow[k - 1].wrapping_mul(FNV_PRIME);
-        k += 1;
-    }
-    pow
-};
-
-/// [`fnv1a`] over the `width` little-endian bytes of `x` (whose bytes from
-/// `width` on are zero): the bytes up to its highest non-zero one are
-/// hashed one at a time, and the zero bytes above it fold into one multiply,
-/// since FNV-1a's step on a zero byte is `(h ^ 0)·P = h·P`.
-#[inline(always)]
-fn fnv1a_word(mut h: u64, mut x: u64, width: usize) -> u64 {
-    let significant = (64 - x.leading_zeros() as usize).div_ceil(8);
-    for _ in 0..significant {
-        h = (h ^ (x & 0xff)).wrapping_mul(FNV_PRIME);
-        x >>= 8;
-    }
-    h.wrapping_mul(FNV_PRIME_POW[width - significant])
-}
 
 fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
@@ -981,14 +1030,20 @@ pub fn corrupt_manifest(dir: &Path, kind: CorruptionKind) -> Result<(), Checkpoi
             if bytes.len() < HEADER_LEN {
                 return Err(CheckpointError::Corrupt("manifest too short".into()));
             }
-            let mut stale = bytes[..HEADER_LEN - 4].to_vec();
-            stale[4..6].copy_from_slice(&(VERSION + 1).to_le_bytes());
-            framing::seal(&mut stale);
-            bytes[..HEADER_LEN].copy_from_slice(&stale);
+            reseal_version(&mut bytes, VERSION + 1);
         }
     }
     std::fs::write(&path, &bytes)?;
     Ok(())
+}
+
+/// Rewrites the version field of the header at the front of `bytes`
+/// (at least [`HEADER_LEN`] long) and recomputes the header CRC.
+fn reseal_version(bytes: &mut [u8], version: u16) {
+    let mut header = bytes[..HEADER_LEN - 4].to_vec();
+    header[4..6].copy_from_slice(&version.to_le_bytes());
+    framing::seal(&mut header);
+    bytes[..HEADER_LEN].copy_from_slice(&header);
 }
 
 #[cfg(test)]
@@ -1181,6 +1236,23 @@ mod tests {
             resume_scan(&dir, &h),
             Err(CheckpointError::Incompatible(_))
         ));
+        // A manifest written before the fingerprint became XXH64 (v1) and
+        // one from a later format are both refused by the version check,
+        // with a message that names both versions.
+        let path = manifest_path(&dir);
+        let current = std::fs::read(&path).unwrap();
+        assert_eq!(VERSION, 2);
+        for (stale, named) in [(VERSION - 1, "v1"), (VERSION + 1, "v3")] {
+            let mut bytes = current.clone();
+            reseal_version(&mut bytes, stale);
+            std::fs::write(&path, &bytes).unwrap();
+            match resume_scan(&dir, &h) {
+                Err(CheckpointError::Incompatible(msg)) => {
+                    assert!(msg.contains(named) && msg.contains("v2"), "{msg}");
+                }
+                other => panic!("version {stale}: expected Incompatible, got {other:?}"),
+            }
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1300,7 +1372,6 @@ mod tests {
     fn a_write_error_disables_the_sink_and_leaves_the_ranks_alone() {
         use crate::config::{InitMode, KernelKind, ParallelMode, PostmortemConfig};
         use crate::engine::PostmortemEngine;
-        use tempopr_graph::Event;
         let events = (0..300u32)
             .map(|i| Event::new((i * 13 + 2) % 20, (i * 7 + 5) % 20, i64::from(i)))
             .filter(|e| e.u != e.v)
@@ -1341,16 +1412,76 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// The byte-serial FNV-1a over the log's little-endian bytes: what
-    /// [`log_fingerprint`]'s value is defined as.
-    fn log_fingerprint_bytewise(log: &EventLog) -> u64 {
-        let mut h = fnv1a(FNV_OFFSET, &(log.num_vertices() as u64).to_le_bytes());
+    /// The byte stream [`log_fingerprint`] hashes: the universe size as a
+    /// `u64`, then every `(u, v, t)`, all little-endian.
+    fn log_bytes(log: &EventLog) -> Vec<u8> {
+        let mut b = (log.num_vertices() as u64).to_le_bytes().to_vec();
         for e in log.events() {
-            h = fnv1a(h, &e.u.to_le_bytes());
-            h = fnv1a(h, &e.v.to_le_bytes());
-            h = fnv1a(h, &e.t.to_le_bytes());
+            b.extend_from_slice(&e.u.to_le_bytes());
+            b.extend_from_slice(&e.v.to_le_bytes());
+            b.extend_from_slice(&e.t.to_le_bytes());
         }
-        h
+        b
+    }
+
+    /// XXH64 with seed 0 over a byte slice, step by step in the order of
+    /// the specification (32-byte stripes, then 8-, 4- and 1-byte tails):
+    /// what [`log_fingerprint`]'s value is defined as. Its constants are its
+    /// own, so a mistyped prime in the word-wise hash cannot hide here.
+    fn xxh64_reference(bytes: &[u8]) -> u64 {
+        const P1: u64 = 11_400_714_785_074_694_791;
+        const P2: u64 = 14_029_467_366_897_019_727;
+        const P3: u64 = 1_609_587_929_392_839_161;
+        const P4: u64 = 9_650_029_242_287_828_579;
+        const P5: u64 = 2_870_177_450_012_600_261;
+        let u64_at = |b: &[u8]| u64::from_le_bytes(b[..8].try_into().unwrap());
+        let round = |acc: u64, lane: u64| {
+            acc.wrapping_add(lane.wrapping_mul(P2))
+                .rotate_left(31)
+                .wrapping_mul(P1)
+        };
+        let mut rest = bytes;
+        let mut h = if bytes.len() >= 32 {
+            let mut v = [P1.wrapping_add(P2), P2, 0, 0u64.wrapping_sub(P1)];
+            while rest.len() >= 32 {
+                for (i, lane) in v.iter_mut().enumerate() {
+                    *lane = round(*lane, u64_at(&rest[8 * i..]));
+                }
+                rest = &rest[32..];
+            }
+            let mut h = v[0]
+                .rotate_left(1)
+                .wrapping_add(v[1].rotate_left(7))
+                .wrapping_add(v[2].rotate_left(12))
+                .wrapping_add(v[3].rotate_left(18));
+            for lane in v {
+                h ^= round(0, lane);
+                h = h.wrapping_mul(P1).wrapping_add(P4);
+            }
+            h
+        } else {
+            P5
+        };
+        h = h.wrapping_add(bytes.len() as u64);
+        while rest.len() >= 8 {
+            h ^= round(0, u64_at(rest));
+            h = h.rotate_left(27).wrapping_mul(P1).wrapping_add(P4);
+            rest = &rest[8..];
+        }
+        if rest.len() >= 4 {
+            h ^= u64::from(u32::from_le_bytes(rest[..4].try_into().unwrap())).wrapping_mul(P1);
+            h = h.rotate_left(23).wrapping_mul(P2).wrapping_add(P3);
+            rest = &rest[4..];
+        }
+        for &b in rest {
+            h ^= u64::from(b).wrapping_mul(P5);
+            h = h.rotate_left(11).wrapping_mul(P1);
+        }
+        h ^= h >> 33;
+        h = h.wrapping_mul(P2);
+        h ^= h >> 29;
+        h = h.wrapping_mul(P3);
+        h ^ (h >> 32)
     }
 
     /// Bytes up to the highest non-zero one.
@@ -1367,8 +1498,15 @@ mod tests {
     }
 
     #[test]
-    fn log_fingerprint_equals_the_bytewise_fnv1a() {
-        use tempopr_graph::Event;
+    fn log_fingerprint_is_xxh64_of_the_log_bytes() {
+        // The reference against published XXH64 values; the last is 39
+        // bytes: one stripe, then the 4-byte and 1-byte tails.
+        assert_eq!(xxh64_reference(b""), 0xEF46_DB37_51D8_E999);
+        assert_eq!(xxh64_reference(b"abc"), 0x44BC_2CF5_AD77_0999);
+        assert_eq!(
+            xxh64_reference(b"Nobody inspects the spammish repetition"),
+            0xFBCE_A83C_8A37_8BF1
+        );
         // Every significant-byte count a field can take: 0..=4 for ids,
         // 0..=8 for times, and both signs of the time axis.
         let ids = [
@@ -1427,9 +1565,113 @@ mod tests {
         assert_eq!(significant_bytes(wide.num_vertices() as u64), 5);
         assert_eq!(significant_bytes(narrow.num_vertices() as u64), 1);
         for log in [&wide, &narrow] {
-            assert_eq!(log_fingerprint(log), log_fingerprint_bytewise(log));
+            assert_eq!(log_fingerprint(log), xxh64_reference(&log_bytes(log)));
         }
         assert_ne!(log_fingerprint(&wide), log_fingerprint(&narrow));
+        // Logs of 1 to 4 events: 24 and 40 bytes take the under-32-byte
+        // path and one stripe with an 8-byte tail; 56 and 72 bytes leave
+        // 24 and 8 bytes after their stripes.
+        for n in 1..=4usize {
+            let events = (0..n)
+                .map(|i| Event::new(i as u32 * 7, 3 * n as u32, 1000 + i as i64))
+                .collect();
+            let log = EventLog::from_unsorted(events, 64).unwrap();
+            let bytes = log_bytes(&log);
+            assert_eq!(bytes.len(), 8 + 16 * n);
+            assert_eq!(log_fingerprint(&log), xxh64_reference(&bytes), "{n} events");
+        }
+    }
+
+    /// The one-step edits of `log`: each single-bit flip of each field of
+    /// each event, swapping the first two adjacent distinct events that
+    /// share a timestamp (the only swaps a time-sorted log allows),
+    /// dropping the last event, and the universe size ± 1. An id flipped
+    /// past the universe widens it.
+    fn edits(log: &EventLog) -> Vec<EventLog> {
+        let events = log.events();
+        let n = log.num_vertices();
+        let mut out = Vec::new();
+        for i in 0..events.len() {
+            let with = |e: Event| {
+                let mut evs = events.to_vec();
+                evs[i] = e;
+                let m = (e.u.max(e.v) as usize + 1).max(n);
+                EventLog::from_unsorted(evs, m).unwrap()
+            };
+            let e = events[i];
+            for bit in 0..32 {
+                out.push(with(Event::new(e.u ^ (1 << bit), e.v, e.t)));
+                out.push(with(Event::new(e.u, e.v ^ (1 << bit), e.t)));
+            }
+            for bit in 0..64 {
+                out.push(with(Event::new(e.u, e.v, e.t ^ (1 << bit))));
+            }
+        }
+        if let Some(i) = (1..events.len()).find(|&i| {
+            let (a, b) = (events[i - 1], events[i]);
+            a.t == b.t && a != b
+        }) {
+            let mut evs = events.to_vec();
+            evs.swap(i - 1, i);
+            out.push(EventLog::from_sorted(evs, n).unwrap());
+        }
+        if events.len() > 1 {
+            let evs = events[..events.len() - 1].to_vec();
+            out.push(EventLog::from_sorted(evs, n).unwrap());
+        }
+        out.push(EventLog::from_sorted(events.to_vec(), n + 1).unwrap());
+        if let Ok(smaller) = EventLog::from_sorted(events.to_vec(), n - 1) {
+            out.push(smaller);
+        }
+        out
+    }
+
+    #[test]
+    fn every_one_step_edit_changes_the_log_fingerprint() {
+        // Five events (two stripes, a 24-byte tail), two of them tied.
+        let log = EventLog::from_sorted(
+            vec![
+                Event::new(3, 5, -2),
+                Event::new(0, 1, 7),
+                Event::new(1, 0, 7),
+                Event::new(4, 4, 9),
+                Event::new(2, 5, 1 << 40),
+            ],
+            8,
+        )
+        .unwrap();
+        let edited = edits(&log);
+        // 5 events × 128 bits, one swap, one drop, the universe ± 1.
+        assert_eq!(edited.len(), 5 * 128 + 4);
+        let base = log_fingerprint(&log);
+        let mut seen = std::collections::HashSet::from([base]);
+        for other in &edited {
+            assert_ne!(other, &log);
+            assert!(seen.insert(log_fingerprint(other)), "{other:?}");
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// On random logs, with ties and small universes, the word-wise
+        /// hash equals the reference and every one-step edit moves it.
+        #[test]
+        fn log_fingerprint_tracks_every_edit_of_random_logs(
+            n in 1usize..40,
+            raw in proptest::collection::vec((0u32..1000, 0u32..1000, -4i64..4), 1..24),
+        ) {
+            let events = raw
+                .iter()
+                .map(|&(u, v, t)| Event::new(u % n as u32, v % n as u32, t))
+                .collect();
+            let log = EventLog::from_unsorted(events, n).unwrap();
+            let base = log_fingerprint(&log);
+            proptest::prop_assert_eq!(base, xxh64_reference(&log_bytes(&log)));
+            for other in edits(&log) {
+                proptest::prop_assert_ne!(log_fingerprint(&other), base, "{:?}", other);
+            }
+        }
     }
 
     #[test]

@@ -292,7 +292,7 @@ impl PostmortemEngine {
 
     /// [`PostmortemEngine::run`] with durability: when `opts` names a
     /// checkpoint directory, every finalized window is persisted as a
-    /// `tempopr.ckpt.v1` record ([`crate::checkpoint`]); when it names a
+    /// `tempopr.ckpt.v2` record ([`crate::checkpoint`]); when it names a
     /// resume source, the manifest's valid prefix is verified against this
     /// engine's config hash and event-log fingerprint, completed windows
     /// are restored instead of recomputed, and the in-order walk is

@@ -120,7 +120,7 @@ pub fn run_offline_traced(
 }
 
 /// [`run_offline_traced`] with durability ([`crate::checkpoint`]): finalized
-/// windows are persisted as `tempopr.ckpt.v1` records when `opts` names a
+/// windows are persisted as `tempopr.ckpt.v2` records when `opts` names a
 /// checkpoint directory, and a resume source's valid prefix is restored
 /// instead of recomputed. Offline windows are independent and always start
 /// from uniform init, so resume is a pure prefix skip — bit-identical under

@@ -1,6 +1,6 @@
 //! Byte-level framing shared by the three on-disk formats — the binary
 //! event file ([`crate::io`]), `tempopr.tcsr.v1` ([`crate::storage`]) and
-//! `tempopr.ckpt.v1` (`tempopr-core`'s checkpoint module), each of which
+//! `tempopr.ckpt.v2` (`tempopr-core`'s checkpoint module), each of which
 //! keeps its own field layout and error type: [`crc32`], the LEB128 /
 //! zigzag varints, the bounds-checked little-endian [`Reader`], the
 //! sealed-header rule ([`sealed_header`], [`open_header`]) and the

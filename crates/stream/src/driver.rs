@@ -131,7 +131,7 @@ pub fn run_streaming_traced(
 }
 
 /// [`run_streaming_traced`] with durability ([`tempopr_core::checkpoint`]):
-/// finalized windows are persisted as `tempopr.ckpt.v1` records when `opts`
+/// finalized windows are persisted as `tempopr.ckpt.v2` records when `opts`
 /// names a checkpoint directory, and a resume source's valid prefix is
 /// restored instead of recomputed.
 ///

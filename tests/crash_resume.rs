@@ -414,12 +414,12 @@ const MANIFEST_PINS: [(&str, usize, u32); 3] = [
 /// The header CRC (bytes 56..60) of each driver's small manifest. The
 /// whole-file CRC above cannot see the header: a CRC run over a message
 /// followed by that message's own CRC always ends in the same state, so
-/// every byte before 60 cancels out of it. This pin covers the driver id,
-/// config hash, log fingerprint and window spec.
+/// every byte before 60 cancels out of it. This pin covers the format
+/// version, driver id, config hash, log fingerprint and window spec.
 const HEADER_CRC_PINS: [(&str, u32); 3] = [
-    ("postmortem", 0xD165_5057),
-    ("offline", 0x965C_2D85),
-    ("streaming", 0x21FF_1D45),
+    ("postmortem", 0xAE5D_73F1),
+    ("offline", 0xE964_0E23),
+    ("streaming", 0x5EC7_3EE3),
 ];
 
 /// Six vertices, 75 time steps, five windows: small enough to damage
@@ -534,7 +534,7 @@ fn small_manifests_are_byte_pinned() {
 }
 
 /// The identity a resume of `bytes` is checked against: the undamaged
-/// header's own fields (60 bytes; `tempopr.ckpt.v1`).
+/// header's own fields (60 bytes; `tempopr.ckpt.v2`).
 fn header_of(bytes: &[u8]) -> ManifestHeader {
     let word = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap());
     ManifestHeader {
