@@ -10,8 +10,7 @@ use tempopr_kernel::{Partitioner, Scheduler};
 /// {6, 32, 256, 512, 1024} for the three parallelization levels. Uses the
 /// SpMV kernel: more parts shrink each SpMV's traversal (the effect the
 /// paper's Fig. 8 shows saturating once parts are "large enough"), whereas
-/// under SpMM more parts *starve the lanes* — the interplay is reported by
-/// the `ablations` bench instead.
+/// under SpMM more parts *starve the lanes*.
 pub fn run(opts: &Opts) {
     let (log, spec) = workload_with_count(Dataset::WikiTalk, DAY / 2, 90 * DAY, 256, opts);
     println!(

@@ -122,56 +122,3 @@ pub fn pagerank(
         );
     }
 }
-
-/// `tempopr structure <file-or-dataset> --delta-days D --sw-days S`:
-/// per-window structure metrics (components, k-core, triangles).
-pub fn structure(source: &str, delta_days: i64, sw_days: i64, lenient: bool, opts: &Opts) {
-    let log = match parse_dataset(source) {
-        Some(d) => d.spec().generate(opts.scale, opts.seed),
-        None => load(source, lenient),
-    };
-    let spec_result = WindowSpec::covering(&log, delta_days * DAY, sw_days * DAY);
-    let mut spec = spec_result.unwrap_or_else(|e| fail(format!("window parameters: {e}")));
-    if opts.max_windows > 0 {
-        spec.count = spec.count.min(opts.max_windows);
-    }
-    let summaries = tempopr_analytics::temporal_structure(
-        &log,
-        spec,
-        &tempopr_analytics::StructureConfig::default(),
-    )
-    .unwrap_or_else(|e| fail(format!("analysis: {e}")));
-    println!(
-        "# temporal structure: {} events, {} windows (delta={}d, sw={}d)",
-        log.len(),
-        spec.count,
-        delta_days,
-        sw_days
-    );
-    println!(
-        "{:>6} {:>9} {:>9} {:>7} {:>8} {:>11} {:>8} {:>5} {:>10}",
-        "window",
-        "vertices",
-        "edges",
-        "maxdeg",
-        "meandeg",
-        "components",
-        "largest",
-        "core",
-        "triangles"
-    );
-    for s in &summaries {
-        println!(
-            "{:>6} {:>9} {:>9} {:>7} {:>8.2} {:>11} {:>8} {:>5} {:>10}",
-            s.window,
-            s.active_vertices,
-            s.edges,
-            s.max_degree,
-            s.mean_degree,
-            s.components.unwrap_or(0),
-            s.largest_component.unwrap_or(0),
-            s.degeneracy.unwrap_or(0),
-            s.triangles.unwrap_or(0),
-        );
-    }
-}

@@ -103,10 +103,6 @@ fn run_experiment(cmd: &str, opts: &Opts, dataset: Option<&str>, extra: &ToolFla
             extra.sw_days,
             extra.delta_days,
         ),
-        "structure" => {
-            let src = dataset.unwrap_or("wikitalk");
-            tools::structure(src, extra.delta_days, extra.sw_days, extra.lenient, opts);
-        }
         "pagerank" => {
             let src = dataset.unwrap_or("wikitalk");
             tools::pagerank(
@@ -328,7 +324,7 @@ fn print_help() {
          [--max-windows N] [--dataset NAME] [--metrics-out PATH]\n\n\
          experiments: table1 fig4 fig5 fig6 fig7 fig8 fig9 fig10 fig11 fig12 warmstart \
          batch-query all\n\
-         tools:       pagerank | structure  (--source <file-or-dataset> \
+         tools:       pagerank  (--source <file-or-dataset> \
          --delta-days D --sw-days S [--top K] [--lenient]); convert <in> <out> [--lenient]\n\
          run:         durable window runner — --driver postmortem|offline|streaming \
          [--checkpoint-dir D] [--checkpoint-every N] [--resume D] \

@@ -6,7 +6,8 @@
 //! imbalance (§6.3.2), bipartiteness where applicable, the event/vertex
 //! ratio, and the (sw, δ) parameter grids of Table 1 / Fig. 11. Absolute
 //! sizes scale with a `scale` factor so the same presets serve unit tests
-//! (`scale ≈ 0.001`), benches (`≈ 0.01`), and full experiments (`1.0`).
+//! (`scale ≈ 0.001`), the CLI's default runs (`≈ 0.01`), and full
+//! experiments (`1.0`).
 
 use crate::profiles::ArrivalProfile;
 use crate::topology::Topology;

@@ -20,7 +20,7 @@
 //! computed ranks — `tests/telemetry_observation.rs` locks this in, the
 //! same way `guards_do_not_change_healthy_ranks` does for the numeric
 //! guards. A disabled carrier costs one branch on a `None` reference per
-//! observation site (enforced by the `telemetry_overhead` micro bench).
+//! observation site.
 
 use std::time::Instant;
 

@@ -21,9 +21,9 @@
 //!   [`crate::pagerank_window_personalized`].
 //! - **Katz centrality** (`factor = 1`, `scale = alpha`, `tele[v] = beta`
 //!   on active vertices, unit edge weights): exactly the Jacobi update
-//!   `x = beta + alpha·Aᵀx` of `tempopr-analytics`, generalized to any
-//!   `beta` (at `beta = 1` it reproduces the classic form bit-for-bit,
-//!   since `1.0 · tele` is exact).
+//!   `x = beta + alpha·Aᵀx` of [`crate::reference::katz_window`],
+//!   generalized to any `beta` (at `beta = 1` it reproduces the classic
+//!   form bit-for-bit, since `1.0 · tele` is exact).
 //!
 //! `factor`/`scale`/`tele` are per lane, so a multi-alpha grid shares one
 //! batch without any cross-lane leakage — every lane's arithmetic is the
@@ -631,6 +631,7 @@ mod tests {
     use super::*;
     use crate::pagerank::{PrConfig, PrWorkspace};
     use crate::personalized::pagerank_window_personalized;
+    use crate::reference::{katz_window, KatzConfig};
     use crate::scheduler::{Partitioner, Scheduler};
     use tempopr_graph::Event;
 
@@ -671,44 +672,6 @@ mod tests {
 
     fn bits(v: &[f64]) -> Vec<u64> {
         v.iter().map(|x| x.to_bits()).collect()
-    }
-
-    /// Reference Katz (the analytics formulation, restated here because
-    /// the kernel crate cannot depend on `tempopr-analytics`).
-    fn ref_katz(t: &TemporalCsr, range: TimeRange, af: f64, beta: f64, tol: f64) -> Vec<f64> {
-        let n = t.num_vertices();
-        let mut deg = vec![0u32; n];
-        t.active_degrees(range, &mut deg);
-        let max_deg = deg.iter().copied().max().unwrap_or(0);
-        let actives: Vec<usize> = (0..n).filter(|&v| deg[v] > 0).collect();
-        let mut x = vec![0.0; n];
-        if actives.is_empty() {
-            return x;
-        }
-        let alpha = af / (max_deg + 1) as f64;
-        for &v in &actives {
-            x[v] = beta;
-        }
-        let mut y = vec![0.0; n];
-        for _ in 0..500 {
-            let mut diff = 0.0f64;
-            for &v in &actives {
-                let mut s = 0.0;
-                for u in t.active_neighbors(v as VertexId, range) {
-                    s += x[u as usize];
-                }
-                let val = beta + alpha * s;
-                diff = diff.max((val - x[v]).abs());
-                y[v] = val;
-            }
-            for &v in &actives {
-                x[v] = y[v];
-            }
-            if diff < tol {
-                break;
-            }
-        }
-        x
     }
 
     #[test]
@@ -777,10 +740,18 @@ mod tests {
         let mut qws = QueryWorkspace::default();
         let out =
             pagerank_query_batch(&t, &t, &ranges, &batch, &inits, &cfg(), None, &mut qws).unwrap();
-        let expect = ref_katz(&t, ranges[0], 0.85, 1.0, 1e-12);
+        let expect = katz_window(
+            &t,
+            ranges[0],
+            &KatzConfig {
+                alpha_fraction: 0.85,
+                tol: 1e-12,
+                max_iters: cfg().max_iters,
+            },
+        );
         assert_eq!(
             bits(&lane_of(&qws, 0, 2)),
-            bits(&expect),
+            bits(&expect.score),
             "katz lane must be bit-identical to the Jacobi reference"
         );
         assert!(out.katz_alpha[0] > 0.0);

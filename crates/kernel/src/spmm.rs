@@ -848,8 +848,8 @@ fn rounds<R: LaneRule>(
 /// a per-row cost that rows of one or two runs do not amortize; 8 keeps
 /// the benchmark's sparse 16-lane batches (1.0 cells per run) on the walk
 /// and puts all but one point of the measured `vl` × overlap sweep on its
-/// faster side (DESIGN §8.1; `spmm_inner` in the micro bench measures it
-/// again).
+/// faster side (DESIGN §8.1; the sweep is recorded in EXPERIMENTS.md,
+/// "Window membership decided once").
 pub const VECTOR_ROW_RULE: u64 = 8;
 
 /// The rows a round of a lane batch still has to visit, with what the

@@ -16,7 +16,7 @@
 //! is the same single implementation the postmortem and offline drivers
 //! use.
 
-use crate::pagerank::{local_push_pagerank, streaming_pagerank_obs};
+use crate::pagerank::streaming_pagerank_obs;
 use crate::store::StreamingGraph;
 use std::cell::Cell;
 use std::sync::Arc;
@@ -40,9 +40,6 @@ pub enum IncrementalMode {
     /// realization of STINGER's incremental PageRank).
     #[default]
     WarmRestart,
-    /// Localized Gauss–Seidel pushes seeded at updated vertices
-    /// (approximate; fastest on small update batches).
-    LocalPush,
 }
 
 /// Configuration of a streaming run.
@@ -193,12 +190,8 @@ fn streaming_config_hash(cfg: &StreamingConfig) -> u64 {
 struct StreamSource<'a> {
     log: &'a EventLog,
     spec: WindowSpec,
-    /// Sort + dedup the touched-vertex list after the batch (the local
-    /// push kernel's seed set; idempotent across recovery attempts).
-    sort_touched: bool,
     tele: &'a Telemetry,
     graph: StreamingGraph,
-    touched: Vec<u32>,
 }
 
 impl WindowSource for StreamSource<'_> {
@@ -206,7 +199,6 @@ impl WindowSource for StreamSource<'_> {
 
     fn setup(&mut self, w: usize) {
         let range = self.spec.window(w);
-        self.touched.clear();
         // The update batch is the streaming model's per-window setup cost.
         let setup = self.tele.phase(RunPhase::WindowSetup);
         // Insert events that entered the window.
@@ -218,8 +210,6 @@ impl WindowSource for StreamSource<'_> {
         };
         for e in self.log.slice_by_time(ins_lo, range.end) {
             self.graph.insert_event(e.u, e.v, e.t);
-            self.touched.push(e.u);
-            self.touched.push(e.v);
         }
         // Delete events that left the window.
         if w > 0 {
@@ -228,13 +218,7 @@ impl WindowSource for StreamSource<'_> {
             for e in self.log.slice_by_time(prev_range.start, del_hi) {
                 let removed = self.graph.delete_event(e.u, e.v);
                 debug_assert!(removed, "window {w}: deleting an event never inserted");
-                self.touched.push(e.u);
-                self.touched.push(e.v);
             }
-        }
-        if self.sort_touched {
-            self.touched.sort_unstable();
-            self.touched.dedup();
         }
         drop(setup);
     }
@@ -261,10 +245,8 @@ fn run_streaming_inner(
     let mut source = StreamSource {
         log,
         spec,
-        sort_touched: cfg.incremental == IncrementalMode::LocalPush,
         tele,
         graph: StreamingGraph::new(n),
-        touched: Vec::new(),
     };
     // Resume replay: re-apply the skipped windows' insert/delete batches —
     // kernels stay off — so the one live store reaches window `start - 1`'s
@@ -305,7 +287,6 @@ fn run_streaming_inner(
         // cold) unless a recovery rung rescues the window first.
         let (stats, status, override_ranks, attempts) = {
             let graph = &src.graph;
-            let touched = &src.touched;
             let ws = &mut ws;
             let prev_ref = &prev;
             let attempt_no = &attempt_no;
@@ -333,17 +314,6 @@ fn run_streaming_inner(
                             Init::Uniform
                         };
                         streaming_pagerank_obs(graph, init, &prcfg, sched, ws, obs)
-                    }
-                    IncrementalMode::LocalPush => {
-                        if have_prev && !uniform {
-                            // The push sweeps have no iteration structure a
-                            // kernel observer could report; their wall time
-                            // is attributed to the SpMV phase as a whole.
-                            let _push = tele.phase(RunPhase::Spmv);
-                            local_push_pagerank(graph, prev_ref, touched, &prcfg, ws)
-                        } else {
-                            streaming_pagerank_obs(graph, Init::Uniform, &prcfg, sched, ws, obs)
-                        }
                     }
                 }
             };
@@ -473,21 +443,10 @@ mod tests {
             },
         )
         .unwrap();
-        let push = run_streaming(
-            &log,
-            spec,
-            &StreamingConfig {
-                incremental: IncrementalMode::LocalPush,
-                ..tight()
-            },
-        )
-        .unwrap();
         for w in 0..spec.count {
             let a = warm.windows[w].ranks.as_ref().unwrap();
             let b = cold.windows[w].ranks.as_ref().unwrap();
-            let c = push.windows[w].ranks.as_ref().unwrap();
             assert!(a.linf_distance(b) < 1e-8, "warm vs cold, window {w}");
-            assert!(a.linf_distance(c) < 1e-4, "warm vs push, window {w}");
         }
     }
 

@@ -1,20 +1,14 @@
 //! PageRank over the streaming store, including the incremental
-//! (warm-restart and local-push) variants used by the streaming execution
-//! model (paper §3.3.2, Eq. 2-3).
+//! warm restart used by the streaming execution model (paper §3.3.2,
+//! Eq. 2-3).
 //!
 //! STINGER's streaming PageRank [Riedy 2016] keeps the previous rank
 //! vector and, after a batch of edge updates, solves for the *change* in
-//! ranks instead of recomputing from scratch. Two realizations are
-//! provided:
-//!
-//! - [`streaming_pagerank`] with [`Init::Provided`] — warm-restart power
-//!   iteration: start from the previous vector (masked to the new active
-//!   set) and iterate to tolerance. Robust; the benefit is fewer
-//!   iterations, exactly the effect the Δ-system of Eq. 3 buys.
-//! - [`local_push_pagerank`] — a Gauss–Seidel-style localized update: only
-//!   vertices whose rank is stale (seeded at the endpoints of changed
-//!   edges) are recomputed, dirtiness propagating to neighbors when a rank
-//!   moves more than a threshold. Cheap for small batches, approximate.
+//! ranks instead of recomputing from scratch. Here that is
+//! [`streaming_pagerank`] with a warm [`Init`] — power iteration started
+//! from the previous vector (masked to the new active set) and iterated to
+//! tolerance. The benefit is fewer iterations, exactly the effect the
+//! Δ-system of Eq. 3 buys.
 
 use crate::store::StreamingGraph;
 use tempopr_kernel::{
@@ -143,150 +137,6 @@ pub fn streaming_pagerank_obs(
     })
 }
 
-/// Localized incremental update: Gauss–Seidel sweeps restricted to a dirty
-/// set seeded with `touched` vertices (endpoints of the update batch),
-/// expanding to neighbors whenever a rank moves by more than
-/// `cfg.tol / |V_i|`.
-///
-/// `prev` is the previous window's rank vector over the same (global)
-/// vertex space; the result lands in `ws.x`. Vertices that join or leave
-/// the active set are handled by the same masking/renormalization as the
-/// warm restart. The result is approximate (within a small multiple of
-/// `cfg.tol` of the true fixed point); callers needing exact agreement
-/// should use the warm restart.
-pub fn local_push_pagerank(
-    g: &StreamingGraph,
-    prev: &[f64],
-    touched: &[u32],
-    cfg: &PrConfig,
-    ws: &mut PrWorkspace,
-) -> Result<PrStats, KernelError> {
-    let n = g.num_vertices();
-    if prev.len() != n {
-        return Err(KernelError::BadVectorLength {
-            what: "previous ranks",
-            expected: n,
-            got: prev.len(),
-        });
-    }
-    ws.ensure(n);
-    let mut n_act = 0usize;
-    for v in 0..n {
-        let d = g.degree(v as u32);
-        ws.deg_out[v] = d;
-        ws.active[v] = d > 0;
-        if d > 0 {
-            n_act += 1;
-            ws.inv_deg[v] = 1.0 / d as f64;
-        }
-    }
-    if n_act == 0 {
-        return Ok(PrStats::empty());
-    }
-    let n_act_f = n_act as f64;
-    tempopr_kernel::pagerank::initialize(Init::Provided(prev), &ws.active, n_act_f, &mut ws.x)?;
-    let alpha = cfg.alpha;
-    let damp = 1.0 - alpha;
-    let base = alpha / n_act_f;
-    let theta = (cfg.tol / n_act_f).max(f64::MIN_POSITIVE);
-
-    // Dirty-flag sweeps. `ws.y` doubles as the dirty marker (0/1) to avoid
-    // an extra allocation; ranks update in place (Gauss–Seidel).
-    let dirty = &mut ws.y;
-    dirty.iter_mut().for_each(|d| *d = 0.0);
-    let mut frontier: Vec<u32> = Vec::new();
-    for &v in touched {
-        if ws.active[v as usize] && dirty[v as usize] == 0.0 {
-            dirty[v as usize] = 1.0;
-            frontier.push(v);
-        }
-    }
-    // Newly active vertices start dirty too: their uniform-share init is a
-    // guess.
-    for v in 0..n {
-        if ws.active[v] && prev[v] <= 0.0 && dirty[v] == 0.0 {
-            dirty[v] = 1.0;
-            frontier.push(v as u32);
-        }
-    }
-    let mut sweeps = 0usize;
-    let mut next: Vec<u32> = Vec::new();
-    let mut verified = false;
-    while sweeps < cfg.max_iters {
-        if frontier.is_empty() {
-            if verified {
-                break;
-            }
-            // Verification sweep: the frontier drained, but pushes only
-            // chase first-order effects; re-seed any vertex whose balance
-            // still violates the threshold so per-window error stays
-            // O(tol) and does not accumulate across the window sequence.
-            for (v, &act) in ws.active.iter().enumerate() {
-                if !act {
-                    continue;
-                }
-                let mut s = 0.0;
-                for (u, _, _) in g.neighbors(v as u32) {
-                    s += ws.x[u as usize] * ws.inv_deg[u as usize];
-                }
-                if (base + damp * s - ws.x[v]).abs() > theta && dirty[v] == 0.0 {
-                    dirty[v] = 1.0;
-                    frontier.push(v as u32);
-                }
-            }
-            verified = true;
-            if frontier.is_empty() {
-                break;
-            }
-            continue;
-        }
-        verified = false;
-        sweeps += 1;
-        next.clear();
-        for &v in &frontier {
-            let vi = v as usize;
-            dirty[vi] = 0.0;
-            let mut s = 0.0;
-            for (u, _, _) in g.neighbors(v) {
-                s += ws.x[u as usize] * ws.inv_deg[u as usize];
-            }
-            let val = base + damp * s;
-            let delta = (val - ws.x[vi]).abs();
-            ws.x[vi] = val;
-            if delta > theta {
-                for (u, _, _) in g.neighbors(v) {
-                    let ui = u as usize;
-                    if ws.active[ui] && dirty[ui] == 0.0 {
-                        dirty[ui] = 1.0;
-                        next.push(u);
-                    }
-                }
-            }
-        }
-        std::mem::swap(&mut frontier, &mut next);
-    }
-    // Ranks drifted off a strict distribution; renormalize over the active
-    // set so downstream comparisons remain meaningful.
-    let sum: f64 = (0..n).filter(|&v| ws.active[v]).map(|v| ws.x[v]).sum();
-    if sum > 0.0 {
-        let inv = 1.0 / sum;
-        for v in 0..n {
-            if ws.active[v] {
-                ws.x[v] *= inv;
-            } else {
-                ws.x[v] = 0.0;
-            }
-        }
-    }
-    dirty.iter_mut().for_each(|d| *d = 0.0);
-    Ok(PrStats {
-        iterations: sweeps,
-        converged: frontier.is_empty(),
-        active_vertices: n_act,
-        ..PrStats::empty()
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -374,51 +224,6 @@ mod tests {
             warm.iterations,
             cold.iterations
         );
-    }
-
-    #[test]
-    fn local_push_approximates_full_recompute() {
-        let mut pairs: Vec<(u32, u32)> = (1..25).map(|v| (0, v)).collect();
-        pairs.extend((1..12).map(|v| (v, v + 1)));
-        let g0 = build(30, &pairs);
-        let mut ws = PrWorkspace::default();
-        streaming_pagerank(&g0, Init::Uniform, &cfg(), None, &mut ws).unwrap();
-        let prev = ws.ranks().to_vec();
-        let mut g1 = g0.clone();
-        g1.insert_event(3, 9, 100);
-        g1.insert_event(25, 26, 101);
-        let c = PrConfig {
-            tol: 1e-10,
-            ..cfg()
-        };
-        let stats = local_push_pagerank(&g1, &prev, &[3, 9, 25, 26], &c, &mut ws).unwrap();
-        assert!(stats.converged);
-        let mut full = PrWorkspace::default();
-        streaming_pagerank(&g1, Init::Uniform, &c, None, &mut full).unwrap();
-        for (v, (a, b)) in ws.ranks().iter().zip(full.ranks().iter()).enumerate() {
-            assert!((a - b).abs() < 1e-5, "vertex {v}: {a} vs {b}");
-        }
-        let sum: f64 = ws.ranks().iter().sum();
-        assert!((sum - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn local_push_with_no_changes_is_cheap() {
-        let pairs: Vec<(u32, u32)> = (1..10).map(|v| (0, v)).collect();
-        let g = build(12, &pairs);
-        let mut ws = PrWorkspace::default();
-        streaming_pagerank(&g, Init::Uniform, &cfg(), None, &mut ws).unwrap();
-        let prev = ws.ranks().to_vec();
-        let stats = local_push_pagerank(&g, &prev, &[], &cfg(), &mut ws).unwrap();
-        assert!(stats.converged);
-        assert!(
-            stats.iterations <= 3,
-            "no touched vertices => at most residual-flush sweeps, got {}",
-            stats.iterations
-        );
-        for (a, b) in ws.ranks().iter().zip(prev.iter()) {
-            assert!((a - b).abs() < 1e-9);
-        }
     }
 
     #[test]

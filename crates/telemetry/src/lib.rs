@@ -7,10 +7,9 @@
 //! The entry point is the [`Telemetry`] handle. [`Telemetry::noop()`] —
 //! the default everywhere — holds no allocation at all: every hook
 //! branches on a `None` inner pointer and returns, so a disabled run pays
-//! one predictable branch per observation site (the `telemetry_overhead`
-//! micro bench enforces < 1% cost on the SpMV hot loop). Observation is
-//! strictly read-only: enabling telemetry must never change a single bit
-//! of the computed ranks, a contract locked in by
+//! one predictable branch per observation site. Observation is strictly
+//! read-only: enabling telemetry must never change a single bit of the
+//! computed ranks, a contract locked in by
 //! `tests/telemetry_observation.rs`.
 //!
 //! ```

@@ -16,8 +16,6 @@
 //! - [`stream`]: the STINGER-like streaming baseline with incremental
 //!   PageRank;
 //! - [`datagen`]: synthetic stand-ins for the paper's seven datasets;
-//! - [`analytics`]: the other postmortem kernels the paper names
-//!   (connected components, k-core, degree distributions, triangles);
 //! - [`telemetry`]: run-level observability — phase timers, counters,
 //!   and deterministic convergence traces.
 //!
@@ -47,7 +45,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub use tempopr_analytics as analytics;
 pub use tempopr_core as core;
 pub use tempopr_datagen as datagen;
 pub use tempopr_graph as graph;
@@ -57,7 +54,6 @@ pub use tempopr_telemetry as telemetry;
 
 /// The most commonly used items in one import.
 pub mod prelude {
-    pub use tempopr_analytics::{temporal_structure, StructureConfig, StructureSummary};
     pub use tempopr_core::{
         corrupt_manifest, resume_scan, run_offline, run_offline_durable, run_offline_traced,
         suggest, CheckpointError, CheckpointOptions, CorruptionKind, EngineError, EngineQuery,

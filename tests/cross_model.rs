@@ -161,37 +161,3 @@ fn advisor_config_is_exact_too() {
         assert!(d < 1e-7, "window {}: {d}", o.window);
     }
 }
-
-#[test]
-fn streaming_local_push_tracks_exact_models() {
-    let log = Dataset::WikiTalk.spec().generate(0.0008, 13);
-    let span = log.last_time() - log.first_time();
-    let spec = WindowSpec::covering(&log, span / 4, span / 30).unwrap();
-    let exact = run_offline(
-        &log,
-        spec,
-        &OfflineConfig {
-            pr: tight_pr(),
-            ..Default::default()
-        },
-    )
-    .expect("offline run");
-    let push = run_streaming(
-        &log,
-        spec,
-        &StreamingConfig {
-            pr: tight_pr(),
-            incremental: IncrementalMode::LocalPush,
-            ..Default::default()
-        },
-    )
-    .expect("streaming run");
-    for (e, p) in exact.windows.iter().zip(push.windows.iter()) {
-        let d = e
-            .ranks
-            .as_ref()
-            .unwrap()
-            .linf_distance(p.ranks.as_ref().unwrap());
-        assert!(d < 1e-3, "window {}: local push drifted by {d}", e.window);
-    }
-}

@@ -1,7 +1,7 @@
 //! Property-based differential testing for the (window × query) batched
 //! kernel: a batched run must be **bit-identical** to looping the existing
 //! single-query kernels — `pagerank_window_personalized` per (window,
-//! query) cell and the analytics `katz_window` per window — across
+//! query) cell and the reference `katz_window` per window — across
 //! arbitrary event logs, window layouts, seed sparsities, alpha values,
 //! SIMD policies, and compaction settings (DESIGN.md §11 derives why the
 //! sequential batched lane performs the exact scalar arithmetic of its
@@ -16,9 +16,9 @@
 //! never answers).
 
 use proptest::prelude::*;
-use tempopr::analytics::{katz_window, KatzConfig};
 use tempopr::core::EngineQuery;
 use tempopr::graph::{Event, EventLog, TemporalCsr, TimeRange, WindowIndex, WindowSpec};
+use tempopr::kernel::reference::{katz_window, KatzConfig};
 use tempopr::kernel::{
     pagerank_query_batch, pagerank_query_batch_indexed, pagerank_window_personalized, BatchObs,
     PrWorkspace, QueryBatch, QueryInit, QuerySpec, QueryWorkspace,
@@ -126,6 +126,30 @@ proptest! {
             prop_assert_eq!(a, b, "window {}: katz scores", w);
             prop_assert_eq!(res.stats[k].iterations, kz.iterations);
             prop_assert_eq!(res.katz_alpha[k], kz.alpha);
+        }
+    }
+
+    /// The Katz oracle itself: converged, at least 1 on active vertices,
+    /// 0 on inactive ones, and within the geometric bound
+    /// `1 / (1 − alpha·max_degree)`.
+    #[test]
+    fn katz_bounds_hold(events in arb_events(), start in 0i64..400, width in 1i64..300) {
+        let n = MAX_V as usize;
+        let t = TemporalCsr::from_events(n, &events, true);
+        let range = TimeRange::new(start, start + width);
+        let k = katz_window(&t, range, &KatzConfig::default());
+        prop_assert!(k.converged);
+        let mut deg = vec![0u32; n];
+        t.active_degrees(range, &mut deg);
+        let max_deg = deg.iter().copied().max().unwrap() as f64;
+        let bound = 1.0 / (1.0 - k.alpha * max_deg);
+        for (v, (&d, &score)) in deg.iter().zip(&k.score).enumerate() {
+            if d > 0 {
+                prop_assert!(score >= 1.0 - 1e-9, "active vertex {}", v);
+                prop_assert!(score <= bound + 1e-6, "vertex {}: {} > {}", v, score, bound);
+            } else {
+                prop_assert_eq!(score, 0.0);
+            }
         }
     }
 

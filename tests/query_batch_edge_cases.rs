@@ -4,9 +4,9 @@
 //! duplicate queries sharing one batch, and empty batches rejected with
 //! typed errors at both layers.
 
-use tempopr::analytics::{katz_window, KatzConfig};
 use tempopr::core::EngineQuery;
 use tempopr::graph::{Event, EventLog, TemporalCsr, TimeRange, WindowSpec};
+use tempopr::kernel::reference::{katz_window, KatzConfig};
 use tempopr::kernel::{
     pagerank_query_batch, pagerank_window, pagerank_window_personalized, KernelError, PrWorkspace,
     QueryBatch, QueryInit, QuerySpec, QueryWorkspace,
@@ -211,7 +211,7 @@ fn alpha_extremes_bit_match_the_single_query_kernel() {
 // --- Katz: beta = 1 parity and exact beta scaling --------------------------
 
 #[test]
-fn katz_beta_one_bit_matches_the_analytics_kernel() {
+fn katz_beta_one_bit_matches_the_reference_kernel() {
     let t = sample_csr();
     let ranges = [TimeRange::new(0, 120), TimeRange::new(100, 330)];
     let mut ws = QueryWorkspace::default();

@@ -114,11 +114,7 @@ fn offline_enabled_vs_noop_bit_identical() {
 fn streaming_enabled_vs_noop_bit_identical() {
     let log = skewed_log();
     let spec = spec_for(&log);
-    for incremental in [
-        IncrementalMode::Recompute,
-        IncrementalMode::WarmRestart,
-        IncrementalMode::LocalPush,
-    ] {
+    for incremental in [IncrementalMode::Recompute, IncrementalMode::WarmRestart] {
         let cfg = StreamingConfig {
             incremental,
             retain: RetainMode::Full,
