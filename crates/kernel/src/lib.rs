@@ -49,6 +49,7 @@
 #![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod error;
+mod katz;
 pub mod linear_system;
 pub mod observe;
 pub mod pagerank;
