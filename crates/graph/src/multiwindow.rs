@@ -334,13 +334,6 @@ impl MultiWindowSet {
         self.graphs
     }
 
-    /// The multi-window graph serving global window `i`.
-    pub fn part_of(&self, window: usize) -> &MultiWindowGraph {
-        assert!(window < self.spec.count, "window {window} out of range");
-        let idx = self.graphs.partition_point(|g| g.windows().end <= window);
-        &self.graphs[idx]
-    }
-
     /// Total stored entries across all parts (>= entries of the single
     /// temporal CSR, because straddling events are duplicated).
     pub fn total_entries(&self) -> usize {
@@ -566,17 +559,6 @@ mod tests {
     }
 
     #[test]
-    fn part_of_finds_serving_graph() {
-        let log = log();
-        let spec = WindowSpec::covering(&log, 15, 10).unwrap();
-        let set =
-            MultiWindowSet::build(&log, spec, 3, true, PartitionStrategy::EqualWindows).unwrap();
-        for w in 0..spec.count {
-            assert!(set.part_of(w).contains_window(w), "window {w}");
-        }
-    }
-
-    #[test]
     fn local_vertex_maps_roundtrip() {
         let log = log();
         let spec = WindowSpec::covering(&log, 15, 10).unwrap();
@@ -613,9 +595,12 @@ mod tests {
             MultiWindowSet::build(&log, spec, 3, true, PartitionStrategy::EqualWindows).unwrap();
         // For every window, the set of active edges (in global ids) equals
         // the brute-force filter of the event list.
-        for w in 0..spec.count {
+        for (w, g) in set
+            .graphs()
+            .iter()
+            .flat_map(|g| g.windows().map(move |w| (w, g)))
+        {
             let range = spec.window(w);
-            let g = set.part_of(w);
             let mut got: Vec<(u32, u32)> = Vec::new();
             for lv in 0..g.num_local_vertices() as u32 {
                 for n in g.tcsr().active_neighbors(lv, range) {
@@ -879,8 +864,11 @@ mod tests {
         let spec = WindowSpec::covering(&log, 25, 10).unwrap();
         let set =
             MultiWindowSet::build(&log, spec, 3, true, PartitionStrategy::EqualWindows).unwrap();
-        for w in 0..spec.count {
-            let g = set.part_of(w);
+        for (w, g) in set
+            .graphs()
+            .iter()
+            .flat_map(|g| g.windows().map(move |w| (w, g)))
+        {
             let view = g.index_view(w);
             assert_eq!(view.range, spec.window(w));
             for lv in 0..g.num_local_vertices() as u32 {

@@ -579,7 +579,8 @@ where
 /// `filter(v, nbr)` appends, in stored order, the in-window neighbours of
 /// each active row `v` — a window's membership is decided here once, and
 /// the power iterations gather over the list. A row loop under a scheduler
-/// (tasks fold in row order, so the list is the sequential one).
+/// (tasks fold in row order, so the list is the sequential one); a
+/// one-task plan fills the workspace's list in place.
 fn build_pull_list<F>(filter: F, sched: Option<&Scheduler>, ws: &mut PrWorkspace)
 where
     F: Fn(VertexId, &mut Vec<VertexId>) + Sync,
@@ -596,11 +597,12 @@ where
             *count = nbr.len() - before;
         }
     };
-    match sched {
-        None => walk(list, counts, &mut ws.pull_nbr),
-        Some(s) => {
-            ws.pull_nbr = s.map_reduce_slice_mut(
+    match sched.map(|s| (s, s.row_chunks(list.len()))) {
+        Some((s, chunks)) if chunks.len() > 1 => {
+            ws.pull_nbr = s.map_reduce_rows_chunked_mut(
                 counts,
+                1,
+                &chunks,
                 Vec::new(),
                 |off, counts| {
                     let mut nbr = Vec::new();
@@ -613,6 +615,7 @@ where
                 },
             );
         }
+        _ => walk(list, counts, &mut ws.pull_nbr),
     }
     let mut end = 0;
     for o in &mut ws.pull_off[1..] {
@@ -659,6 +662,9 @@ where
     // never an extra pass.
     let alpha = cfg.alpha;
     let damp = 1.0 - alpha;
+    // The row-task plan depends on the list and the scheduler alone, so it
+    // is made once for every iteration.
+    let chunks = sched.map_or_else(Vec::new, |s| s.row_chunks(n_act));
     let mut iterations = 0;
     let mut converged = false;
     let mut health = PrHealth::default();
@@ -703,9 +709,14 @@ where
             (d, m)
         };
         let (diff, mass) = match sched {
-            Some(s) => s.map_reduce_slice_mut(compact, (0.0f64, 0.0f64), body, |a, b| {
-                (a.0 + b.0, a.1 + b.1)
-            }),
+            Some(s) => s.map_reduce_rows_chunked_mut(
+                compact,
+                1,
+                &chunks,
+                (0.0f64, 0.0f64),
+                body,
+                |a, b| (a.0 + b.0, a.1 + b.1),
+            ),
             None => body(0, compact),
         };
         let t_mid = obs.now();

@@ -110,6 +110,7 @@ pub fn pagerank_window_personalized(
 
     let alpha = cfg.alpha;
     let damp = 1.0 - alpha;
+    let chunks = sched.map_or_else(Vec::new, |s| s.row_chunks(n_act));
     let mut iterations = 0;
     let mut converged = false;
     let mut health = PrHealth::default();
@@ -148,9 +149,14 @@ pub fn pagerank_window_personalized(
             (d, m)
         };
         let (diff, mass) = match sched {
-            Some(s) => s.map_reduce_slice_mut(compact, (0.0f64, 0.0f64), body, |a, b| {
-                (a.0 + b.0, a.1 + b.1)
-            }),
+            Some(s) => s.map_reduce_rows_chunked_mut(
+                compact,
+                1,
+                &chunks,
+                (0.0f64, 0.0f64),
+                body,
+                |a, b| (a.0 + b.0, a.1 + b.1),
+            ),
             None => body(0, compact),
         };
         match guard_check(diff, mass, 0, iterations, cfg, &mut health)? {

@@ -59,8 +59,8 @@ use crate::observe::BatchObs;
 use crate::pagerank::{PrConfig, PrStats};
 use crate::scheduler::Scheduler;
 use crate::spmm::{
-    batch_iterate, compress_bits, lanes_from_views, repack_columns, LaneRule, SpmmWorkspace,
-    MAX_LANES,
+    batch_iterate, compress_bits, lanes_from_views, repack_columns, Affine, LaneRule,
+    SpmmWorkspace, MAX_LANES,
 };
 use std::time::Instant;
 use tempopr_graph::{LiveRuns, TemporalCsr, TimeRange, VertexId, WindowIndex, WindowIndexView};
@@ -409,7 +409,8 @@ fn query_lanes<'a, 'i>(
         katz_alpha: vec![0.0; vl],
         lanes_retired: 0,
     };
-    rule.tele.clear();
+    // Every cell of `tele` a round reads, a lane's at its active vertices,
+    // is written below; the rest keep whatever earlier batches left.
     rule.tele.resize(n * vl, 0.0);
     for k in 0..vl {
         let verts = views[k / nq].vertices;
@@ -455,8 +456,9 @@ fn query_lanes<'a, 'i>(
                     }
                 }
                 // Unit edge weights: the Katz sum is Σ x[u], not Σ x[u]/deg.
-                // Inactive neighbors hold x = 0, so blanket 1s are safe.
-                for v in 0..n {
+                // A run the lane holds starts at a vertex active in its
+                // window, so those are the only weights it reads.
+                for v in ids() {
                     base.inv_deg[v * vl + k] = 1.0;
                 }
             }
@@ -581,24 +583,13 @@ impl LaneRule for AffineTeleport<'_> {
         }
     }
 
-    #[inline]
-    fn cell(&self, k: usize, slot: usize, coefficient: f64, acc: f64) -> f64 {
-        coefficient * self.tele[slot] + self.scale[k] * acc
-    }
-
-    /// L1 for personalized lanes; for Katz lanes the L∞ norm, which must
-    /// not let `f64::max` swallow a NaN iterate (the health guard detects
-    /// non-finite lanes through the residual).
-    #[inline]
-    fn residual(&self, k: usize, so_far: f64, d: f64) -> f64 {
-        if !self.is_katz(k) {
-            so_far + d
-        } else if so_far.is_nan() || d.is_nan() {
-            f64::NAN
-        } else if d > so_far {
-            d
-        } else {
-            so_far
+    /// `factor·tele[v] + scale·acc`, on the L1 residual for personalized
+    /// lanes and the L∞ one for Katz lanes.
+    fn affine(&self) -> Affine<'_> {
+        Affine {
+            scale: &self.scale,
+            tele: Some(self.tele),
+            linf: self.katz,
         }
     }
 
@@ -1156,6 +1147,109 @@ mod tests {
         assert_eq!(out.stats[0], out.stats[1]);
     }
 
+    #[test]
+    fn a_reused_workspace_gives_every_batch_the_bits_of_a_fresh_one() {
+        // Setup clears only the rows the previous batch wrote, so a batch
+        // on a used workspace must see what a fresh one holds: every cell
+        // of the result, zeros off the lanes' active sets included, across
+        // vertex counts, strides, compaction, Katz lanes (unit weights
+        // only on their own vertices) and a batch that failed after a
+        // compaction left the rank matrix at a narrower stride.
+        use crate::pagerank::{GuardConfig, NumericPolicy};
+        use crate::spmm::pagerank_batch;
+        use crate::{FaultKind, Init};
+        let events = sample_events();
+        let small: Vec<Event> = events
+            .iter()
+            .copied()
+            .filter(|e| e.u < 12 && e.v < 12)
+            .collect();
+        let (t25, t12) = (
+            TemporalCsr::from_events(25, &events, true),
+            TemporalCsr::from_events(12, &small, true),
+        );
+        let spans = |s: &[(i64, i64)]| s.iter().map(|&(a, b)| TimeRange::new(a, b)).collect();
+        let four: Vec<TimeRange> = spans(&[(0, 60), (40, 160), (150, 230), (200, 360)]);
+        let pref = seed_pref(25, &[(5, 1.0), (12, 2.0), (20, 1.0)]);
+        let ppr_katz = QueryBatch::new(vec![
+            QuerySpec::Personalized {
+                preference: &pref,
+                alpha: 0.15,
+            },
+            QuerySpec::Katz {
+                alpha_fraction: 0.6,
+                beta: 1.5,
+                tol: 1e-10,
+            },
+        ])
+        .unwrap();
+        let katz = QueryBatch::new(vec![QuerySpec::Katz {
+            alpha_fraction: 0.85,
+            beta: 1.0,
+            tol: 1e-11,
+        }])
+        .unwrap();
+        let c = PrConfig {
+            compaction: true,
+            ..cfg()
+        };
+        let query = |ws: &mut QueryWorkspace, ranges: &[TimeRange], batch: &QueryBatch<'_>| {
+            let inits = vec![QueryInit::Fresh; ranges.len() * batch.len()];
+            let out = pagerank_query_batch(&t25, &t25, ranges, batch, &inits, &c, None, ws);
+            (out.unwrap().stats, bits(&ws.base.x))
+        };
+        let window = |ws: &mut SpmmWorkspace, t: &TemporalCsr, ranges: &[TimeRange], c| {
+            let inits = vec![Init::Uniform; ranges.len()];
+            pagerank_batch(t, t, ranges, &inits, c, None, ws).map(|s| (s, bits(&ws.x)))
+        };
+        let fresh_query =
+            |ranges: &[TimeRange], batch| query(&mut QueryWorkspace::default(), ranges, batch);
+        let fresh_window =
+            |t, ranges: &[TimeRange]| window(&mut SpmmWorkspace::default(), t, ranges, &c);
+
+        // On this part the long windows converge in one round and the
+        // short ones take a hundred and more: half the lanes retire after
+        // the first round and compaction halves the stride, so a NaN put
+        // into lane 0 in round 3 fails the batch at the narrower stride.
+        let eight: Vec<TimeRange> = spans(&[
+            (0, 30),
+            (0, 360),
+            (0, 100),
+            (0, 200),
+            (100, 300),
+            (40, 90),
+            (200, 260),
+            (300, 360),
+        ]);
+        let clean = fresh_window(&t25, &eight).unwrap();
+        let its: Vec<usize> = clean.0.iter().map(|s| s.iterations).collect();
+        assert!(its[1..5].iter().all(|&i| i == 1) && its[0] > 3, "{its:?}");
+        let failing = PrConfig {
+            fault: Some(FaultKind::InjectNan { at_iter: 3 }),
+            guard: GuardConfig {
+                policy: NumericPolicy::Fail,
+                ..c.guard
+            },
+            ..c
+        };
+
+        let mut ws = QueryWorkspace::default();
+        let two = &four[1..3];
+        assert_eq!(
+            query(&mut ws, &four, &ppr_katz),
+            fresh_query(&four, &ppr_katz)
+        );
+        let got = window(&mut ws.base, &t12, two, &c).unwrap();
+        assert_eq!(got, fresh_window(&t12, two).unwrap());
+        assert_eq!(query(&mut ws, two, &katz), fresh_query(two, &katz));
+        assert!(window(&mut ws.base, &t25, &eight, &failing).is_err());
+        assert_eq!(
+            query(&mut ws, &four, &ppr_katz),
+            fresh_query(&four, &ppr_katz)
+        );
+        assert_eq!(window(&mut ws.base, &t25, &eight, &c).unwrap(), clean);
+    }
+
     /// Seeds as `R` does, then poisons every cell of the lane *off* its
     /// active vertices with a NaN: a round that read or wrote one would
     /// show in the ranks or lose the poison.
@@ -1182,11 +1276,8 @@ mod tests {
         fn coefficient(&self, k: usize, n_act: usize, dangling: f64) -> f64 {
             self.0.coefficient(k, n_act, dangling)
         }
-        fn cell(&self, k: usize, slot: usize, coefficient: f64, acc: f64) -> f64 {
-            self.0.cell(k, slot, coefficient, acc)
-        }
-        fn residual(&self, k: usize, so_far: f64, d: f64) -> f64 {
-            self.0.residual(k, so_far, d)
+        fn affine(&self) -> Affine<'_> {
+            self.0.affine()
         }
         fn tolerance(&self, k: usize) -> f64 {
             self.0.tolerance(k)

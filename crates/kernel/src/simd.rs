@@ -9,6 +9,10 @@
 //! lanes outside `run_mask & live` turned into `+0.0` terms by a bitwise
 //! AND, no branch on the mask at all. Window lanes and (window × query)
 //! lanes run it alike (`spmm::batch_iterate` is their one loop).
+//! [`SimdDispatch::finalize_row`] is the step after it on a row whose every
+//! lane is live and active: the affine update `val = c·tele + scale·acc`,
+//! the residual fold, the mass and the store, over the whole stride at
+//! once instead of a call per cell.
 //!
 //! It comes in interchangeable implementations:
 //!
@@ -18,7 +22,8 @@
 //!   targets);
 //! - **bitwalk**: no stride arithmetic at all — [`SimdDispatch::dense`]
 //!   reports `false` and the kernels keep the plain mask walk for every
-//!   run. This is the reference the parity tests compare against.
+//!   run and the per-cell finalize for every row. This is the reference
+//!   the parity tests compare against.
 //!
 //! # Bit-identity
 //!
@@ -36,16 +41,32 @@
 //! also clears a NaN or an infinity sitting in that slot — and
 //! `(+0.0) · inv_deg` is `+0.0` because the kernels keep `inv_deg` finite
 //! and non-negative (also under `FaultKind::CorruptReciprocal`, a finite
-//! thousandfold). That holds in every row, not only the batch's own:
-//! converged-lane compaction repacks only the rows some lane of the batch
-//! holds, so after a repack a row outside the batch holds stale bytes of
-//! the wider layout. They are copies of `inv_deg` entries, so finite and
-//! non-negative too, and a run of the in-place walk that reaches such a
-//! row selects no lane there. The accumulator is a sum of non-negative products from
-//! `+0.0`, so it is non-negative or already NaN, and `acc + (+0.0)` is
-//! `acc` bit for bit in both cases (only `-0.0`, which cannot occur, would
-//! change). So a masked-off lane keeps its value and a selected lane sees
-//! the walk's exact add sequence.
+//! thousandfold). That holds in every cell, not only the ones the batch
+//! wrote: converged-lane compaction repacks only the rows some lane of the
+//! batch holds, so after a repack a row outside the batch holds stale
+//! bytes of the wider layout, and a batch's setup writes only its lanes'
+//! active cells, leaving every other cell with what earlier batches put
+//! there. They are all copies of `inv_deg` entries, so finite and
+//! non-negative too, and a run that reaches such a cell selects no lane
+//! there. The accumulator is a sum of non-negative products from `+0.0`,
+//! so it is non-negative or already NaN, and `acc + (+0.0)` is `acc` bit
+//! for bit in both cases (only `-0.0`, which cannot occur, would change).
+//! So a masked-off lane keeps its value and a selected lane sees the
+//! walk's exact add sequence.
+//!
+//! The finalize is the per-cell update lane for lane: the same multiplies
+//! and add in the same order (`c·tele` and `scale·acc`, then their sum;
+//! the window rule, whose teleport is all in `c`, reads a row of ones, and
+//! `c·1` is `c`), the same `|val − old|` (a subtract, then the sign bit
+//! cleared), the same fold into the lane's residual and the same add into
+//! its mass. Lanes do not meet: nothing is reduced across the vector, and
+//! each lane's residual and mass are its own running sums over the task's
+//! rows in row order, whichever of the two finalizes a row took. The L∞
+//! fold of a Katz lane is two compares and two blends in AVX2 — the larger
+//! of `so_far` and `d` where both are numbers, the canonical `f64::NAN`
+//! where either is not, as in `fold_residual` — computed in every group
+//! that holds such a lane and blended in only in its slots; the other
+//! slots keep the L1 sum.
 //!
 //! # Selection
 //!
@@ -158,6 +179,63 @@ impl SimdDispatch {
             _ => accumulate_row_scalar(acc, run_nbr, run_mask, live, x, inv_deg),
         }
     }
+
+    /// One row's finalize over the whole stride, for a row whose every
+    /// lane is live and active: per lane `k`,
+    /// `val = coef[k]·tele[k] + scale[k]·acc[k]`, `|val − old[k]|` folded
+    /// into `diff[k]` by `fold_residual` on the norm bit `k` of `linf`
+    /// selects, `val` added to `mass[k]` and stored in `row[k]`. Every lane
+    /// ends with the bits the per-cell finalize gives it (see the module
+    /// docs).
+    ///
+    /// All slices are one stride long, `row.len()` lanes.
+    #[allow(clippy::too_many_arguments)]
+    #[inline]
+    pub fn finalize_row(
+        &self,
+        row: &mut [f64],
+        old: &[f64],
+        acc: &[f64],
+        coef: &[f64],
+        tele: &[f64],
+        scale: &[f64],
+        linf: u64,
+        diff: &mut [f64],
+        mass: &mut [f64],
+    ) {
+        let vl = row.len();
+        assert!(vl <= 64, "a lane mask holds 64 lanes");
+        let lens = [old, acc, coef, tele, scale, diff, mass].map(|s| s.len());
+        assert!(lens.iter().all(|&l| l == vl), "one stride per operand");
+        match self.kind {
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: `Kind::Avx2` is only ever constructed by `detect()`
+            // after `is_x86_feature_detected!("avx2")` returned true on
+            // this CPU; every slice was just checked to be `vl` long.
+            Kind::Avx2 => unsafe {
+                finalize_row_avx2(row, old, acc, coef, tele, scale, linf, diff, mass)
+            },
+            _ => finalize_lanes(0, row, old, acc, coef, tele, scale, linf, diff, mass),
+        }
+    }
+}
+
+/// Folds `d` — one cell's `|new − old|`, or another row task's partial
+/// residual — into a lane's residual `so_far`: the sum (the L1 norm), or
+/// with `linf` the maximum (the L∞ norm), which must not let `f64::max`
+/// swallow a NaN iterate (the health guard detects non-finite lanes
+/// through the residual). `+0.0` is neutral under both.
+#[inline(always)]
+pub(crate) fn fold_residual(linf: bool, so_far: f64, d: f64) -> f64 {
+    if !linf {
+        so_far + d
+    } else if so_far.is_nan() || d.is_nan() {
+        f64::NAN
+    } else if d > so_far {
+        d
+    } else {
+        so_far
+    }
 }
 
 /// The widest implementation this CPU supports.
@@ -219,6 +297,31 @@ fn accumulate_row_scalar(
         for (k, a) in acc.iter_mut().enumerate() {
             *a += f64::from_bits(xs[k].to_bits() & lane_keep(sel, k)) * is[k];
         }
+    }
+}
+
+/// The portable finalize of lanes `from..row.len()` (see
+/// [`SimdDispatch::finalize_row`]): the whole stride, or the lanes the
+/// AVX2 groups leave over.
+#[allow(clippy::too_many_arguments)]
+#[inline(always)]
+fn finalize_lanes(
+    from: usize,
+    row: &mut [f64],
+    old: &[f64],
+    acc: &[f64],
+    coef: &[f64],
+    tele: &[f64],
+    scale: &[f64],
+    linf: u64,
+    diff: &mut [f64],
+    mass: &mut [f64],
+) {
+    for k in from..row.len() {
+        let val = coef[k] * tele[k] + scale[k] * acc[k];
+        diff[k] = fold_residual((linf >> k) & 1 == 1, diff[k], (val - old[k]).abs());
+        mass[k] += val;
+        row[k] = val;
     }
 }
 
@@ -363,6 +466,81 @@ unsafe fn row_avx2_any_stride(
             acc[k] += f64::from_bits(xs[k].to_bits() & lane_keep(sel, k)) * is[k];
         }
     }
+}
+
+/// AVX2 finalize: four lanes a group, the `vl % 4` lanes left over as in
+/// [`finalize_lanes`]. The L∞ fold is computed only in groups that hold a
+/// `linf` lane and blended in there, lane by lane.
+///
+/// # Safety
+/// The caller must have verified AVX2 support on the running CPU, and
+/// every slice must be `row.len()` long.
+#[allow(clippy::too_many_arguments)]
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn finalize_row_avx2(
+    row: &mut [f64],
+    old: &[f64],
+    acc: &[f64],
+    coef: &[f64],
+    tele: &[f64],
+    scale: &[f64],
+    linf: u64,
+    diff: &mut [f64],
+    mass: &mut [f64],
+) {
+    use std::arch::x86_64::{
+        _mm256_add_pd, _mm256_andnot_pd, _mm256_blendv_pd, _mm256_cmp_pd, _mm256_loadu_pd,
+        _mm256_mul_pd, _mm256_set1_pd, _mm256_storeu_pd, _mm256_sub_pd, _CMP_GT_OQ, _CMP_UNORD_Q,
+    };
+    let groups = row.len() / 4;
+    let sign = _mm256_set1_pd(-0.0);
+    let nan = _mm256_set1_pd(f64::NAN);
+    for g in 0..groups {
+        let o = 4 * g;
+        // SAFETY: `g < row.len() / 4`, so `o + 4 <= row.len()`, the length
+        // of every slice (the caller's contract); AVX2 is enabled in this
+        // function for `group_keep`.
+        unsafe {
+            let t = _mm256_mul_pd(
+                _mm256_loadu_pd(coef.as_ptr().add(o)),
+                _mm256_loadu_pd(tele.as_ptr().add(o)),
+            );
+            let pulled = _mm256_mul_pd(
+                _mm256_loadu_pd(scale.as_ptr().add(o)),
+                _mm256_loadu_pd(acc.as_ptr().add(o)),
+            );
+            // Separate multiplies and add — NOT fmadd — as in the row walk.
+            let val = _mm256_add_pd(t, pulled);
+            let d = _mm256_andnot_pd(
+                sign,
+                _mm256_sub_pd(val, _mm256_loadu_pd(old.as_ptr().add(o))),
+            );
+            let so_far = _mm256_loadu_pd(diff.as_ptr().add(o));
+            let mut folded = _mm256_add_pd(so_far, d);
+            if (linf >> o) & 0xf != 0 {
+                let larger = _mm256_blendv_pd(so_far, d, _mm256_cmp_pd::<_CMP_GT_OQ>(d, so_far));
+                let max = _mm256_blendv_pd(larger, nan, _mm256_cmp_pd::<_CMP_UNORD_Q>(so_far, d));
+                folded = _mm256_blendv_pd(folded, max, group_keep(linf, g));
+            }
+            _mm256_storeu_pd(diff.as_mut_ptr().add(o), folded);
+            let m = _mm256_loadu_pd(mass.as_ptr().add(o));
+            _mm256_storeu_pd(mass.as_mut_ptr().add(o), _mm256_add_pd(m, val));
+            _mm256_storeu_pd(row.as_mut_ptr().add(o), val);
+        }
+    }
+    finalize_lanes(
+        4 * groups,
+        row,
+        old,
+        acc,
+        coef,
+        tele,
+        scale,
+        linf,
+        diff,
+        mass,
+    );
 }
 
 #[cfg(test)]
@@ -523,6 +701,115 @@ mod tests {
                 .accumulate_row(&mut acc, &run_nbr, &run_mask, all, &x, &inv_deg);
             assert!(acc[vl - 1].is_nan(), "vl {vl}");
             assert!(acc[..vl - 1].iter().all(|a| a.is_finite()), "vl {vl}");
+        }
+    }
+
+    /// Per-cell finalize of the lanes of `cells`, as the kernels' cell walk
+    /// does it, with the L∞ fold spelled out on its own.
+    #[allow(clippy::too_many_arguments)]
+    fn cell_walk(
+        cells: u64,
+        row: &mut [f64],
+        old: &[f64],
+        acc: &[f64],
+        coef: &[f64],
+        tele: &[f64],
+        scale: &[f64],
+        linf: u64,
+        diff: &mut [f64],
+        mass: &mut [f64],
+    ) {
+        for k in (0..row.len()).filter(|&k| (cells >> k) & 1 == 1) {
+            let val = coef[k] * tele[k] + scale[k] * acc[k];
+            let d = (val - old[k]).abs();
+            diff[k] = if (linf >> k) & 1 == 0 {
+                diff[k] + d
+            } else if diff[k].is_nan() || d.is_nan() {
+                f64::NAN
+            } else {
+                diff[k].max(d)
+            };
+            mass[k] += val;
+            row[k] = val;
+        }
+    }
+
+    /// How a row task finalizes the rows whose every lane is a cell.
+    #[derive(Debug, Clone, Copy)]
+    enum Dense {
+        CellWalk,
+        Portable,
+        Dispatch(SimdDispatch),
+    }
+
+    #[test]
+    fn finalize_row_matches_the_cell_walk_for_every_stride() {
+        // A row task of seven rows, finalized into one pair of per-lane
+        // sums two ways: as the kernels do it (the stride finalize on rows
+        // whose every lane is a cell, the cell walk on the others) and by
+        // the cell walk alone. Rows, residuals and masses must agree bit
+        // for bit under every implementation, on a teleport matrix and on
+        // the window rule's row of ones, on L1, L∞ and mixed lanes, with
+        // NaNs reaching the top lane through `old` and through `acc`.
+        let rows = 7usize;
+        let mut ways = vec![Dense::Portable];
+        for policy in [SimdPolicy::Auto, SimdPolicy::Scalar, SimdPolicy::BitWalk] {
+            ways.push(Dense::Dispatch(SimdDispatch::select(policy)));
+        }
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx2") {
+            ways.push(Dense::Dispatch(SimdDispatch { kind: Kind::Avx2 }));
+        }
+        for vl in 1..=64usize {
+            let (all, top) = (lane_mask_all(vl), vl - 1);
+            let mut old = noisy(rows * vl, 11);
+            let mut acc = noisy(rows * vl, 12);
+            let (coef, tele, scale) = (noisy(vl, 13), noisy(rows * vl, 14), noisy(vl, 15));
+            let ones = vec![1.0; rows * vl];
+            // Rows 1 and 4 are sparse: some lanes are no cell of theirs.
+            let mut cells = vec![all; rows];
+            cells[1] = all & 0x9e37_79b9_7f4a_7c15;
+            cells[4] = 1 << top;
+            old[2 * vl + top] = f64::NAN;
+            acc[5 * vl + top] = f64::NAN;
+            for linf in [0, all, all & 0x5555_5555_5555_5555, 1 << top] {
+                for tele in [&tele, &ones] {
+                    let task = |way: Dense| {
+                        let mut out = vec![0.0; rows * vl];
+                        let (mut diff, mut mass) = (vec![0.0; vl], vec![0.0; vl]);
+                        for (r, &c) in cells.iter().enumerate() {
+                            let span = r * vl..(r + 1) * vl;
+                            let t = &tele[span.clone()];
+                            let (o, a) = (&old[span.clone()], &acc[span.clone()]);
+                            let (row, d, m) = (&mut out[span], &mut diff[..], &mut mass[..]);
+                            match way {
+                                Dense::Dispatch(s) if c == all => {
+                                    s.finalize_row(row, o, a, &coef, t, &scale, linf, d, m)
+                                }
+                                Dense::Portable if c == all => {
+                                    finalize_lanes(0, row, o, a, &coef, t, &scale, linf, d, m)
+                                }
+                                _ => cell_walk(c, row, o, a, &coef, t, &scale, linf, d, m),
+                            }
+                        }
+                        (bits(&out), bits(&diff), bits(&mass))
+                    };
+                    let expect = task(Dense::CellWalk);
+                    for &way in &ways {
+                        let what =
+                            format!("{way:?}, vl {vl}, linf {linf:#x}, ones {}", tele[0] == 1.0);
+                        assert_eq!(task(way), expect, "{what}");
+                    }
+                    // The NaN reaches the top lane's residual (the canonical
+                    // one on the L∞ norm) and no other lane's.
+                    let diff: Vec<f64> = expect.1.iter().map(|&b| f64::from_bits(b)).collect();
+                    if (linf >> top) & 1 == 1 {
+                        assert_eq!(expect.1[top], f64::NAN.to_bits(), "vl {vl}");
+                    }
+                    assert!(diff[top].is_nan(), "vl {vl}");
+                    assert!(diff[..top].iter().all(|d| d.is_finite()), "vl {vl}");
+                }
+            }
         }
     }
 

@@ -27,15 +27,16 @@
 //! (window, query) pair under a personalized or Katz update in
 //! [`crate::query`] — reaches it as a `LaneRule`, a handful of per-lane
 //! hooks the loop is generic over; the live-row list, both row walks, the
-//! cell-sparse finalize, the health guards, the fault hooks and
-//! converged-lane compaction are written once and serve both.
+//! cell-sparse finalize (a whole-stride update on rows whose every lane is
+//! live, [`SimdDispatch::finalize_row`]), the health guards, the fault
+//! hooks and converged-lane compaction are written once and serve both.
 
 use crate::error::{FaultKind, KernelError};
 use crate::observe::BatchObs;
 use crate::pagerank::{guard_check, GuardAction, PrHealth};
 use crate::pagerank::{Init, PrConfig, PrStats};
 use crate::scheduler::{Balance, Scheduler};
-use crate::simd::SimdDispatch;
+use crate::simd::{fold_residual, SimdDispatch};
 use std::ops::Range;
 use std::time::Instant;
 use tempopr_graph::{LiveRuns, TemporalCsr, TimeRange, VertexId, WindowIndex, WindowIndexView};
@@ -74,6 +75,28 @@ pub struct SpmmWorkspace {
 }
 
 impl SpmmWorkspace {
+    /// Zeroes what the last batch left in `x` and the masks, the rows of
+    /// its union active list (at the stride `x` holds them, the original
+    /// one, or a compacted one if a round failed after a compaction), and
+    /// empties that list. No other cell was written, so all of them are
+    /// zero after, in `x.len() / n` cells a row for the last batch's `n`.
+    fn clear_rows_written(&mut self) {
+        let n = self.active_mask.len();
+        match self.x.len().checked_div(n) {
+            Some(vl) if vl * n == self.x.len() => {
+                for &v in &self.active_list {
+                    self.x[v as usize * vl..(v as usize + 1) * vl].fill(0.0);
+                }
+            }
+            _ => self.x.clear(),
+        }
+        for &v in &self.active_list {
+            self.active_mask[v as usize] = 0;
+            self.dangling_mask[v as usize] = 0;
+        }
+        self.active_list.clear();
+    }
+
     /// Copies lane `k` into `out` (length `n`).
     pub fn copy_lane_into(&self, k: usize, vl: usize, out: &mut [f64]) {
         assert!(k < vl);
@@ -304,16 +327,20 @@ pub(crate) fn lanes_from_views<'a>(
     }
     let vl = views.len() * nq;
     let queries = lane_mask_all(nq);
-    ws.inv_deg.clear();
+    ws.clear_rows_written();
+    // No cell of `inv_deg` a lane reads is left unwritten below; the rest
+    // keep bytes of earlier batches, finite and non-negative like every
+    // value it is ever given (see the `crate::simd` module docs).
     ws.inv_deg.resize(n * vl, 0.0);
-    ws.active_mask.clear();
     ws.active_mask.resize(n, 0);
-    ws.dangling_mask.clear();
     ws.dangling_mask.resize(n, 0);
     for (w, view) in views.iter().enumerate() {
         let lanes = queries << (w * nq);
         for (&v, &inv) in view.vertices.iter().zip(view.inv_deg) {
             let v = v as usize;
+            if ws.active_mask[v] == 0 {
+                ws.active_list.push(v as u32);
+            }
             ws.active_mask[v] |= lanes;
             ws.inv_deg[v * vl + w * nq..v * vl + (w + 1) * nq].fill(inv);
         }
@@ -321,12 +348,7 @@ pub(crate) fn lanes_from_views<'a>(
             ws.dangling_mask[v as usize] |= lanes;
         }
     }
-    ws.active_list.clear();
-    for (v, &m) in ws.active_mask.iter().enumerate() {
-        if m != 0 {
-            ws.active_list.push(v as u32);
-        }
-    }
+    ws.active_list.sort_unstable();
     let table = LaneTable::new(
         views
             .iter()
@@ -366,10 +388,12 @@ pub(crate) fn lanes_from_views<'a>(
 /// matrix. The loop is generic over the rule (static dispatch), so each
 /// instantiation compiles to its own round loop with the rule inlined.
 ///
-/// There are two rules because there are two roundings: the uniform
+/// The cell update and the norms are data, not code: both rules hand the
+/// round their [`Affine`] form. There are two roundings in it: the uniform
 /// teleport folds its `1/n` into the coefficient before the add
-/// (`base + damp·acc`, [`UniformTeleport`]), the affine one multiplies a
-/// per-cell teleport entry in the round (`factor·tele + scale·acc`,
+/// (`base + damp·acc`, [`UniformTeleport`], which has no teleport matrix
+/// and multiplies `base` by 1), the query rule multiplies a per-cell
+/// teleport entry in the round (`factor·tele + scale·acc`,
 /// `kernel::query`). The bit-identity suites pin each to its own
 /// single-lane kernel, so neither can be rewritten as the other.
 ///
@@ -396,13 +420,9 @@ pub(crate) trait LaneRule: Sync {
     /// count and the rank mass its dangling vertices hold.
     fn coefficient(&self, k: usize, n_act: usize, dangling: f64) -> f64;
 
-    /// The new value of cell `slot = v·vl + k` from the round's
-    /// coefficient and the row's pull sum `acc`.
-    fn cell(&self, k: usize, slot: usize, coefficient: f64, acc: f64) -> f64;
-
-    /// Folds `d` — one cell's `|new − old|`, or another row task's partial
-    /// residual — into slot `k`'s residual `so_far`. `+0.0` is neutral.
-    fn residual(&self, k: usize, so_far: f64, d: f64) -> f64;
+    /// The cell update and the residual norms, at the current stride (see
+    /// [`Affine`]).
+    fn affine(&self) -> Affine<'_>;
 
     /// The residual below which slot `k` has converged.
     fn tolerance(&self, k: usize) -> f64;
@@ -418,12 +438,46 @@ pub(crate) trait LaneRule: Sync {
     fn compact(&mut self, keep: &[usize], vl: usize, rows: &[u32]);
 }
 
+/// The affine form both rules share, as a round reads it off its rule:
+/// cell `(v, k)` becomes `c·tele[v·vl + k] + scale[k]·acc`, `c` being slot
+/// `k`'s coefficient this round and `acc` the row's pull sum, and its
+/// `|new − old|` joins slot `k`'s residual on the L1 norm, or on the L∞
+/// norm for the slots of `linf` (`simd::fold_residual`).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Affine<'a> {
+    /// Multiplier of the pull sum per slot, at least `vl` of them.
+    pub(crate) scale: &'a [f64],
+    /// The interleaved teleport matrix at the current stride; `None` for
+    /// a rule whose teleport is all in `c`, which reads a row of ones.
+    pub(crate) tele: Option<&'a [f64]>,
+    /// Slots whose residual is the L∞ norm.
+    pub(crate) linf: u64,
+}
+
+impl Affine<'_> {
+    /// Row `v`'s teleport entries at stride `vl`: its row of the matrix,
+    /// or `vl` ones. `c·1` is `c` bit for bit, so a rule without a matrix
+    /// gets `c + scale·acc` from the same update.
+    #[inline]
+    fn tele_row(&self, v: usize, vl: usize) -> &[f64] {
+        const ONES: [f64; MAX_LANES] = [1.0; MAX_LANES];
+        match self.tele {
+            Some(tele) => &tele[v * vl..(v + 1) * vl],
+            None => &ONES[..vl],
+        }
+    }
+}
+
 /// The lane rule of the window batch: every lane teleports uniformly over
 /// its own active set with the batch's one `alpha`, converges on the L1
 /// residual against the batch's one tolerance, and conserves unit mass.
+/// Its affine form has no teleport matrix: the `1/n` is folded into the
+/// coefficient, and every slot's `scale` is the damping `1 − alpha`.
 struct UniformTeleport<'a> {
     alpha: f64,
     damp: f64,
+    /// `damp` in every slot: the affine form's `scale`.
+    scale: [f64; MAX_LANES],
     tol: f64,
     inits: &'a [Init<'a>],
 }
@@ -433,6 +487,7 @@ impl<'a> UniformTeleport<'a> {
         UniformTeleport {
             alpha: cfg.alpha,
             damp: 1.0 - cfg.alpha,
+            scale: [1.0 - cfg.alpha; MAX_LANES],
             tol: cfg.tol,
             inits,
         }
@@ -461,14 +516,12 @@ impl LaneRule for UniformTeleport<'_> {
         self.alpha / n_k + self.damp * dangling / n_k
     }
 
-    #[inline]
-    fn cell(&self, _k: usize, _slot: usize, coefficient: f64, acc: f64) -> f64 {
-        coefficient + self.damp * acc
-    }
-
-    #[inline]
-    fn residual(&self, _k: usize, so_far: f64, d: f64) -> f64 {
-        so_far + d
+    fn affine(&self) -> Affine<'_> {
+        Affine {
+            scale: &self.scale,
+            tele: None,
+            linf: 0,
+        }
     }
 
     fn tolerance(&self, _k: usize) -> f64 {
@@ -530,7 +583,12 @@ pub(crate) fn batch_iterate<R: LaneRule>(
 /// are finalized and scattered back. Everything skipped is either a held
 /// value (a converged lane) or a `+0.0` term into a non-negative sum (a
 /// lane the row is not active in), so each lane's ranks, residuals and
-/// iteration count are those of the full sweep, bit for bit.
+/// iteration count are those of the full sweep, bit for bit. A row whose
+/// cells are the whole effective stride — most rows of a query batch — is
+/// finalized by [`SimdDispatch::finalize_row`] in one pass over the stride
+/// (the rule's [`Affine`] form) and scattered back by one slice copy; the
+/// other rows, and every row under [`crate::SimdPolicy::BitWalk`], walk
+/// their cells one by one.
 ///
 /// Three further optimizations live here; the first two are bit-identical
 /// per lane to the plain masked walk (locked in by
@@ -585,9 +643,8 @@ fn rounds<R: LaneRule>(
     obs.setup(&n_act, t_setup);
 
     // --- Initialization ---------------------------------------------------
-    ws.x.clear();
+    // Setup zeroed `x`; no cell of `y` is read before a round writes it.
     ws.x.resize(n * vl0, 0.0);
-    ws.y.clear();
     ws.y.resize(n * vl0, 0.0);
     for (k, verts) in lane_verts.iter().enumerate() {
         // An empty lane's column stays zero and the lane starts converged.
@@ -608,7 +665,10 @@ fn rounds<R: LaneRule>(
     obs.dispatch(dispatch.isa(), vl0);
 
     // --- Batched iteration --------------------------------------------------
-    let has_dangling = ws.dangling_mask.iter().any(|&m| m != 0);
+    let has_dangling = ws
+        .active_list
+        .iter()
+        .any(|&v| ws.dangling_mask[v as usize] != 0);
     let mut stats: Vec<PrStats> = (0..vl0)
         .map(|k| PrStats {
             iterations: 0,
@@ -685,7 +745,8 @@ fn rounds<R: LaneRule>(
             coef[k] = rule.coefficient(k, n_act[lane_map[k]], coef[k]);
         }
 
-        let rule_ref = &*rule;
+        let affine = rule.affine();
+        let dense = dispatch.dense();
         let list = &live_rows.rows;
         let vector_rows = live_rows.vector;
         let x = &ws.x;
@@ -723,19 +784,36 @@ fn rounds<R: LaneRule>(
                     }
                 }
                 let old = &x[v * vl..(v + 1) * vl];
-                for_each_cell(active_mask[v] & live, all_done, |k| {
-                    let val = rule_ref.cell(k, v * vl + k, coef[k], acc[k]);
-                    diff[k] = rule_ref.residual(k, diff[k], (val - old[k]).abs());
-                    mass[k] += val;
-                    row[k] = val;
-                });
+                let tele = affine.tele_row(v, vl);
+                let cells = active_mask[v] & live;
+                if dense && cells == all_done {
+                    dispatch.finalize_row(
+                        row,
+                        old,
+                        &acc[..vl],
+                        &coef[..vl],
+                        tele,
+                        &affine.scale[..vl],
+                        affine.linf,
+                        &mut diff[..vl],
+                        &mut mass[..vl],
+                    );
+                } else {
+                    for_each_cell(cells, all_done, |k| {
+                        let val = coef[k] * tele[k] + affine.scale[k] * acc[k];
+                        let linf = (affine.linf >> k) & 1 == 1;
+                        diff[k] = fold_residual(linf, diff[k], (val - old[k]).abs());
+                        mass[k] += val;
+                        row[k] = val;
+                    });
+                }
             }
             (diff, mass)
         };
         let reduce = |mut a: ([f64; MAX_LANES], [f64; MAX_LANES]),
                       b: ([f64; MAX_LANES], [f64; MAX_LANES])| {
             for k in 0..MAX_LANES {
-                a.0[k] = rule_ref.residual(k, a.0[k], b.0[k]);
+                a.0[k] = fold_residual((affine.linf >> k) & 1 == 1, a.0[k], b.0[k]);
                 a.1[k] += b.1[k];
             }
             a
@@ -755,7 +833,12 @@ fn rounds<R: LaneRule>(
         for (r, &v) in live_rows.rows.iter().enumerate() {
             let v = v as usize;
             let (new, old) = (&ws.y[r * vl..(r + 1) * vl], &mut ws.x[v * vl..(v + 1) * vl]);
-            for_each_cell(ws.active_mask[v] & live, all_done, |k| old[k] = new[k]);
+            let cells = ws.active_mask[v] & live;
+            if dense && cells == all_done {
+                old.copy_from_slice(new);
+            } else {
+                for_each_cell(cells, all_done, |k| old[k] = new[k]);
+            }
         }
         // Per-lane health check and recovery; a faulted lane skips this
         // iteration's convergence test (its residual reflects the

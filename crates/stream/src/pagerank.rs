@@ -71,6 +71,7 @@ pub fn streaming_pagerank_obs(
     let alpha = cfg.alpha;
     let damp = 1.0 - alpha;
     let base = alpha / n_act_f;
+    let chunks = sched.map_or_else(Vec::new, |s| s.row_chunks(n_act));
     let mut iterations = 0;
     let mut converged = false;
     while iterations < cfg.max_iters {
@@ -107,7 +108,9 @@ pub fn streaming_pagerank_obs(
             d
         };
         let diff = match sched {
-            Some(s) => s.map_reduce_slice_mut(compact, 0.0f64, body, |a, b| a + b),
+            Some(s) => {
+                s.map_reduce_rows_chunked_mut(compact, 1, &chunks, 0.0f64, body, |a, b| a + b)
+            }
             None => body(0, compact),
         };
         let t_mid = obs.now();

@@ -171,9 +171,8 @@ proptest! {
             PartitionStrategy::EqualWindows
         };
         let set = MultiWindowSet::build(&log, spec, parts, true, strategy).unwrap();
-        for w in 0..spec.count {
+        for (w, part) in set.graphs().iter().flat_map(|g| g.windows().map(move |w| (w, g))) {
             let range = spec.window(w);
-            let part = set.part_of(w);
             let mut got = Vec::new();
             for lv in 0..part.num_local_vertices() as u32 {
                 for ln in part.tcsr().active_neighbors(lv, range) {

@@ -190,8 +190,7 @@ proptest! {
             PartitionStrategy::EqualWindows
         };
         let set = MultiWindowSet::build(&log, spec, parts, !directed, strategy).unwrap();
-        for w in 0..spec.count {
-            let part = set.part_of(w);
+        for (w, part) in set.graphs().iter().flat_map(|g| g.windows().map(move |w| (w, g))) {
             check_view_against_bruteforce(part, w, spec.window(w), directed);
         }
         for part in set.graphs() {
