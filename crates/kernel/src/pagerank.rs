@@ -323,13 +323,14 @@ pub fn pagerank_window(
     )
 }
 
-/// The unindexed degree/activity pass of [`pagerank_window`] and
-/// [`pagerank_csr`]: fills `deg_out` (and, for a directed build, `deg_in`)
-/// through the scheduler, then builds the active list, the reciprocals and
-/// the activity flags in one order-dependent sequential sweep. Returns
-/// whether the graph has dangling vertices. Monomorphized per caller over
-/// the two degree lookups; the caller must have run [`PrWorkspace::ensure`].
-fn degree_pass<DO, DI>(
+/// The unindexed degree/activity pass of [`pagerank_window`],
+/// [`pagerank_csr`] and the personalized kernel: fills `deg_out` (and, for
+/// a directed build, `deg_in`) through the scheduler, then builds the
+/// active list, the reciprocals and the activity flags in one
+/// order-dependent sequential sweep. Returns whether the graph has
+/// dangling vertices. Monomorphized per caller over the two degree
+/// lookups; the caller must have run [`PrWorkspace::ensure`].
+pub(crate) fn degree_pass<DO, DI>(
     directed: bool,
     out_degree: DO,
     in_degree: DI,

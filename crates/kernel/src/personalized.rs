@@ -5,9 +5,11 @@
 //! specific actors through an organizational crisis).
 
 use crate::error::KernelError;
-use crate::pagerank::{guard_check, GuardAction, PrConfig, PrHealth, PrStats, PrWorkspace};
+use crate::pagerank::{
+    degree_pass, guard_check, GuardAction, PrConfig, PrHealth, PrStats, PrWorkspace,
+};
 use crate::scheduler::Scheduler;
-use tempopr_graph::{TemporalCsr, TimeRange, VertexId};
+use tempopr_graph::{TemporalCsr, TimeRange};
 
 /// Outcome of one personalized-PageRank window: the usual iteration stats
 /// plus whether the window fell back to the uniform teleport because no
@@ -63,24 +65,13 @@ pub fn pagerank_window_personalized(
         });
     }
     ws.ensure(n);
-    let directed = !std::ptr::eq(pull, push);
-
-    // Degree / activity pass (as in the standard kernel).
-    let mut has_dangling = false;
-    for v in 0..n {
-        let out = push.active_degree(v as VertexId, range) as u32;
-        let act = out > 0 || (directed && pull.active_degree(v as VertexId, range) > 0);
-        ws.deg_out[v] = out;
-        ws.active[v] = act;
-        if act {
-            ws.active_list.push(v as u32);
-            if out == 0 {
-                has_dangling = true;
-            } else {
-                ws.inv_deg[v] = 1.0 / out as f64;
-            }
-        }
-    }
+    let has_dangling = degree_pass(
+        !std::ptr::eq(pull, push),
+        |v| push.active_degree(v, range),
+        |v| pull.active_degree(v, range),
+        sched,
+        ws,
+    );
     let n_act = ws.active_list.len();
     if n_act == 0 {
         return Ok(PersonalizedStats {

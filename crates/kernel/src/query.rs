@@ -1296,13 +1296,33 @@ mod tests {
         // both of its norms: a round neither reads nor writes a lane a row
         // is not active in, and a lane that has converged holds its value
         // while its siblings run on. Four staggered windows × (personalized,
-        // Katz) = 8 lanes, so compaction fires when it is on.
+        // Katz) = 8 lanes, so compaction fires when it is on. Every row a
+        // round visits here is active in each window: its only idle cells
+        // are converged lanes.
+        assert_eq!(
+            rounds_touch_only_live_cells([(0, 60), (40, 160), (150, 230), (200, 360)]),
+            0
+        );
+    }
+
+    #[test]
+    fn rounds_never_write_a_live_lane_a_visited_row_is_inactive_in() {
+        // The sibling batch mixes short windows with one that spans the
+        // log, so the first round visits rows that are inactive in lanes
+        // still live: a scatter that wrote such a row's whole stride back
+        // would overwrite their poison.
+        assert!(rounds_touch_only_live_cells([(0, 30), (0, 360), (100, 130), (300, 330)]) > 0);
+    }
+
+    /// Runs [`Poisoned`] lanes of four windows × (personalized, Katz) over
+    /// the sample part and checks every cell against a plain batch. Returns
+    /// how many (row, window) pairs join a row the first round visits to a
+    /// non-empty window the row is inactive in: idle cells of live lanes.
+    fn rounds_touch_only_live_cells(spans: [(i64, i64); 4]) -> usize {
         let events = sample_events();
         let n = 25;
         let t = TemporalCsr::from_events(n, &events, true);
-        let ranges: Vec<TimeRange> = [(0, 60), (40, 160), (150, 230), (200, 360)]
-            .map(|(a, b)| TimeRange::new(a, b))
-            .to_vec();
+        let ranges: Vec<TimeRange> = spans.map(|(a, b)| TimeRange::new(a, b)).to_vec();
         let pref = seed_pref(n, &[(5, 1.0), (12, 2.0), (20, 1.0)]);
         let batch = QueryBatch::new(vec![
             QuerySpec::Personalized {
@@ -1385,5 +1405,14 @@ mod tests {
             }
             assert!(early >= 2, "lanes must converge at different rounds");
         }
+        let index = WindowIndex::build(&t, None, &ranges);
+        let verts: Vec<&[VertexId]> = (0..4).map(|j| index.view(j).vertices).collect();
+        let idle = |v: VertexId| {
+            verts
+                .iter()
+                .filter(move |l| !l.is_empty() && !l.contains(&v))
+        };
+        let visited = (0..n as VertexId).filter(|v| verts.iter().any(|l| l.contains(v)));
+        visited.map(|v| idle(v).count()).sum()
     }
 }
