@@ -55,7 +55,7 @@ pub struct Opts {
     /// scheduler an experiment constructs.
     pub edge_balance: bool,
     /// Override the window-seeding mode of every postmortem run
-    /// (`--init-mode full|partial|warm|auto`); `None` keeps each
+    /// (`--init-mode full|partial|auto`); `None` keeps each
     /// experiment's own choice.
     pub init_mode: Option<InitMode>,
 }

@@ -11,4 +11,3 @@ pub mod fig8;
 pub mod sweep;
 pub mod table1;
 pub mod tools;
-pub mod warmstart;

@@ -17,7 +17,6 @@
 //!   fig10    partitioner/granularity sweep (1024 windows)
 //!   fig11    best speedup heatmaps, all datasets
 //!   fig12    suggested parameters on wiki-talk
-//!   warmstart  init-mode iteration counts across window-overlap ratios
 //!   batch-query  N personalized queries batched vs looped single-query
 //!   all      every paper figure above, in order
 //! ```
@@ -94,7 +93,6 @@ fn run_experiment(cmd: &str, opts: &Opts, dataset: Option<&str>, extra: &ToolFla
         "fig10" => sweep::run(sweep::fig10(), opts),
         "fig11" => fig11::run(opts, dataset),
         "fig12" => fig12::run(opts),
-        "warmstart" => warmstart::run(opts),
         "batch-query" => batchquery::run(opts),
         "run" => durable::run(
             opts,
@@ -211,13 +209,8 @@ fn parse_flags(args: &[String]) -> Result<(Opts, Option<String>, ToolFlags), Str
                 opts.init_mode = Some(match value(i)?.as_str() {
                     "full" => tempopr_core::InitMode::Full,
                     "partial" => tempopr_core::InitMode::Partial,
-                    "warm" => tempopr_core::InitMode::Warm,
                     "auto" => tempopr_core::InitMode::Auto,
-                    other => {
-                        return Err(format!(
-                            "bad --init-mode '{other}' (full|partial|warm|auto)"
-                        ))
-                    }
+                    other => return Err(format!("bad --init-mode '{other}' (full|partial|auto)")),
                 });
                 i += 2;
             }
@@ -322,7 +315,7 @@ fn print_help() {
          Pagerank on Temporal Graphs' (ICPP '22)\n\n\
          usage: tempopr <experiment> [--scale F] [--seed N] [--threads N] \
          [--max-windows N] [--dataset NAME] [--metrics-out PATH]\n\n\
-         experiments: table1 fig4 fig5 fig6 fig7 fig8 fig9 fig10 fig11 fig12 warmstart \
+         experiments: table1 fig4 fig5 fig6 fig7 fig8 fig9 fig10 fig11 fig12 \
          batch-query all\n\
          tools:       pagerank  (--source <file-or-dataset> \
          --delta-days D --sw-days S [--top K] [--lenient]); convert <in> <out> [--lenient]\n\
@@ -348,8 +341,7 @@ fn print_help() {
          --no-compaction  disable converged-lane compaction in the SpMM \
          kernel\n\
          --init-mode  window seeding: full (uniform) | partial (Eq. 4 \
-         within a part) | warm (carry across part/batch boundaries too) | \
-         auto (from the measured window overlap); default: each \
+         within a part) | auto (from the measured window overlap); default: each \
          experiment's own choice\n\
          --edge-balance   edge-balanced parallel chunks (degree-weighted \
          boundaries) instead of vertex-balanced\n\
@@ -433,13 +425,19 @@ mod tests {
         for (arg, mode) in [
             ("full", InitMode::Full),
             ("partial", InitMode::Partial),
-            ("warm", InitMode::Warm),
             ("auto", InitMode::Auto),
         ] {
             let (opts, _, _) = flags(&["--init-mode", arg]).unwrap();
             assert_eq!(opts.init_mode, Some(mode));
         }
         assert!(flags(&["--init-mode", "hot"]).is_err(), "unknown mode");
+        // The deleted cross-part carry mode is refused, naming the values
+        // that remain.
+        let err = flags(&["--init-mode", "warm"]).err();
+        assert_eq!(
+            err.as_deref(),
+            Some("bad --init-mode 'warm' (full|partial|auto)")
+        );
         assert!(flags(&["--init-mode"]).is_err(), "missing value");
     }
 

@@ -26,7 +26,6 @@
 //! configuration, and [`suggest_for_profile`] on its own.
 
 use crate::config::{InitMode, KernelKind, ParallelMode, PostmortemConfig};
-use crate::engine::shard_workers;
 use tempopr_graph::{EventLog, WindowSpec};
 use tempopr_kernel::{Partitioner, Scheduler};
 
@@ -41,11 +40,6 @@ pub const OVERLAP_FULL_BELOW: f64 = 0.05;
 /// partial initialization is suggested at all: its consecutive windows
 /// differ too much for a stale seed to help below this.
 pub const OVERLAP_DOMINATED_PARTIAL: f64 = 0.25;
-
-/// Mean event overlap from which cross-boundary warm-start pays: enough
-/// of each window survives into the next that even the part- and
-/// batch-boundary seeds land close to the converged distribution.
-pub const OVERLAP_WARM_FROM: f64 = 0.5;
 
 /// SpMM lanes [`KernelKind::Auto`] resolves to when windows overlap (the
 /// paper's 16 rank vectors). An `Auto` kernel also sizes automatic parts
@@ -142,8 +136,6 @@ impl WorkloadProfile {
             || (self.is_dominated() && self.mean_overlap < OVERLAP_DOMINATED_PARTIAL)
         {
             InitMode::Full
-        } else if self.mean_overlap >= OVERLAP_WARM_FROM {
-            InitMode::Warm
         } else {
             InitMode::Partial
         }
@@ -184,13 +176,7 @@ pub fn auto_multiwindows(spec: &WindowSpec, kernel: KernelKind) -> usize {
 ///   loop is what keeps that affordable. SpMM with [`AUTO_LANES`] lanes
 ///   otherwise. The cores are counted (for `threads: 0`) only in the case
 ///   they decide.
-/// - [`InitMode::Auto`] becomes [`WorkloadProfile::suggested_init_mode`],
-///   except that it is never [`InitMode::Warm`] when the engine's one
-///   shard-worker rule would give a `Partial` run of `cfg` more than one
-///   worker: the warm carry would cap that pool at one
-///   ([`crate::WorkerCap::WarmCarry`]), so `Partial` — warm minus the
-///   cross-part carry — is taken instead. As for the engine's cache slots,
-///   the part count is not known yet.
+/// - [`InitMode::Auto`] becomes [`WorkloadProfile::suggested_init_mode`].
 pub fn resolve(cfg: &mut PostmortemConfig, profile: &WorkloadProfile) -> usize {
     let mut auto_fields = 0;
     if cfg.kernel == KernelKind::Auto {
@@ -202,12 +188,7 @@ pub fn resolve(cfg: &mut PostmortemConfig, profile: &WorkloadProfile) -> usize {
         auto_fields += 1;
     }
     if cfg.init_mode == InitMode::Auto {
-        cfg.init_mode = InitMode::Partial;
-        let (pool, _) = shard_workers(cfg, None, false);
-        cfg.init_mode = match profile.suggested_init_mode() {
-            InitMode::Warm if pool > 1 => InitMode::Partial,
-            mode => mode,
-        };
+        cfg.init_mode = profile.suggested_init_mode();
         auto_fields += 1;
     }
     auto_fields
@@ -314,8 +295,8 @@ mod tests {
         assert_eq!(cfg.kernel, KernelKind::SpMM { lanes: 16 });
         assert_eq!(cfg.scheduler.partitioner, Partitioner::Auto);
         assert!(cfg.scheduler.granularity < 4);
-        // ~50% of each window carries over: warm-start territory.
-        assert_eq!(cfg.init_mode, InitMode::Warm);
+        // ~50% of each window carries over: partial initialization.
+        assert_eq!(cfg.init_mode, InitMode::Partial);
     }
 
     #[test]
@@ -325,7 +306,7 @@ mod tests {
         p.mean_overlap = 0.2;
         assert_eq!(p.suggested_init_mode(), InitMode::Partial);
         p.mean_overlap = 0.8;
-        assert_eq!(p.suggested_init_mode(), InitMode::Warm);
+        assert_eq!(p.suggested_init_mode(), InitMode::Partial);
         // A dominated workload needs more overlap before seeding pays.
         p.max_share = 0.6;
         p.mean_overlap = 0.2;
@@ -333,7 +314,7 @@ mod tests {
         p.mean_overlap = 0.3;
         assert_eq!(p.suggested_init_mode(), InitMode::Partial);
         p.mean_overlap = 0.8;
-        assert_eq!(p.suggested_init_mode(), InitMode::Warm);
+        assert_eq!(p.suggested_init_mode(), InitMode::Partial);
     }
 
     #[test]
@@ -405,8 +386,8 @@ mod tests {
             (OVERLAP_FULL_BELOW, InitMode::Partial),
             (0.2, InitMode::Partial),
             (0.3, InitMode::Partial),
-            (OVERLAP_WARM_FROM, InitMode::Warm),
-            (0.8, InitMode::Warm),
+            (0.5, InitMode::Partial),
+            (0.8, InitMode::Partial),
         ] {
             let p = profile(overlap, 1.0 / 40.0);
             assert_eq!(p.suggested_init_mode(), init);
@@ -422,51 +403,11 @@ mod tests {
             (0.1, InitMode::Full),
             (OVERLAP_DOMINATED_PARTIAL - 1e-9, InitMode::Full),
             (OVERLAP_DOMINATED_PARTIAL, InitMode::Partial),
-            (0.8, InitMode::Warm),
+            (0.8, InitMode::Partial),
         ] {
             let p = profile(overlap, 0.6);
             assert!(p.is_dominated());
             assert_eq!(resolved(&p), (SPMM16, init, 2), "overlap {overlap}");
-        }
-    }
-
-    #[test]
-    fn warm_gives_way_only_to_a_shard_pool_that_would_run() {
-        // The carry caps a pool at one worker. Where there is no pool to
-        // cap — one worker asked for, or a mode that already runs parts
-        // concurrently — the table's `Warm` stands.
-        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-        for overlap in [0.0, 0.2, 0.5, 0.8, 1.0] {
-            let p = profile(overlap, 1.0 / 40.0);
-            for mode in [
-                ParallelMode::Sequential,
-                ParallelMode::WindowLevel,
-                ParallelMode::ApplicationLevel,
-                ParallelMode::Nested,
-            ] {
-                for workers in [0, 1, 2, 4] {
-                    let mut cfg = PostmortemConfig {
-                        mode,
-                        storage_workers: workers,
-                        ..Default::default()
-                    };
-                    resolve(&mut cfg, &p);
-                    let requested = if workers == 0 { cores } else { workers };
-                    let pool = requested > 1
-                        && matches!(
-                            mode,
-                            ParallelMode::Sequential | ParallelMode::ApplicationLevel
-                        );
-                    let init = match p.suggested_init_mode() {
-                        InitMode::Warm if pool => InitMode::Partial,
-                        init => init,
-                    };
-                    assert_eq!(
-                        cfg.init_mode, init,
-                        "overlap {overlap}, {mode:?}, {workers} workers"
-                    );
-                }
-            }
         }
     }
 
@@ -479,7 +420,7 @@ mod tests {
             SPMM16,
             KernelKind::SpMM { lanes: 64 },
         ];
-        let inits = [InitMode::Full, InitMode::Partial, InitMode::Warm];
+        let inits = [InitMode::Full, InitMode::Partial];
         for p in [profile(0.0, 0.6), profile(0.2, 0.025), profile(0.9, 0.025)] {
             for workers in [0, 1, 4] {
                 for kernel in kernels {

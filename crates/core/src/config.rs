@@ -89,8 +89,8 @@ impl ParallelMode {
     }
 
     /// Whether windows run in order on one walk (the sequential and
-    /// application-level modes): the modes that carry across parts,
-    /// resume, prefetch and run a shard pool.
+    /// application-level modes): the modes that resume, prefetch and run
+    /// a shard pool.
     pub(crate) fn in_order(self) -> bool {
         matches!(
             self,
@@ -130,9 +130,8 @@ impl KernelKind {
     }
 }
 
-/// How each window's rank vector is seeded before iterating (§4.2 plus
-/// the cross-boundary warm-start extension). The discriminant is the
-/// `init.mode` gauge's value.
+/// How each window's rank vector is seeded before iterating (§4.2). The
+/// discriminant is the `init.mode` gauge's value.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum InitMode {
     /// Every window starts from the uniform distribution (no reuse; the
@@ -143,14 +142,6 @@ pub enum InitMode {
     /// windows of an SpMV grain, and SpMM batches after the first.
     /// Part and batch boundaries still start cold. The paper's default.
     Partial = 1,
-    /// Partial initialization plus cross-boundary carry: the converged
-    /// ranks of one part's last window seed the next part's first window
-    /// (remapped between the parts' local vertex spaces), and the first
-    /// SpMM batch of a part seeds every lane from the carried vector.
-    /// Degenerate carries (no shared vertices, vanished rank mass) fall
-    /// back to full initialization — never NaN. In-order walks only:
-    /// part-parallel modes have no previous part to carry from.
-    Warm = 2,
     /// Chosen at engine construction from the measured window overlap by
     /// the advisor's decision table ([`crate::advisor::resolve`]). A built
     /// engine never holds it.
@@ -159,12 +150,11 @@ pub enum InitMode {
 }
 
 impl InitMode {
-    /// The `--init-mode` spelling: `full`, `partial`, `warm` or `auto`.
+    /// The `--init-mode` spelling: `full`, `partial` or `auto`.
     pub fn name(self) -> &'static str {
         match self {
             InitMode::Full => "full",
             InitMode::Partial => "partial",
-            InitMode::Warm => "warm",
             InitMode::Auto => "auto",
         }
     }
@@ -204,9 +194,8 @@ pub struct PostmortemConfig {
     pub kernel: KernelKind,
     /// Partitioner + grain size for every parallel loop.
     pub scheduler: Scheduler,
-    /// How windows are seeded: full (uniform), partial (Eq. 4 within a
-    /// part), or warm (partial plus cross-part/cross-batch carry);
-    /// [`InitMode::Auto`] (the default) resolves from the measured window
+    /// How windows are seeded: full (uniform) or partial (Eq. 4 within a
+    /// part); [`InitMode::Auto`] (the default) resolves from the measured window
     /// overlap.
     pub init_mode: InitMode,
     /// Worker threads (0 = every core).
@@ -250,10 +239,9 @@ pub struct PostmortemConfig {
     /// (`threads`, or every available core when that is `0` too). The budget
     /// planner charges `workers + prefetch depth` simultaneously-resident
     /// decoded parts against `memory_budget`. Ranks stay bit-identical:
-    /// configurations whose seeding crosses part boundaries in order
-    /// (warm-start carry, mid-part resume) cap the effective count at 1
-    /// with a typed [`crate::engine::WorkerCap`] reason rather than
-    /// silently changing results.
+    /// a mid-part resume, whose seed crosses windows in order, caps the
+    /// effective count at 1 with a typed [`crate::engine::WorkerCap`]
+    /// reason rather than silently changing results.
     pub storage_workers: usize,
 }
 

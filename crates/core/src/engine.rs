@@ -19,25 +19,20 @@
 //!   nested loop inherits ([`tempopr_kernel::scheduler`]).
 //! - **One walk over parts** (§4.1: the multi-window graphs are built once
 //!   and processed one part at a time). The in-order modes walk parts in
-//!   order on one thread, threading the cross-part carry; with more than
-//!   one shard worker they walk them on the shard pool with no carry.
-//!   Either way each part step fetches and pins its part, then, under
-//!   `pipeline`, prefetches the next part while the whole part computes.
-//!   Both kernels supply only the step: SpMV walks the part's windows
-//!   one by one, SpMM in region batches.
+//!   order on one thread, or on the shard pool with more than one shard
+//!   worker; no state passes from one part to the next, so both walks give
+//!   the same bits. Either way each part step fetches and pins its part,
+//!   then, under `pipeline`, prefetches the next part while the whole part
+//!   computes. Both kernels supply only the step: SpMV walks the part's
+//!   windows one by one, SpMM in region batches.
 //! - **SpMM region scheduling** (§4.4, `Regions`) splits each part's
 //!   windows into contiguous regions and batches the `j`-th window of every
 //!   region, each batch partially initialized from the previous one. The
 //!   window walk and the query walk ([`crate::query`]) share it.
 //! - Under [`InitMode::Partial`] reuse never crosses a multi-window
-//!   boundary (§4.2): vertex numberings differ between parts. Under
-//!   [`InitMode::Warm`] the in-order walks carry the last converged vector
-//!   across the boundary by remapping it through the two parts' vertex
-//!   maps ([`crate::warmstart`]), and the SpMM path additionally seeds
-//!   every lane of a part's *first* batch from the carried vector — the
-//!   two places a cold start previously survived despite heavy overlap.
-//!   Part-parallel modes (window-level, nested SpMM over parts) have no
-//!   previous part on-thread and keep their boundary cold starts.
+//!   boundary (§4.2): vertex numberings differ between parts, so each
+//!   part's first window (and every lane of its first SpMM batch) starts
+//!   from the uniform distribution.
 //!
 //! ## Failure semantics
 //! Every window runs to a terminal [`WindowStatus`]; the ladder itself
@@ -60,7 +55,6 @@ use crate::lock;
 use crate::observe::TelemetryKernelBridge;
 use crate::result::{RunOutput, WindowOutput, WindowRanks, WindowStatus};
 use crate::storage::{PartRef, StorageBackend, TcsrStorage};
-use crate::warmstart;
 use std::cell::Cell;
 use std::ops::Range;
 use std::sync::{Arc, Mutex};
@@ -98,34 +92,21 @@ pub struct PostmortemEngine {
 }
 
 /// Where a (possibly resumed) run starts and how its first window is
-/// seeded: `seed` holds the part index and part-local ranks of the last
-/// durable window, reproducing the in-order walk state an uninterrupted
-/// run would have at `start`.
+/// seeded: `seed` holds the part-local ranks of the last durable window
+/// when that window is in `start`'s part and ranks are reused — the seed
+/// an uninterrupted walk would hand window `start`.
 #[derive(Debug, Clone)]
 struct RunPlan {
     start: usize,
-    seed: Carry,
+    seed: Option<Vec<f64>>,
 }
 
-/// The in-order walk's state between windows: the part and local ranks of
-/// the last valid window, `None` after a failed one (the next window starts
-/// cold).
-type Carry = Option<(usize, Vec<f64>)>;
-
-/// A kernel's part step ([`PostmortemEngine::walk_parts`]): given part
-/// `p`, the fetched part, the windows of it to compute, the carry in and the
-/// walk's savings meter, it pushes those windows' outputs and returns the
-/// carry out.
-type PartStep<'a> = dyn Fn(
-        usize,
-        &MultiWindowGraph,
-        Range<usize>,
-        Carry,
-        &mut SavingsMeter,
-        &mut Vec<WindowOutput>,
-    ) -> Carry
-    + Sync
-    + 'a;
+/// A kernel's part step ([`PostmortemEngine::walk_parts`]): given the
+/// fetched part, the windows of it to compute and the seed of the first
+/// of them (a mid-part resume's, else `None`), it pushes those windows'
+/// outputs.
+type PartStep<'a> =
+    dyn Fn(&MultiWindowGraph, Range<usize>, Option<Vec<f64>>, &mut Vec<WindowOutput>) + Sync + 'a;
 
 impl PostmortemEngine {
     /// Builds the multi-window representation for `log` under `spec`.
@@ -368,19 +349,18 @@ impl PostmortemEngine {
     /// window's ranks mapped into its part, and completes the output
     /// through `durable`.
     pub(crate) fn run_with(&self, durable: DurableRun) -> RunOutput {
-        let seed = durable.seed().map(|(w, ranks)| {
+        let start = durable.start();
+        let seed = durable.seed().and_then(|(w, ranks)| {
             let p = self.part_index_of(w);
-            (p, ranks.to_local(self.store.vertex_map(p)))
+            let in_part = self.reuse_ranks() && p == self.part_index_of(start);
+            in_part.then(|| ranks.to_local(self.store.vertex_map(p)))
         });
-        let plan = RunPlan {
-            start: durable.start(),
-            seed,
-        };
+        let plan = RunPlan { start, seed };
         *lock(&self.ckpt) = durable.sink().cloned();
         self.tele
             .set_gauge("init.mode", f64::from(self.cfg.init_mode as u8));
         let parts = Some(self.store.num_parts());
-        let (workers, cap) = shard_workers(&self.cfg, parts, plan.start > 0 || plan.seed.is_some());
+        let (workers, cap) = shard_workers(&self.cfg, parts, plan.start > 0);
         self.tele.set_gauge("storage.workers", workers as f64);
         if cap.is_some() {
             self.tele.add("storage.workers_capped", 1);
@@ -414,7 +394,7 @@ impl PostmortemEngine {
         }
     }
 
-    /// Whether any previous-rank seeding is enabled (`Partial` or `Warm`).
+    /// Whether windows are seeded from their predecessor (`Partial`).
     fn reuse_ranks(&self) -> bool {
         self.cfg.init_mode != InitMode::Full
     }
@@ -424,57 +404,6 @@ impl PostmortemEngine {
     /// measured overlap and scheduler ([`Regions::new`]).
     pub(crate) fn regions(&self, budget: usize, chains: usize, nw: usize) -> Regions {
         Regions::new(budget, chains, nw, self.reuse_ranks(), self.unshared)
-    }
-
-    /// Whether cross-boundary carry is enabled.
-    fn warm(&self) -> bool {
-        self.cfg.init_mode == InitMode::Warm
-    }
-
-    /// Decides how the next window of an in-order walk is seeded, given
-    /// which part produced the previous valid vector. A same-part
-    /// predecessor is used directly (the Eq. 4 path); under
-    /// [`InitMode::Warm`] a cross-part predecessor is remapped into
-    /// `carry_buf`, falling back to a cold start (and counting the
-    /// degenerate carry) when no usable mass survives the boundary.
-    fn seed_for(
-        &self,
-        part_idx: usize,
-        prev_part: Option<usize>,
-        prev: &[f64],
-        carry_buf: &mut Vec<f64>,
-    ) -> Seed {
-        match prev_part {
-            Some(p) if p == part_idx && self.reuse_ranks() => Seed::InPart,
-            Some(p) if p != part_idx && self.warm() => {
-                if self.carry_across(p, prev, part_idx, carry_buf) {
-                    self.tele.add("warmstart.seeded_windows", 1);
-                    Seed::Carried
-                } else {
-                    Seed::Cold
-                }
-            }
-            _ => Seed::Cold,
-        }
-    }
-
-    /// The one cross-part carry, of the in-order window walks and the query
-    /// walk: remaps `ranks` (local to part `from`) into part `to`'s vertex
-    /// space. `false` — counted as a degenerate carry, `out` unusable —
-    /// when no usable mass survives the boundary; the caller starts cold.
-    pub(crate) fn carry_across(
-        &self,
-        from: usize,
-        ranks: &[f64],
-        to: usize,
-        out: &mut Vec<f64>,
-    ) -> bool {
-        let (from, to) = (self.store.vertex_map(from), self.store.vertex_map(to));
-        let carried = warmstart::carry_ranks(from, ranks, to, out).is_some();
-        if !carried {
-            self.tele.add("warmstart.degenerate_windows", 1);
-        }
-        carried
     }
 
     /// The scheduler handed *into* each kernel
@@ -490,9 +419,9 @@ impl PostmortemEngine {
 
     /// The shard-worker count a plain [`PostmortemEngine::run`] will use,
     /// plus the reason it was capped below the request (if it was). Ranks
-    /// are bit-identical at every count: configurations whose seeding
-    /// crosses part boundaries in order run serial instead of silently
-    /// changing results, and this is where callers learn why.
+    /// are bit-identical at every count: a configuration the pool cannot
+    /// run bit for bit runs serial instead of silently changing results,
+    /// and this is where callers learn why.
     pub fn storage_worker_plan(&self) -> (usize, Option<WorkerCap>) {
         shard_workers(&self.cfg, Some(self.store.num_parts()), false)
     }
@@ -500,24 +429,23 @@ impl PostmortemEngine {
     // --- The part walk -----------------------------------------------------
 
     /// The one walk over parts, of both kernels: `step` computes the
-    /// windows of one fetched part that fall in `windows`, from the walk
-    /// state before its first window, pushes their outputs and returns the
-    /// walk state after its last. With one worker the parts run in order on
-    /// this thread, threading that state (`carry`, a [`Carry`]) from part
-    /// to part; with more they run on the shard pool with no carry, which
-    /// the worker plan guarantees none of them needs, so the concatenated
-    /// outputs are the in-order walk's bit for bit.
+    /// windows of one fetched part that fall in `windows` and pushes their
+    /// outputs. Only the first part step gets `seed`; no state passes from
+    /// one part to the next. With one worker the parts run in order on this
+    /// thread; with more they run on the shard pool (the worker plan gives a
+    /// seeded walk one worker), so the concatenated outputs are the
+    /// in-order walk's bit for bit.
     ///
     /// Each part step fetches and pins its part first — a prefetch's
     /// eviction can then never take it — and, when `pipeline` is on and
     /// the next part is not ready, overlaps that part's prefetch
     /// ([`PostmortemEngine::prefetch_part`]) with the whole of this part's
     /// compute. The part-parallel modes' grains walk without prefetch. A
-    /// part that cannot be fetched fails its windows and breaks the carry.
+    /// part that cannot be fetched fails its windows.
     fn walk_parts(
         &self,
         windows: Range<usize>,
-        mut carry: Carry,
+        mut seed: Option<Vec<f64>>,
         workers: usize,
         step: &PartStep,
     ) -> Vec<WindowOutput> {
@@ -526,49 +454,44 @@ impl PostmortemEngine {
         }
         let pipeline = self.cfg.pipeline && self.cfg.mode.in_order();
         let parts = self.part_index_of(windows.start)..self.part_index_of(windows.end - 1) + 1;
-        let part_step = |p: usize,
-                         next: Option<usize>,
-                         carry: Carry,
-                         meter: &mut SavingsMeter,
-                         out: &mut Vec<WindowOutput>| {
-            let range = self.store.part_windows(p);
-            let range = range.start.max(windows.start)..range.end.min(windows.end);
-            out.reserve(range.len());
-            let part = match self.store.part(p) {
-                Ok(part) => part,
-                Err(e) => {
-                    out.extend(range.map(|w| self.fetch_failed_output(w, p, &e)));
-                    return None;
+        let part_step =
+            |p: usize, next: Option<usize>, seed: Option<Vec<f64>>, out: &mut Vec<WindowOutput>| {
+                let range = self.store.part_windows(p);
+                let range = range.start.max(windows.start)..range.end.min(windows.end);
+                out.reserve(range.len());
+                let part = match self.store.part(p) {
+                    Ok(part) => part,
+                    Err(e) => {
+                        out.extend(range.map(|w| self.fetch_failed_output(w, p, &e)));
+                        return;
+                    }
+                };
+                let compute = || step(&part, range, seed, out);
+                match next.filter(|&n| pipeline && !self.store.part_ready(n)) {
+                    Some(n) => {
+                        let (_, (), stall) = overlap(|| self.prefetch_part(n), compute);
+                        self.tele.add_phase_ns(
+                            RunPhase::PipelineStall,
+                            u64::try_from(stall.as_nanos()).unwrap_or(u64::MAX),
+                        );
+                        self.tele.add("pipeline.prefetches", 1);
+                    }
+                    None => compute(),
                 }
             };
-            let compute = || step(p, &part, range, carry, meter, out);
-            match next.filter(|&n| pipeline && !self.store.part_ready(n)) {
-                Some(n) => {
-                    let (_, carry, stall) = overlap(|| self.prefetch_part(n), compute);
-                    self.tele.add_phase_ns(
-                        RunPhase::PipelineStall,
-                        u64::try_from(stall.as_nanos()).unwrap_or(u64::MAX),
-                    );
-                    self.tele.add("pipeline.prefetches", 1);
-                    carry
-                }
-                None => compute(),
-            }
-        };
         if workers > 1 {
             let at = |i: usize| parts.start + i;
             let results = worker_pool(workers, parts.len(), |i, q| {
-                let (mut out, mut meter) = (Vec::new(), SavingsMeter::default());
-                part_step(at(i), q.peek().map(at), None, &mut meter, &mut out);
+                let mut out = Vec::new();
+                part_step(at(i), q.peek().map(at), None, &mut out);
                 out
             });
             return results.into_iter().flatten().collect();
         }
-        let mut meter = SavingsMeter::default();
         let mut out = Vec::with_capacity(windows.len());
         for p in parts.clone() {
             let next = (p + 1 < parts.end).then_some(p + 1);
-            carry = part_step(p, next, carry, &mut meter, &mut out);
+            part_step(p, next, seed.take(), &mut out);
         }
         out
     }
@@ -604,17 +527,15 @@ impl PostmortemEngine {
     /// The one per-window driver: computes window `w` with the SpMV kernel
     /// through the full recovery ladder — every window of the SpMV walk,
     /// and every SpMM window that leaves its batch. `prev` is the vector
-    /// behind `seed` (`None` for a cold start). Returns the finalized
+    /// that seeds it (`None` for a cold start). Returns the finalized
     /// output and, when the window is valid, its local ranks: the next
     /// window's seed. After a failed window the next one starts cold.
     fn single_window(
         &self,
         part: &MultiWindowGraph,
         w: usize,
-        seed: Seed,
         prev: Option<&[f64]>,
         ws: &mut PrWorkspace,
-        meter: &mut SavingsMeter,
     ) -> (WindowOutput, Option<Vec<f64>>) {
         let range = self.spec().window(w);
         let inner = self.inner_scheduler();
@@ -664,7 +585,6 @@ impl PostmortemEngine {
             None => ws.ranks().to_vec(),
         };
         let valid = status.is_valid();
-        meter.record(&self.tele, seed, valid, stats.iterations);
         let local = WindowRanks::local(&ranks, part.vertex_map(), active);
         let output = self.executor().finalize(w, local, stats, status, attempts);
         (output, valid.then_some(ranks))
@@ -674,9 +594,7 @@ impl PostmortemEngine {
 
     fn run_spmv(&self, plan: &RunPlan, workers: usize) -> Vec<WindowOutput> {
         let count = self.spec().count;
-        let step: &PartStep = &|p, part, windows, carry, meter, out| {
-            self.spmv_chunk(p, part, windows, carry, meter, out)
-        };
+        let step: &PartStep = &|part, windows, seed, out| self.spmv_chunk(part, windows, seed, out);
         if self.cfg.mode.in_order() {
             return self.walk_parts(plan.start..count, plan.seed.clone(), workers, step);
         }
@@ -708,60 +626,41 @@ impl PostmortemEngine {
         )
     }
 
-    /// Computes `windows` of part `p` in order on the current thread,
+    /// Computes `windows` of one part in order on the current thread,
     /// threading partial initialization through consecutive windows: the
-    /// SpMV walk's part step. `carry` is the walk state before the first
-    /// window — the part and local ranks of the last valid window, the
-    /// previous part's or, under a mid-part resume, this part's own (absent
-    /// if it failed, so the window cold-starts exactly as the uninterrupted
-    /// walk would after an invalid window). Pushes the outputs and returns
-    /// the state after the last window.
+    /// SpMV walk's part step. `seed` is the previous window's local ranks
+    /// under a mid-part resume (absent if that window failed, so the first
+    /// window cold-starts exactly as the uninterrupted walk would after an
+    /// invalid window); a part's first window starts cold.
     fn spmv_chunk(
         &self,
-        p: usize,
         part: &MultiWindowGraph,
         windows: Range<usize>,
-        carry: Carry,
-        meter: &mut SavingsMeter,
+        seed: Option<Vec<f64>>,
         out: &mut Vec<WindowOutput>,
-    ) -> Carry {
+    ) {
         let mut ws = PrWorkspace::default();
-        let (mut prev, mut prev_part) = match carry {
-            Some((q, ranks)) => (ranks, Some(q)),
-            None => (Vec::new(), None),
-        };
-        let mut carry_buf: Vec<f64> = Vec::new();
+        let mut prev = seed;
         out.extend(windows.map(|w| {
-            let seed = self.seed_for(p, prev_part, &prev, &mut carry_buf);
-            let seed_ref = match seed {
-                Seed::Cold => None,
-                Seed::InPart => Some(prev.as_slice()),
-                Seed::Carried => Some(carry_buf.as_slice()),
-            };
-            let (output, ranks) = self.single_window(part, w, seed, seed_ref, &mut ws, meter);
+            let (output, ranks) = self.single_window(part, w, prev.as_deref(), &mut ws);
             // Keep this window's ranks as the next window's previous
             // vector; after a failed window the next one starts cold.
-            prev_part = ranks.is_some().then_some(p);
-            if let Some(ranks) = ranks {
-                prev = ranks;
-            }
+            prev = ranks.filter(|_| self.reuse_ranks());
             output
         }));
-        prev_part.map(|q| (q, prev))
     }
 
     // --- SpMM path ------------------------------------------------------
 
     fn run_spmm(&self, lanes: usize, plan: &RunPlan, workers: usize) -> Vec<WindowOutput> {
-        let step: &PartStep =
-            &|p, part, _, carry, meter, out| self.spmm_part(p, part, lanes, carry, meter, out);
+        // An SpMM resume restarts at its part's first window
+        // (`resume_point`), so the walk hands it no seed.
+        let step: &PartStep = &|part, _, _, out| self.spmm_part(part, lanes, out);
         if self.cfg.mode.in_order() {
             let windows = plan.start..self.spec().count;
-            return self.walk_parts(windows, plan.seed.clone(), workers, step);
+            return self.walk_parts(windows, None, workers, step);
         }
-        // The part-parallel modes cannot carry across parts (each part may
-        // start before its predecessor finished): every part is a walk of
-        // its own, with no carry in.
+        // The part-parallel modes walk every part on its own.
         let grain = |r: Range<usize>| {
             r.flat_map(|p| self.walk_parts(self.store.part_windows(p), None, 1, step))
                 .collect()
@@ -780,34 +679,11 @@ impl PostmortemEngine {
     /// SpMV path instead (the batch kernel cannot target a fault at one
     /// window), and lanes that fail or stall inside a batch escalate
     /// individually — a poisoned lane never drags its batch-mates down.
-    ///
-    /// `carry` is the previous part's final converged vector and its part:
-    /// under [`InitMode::Warm`], remapped into this part's local vertex
-    /// space, it seeds the first window of *every* region, closing the
-    /// hole where batch 0 always cold-started (and where a vector length
-    /// of `nw` made every window batch-0, silently erasing partial init
-    /// entirely). Pushes the outputs, in batch order, and returns the part's
-    /// own carry-out — the last window's local ranks, `None` if that window
-    /// failed (a poisoned seed must not escape) or when warm carry is off.
-    fn spmm_part(
-        &self,
-        p: usize,
-        part: &MultiWindowGraph,
-        lanes: usize,
-        carry: Carry,
-        meter: &mut SavingsMeter,
-        out: &mut Vec<WindowOutput>,
-    ) -> Carry {
+    /// Batch 0 starts cold. Pushes the outputs, in batch order.
+    fn spmm_part(&self, part: &MultiWindowGraph, lanes: usize, out: &mut Vec<WindowOutput>) {
         let inner = self.inner_scheduler();
         let w0 = part.windows().start;
         let mut regions = self.regions(lanes, 1, part.num_windows());
-        let mut mapped = Vec::new();
-        if let Some((q, ranks)) = carry {
-            if self.warm() && self.carry_across(q, &ranks, p, &mut mapped) {
-                self.tele
-                    .add("warmstart.seeded_windows", regions.seed_heads(0, &mapped));
-            }
-        }
         let mut ws = SpmmWorkspace::default();
         let mut pr_ws = PrWorkspace::default();
         // One deinterleave buffer for the whole part: every converged lane
@@ -821,7 +697,7 @@ impl PostmortemEngine {
                 .batch(j)
                 .partition(|&lw| self.cfg.faults.fault_for(w0 + lw).is_none());
             for &lw in &faulted {
-                out.push(self.solo_lane(part, j, lw, &mut regions, &mut pr_ws, meter));
+                out.push(self.solo_lane(part, lw, &mut regions, &mut pr_ws));
             }
             if clean.is_empty() {
                 continue;
@@ -865,8 +741,6 @@ impl PostmortemEngine {
                         let st = stats[i];
                         if st.converged || self.cfg.pr.max_iters == 0 {
                             let status = classify_converged(&st);
-                            let kind = seed_kind(&regions, j, lw);
-                            meter.record(&self.tele, kind, true, st.iterations);
                             let active = index.view(lw).vertices;
                             lane_buf.with_lane(&ws.x, i, nlanes, active, |ranks| {
                                 let local =
@@ -877,7 +751,7 @@ impl PostmortemEngine {
                         } else {
                             // Per-lane escalation: recompute this window
                             // alone through the recovery ladder.
-                            out.push(self.solo_lane(part, j, lw, &mut regions, &mut pr_ws, meter));
+                            out.push(self.solo_lane(part, lw, &mut regions, &mut pr_ws));
                         }
                     }
                 }
@@ -888,36 +762,26 @@ impl PostmortemEngine {
                         ws = SpmmWorkspace::default();
                     }
                     for &lw in &clean {
-                        out.push(self.solo_lane(part, j, lw, &mut regions, &mut pr_ws, meter));
+                        out.push(self.solo_lane(part, lw, &mut regions, &mut pr_ws));
                     }
                 }
             }
         }
-        // The part's own carry: its last window's converged local ranks (a
-        // failed final window broke its chain, so the next part starts cold).
-        let carry_out = if self.warm() {
-            regions.carry_out(0)
-        } else {
-            None
-        };
-        carry_out.map(|ranks| (p, ranks))
     }
 
-    /// Part-local window `lw` of batch `j` of an SpMM part solved alone — a
-    /// faulted lane, an escalated lane, or every lane of a failed batch:
-    /// seeded from its region's chain, which it then continues (a failed
-    /// window breaks it, so the region's next batch starts cold).
+    /// Part-local window `lw` of an SpMM part solved alone — a faulted
+    /// lane, an escalated lane, or every lane of a failed batch: seeded
+    /// from its region's chain, which it then continues (a failed window
+    /// breaks it, so the region's next batch starts cold).
     fn solo_lane(
         &self,
         part: &MultiWindowGraph,
-        j: usize,
         lw: usize,
         regions: &mut Regions,
         ws: &mut PrWorkspace,
-        meter: &mut SavingsMeter,
     ) -> WindowOutput {
-        let (w, seed) = (part.windows().start + lw, seed_kind(regions, j, lw));
-        let (output, ranks) = self.single_window(part, w, seed, regions.seed(lw, 0), ws, meter);
+        let w = part.windows().start + lw;
+        let (output, ranks) = self.single_window(part, w, regions.seed(lw, 0), ws);
         match ranks {
             Some(ranks) => regions.keep(lw, 0, &ranks),
             None => regions.break_chain(lw, 0),
@@ -938,10 +802,6 @@ impl PostmortemEngine {
 /// silently different results at different worker counts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WorkerCap {
-    /// [`InitMode::Warm`] carries converged ranks across part boundaries
-    /// in order; independent part workers have no predecessor to carry
-    /// from.
-    WarmCarry,
     /// Resuming a checkpoint prefix replays in-order walk state that a
     /// part pool cannot reproduce.
     Resume,
@@ -956,9 +816,6 @@ pub enum WorkerCap {
 impl std::fmt::Display for WorkerCap {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let s = match self {
-            WorkerCap::WarmCarry => {
-                "warm-start carry chains parts in order; shard workers capped at 1"
-            }
             WorkerCap::Resume => {
                 "resuming mid-run is an in-order replay; shard workers capped at 1"
             }
@@ -975,12 +832,11 @@ impl std::fmt::Display for WorkerCap {
 /// request (`0` = the run's thread budget: `threads`, or every core when
 /// that is `0` too) and the reason it was capped, if it was.
 /// The caps apply in order — a request of at most one, then
-/// [`WorkerCap::PartParallelMode`], [`WorkerCap::WarmCarry`],
-/// [`WorkerCap::Parts`] (when the part count is known) and
-/// [`WorkerCap::Resume`] — so engine construction (cache slots and budget
-/// charge, before the store exists), [`PostmortemEngine::storage_worker_plan`],
-/// the run plan and the `Auto` init resolution ([`advisor::resolve`]) each
-/// apply what they know.
+/// [`WorkerCap::PartParallelMode`], [`WorkerCap::Parts`] (when the part
+/// count is known) and [`WorkerCap::Resume`] — so engine construction
+/// (cache slots and budget charge, before the store exists),
+/// [`PostmortemEngine::storage_worker_plan`] and the run plan each apply
+/// what they know.
 pub(crate) fn shard_workers(
     cfg: &PostmortemConfig,
     parts: Option<usize>,
@@ -997,9 +853,6 @@ pub(crate) fn shard_workers(
     if !cfg.mode.in_order() {
         return (1, Some(WorkerCap::PartParallelMode));
     }
-    if cfg.init_mode == InitMode::Warm {
-        return (1, Some(WorkerCap::WarmCarry));
-    }
     let (workers, cap) = match parts {
         Some(parts) if requested > parts => (parts.max(1), Some(WorkerCap::Parts)),
         _ => (requested, None),
@@ -1008,27 +861,6 @@ pub(crate) fn shard_workers(
         return (1, Some(WorkerCap::Resume));
     }
     (workers, cap)
-}
-
-/// How one window's rank vector was seeded.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Seed {
-    /// Uniform start (full init, a chain break, or a degenerate carry).
-    Cold,
-    /// Eq. 4 partial init from a same-part predecessor.
-    InPart,
-    /// Cross-boundary carry remapped through the vertex maps.
-    Carried,
-}
-
-/// How window `lw` of SpMM batch `j` is seeded: batch 0 only ever holds the
-/// cross-part carry; later batches hold in-part chains.
-fn seed_kind(regions: &Regions, j: usize, lw: usize) -> Seed {
-    match regions.seed(lw, 0) {
-        None => Seed::Cold,
-        Some(_) if j == 0 => Seed::Carried,
-        Some(_) => Seed::InPart,
-    }
 }
 
 /// The paper's region scheduling (§4.4) over one part's `nw` windows, for
@@ -1108,18 +940,6 @@ impl Regions {
         self.prev[self.slot(lw, chain)].as_deref()
     }
 
-    /// Seeds `chain` at every region head from a vector carried across the
-    /// part boundary; returns the windows seeded (`warmstart.seeded_windows`).
-    pub(crate) fn seed_heads(&mut self, chain: usize, carried: &[f64]) -> u64 {
-        let mut seeded = 0;
-        for lw in self.batch(0) {
-            let s = self.slot(lw, chain);
-            self.prev[s] = Some(carried.to_vec());
-            seeded += 1;
-        }
-        seeded
-    }
-
     /// Keeps a converged lane's `ranks` as its chain's next seed, reusing
     /// the slot's allocation; nothing is kept when ranks are not reused.
     pub(crate) fn keep(&mut self, lw: usize, chain: usize, ranks: &[f64]) {
@@ -1138,13 +958,6 @@ impl Regions {
     pub(crate) fn break_chain(&mut self, lw: usize, chain: usize) {
         let s = self.slot(lw, chain);
         self.prev[s] = None;
-    }
-
-    /// `chain`'s carry-out: the part's last window's ranks, `None` if that
-    /// window broke its chain.
-    pub(crate) fn carry_out(&mut self, chain: usize) -> Option<Vec<f64>> {
-        let s = self.slot(self.nw - 1, chain);
-        self.prev[s].take()
     }
 }
 
@@ -1178,37 +991,6 @@ impl LaneBuf {
             self.0[v as usize] = 0.0;
         }
         out
-    }
-}
-
-/// Running estimate behind the `warmstart.iterations_saved` counter: each
-/// carried window is credited with the difference between the chain's most
-/// recent *cold* window's iteration count and its own. It is an estimate —
-/// the honest number would re-run every carried window cold — but cold
-/// windows under the same configuration are the natural yardstick, and the
-/// counter lives outside the deterministic trace projection.
-#[derive(Debug, Default)]
-struct SavingsMeter {
-    cold_baseline: Option<u64>,
-}
-
-impl SavingsMeter {
-    fn record(&mut self, tele: &Telemetry, seed: Seed, valid: bool, iterations: usize) {
-        if !valid {
-            return;
-        }
-        match seed {
-            Seed::Cold => self.cold_baseline = Some(iterations as u64),
-            Seed::Carried => {
-                if let Some(base) = self.cold_baseline {
-                    tele.add(
-                        "warmstart.iterations_saved",
-                        base.saturating_sub(iterations as u64),
-                    );
-                }
-            }
-            Seed::InPart => {}
-        }
     }
 }
 
@@ -1330,7 +1112,7 @@ mod tests {
 
     #[test]
     fn init_mode_does_not_change_results() {
-        for init_mode in [InitMode::Full, InitMode::Partial, InitMode::Warm] {
+        for init_mode in [InitMode::Full, InitMode::Partial] {
             check_against_reference(PostmortemConfig {
                 kernel: KernelKind::SpMV,
                 mode: ParallelMode::ApplicationLevel,
@@ -1370,12 +1152,9 @@ mod tests {
             ..Default::default()
         };
         let run = |m| PostmortemEngine::new(&log, spec, mk(m)).unwrap().run();
-        let warm = run(InitMode::Warm).total_iterations();
         let partial = run(InitMode::Partial).total_iterations();
         let full = run(InitMode::Full).total_iterations();
         assert!(partial < full, "partial {partial} vs full {full}");
-        // Warm additionally seeds the part-boundary window.
-        assert!(warm < partial, "warm {warm} vs partial {partial}");
     }
 
     #[test]
@@ -1439,100 +1218,6 @@ mod tests {
         }
     }
 
-    /// Three parts of `per_part` disjoint-in-time windows each. Parts 0 and
-    /// 1 share vertices 0..4 (an overlapping boundary: the carry seeds);
-    /// part 2 lives on 8..12 (a disjoint boundary: degenerate, cold).
-    fn boundary_log(per_part: u32) -> (EventLog, WindowSpec) {
-        let mut events = Vec::new();
-        for w in 0..3 * per_part {
-            let (base, n) = [(0, 4), (0, 6), (8, 4)][(w / per_part) as usize];
-            for i in 0..40u32 {
-                let (u, v) = (base + i % n, base + (i + 1 + i % 2) % n);
-                if u != v {
-                    events.push(Event::new(u, v, i64::from(w * 100 + i)));
-                }
-            }
-        }
-        let log = EventLog::from_unsorted(events, 12).unwrap();
-        (
-            log,
-            WindowSpec::new(0, 50, 100, 3 * per_part as usize).unwrap(),
-        )
-    }
-
-    #[test]
-    fn both_in_order_walks_share_one_cross_part_carry() {
-        let (log, spec) = boundary_log(2);
-        let run = |kernel| {
-            let tele = Telemetry::enabled();
-            let cfg = PostmortemConfig {
-                kernel,
-                mode: ParallelMode::Sequential,
-                init_mode: InitMode::Warm,
-                num_multiwindows: 3,
-                pr: tight_cfg(),
-                ..Default::default()
-            };
-            let engine = PostmortemEngine::with_telemetry(&log, spec, cfg, tele.clone()).unwrap();
-            let out = engine.run();
-            assert!(!out.degraded);
-            (engine, tele.report(), out)
-        };
-        let (spmv, spmv_report, out) = run(KernelKind::SpMV);
-        // One lane: one region per part, so one seeded window per carry.
-        let (spmm, spmm_report, _) = run(KernelKind::SpMM { lanes: 1 });
-        assert_eq!(spmv.store.part_windows(1), 2..4);
-        for (name, expect) in [
-            ("warmstart.seeded_windows", 1),
-            ("warmstart.degenerate_windows", 1),
-        ] {
-            assert_eq!(spmv_report.counter(name), expect, "spmv {name}");
-            assert_eq!(spmm_report.counter(name), expect, "spmm {name}");
-        }
-        // Both walks hand the next part the same carried vector.
-        let local = |p: usize, w: usize| {
-            let ranks = out.windows[w].ranks.as_ref().expect("full retention");
-            ranks.to_local(spmv.store.vertex_map(p))
-        };
-        let (mut a, mut b) = (Vec::new(), Vec::new());
-        assert!(spmv.carry_across(0, &local(0, 1), 1, &mut a));
-        assert!(spmm.carry_across(0, &local(0, 1), 1, &mut b));
-        assert_eq!(a, b);
-        assert_eq!(a.len(), 6);
-        assert!(a[..4].iter().all(|&r| r > 0.0) && a[4..] == [0.0, 0.0]);
-        assert!(!spmv.carry_across(1, &local(1, 3), 2, &mut a));
-        assert!(!spmm.carry_across(1, &local(1, 3), 2, &mut b));
-    }
-
-    #[test]
-    fn query_walk_shares_the_window_walks_cross_part_carry() {
-        // Four windows a part and two lanes: two regions, so a carry seeds
-        // two heads. One query on the same parts must count what the
-        // window walk counts — the carry and its bookkeeping are one code.
-        let (log, spec) = boundary_log(4);
-        let cfg = PostmortemConfig {
-            kernel: KernelKind::SpMM { lanes: 2 },
-            mode: ParallelMode::Sequential,
-            init_mode: InitMode::Warm,
-            num_multiwindows: 3,
-            pr: tight_cfg(),
-            ..Default::default()
-        };
-        let (windows, queries) = (Telemetry::enabled(), Telemetry::enabled());
-        let engine = PostmortemEngine::with_telemetry(&log, spec, cfg.clone(), windows.clone());
-        assert!(!engine.unwrap().run().degraded);
-        let engine = PostmortemEngine::with_telemetry(&log, spec, cfg, queries.clone()).unwrap();
-        let query = crate::query::EngineQuery::seeded(0, 12, 0.15);
-        assert!(engine.run_queries(&[query]).unwrap().all_converged());
-        for (name, expect) in [
-            ("warmstart.seeded_windows", 2),
-            ("warmstart.degenerate_windows", 1),
-        ] {
-            assert_eq!(windows.report().counter(name), expect, "windows {name}");
-            assert_eq!(queries.report().counter(name), expect, "queries {name}");
-        }
-    }
-
     #[test]
     fn regions_reproduce_the_parents_two_region_walks() {
         // The oracle: the formulas of the two hand-written region walks
@@ -1567,13 +1252,13 @@ mod tests {
                             vl = vl.min((nw / 2).max(1));
                         }
                         let region = nw.div_ceil(vl);
-                        let mut r = Regions::new(budget, chains, nw, reuse, unshared);
+                        let r = Regions::new(budget, chains, nw, reuse, unshared);
                         assert_eq!(r.slots(), vl);
                         assert_eq!(r.batches(), region);
                         let last = (nw - 1) / region * chains;
                         assert_eq!(r.slot(nw - 1, chains - 1), last + chains - 1);
                         let heads = (0..vl).filter(|s| s * region < nw).count();
-                        assert_eq!(r.seed_heads(chains - 1, &[]), heads as u64);
+                        assert_eq!(r.batch(0).count(), heads);
                         if !walked.insert((nw, vl, chains)) {
                             continue;
                         }
@@ -1623,9 +1308,6 @@ mod tests {
                 ParallelMode::Sequential | ParallelMode::ApplicationLevel => {}
                 _ => return (1, Some(WorkerCap::PartParallelMode)),
             }
-            if cfg.init_mode == InitMode::Warm {
-                return (1, Some(WorkerCap::WarmCarry));
-            }
             (requested, None)
         }
         fn storage_worker_plan(cfg: &PostmortemConfig, parts: usize) -> (usize, Option<WorkerCap>) {
@@ -1653,7 +1335,7 @@ mod tests {
             ParallelMode::ApplicationLevel,
             ParallelMode::Nested,
         ] {
-            for init_mode in [InitMode::Full, InitMode::Partial, InitMode::Warm] {
+            for init_mode in [InitMode::Full, InitMode::Partial] {
                 for storage_workers in [0, 1, 2, 4] {
                     let cfg = PostmortemConfig {
                         mode,
@@ -1678,7 +1360,7 @@ mod tests {
                 }
             }
         }
-        assert_eq!(rows, 4 * 3 * 4 * 3 * 2);
+        assert_eq!(rows, 4 * 2 * 4 * 3 * 2);
     }
 
     #[test]
@@ -1795,7 +1477,7 @@ mod tests {
         let spmm16 = KernelKind::SpMM { lanes: 16 };
         for (delta, sw, kernel, init_mode) in [
             (20, 40, KernelKind::SpMV, InitMode::Full),
-            (60, 25, spmm16, InitMode::Warm),
+            (60, 25, spmm16, InitMode::Partial),
         ] {
             let spec = WindowSpec::covering(&log, delta, sw).unwrap();
             let build = |cfg: PostmortemConfig| {

@@ -38,7 +38,6 @@ pub mod offline;
 pub mod query;
 pub mod result;
 pub mod storage;
-pub mod warmstart;
 
 pub use advisor::{auto_multiwindows, suggest, suggest_for_profile, WorkloadProfile};
 pub use checkpoint::{

@@ -7,9 +7,7 @@
 //! vertex space into every part's local numbering, builds the query batch,
 //! and lays its lanes out over the engine's region walk — one chain per
 //! query in every window slot, which chains per-query warm starts within a
-//! part and, under [`InitMode::Warm`], carries each query's converged
-//! vector across part boundaries through the engine's one cross-part
-//! carry. Every batch reads the part's cached window index, the one the
+//! part. Every batch reads the part's cached window index, the one the
 //! window walk builds.
 //!
 //! The batched results are the single-query kernels' results: the kernel
@@ -17,7 +15,7 @@
 //! the differential suites `tests/prop_query_batch.rs` /
 //! `tests/query_batch_edge_cases.rs`), and this driver only adds routing.
 
-use crate::config::{InitMode, KernelKind, RetainMode};
+use crate::config::{KernelKind, RetainMode};
 use crate::engine::{LaneBuf, PostmortemEngine};
 use crate::error::{EngineError, Phase};
 use crate::observe::TelemetryKernelBridge;
@@ -128,17 +126,16 @@ impl PostmortemEngine {
     /// Planning: the lane budget (the SpMM `lanes` setting, or
     /// [`MAX_LANES`] under other kernels) is split into `⌊budget/nq⌋`
     /// window slots × `nq` queries; query lists wider than the budget are
-    /// chunked. Under [`InitMode::Full`] on windows that share no events
-    /// (the engine's measured overlap), with a kernel that runs unthreaded,
-    /// the budget is first cut to `max(AUTO_LANES, nq)`, so a batch holds
-    /// one window's queries instead of lanes that share no edge. Window
-    /// slots follow the same region scheduling as the window-only SpMM
-    /// walk, so under [`InitMode::Partial`] each query chains its own warm
-    /// starts inside a part, and under [`InitMode::Warm`] each query's
-    /// final vector is carried across part boundaries through the vertex
-    /// maps. Parts are always walked in order ([`crate::ParallelMode`] only
-    /// selects the *inner* scheduler). Every batch reads the part's cached
-    /// window index, the one the window walk builds.
+    /// chunked. Under [`crate::InitMode::Full`] on windows that share no
+    /// events (the engine's measured overlap), with a kernel that runs
+    /// unthreaded, the budget is first cut to `max(AUTO_LANES, nq)`, so a
+    /// batch holds one window's queries instead of lanes that share no
+    /// edge. Window slots follow the same region scheduling as the
+    /// window-only SpMM walk, so under [`crate::InitMode::Partial`] each
+    /// query chains its own warm starts inside a part. Parts are always
+    /// walked in order ([`crate::ParallelMode`] only selects the *inner*
+    /// scheduler). Every batch reads the part's cached window index, the
+    /// one the window walk builds.
     ///
     /// Unlike [`PostmortemEngine::run`] there is no per-window recovery
     /// ladder: a kernel error aborts the run with the failing window and
@@ -193,9 +190,6 @@ impl PostmortemEngine {
         let inner = self.inner_scheduler();
         // The widest query batch's window slots (`plan.query_slots`).
         let mut slots = 0;
-        // Each query's carry across part boundaries (warm init only): the
-        // part that produced it plus its final converged local ranks.
-        let mut carry: Vec<Option<(usize, Vec<f64>)>> = vec![None; queries.len()];
         let mut out = QueryRunOutput::default();
         let mut ws = QueryWorkspace::default();
         let mut lane_buf = LaneBuf::default();
@@ -206,7 +200,6 @@ impl PostmortemEngine {
         } else {
             BatchObs::off()
         };
-        let mut carry_buf: Vec<f64> = Vec::new();
         for p in 0..self.num_parts() {
             let fetched = self.part(p)?;
             let part = &*fetched;
@@ -244,14 +237,6 @@ impl PostmortemEngine {
                 // One chain per query in every window slot.
                 let mut regions = self.regions(budget, qs.len(), part.num_windows());
                 slots = slots.max(regions.slots());
-                for (i, c) in carry[q0..q0 + qs.len()].iter().enumerate() {
-                    if let Some((from, ranks)) = c {
-                        if self.carry_across(*from, ranks, p, &mut carry_buf) {
-                            let seeded = regions.seed_heads(i, &carry_buf);
-                            self.telemetry().add("warmstart.seeded_windows", seeded);
-                        }
-                    }
-                }
                 for j in 0..regions.batches() {
                     let wslots: Vec<usize> = regions.batch(j).collect();
                     // Lane k = w·nq + q: (window slot, query) pairs in
@@ -311,11 +296,6 @@ impl PostmortemEngine {
                     out.lanes_retired += res.lanes_retired;
                     out.iterations_saved += res.iterations_saved;
                 }
-                if cfg.init_mode == InitMode::Warm {
-                    for (i, c) in carry[q0..q0 + qs.len()].iter_mut().enumerate() {
-                        *c = regions.carry_out(i).map(|v| (p, v));
-                    }
-                }
             }
         }
         self.telemetry().set_gauge("plan.query_slots", slots as f64);
@@ -340,7 +320,7 @@ impl KernelObserver for Compactions<'_> {
 mod tests {
     use super::*;
     use crate::advisor;
-    use crate::config::{ParallelMode, PostmortemConfig};
+    use crate::config::{InitMode, ParallelMode, PostmortemConfig};
     use crate::result::rank_fingerprint;
     use tempopr_graph::{Event, EventLog, WindowSpec};
     use tempopr_kernel::{pagerank_window_personalized, PrConfig, PrWorkspace};
@@ -573,48 +553,6 @@ mod tests {
                 ..
             }
         ));
-    }
-
-    #[test]
-    fn warm_multi_part_matches_cold_within_tolerance_and_counts() {
-        let log = sample_log(25, 160);
-        let spec = WindowSpec::covering(&log, 80, 30).unwrap();
-        let queries = sample_queries(25);
-        let tele = Telemetry::enabled();
-        let warm_cfg = PostmortemConfig {
-            pr: tight(),
-            init_mode: InitMode::Warm,
-            num_multiwindows: 3,
-            ..PostmortemConfig::default()
-        };
-        let warm_engine =
-            PostmortemEngine::with_telemetry(&log, spec, warm_cfg, tele.clone()).unwrap();
-        let warm = warm_engine.run_queries(&queries).unwrap();
-        let cold_cfg = PostmortemConfig {
-            pr: tight(),
-            init_mode: InitMode::Full,
-            num_multiwindows: 3,
-            ..PostmortemConfig::default()
-        };
-        let cold_engine = PostmortemEngine::new(&log, spec, cold_cfg).unwrap();
-        let cold = cold_engine.run_queries(&queries).unwrap();
-        assert_eq!(warm.outputs.len(), cold.outputs.len());
-        for (a, b) in warm.outputs.iter().zip(cold.outputs.iter()) {
-            assert_eq!((a.window, a.query), (b.window, b.query));
-            assert!(a.stats.converged && b.stats.converged);
-            let (ra, rb) = (a.ranks.as_ref().unwrap(), b.ranks.as_ref().unwrap());
-            assert!(
-                ra.linf_distance(rb) < 1e-8,
-                "window {} query {}: warm and cold fixed points must agree",
-                a.window,
-                a.query
-            );
-        }
-        let report = tele.report();
-        assert_eq!(
-            report.counter("query.batched"),
-            (spec.count * queries.len()) as u64
-        );
     }
 
     #[test]

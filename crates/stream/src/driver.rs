@@ -275,9 +275,8 @@ fn run_streaming_inner(
         };
         let was_partial = have_prev && cfg.incremental != IncrementalMode::Recompute;
         if was_partial {
-            // Parity with the postmortem engine's warm-start accounting:
-            // every window seeded from the previous one counts here, so
-            // the two models' reuse rates compare directly.
+            // Every window seeded from the previous one counts here: the
+            // streaming model's reuse rate.
             tele.add("warmstart.seeded_windows", 1);
         }
         let attempt_no = Cell::new(0u16);

@@ -57,7 +57,10 @@ mod why {
     pub const BUILD: &str = "The temporal CSR is two counting scatters, with no comparison sort outside tests. A \
         second `visit_parts` caller or `CompressedPart::encode(` is the planner's trial-build loop coming back.";
     pub const REGIONS: &str = "Lanes walk a part through `engine::Regions` (a `div_ceil(` in the query driver is a \
-        second slot rule); a cross-part carry is `engine::carry_across` alone; one place starts the shard pool.";
+        second slot rule); one place starts the shard pool.";
+    pub const CARRY: &str = "Partial initialization (Eq. 4) never crosses a part boundary: the part walk hands no \
+        state from one part to the next, so no rank vector is remapped between two parts' vertex spaces, in \
+        library or test code.";
     pub const AUTO: &str = "`KernelKind::Auto` / `InitMode::Auto` are resolved once, when the engine is built; \
         outside tests they are spelled only in config.rs, advisor.rs (`resolve`) and the CLI's flag parser.";
     pub const MEMBERSHIP: &str = "One pass over a part's pull runs (`windowindex::WindowSegments`) decides which \
@@ -98,10 +101,8 @@ const RULES: &[Rule] = &[
         check: Check::Count(1), why: BUILD, plant: ("crates/core/src/storage.rs", "fn f() { CompressedPart::encode(p); }\n"), ..R },
     Rule { id: "one-region-rule", pats: &["div_ceil("], files: &["crates/core/src/query.rs"], why: REGIONS,
         plant: ("crates/core/src/query.rs", "fn f() { n.div_ceil(2); }\n"), ..R },
-    Rule { id: "one-carry-across", pats: &["warmstart::carry_ranks("], files: CORE, check: Check::Count(1), why: REGIONS,
-        plant: (ENGINE_RS, "fn f() { warmstart::carry_ranks(a); }\n"), ..R },
-    Rule { id: "carry-across-in-engine", pats: &["warmstart::carry_ranks("], files: CORE, except: &[ENGINE_RS], why: REGIONS,
-        plant: ("crates/core/src/query.rs", "fn f() { warmstart::carry_ranks(a); }\n"), ..R },
+    Rule { id: "no-cross-part-carry", pats: &["carry_ranks(", "carry_across("], files: CORE, non_test: false, why: CARRY,
+        plant: (ENGINE_RS, "fn f() { self.carry_across(p, r, q, o); }\n"), ..R },
     Rule { id: "one-shard-pool", pats: &["worker_pool("], files: &[ENGINE_RS], non_test: false, check: Check::Count(1), why: REGIONS,
         plant: (ENGINE_RS, "// worker_pool(\n"), ..R },
     Rule { id: "auto-resolved-once", pats: &["KernelKind::Auto", "InitMode::Auto"], files: SRC, why: AUTO,

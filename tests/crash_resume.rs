@@ -59,26 +59,22 @@ fn run_case(
         spec.count
     );
     match case {
-        "pm" | "pm_warm_pipe" | "pm_spmm_warm" | "pm_ondisk" => {
+        "pm" | "pm_pipe" | "pm_spmm" | "pm_ondisk" => {
             let mut cfg = PostmortemConfig {
                 num_multiwindows: 3,
                 mode: ParallelMode::ApplicationLevel,
                 kernel: KernelKind::SpMV,
-                // Pinned, not resolved: "pm" is the crash/resume run under
-                // partial init (this log's overlap would resolve to warm).
+                // Pinned, not resolved: every case is a crash/resume run
+                // under partial init.
                 init_mode: InitMode::Partial,
                 pr: tight_pr(),
                 ..PostmortemConfig::default()
             };
             match case {
-                "pm_warm_pipe" => {
-                    cfg.init_mode = InitMode::Warm;
-                    cfg.pipeline = true;
-                }
-                "pm_spmm_warm" => {
+                "pm_pipe" => cfg.pipeline = true,
+                "pm_spmm" => {
                     cfg.mode = ParallelMode::Sequential;
                     cfg.kernel = KernelKind::SpMM { lanes: 4 };
-                    cfg.init_mode = InitMode::Warm;
                 }
                 "pm_ondisk" => {
                     // Spills beside the manifest, so the crashed run and
@@ -233,8 +229,8 @@ fn postmortem_crash_resume_is_bit_identical() {
 }
 
 #[test]
-fn postmortem_warm_pipelined_crash_resume_is_bit_identical() {
-    crash_resume_roundtrip("pm_warm_pipe", 3, 1);
+fn postmortem_pipelined_crash_resume_is_bit_identical() {
+    crash_resume_roundtrip("pm_pipe", 3, 1);
 }
 
 #[test]
@@ -242,7 +238,7 @@ fn postmortem_spmm_resume_clips_to_part_boundary() {
     // Window 4 sits mid-part (3 parts over >= 8 windows): resume must clip
     // the prefix down to the part boundary and recompute the partial part
     // whole, still bit-identically.
-    crash_resume_roundtrip("pm_spmm_warm", 4, 1);
+    crash_resume_roundtrip("pm_spmm", 4, 1);
 }
 
 #[test]

@@ -133,60 +133,6 @@ fn zero_iteration_budget_returns_the_init() {
 }
 
 #[test]
-fn engine_warm_start_with_empty_overlap_matches_full_init() {
-    // Two vertex eras that never meet: windows 0-3 live on vertices 0..8,
-    // windows 4-7 on 8..16, with the era switch landing exactly on the
-    // part boundary (num_multiwindows = 2). The warm carry between the
-    // parts finds no shared vertex and must fall back to full init —
-    // same fingerprints as InitMode::Full, no NaN, no degraded windows.
-    let mut events = Vec::new();
-    for era in 0..2u32 {
-        let base = 8 * era;
-        for i in 0..200u32 {
-            let u = base + i % 8;
-            let v = base + (i + 1 + i % 3) % 8;
-            if u != v {
-                events.push(Event::new(u, v, (era as i64) * 400 + (i as i64) % 400));
-            }
-        }
-    }
-    let log = EventLog::from_unsorted(events, 16).unwrap();
-    let spec = WindowSpec::new(0, 100, 100, 8).unwrap();
-    let run = |init_mode| {
-        PostmortemEngine::new(
-            &log,
-            spec,
-            PostmortemConfig {
-                init_mode,
-                num_multiwindows: 2,
-                ..Default::default()
-            },
-        )
-        .unwrap()
-        .run()
-    };
-    let full = run(InitMode::Full);
-    let warm = run(InitMode::Warm);
-    assert!(!warm.degraded);
-    for (a, b) in full.windows.iter().zip(warm.windows.iter()) {
-        assert!(b.status.is_valid());
-        assert!(b.fingerprint.is_finite());
-        for &r in &b.ranks.as_ref().unwrap().values {
-            assert!(r.is_finite() && r >= 0.0, "window {}: rank {r}", b.window);
-        }
-        // Within an era consecutive windows do overlap, so only the
-        // boundary window is forced back to the cold path; it must agree
-        // with full init to the last bit there, and to tolerance elsewhere.
-        if b.window == 4 {
-            assert_eq!(a.fingerprint.to_bits(), b.fingerprint.to_bits());
-            assert_eq!(a.stats.iterations, b.stats.iterations);
-        } else {
-            assert!((a.fingerprint - b.fingerprint).abs() < 1e-7);
-        }
-    }
-}
-
-#[test]
 fn engine_handles_spec_with_every_window_empty() {
     // The engine-level analogue: a window spec that misses the data
     // entirely must produce a complete, non-degraded run of empty windows.

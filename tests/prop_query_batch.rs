@@ -11,7 +11,7 @@
 //! The engine-level driver is checked the same way: under full
 //! initialization and sequential scheduling every cell of
 //! `PostmortemEngine::run_queries` carries the same fingerprint bits as
-//! the hand-rolled loop over the parts; under partial/warm seeding the
+//! the hand-rolled loop over the parts; under partial seeding the
 //! fixed points must still agree to 1e-8 (seeding moves starting points,
 //! never answers).
 
@@ -215,7 +215,7 @@ proptest! {
 
     /// Engine level: `run_queries` against a hand-rolled loop over the
     /// multi-window parts, across partitioner and init-mode. Full init is
-    /// bit-identical to the loop; partial/warm seeding must converge to
+    /// bit-identical to the loop; partial seeding must converge to
     /// the same fixed points (1e-8) with no cell lost.
     #[test]
     fn engine_run_queries_matches_looped_parts_across_modes(
@@ -229,11 +229,7 @@ proptest! {
             Partitioner::Simple,
             Partitioner::Static,
         ]),
-        init_mode in prop::sample::select(vec![
-            InitMode::Full,
-            InitMode::Partial,
-            InitMode::Warm,
-        ]),
+        init_mode in prop::sample::select(vec![InitMode::Full, InitMode::Partial]),
         seed in 0..MAX_V,
         compaction in any::<bool>(),
     ) {

@@ -76,7 +76,11 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// Kernel × init-mode × parallel-mode × pipeline × backend: ranks are
-    /// bit-identical to the resident reference in every cell.
+    /// bit-identical to the resident reference in every cell. And SpMV is
+    /// the one-lane SpMM: on one thread, under either init mode, either
+    /// in-memory backend, every SIMD policy and both in-order modes,
+    /// `SpMV` and `SpMM { lanes: 1 }` agree on every window's fingerprint
+    /// bits and iteration count.
     #[test]
     fn backends_are_bit_identical_across_engine_matrix(
         events in arb_events(),
@@ -88,11 +92,7 @@ proptest! {
             KernelKind::SpMM { lanes: 4 },
             KernelKind::SpMM { lanes: 16 },
         ]),
-        init_mode in prop::sample::select(vec![
-            InitMode::Full,
-            InitMode::Partial,
-            InitMode::Warm,
-        ]),
+        init_mode in prop::sample::select(vec![InitMode::Full, InitMode::Partial]),
         mode in prop::sample::select(vec![
             ParallelMode::Sequential,
             ParallelMode::ApplicationLevel,
@@ -130,6 +130,38 @@ proptest! {
                 ),
             }
         }
+        let one_thread = |kernel, init_mode, storage, simd, mode| {
+            let cfg = PostmortemConfig {
+                num_multiwindows: parts,
+                kernel,
+                init_mode,
+                mode,
+                threads: 1,
+                pipeline,
+                symmetric,
+                storage,
+                pr: PrConfig { simd, ..tight_pr() },
+                ..PostmortemConfig::default()
+            };
+            let out = PostmortemEngine::new(&log, spec, cfg).unwrap().run();
+            let iterations: Vec<usize> = out.windows.iter().map(|w| w.stats.iterations).collect();
+            (fingerprints(&out), iterations)
+        };
+        for init_mode in [InitMode::Full, InitMode::Partial] {
+            for storage in [StorageBackend::Resident, StorageBackend::Compressed] {
+                for simd in [SimdPolicy::BitWalk, SimdPolicy::Scalar, SimdPolicy::Auto] {
+                    for mode in [ParallelMode::Sequential, ParallelMode::ApplicationLevel] {
+                        let at = |kernel| one_thread(kernel, init_mode, storage.clone(), simd, mode);
+                        prop_assert_eq!(
+                            at(KernelKind::SpMV),
+                            at(KernelKind::SpMM { lanes: 1 }),
+                            "SpMV vs SpMM{{1}}: {:?} {} {:?} {:?} parts={} pipeline={}",
+                            init_mode, storage, simd, mode, parts, pipeline
+                        );
+                    }
+                }
+            }
+        }
     }
 }
 
@@ -152,7 +184,6 @@ fn checkpoint_resume_is_backend_agnostic() {
         num_multiwindows: 3,
         mode: ParallelMode::ApplicationLevel,
         kernel: KernelKind::SpMV,
-        // Pinned, not resolved: this log's overlap would resolve to warm.
         init_mode: InitMode::Partial,
         pr: tight_pr(),
         storage: backend,
@@ -379,8 +410,6 @@ fn worker_pool_is_bit_identical_and_budget_bounded() {
                     storage_workers: workers,
                     mode: ParallelMode::ApplicationLevel,
                     kernel: *kernel,
-                    // Pinned, not resolved: `Auto` never resolves to warm
-                    // under a pool, so it would differ from the serial walk.
                     init_mode: InitMode::Partial,
                     pr: tight_pr(),
                     retain: RetainMode::Summary,
