@@ -89,6 +89,18 @@ fn arb_events() -> impl Strategy<Value = Vec<Event>> {
     )
 }
 
+/// Up to 60 events over 2 000 time units, a quarter of them self-loops:
+/// thin enough that a narrow grid has windows holding one event, and
+/// windows whose one event is a self-loop.
+fn arb_sparse_events() -> impl Strategy<Value = Vec<Event>> {
+    prop::collection::vec(
+        (0..MAX_V, 0..MAX_V, 0u8..4, 0i64..2000).prop_map(|(u, v, kind, t)| {
+            Event::new(u, if kind == 0 { u } else { v }, t)
+        }),
+        1..60,
+    )
+}
+
 /// Brute-force reference for one window of one part: out-degrees from the
 /// part's (push) temporal CSR, in-activity from the same CSR's forward
 /// edges, active set as their union (out-only for symmetric parts).
@@ -171,6 +183,38 @@ fn check_engine_against_scan(log: &EventLog, spec: WindowSpec, cfg: PostmortemCo
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// A symmetric build stores every event in both endpoints' rows (a
+    /// self-loop in its one row), so a vertex the window holds has an
+    /// out-edge in it: no view lists a vertex without one, and no kernel
+    /// has rank mass to redistribute.
+    #[test]
+    fn every_vertex_a_symmetric_view_lists_has_an_out_edge(
+        events in arb_sparse_events(),
+        delta in 1i64..40,
+        sw in 1i64..100,
+        parts in 1usize..9,
+        strategy_equal_events in any::<bool>(),
+    ) {
+        let log = EventLog::from_unsorted(events, MAX_V as usize).unwrap();
+        let spec = WindowSpec::covering(&log, delta, sw).unwrap();
+        let strategy = if strategy_equal_events {
+            PartitionStrategy::EqualEvents
+        } else {
+            PartitionStrategy::EqualWindows
+        };
+        let set = MultiWindowSet::build(&log, spec, parts, true, strategy).unwrap();
+        for part in set.graphs() {
+            for w in part.windows() {
+                let view = part.index_view(w);
+                for (i, &v) in view.vertices.iter().enumerate() {
+                    prop_assert!(view.deg_out[i] >= 1, "window {} vertex {}", w, v);
+                    let inv = view.inv_deg[i];
+                    prop_assert!(inv.is_finite() && inv > 0.0, "window {} vertex {}", w, v);
+                }
+            }
+        }
+    }
 
     #[test]
     fn window_index_matches_bruteforce(
