@@ -57,7 +57,7 @@ fn looped_baseline(engine: &PostmortemEngine, queries: &[EngineQuery], pr: &PrCo
             };
             for w in part.windows() {
                 pagerank_window_personalized(
-                    part.pull_tcsr(),
+                    part.tcsr(),
                     part.tcsr(),
                     spec.window(w),
                     &local,

@@ -183,8 +183,6 @@ pub struct PostmortemConfig {
     pub num_multiwindows: usize,
     /// How windows are grouped into multi-window graphs.
     pub partition: PartitionStrategy,
-    /// Symmetrize events (the paper's default, Fig. 3).
-    pub symmetric: bool,
     /// PageRank parameters.
     pub pr: PrConfig,
     /// Parallelization level.
@@ -250,7 +248,6 @@ impl Default for PostmortemConfig {
         PostmortemConfig {
             num_multiwindows: 0,
             partition: PartitionStrategy::EqualWindows,
-            symmetric: true,
             pr: PrConfig::default(),
             mode: ParallelMode::Nested,
             kernel: KernelKind::default(),
@@ -296,7 +293,6 @@ mod tests {
         // Kernel and init are chosen per workload at engine construction.
         assert_eq!(c.kernel, KernelKind::Auto);
         assert_eq!(c.init_mode, InitMode::Auto);
-        assert!(c.symmetric);
         assert_eq!(c.scheduler.partitioner, Partitioner::Auto);
     }
 

@@ -163,7 +163,6 @@ impl PostmortemEngine {
                 log,
                 &spec,
                 budget,
-                cfg.symmetric,
                 cfg.partition,
                 cfg.storage.profile(),
                 slots,
@@ -191,7 +190,6 @@ impl PostmortemEngine {
             spec,
             parts,
             planned,
-            cfg.symmetric,
             cfg.partition,
             &cfg.storage,
             slots,
@@ -539,12 +537,12 @@ impl PostmortemEngine {
     ) -> (WindowOutput, Option<Vec<f64>>) {
         let range = self.spec().window(w);
         let inner = self.inner_scheduler();
-        let (pull, push) = (part.pull_tcsr(), part.tcsr());
+        let t = part.tcsr();
         let prcfg = PrConfig {
             fault: self.cfg.faults.fault_for(w),
             ..self.cfg.pr
         };
-        let n_local = pull.num_vertices();
+        let n_local = t.num_vertices();
         let warm = prev.is_some();
         // Each kernel invocation is a new recovery attempt; the bridge is
         // rebuilt per call so trace events carry the attempt label.
@@ -565,9 +563,9 @@ impl PostmortemEngine {
                     Obs::off()
                 };
                 let view = part.index_view(w);
-                pagerank_window_indexed_obs(pull, push, &view, init, &prcfg, inner, ws, obs)
+                pagerank_window_indexed_obs(t, t, &view, init, &prcfg, inner, ws, obs)
             };
-            let oracle = || oracle_for(pull, push, range, &self.cfg.pr, MAX_ORACLE_ACTIVE);
+            let oracle = || oracle_for(t, range, &self.cfg.pr, MAX_ORACLE_ACTIVE);
             self.executor()
                 .drive(w as u32, warm, n_local, kernel, oracle)
         };
@@ -712,7 +710,7 @@ impl PostmortemEngine {
                     .iter()
                     .map(|&lw| regions.seed(lw, 0).map_or(Init::Uniform, Init::Partial))
                     .collect();
-                let (pull, push) = (part.pull_tcsr(), part.tcsr());
+                let t = part.tcsr();
                 let obs = if self.tele.is_enabled() {
                     BatchObs::new(&bridge, &win_ids)
                 } else {
@@ -722,8 +720,8 @@ impl PostmortemEngine {
                     let index = part.window_index();
                     let views: Vec<_> = clean.iter().map(|&lw| index.view(lw)).collect();
                     pagerank_batch_indexed_obs(
-                        pull,
-                        push,
+                        t,
+                        t,
                         &views,
                         &inits,
                         &self.cfg.pr,
@@ -1186,17 +1184,10 @@ mod tests {
                         Some(x) if init_mode == InitMode::Partial => Init::Partial(x),
                         _ => Init::Uniform,
                     };
-                    let (pull, push) = (part.pull_tcsr(), part.tcsr());
-                    let stats = pagerank_window(
-                        pull,
-                        push,
-                        spec.window(w),
-                        init,
-                        &tight_cfg(),
-                        None,
-                        &mut ws,
-                    )
-                    .unwrap();
+                    let t = part.tcsr();
+                    let stats =
+                        pagerank_window(t, t, spec.window(w), init, &tight_cfg(), None, &mut ws)
+                            .unwrap();
                     let got = &out.windows[w];
                     let what = format!("{init_mode:?} window {w}");
                     assert_eq!(

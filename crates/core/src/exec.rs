@@ -375,40 +375,31 @@ pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Exact-solve fallback for one window, or `None` when its active set
-/// exceeds `max_active` (the dense solve is `O(n³)`).
+/// Exact-solve fallback for one window of `tcsr`, or `None` when its
+/// active set exceeds `max_active` (the dense solve is `O(n³)`).
 pub fn oracle_for(
-    pull: &TemporalCsr,
-    push: &TemporalCsr,
+    tcsr: &TemporalCsr,
     range: TimeRange,
     cfg: &PrConfig,
     max_active: usize,
 ) -> Option<Result<Vec<f64>, KernelError>> {
-    match solve_pagerank_exact(pull, push, range, cfg, max_active) {
+    match solve_pagerank_exact(tcsr, tcsr, range, cfg, max_active) {
         Err(KernelError::ActiveSetTooLarge { .. }) => None,
         r => Some(r),
     }
 }
 
 /// [`oracle_for`] for drivers that hold only raw events (offline,
-/// streaming): builds the window's temporal CSR(s) on the spot. For
-/// asymmetric graphs the pull side is built from the reversed events.
+/// streaming): builds the window's temporal CSR on the spot.
 pub fn oracle_from_events(
     num_vertices: usize,
     events: &[Event],
-    symmetric: bool,
     range: TimeRange,
     cfg: &PrConfig,
     max_active: usize,
 ) -> Option<Result<Vec<f64>, KernelError>> {
-    let push = TemporalCsr::from_events(num_vertices, events, symmetric);
-    if symmetric {
-        oracle_for(&push, &push, range, cfg, max_active)
-    } else {
-        let reversed: Vec<Event> = events.iter().map(|e| Event::new(e.v, e.u, e.t)).collect();
-        let pull = TemporalCsr::from_events(num_vertices, &reversed, false);
-        oracle_for(&pull, &push, range, cfg, max_active)
-    }
+    let tcsr = TemporalCsr::from_events(num_vertices, events);
+    oracle_for(&tcsr, range, cfg, max_active)
 }
 
 /// A driver adapter yielding one work item per window.

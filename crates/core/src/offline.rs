@@ -33,8 +33,6 @@ use tempopr_telemetry::{Phase as RunPhase, Telemetry};
 /// Configuration of an offline run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct OfflineConfig {
-    /// Symmetrize events when building each window's graph.
-    pub symmetric: bool,
     /// PageRank parameters.
     pub pr: PrConfig,
     /// Process windows in parallel (the model's natural parallelism).
@@ -63,7 +61,6 @@ pub struct OfflineConfig {
 impl Default for OfflineConfig {
     fn default() -> Self {
         OfflineConfig {
-            symmetric: true,
             pr: PrConfig::default(),
             parallel_windows: true,
             scheduler: Scheduler::default(),
@@ -162,14 +159,13 @@ fn offline_config_hash(cfg: &OfflineConfig) -> u64 {
     checkpoint::hash_config(&format!("{c:?}"))
 }
 
-/// One window's CSR over the whole vertex universe: the per-window
-/// construction the offline model pays for, rebuilt into `spare`'s
-/// buffers when a recycled CSR is at hand.
+/// One window's symmetric CSR over the whole vertex universe: the
+/// per-window construction the offline model pays for, rebuilt into
+/// `spare`'s buffers when a recycled CSR is at hand.
 #[derive(Clone, Copy)]
 struct WindowCsrs<'a> {
     log: &'a EventLog,
     spec: WindowSpec,
-    symmetric: bool,
     tele: &'a Telemetry,
 }
 
@@ -181,10 +177,10 @@ impl WindowCsrs<'_> {
         let n = self.log.num_vertices();
         match spare {
             Some(mut csr) => {
-                csr.rebuild_from_events(n, events, self.symmetric);
+                csr.rebuild_from_events(n, events);
                 csr
             }
-            None => Csr::from_events(n, events, self.symmetric),
+            None => Csr::from_events(n, events),
         }
     }
 }
@@ -248,12 +244,7 @@ fn run_offline_inner(
     ckpt: Option<&Arc<CheckpointSink>>,
     tele: &Telemetry,
 ) -> Vec<WindowOutput> {
-    let csrs = WindowCsrs {
-        log,
-        spec,
-        symmetric: cfg.symmetric,
-        tele,
-    };
+    let csrs = WindowCsrs { log, spec, tele };
     if cfg.parallel_windows {
         cfg.scheduler.map_reduce_range(
             spec.count - start,
@@ -346,19 +337,13 @@ fn offline_compute(
         } else {
             Obs::off()
         };
-        if cfg.symmetric {
-            pagerank_csr_obs(csr, csr, Init::Uniform, &prcfg, inner, ws, obs)
-        } else {
-            let pull = csr.transpose();
-            pagerank_csr_obs(&pull, csr, Init::Uniform, &prcfg, inner, ws, obs)
-        }
+        pagerank_csr_obs(csr, csr, Init::Uniform, &prcfg, inner, ws, obs)
     };
     let oracle = || {
         let events = log.slice_by_time(range.start, range.end);
         oracle_from_events(
             log.num_vertices(),
             events,
-            cfg.symmetric,
             range,
             &cfg.pr,
             cfg.recovery.max_oracle_active,

@@ -253,11 +253,10 @@ impl PostmortemEngine {
                                 .map_or(QueryInit::Fresh, QueryInit::Warm)
                         })
                         .collect();
-                    let (pull, push) = (part.pull_tcsr(), part.tcsr());
-                    let index = part.window_index();
+                    let (t, index) = (part.tcsr(), part.window_index());
                     let views: Vec<_> = wslots.iter().map(|&lw| index.view(lw)).collect();
                     let res = pagerank_query_batch_indexed(
-                        pull, push, &views, &batch, &inits, &cfg.pr, inner, &mut ws, obs,
+                        t, t, &views, &batch, &inits, &cfg.pr, inner, &mut ws, obs,
                     )
                     .map_err(|e| {
                         EngineError::kernel(Some(w0 + wslots[0]), Some(p), Phase::Iterate, e)
@@ -408,7 +407,7 @@ mod tests {
             };
             for w in 0..spec.count {
                 let ps = pagerank_window_personalized(
-                    part.pull_tcsr(),
+                    part.tcsr(),
                     part.tcsr(),
                     spec.window(w),
                     &local,

@@ -201,7 +201,6 @@ impl TcsrStorage {
         spec: WindowSpec,
         num_parts: usize,
         planned: Option<EncodedPartition>,
-        symmetric: bool,
         strategy: PartitionStrategy,
         backend: &StorageBackend,
         slots: usize,
@@ -213,11 +212,11 @@ impl TcsrStorage {
                 tele.add("storage.plan.reused", 1);
                 Ok(partition)
             }
-            None => EncodedPartition::build(log, spec, num_parts, symmetric, strategy),
+            None => EncodedPartition::build(log, spec, num_parts, strategy),
         };
         let (backing, metas, base_bytes, compressed_total) = match backend {
             StorageBackend::Resident => {
-                let set = MultiWindowSet::build(log, spec, num_parts, symmetric, strategy)?;
+                let set = MultiWindowSet::build(log, spec, num_parts, true, strategy)?;
                 let base = set.graphs().iter().map(|g| g.storage_bytes()).sum();
                 (Backing::Resident(set), Vec::new(), base, 0)
             }
@@ -645,7 +644,6 @@ mod tests {
             spec,
             parts,
             None,
-            true,
             PartitionStrategy::EqualWindows,
             backend,
             slots,
@@ -718,13 +716,12 @@ mod tests {
             let profile = backend.profile();
             let strategy = PartitionStrategy::EqualWindows;
             // The tightest feasible budget: the bound cannot decide it.
-            let required =
-                tempopr_graph::plan_partition(&log, &spec, 1, true, strategy, profile, 1)
-                    .1
-                    .unwrap_err()
-                    .required;
+            let required = tempopr_graph::plan_partition(&log, &spec, 1, strategy, profile, 1)
+                .1
+                .unwrap_err()
+                .required;
             let (stats, plan) =
-                tempopr_graph::plan_partition(&log, &spec, required, true, strategy, profile, 1);
+                tempopr_graph::plan_partition(&log, &spec, required, strategy, profile, 1);
             let plan = plan.unwrap();
             let resident = backend == StorageBackend::Resident;
             assert_eq!(plan.encoded.is_none(), resident, "{backend}");
@@ -735,7 +732,6 @@ mod tests {
                 spec,
                 plan.parts,
                 plan.encoded,
-                true,
                 strategy,
                 &backend,
                 1,

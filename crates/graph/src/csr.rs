@@ -22,12 +22,10 @@ pub struct Csr {
 }
 
 impl Csr {
-    /// Builds a simple (deduplicated) CSR from directed edge pairs.
-    ///
-    /// If `symmetric` is true every pair contributes both directions,
-    /// matching the paper's treatment of event graphs (Fig. 3 stores both
-    /// `(1,2)` and `(2,1)` for event `(1,2)`).
-    pub fn from_edges<I>(num_vertices: usize, edges: I, symmetric: bool) -> Self
+    /// Builds a simple (deduplicated) CSR from edge pairs, each contributing
+    /// both directions: the paper's treatment of event graphs (Fig. 3 stores
+    /// both `(1,2)` and `(2,1)` for event `(1,2)`).
+    pub fn from_edges<I>(num_vertices: usize, edges: I) -> Self
     where
         I: IntoIterator<Item = (VertexId, VertexId)>,
     {
@@ -35,7 +33,7 @@ impl Csr {
         for (u, v) in edges {
             debug_assert!((u as usize) < num_vertices && (v as usize) < num_vertices);
             pairs.push((u, v));
-            if symmetric && u != v {
+            if u != v {
                 pairs.push((v, u));
             }
         }
@@ -44,13 +42,13 @@ impl Csr {
 
     /// Builds a simple CSR from a window of events (offline model's
     /// per-window construction).
-    pub fn from_events(num_vertices: usize, events: &[Event], symmetric: bool) -> Self {
+    pub fn from_events(num_vertices: usize, events: &[Event]) -> Self {
         let mut csr = Csr {
             num_vertices: 0,
             row: Vec::new(),
             col: Vec::new(),
         };
-        csr.rebuild_from_events(num_vertices, events, symmetric);
+        csr.rebuild_from_events(num_vertices, events);
         csr
     }
 
@@ -62,7 +60,7 @@ impl Csr {
     /// steady state with zero allocations per rebuild — the adjacency of
     /// consecutive sliding windows has roughly constant size, so the
     /// buffers stop growing after the first few windows.
-    pub fn rebuild_from_events(&mut self, num_vertices: usize, events: &[Event], symmetric: bool) {
+    pub fn rebuild_from_events(&mut self, num_vertices: usize, events: &[Event]) {
         self.num_vertices = num_vertices;
         let row = &mut self.row;
         row.clear();
@@ -70,7 +68,7 @@ impl Csr {
         for e in events {
             debug_assert!((e.u as usize) < num_vertices && (e.v as usize) < num_vertices);
             row[e.u as usize + 1] += 1;
-            if symmetric && e.u != e.v {
+            if e.u != e.v {
                 row[e.v as usize + 1] += 1;
             }
         }
@@ -86,7 +84,7 @@ impl Csr {
             let c = &mut row[e.u as usize];
             self.col[*c] = e.v;
             *c += 1;
-            if symmetric && e.u != e.v {
+            if e.u != e.v {
                 let c = &mut row[e.v as usize];
                 self.col[*c] = e.u;
                 *c += 1;
@@ -210,17 +208,6 @@ impl Csr {
         self.row.len() * std::mem::size_of::<usize>()
             + self.col.len() * std::mem::size_of::<VertexId>()
     }
-
-    /// The transpose graph (in-edges become out-edges).
-    pub fn transpose(&self) -> Csr {
-        let mut pairs = Vec::with_capacity(self.col.len());
-        for v in 0..self.num_vertices {
-            for &u in self.neighbors(v as VertexId) {
-                pairs.push((u, v as VertexId));
-            }
-        }
-        Csr::from_pairs(self.num_vertices, pairs)
-    }
 }
 
 #[cfg(test)]
@@ -229,17 +216,17 @@ mod tests {
 
     #[test]
     fn build_dedups_and_sorts() {
-        let g = Csr::from_edges(4, vec![(0, 2), (0, 1), (0, 2), (3, 0)], false);
-        assert_eq!(g.neighbors(0), &[1, 2]);
-        assert_eq!(g.neighbors(1), &[] as &[u32]);
-        assert_eq!(g.neighbors(3), &[0]);
-        assert_eq!(g.num_edges(), 3);
-        assert_eq!(g.degree(0), 2);
+        let g = Csr::from_edges(5, vec![(0, 2), (0, 1), (0, 2), (3, 0), (1, 0)]);
+        assert_eq!(g.neighbors(0), &[1, 2, 3]);
+        assert_eq!(g.neighbors(1), &[0]);
+        assert_eq!(g.neighbors(4), &[] as &[u32]);
+        assert_eq!(g.num_edges(), 6);
+        assert_eq!(g.degree(0), 3);
     }
 
     #[test]
     fn symmetric_build_adds_reverse() {
-        let g = Csr::from_edges(3, vec![(0, 1), (1, 2)], true);
+        let g = Csr::from_edges(3, vec![(0, 1), (1, 2)]);
         assert_eq!(g.neighbors(0), &[1]);
         assert_eq!(g.neighbors(1), &[0, 2]);
         assert_eq!(g.neighbors(2), &[1]);
@@ -248,7 +235,7 @@ mod tests {
 
     #[test]
     fn symmetric_self_loop_counted_once() {
-        let g = Csr::from_edges(2, vec![(0, 0), (0, 1)], true);
+        let g = Csr::from_edges(2, vec![(0, 0), (0, 1)]);
         assert_eq!(g.neighbors(0), &[0, 1]);
         assert_eq!(g.neighbors(1), &[0]);
     }
@@ -260,27 +247,16 @@ mod tests {
             Event::new(0, 1, 9),
             Event::new(2, 0, 7),
         ];
-        let g = Csr::from_events(3, &events, false);
-        assert_eq!(g.neighbors(0), &[1]);
-        assert_eq!(g.neighbors(2), &[0]);
-        assert_eq!(g.num_edges(), 2);
+        let g = Csr::from_events(3, &events);
+        assert_eq!(g, Csr::from_edges(3, vec![(0, 1), (2, 0)]));
+        assert_eq!(g.neighbors(0), &[1, 2]);
+        assert_eq!(g.num_edges(), 4);
     }
 
     #[test]
     fn active_vertex_count_ignores_isolated() {
-        let g = Csr::from_edges(5, vec![(0, 1)], true);
+        let g = Csr::from_edges(5, vec![(0, 1)]);
         assert_eq!(g.active_vertex_count(), 2);
-    }
-
-    #[test]
-    fn transpose_reverses_edges() {
-        let g = Csr::from_edges(3, vec![(0, 1), (0, 2), (2, 1)], false);
-        let t = g.transpose();
-        assert_eq!(t.neighbors(1), &[0, 2]);
-        assert_eq!(t.neighbors(2), &[0]);
-        assert_eq!(t.neighbors(0), &[] as &[u32]);
-        // Transposing twice is the identity for a simple graph.
-        assert_eq!(t.transpose(), g);
     }
 
     #[test]
@@ -295,23 +271,20 @@ mod tests {
             &[Event::new(3, 3, 5), Event::new(1, 2, 6)],
             &[],
         ];
-        for symmetric in [false, true] {
-            let mut csr = Csr::from_events(5, windows[0], symmetric);
-            for events in &windows[1..] {
-                let cap = (csr.row.capacity(), csr.col.capacity());
-                csr.rebuild_from_events(5, events, symmetric);
-                let fresh = Csr::from_events(5, events, symmetric);
-                assert_eq!(csr, fresh, "symmetric={symmetric}");
-                // Later, no-larger windows reuse the existing allocations.
-                assert_eq!(csr.row.capacity(), cap.0);
-                assert_eq!(csr.col.capacity(), cap.1);
-            }
+        let mut csr = Csr::from_events(5, windows[0]);
+        for events in &windows[1..] {
+            let cap = (csr.row.capacity(), csr.col.capacity());
+            csr.rebuild_from_events(5, events);
+            assert_eq!(csr, Csr::from_events(5, events));
+            // Later, no-larger windows reuse the existing allocations.
+            assert_eq!(csr.row.capacity(), cap.0);
+            assert_eq!(csr.col.capacity(), cap.1);
         }
     }
 
     #[test]
     fn empty_edge_list_yields_isolated_graph() {
-        let g = Csr::from_edges(3, Vec::<(u32, u32)>::new(), false);
+        let g = Csr::from_edges(3, Vec::<(u32, u32)>::new());
         assert_eq!(g.num_edges(), 0);
         assert_eq!(g.active_vertex_count(), 0);
         assert_eq!(g.neighbors(1), &[] as &[u32]);

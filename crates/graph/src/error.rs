@@ -19,6 +19,9 @@ pub enum GraphError {
     InvalidWindowSpec(String),
     /// A multi-window partition was requested with zero parts.
     ZeroMultiWindows,
+    /// A directed (`symmetric: false`) build was requested: every window
+    /// graph is symmetric.
+    NotSymmetric,
     /// A self-loop event `(u, u, t)` was encountered where disallowed.
     SelfLoop {
         /// The vertex looping onto itself.
@@ -42,6 +45,12 @@ impl fmt::Display for GraphError {
             GraphError::InvalidWindowSpec(msg) => write!(f, "invalid window spec: {msg}"),
             GraphError::ZeroMultiWindows => {
                 write!(f, "multi-window partition requires at least one part")
+            }
+            GraphError::NotSymmetric => {
+                write!(
+                    f,
+                    "window graphs are symmetric-only; a directed build is refused"
+                )
             }
             GraphError::SelfLoop { vertex, time } => {
                 write!(f, "self-loop on vertex {vertex} at time {time}")

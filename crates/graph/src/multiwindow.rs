@@ -39,9 +39,6 @@ pub struct MultiWindowGraph {
     /// Sorted map local id -> global id.
     vertices: Box<[VertexId]>,
     tcsr: TemporalCsr,
-    /// In-edge transpose, present only for directed builds (symmetric
-    /// builds pull and push from the same structure).
-    transpose: Option<TemporalCsr>,
     /// Time range of each served window, aligned with `windows`.
     ranges: Box<[TimeRange]>,
     /// Per-window activity/degree index, built lazily on first use.
@@ -61,7 +58,6 @@ impl Clone for MultiWindowGraph {
             span: self.span,
             vertices: self.vertices.clone(),
             tcsr: self.tcsr.clone(),
-            transpose: self.transpose.clone(),
             ranges: self.ranges.clone(),
             index,
         }
@@ -93,17 +89,17 @@ impl MultiWindowGraph {
         self.span
     }
 
-    /// The local temporal CSR of out-edges (vertex ids are local).
+    /// The local symmetric temporal CSR (vertex ids are local).
     #[inline]
     pub fn tcsr(&self) -> &TemporalCsr {
         &self.tcsr
     }
 
-    /// The in-edge structure for pull-style kernels: the stored transpose
-    /// for a directed build, the out-structure itself for a symmetric one.
+    /// [`Self::tcsr`], under the name of the pull side that kernel callers
+    /// used to pass beside it; it stays so that they keep compiling.
     #[inline]
     pub fn pull_tcsr(&self) -> &TemporalCsr {
-        self.transpose.as_ref().unwrap_or(&self.tcsr)
+        &self.tcsr
     }
 
     /// Number of local vertices `|V_w|` (vertices appearing in the span).
@@ -140,15 +136,14 @@ impl MultiWindowGraph {
 
     /// The window index, building it on first use.
     ///
-    /// The build is a single pass over this part's pull runs deciding every
-    /// served window's runs (a directed part adds a pass over its push runs
-    /// for out-degrees); afterwards a kernel reads window bits instead of
+    /// The build is a single pass over this part's runs deciding every
+    /// served window's runs; afterwards a kernel reads window bits instead of
     /// timestamps, and its degree/activity setup for window `w` is an
     /// `O(|V_w active|)` copy out of [`Self::index_view`]. Thread-safe:
     /// concurrent callers block on one build.
     pub fn window_index(&self) -> &WindowIndex {
         self.index
-            .get_or_init(|| WindowIndex::build(&self.tcsr, self.transpose.as_ref(), &self.ranges))
+            .get_or_init(|| WindowIndex::build(&self.tcsr, &self.ranges))
     }
 
     /// The index if it has already been built (e.g. for memory accounting
@@ -172,13 +167,13 @@ impl MultiWindowGraph {
         self.window_index().view(window - self.windows.start)
     }
 
-    /// Approximate heap footprint in bytes (vertex map + temporal CSR(s) +
+    /// Approximate heap footprint in bytes (vertex map + temporal CSR +
     /// window ranges + the activity index if built).
     pub fn memory_bytes(&self) -> usize {
         self.storage_bytes() + self.index.get().map_or(0, |i| i.memory_bytes())
     }
 
-    /// The array-only footprint (vertex map + temporal CSR(s) + window
+    /// The array-only footprint (vertex map + temporal CSR + window
     /// ranges), excluding the lazily built activity index. This is the
     /// deterministic "decoded part" cost the storage backends budget
     /// against: it is the same number whether the part was just built or
@@ -187,14 +182,7 @@ impl MultiWindowGraph {
     pub fn storage_bytes(&self) -> usize {
         self.vertices.len() * std::mem::size_of::<VertexId>()
             + self.tcsr.memory_bytes()
-            + self.transpose.as_ref().map_or(0, |t| t.memory_bytes())
             + self.ranges.len() * std::mem::size_of::<TimeRange>()
-    }
-
-    /// The stored transpose, when this is a directed build (`pull_tcsr`
-    /// hides the distinction; the storage codec must preserve it).
-    pub(crate) fn transpose_tcsr(&self) -> Option<&TemporalCsr> {
-        self.transpose.as_ref()
     }
 
     /// Reassembles a part from decoded components (the storage codec's
@@ -206,7 +194,6 @@ impl MultiWindowGraph {
         span: TimeRange,
         vertices: Box<[VertexId]>,
         tcsr: TemporalCsr,
-        transpose: Option<TemporalCsr>,
         ranges: Box<[TimeRange]>,
     ) -> MultiWindowGraph {
         MultiWindowGraph {
@@ -214,7 +201,6 @@ impl MultiWindowGraph {
             span,
             vertices,
             tcsr,
-            transpose,
             ranges,
             index: OnceLock::new(),
         }
@@ -245,7 +231,9 @@ impl MultiWindowSet {
     /// builds one [`MultiWindowGraph`] per group.
     ///
     /// `num_parts` is clamped to the window count. Events outside every
-    /// window's span are dropped.
+    /// window's span are dropped. Every part is symmetric: `symmetric:
+    /// false` is refused with [`GraphError::NotSymmetric`], and the flag
+    /// stays only so that existing callers keep compiling.
     pub fn build(
         log: &EventLog,
         spec: WindowSpec,
@@ -253,18 +241,14 @@ impl MultiWindowSet {
         symmetric: bool,
         strategy: PartitionStrategy,
     ) -> Result<Self, GraphError> {
+        if !symmetric {
+            return Err(GraphError::NotSymmetric);
+        }
         let mut graphs = Vec::new();
-        Self::visit_parts::<std::convert::Infallible>(
-            log,
-            spec,
-            num_parts,
-            symmetric,
-            strategy,
-            |g| {
-                graphs.push(g);
-                Ok(())
-            },
-        )
+        Self::visit_parts::<std::convert::Infallible>(log, spec, num_parts, strategy, |g| {
+            graphs.push(g);
+            Ok(())
+        })
         .map_err(|e| match e {
             VisitError::Graph(g) => g,
             VisitError::Visitor(i) => match i {},
@@ -285,7 +269,6 @@ impl MultiWindowSet {
         log: &EventLog,
         spec: WindowSpec,
         num_parts: usize,
-        symmetric: bool,
         strategy: PartitionStrategy,
         mut f: impl FnMut(MultiWindowGraph) -> Result<(), E>,
     ) -> Result<usize, VisitError<E>> {
@@ -298,7 +281,7 @@ impl MultiWindowSet {
             let span = spec.span_of(windows.clone());
             let events = log.slice_by_time(span.start, span.end);
             let ranges: Vec<TimeRange> = windows.clone().map(|w| spec.window(w)).collect();
-            let part = build_part(windows, span, ranges, events, symmetric, &mut local_of);
+            let part = build_part(windows, span, ranges, events, &mut local_of);
             f(part).map_err(VisitError::Visitor)?;
         }
         Ok(boundaries.len() - 1)
@@ -361,14 +344,13 @@ pub fn parts_for_memory_budget(
     log: &EventLog,
     spec: &WindowSpec,
     budget_bytes: usize,
-    symmetric: bool,
     profile: crate::storage::StorageProfile,
 ) -> Result<usize, crate::storage::BudgetError> {
     crate::storage::plan_parts_for_budget(
         log,
         spec,
         budget_bytes,
-        symmetric,
+        true,
         PartitionStrategy::EqualWindows,
         profile,
         1,
@@ -452,7 +434,6 @@ fn build_part(
     span: TimeRange,
     ranges: Vec<TimeRange>,
     events: &[Event],
-    symmetric: bool,
     local_of: &mut [VertexId],
 ) -> MultiWindowGraph {
     // Collect the distinct vertices of this span, sorted for binary-search
@@ -473,8 +454,7 @@ fn build_part(
     // Build the local temporal CSR, renaming to local ids as entries are
     // scattered (the log's slice is already in time order).
     let local = |g: VertexId| local_of[g as usize];
-    let tcsr = TemporalCsr::from_time_sorted(vertices.len(), events, symmetric, local);
-    let transpose = (!symmetric).then(|| tcsr.transpose());
+    let tcsr = TemporalCsr::from_time_sorted(vertices.len(), events, local);
     // Reset the scratch map for the next part.
     for &g in &vertices {
         local_of[g as usize] = VertexId::MAX;
@@ -484,7 +464,6 @@ fn build_part(
         span,
         vertices: vertices.into_boxed_slice(),
         tcsr,
-        transpose,
         ranges: ranges.into_boxed_slice(),
         index: OnceLock::new(),
     }
@@ -665,15 +644,13 @@ mod tests {
         let spec = WindowSpec::covering(&log, 15, 10).unwrap();
         // A huge budget needs only one part.
         assert_eq!(
-            parts_for_memory_budget(&log, &spec, usize::MAX, true, StorageProfile::Resident)
-                .unwrap(),
+            parts_for_memory_budget(&log, &spec, usize::MAX, StorageProfile::Resident).unwrap(),
             1
         );
         // A tiny budget is infeasible even at one part per window: typed
         // error carrying the minimal feasible budget, not a silent
         // fallback.
-        let err =
-            parts_for_memory_budget(&log, &spec, 1, true, StorageProfile::Resident).unwrap_err();
+        let err = parts_for_memory_budget(&log, &spec, 1, StorageProfile::Resident).unwrap_err();
         assert_eq!(err.budget, 1);
         assert!(err.required > 1);
         // A middling budget: the chosen count is feasible on the actual
@@ -681,8 +658,7 @@ mod tests {
         let set1 =
             MultiWindowSet::build(&log, spec, 1, true, PartitionStrategy::EqualWindows).unwrap();
         let budget = set1.graphs()[0].storage_bytes() / 2;
-        let parts =
-            parts_for_memory_budget(&log, &spec, budget, true, StorageProfile::Resident).unwrap();
+        let parts = parts_for_memory_budget(&log, &spec, budget, StorageProfile::Resident).unwrap();
         assert!(parts >= 2);
         let set = MultiWindowSet::build(&log, spec, parts, true, PartitionStrategy::EqualWindows)
             .unwrap();
@@ -703,13 +679,12 @@ mod tests {
         let log = log();
         let spec = WindowSpec::covering(&log, 15, 10).unwrap();
         let set =
-            MultiWindowSet::build(&log, spec, 3, false, PartitionStrategy::EqualWindows).unwrap();
+            MultiWindowSet::build(&log, spec, 3, true, PartitionStrategy::EqualWindows).unwrap();
         let mut seen = 0usize;
         let n = MultiWindowSet::visit_parts::<std::convert::Infallible>(
             &log,
             spec,
             3,
-            false,
             PartitionStrategy::EqualWindows,
             |g| {
                 assert_eq!(g.windows(), set.graphs()[seen].windows());
@@ -735,7 +710,6 @@ mod tests {
             &log,
             spec,
             2,
-            true,
             PartitionStrategy::EqualWindows,
             |_| Err("bail"),
         );

@@ -13,7 +13,7 @@
 //!   recomputes the per-vertex time bounds in the min/max pass the build
 //!   ends with, so every downstream consumer (the window index, the
 //!   kernels, rank fingerprints) sees identical bits.
-//! - [`TcsrFile`]: the `tempopr.tcsr.v1` on-disk format — a sealed header
+//! - [`TcsrFile`]: the `tempopr.tcsr.v2` on-disk format — a sealed header
 //!   (magic, version, part count, vertex count) and section table (one
 //!   `{offset, len, crc}` per part-shard), then one [`CompressedPart`]
 //!   payload per part-shard, paged in per shard through a reusable
@@ -42,10 +42,11 @@ use std::ops::Range;
 use std::path::Path;
 use std::sync::Mutex;
 
-/// Magic prefix of a `tempopr.tcsr.v1` file.
+/// Magic prefix of a `tempopr.tcsr.v2` file.
 pub const TCSR_MAGIC: [u8; 4] = *b"TPTC";
-/// On-disk format version this build writes and reads.
-pub const TCSR_VERSION: u16 = 1;
+/// On-disk format version this build writes and reads. Version 1 payloads
+/// carried a flag byte and an optional in-edge CSR after the vertex map.
+pub const TCSR_VERSION: u16 = 2;
 /// Fixed header: magic + version + part count + global vertex count + CRC.
 pub const TCSR_HEADER_LEN: usize = 4 + 2 + 4 + 8 + 4;
 /// Bytes per section-table entry: offset + length + payload CRC.
@@ -61,7 +62,7 @@ pub const TCSR_MAX_PARTS: usize = 1 << 20;
 pub const PART_RUNTIME_OVERHEAD: usize = 64;
 
 /// In-memory payload format version (first byte of every section payload).
-const PAYLOAD_VERSION: u8 = 1;
+const PAYLOAD_VERSION: u8 = 2;
 
 // --- Errors -------------------------------------------------------------
 
@@ -192,8 +193,8 @@ pub struct CompressedPart {
 
 impl CompressedPart {
     /// Encodes a resident part. The payload is self-contained (window
-    /// range, span, per-window ranges, vertex map, CSR(s)) so it can serve
-    /// as a `tempopr.tcsr.v1` file section unchanged.
+    /// range, span, per-window ranges, vertex map, CSR) so it can serve as
+    /// a `tempopr.tcsr.v2` file section unchanged.
     pub fn encode(part: &MultiWindowGraph) -> CompressedPart {
         let mut buf: Vec<u8> = Vec::new();
         buf.push(PAYLOAD_VERSION);
@@ -217,12 +218,7 @@ impl CompressedPart {
             put_uvarint(&mut buf, u64::from(g) - prev);
             prev = u64::from(g);
         }
-        let transpose = part.transpose_tcsr();
-        buf.push(u8::from(transpose.is_some()));
         encode_tcsr(&mut buf, part.tcsr(), span.start);
-        if let Some(t) = transpose {
-            encode_tcsr(&mut buf, t, span.start);
-        }
         CompressedPart {
             windows,
             bytes: buf.into_boxed_slice(),
@@ -234,7 +230,7 @@ impl CompressedPart {
         CompressedPart::decode_payload(&self.bytes)
     }
 
-    /// Decodes a raw section payload (as stored in a `tempopr.tcsr.v1`
+    /// Decodes a raw section payload (as stored in a `tempopr.tcsr.v2`
     /// section) into the resident working form, validating every count
     /// before allocating.
     pub fn decode_payload(bytes: &[u8]) -> Result<MultiWindowGraph, StorageError> {
@@ -283,16 +279,7 @@ impl CompressedPart {
             prev = u64::from(g);
             vertices.push(g);
         }
-        let has_transpose = r.u8()?;
-        if has_transpose > 1 {
-            return Err(corrupt("payload", "transpose flag must be 0 or 1"));
-        }
         let tcsr = decode_tcsr(&mut r, nverts, span.start)?;
-        let transpose = if has_transpose == 1 {
-            Some(decode_tcsr(&mut r, nverts, span.start)?)
-        } else {
-            None
-        };
         if r.remaining() != 0 {
             return Err(corrupt(
                 "payload",
@@ -304,7 +291,6 @@ impl CompressedPart {
             span,
             vertices.into_boxed_slice(),
             tcsr,
-            transpose,
             ranges.into_boxed_slice(),
         ))
     }
@@ -314,7 +300,7 @@ impl CompressedPart {
         self.windows.clone()
     }
 
-    /// The raw payload bytes (one `tempopr.tcsr.v1` section).
+    /// The raw payload bytes (one `tempopr.tcsr.v2` section).
     pub fn payload(&self) -> &[u8] {
         &self.bytes
     }
@@ -428,7 +414,7 @@ fn decode_tcsr(
 
 // --- Decode scratch -----------------------------------------------------
 
-/// Reusable buffer for paging `tempopr.tcsr.v1` sections in: one
+/// Reusable buffer for paging `tempopr.tcsr.v2` sections in: one
 /// allocation amortized across every decode-on-touch instead of a fresh
 /// read buffer per shard. Counted by the `storage.resident_bytes` gauge.
 #[derive(Debug, Default)]
@@ -445,7 +431,7 @@ impl DecodeScratch {
 
 // --- On-disk format -----------------------------------------------------
 
-/// Streaming writer for the `tempopr.tcsr.v1` format. Created with the
+/// Streaming writer for the `tempopr.tcsr.v2` format. Created with the
 /// final part count, fed one [`CompressedPart`] at a time (so the build
 /// never holds more than one encoded part), and finalized by
 /// [`TcsrFileWriter::finish`], which back-patches the CRC'd section table.
@@ -563,7 +549,7 @@ struct Section {
     crc: u32,
 }
 
-/// Random-access reader for a `tempopr.tcsr.v1` file: validates the CRC'd
+/// Random-access reader for a `tempopr.tcsr.v2` file: validates the CRC'd
 /// header and section table on open, then pages individual part-shards in
 /// on demand ([`TcsrFile::read_part`]), verifying each section's CRC
 /// before decoding. Interior mutability (a mutex around the file handle)
@@ -736,7 +722,6 @@ impl EncodedPartition {
         log: &EventLog,
         spec: WindowSpec,
         num_parts: usize,
-        symmetric: bool,
         strategy: PartitionStrategy,
     ) -> Result<EncodedPartition, crate::GraphError> {
         let (mut parts, mut metas) = (Vec::new(), Vec::new());
@@ -749,7 +734,7 @@ impl EncodedPartition {
             parts.push(CompressedPart::encode(&g));
             Ok::<(), std::convert::Infallible>(())
         };
-        match MultiWindowSet::visit_parts(log, spec, num_parts, symmetric, strategy, visit) {
+        match MultiWindowSet::visit_parts(log, spec, num_parts, strategy, visit) {
             Ok(_) => Ok(EncodedPartition { parts, metas }),
             Err(VisitError::Graph(e)) => Err(e),
             Err(VisitError::Visitor(i)) => match i {},
@@ -803,12 +788,11 @@ fn partition_footprint(
     log: &EventLog,
     spec: &WindowSpec,
     parts: usize,
-    symmetric: bool,
     strategy: PartitionStrategy,
     profile: StorageProfile,
     slots: usize,
 ) -> usize {
-    EncodedPartition::build(log, *spec, parts, symmetric, strategy)
+    EncodedPartition::build(log, *spec, parts, strategy)
         .map_or(usize::MAX, |e| e.footprint(profile, slots))
 }
 
@@ -821,7 +805,6 @@ fn footprint_lower_bound(
     log: &EventLog,
     spec: &WindowSpec,
     parts: usize,
-    symmetric: bool,
     strategy: PartitionStrategy,
     profile: StorageProfile,
     slots: usize,
@@ -829,7 +812,6 @@ fn footprint_lower_bound(
     let Ok(boundaries) = part_boundaries(log, spec, parts, strategy) else {
         return usize::MAX;
     };
-    let csrs = if symmetric { 1 } else { 2 };
     // `seen[v] == p + 1` marks v counted for part p: no reset between parts.
     let mut seen = vec![0usize; log.num_vertices()];
     let size = |(p, b): (usize, &[usize])| {
@@ -839,14 +821,14 @@ fn footprint_lower_bound(
             for x in [e.u, e.v] {
                 vertices += usize::from(std::mem::replace(&mut seen[x as usize], p + 1) != p + 1);
             }
-            entries += if symmetric && e.u != e.v { 2 } else { 1 };
+            entries += if e.u != e.v { 2 } else { 1 };
         }
-        // `storage_bytes`: map, ranges; per CSR offsets, entries, time bounds.
+        // `storage_bytes`: map, ranges; the CSR's offsets, entries, time bounds.
         let csr = 8 * (vertices + 1) + 12 * entries + 16 * vertices;
-        let decoded = 4 * vertices + 16 * windows + csrs * csr;
-        // Eight header bytes, two varints a window, a gap per vertex; per
-        // CSR two counts, a row length per vertex, two varints an entry.
-        let encoded = 8 + 2 * windows + vertices + csrs * (2 + vertices + 2 * entries);
+        let decoded = 4 * vertices + 16 * windows + csr;
+        // Seven header bytes, two varints a window, a gap per vertex; the
+        // CSR's two counts, a row length per vertex, two varints an entry.
+        let encoded = 7 + 2 * windows + vertices + 2 + vertices + 2 * entries;
         (decoded, encoded, vertices)
     };
     let sizes: Vec<_> = boundaries.windows(2).enumerate().map(size).collect();
@@ -895,13 +877,11 @@ pub fn plan_partition(
     log: &EventLog,
     spec: &WindowSpec,
     budget_bytes: usize,
-    symmetric: bool,
     strategy: PartitionStrategy,
     profile: StorageProfile,
     slots: usize,
 ) -> (PlanStats, Result<PartitionPlan, BudgetError>) {
-    let bound =
-        |parts| footprint_lower_bound(log, spec, parts, symmetric, strategy, profile, slots);
+    let bound = |parts| footprint_lower_bound(log, spec, parts, strategy, profile, slots);
     let mut stats = PlanStats::default();
     // The last candidate found to fit. Ladder and bisection both end on
     // their last fitting candidate, so this is the answer.
@@ -916,7 +896,7 @@ pub fn plan_partition(
         let mut encoded = None;
         if profile != StorageProfile::Resident {
             stats.trial_builds += 1;
-            encoded = EncodedPartition::build(log, *spec, parts, symmetric, strategy).ok();
+            encoded = EncodedPartition::build(log, *spec, parts, strategy).ok();
             footprint = encoded
                 .as_ref()
                 .map_or(usize::MAX, |e| e.footprint(profile, slots));
@@ -959,7 +939,7 @@ pub fn plan_partition(
     }
     let exact = |&parts: &usize| match profile {
         StorageProfile::Resident => bound(parts),
-        _ => partition_footprint(log, spec, parts, symmetric, strategy, profile, slots),
+        _ => partition_footprint(log, spec, parts, strategy, profile, slots),
     };
     let plan = fit.ok_or_else(|| BudgetError {
         required: candidates.iter().map(exact).min().unwrap_or(usize::MAX),
@@ -968,7 +948,10 @@ pub fn plan_partition(
     (stats, plan)
 }
 
-/// [`plan_partition`], keeping only the part count.
+/// [`plan_partition`], keeping only the part count. Every part is
+/// symmetric, so no budget fits `symmetric: false`: it is refused with a
+/// [`BudgetError`] whose `required` is `usize::MAX`, and the flag stays
+/// only so that existing callers keep compiling.
 pub fn plan_parts_for_budget(
     log: &EventLog,
     spec: &WindowSpec,
@@ -978,7 +961,13 @@ pub fn plan_parts_for_budget(
     profile: StorageProfile,
     slots: usize,
 ) -> Result<usize, BudgetError> {
-    let plan = plan_partition(log, spec, budget_bytes, symmetric, strategy, profile, slots).1;
+    if !symmetric {
+        return Err(BudgetError {
+            required: usize::MAX,
+            budget: budget_bytes,
+        });
+    }
+    let plan = plan_partition(log, spec, budget_bytes, strategy, profile, slots).1;
     plan.map(|p| p.parts)
 }
 
@@ -999,11 +988,11 @@ mod tests {
         EventLog::from_unsorted(events, 11).unwrap()
     }
 
-    fn sample_set(symmetric: bool, parts: usize) -> (MultiWindowSet, WindowSpec) {
+    fn sample_set(parts: usize) -> (MultiWindowSet, WindowSpec) {
         let log = sample_log();
         let spec = WindowSpec::covering(&log, 40, 20).unwrap();
-        let set = MultiWindowSet::build(&log, spec, parts, symmetric, PartitionStrategy::default())
-            .unwrap();
+        let set =
+            MultiWindowSet::build(&log, spec, parts, true, PartitionStrategy::default()).unwrap();
         (set, spec)
     }
 
@@ -1012,29 +1001,26 @@ mod tests {
         assert_eq!(a.span(), b.span());
         assert_eq!(a.vertex_map(), b.vertex_map());
         assert_eq!(a.window_ranges(), b.window_ranges());
-        for (x, y) in [(a.tcsr(), b.tcsr()), (a.pull_tcsr(), b.pull_tcsr())] {
-            assert_eq!(x.num_vertices(), y.num_vertices());
-            assert_eq!(x.row_offsets(), y.row_offsets());
-            assert_eq!(x.col_indices(), y.col_indices());
-            assert_eq!(x.timestamps(), y.timestamps());
-        }
+        let (x, y) = (a.tcsr(), b.tcsr());
+        assert_eq!(x.num_vertices(), y.num_vertices());
+        assert_eq!(x.row_offsets(), y.row_offsets());
+        assert_eq!(x.col_indices(), y.col_indices());
+        assert_eq!(x.timestamps(), y.timestamps());
     }
 
     #[test]
-    fn compressed_roundtrip_bit_parity_symmetric_and_directed() {
-        for symmetric in [true, false] {
-            let (set, _) = sample_set(symmetric, 3);
-            for part in set.graphs() {
-                let c = CompressedPart::encode(part);
-                let back = c.decode().unwrap();
-                assert_parts_equal(part, &back);
-            }
+    fn compressed_roundtrip_bit_parity() {
+        let (set, _) = sample_set(3);
+        for part in set.graphs() {
+            let c = CompressedPart::encode(part);
+            let back = c.decode().unwrap();
+            assert_parts_equal(part, &back);
         }
     }
 
     #[test]
     fn compression_shrinks_the_sample() {
-        let (set, _) = sample_set(true, 2);
+        let (set, _) = sample_set(2);
         for part in set.graphs() {
             let c = CompressedPart::encode(part);
             assert!(
@@ -1051,7 +1037,7 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("tcsr_rt_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("parts.tcsr");
-        let (set, _) = sample_set(false, 3);
+        let (set, _) = sample_set(3);
         let mut w = TcsrFileWriter::create(&path, set.num_parts(), 11).unwrap();
         for part in set.graphs() {
             w.append(&CompressedPart::encode(part)).unwrap();
@@ -1074,7 +1060,7 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("tcsr_wc_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("short.tcsr");
-        let (set, _) = sample_set(true, 2);
+        let (set, _) = sample_set(2);
         let w = TcsrFileWriter::create(&path, 2, 11).unwrap();
         // Append only one of the two declared parts.
         let mut w = w;
@@ -1091,7 +1077,7 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("tcsr_forged_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("parts.tcsr");
-        let (set, _) = sample_set(false, 3);
+        let (set, _) = sample_set(3);
         let mut w = TcsrFileWriter::create(&path, 3, 11).unwrap();
         for part in set.graphs() {
             w.append(&CompressedPart::encode(part)).unwrap();
@@ -1183,15 +1169,7 @@ mod tests {
         let spec = WindowSpec::covering(&log, 40, 20).unwrap();
         for profile in [StorageProfile::Compressed, StorageProfile::OnDisk] {
             let fp = |slots| {
-                partition_footprint(
-                    &log,
-                    &spec,
-                    4,
-                    true,
-                    PartitionStrategy::default(),
-                    profile,
-                    slots,
-                )
+                partition_footprint(&log, &spec, 4, PartitionStrategy::default(), profile, slots)
             };
             let (one, two, four, many) = (fp(1), fp(2), fp(4), fp(64));
             // More slots charge more resident parts, monotonically, and
@@ -1211,7 +1189,6 @@ mod tests {
                 &log,
                 &spec,
                 4,
-                true,
                 PartitionStrategy::default(),
                 StorageProfile::Resident,
                 slots,
@@ -1268,18 +1245,16 @@ mod tests {
         StorageProfile::OnDisk,
     ];
 
-    /// Every `(symmetric, strategy, profile, slots)` the planner tests
-    /// sweep: both orientations and strategies, all profiles, 1 to 3 slots.
-    fn configurations() -> Vec<(bool, PartitionStrategy, StorageProfile, usize)> {
+    /// Every `(strategy, profile, slots)` the planner tests sweep: both
+    /// strategies, all profiles, 1 to 3 slots.
+    fn configurations() -> Vec<(PartitionStrategy, StorageProfile, usize)> {
         let mut all = Vec::new();
-        for symmetric in [true, false] {
-            for strategy in [
-                PartitionStrategy::EqualWindows,
-                PartitionStrategy::EqualEvents,
-            ] {
-                for profile in PROFILES {
-                    all.extend((1..=3).map(|slots| (symmetric, strategy, profile, slots)));
-                }
+        for strategy in [
+            PartitionStrategy::EqualWindows,
+            PartitionStrategy::EqualEvents,
+        ] {
+            for profile in PROFILES {
+                all.extend((1..=3).map(|slots| (strategy, profile, slots)));
             }
         }
         all
@@ -1293,14 +1268,12 @@ mod tests {
         log: &EventLog,
         spec: &WindowSpec,
         budget_bytes: usize,
-        symmetric: bool,
         strategy: PartitionStrategy,
         profile: StorageProfile,
         slots: usize,
     ) -> Result<usize, BudgetError> {
-        let footprint = |parts: usize| {
-            partition_footprint(log, spec, parts, symmetric, strategy, profile, slots)
-        };
+        let footprint =
+            |parts: usize| partition_footprint(log, spec, parts, strategy, profile, slots);
         let max = spec.count.max(1);
         let mut candidates: Vec<usize> = Vec::new();
         let mut c = 1usize;
@@ -1339,10 +1312,8 @@ mod tests {
         let log = sample_log();
         let spec = WindowSpec::covering(&log, 40, 20).unwrap();
         assert!(spec.count >= 6, "the sweep wants a ladder and a bisection");
-        for (symmetric, strategy, profile, slots) in configurations() {
-            let exact = |parts| {
-                partition_footprint(&log, &spec, parts, symmetric, strategy, profile, slots)
-            };
+        for (strategy, profile, slots) in configurations() {
+            let exact = |parts| partition_footprint(&log, &spec, parts, strategy, profile, slots);
             // Budgets on, just under and just over the exact footprint of
             // every candidate count: every decision the search can face
             // flips in here.
@@ -1351,13 +1322,9 @@ mod tests {
                 budgets.extend([fp - 1, fp, fp + 1]);
             }
             for budget in budgets {
-                let what = format!(
-                    "{profile:?} slots={slots} {strategy:?} symmetric={symmetric} budget={budget}"
-                );
-                let (stats, plan) =
-                    plan_partition(&log, &spec, budget, symmetric, strategy, profile, slots);
-                let oracle =
-                    trial_build_oracle(&log, &spec, budget, symmetric, strategy, profile, slots);
+                let what = format!("{profile:?} slots={slots} {strategy:?} budget={budget}");
+                let (stats, plan) = plan_partition(&log, &spec, budget, strategy, profile, slots);
+                let oracle = trial_build_oracle(&log, &spec, budget, strategy, profile, slots);
                 assert_eq!(
                     plan.as_ref().map(|p| p.parts).map_err(|e| *e),
                     oracle,
@@ -1386,15 +1353,11 @@ mod tests {
     fn lower_bound_is_sound_and_exact_for_resident() {
         let log = sample_log();
         let spec = WindowSpec::covering(&log, 40, 20).unwrap();
-        for (symmetric, strategy, profile, slots) in configurations() {
+        for (strategy, profile, slots) in configurations() {
             for parts in 1..=spec.count {
-                let bound =
-                    footprint_lower_bound(&log, &spec, parts, symmetric, strategy, profile, slots);
-                let exact =
-                    partition_footprint(&log, &spec, parts, symmetric, strategy, profile, slots);
-                let what = format!(
-                    "{profile:?} slots={slots} parts={parts} {strategy:?} symmetric={symmetric}"
-                );
+                let bound = footprint_lower_bound(&log, &spec, parts, strategy, profile, slots);
+                let exact = partition_footprint(&log, &spec, parts, strategy, profile, slots);
+                let what = format!("{profile:?} slots={slots} parts={parts} {strategy:?}");
                 assert!(bound <= exact, "{what}: bound {bound} > exact {exact}");
                 if profile == StorageProfile::Resident {
                     assert_eq!(bound, exact, "{what}");
@@ -1416,7 +1379,6 @@ mod tests {
                 &log,
                 &spec,
                 budget,
-                true,
                 PartitionStrategy::default(),
                 profile,
                 1,
@@ -1464,43 +1426,34 @@ mod tests {
         use crate::tcsr::tests::comparison_sort_build;
         let log = sample_log();
         let spec = WindowSpec::covering(&log, 40, 20).unwrap();
-        for symmetric in [true, false] {
-            let set = MultiWindowSet::build(&log, spec, 3, symmetric, PartitionStrategy::default())
-                .unwrap();
-            assert_eq!(set.num_parts(), 3);
-            for part in set.graphs() {
-                // The oracle part: this part's events under its vertex map,
-                // through the comparison-sort build.
-                let span = part.span();
-                let local: Vec<Event> = log
-                    .slice_by_time(span.start, span.end)
-                    .iter()
-                    .map(|e| {
-                        let l = |g| part.local_id(g).unwrap();
-                        Event::new(l(e.u), l(e.v), e.t)
-                    })
-                    .collect();
-                let n = part.num_local_vertices();
-                let tcsr = comparison_sort_build(n, &local, symmetric);
-                let reversed: Vec<Event> =
-                    local.iter().map(|e| Event::new(e.v, e.u, e.t)).collect();
-                let transpose = (!symmetric).then(|| comparison_sort_build(n, &reversed, false));
-                let oracle = MultiWindowGraph::from_raw_parts(
-                    part.windows(),
-                    span,
-                    part.vertex_map().into(),
-                    tcsr,
-                    transpose,
-                    part.window_ranges().into(),
-                );
-                assert_parts_equal(part, &oracle);
-                assert_eq!(
-                    CompressedPart::encode(part).payload(),
-                    CompressedPart::encode(&oracle).payload(),
-                    "symmetric={symmetric} windows {:?}",
-                    part.windows()
-                );
-            }
+        let set = MultiWindowSet::build(&log, spec, 3, true, PartitionStrategy::default()).unwrap();
+        assert_eq!(set.num_parts(), 3);
+        for part in set.graphs() {
+            // The oracle part: this part's events under its vertex map,
+            // through the comparison-sort build.
+            let span = part.span();
+            let local: Vec<Event> = log
+                .slice_by_time(span.start, span.end)
+                .iter()
+                .map(|e| {
+                    let l = |g| part.local_id(g).unwrap();
+                    Event::new(l(e.u), l(e.v), e.t)
+                })
+                .collect();
+            let oracle = MultiWindowGraph::from_raw_parts(
+                part.windows(),
+                span,
+                part.vertex_map().into(),
+                comparison_sort_build(part.num_local_vertices(), &local),
+                part.window_ranges().into(),
+            );
+            assert_parts_equal(part, &oracle);
+            assert_eq!(
+                CompressedPart::encode(part).payload(),
+                CompressedPart::encode(&oracle).payload(),
+                "windows {:?}",
+                part.windows()
+            );
         }
     }
 
@@ -1512,8 +1465,8 @@ mod tests {
     #[test]
     fn overflowing_payload_sums_are_corrupt_not_panics() {
         // Version, windows 0..0, `span`, no ranges, the vertex map `gaps`,
-        // no transpose, then a CSR whose first row holds `entries` and
-        // whose other rows are empty (degrees first).
+        // then a CSR whose first row holds `entries` and whose other rows
+        // are empty (degrees first).
         let payload = |span: i64, gaps: &[u64], entries: &[(u64, i64)]| {
             let mut b = vec![PAYLOAD_VERSION, 0, 0];
             put_ivarint(&mut b, span);
@@ -1521,7 +1474,6 @@ mod tests {
             b.push(0);
             put_uvarint(&mut b, gaps.len() as u64);
             gaps.iter().for_each(|&g| put_uvarint(&mut b, g));
-            b.push(0);
             put_uvarint(&mut b, gaps.len() as u64);
             put_uvarint(&mut b, entries.len() as u64);
             put_uvarint(&mut b, entries.len() as u64);

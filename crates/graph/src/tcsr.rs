@@ -111,13 +111,16 @@ fn prefix_sums(hist: &mut [usize]) {
 }
 
 impl TemporalCsr {
-    /// Builds the temporal CSR from an event log.
+    /// Builds the temporal CSR from an event log: each event `(u, v, t)`
+    /// stores entries in both `u`'s and `v`'s adjacency (the paper's
+    /// symmetrized window graphs, Fig. 3); a self-loop stores one.
     ///
-    /// With `symmetric = true` (the paper's default, cf. Fig. 3) each event
-    /// `(u, v, t)` stores entries in both `u`'s and `v`'s adjacency;
-    /// self-loop events store a single entry.
+    /// # Panics
+    /// Panics if `symmetric` is `false`: every build is symmetric, and the
+    /// flag stays only so that existing callers keep compiling.
     pub fn from_log(log: &EventLog, symmetric: bool) -> Self {
-        Self::from_time_sorted(log.num_vertices(), log.events(), symmetric, |v| v)
+        assert!(symmetric, "temporal CSRs are symmetric-only");
+        Self::from_time_sorted(log.num_vertices(), log.events(), |v| v)
     }
 
     /// Builds the temporal CSR from a raw slice of events in any order (one
@@ -128,7 +131,6 @@ impl TemporalCsr {
     /// let t = TemporalCsr::from_events(
     ///     3,
     ///     &[Event::new(0, 1, 5), Event::new(0, 1, 50), Event::new(1, 2, 60)],
-    ///     true,
     /// );
     /// // Edge (0,1) exists in any window containing t=5 or t=50.
     /// assert_eq!(t.active_degree(0, TimeRange::new(0, 10)), 1);
@@ -136,13 +138,13 @@ impl TemporalCsr {
     /// // Within one window, the two (0,1) events count as one edge.
     /// assert_eq!(t.active_degree(0, TimeRange::new(0, 100)), 1);
     /// ```
-    pub fn from_events(num_vertices: usize, events: &[Event], symmetric: bool) -> Self {
+    pub fn from_events(num_vertices: usize, events: &[Event]) -> Self {
         if events.windows(2).all(|w| w[0].t <= w[1].t) {
-            return Self::from_time_sorted(num_vertices, events, symmetric, |v| v);
+            return Self::from_time_sorted(num_vertices, events, |v| v);
         }
         let mut sorted = events.to_vec();
         sorted.sort_by_key(|e| e.t);
-        Self::from_time_sorted(num_vertices, &sorted, symmetric, |v| v)
+        Self::from_time_sorted(num_vertices, &sorted, |v| v)
     }
 
     /// The build: an LSD radix sort of the stored entries on `(source,
@@ -160,14 +162,13 @@ impl TemporalCsr {
     pub(crate) fn from_time_sorted(
         num_vertices: usize,
         events: &[Event],
-        symmetric: bool,
         local: impl Fn(VertexId) -> VertexId,
     ) -> Self {
         assert!(events.len() < 1 << 31, "event index must fit a 31-bit tag");
         let ends = |e: &Event| {
             let (u, v) = (local(e.u) as usize, local(e.v) as usize);
             debug_assert!(u.max(v) < num_vertices, "event vertex out of range");
-            (u, v, symmetric && u != v)
+            (u, v, u != v)
         };
         let mut row = vec![0usize; num_vertices + 1];
         let mut cursor = vec![0usize; num_vertices + 1];
@@ -238,41 +239,14 @@ impl TemporalCsr {
         }
     }
 
-    /// Builds the transpose: every stored entry `(u -> v, t)` becomes
-    /// `(v -> u, t)`. For a symmetric build this is a (wasteful) identity;
-    /// it exists for the directed mode where pull-PageRank needs in-edges.
-    ///
-    /// One stable counting scatter by column: rows walked in source order
-    /// visit a column's entries by `(source, time)`, the transposed order.
-    pub fn transpose(&self) -> TemporalCsr {
-        let n = self.num_vertices;
-        let mut row = vec![0usize; n + 1];
-        for &c in self.col.iter() {
-            row[c as usize + 1] += 1;
-        }
-        prefix_sums(&mut row);
-        let mut cursor = row.clone();
-        let mut col = vec![0 as VertexId; self.col.len()];
-        let mut time = vec![0 as Timestamp; self.col.len()];
-        for v in 0..n {
-            for i in self.row[v]..self.row[v + 1] {
-                let c = &mut cursor[self.col[i] as usize];
-                col[*c] = v as VertexId;
-                time[*c] = self.time[i];
-                *c += 1;
-            }
-        }
-        Self::from_raw(n, row, col, time)
-    }
-
     /// Number of vertices in the universe.
     #[inline]
     pub fn num_vertices(&self) -> usize {
         self.num_vertices
     }
 
-    /// Number of stored entries (= events, ×2 for a symmetric build minus
-    /// self-loops).
+    /// Number of stored entries (= twice the events, less one per
+    /// self-loop).
     #[inline]
     pub fn num_entries(&self) -> usize {
         self.col.len()
@@ -394,15 +368,11 @@ pub(crate) mod tests {
     /// The build the counting scatters replaced, kept as their oracle:
     /// scatter by source in input order, then comparison-sort every row by
     /// `(neighbor, time)`.
-    pub(crate) fn comparison_sort_build(
-        num_vertices: usize,
-        events: &[Event],
-        symmetric: bool,
-    ) -> TemporalCsr {
+    pub(crate) fn comparison_sort_build(num_vertices: usize, events: &[Event]) -> TemporalCsr {
         let mut rows: Vec<Vec<(VertexId, Timestamp)>> = vec![Vec::new(); num_vertices];
         for e in events {
             rows[e.u as usize].push((e.v, e.t));
-            if symmetric && e.u != e.v {
+            if e.u != e.v {
                 rows[e.v as usize].push((e.u, e.t));
             }
         }
@@ -423,26 +393,15 @@ pub(crate) mod tests {
         let mut events = paper_example();
         events.extend([ev(3, 3, 20), ev(0, 1, 0), ev(0, 1, 0), ev(5, 2, 20)]);
         let reversed: Vec<Event> = events.iter().rev().copied().collect();
-        for symmetric in [true, false] {
-            let oracle = comparison_sort_build(9, &events, symmetric);
-            assert_eq!(TemporalCsr::from_events(9, &events, symmetric), oracle);
-            assert_eq!(TemporalCsr::from_events(9, &reversed, symmetric), oracle);
-            let log = EventLog::from_unsorted(events.clone(), 9).unwrap();
-            assert_eq!(TemporalCsr::from_log(&log, symmetric), oracle);
-        }
+        let oracle = comparison_sort_build(9, &events);
+        assert_eq!(TemporalCsr::from_events(9, &events), oracle);
+        assert_eq!(TemporalCsr::from_events(9, &reversed), oracle);
+        let log = EventLog::from_unsorted(events.clone(), 9).unwrap();
+        assert_eq!(TemporalCsr::from_log(&log, true), oracle);
         assert_eq!(
-            TemporalCsr::from_events(0, &[], true),
-            comparison_sort_build(0, &[], true)
+            TemporalCsr::from_events(0, &[]),
+            comparison_sort_build(0, &[])
         );
-    }
-
-    #[test]
-    fn transpose_equals_rebuilding_from_reversed_events() {
-        let events = paper_example();
-        let reversed: Vec<Event> = events.iter().map(|e| ev(e.v, e.u, e.t)).collect();
-        let t = TemporalCsr::from_events(7, &events, false);
-        assert_eq!(t.transpose(), comparison_sort_build(7, &reversed, false));
-        assert_eq!(t.transpose().transpose(), t);
     }
 
     /// The 7-vertex example of the paper's Fig. 2/3, with vertex ids shifted
@@ -468,7 +427,7 @@ pub(crate) mod tests {
 
     #[test]
     fn build_sorts_runs_by_neighbor_then_time() {
-        let t = TemporalCsr::from_events(7, &paper_example(), true);
+        let t = TemporalCsr::from_events(7, &paper_example());
         // Vertex 0 (paper's vertex 1): neighbors 1 (t=0,137) and 2 (t=138).
         let runs: Vec<(u32, Vec<i64>)> =
             t.runs(0).map(|r| (r.neighbor, r.times.to_vec())).collect();
@@ -482,15 +441,13 @@ pub(crate) mod tests {
     #[test]
     fn entry_count_is_twice_events_for_symmetric() {
         let events = paper_example();
-        let t = TemporalCsr::from_events(7, &events, true);
+        let t = TemporalCsr::from_events(7, &events);
         assert_eq!(t.num_entries(), 2 * events.len());
-        let d = TemporalCsr::from_events(7, &events, false);
-        assert_eq!(d.num_entries(), events.len());
     }
 
     #[test]
     fn self_loops_stored_once_in_symmetric_build() {
-        let t = TemporalCsr::from_events(2, &[ev(0, 0, 3), ev(0, 1, 4)], true);
+        let t = TemporalCsr::from_events(2, &[ev(0, 0, 3), ev(0, 1, 4)]);
         assert_eq!(t.num_entries(), 3);
         let runs: Vec<u32> = t.runs(0).map(|r| r.neighbor).collect();
         assert_eq!(runs, vec![0, 1]);
@@ -511,7 +468,7 @@ pub(crate) mod tests {
         // Paper Fig. 2a: T1 = days [-20, 86] approx (6/1 - 9/15). With our
         // day numbering (06/21 = 0), T1 ≈ [-20, 86], T2 ≈ [10, 116],
         // T3 ≈ [41, 208].
-        let t = TemporalCsr::from_events(7, &paper_example(), true);
+        let t = TemporalCsr::from_events(7, &paper_example());
         let t1 = TimeRange::new(-20, 86);
         let t2 = TimeRange::new(10, 116);
         let t3 = TimeRange::new(41, 208);
@@ -545,7 +502,7 @@ pub(crate) mod tests {
     #[test]
     fn active_degree_dedups_multi_events() {
         // Two events on the same pair within the window: degree counts 1.
-        let t = TemporalCsr::from_events(2, &[ev(0, 1, 5), ev(0, 1, 7)], true);
+        let t = TemporalCsr::from_events(2, &[ev(0, 1, 5), ev(0, 1, 7)]);
         assert_eq!(t.active_degree(0, TimeRange::new(0, 10)), 1);
         assert_eq!(t.active_degree(0, TimeRange::new(6, 10)), 1);
         assert_eq!(t.active_degree(0, TimeRange::new(8, 10)), 0);
@@ -553,7 +510,7 @@ pub(crate) mod tests {
 
     #[test]
     fn active_counts_and_vertex_sets() {
-        let t = TemporalCsr::from_events(7, &paper_example(), true);
+        let t = TemporalCsr::from_events(7, &paper_example());
         let t1 = TimeRange::new(-20, 86);
         // T1 active edges (paper Fig. 2a): (1,2),(3,5),(4,6),(2,3),(2,4),(5,6)
         // in 1-based ids = 6 undirected edges = 12 directed.
@@ -563,7 +520,7 @@ pub(crate) mod tests {
 
     #[test]
     fn active_degrees_bulk_matches_single() {
-        let t = TemporalCsr::from_events(7, &paper_example(), true);
+        let t = TemporalCsr::from_events(7, &paper_example());
         let range = TimeRange::new(10, 116);
         let mut deg = vec![0u32; 7];
         t.active_degrees(range, &mut deg);
@@ -573,28 +530,18 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn transpose_of_directed_reverses() {
-        let t = TemporalCsr::from_events(3, &[ev(0, 1, 1), ev(0, 2, 2), ev(2, 1, 3)], false);
-        let tt = t.transpose();
-        let runs: Vec<(u32, Vec<i64>)> =
-            tt.runs(1).map(|r| (r.neighbor, r.times.to_vec())).collect();
-        assert_eq!(runs, vec![(0, vec![1]), (2, vec![3])]);
-        assert_eq!(tt.num_entries(), t.num_entries());
-    }
-
-    #[test]
     fn from_log_equals_from_events() {
         let events = paper_example();
         let log = EventLog::from_unsorted(events.clone(), 7).unwrap();
         let a = TemporalCsr::from_log(&log, true);
-        let b = TemporalCsr::from_events(7, &events, true);
+        let b = TemporalCsr::from_events(7, &events);
         assert_eq!(a, b);
     }
 
     #[test]
     fn time_bounds_prune_correctly() {
         let events = [ev(0, 1, 10), ev(2, 3, 100)];
-        let t = TemporalCsr::from_events(4, &events, true);
+        let t = TemporalCsr::from_events(4, &events);
         // Vertex 0's only event is at t=10.
         assert!(t.vertex_may_be_active(0, TimeRange::new(0, 20)));
         assert!(!t.vertex_may_be_active(0, TimeRange::new(50, 200)));
@@ -621,7 +568,7 @@ pub(crate) mod tests {
 
     #[test]
     fn memory_bytes_counts_all_arrays() {
-        let t = TemporalCsr::from_events(2, &[ev(0, 1, 5)], true);
+        let t = TemporalCsr::from_events(2, &[ev(0, 1, 5)]);
         // row: 3*8, col: 2*4, time: 2*8, bounds: 2*16
         assert_eq!(t.memory_bytes(), 24 + 8 + 16 + 32);
     }

@@ -1,21 +1,20 @@
 //! Window membership of a multi-window graph's runs, decided once per part.
 //!
-//! Every PageRank kernel needs, per window: the pull runs the window holds,
-//! the active vertex set, the out-degree (and its reciprocal) of each
-//! active vertex, and the dangling vertices. A [`WindowIndex`] decides all
-//! of it for every window a [`MultiWindowGraph`](crate::MultiWindowGraph)
-//! serves in **one** pass over the part's pull runs — the only place the
-//! indexed kernels, and every lane batch, read timestamps (the unindexed
-//! batch entries build an index over their own windows). For every run
-//! live in at least one window the pass stores the neighbour once and a
-//! bitset of `⌈nw/8⌉` bytes naming the windows that hold it
-//! ([`LiveRuns`]); the active lists,
-//! degrees and dangling sets are derived from those bits. A directed part
-//! adds one pass over its push runs for out-degrees and keeps no bits from
-//! it. The kernels then read the bits: the SpMV kernel filters the run list
-//! by its window's bit, the batched kernel turns each view's bit into its
-//! lane, and a window's degree/activity setup is an `O(|V_w active|)` copy
-//! out of [`WindowIndexView`].
+//! Every PageRank kernel needs, per window: the runs the window holds, the
+//! active vertex set, and the degree (and its reciprocal) of each active
+//! vertex. A [`WindowIndex`] decides all of it for every window a
+//! [`MultiWindowGraph`](crate::MultiWindowGraph) serves in **one** pass
+//! over the part's runs — the only place the indexed kernels, and every
+//! lane batch, read timestamps (the unindexed batch entries build an index
+//! over their own windows). For every run live in at least one window the
+//! pass stores the neighbour once and a bitset of `⌈nw/8⌉` bytes naming the
+//! windows that hold it ([`LiveRuns`]); the active lists and degrees are
+//! derived from those bits. Parts are symmetric, so a run is both an in-
+//! and an out-edge, and every vertex a window holds has a degree of at
+//! least one. The kernels then read the bits: the SpMV kernel filters the
+//! run list by its window's bit, the batched kernel turns each view's bit
+//! into its lane, and a window's degree/activity setup is an
+//! `O(|V_w active|)` copy out of [`WindowIndexView`].
 //!
 //! ## The pass
 //! `WindowSegments` cuts the time axis at every window's start and at
@@ -41,8 +40,7 @@
 //! byte: about 6 ns an entry on `few-large-windows`' part (8 windows, 107 k
 //! entries, 58 k live runs, one 2-vCPU Xeon guest), where the run-by-run
 //! pass took 14–16 ns. Masks of up to 64 windows stay in one word, and
-//! wider ones in words, through the same code; a directed part's push pass
-//! is the same walk, counted but not packed.
+//! wider ones in words, through the same code.
 //!
 //! The index is not charged to a part's memory budget: the planner's
 //! footprint is [`MultiWindowGraph::storage_bytes`](crate::MultiWindowGraph::storage_bytes),
@@ -398,7 +396,7 @@ impl<B: Bits> RowScratch<B> {
     }
 }
 
-/// The pull runs of a part that at least one indexed window holds, with
+/// The runs of a part that at least one indexed window holds, with
 /// the bits of the windows that hold each: the index's run list, which
 /// every view of one index shares.
 #[derive(Debug, Clone, Copy)]
@@ -432,9 +430,9 @@ impl<'a> LiveRuns<'a> {
     }
 }
 
-/// Precomputed per-window run membership, active lists, degrees and
-/// dangling sets for all windows served by one multi-window graph. Vertex
-/// ids are the part's local ids (the same space its [`TemporalCsr`] uses).
+/// Precomputed per-window run membership, active lists and degrees for all
+/// windows served by one multi-window graph. Vertex ids are the part's
+/// local ids (the same space its [`TemporalCsr`] uses).
 #[derive(Debug, Clone, PartialEq)]
 pub struct WindowIndex {
     /// The time range of each indexed window, in window order.
@@ -443,14 +441,10 @@ pub struct WindowIndex {
     off: Box<[usize]>,
     /// Active vertices per window, ascending within each window.
     vertex: Box<[VertexId]>,
-    /// Out-degree aligned with `vertex` (0 for dangling vertices).
+    /// Degree aligned with `vertex`, at least one.
     deg_out: Box<[u32]>,
-    /// `1 / deg_out` aligned with `vertex` (0.0 for dangling vertices).
+    /// `1 / deg_out` aligned with `vertex`.
     inv_deg: Box<[f64]>,
-    /// Offsets into `dangling` (`W + 1` entries).
-    dang_off: Box<[usize]>,
-    /// Dangling vertices (active with zero out-degree) per window, ascending.
-    dangling: Box<[VertexId]>,
     /// [`LiveRuns::row`].
     run_row: Box<[usize]>,
     /// [`LiveRuns::nbr`].
@@ -470,13 +464,11 @@ pub struct WindowIndexView<'a> {
     pub window: usize,
     /// Vertices active in the window (local ids, ascending).
     pub vertices: &'a [VertexId],
-    /// Out-degree per active vertex, aligned with `vertices`.
+    /// Degree per active vertex, aligned with `vertices`: at least one.
     pub deg_out: &'a [u32],
-    /// Reciprocal out-degree per active vertex (0.0 where dangling).
+    /// Reciprocal degree per active vertex.
     pub inv_deg: &'a [f64],
-    /// Active vertices with zero out-degree, ascending.
-    pub dangling: &'a [VertexId],
-    /// The part's live pull runs, shared by every view of the index.
+    /// The part's live runs, shared by every view of the index.
     pub runs: LiveRuns<'a>,
 }
 
@@ -513,93 +505,63 @@ fn sort_by_window(
 }
 
 impl WindowIndex {
-    /// Builds the index over `ranges` (any order) for a part whose
-    /// out-edges live in `push`. For directed builds, `pull` must be the
-    /// in-edge transpose so vertices that only *receive* edges still join
-    /// the active set; pass `None` for symmetric builds (out-activity is all
-    /// activity there, and the pull runs are the push runs).
-    pub fn build(push: &TemporalCsr, pull: Option<&TemporalCsr>, ranges: &[TimeRange]) -> Self {
+    /// Builds the index over `ranges` (any order) for a part's symmetric
+    /// temporal CSR.
+    pub fn build(tcsr: &TemporalCsr, ranges: &[TimeRange]) -> Self {
         let segments = WindowSegments::new(ranges);
         if segments.words() == 1 {
-            Self::build_with::<u64>(push, pull, ranges, &segments)
+            Self::build_with::<u64>(tcsr, ranges, &segments)
         } else {
-            Self::build_with::<Vec<u64>>(push, pull, ranges, &segments)
+            Self::build_with::<Vec<u64>>(tcsr, ranges, &segments)
         }
     }
 
     /// [`Self::build`] with the pass's window bits held as `B`.
     fn build_with<B: Bits>(
-        push: &TemporalCsr,
-        pull: Option<&TemporalCsr>,
+        tcsr: &TemporalCsr,
         ranges: &[TimeRange],
         segments: &WindowSegments,
     ) -> Self {
         let nw = ranges.len();
         let bytes = nw.div_ceil(8);
         let words = segments.words();
-        let pull_runs = pull.unwrap_or(push);
-        let n = pull_runs.num_vertices();
-        debug_assert_eq!(push.num_vertices(), n);
+        let n = tcsr.num_vertices();
 
         // A run holds at least one entry, so the stored entries bound the
         // runs a row is packed over (plus the bits' 8-byte overhang), and
         // the list never reallocates; capacity the pass never writes is
         // never resident.
         let mut run_row = Vec::with_capacity(n + 1);
-        let mut run_nbr = Vec::with_capacity(pull_runs.num_entries());
-        let mut run_bits = Vec::with_capacity(pull_runs.num_entries() * bytes + 8);
+        let mut run_nbr = Vec::with_capacity(tcsr.num_entries());
+        let mut run_bits = Vec::with_capacity(tcsr.num_entries() * bytes + 8);
         run_row.push(0);
-        // (window, vertex, out-degree) of every active (window, vertex).
+        // (window, vertex, degree) of every active (window, vertex).
         let mut entries: Vec<(u32, VertexId, u32)> = Vec::new();
-        let width = [pull_runs, push]
-            .iter()
-            .flat_map(|t| t.row_offsets().windows(2).map(|r| r[1] - r[0]))
+        let width = (tcsr.row_offsets().windows(2))
+            .map(|r| r[1] - r[0])
             .max()
             .unwrap_or(0);
         let mut row = RowScratch::<B>::new(width, words, bytes);
         for v in 0..n as VertexId {
-            let (col, time) = pull_runs.entries(v);
-            let mut runs = row.walk(segments, col, time);
+            let (col, time) = tcsr.entries(v);
+            let runs = row.walk(segments, col, time);
             row.pack(runs, &mut run_nbr, &mut run_bits);
             run_row.push(run_nbr.len());
-            if pull.is_some() {
-                let (col, time) = push.entries(v);
-                runs = row.walk(segments, col, time);
-            }
             row.count(runs);
             row.finish_row(|j, deg| entries.push((j as u32, v, deg)));
         }
         let (off, sorted) = sort_by_window(&entries, nw);
         drop(entries);
 
-        let mut vertex = Vec::with_capacity(sorted.len());
-        let mut deg_out = Vec::with_capacity(sorted.len());
-        let mut inv_deg = Vec::with_capacity(sorted.len());
-        let mut dang_off = Vec::with_capacity(nw + 1);
-        let mut dangling = Vec::new();
-        dang_off.push(0);
-        for j in 0..nw {
-            for &(v, d) in &sorted[off[j]..off[j + 1]] {
-                vertex.push(v);
-                deg_out.push(d);
-                if d > 0 {
-                    inv_deg.push(1.0 / d as f64);
-                } else {
-                    inv_deg.push(0.0);
-                    dangling.push(v);
-                }
-            }
-            dang_off.push(dangling.len());
-        }
-
+        let vertex = sorted.iter().map(|&(v, _)| v).collect();
+        let deg_out = sorted.iter().map(|&(_, d)| d).collect();
+        let inv_deg = sorted.iter().map(|&(_, d)| 1.0 / d as f64).collect();
         WindowIndex {
-            ranges: ranges.to_vec().into_boxed_slice(),
+            ranges: ranges.into(),
             off: off.into_boxed_slice(),
-            vertex: vertex.into_boxed_slice(),
-            deg_out: deg_out.into_boxed_slice(),
-            inv_deg: inv_deg.into_boxed_slice(),
-            dang_off: dang_off.into_boxed_slice(),
-            dangling: dangling.into_boxed_slice(),
+            vertex,
+            deg_out,
+            inv_deg,
             run_row: run_row.into_boxed_slice(),
             run_nbr: run_nbr.into_boxed_slice(),
             run_bits: run_bits.into_boxed_slice(),
@@ -618,7 +580,7 @@ impl WindowIndex {
         &self.ranges
     }
 
-    /// The part's live pull runs with their window bits.
+    /// The part's live runs with their window bits.
     #[inline]
     pub fn live_runs(&self) -> LiveRuns<'_> {
         LiveRuns {
@@ -642,7 +604,6 @@ impl WindowIndex {
             vertices: &self.vertex[lo..hi],
             deg_out: &self.deg_out[lo..hi],
             inv_deg: &self.inv_deg[lo..hi],
-            dangling: &self.dangling[self.dang_off[j]..self.dang_off[j + 1]],
             runs: self.live_runs(),
         }
     }
@@ -656,10 +617,8 @@ impl WindowIndex {
     /// Approximate heap footprint in bytes.
     pub fn memory_bytes(&self) -> usize {
         self.ranges.len() * std::mem::size_of::<TimeRange>()
-            + (self.off.len() + self.dang_off.len() + self.run_row.len())
-                * std::mem::size_of::<usize>()
-            + (self.vertex.len() + self.dangling.len() + self.run_nbr.len())
-                * std::mem::size_of::<VertexId>()
+            + (self.off.len() + self.run_row.len()) * std::mem::size_of::<usize>()
+            + (self.vertex.len() + self.run_nbr.len()) * std::mem::size_of::<VertexId>()
             + self.deg_out.len() * std::mem::size_of::<u32>()
             + self.inv_deg.len() * std::mem::size_of::<f64>()
             + self.run_bits.len()
@@ -682,25 +641,17 @@ mod tests {
 
     /// Brute-force index check against `TemporalCsr::active_degree` and,
     /// for the run list, `NeighborRun::active_in`.
-    fn check_against_bruteforce(
-        push: &TemporalCsr,
-        pull: Option<&TemporalCsr>,
-        ranges: &[TimeRange],
-    ) {
-        let idx = WindowIndex::build(push, pull, ranges);
+    fn check_against_bruteforce(t: &TemporalCsr, ranges: &[TimeRange]) {
+        let idx = WindowIndex::build(t, ranges);
         assert_eq!(idx.num_windows(), ranges.len());
         for (j, &range) in ranges.iter().enumerate() {
             let view = idx.view(j);
             assert_eq!(view.range, range);
             assert_eq!(view.window, j);
-            let mut expect: Vec<(VertexId, u32)> = Vec::new();
-            for v in 0..push.num_vertices() as VertexId {
-                let d = push.active_degree(v, range) as u32;
-                let active = d > 0 || pull.is_some_and(|p| p.active_degree(v, range) > 0);
-                if active {
-                    expect.push((v, d));
-                }
-            }
+            let expect: Vec<(VertexId, u32)> = (0..t.num_vertices() as VertexId)
+                .map(|v| (v, t.active_degree(v, range) as u32))
+                .filter(|&(_, d)| d > 0)
+                .collect();
             let got: Vec<(VertexId, u32)> = view
                 .vertices
                 .iter()
@@ -708,32 +659,18 @@ mod tests {
                 .zip(view.deg_out.iter().copied())
                 .collect();
             assert_eq!(got, expect, "window {j}");
-            let expect_dangling: Vec<VertexId> = expect
-                .iter()
-                .filter(|&&(_, d)| d == 0)
-                .map(|&(v, _)| v)
-                .collect();
-            assert_eq!(view.dangling, &expect_dangling[..], "window {j} dangling");
             for (i, &v) in view.vertices.iter().enumerate() {
                 let d = view.deg_out[i];
-                if d > 0 {
-                    assert!(
-                        (view.inv_deg[i] - 1.0 / d as f64).abs() < 1e-15,
-                        "vertex {v}"
-                    );
-                } else {
-                    assert_eq!(view.inv_deg[i], 0.0);
-                }
+                assert_eq!(view.inv_deg[i], 1.0 / d as f64, "vertex {v}");
             }
         }
-        // The run list: every pull run some window holds, with exactly the
+        // The run list: every run some window holds, with exactly the
         // windows `active_in` names, and no other run.
-        let pull = pull.unwrap_or(push);
         let runs = idx.live_runs();
         let mut i = 0;
-        for v in 0..pull.num_vertices() as VertexId {
+        for v in 0..t.num_vertices() as VertexId {
             assert_eq!(runs.row[v as usize], i, "vertex {v}");
-            for run in pull.runs(v) {
+            for run in t.runs(v) {
                 let live: Vec<bool> = ranges.iter().map(|&r| run.active_in(r)).collect();
                 if !live.contains(&true) {
                     continue;
@@ -746,7 +683,7 @@ mod tests {
             }
             for (j, &range) in ranges.iter().enumerate() {
                 let got: Vec<VertexId> = runs.neighbors_in(v, j).collect();
-                let want: Vec<VertexId> = pull.active_neighbors(v, range).collect();
+                let want: Vec<VertexId> = t.active_neighbors(v, range).collect();
                 assert_eq!(got, want, "vertex {v} window {j}");
             }
         }
@@ -772,33 +709,25 @@ mod tests {
 
     #[test]
     fn symmetric_index_matches_bruteforce() {
-        let t = TemporalCsr::from_events(20, &sample_events(), true);
+        let t = TemporalCsr::from_events(20, &sample_events());
         let ranges = spec_ranges(0, 90, 40, 11);
-        check_against_bruteforce(&t, None, &ranges);
-    }
-
-    #[test]
-    fn directed_index_matches_bruteforce() {
-        let out = TemporalCsr::from_events(20, &sample_events(), false);
-        let pull = out.transpose();
-        let ranges = spec_ranges(0, 90, 40, 11);
-        check_against_bruteforce(&out, Some(&pull), &ranges);
+        check_against_bruteforce(&t, &ranges);
     }
 
     #[test]
     fn overlapping_and_disjoint_grids() {
-        let t = TemporalCsr::from_events(20, &sample_events(), true);
+        let t = TemporalCsr::from_events(20, &sample_events());
         // Heavy overlap (delta >> sw), no overlap, and sparse coverage.
         for (delta, sw) in [(200, 10), (30, 30), (10, 120)] {
             let count = (460 / sw + 1) as usize;
-            check_against_bruteforce(&t, None, &spec_ranges(0, delta, sw, count));
+            check_against_bruteforce(&t, &spec_ranges(0, delta, sw, count));
         }
     }
 
     #[test]
     fn single_window() {
-        let t = TemporalCsr::from_events(20, &sample_events(), true);
-        check_against_bruteforce(&t, None, &spec_ranges(50, 100, 1, 1));
+        let t = TemporalCsr::from_events(20, &sample_events());
+        check_against_bruteforce(&t, &spec_ranges(50, 100, 1, 1));
     }
 
     #[test]
@@ -808,8 +737,8 @@ mod tests {
             Event::new(1, 2, -10),
             Event::new(2, 3, 25),
         ];
-        let t = TemporalCsr::from_events(4, &events, true);
-        check_against_bruteforce(&t, None, &spec_ranges(-60, 40, 25, 5));
+        let t = TemporalCsr::from_events(4, &events);
+        check_against_bruteforce(&t, &spec_ranges(-60, 40, 25, 5));
     }
 
     #[test]
@@ -826,11 +755,8 @@ mod tests {
             TimeRange::new(90, 80),
             TimeRange::new(440, Timestamp::MAX),
         ];
-        for symmetric in [true, false] {
-            let out = TemporalCsr::from_events(20, &sample_events(), symmetric);
-            let pull = (!symmetric).then(|| out.transpose());
-            check_against_bruteforce(&out, pull.as_ref(), &ranges);
-        }
+        let t = TemporalCsr::from_events(20, &sample_events());
+        check_against_bruteforce(&t, &ranges);
     }
 
     /// `count` events over 20 vertices at pseudo-random times in `0..1000`.
@@ -860,20 +786,16 @@ mod tests {
             TimeRange::new(500, 501),
         ];
         for seed in 0..8 {
-            let events = random_events(400, seed);
-            for symmetric in [true, false] {
-                let out = TemporalCsr::from_events(20, &events, symmetric);
-                let pull = (!symmetric).then(|| out.transpose());
-                check_against_bruteforce(&out, pull.as_ref(), &ranges);
-            }
+            let t = TemporalCsr::from_events(20, &random_events(400, seed));
+            check_against_bruteforce(&t, &ranges);
         }
     }
 
     #[test]
     fn window_counts_past_one_byte_and_one_word() {
-        let t = TemporalCsr::from_events(20, &sample_events(), true);
+        let t = TemporalCsr::from_events(20, &sample_events());
         for count in [8, 9, 64, 65, 130] {
-            check_against_bruteforce(&t, None, &spec_ranges(-5, 30, 4, count));
+            check_against_bruteforce(&t, &spec_ranges(-5, 30, 4, count));
         }
     }
 
@@ -883,17 +805,14 @@ mod tests {
         // its last bucket, on every build.
         let (min, max) = (Timestamp::MIN, Timestamp::MAX);
         let events = [Event::new(0, 1, min), Event::new(0, 1, max)];
-        for symmetric in [true, false] {
-            let out = TemporalCsr::from_events(2, &events, symmetric);
-            let pull = (!symmetric).then(|| out.transpose());
-            for ranges in [
-                vec![TimeRange::new(min, min + 5)],
-                vec![TimeRange::new(max - 5, max)],
-                vec![TimeRange::new(min + 1, max - 1)],
-                vec![TimeRange::new(min, min), TimeRange::new(max, max)],
-            ] {
-                check_against_bruteforce(&out, pull.as_ref(), &ranges);
-            }
+        let t = TemporalCsr::from_events(2, &events);
+        for ranges in [
+            vec![TimeRange::new(min, min + 5)],
+            vec![TimeRange::new(max - 5, max)],
+            vec![TimeRange::new(min + 1, max - 1)],
+            vec![TimeRange::new(min, min), TimeRange::new(max, max)],
+        ] {
+            check_against_bruteforce(&t, &ranges);
         }
     }
 
@@ -904,36 +823,32 @@ mod tests {
         let events: Vec<Event> = (1..=600u32)
             .flat_map(|v| [Event::new(0, v, v as i64), Event::new(0, v, 700 - v as i64)])
             .collect();
-        for symmetric in [true, false] {
-            let out = TemporalCsr::from_events(601, &events, symmetric);
-            let pull = (!symmetric).then(|| out.transpose());
-            for count in [3, 9, 70] {
-                check_against_bruteforce(&out, pull.as_ref(), &spec_ranges(-50, 400, 10, count));
-            }
+        let t = TemporalCsr::from_events(601, &events);
+        for count in [3, 9, 70] {
+            check_against_bruteforce(&t, &spec_ranges(-50, 400, 10, count));
         }
     }
 
     #[test]
     fn empty_windows_have_empty_views() {
-        let t = TemporalCsr::from_events(3, &[Event::new(0, 1, 5)], true);
+        let t = TemporalCsr::from_events(3, &[Event::new(0, 1, 5)]);
         let ranges = spec_ranges(100, 10, 10, 3);
-        let idx = WindowIndex::build(&t, None, &ranges);
+        let idx = WindowIndex::build(&t, &ranges);
         for j in 0..3 {
             assert_eq!(idx.view(j).active_count(), 0);
-            assert!(idx.view(j).dangling.is_empty());
         }
         assert_eq!(idx.total_active_entries(), 0);
         assert!(idx.live_runs().nbr.is_empty());
-        let none = WindowIndex::build(&t, None, &[]);
+        let none = WindowIndex::build(&t, &[]);
         assert_eq!(none.num_windows(), 0);
         assert!(none.live_runs().nbr.is_empty());
     }
 
     #[test]
     fn memory_bytes_positive_and_scales() {
-        let t = TemporalCsr::from_events(20, &sample_events(), true);
-        let small = WindowIndex::build(&t, None, &spec_ranges(0, 50, 100, 2));
-        let large = WindowIndex::build(&t, None, &spec_ranges(0, 200, 20, 20));
+        let t = TemporalCsr::from_events(20, &sample_events());
+        let small = WindowIndex::build(&t, &spec_ranges(0, 50, 100, 2));
+        let large = WindowIndex::build(&t, &spec_ranges(0, 200, 20, 20));
         assert!(small.memory_bytes() > 0);
         assert!(large.memory_bytes() > small.memory_bytes());
     }

@@ -50,7 +50,8 @@ impl fmt::Display for NumericFault {
 /// Errors from the PageRank kernels.
 #[derive(Debug, Clone, PartialEq)]
 pub enum KernelError {
-    /// `pull` and `push` structures cover different vertex universes.
+    /// `pull` and `push` structures cover different vertex universes (the
+    /// dense oracle, which still takes a directed pair).
     MismatchedUniverses {
         /// Vertices in the pull structure.
         pull: usize,
@@ -100,6 +101,9 @@ pub enum KernelError {
     /// A query batch contained no queries (or was given no windows) — a
     /// batched run over nothing is a caller bug, not an empty result.
     EmptyBatch,
+    /// A kernel was given two structures as `pull` and `push`: window
+    /// graphs are symmetric, and an entry takes one structure twice.
+    NotSymmetric,
     /// A window-index view is not over the kernel's vertex universe, or a
     /// batch's views do not all come from one index (their run lists
     /// differ).
@@ -145,6 +149,10 @@ impl fmt::Display for KernelError {
             KernelError::EmptyBatch => {
                 write!(f, "query batch is empty (no queries or no windows)")
             }
+            KernelError::NotSymmetric => write!(
+                f,
+                "pull and push must be one symmetric structure, passed twice"
+            ),
             KernelError::ForeignIndexViews => write!(
                 f,
                 "index views must come from one window index over the kernel's vertices"

@@ -159,7 +159,7 @@ mod tests {
     #[test]
     fn star_center_scores_highest() {
         let events: Vec<Event> = (1..6).map(|v| ev(0, v, 1)).collect();
-        let t = TemporalCsr::from_events(6, &events, true);
+        let t = TemporalCsr::from_events(6, &events);
         let k = katz_window(&t, TimeRange::new(0, 10), &katz_cfg());
         assert!(k.converged);
         for leaf in 1..6 {
@@ -178,7 +178,7 @@ mod tests {
                 events.push(ev(u, v, 1));
             }
         }
-        let t = TemporalCsr::from_events(15, &events, true);
+        let t = TemporalCsr::from_events(15, &events);
         let range = TimeRange::new(0, 10);
         let k = katz_window(&t, range, &katz_cfg());
         let edges: Vec<(u32, u32)> = events.iter().map(|e| (e.u, e.v)).collect();
@@ -190,7 +190,7 @@ mod tests {
 
     #[test]
     fn window_filtering_applies() {
-        let t = TemporalCsr::from_events(3, &[ev(0, 1, 1), ev(1, 2, 100)], true);
+        let t = TemporalCsr::from_events(3, &[ev(0, 1, 1), ev(1, 2, 100)]);
         let early = katz_window(&t, TimeRange::new(0, 10), &katz_cfg());
         assert_eq!(early.score[2], 0.0);
         assert!(early.score[0] > 1.0);
@@ -201,7 +201,7 @@ mod tests {
 
     #[test]
     fn empty_window() {
-        let t = TemporalCsr::from_events(2, &[ev(0, 1, 5)], true);
+        let t = TemporalCsr::from_events(2, &[ev(0, 1, 5)]);
         let k = katz_window(&t, TimeRange::new(50, 60), &katz_cfg());
         assert!(k.converged);
         assert_eq!(k.score, vec![0.0, 0.0]);
@@ -210,7 +210,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "alpha_fraction")]
     fn invalid_alpha_rejected() {
-        let t = TemporalCsr::from_events(2, &[ev(0, 1, 5)], true);
+        let t = TemporalCsr::from_events(2, &[ev(0, 1, 5)]);
         katz_window(
             &t,
             TimeRange::new(0, 10),

@@ -7,8 +7,10 @@
 //! (in this crate's convention `α` is the teleport weight, so the damping
 //! factor multiplying the transition matrix is `1-α`; the paper writes the
 //! same system with its `α` denoting the damping factor). Dangling columns
-//! are replaced by the uniform teleport column, exactly as the iterative
-//! kernels redistribute dangling mass.
+//! are replaced by the uniform teleport column, as
+//! [`crate::reference_pagerank`] redistributes dangling mass. The solver
+//! stays general over a `(pull, push)` pair; the kernels it checks read
+//! symmetric windows, which have no dangling column.
 //!
 //! The solver is dense Gaussian elimination with partial pivoting —
 //! `O(n³)`, intended for validation and for exact answers on small
@@ -157,7 +159,7 @@ mod tests {
                 events.push(Event::new(u, v, i as i64));
             }
         }
-        let t = TemporalCsr::from_events(18, &events, true);
+        let t = TemporalCsr::from_events(18, &events);
         for range in [TimeRange::new(0, 60), TimeRange::new(30, 120)] {
             let exact = solve_pagerank_exact(&t, &t, range, &cfg(), 100).unwrap();
             let (iter, _) =
@@ -176,34 +178,9 @@ mod tests {
     }
 
     #[test]
-    fn exact_solution_matches_power_iteration_directed_with_dangling() {
-        // 2 is a pure sink (dangling).
-        let events = vec![
-            Event::new(0, 1, 1),
-            Event::new(1, 2, 2),
-            Event::new(0, 2, 3),
-            Event::new(3, 0, 4),
-        ];
-        let out = TemporalCsr::from_events(4, &events, false);
-        let pull = out.transpose();
-        let range = TimeRange::new(0, 10);
-        let exact = solve_pagerank_exact(&pull, &out, range, &cfg(), 100).unwrap();
-        let (iter, _) =
-            pagerank_window_vec(&pull, &out, range, Init::Uniform, &cfg(), None).unwrap();
-        for v in 0..4 {
-            assert!(
-                (exact[v] - iter[v]).abs() < 1e-10,
-                "vertex {v}: {} vs {}",
-                exact[v],
-                iter[v]
-            );
-        }
-    }
-
-    #[test]
     fn two_vertex_closed_form() {
         // Symmetric pair: exact solution is (1/2, 1/2).
-        let t = TemporalCsr::from_events(2, &[Event::new(0, 1, 1)], true);
+        let t = TemporalCsr::from_events(2, &[Event::new(0, 1, 1)]);
         let x = solve_pagerank_exact(&t, &t, TimeRange::new(0, 10), &cfg(), 10).unwrap();
         assert!((x[0] - 0.5).abs() < 1e-12);
         assert!((x[1] - 0.5).abs() < 1e-12);
@@ -211,7 +188,7 @@ mod tests {
 
     #[test]
     fn empty_window_is_zero() {
-        let t = TemporalCsr::from_events(3, &[Event::new(0, 1, 5)], true);
+        let t = TemporalCsr::from_events(3, &[Event::new(0, 1, 5)]);
         let x = solve_pagerank_exact(&t, &t, TimeRange::new(50, 60), &cfg(), 10).unwrap();
         assert_eq!(x, vec![0.0; 3]);
     }
@@ -219,7 +196,7 @@ mod tests {
     #[test]
     fn size_guard_trips() {
         let events: Vec<Event> = (0..20).map(|i| Event::new(i, (i + 1) % 20, 1)).collect();
-        let t = TemporalCsr::from_events(20, &events, true);
+        let t = TemporalCsr::from_events(20, &events);
         let err = solve_pagerank_exact(&t, &t, TimeRange::new(0, 10), &cfg(), 5).unwrap_err();
         assert_eq!(
             err,

@@ -22,14 +22,17 @@
 //! - simple-graph semantics (duplicate events in a window count once);
 //! - the active set `V_i` = vertices with at least one in-window edge;
 //!   `n = |V_i|`; inactive vertices hold rank 0;
-//! - teleport `α` (default 0.15) paid to active vertices only, dangling
-//!   rank mass redistributed uniformly over `V_i`;
+//! - teleport `α` (default 0.15) paid to active vertices only;
+//! - window graphs are symmetric: every active vertex has an in-window
+//!   edge to pass its rank along, so no rank mass is left over to
+//!   redistribute (the `(pull, push)` pair each entry takes must be one
+//!   structure, passed twice; [`KernelError::NotSymmetric`] otherwise);
 //! - convergence when the L1 difference of successive iterates < `tol`.
 //!
 //! ## Numeric health
 //! Power iteration preserves rank mass exactly in exact arithmetic
-//! (teleport + damped edge mass + dangling redistribution always sum to
-//! one), so `Σx ≈ 1` is an invariant every iteration can be checked
+//! (teleport + damped edge mass always sum to one), so `Σx ≈ 1` is an
+//! invariant every iteration can be checked
 //! against almost for free: the mass sum folds into the same reduction
 //! that already computes the L1 diff. With [`GuardConfig::enabled`] (the
 //! default) each iteration verifies the iterate is finite and the mass has
@@ -218,11 +221,9 @@ pub enum Init<'a> {
 /// steady state (perf-book: workhorse collections).
 #[derive(Debug, Default, Clone)]
 pub struct PrWorkspace {
-    /// Out-degree of each vertex in the current window.
+    /// Degree of each vertex in the current window.
     pub deg_out: Vec<u32>,
-    /// In-degree (directed graphs only; empty for symmetric).
-    pub deg_in: Vec<u32>,
-    /// `1/deg_out` or 0.
+    /// `1/deg_out`, or 0 where the vertex is inactive.
     pub inv_deg: Vec<f64>,
     /// Active-set membership for the current window.
     pub active: Vec<bool>,
@@ -275,13 +276,24 @@ fn pull_sum(in_nbrs: &[VertexId], x: &[f64], inv_deg: &[f64]) -> f64 {
     s
 }
 
+/// The one structure a kernel entry reads: window graphs are symmetric, so
+/// the `(pull, push)` pair every entry takes must be one structure passed
+/// twice.
+pub(crate) fn one_structure<'a, T>(pull: &'a T, push: &T) -> Result<&'a T, KernelError> {
+    if std::ptr::eq(pull, push) {
+        Ok(pull)
+    } else {
+        Err(KernelError::NotSymmetric)
+    }
+}
+
 /// Computes PageRank for one window of a temporal CSR.
 ///
-/// `pull` holds in-edges, `push` out-edges; pass the same reference twice
-/// for a symmetric (undirected) build. If `sched` is `Some`, the degree
-/// pass and every SpMV run in parallel under that scheduler (the paper's
-/// application-level parallelism); otherwise everything is sequential (the
-/// inner kernel of window-level parallelism).
+/// Pass the part's symmetric CSR as both `pull` and `push`
+/// ([`KernelError::NotSymmetric`] otherwise). If `sched` is `Some`, the
+/// degree pass and every SpMV run in parallel under that scheduler (the
+/// paper's application-level parallelism); otherwise everything is
+/// sequential (the inner kernel of window-level parallelism).
 ///
 /// The result lands in `ws.x` (see [`PrWorkspace::ranks`]). This entry
 /// decides the window by timestamp and is the reference the indexed entry
@@ -295,25 +307,12 @@ pub fn pagerank_window(
     sched: Option<&Scheduler>,
     ws: &mut PrWorkspace,
 ) -> Result<PrStats, KernelError> {
-    let n = pull.num_vertices();
-    if push.num_vertices() != n {
-        return Err(KernelError::MismatchedUniverses {
-            pull: n,
-            push: push.num_vertices(),
-        });
-    }
-    ws.ensure(n);
-    let has_dangling = degree_pass(
-        !std::ptr::eq(pull, push),
-        |v| push.active_degree(v, range),
-        |v| pull.active_degree(v, range),
-        sched,
-        ws,
-    );
+    let t = one_structure(pull, push)?;
+    ws.ensure(t.num_vertices());
+    degree_pass(|v| t.active_degree(v, range), sched, ws);
     power_iterate_window(
-        pull.row_offsets(),
-        |v, nbr| nbr.extend(pull.active_neighbors(v, range)),
-        has_dangling,
+        t.row_offsets(),
+        |v, nbr| nbr.extend(t.active_neighbors(v, range)),
         init,
         cfg,
         sched,
@@ -324,51 +323,12 @@ pub fn pagerank_window(
 }
 
 /// The unindexed degree/activity pass of [`pagerank_window`],
-/// [`pagerank_csr`] and the personalized kernel: fills `deg_out` (and, for
-/// a directed build, `deg_in`) through the scheduler, then builds the
-/// active list, the reciprocals and the activity flags in one
-/// order-dependent sequential sweep. Returns whether the graph has
-/// dangling vertices. Monomorphized per caller over the two degree
-/// lookups; the caller must have run [`PrWorkspace::ensure`].
-pub(crate) fn degree_pass<DO, DI>(
-    directed: bool,
-    out_degree: DO,
-    in_degree: DI,
-    sched: Option<&Scheduler>,
-    ws: &mut PrWorkspace,
-) -> bool
-where
-    DO: Fn(VertexId) -> usize + Sync,
-    DI: Fn(VertexId) -> usize + Sync,
-{
-    let n = ws.deg_out.len();
-    fill_degrees(&mut ws.deg_out, out_degree, sched);
-    // `deg_in` carries pull degrees for the activity test; empty when the
-    // build is symmetric.
-    ws.deg_in.clear();
-    if directed {
-        ws.deg_in.resize(n, 0);
-        fill_degrees(&mut ws.deg_in, in_degree, sched);
-    }
-    let mut has_dangling = false;
-    for v in 0..n {
-        let out = ws.deg_out[v];
-        let act = out > 0 || (directed && ws.deg_in[v] > 0);
-        ws.active[v] = act;
-        if act {
-            ws.active_list.push(v as u32);
-            if out == 0 {
-                has_dangling = true;
-            } else {
-                ws.inv_deg[v] = 1.0 / out as f64;
-            }
-        }
-    }
-    has_dangling
-}
-
-/// `deg[v] = degree(v)` for every vertex, as a row loop under a scheduler.
-fn fill_degrees<D>(deg: &mut [u32], degree: D, sched: Option<&Scheduler>)
+/// [`pagerank_csr`] and the personalized kernel: fills `deg_out` through
+/// the scheduler as a row loop, then builds the active list (the vertices
+/// with an edge), the reciprocals and the activity flags in one
+/// order-dependent sequential sweep. Monomorphized per caller over the
+/// degree lookup; the caller must have run [`PrWorkspace::ensure`].
+pub(crate) fn degree_pass<D>(degree: D, sched: Option<&Scheduler>, ws: &mut PrWorkspace)
 where
     D: Fn(VertexId) -> usize + Sync,
 {
@@ -378,8 +338,15 @@ where
         }
     };
     match sched {
-        Some(s) => s.map_reduce_slice_mut(deg, (), fill, |_, _| ()),
-        None => fill(0, deg),
+        Some(s) => s.map_reduce_slice_mut(&mut ws.deg_out, (), fill, |_, _| ()),
+        None => fill(0, &mut ws.deg_out),
+    }
+    for (v, &d) in ws.deg_out.iter().enumerate() {
+        if d > 0 {
+            ws.active[v] = true;
+            ws.active_list.push(v as u32);
+            ws.inv_deg[v] = 1.0 / d as f64;
+        }
     }
 }
 
@@ -414,25 +381,17 @@ pub fn pagerank_window_indexed_obs(
     ws: &mut PrWorkspace,
     obs: Obs<'_>,
 ) -> Result<PrStats, KernelError> {
-    let n = pull.num_vertices();
-    if push.num_vertices() != n {
-        return Err(KernelError::MismatchedUniverses {
-            pull: n,
-            push: push.num_vertices(),
-        });
-    }
+    let n = one_structure(pull, push)?.num_vertices();
     if view.runs.row.len() != n + 1 {
         return Err(KernelError::ForeignIndexViews);
     }
     ws.ensure(n);
-    ws.deg_in.clear();
     let t_setup = obs.now();
-    let has_dangling = setup_from_index(view, ws);
+    setup_from_index(view, ws);
     let (runs, window) = (view.runs, view.window);
     power_iterate_window(
         runs.row,
         |v, nbr| nbr.extend(runs.neighbors_in(v, window)),
-        has_dangling,
         init,
         cfg,
         sched,
@@ -443,9 +402,9 @@ pub fn pagerank_window_indexed_obs(
 }
 
 /// Fills the workspace's degree/activity buffers from an index view in
-/// `O(|V_w active|)`. Returns whether the window has dangling vertices.
-/// The caller must have run [`PrWorkspace::ensure`] already.
-fn setup_from_index(view: &WindowIndexView<'_>, ws: &mut PrWorkspace) -> bool {
+/// `O(|V_w active|)`. The caller must have run [`PrWorkspace::ensure`]
+/// already.
+fn setup_from_index(view: &WindowIndexView<'_>, ws: &mut PrWorkspace) {
     for (i, &v) in view.vertices.iter().enumerate() {
         let v = v as usize;
         ws.active[v] = true;
@@ -453,7 +412,6 @@ fn setup_from_index(view: &WindowIndexView<'_>, ws: &mut PrWorkspace) -> bool {
         ws.inv_deg[v] = view.inv_deg[i];
     }
     ws.active_list.extend_from_slice(view.vertices);
-    !view.dangling.is_empty()
 }
 
 /// What the faulted iteration should do next, as decided by
@@ -536,7 +494,6 @@ pub(crate) fn guard_check(
 fn power_iterate_window<F>(
     read: &[usize],
     filter: F,
-    has_dangling: bool,
     init: Init<'_>,
     cfg: &PrConfig,
     sched: Option<&Scheduler>,
@@ -564,7 +521,6 @@ where
     );
     let stats = iterate_guarded(
         |x, inv_deg, i, _| pull_sum(&nbr[off[i]..off[i + 1]], x, inv_deg),
-        has_dangling,
         init,
         cfg,
         sched,
@@ -632,7 +588,6 @@ where
 #[allow(clippy::too_many_arguments)]
 fn iterate_guarded<PS>(
     pull_contrib: PS,
-    has_dangling: bool,
     init: Init<'_>,
     cfg: &PrConfig,
     sched: Option<&Scheduler>,
@@ -685,15 +640,7 @@ where
         }
         let t_iter = obs.now();
         let list = &ws.active_list;
-        let dangling: f64 = if has_dangling {
-            list.iter()
-                .filter(|&&v| ws.deg_out[v as usize] == 0)
-                .map(|&v| ws.x[v as usize])
-                .sum()
-        } else {
-            0.0
-        };
-        let base = alpha / n_act_f + damp * dangling / n_act_f;
+        let base = alpha / n_act_f;
         let x = &ws.x;
         let inv_deg = &ws.inv_deg;
         let compact = &mut ws.y[..n_act];
@@ -757,9 +704,9 @@ where
 }
 
 /// Applies the [`FaultKind::CorruptReciprocal`] fault: multiplies the
-/// first active non-dangling vertex's `1/outdeg` by 1000.
+/// first active vertex's `1/outdeg` by 1000.
 pub fn corrupt_first_reciprocal(active_list: &[u32], inv_deg: &mut [f64]) {
-    if let Some(&v) = active_list.iter().find(|&&v| inv_deg[v as usize] > 0.0) {
+    if let Some(&v) = active_list.first() {
         inv_deg[v as usize] *= 1000.0;
     }
 }
@@ -767,8 +714,8 @@ pub fn corrupt_first_reciprocal(active_list: &[u32], inv_deg: &mut [f64]) {
 /// Computes PageRank on a static CSR graph — the kernel of the *offline*
 /// execution model, which rebuilds a fresh [`Csr`] per window (§3.3.1).
 ///
-/// `pull` holds in-edges and `push` out-edges; pass the same reference for
-/// symmetric graphs. Semantics identical to [`pagerank_window`].
+/// Pass the window's CSR as both `pull` and `push`, as for
+/// [`pagerank_window`], whose semantics it shares.
 pub fn pagerank_csr(
     pull: &Csr,
     push: &Csr,
@@ -790,26 +737,13 @@ pub fn pagerank_csr_obs(
     ws: &mut PrWorkspace,
     obs: Obs<'_>,
 ) -> Result<PrStats, KernelError> {
-    let n = pull.num_vertices();
-    if push.num_vertices() != n {
-        return Err(KernelError::MismatchedUniverses {
-            pull: n,
-            push: push.num_vertices(),
-        });
-    }
-    ws.ensure(n);
+    let g = one_structure(pull, push)?;
+    ws.ensure(g.num_vertices());
     let t_setup = obs.now();
-    let has_dangling = degree_pass(
-        !std::ptr::eq(pull, push),
-        |v| push.degree(v),
-        |v| pull.degree(v),
-        sched,
-        ws,
-    );
+    degree_pass(|v| g.degree(v), sched, ws);
     obs.setup(ws.active_list.len(), t_setup);
     iterate_guarded(
-        |x, inv_deg, _, v| pull_sum(pull.neighbors(v), x, inv_deg),
-        has_dangling,
+        |x, inv_deg, _, v| pull_sum(g.neighbors(v), x, inv_deg),
         init,
         cfg,
         sched,
@@ -824,11 +758,7 @@ pub fn pagerank_csr_obs(
 /// ```
 /// use tempopr_graph::{Event, TemporalCsr, TimeRange};
 /// use tempopr_kernel::{pagerank_window_vec, Init, PrConfig};
-/// let t = TemporalCsr::from_events(
-///     3,
-///     &[Event::new(0, 1, 1), Event::new(1, 2, 2)],
-///     true,
-/// );
+/// let t = TemporalCsr::from_events(3, &[Event::new(0, 1, 1), Event::new(1, 2, 2)]);
 /// let (ranks, stats) = pagerank_window_vec(
 ///     &t, &t, TimeRange::new(0, 10), Init::Uniform, &PrConfig::default(), None,
 /// ).unwrap();
@@ -942,13 +872,13 @@ mod tests {
         }
     }
 
-    /// Brute-force directed edge list of a window (symmetric build).
-    fn window_edges(events: &[Event], range: TimeRange, symmetric: bool) -> Vec<(u32, u32)> {
+    /// Brute-force edge list of a window: both directions of each event.
+    fn window_edges(events: &[Event], range: TimeRange) -> Vec<(u32, u32)> {
         let mut e = Vec::new();
         for ev in events {
             if range.contains(ev.t) {
                 e.push((ev.u, ev.v));
-                if symmetric && ev.u != ev.v {
+                if ev.u != ev.v {
                     e.push((ev.v, ev.u));
                 }
             }
@@ -981,7 +911,7 @@ mod tests {
     #[test]
     fn matches_reference_on_symmetric_window() {
         let events = sample_events();
-        let t = TemporalCsr::from_events(6, &events, true);
+        let t = TemporalCsr::from_events(6, &events);
         for range in [
             TimeRange::new(0, 15),
             TimeRange::new(10, 30),
@@ -990,7 +920,7 @@ mod tests {
         ] {
             let (x, stats) =
                 pagerank_window_vec(&t, &t, range, Init::Uniform, &cfg(), None).unwrap();
-            let edges = window_edges(&events, range, true);
+            let edges = window_edges(&events, range);
             let r = reference_pagerank(6, &edges, &cfg());
             assert_close(&x, &r, 1e-9);
             assert!(stats.converged);
@@ -999,21 +929,9 @@ mod tests {
     }
 
     #[test]
-    fn matches_reference_on_directed_window() {
-        let events = sample_events();
-        let out = TemporalCsr::from_events(6, &events, false);
-        let pull = out.transpose();
-        let range = TimeRange::new(0, 25);
-        let (x, _) = pagerank_window_vec(&pull, &out, range, Init::Uniform, &cfg(), None).unwrap();
-        let edges = window_edges(&events, range, false);
-        let r = reference_pagerank(6, &edges, &cfg());
-        assert_close(&x, &r, 1e-9);
-    }
-
-    #[test]
     fn parallel_matches_sequential() {
         let events = sample_events();
-        let t = TemporalCsr::from_events(6, &events, true);
+        let t = TemporalCsr::from_events(6, &events);
         let range = TimeRange::new(0, 40);
         let (seq, _) = pagerank_window_vec(&t, &t, range, Init::Uniform, &cfg(), None).unwrap();
         for part in [Partitioner::Auto, Partitioner::Simple, Partitioner::Static] {
@@ -1028,7 +946,7 @@ mod tests {
 
     #[test]
     fn empty_window_returns_zero() {
-        let t = TemporalCsr::from_events(3, &[Event::new(0, 1, 5)], true);
+        let t = TemporalCsr::from_events(3, &[Event::new(0, 1, 5)]);
         let (x, stats) =
             pagerank_window_vec(&t, &t, TimeRange::new(10, 20), Init::Uniform, &cfg(), None)
                 .unwrap();
@@ -1040,17 +958,19 @@ mod tests {
 
     #[test]
     fn mismatched_universes_is_an_error() {
-        let a = TemporalCsr::from_events(3, &[Event::new(0, 1, 5)], true);
-        let b = TemporalCsr::from_events(4, &[Event::new(0, 1, 5)], true);
+        // Two structures are refused whatever they hold: the kernels read
+        // one symmetric structure, passed as both pull and push.
+        let a = TemporalCsr::from_events(3, &[Event::new(0, 1, 5)]);
+        let b = TemporalCsr::from_events(4, &[Event::new(0, 1, 5)]);
         let err = pagerank_window_vec(&a, &b, TimeRange::new(0, 10), Init::Uniform, &cfg(), None)
             .unwrap_err();
-        assert_eq!(err, KernelError::MismatchedUniverses { pull: 3, push: 4 });
+        assert_eq!(err, KernelError::NotSymmetric);
     }
 
     #[test]
     fn ranks_form_distribution_over_active_set() {
         let events = sample_events();
-        let t = TemporalCsr::from_events(6, &events, true);
+        let t = TemporalCsr::from_events(6, &events);
         let range = TimeRange::new(0, 20); // vertices 4,5 inactive
         let (x, stats) = pagerank_window_vec(&t, &t, range, Init::Uniform, &cfg(), None).unwrap();
         assert_eq!(stats.active_vertices, 4);
@@ -1062,7 +982,7 @@ mod tests {
     #[test]
     fn partial_init_reaches_same_fixed_point() {
         let events = sample_events();
-        let t = TemporalCsr::from_events(6, &events, true);
+        let t = TemporalCsr::from_events(6, &events);
         let r0 = TimeRange::new(0, 20);
         let r1 = TimeRange::new(10, 35);
         let (prev, _) = pagerank_window_vec(&t, &t, r0, Init::Uniform, &cfg(), None).unwrap();
@@ -1079,7 +999,7 @@ mod tests {
         for i in 0..200u32 {
             events.push(Event::new(i % 40, (i * 7 + 1) % 40, i as i64));
         }
-        let t = TemporalCsr::from_events(40, &events, true);
+        let t = TemporalCsr::from_events(40, &events);
         let r0 = TimeRange::new(0, 150);
         let r1 = TimeRange::new(10, 160);
         let c = PrConfig {
@@ -1151,7 +1071,7 @@ mod tests {
     #[test]
     fn max_iters_caps_work() {
         let events = sample_events();
-        let t = TemporalCsr::from_events(6, &events, true);
+        let t = TemporalCsr::from_events(6, &events);
         let c = PrConfig {
             alpha: 0.15,
             tol: 0.0, // unreachable tolerance
@@ -1167,7 +1087,7 @@ mod tests {
     #[test]
     fn duplicate_events_within_window_do_not_skew_ranks() {
         // Same edge observed 3 times in the window vs once: identical ranks.
-        let once = TemporalCsr::from_events(3, &[Event::new(0, 1, 1), Event::new(1, 2, 2)], true);
+        let once = TemporalCsr::from_events(3, &[Event::new(0, 1, 1), Event::new(1, 2, 2)]);
         let thrice = TemporalCsr::from_events(
             3,
             &[
@@ -1176,7 +1096,6 @@ mod tests {
                 Event::new(0, 1, 3),
                 Event::new(1, 2, 2),
             ],
-            true,
         );
         let r = TimeRange::new(0, 5);
         let (a, _) = pagerank_window_vec(&once, &once, r, Init::Uniform, &cfg(), None).unwrap();
@@ -1188,7 +1107,7 @@ mod tests {
     fn workspace_reuse_is_clean() {
         // Running a big window then a small one must not leak state.
         let events = sample_events();
-        let t = TemporalCsr::from_events(6, &events, true);
+        let t = TemporalCsr::from_events(6, &events);
         let mut ws = PrWorkspace::default();
         pagerank_window(
             &t,
@@ -1221,44 +1140,32 @@ mod tests {
         use tempopr_graph::WindowIndex;
         let events = sample_events();
         let ranges: Vec<TimeRange> = (0..5).map(|k| TimeRange::new(k * 8, k * 8 + 14)).collect();
-        // Symmetric.
-        let t = TemporalCsr::from_events(6, &events, true);
-        let idx = WindowIndex::build(&t, None, &ranges);
-        for (j, &range) in ranges.iter().enumerate() {
-            let (plain, ps) =
-                pagerank_window_vec(&t, &t, range, Init::Uniform, &cfg(), None).unwrap();
-            let mut ws = PrWorkspace::default();
-            let is =
-                pagerank_window_indexed(&t, &t, &idx.view(j), Init::Uniform, &cfg(), None, &mut ws)
-                    .unwrap();
-            assert_eq!(ps, is, "window {j}");
-            assert_eq!(plain, ws.x, "window {j} ranks must be bit-identical");
-        }
-        // Directed, with a scheduler.
-        let out = TemporalCsr::from_events(6, &events, false);
-        let pull = out.transpose();
-        let didx = WindowIndex::build(&out, Some(&pull), &ranges);
+        let t = TemporalCsr::from_events(6, &events);
+        let idx = WindowIndex::build(&t, &ranges);
         let s = Scheduler::new(Partitioner::Simple, 2);
-        for (j, &range) in ranges.iter().enumerate() {
-            let (plain, _) =
-                pagerank_window_vec(&pull, &out, range, Init::Uniform, &cfg(), Some(&s)).unwrap();
-            let mut ws = PrWorkspace::default();
-            pagerank_window_indexed(
-                &pull,
-                &out,
-                &didx.view(j),
-                Init::Uniform,
-                &cfg(),
-                Some(&s),
-                &mut ws,
-            )
-            .unwrap();
-            assert_eq!(plain, ws.x, "directed window {j}");
+        for sched in [None, Some(&s)] {
+            for (j, &range) in ranges.iter().enumerate() {
+                let (plain, ps) =
+                    pagerank_window_vec(&t, &t, range, Init::Uniform, &cfg(), sched).unwrap();
+                let mut ws = PrWorkspace::default();
+                let is = pagerank_window_indexed(
+                    &t,
+                    &t,
+                    &idx.view(j),
+                    Init::Uniform,
+                    &cfg(),
+                    sched,
+                    &mut ws,
+                )
+                .unwrap();
+                assert_eq!(ps, is, "window {j}");
+                assert_eq!(plain, ws.x, "window {j} ranks must be bit-identical");
+            }
         }
         // A view over another vertex universe is refused, not indexed out
         // of bounds.
-        let small = TemporalCsr::from_events(3, &[Event::new(0, 1, 3)], true);
-        let foreign = WindowIndex::build(&small, None, &ranges);
+        let small = TemporalCsr::from_events(3, &[Event::new(0, 1, 3)]);
+        let foreign = WindowIndex::build(&small, &ranges);
         let mut ws = PrWorkspace::default();
         let err = pagerank_window_indexed(
             &t,
@@ -1273,9 +1180,9 @@ mod tests {
     }
 
     /// Events before, inside and after the window `[100, 199]`, chosen so
-    /// that the window holds an active row with no in-window pull run
-    /// (directed: vertex 0 only sends) and a receive-only vertex (9), and
-    /// so that stored runs mix in-window and out-of-window timestamps.
+    /// that the window holds a hub (vertex 0) and a vertex (9) whose every
+    /// in-window run comes from the chain, and so that stored runs mix
+    /// in-window and out-of-window timestamps.
     fn three_era_events() -> Vec<Event> {
         let mut events = Vec::new();
         for i in 0..10u32 {
@@ -1304,90 +1211,79 @@ mod tests {
         let events = three_era_events();
         let range = TimeRange::new(100, 199);
         let pool = crate::scheduler::thread_pool(4).unwrap();
-        for symmetric in [true, false] {
-            let out = TemporalCsr::from_events(10, &events, symmetric);
-            let transposed = (!symmetric).then(|| out.transpose());
-            let pull = transposed.as_ref().unwrap_or(&out);
-            let idx = WindowIndex::build(&out, transposed.as_ref(), &[range]);
-            let mut plain = PrWorkspace::default();
-            let stats = pagerank_window(pull, &out, range, Init::Uniform, &cfg(), None, &mut plain)
-                .unwrap();
-            assert!(stats.converged && stats.iterations > 1);
-            // The list is the window's pull adjacency: per active row, the
-            // neighbours of its in-window runs in stored order.
-            let expect: Vec<Vec<VertexId>> = plain
-                .active_list
-                .iter()
-                .map(|&v| pull.active_neighbors(v, range).collect())
-                .collect();
-            assert_eq!(plain.pull_off.len(), plain.active_list.len() + 1);
-            for (i, nbrs) in expect.iter().enumerate() {
-                assert_eq!(
-                    &plain.pull_nbr[plain.pull_off[i]..plain.pull_off[i + 1]],
-                    nbrs.as_slice(),
-                    "row {}",
-                    plain.active_list[i]
-                );
-            }
-            let stored: usize = plain
-                .active_list
-                .iter()
-                .map(|&v| pull.entries(v).0.len())
-                .sum();
-            assert!(
-                plain.pull_nbr.len() < stored,
-                "entries outside the window must be filtered out"
+        let t = TemporalCsr::from_events(10, &events);
+        let idx = WindowIndex::build(&t, &[range]);
+        let mut plain = PrWorkspace::default();
+        let stats =
+            pagerank_window(&t, &t, range, Init::Uniform, &cfg(), None, &mut plain).unwrap();
+        assert!(stats.converged && stats.iterations > 1);
+        // The list is the window's pull adjacency: per active row, the
+        // neighbours of its in-window runs in stored order.
+        let expect: Vec<Vec<VertexId>> = plain
+            .active_list
+            .iter()
+            .map(|&v| t.active_neighbors(v, range).collect())
+            .collect();
+        assert_eq!(plain.pull_off.len(), plain.active_list.len() + 1);
+        for (i, nbrs) in expect.iter().enumerate() {
+            assert_eq!(
+                &plain.pull_nbr[plain.pull_off[i]..plain.pull_off[i + 1]],
+                nbrs.as_slice(),
+                "row {}",
+                plain.active_list[i]
             );
-            if !symmetric {
-                let at = |v: u32| plain.active_list.iter().position(|&a| a == v).unwrap();
-                let (sender, receiver) = (at(0), at(9));
-                assert_eq!(plain.pull_off[sender], plain.pull_off[sender + 1]);
-                assert_eq!(plain.pull_off[receiver + 1] - plain.pull_off[receiver], 5);
-                assert_eq!(plain.deg_out[9], 0, "vertex 9 only receives");
-            }
-            let scheds = [
-                None,
-                Some(Scheduler::new(Partitioner::Auto, 1)),
-                Some(Scheduler::new(Partitioner::Simple, 3)),
-                Some(Scheduler::new(Partitioner::Static, 1)),
-            ];
-            for sched in &scheds {
-                for indexed in [false, true] {
-                    let mut ws = PrWorkspace::default();
-                    let st = pool
-                        .install(|| {
-                            if indexed {
-                                pagerank_window_indexed(
-                                    pull,
-                                    &out,
-                                    &idx.view(0),
-                                    Init::Uniform,
-                                    &cfg(),
-                                    sched.as_ref(),
-                                    &mut ws,
-                                )
-                            } else {
-                                pagerank_window(
-                                    pull,
-                                    &out,
-                                    range,
-                                    Init::Uniform,
-                                    &cfg(),
-                                    sched.as_ref(),
-                                    &mut ws,
-                                )
-                            }
-                        })
-                        .unwrap();
-                    let what = format!("symmetric={symmetric} indexed={indexed} {sched:?}");
-                    assert_eq!(ws.pull_off, plain.pull_off, "{what}");
-                    assert_eq!(ws.pull_nbr, plain.pull_nbr, "{what}");
-                    // A row's value never depends on the task it falls in
-                    // (only the residual's grouping does), so equal
-                    // iteration counts mean equal bits.
-                    assert_eq!(st, stats, "{what}");
-                    assert_eq!(ws.x, plain.x, "{what}");
-                }
+        }
+        let stored: usize = plain
+            .active_list
+            .iter()
+            .map(|&v| t.entries(v).0.len())
+            .sum();
+        assert!(
+            plain.pull_nbr.len() < stored,
+            "entries outside the window must be filtered out"
+        );
+        let scheds = [
+            None,
+            Some(Scheduler::new(Partitioner::Auto, 1)),
+            Some(Scheduler::new(Partitioner::Simple, 3)),
+            Some(Scheduler::new(Partitioner::Static, 1)),
+        ];
+        for sched in &scheds {
+            for indexed in [false, true] {
+                let mut ws = PrWorkspace::default();
+                let st = pool
+                    .install(|| {
+                        if indexed {
+                            pagerank_window_indexed(
+                                &t,
+                                &t,
+                                &idx.view(0),
+                                Init::Uniform,
+                                &cfg(),
+                                sched.as_ref(),
+                                &mut ws,
+                            )
+                        } else {
+                            pagerank_window(
+                                &t,
+                                &t,
+                                range,
+                                Init::Uniform,
+                                &cfg(),
+                                sched.as_ref(),
+                                &mut ws,
+                            )
+                        }
+                    })
+                    .unwrap();
+                let what = format!("indexed={indexed} {sched:?}");
+                assert_eq!(ws.pull_off, plain.pull_off, "{what}");
+                assert_eq!(ws.pull_nbr, plain.pull_nbr, "{what}");
+                // A row's value never depends on the task it falls in
+                // (only the residual's grouping does), so equal
+                // iteration counts mean equal bits.
+                assert_eq!(st, stats, "{what}");
+                assert_eq!(ws.x, plain.x, "{what}");
             }
         }
     }
@@ -1399,58 +1295,50 @@ mod tests {
         // give the same products in the same order.
         let events = three_era_events();
         let range = TimeRange::new(100, 199);
-        for symmetric in [true, false] {
-            let out = TemporalCsr::from_events(10, &events, symmetric);
-            let transposed = (!symmetric).then(|| out.transpose());
-            let pull = transposed.as_ref().unwrap_or(&out);
-            let mut ws = PrWorkspace::default();
-            let stats =
-                pagerank_window(pull, &out, range, Init::Uniform, &cfg(), None, &mut ws).unwrap();
-            let mut scan = PrWorkspace::default();
-            pagerank_window(
-                pull,
-                &out,
-                range,
-                Init::Uniform,
-                &PrConfig {
-                    max_iters: 0,
-                    ..cfg()
-                },
-                None,
-                &mut scan,
-            )
-            .unwrap();
-            let scanned = iterate_guarded(
-                |x, inv_deg, _, v| {
-                    let mut s = 0.0;
-                    for run in pull.runs(v) {
-                        if run.active_in(range) {
-                            let u = run.neighbor as usize;
-                            s += x[u] * inv_deg[u];
-                        }
+        let t = TemporalCsr::from_events(10, &events);
+        let mut ws = PrWorkspace::default();
+        let stats = pagerank_window(&t, &t, range, Init::Uniform, &cfg(), None, &mut ws).unwrap();
+        let mut scan = PrWorkspace::default();
+        pagerank_window(
+            &t,
+            &t,
+            range,
+            Init::Uniform,
+            &PrConfig {
+                max_iters: 0,
+                ..cfg()
+            },
+            None,
+            &mut scan,
+        )
+        .unwrap();
+        let scanned = iterate_guarded(
+            |x, inv_deg, _, v| {
+                let mut s = 0.0;
+                for run in t.runs(v) {
+                    if run.active_in(range) {
+                        let u = run.neighbor as usize;
+                        s += x[u] * inv_deg[u];
                     }
-                    s
-                },
-                scan.active_list
-                    .iter()
-                    .any(|&v| scan.deg_out[v as usize] == 0),
-                Init::Uniform,
-                &cfg(),
-                None,
-                &mut scan,
-                Obs::off(),
-            )
-            .unwrap();
-            assert_eq!(scanned, stats, "symmetric={symmetric}");
-            assert_eq!(scan.x, ws.x, "symmetric={symmetric}");
-        }
+                }
+                s
+            },
+            Init::Uniform,
+            &cfg(),
+            None,
+            &mut scan,
+            Obs::off(),
+        )
+        .unwrap();
+        assert_eq!(scanned, stats);
+        assert_eq!(scan.x, ws.x);
     }
 
     #[test]
     fn csr_kernel_matches_reference() {
         use tempopr_graph::Csr;
         let edges = vec![(0u32, 1u32), (1, 2), (2, 0), (2, 3), (3, 1), (0, 3)];
-        let g = Csr::from_edges(5, edges.clone(), true);
+        let g = Csr::from_edges(5, edges.clone());
         let mut ws = PrWorkspace::default();
         let stats =
             crate::pagerank::pagerank_csr(&g, &g, Init::Uniform, &cfg(), None, &mut ws).unwrap();
@@ -1465,24 +1353,12 @@ mod tests {
     }
 
     #[test]
-    fn csr_kernel_directed_with_dangling() {
-        use tempopr_graph::Csr;
-        let edges = vec![(0u32, 1u32), (1, 2), (0, 2)]; // 2 dangles
-        let out = Csr::from_edges(3, edges.clone(), false);
-        let pull = out.transpose();
-        let mut ws = PrWorkspace::default();
-        crate::pagerank::pagerank_csr(&pull, &out, Init::Uniform, &cfg(), None, &mut ws).unwrap();
-        let r = reference_pagerank(3, &edges, &cfg());
-        assert_close(ws.ranks(), &r, 1e-9);
-    }
-
-    #[test]
     fn csr_kernel_parallel_matches_sequential() {
         use tempopr_graph::Csr;
         let edges: Vec<(u32, u32)> = (0..60)
             .map(|i| ((i * 13 + 1) % 20, (i * 7 + 3) % 20))
             .collect();
-        let g = Csr::from_edges(20, edges, true);
+        let g = Csr::from_edges(20, edges);
         let mut seq = PrWorkspace::default();
         crate::pagerank::pagerank_csr(&g, &g, Init::Uniform, &cfg(), None, &mut seq).unwrap();
         let s = Scheduler::new(Partitioner::Simple, 3);
@@ -1496,7 +1372,7 @@ mod tests {
     #[test]
     fn guards_do_not_change_healthy_ranks() {
         let events = sample_events();
-        let t = TemporalCsr::from_events(6, &events, true);
+        let t = TemporalCsr::from_events(6, &events);
         let range = TimeRange::new(0, 40);
         let on = cfg();
         let off = PrConfig {
@@ -1512,7 +1388,7 @@ mod tests {
     #[test]
     fn injected_nan_recovers_via_restart() {
         let events = sample_events();
-        let t = TemporalCsr::from_events(6, &events, true);
+        let t = TemporalCsr::from_events(6, &events);
         let range = TimeRange::new(0, 40);
         let c = PrConfig {
             fault: Some(FaultKind::InjectNan { at_iter: 3 }),
@@ -1528,7 +1404,7 @@ mod tests {
     #[test]
     fn injected_nan_fails_under_fail_policy() {
         let events = sample_events();
-        let t = TemporalCsr::from_events(6, &events, true);
+        let t = TemporalCsr::from_events(6, &events);
         let c = PrConfig {
             guard: GuardConfig {
                 policy: NumericPolicy::Fail,
@@ -1551,7 +1427,7 @@ mod tests {
     #[test]
     fn corrupted_reciprocal_is_detected() {
         let events = sample_events();
-        let t = TemporalCsr::from_events(6, &events, true);
+        let t = TemporalCsr::from_events(6, &events);
         let c = PrConfig {
             fault: Some(FaultKind::CorruptReciprocal),
             ..cfg()
@@ -1574,7 +1450,7 @@ mod tests {
         // The contrast case justifying the guards: without them the kernel
         // runs to the cap and hands back a poisoned vector.
         let events = sample_events();
-        let t = TemporalCsr::from_events(6, &events, true);
+        let t = TemporalCsr::from_events(6, &events);
         let c = PrConfig {
             guard: GuardConfig::off(),
             fault: Some(FaultKind::InjectNan { at_iter: 2 }),
@@ -1590,7 +1466,7 @@ mod tests {
     #[test]
     fn forced_non_convergence_runs_to_cap() {
         let events = sample_events();
-        let t = TemporalCsr::from_events(6, &events, true);
+        let t = TemporalCsr::from_events(6, &events);
         let c = PrConfig {
             fault: Some(FaultKind::ForceNonConvergence),
             max_iters: 12,
@@ -1605,7 +1481,7 @@ mod tests {
     #[test]
     fn injected_panic_unwinds() {
         let events = sample_events();
-        let t = TemporalCsr::from_events(6, &events, true);
+        let t = TemporalCsr::from_events(6, &events);
         let c = PrConfig {
             fault: Some(FaultKind::PanicInKernel),
             ..cfg()

@@ -6,7 +6,7 @@
 
 use crate::error::KernelError;
 use crate::pagerank::{
-    degree_pass, guard_check, GuardAction, PrConfig, PrHealth, PrStats, PrWorkspace,
+    degree_pass, guard_check, one_structure, GuardAction, PrConfig, PrHealth, PrStats, PrWorkspace,
 };
 use crate::scheduler::Scheduler;
 use tempopr_graph::{TemporalCsr, TimeRange};
@@ -32,8 +32,7 @@ pub struct PersonalizedStats {
 /// (any scale); it is masked to the window's active set and normalized. If no
 /// active vertex carries preference mass, the call falls back to the
 /// uniform teleport (= standard PageRank) and reports it via
-/// [`PersonalizedStats::uniform_fallback`]. Dangling mass teleports with
-/// the same preference. Semantics otherwise match
+/// [`PersonalizedStats::uniform_fallback`]. Semantics otherwise match
 /// [`crate::pagerank::pagerank_window`]; the result lands in `ws.x`.
 pub fn pagerank_window_personalized(
     pull: &TemporalCsr,
@@ -44,13 +43,8 @@ pub fn pagerank_window_personalized(
     sched: Option<&Scheduler>,
     ws: &mut PrWorkspace,
 ) -> Result<PersonalizedStats, KernelError> {
-    let n = pull.num_vertices();
-    if push.num_vertices() != n {
-        return Err(KernelError::MismatchedUniverses {
-            pull: n,
-            push: push.num_vertices(),
-        });
-    }
+    let t = one_structure(pull, push)?;
+    let n = t.num_vertices();
     if preference.len() != n {
         return Err(KernelError::BadVectorLength {
             what: "preference",
@@ -65,13 +59,7 @@ pub fn pagerank_window_personalized(
         });
     }
     ws.ensure(n);
-    let has_dangling = degree_pass(
-        !std::ptr::eq(pull, push),
-        |v| push.active_degree(v, range),
-        |v| pull.active_degree(v, range),
-        sched,
-        ws,
-    );
+    degree_pass(|v| t.active_degree(v, range), sched, ws);
     let n_act = ws.active_list.len();
     if n_act == 0 {
         return Ok(PersonalizedStats {
@@ -108,14 +96,6 @@ pub fn pagerank_window_personalized(
     while iterations < cfg.max_iters {
         iterations += 1;
         let list = &ws.active_list;
-        let dangling: f64 = if has_dangling {
-            list.iter()
-                .filter(|&&v| ws.deg_out[v as usize] == 0)
-                .map(|&v| ws.x[v as usize])
-                .sum()
-        } else {
-            0.0
-        };
         let x = &ws.x;
         let inv_deg = &ws.inv_deg;
         let tele_ref = &tele;
@@ -126,13 +106,13 @@ pub fn pagerank_window_personalized(
             for (i, yv) in slice.iter_mut().enumerate() {
                 let v = list[off + i];
                 let mut s = 0.0;
-                for run in pull.runs(v) {
+                for run in t.runs(v) {
                     if run.active_in(range) {
                         let u = run.neighbor as usize;
                         s += x[u] * inv_deg[u];
                     }
                 }
-                let val = (alpha + damp * dangling) * tele_ref[v as usize] + damp * s;
+                let val = alpha * tele_ref[v as usize] + damp * s;
                 d += (val - x[v as usize]).abs();
                 m += val;
                 *yv = val;
@@ -270,7 +250,7 @@ mod tests {
     #[test]
     fn uniform_preference_equals_standard_pagerank() {
         let events = sample_events();
-        let t = TemporalCsr::from_events(30, &events, true);
+        let t = TemporalCsr::from_events(30, &events);
         let range = TimeRange::new(0, 200);
         let (std_pr, _) = pagerank_window_vec(&t, &t, range, Init::Uniform, &cfg(), None).unwrap();
         let pref = vec![1.0; 30];
@@ -290,7 +270,7 @@ mod tests {
     #[test]
     fn matches_dense_reference_with_seed_set() {
         let events = sample_events();
-        let t = TemporalCsr::from_events(30, &events, true);
+        let t = TemporalCsr::from_events(30, &events);
         let range = TimeRange::new(50, 250);
         let mut pref = vec![0.0; 30];
         pref[3] = 2.0;
@@ -312,7 +292,7 @@ mod tests {
     #[test]
     fn seeds_outside_active_set_fall_back_to_uniform() {
         let events = vec![Event::new(0, 1, 5), Event::new(1, 2, 6)];
-        let t = TemporalCsr::from_events(5, &events, true);
+        let t = TemporalCsr::from_events(5, &events);
         let range = TimeRange::new(0, 10);
         let mut pref = vec![0.0; 5];
         pref[4] = 1.0; // vertex 4 is inactive in this window
@@ -332,7 +312,7 @@ mod tests {
     #[test]
     fn all_zero_preference_also_falls_back_and_is_flagged() {
         let events = sample_events();
-        let t = TemporalCsr::from_events(30, &events, true);
+        let t = TemporalCsr::from_events(30, &events);
         let range = TimeRange::new(0, 200);
         let pref = vec![0.0; 30];
         let mut ws = PrWorkspace::default();
@@ -349,7 +329,7 @@ mod tests {
     #[test]
     fn parallel_matches_sequential() {
         let events = sample_events();
-        let t = TemporalCsr::from_events(30, &events, true);
+        let t = TemporalCsr::from_events(30, &events);
         let range = TimeRange::new(0, 300);
         let mut pref = vec![0.0; 30];
         pref[0] = 1.0;
@@ -365,7 +345,7 @@ mod tests {
 
     #[test]
     fn negative_nan_and_infinite_preference_rejected_as_bad_query() {
-        let t = TemporalCsr::from_events(2, &[Event::new(0, 1, 1)], true);
+        let t = TemporalCsr::from_events(2, &[Event::new(0, 1, 1)]);
         for bad in [-1.0, f64::NAN, f64::INFINITY] {
             let mut ws = PrWorkspace::default();
             let r = pagerank_window_personalized(
@@ -386,7 +366,7 @@ mod tests {
 
     #[test]
     fn empty_window_is_zero() {
-        let t = TemporalCsr::from_events(3, &[Event::new(0, 1, 5)], true);
+        let t = TemporalCsr::from_events(3, &[Event::new(0, 1, 5)]);
         let mut ws = PrWorkspace::default();
         let stats = pagerank_window_personalized(
             &t,

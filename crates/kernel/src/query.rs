@@ -15,8 +15,8 @@
 //! y[v,k] = factor[k] · tele[v,k] + scale[k] · acc[k]
 //! ```
 //!
-//! - **Personalized PageRank** (`factor = alpha + damp·dangling`,
-//!   `scale = damp = 1 − alpha`, `tele` = the normalized preference):
+//! - **Personalized PageRank** (`factor = alpha`, `scale = damp = 1 − alpha`,
+//!   `tele` = the normalized preference):
 //!   exactly the single-query update of
 //!   [`crate::pagerank_window_personalized`].
 //! - **Katz centrality** (`factor = 1`, `scale = alpha`, `tele[v] = beta`
@@ -56,7 +56,7 @@
 
 use crate::error::KernelError;
 use crate::observe::BatchObs;
-use crate::pagerank::{PrConfig, PrStats};
+use crate::pagerank::{one_structure, PrConfig, PrStats};
 use crate::scheduler::Scheduler;
 use crate::spmm::{
     batch_iterate, compress_bits, lanes_from_views, repack_columns, Affine, LaneRule,
@@ -230,8 +230,8 @@ pub struct QueryBatchOutcome {
 ///
 /// Lane `k = w·nq + q` evaluates `batch.queries()[q]` on `ranges[w]`;
 /// `inits[k]` seeds it (see [`QueryInit`]). `pull`/`push` as in
-/// [`crate::pagerank::pagerank_window`] (same reference for symmetric
-/// builds). Results are interleaved in `ws.base.x`
+/// [`crate::pagerank::pagerank_window`]: one structure, passed twice.
+/// Results are interleaved in `ws.base.x`
 /// ([`QueryWorkspace::copy_lane_into`]). `cfg.tol` governs personalized
 /// lanes; Katz lanes use their own [`QuerySpec::Katz::tol`]. Window
 /// membership is decided by a [`WindowIndex`] over `ranges`, built for the
@@ -249,7 +249,7 @@ pub fn pagerank_query_batch(
     ws: &mut QueryWorkspace,
 ) -> Result<QueryBatchOutcome, KernelError> {
     let n = check_queries(pull, push, ranges.len(), batch, inits.len())?;
-    let index = WindowIndex::build(push, (!std::ptr::eq(pull, push)).then_some(pull), ranges);
+    let index = WindowIndex::build(pull, ranges);
     let views: Vec<_> = (0..ranges.len()).map(|j| index.view(j)).collect();
     let off = BatchObs::off();
     query_batch(&views, n, true, batch, inits, cfg, sched, ws, off, None)
@@ -318,7 +318,7 @@ fn query_batch(
 }
 
 /// The argument checks of a (window × query) batch: at least one window,
-/// at most [`MAX_LANES`] lanes, one init per lane, one vertex universe, and
+/// at most [`MAX_LANES`] lanes, one init per lane, one structure, and
 /// preferences that span it with finite non-negative weights (parameter
 /// ranges were checked by [`QueryBatch::new`]). Returns the universe size.
 fn check_queries(
@@ -341,13 +341,7 @@ fn check_queries(
             args: inits,
         });
     }
-    let n = pull.num_vertices();
-    if push.num_vertices() != n {
-        return Err(KernelError::MismatchedUniverses {
-            pull: n,
-            push: push.num_vertices(),
-        });
-    }
+    let n = one_structure(pull, push)?.num_vertices();
     for (index, spec) in batch.queries().iter().enumerate() {
         if let QuerySpec::Personalized { preference, .. } = spec {
             if preference.len() != n {
@@ -572,14 +566,13 @@ impl LaneRule for AffineTeleport<'_> {
         }
     }
 
-    /// Personalized lanes teleport `alpha` plus the damped dangling mass;
-    /// Katz redistributes nothing.
+    /// Personalized lanes teleport `alpha`; Katz lanes add `beta` whole.
     #[inline]
-    fn coefficient(&self, k: usize, _n_act: usize, dangling: f64) -> f64 {
+    fn coefficient(&self, k: usize, _n_act: usize) -> f64 {
         if self.is_katz(k) {
             1.0
         } else {
-            self.alpha[k] + (1.0 - self.alpha[k]) * dangling
+            self.alpha[k]
         }
     }
 
@@ -668,7 +661,7 @@ mod tests {
     #[test]
     fn ppr_lanes_bit_match_single_query_kernel() {
         let events = sample_events();
-        let t = TemporalCsr::from_events(25, &events, true);
+        let t = TemporalCsr::from_events(25, &events);
         let ranges = vec![TimeRange::new(0, 150), TimeRange::new(80, 300)];
         let prefs = [
             seed_pref(25, &[(3, 1.0)]),
@@ -713,7 +706,7 @@ mod tests {
     #[test]
     fn katz_lane_bit_matches_reference() {
         let events = sample_events();
-        let t = TemporalCsr::from_events(25, &events, true);
+        let t = TemporalCsr::from_events(25, &events);
         let ranges = vec![TimeRange::new(0, 200)];
         let batch = QueryBatch::new(vec![
             QuerySpec::Katz {
@@ -753,7 +746,7 @@ mod tests {
     fn indexed_entry_bit_matches_the_unindexed_one() {
         // Views of one index over eight disjoint windows against
         // `pagerank_query_batch` over the same ranges: personalized and
-        // Katz lanes, symmetric and directed parts, and subsets of the
+        // Katz lanes, and subsets of the
         // windows on both sides of the copy rule — the whole index and all
         // but one window walk it in place, half of it or one window copy
         // out their held runs.
@@ -795,77 +788,64 @@ mod tests {
         .unwrap();
         let nq = batch.len();
         let mut retired = 0;
-        for symmetric in [true, false] {
-            let out = TemporalCsr::from_events(n, &events, symmetric);
-            let transpose = (!symmetric).then(|| out.transpose());
-            let pull = transpose.as_ref().unwrap_or(&out);
-            let index = WindowIndex::build(&out, transpose.as_ref(), &ranges);
-            let total = index.live_runs().nbr.len();
-            for (windows, copies) in [
-                ((0..8).collect::<Vec<_>>(), false),
-                ((0..7).collect(), false),
-                (vec![6, 4, 2, 0], true),
-                (vec![5], true),
-            ] {
-                let what = format!("symmetric={symmetric} windows={windows:?}");
-                let views: Vec<_> = windows.iter().map(|&j| index.view(j)).collect();
-                let own: Vec<_> = windows.iter().map(|&j| ranges[j]).collect();
-                let inits = vec![QueryInit::Fresh; windows.len() * nq];
-                let mut plain = QueryWorkspace::default();
-                let expect = pagerank_query_batch(
-                    pull,
-                    &out,
-                    &own,
-                    &batch,
-                    &inits,
-                    &cfg(),
-                    None,
-                    &mut plain,
-                )
-                .unwrap();
-                let mut ixd = QueryWorkspace::default();
-                let got = pagerank_query_batch_indexed(
-                    pull,
-                    &out,
-                    &views,
-                    &batch,
-                    &inits,
-                    &cfg(),
-                    None,
-                    &mut ixd,
-                    BatchObs::off(),
-                )
-                .unwrap();
-                assert_eq!(got, expect, "{what}");
-                retired += got.lanes_retired;
-                assert_eq!(bits(&ixd.base.x), bits(&plain.base.x), "{what}: ranks");
-                let empty = total - plain.base.run_nbr.len();
-                assert_eq!(
-                    empty * EMPTY_RUN_SHARE >= total,
-                    copies,
-                    "{what}: {empty} of {total}"
+        let t = TemporalCsr::from_events(n, &events);
+        let index = WindowIndex::build(&t, &ranges);
+        let total = index.live_runs().nbr.len();
+        for (windows, copies) in [
+            ((0..8).collect::<Vec<_>>(), false),
+            ((0..7).collect(), false),
+            (vec![6, 4, 2, 0], true),
+            (vec![5], true),
+        ] {
+            let what = format!("windows={windows:?}");
+            let views: Vec<_> = windows.iter().map(|&j| index.view(j)).collect();
+            let own: Vec<_> = windows.iter().map(|&j| ranges[j]).collect();
+            let inits = vec![QueryInit::Fresh; windows.len() * nq];
+            let mut plain = QueryWorkspace::default();
+            let expect =
+                pagerank_query_batch(&t, &t, &own, &batch, &inits, &cfg(), None, &mut plain)
+                    .unwrap();
+            let mut ixd = QueryWorkspace::default();
+            let got = pagerank_query_batch_indexed(
+                &t,
+                &t,
+                &views,
+                &batch,
+                &inits,
+                &cfg(),
+                None,
+                &mut ixd,
+                BatchObs::off(),
+            )
+            .unwrap();
+            assert_eq!(got, expect, "{what}");
+            retired += got.lanes_retired;
+            assert_eq!(bits(&ixd.base.x), bits(&plain.base.x), "{what}: ranks");
+            let empty = total - plain.base.run_nbr.len();
+            assert_eq!(
+                empty * EMPTY_RUN_SHARE >= total,
+                copies,
+                "{what}: {empty} of {total}"
+            );
+            if copies {
+                assert_eq!(ixd.base.run_row, plain.base.run_row, "{what}");
+                assert_eq!(ixd.base.run_nbr, plain.base.run_nbr, "{what}");
+            } else {
+                assert!(
+                    ixd.base.run_nbr.is_empty(),
+                    "{what}: walks the index in place"
                 );
-                if copies {
-                    assert_eq!(ixd.base.run_row, plain.base.run_row, "{what}");
-                    assert_eq!(ixd.base.run_nbr, plain.base.run_nbr, "{what}");
-                } else {
-                    assert!(
-                        ixd.base.run_nbr.is_empty(),
-                        "{what}: walks the index in place"
-                    );
-                    assert_eq!(ixd.base.run_mask.len(), total, "{what}");
-                }
+                assert_eq!(ixd.base.run_mask.len(), total, "{what}");
             }
         }
         assert!(retired > 0, "compaction must fire somewhere");
         // Views must come from one index over the batch's vertices.
-        let t = TemporalCsr::from_events(n, &events, true);
         let (a, b) = (
-            WindowIndex::build(&t, None, &ranges),
-            WindowIndex::build(&t, None, &ranges),
+            WindowIndex::build(&t, &ranges),
+            WindowIndex::build(&t, &ranges),
         );
-        let small = TemporalCsr::from_events(5, &[Event::new(0, 1, 3)], true);
-        let other = WindowIndex::build(&small, None, &ranges);
+        let small = TemporalCsr::from_events(5, &[Event::new(0, 1, 3)]);
+        let other = WindowIndex::build(&small, &ranges);
         let inits = vec![QueryInit::Fresh; 2 * nq];
         for views in [[a.view(0), b.view(1)], [other.view(0), other.view(1)]] {
             let err = pagerank_query_batch_indexed(
@@ -887,7 +867,7 @@ mod tests {
     fn scheduler_and_simd_policies_agree_with_sequential() {
         use crate::simd::SimdPolicy;
         let events = sample_events();
-        let t = TemporalCsr::from_events(25, &events, true);
+        let t = TemporalCsr::from_events(25, &events);
         let ranges = vec![TimeRange::new(0, 150), TimeRange::new(60, 240)];
         let pref = seed_pref(25, &[(2, 1.0), (9, 3.0)]);
         let batch = QueryBatch::new(vec![
@@ -926,7 +906,7 @@ mod tests {
     #[test]
     fn compaction_is_bit_identical_and_counts_retirees() {
         let events = sample_events();
-        let t = TemporalCsr::from_events(25, &events, true);
+        let t = TemporalCsr::from_events(25, &events);
         // Many staggered windows × 2 queries: short lanes retire early.
         let ranges: Vec<TimeRange> = (0..8).map(|k| TimeRange::new(0, 30 + k * 25)).collect();
         let pref = seed_pref(25, &[(5, 1.0)]);
@@ -968,7 +948,7 @@ mod tests {
             QueryBatch::new(vec![]).unwrap_err(),
             KernelError::EmptyBatch
         );
-        let t = TemporalCsr::from_events(2, &[Event::new(0, 1, 0)], true);
+        let t = TemporalCsr::from_events(2, &[Event::new(0, 1, 0)]);
         let pref = [1.0, 0.0];
         let batch = QueryBatch::new(vec![QuerySpec::Personalized {
             preference: &pref,
@@ -1010,7 +990,7 @@ mod tests {
         // Only the kernel call sees the weights: a negative, NaN or
         // infinite one is a bad query, not a length error or a numeric
         // fault after a wasted restart.
-        let t = TemporalCsr::from_events(2, &[Event::new(0, 1, 0)], true);
+        let t = TemporalCsr::from_events(2, &[Event::new(0, 1, 0)]);
         for bad in [-1.0, f64::NAN, f64::INFINITY] {
             let weights = [1.0, bad];
             let batch = QueryBatch::new(vec![
@@ -1044,7 +1024,7 @@ mod tests {
 
     #[test]
     fn too_many_window_query_lanes_rejected() {
-        let t = TemporalCsr::from_events(2, &[Event::new(0, 1, 0)], true);
+        let t = TemporalCsr::from_events(2, &[Event::new(0, 1, 0)]);
         let pref = [1.0, 0.0];
         let specs: Vec<QuerySpec<'_>> = (0..13)
             .map(|_| QuerySpec::Personalized {
@@ -1064,7 +1044,7 @@ mod tests {
     #[test]
     fn warm_init_reaches_same_fixed_point() {
         let events = sample_events();
-        let t = TemporalCsr::from_events(25, &events, true);
+        let t = TemporalCsr::from_events(25, &events);
         let r0 = TimeRange::new(0, 150);
         let r1 = TimeRange::new(60, 240);
         let pref = seed_pref(25, &[(3, 1.0)]);
@@ -1125,7 +1105,7 @@ mod tests {
     #[test]
     fn duplicate_queries_produce_identical_columns() {
         let events = sample_events();
-        let t = TemporalCsr::from_events(25, &events, true);
+        let t = TemporalCsr::from_events(25, &events);
         let ranges = vec![TimeRange::new(0, 200)];
         let pref = seed_pref(25, &[(4, 1.0), (17, 0.5)]);
         let batch = QueryBatch::new(vec![
@@ -1165,8 +1145,8 @@ mod tests {
             .filter(|e| e.u < 12 && e.v < 12)
             .collect();
         let (t25, t12) = (
-            TemporalCsr::from_events(25, &events, true),
-            TemporalCsr::from_events(12, &small, true),
+            TemporalCsr::from_events(25, &events),
+            TemporalCsr::from_events(12, &small),
         );
         let spans = |s: &[(i64, i64)]| s.iter().map(|&(a, b)| TimeRange::new(a, b)).collect();
         let four: Vec<TimeRange> = spans(&[(0, 60), (40, 160), (150, 230), (200, 360)]);
@@ -1273,8 +1253,8 @@ mod tests {
         fn restart(&self, k: usize, vl: usize, verts: &[VertexId], x: &mut [f64]) {
             self.0.restart(k, vl, verts, x);
         }
-        fn coefficient(&self, k: usize, n_act: usize, dangling: f64) -> f64 {
-            self.0.coefficient(k, n_act, dangling)
+        fn coefficient(&self, k: usize, n_act: usize) -> f64 {
+            self.0.coefficient(k, n_act)
         }
         fn affine(&self) -> Affine<'_> {
             self.0.affine()
@@ -1321,7 +1301,7 @@ mod tests {
     fn rounds_touch_only_live_cells(spans: [(i64, i64); 4]) -> usize {
         let events = sample_events();
         let n = 25;
-        let t = TemporalCsr::from_events(n, &events, true);
+        let t = TemporalCsr::from_events(n, &events);
         let ranges: Vec<TimeRange> = spans.map(|(a, b)| TimeRange::new(a, b)).to_vec();
         let pref = seed_pref(n, &[(5, 1.0), (12, 2.0), (20, 1.0)]);
         let batch = QueryBatch::new(vec![
@@ -1351,7 +1331,7 @@ mod tests {
 
             let mut ws = QueryWorkspace::default();
             let QueryWorkspace { base, tele } = &mut ws;
-            let index = WindowIndex::build(&t, None, &ranges);
+            let index = WindowIndex::build(&t, &ranges);
             let views: Vec<_> = (0..4).map(|j| index.view(j)).collect();
             let (rule, runs) =
                 query_lanes(&views, n, true, &batch, &inits, &c, base, tele).unwrap();
@@ -1405,7 +1385,7 @@ mod tests {
             }
             assert!(early >= 2, "lanes must converge at different rounds");
         }
-        let index = WindowIndex::build(&t, None, &ranges);
+        let index = WindowIndex::build(&t, &ranges);
         let verts: Vec<&[VertexId]> = (0..4).map(|j| index.view(j).vertices).collect();
         let idle = |v: VertexId| {
             verts

@@ -4,9 +4,10 @@
 //! [`reference_pagerank`] is the executable specification every optimized
 //! kernel in the workspace is tested against: a direct, allocation-happy
 //! implementation of the paper's Eq. 1 with the shared semantics
-//! documented in [`crate::pagerank`] (active vertex set, dangling
-//! redistribution, simple-graph dedup). It is deliberately slow and
-//! obvious.
+//! documented in [`crate::pagerank`] (active vertex set, simple-graph
+//! dedup). It stays general over directed edge lists, redistributing the
+//! mass of vertices without out-edges, which a symmetric window never
+//! has. It is deliberately slow and obvious.
 //!
 //! [`katz_window`] is the single-window Jacobi iteration the query batch's
 //! Katz lanes ([`crate::QuerySpec::Katz`]) are tested against bit for bit.

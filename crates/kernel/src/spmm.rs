@@ -33,7 +33,7 @@
 
 use crate::error::{FaultKind, KernelError};
 use crate::observe::BatchObs;
-use crate::pagerank::{guard_check, GuardAction, PrHealth};
+use crate::pagerank::{guard_check, one_structure, GuardAction, PrHealth};
 use crate::pagerank::{Init, PrConfig, PrStats};
 use crate::scheduler::{Balance, Scheduler};
 use crate::simd::{fold_residual, SimdDispatch};
@@ -51,12 +51,14 @@ pub struct SpmmWorkspace {
     pub x: Vec<f64>,
     /// Next iterate.
     pub y: Vec<f64>,
-    /// Interleaved `1/outdeg` (0 where inactive or dangling).
+    /// Interleaved `1/outdeg` (0 where inactive).
     pub inv_deg: Vec<f64>,
     /// Per-vertex lane bitmask: bit `k` set iff the vertex is active in
     /// window `k`.
     pub active_mask: Vec<u64>,
-    /// Per-vertex lane bitmask of *dangling* lanes (active, out-degree 0).
+    /// Always empty: no batch writes it, since every vertex active in a
+    /// symmetric window has an out-edge. It stays because the benchmark
+    /// reads its `len()` when it sizes a batch's bytes.
     pub dangling_mask: Vec<u64>,
     /// Vertices active in at least one lane, ascending — iterations loop
     /// over this compact list instead of the whole vertex space.
@@ -92,7 +94,6 @@ impl SpmmWorkspace {
         }
         for &v in &self.active_list {
             self.active_mask[v as usize] = 0;
-            self.dangling_mask[v as usize] = 0;
         }
         self.active_list.clear();
     }
@@ -193,8 +194,8 @@ impl LaneTable {
 ///
 /// `ranges[k]` is lane `k`'s window (any order); `inits[k]` its
 /// initialization (see [`Init`]). `pull`/`push` as in
-/// [`crate::pagerank::pagerank_window`]; pass the same reference for
-/// symmetric builds. Lanes converge independently; iteration stops when
+/// [`crate::pagerank::pagerank_window`]: one structure, passed twice.
+/// Lanes converge independently; iteration stops when
 /// every lane has converged (or at `cfg.max_iters`). Results are
 /// interleaved in `ws.x` (use [`SpmmWorkspace::copy_lane_into`]). Window
 /// membership is decided by a [`WindowIndex`] over `ranges`, built for the
@@ -211,7 +212,7 @@ pub fn pagerank_batch(
     ws: &mut SpmmWorkspace,
 ) -> Result<Vec<PrStats>, KernelError> {
     let n = check_lanes(pull, push, ranges.len(), inits.len())?;
-    let index = WindowIndex::build(push, (!std::ptr::eq(pull, push)).then_some(pull), ranges);
+    let index = WindowIndex::build(pull, ranges);
     let views: Vec<_> = (0..ranges.len()).map(|j| index.view(j)).collect();
     let off = BatchObs::off();
     window_batch(&views, inits, n, true, cfg, sched, ws, off, None)
@@ -256,7 +257,7 @@ pub fn pagerank_batch_indexed_obs(
 }
 
 /// The argument checks both window batches share: `1..=MAX_LANES` lanes,
-/// one init per lane, one vertex universe. Returns its size.
+/// one init per lane, one structure. Returns its vertex count.
 fn check_lanes(
     pull: &TemporalCsr,
     push: &TemporalCsr,
@@ -272,14 +273,7 @@ fn check_lanes(
             args: inits,
         });
     }
-    let n = pull.num_vertices();
-    if push.num_vertices() != n {
-        return Err(KernelError::MismatchedUniverses {
-            pull: n,
-            push: push.num_vertices(),
-        });
-    }
-    Ok(n)
+    Ok(one_structure(pull, push)?.num_vertices())
 }
 
 /// One window per lane over `views`, under the uniform teleport.
@@ -304,7 +298,7 @@ fn window_batch(
 /// The per-batch setup of every lane batch in the crate, read off one
 /// [`WindowIndex`] over `n` vertices: lane `k = w·nq + q` is query `q` on
 /// `views[w]`'s window (`nq = 1`: one window per lane), so each view's
-/// `1/outdeg`, activity and dangling vertices are copied to its `nq` lanes,
+/// `1/outdeg` and activity are copied to its `nq` lanes,
 /// and each run's lane mask is gathered from its window bits through one
 /// [`LaneTable`]. Fills every mask and the union active list of `ws` and
 /// returns the index's run list. The batch walks that list in place unless
@@ -333,7 +327,6 @@ pub(crate) fn lanes_from_views<'a>(
     // value it is ever given (see the `crate::simd` module docs).
     ws.inv_deg.resize(n * vl, 0.0);
     ws.active_mask.resize(n, 0);
-    ws.dangling_mask.resize(n, 0);
     for (w, view) in views.iter().enumerate() {
         let lanes = queries << (w * nq);
         for (&v, &inv) in view.vertices.iter().zip(view.inv_deg) {
@@ -343,9 +336,6 @@ pub(crate) fn lanes_from_views<'a>(
             }
             ws.active_mask[v] |= lanes;
             ws.inv_deg[v * vl + w * nq..v * vl + (w + 1) * nq].fill(inv);
-        }
-        for &v in view.dangling {
-            ws.dangling_mask[v as usize] |= lanes;
         }
     }
     ws.active_list.sort_unstable();
@@ -417,8 +407,8 @@ pub(crate) trait LaneRule: Sync {
     fn restart(&self, k: usize, vl: usize, verts: &[VertexId], x: &mut [f64]);
 
     /// This round's coefficient of slot `k`, from the lane's active-vertex
-    /// count and the rank mass its dangling vertices hold.
-    fn coefficient(&self, k: usize, n_act: usize, dangling: f64) -> f64;
+    /// count.
+    fn coefficient(&self, k: usize, n_act: usize) -> f64;
 
     /// The cell update and the residual norms, at the current stride (see
     /// [`Affine`]).
@@ -475,8 +465,7 @@ impl Affine<'_> {
 /// coefficient, and every slot's `scale` is the damping `1 − alpha`.
 struct UniformTeleport<'a> {
     alpha: f64,
-    damp: f64,
-    /// `damp` in every slot: the affine form's `scale`.
+    /// The damping `1 − alpha` in every slot: the affine form's `scale`.
     scale: [f64; MAX_LANES],
     tol: f64,
     inits: &'a [Init<'a>],
@@ -486,7 +475,6 @@ impl<'a> UniformTeleport<'a> {
     fn new(cfg: &PrConfig, inits: &'a [Init<'a>]) -> Self {
         UniformTeleport {
             alpha: cfg.alpha,
-            damp: 1.0 - cfg.alpha,
             scale: [1.0 - cfg.alpha; MAX_LANES],
             tol: cfg.tol,
             inits,
@@ -511,9 +499,8 @@ impl LaneRule for UniformTeleport<'_> {
     }
 
     #[inline]
-    fn coefficient(&self, _k: usize, n_act: usize, dangling: f64) -> f64 {
-        let n_k = n_act as f64;
-        self.alpha / n_k + self.damp * dangling / n_k
+    fn coefficient(&self, _k: usize, n_act: usize) -> f64 {
+        self.alpha / n_act as f64
     }
 
     fn affine(&self) -> Affine<'_> {
@@ -665,10 +652,6 @@ fn rounds<R: LaneRule>(
     obs.dispatch(dispatch.isa(), vl0);
 
     // --- Batched iteration --------------------------------------------------
-    let has_dangling = ws
-        .active_list
-        .iter()
-        .any(|&v| ws.dangling_mask[v as usize] != 0);
     let mut stats: Vec<PrStats> = (0..vl0)
         .map(|k| PrStats {
             iterations: 0,
@@ -731,18 +714,9 @@ fn rounds<R: LaneRule>(
             live_rows_stale = false;
             obs.live_rows(live_rows.edges, live_rows.cells, vl, live_rows.vector);
         }
-        // Dangling mass per live lane, then the rule's coefficient from it.
         let mut coef = [0.0f64; MAX_LANES];
-        if has_dangling {
-            for &v in &live_rows.rows {
-                let v = v as usize;
-                for k in lanes(ws.dangling_mask[v] & live) {
-                    coef[k] += ws.x[v * vl + k];
-                }
-            }
-        }
         for k in lanes(live) {
-            coef[k] = rule.coefficient(k, n_act[lane_map[k]], coef[k]);
+            coef[k] = rule.coefficient(k, n_act[lane_map[k]]);
         }
 
         let affine = rule.affine();
@@ -1093,7 +1067,6 @@ fn compact_lanes<R: LaneRule>(
     for &v in rows {
         let v = v as usize;
         ws.active_mask[v] = compress_bits(ws.active_mask[v], &keep);
-        ws.dangling_mask[v] = compress_bits(ws.dangling_mask[v], &keep);
         for m in &mut ws.run_mask[runs.of(v)] {
             *m = compress_bits(*m, &keep);
         }
@@ -1265,7 +1238,7 @@ mod tests {
     #[test]
     fn batch_matches_per_window_spmv() {
         let events = sample_events();
-        let t = TemporalCsr::from_events(25, &events, true);
+        let t = TemporalCsr::from_events(25, &events);
         let ranges: Vec<TimeRange> = (0..8)
             .map(|k| TimeRange::new(k * 40, k * 40 + 120))
             .collect();
@@ -1284,7 +1257,7 @@ mod tests {
     #[test]
     fn batch_parallel_matches_sequential() {
         let events = sample_events();
-        let t = TemporalCsr::from_events(25, &events, true);
+        let t = TemporalCsr::from_events(25, &events);
         let ranges: Vec<TimeRange> = (0..16)
             .map(|k| TimeRange::new(k * 20, k * 20 + 90))
             .collect();
@@ -1302,25 +1275,9 @@ mod tests {
     }
 
     #[test]
-    fn batch_directed_matches_spmv() {
-        let events = sample_events();
-        let out = TemporalCsr::from_events(25, &events, false);
-        let pull = out.transpose();
-        let ranges = vec![TimeRange::new(0, 150), TimeRange::new(100, 300)];
-        let inits = vec![Init::Uniform; 2];
-        let mut ws = SpmmWorkspace::default();
-        pagerank_batch(&pull, &out, &ranges, &inits, &cfg(), None, &mut ws).unwrap();
-        for (k, r) in ranges.iter().enumerate() {
-            let (expect, _) =
-                pagerank_window_vec(&pull, &out, *r, Init::Uniform, &cfg(), None).unwrap();
-            assert_close(&lane_of(&ws, k, 2), &expect, 1e-9);
-        }
-    }
-
-    #[test]
     fn empty_lane_is_all_zero_and_converged() {
         let events = sample_events();
-        let t = TemporalCsr::from_events(25, &events, true);
+        let t = TemporalCsr::from_events(25, &events);
         let ranges = vec![TimeRange::new(0, 100), TimeRange::new(5000, 6000)];
         let inits = vec![Init::Uniform; 2];
         let mut ws = SpmmWorkspace::default();
@@ -1337,7 +1294,7 @@ mod tests {
     #[test]
     fn partial_init_lane_matches_spmv_partial() {
         let events = sample_events();
-        let t = TemporalCsr::from_events(25, &events, true);
+        let t = TemporalCsr::from_events(25, &events);
         let r0 = TimeRange::new(0, 150);
         let r1 = TimeRange::new(50, 200);
         let (prev, _) = pagerank_window_vec(&t, &t, r0, Init::Uniform, &cfg(), None).unwrap();
@@ -1353,7 +1310,7 @@ mod tests {
     #[test]
     fn per_lane_iteration_counts_are_tracked() {
         let events = sample_events();
-        let t = TemporalCsr::from_events(25, &events, true);
+        let t = TemporalCsr::from_events(25, &events);
         // One trivial lane (tiny graph converges fast) and one full lane.
         let ranges = vec![TimeRange::new(0, 3), TimeRange::new(0, 360)];
         let inits = vec![Init::Uniform; 2];
@@ -1366,7 +1323,7 @@ mod tests {
     #[test]
     fn lanes_sum_to_one_each() {
         let events = sample_events();
-        let t = TemporalCsr::from_events(25, &events, true);
+        let t = TemporalCsr::from_events(25, &events);
         let ranges: Vec<TimeRange> = (0..4)
             .map(|k| TimeRange::new(k * 50, k * 50 + 150))
             .collect();
@@ -1387,9 +1344,8 @@ mod tests {
             .map(|k| TimeRange::new(k * 40, k * 40 + 120))
             .collect();
         let inits = vec![Init::Uniform; 8];
-        // Symmetric.
-        let t = TemporalCsr::from_events(25, &events, true);
-        let idx = WindowIndex::build(&t, None, &ranges);
+        let t = TemporalCsr::from_events(25, &events);
+        let idx = WindowIndex::build(&t, &ranges);
         let views: Vec<_> = (0..8).map(|j| idx.view(j)).collect();
         let mut plain = SpmmWorkspace::default();
         let ps = pagerank_batch(&t, &t, &ranges, &inits, &cfg(), None, &mut plain).unwrap();
@@ -1414,17 +1370,16 @@ mod tests {
             .zip(plain.run_mask.iter().copied())
             .collect();
         assert_eq!(kept, want);
-        // Directed, with a scheduler.
-        let out = TemporalCsr::from_events(25, &events, false);
-        let pull = out.transpose();
-        let didx = WindowIndex::build(&out, Some(&pull), &ranges);
-        let dviews: Vec<_> = (0..8).map(|j| didx.view(j)).collect();
+        // With a scheduler.
         let s = Scheduler::new(Partitioner::Simple, 3);
-        let mut dplain = SpmmWorkspace::default();
-        pagerank_batch(&pull, &out, &ranges, &inits, &cfg(), Some(&s), &mut dplain).unwrap();
-        let mut dixd = SpmmWorkspace::default();
-        pagerank_batch_indexed(&pull, &out, &dviews, &inits, &cfg(), Some(&s), &mut dixd).unwrap();
-        assert_eq!(dplain.x, dixd.x, "directed ranks must be bit-identical");
+        let mut splain = SpmmWorkspace::default();
+        pagerank_batch(&t, &t, &ranges, &inits, &cfg(), Some(&s), &mut splain).unwrap();
+        let mut sixd = SpmmWorkspace::default();
+        pagerank_batch_indexed(&t, &t, &views, &inits, &cfg(), Some(&s), &mut sixd).unwrap();
+        assert_eq!(
+            splain.x, sixd.x,
+            "ranks must be bit-identical under a scheduler"
+        );
     }
 
     #[test]
@@ -1445,11 +1400,11 @@ mod tests {
             .map(|_| Event::new(next(25) as u32, next(25) as u32, next(360) as i64))
             .filter(|e| e.u != e.v)
             .collect();
-        let t = TemporalCsr::from_events(25, &events, true);
+        let t = TemporalCsr::from_events(25, &events);
         let ranges: Vec<TimeRange> = (0..8)
             .map(|k| TimeRange::new(k * 45, k * 45 + 44))
             .collect();
-        let idx = WindowIndex::build(&t, None, &ranges);
+        let idx = WindowIndex::build(&t, &ranges);
         let total = idx.live_runs().nbr.len();
         for lanes in [
             (0..8).collect::<Vec<_>>(),
@@ -1514,30 +1469,25 @@ mod tests {
             .map(|_| Event::new(next(20) as u32, next(20) as u32, next(1000) as i64))
             .filter(|e| e.u != e.v)
             .collect();
-        for symmetric in [true, false] {
-            let out = TemporalCsr::from_events(20, &events, symmetric);
-            let transpose = (!symmetric).then(|| out.transpose());
-            let pull = transpose.as_ref().unwrap_or(&out);
-            let idx = WindowIndex::build(&out, transpose.as_ref(), &ranges);
-            for lanes in [vec![0, 1, 2, 3, 4], vec![3, 1, 4], vec![4, 0]] {
-                let views: Vec<_> = lanes.iter().map(|&j| idx.view(j)).collect();
-                let lane_ranges: Vec<_> = lanes.iter().map(|&j| ranges[j]).collect();
-                let inits = vec![Init::Uniform; lanes.len()];
-                let mut plain = SpmmWorkspace::default();
-                let ps = pagerank_batch(pull, &out, &lane_ranges, &inits, &cfg(), None, &mut plain)
-                    .unwrap();
-                let mut ixd = SpmmWorkspace::default();
-                let is = pagerank_batch_indexed(pull, &out, &views, &inits, &cfg(), None, &mut ixd)
-                    .unwrap();
-                let what = format!("symmetric={symmetric} lanes={lanes:?}");
-                assert_eq!(ps, is, "{what}");
-                assert_eq!(plain.x, ixd.x, "{what}: ranks must be bit-identical");
-                for (k, &j) in lanes.iter().enumerate() {
-                    let (expect, _) =
-                        pagerank_window_vec(pull, &out, ranges[j], Init::Uniform, &cfg(), None)
-                            .unwrap();
-                    assert_close(&lane_of(&ixd, k, lanes.len()), &expect, 1e-9);
-                }
+        let t = TemporalCsr::from_events(20, &events);
+        let idx = WindowIndex::build(&t, &ranges);
+        for lanes in [vec![0, 1, 2, 3, 4], vec![3, 1, 4], vec![4, 0]] {
+            let views: Vec<_> = lanes.iter().map(|&j| idx.view(j)).collect();
+            let lane_ranges: Vec<_> = lanes.iter().map(|&j| ranges[j]).collect();
+            let inits = vec![Init::Uniform; lanes.len()];
+            let mut plain = SpmmWorkspace::default();
+            let ps =
+                pagerank_batch(&t, &t, &lane_ranges, &inits, &cfg(), None, &mut plain).unwrap();
+            let mut ixd = SpmmWorkspace::default();
+            let is =
+                pagerank_batch_indexed(&t, &t, &views, &inits, &cfg(), None, &mut ixd).unwrap();
+            let what = format!("lanes={lanes:?}");
+            assert_eq!(ps, is, "{what}");
+            assert_eq!(plain.x, ixd.x, "{what}: ranks must be bit-identical");
+            for (k, &j) in lanes.iter().enumerate() {
+                let (expect, _) =
+                    pagerank_window_vec(&t, &t, ranges[j], Init::Uniform, &cfg(), None).unwrap();
+                assert_close(&lane_of(&ixd, k, lanes.len()), &expect, 1e-9);
             }
         }
     }
@@ -1545,19 +1495,19 @@ mod tests {
     #[test]
     fn foreign_index_views_are_refused() {
         use tempopr_graph::WindowIndex;
-        let t = TemporalCsr::from_events(25, &sample_events(), true);
-        let small = TemporalCsr::from_events(5, &[Event::new(0, 1, 3)], true);
+        let t = TemporalCsr::from_events(25, &sample_events());
+        let small = TemporalCsr::from_events(5, &[Event::new(0, 1, 3)]);
         let ranges = [TimeRange::new(0, 100), TimeRange::new(50, 200)];
         let (a, b) = (
-            WindowIndex::build(&t, None, &ranges),
-            WindowIndex::build(&t, None, &ranges),
+            WindowIndex::build(&t, &ranges),
+            WindowIndex::build(&t, &ranges),
         );
         let inits = vec![Init::Uniform; 2];
         let mut ws = SpmmWorkspace::default();
         let mixed = [a.view(0), b.view(1)];
         let err = pagerank_batch_indexed(&t, &t, &mixed, &inits, &cfg(), None, &mut ws);
         assert_eq!(err.unwrap_err(), KernelError::ForeignIndexViews);
-        let other = WindowIndex::build(&small, None, &ranges);
+        let other = WindowIndex::build(&small, &ranges);
         let views = [other.view(0), other.view(1)];
         let err = pagerank_batch_indexed(&t, &t, &views, &inits, &cfg(), None, &mut ws);
         assert_eq!(err.unwrap_err(), KernelError::ForeignIndexViews);
@@ -1565,7 +1515,7 @@ mod tests {
 
     #[test]
     fn too_many_lanes_rejected() {
-        let t = TemporalCsr::from_events(2, &[Event::new(0, 1, 0)], true);
+        let t = TemporalCsr::from_events(2, &[Event::new(0, 1, 0)]);
         let ranges = vec![TimeRange::new(0, 1); 65];
         let inits = vec![Init::Uniform; 65];
         let mut ws = SpmmWorkspace::default();
@@ -1589,7 +1539,7 @@ mod tests {
             events.push(Event::new(0, i, (i * 15) as i64));
             events.push(Event::new(i, (i % 7) + 1, (i * 14) as i64));
         }
-        let t = TemporalCsr::from_events(20, &events, true);
+        let t = TemporalCsr::from_events(20, &events);
         let ranges = vec![TimeRange::new(0, 150), TimeRange::new(100, 300)];
         let inits = vec![Init::Uniform; 2];
         let c = PrConfig {
@@ -1613,7 +1563,7 @@ mod tests {
     #[test]
     fn batch_guards_do_not_change_healthy_ranks() {
         let events = sample_events();
-        let t = TemporalCsr::from_events(25, &events, true);
+        let t = TemporalCsr::from_events(25, &events);
         let ranges: Vec<TimeRange> = (0..8)
             .map(|k| TimeRange::new(k * 40, k * 40 + 120))
             .collect();
@@ -1633,7 +1583,7 @@ mod tests {
     #[test]
     fn max_lanes_64_supported() {
         let events = sample_events();
-        let t = TemporalCsr::from_events(25, &events, true);
+        let t = TemporalCsr::from_events(25, &events);
         let ranges: Vec<TimeRange> = (0..64).map(|k| TimeRange::new(k * 5, k * 5 + 60)).collect();
         let inits = vec![Init::Uniform; 64];
         let mut ws = SpmmWorkspace::default();
@@ -1657,7 +1607,7 @@ mod tests {
     fn simd_policies_and_compaction_are_bit_identical() {
         use crate::simd::SimdPolicy;
         let events = sample_events();
-        let t = TemporalCsr::from_events(25, &events, true);
+        let t = TemporalCsr::from_events(25, &events);
         let ranges = staggered_ranges(16);
         let inits = vec![Init::Uniform; 16];
         // Reference: the pre-vectorization kernel — mask walk, no
@@ -1690,7 +1640,7 @@ mod tests {
     #[test]
     fn compaction_is_bit_identical_under_scheduler() {
         let events = sample_events();
-        let t = TemporalCsr::from_events(25, &events, true);
+        let t = TemporalCsr::from_events(25, &events);
         let ranges = staggered_ranges(16);
         let inits = vec![Init::Uniform; 16];
         for part in [Partitioner::Auto, Partitioner::Simple, Partitioner::Static] {
@@ -1717,7 +1667,7 @@ mod tests {
             events.push(Event::new(0, i, (i * 3) as i64));
             events.push(Event::new(i, (i % 9) + 1, (i * 5) as i64));
         }
-        let t = TemporalCsr::from_events(30, &events, true);
+        let t = TemporalCsr::from_events(30, &events);
         let ranges: Vec<TimeRange> = (0..8).map(|k| TimeRange::new(k * 10, 150)).collect();
         let inits = vec![Init::Uniform; 8];
         let mut seq = SpmmWorkspace::default();
@@ -1743,7 +1693,7 @@ mod tests {
             events.push(Event::new(0, i, (i * 15) as i64));
             events.push(Event::new(i, (i % 7) + 1, (i * 14) as i64));
         }
-        let t = TemporalCsr::from_events(20, &events, true);
+        let t = TemporalCsr::from_events(20, &events);
         let mut ranges = vec![TimeRange::new(0, 150)];
         ranges.extend(std::iter::repeat_n(TimeRange::new(0, 15), 12));
         ranges.extend(std::iter::repeat_n(TimeRange::new(100, 300), 3));
@@ -1798,7 +1748,7 @@ mod tests {
         // Vertex 0, the union's first row, is not active in lane 0: a fault
         // planted there would sit in a cell no round reads.
         let (n, events, ranges) = disjoint_community_events();
-        let t = TemporalCsr::from_events(n, &events, true);
+        let t = TemporalCsr::from_events(n, &events);
         let inits = vec![Init::Uniform; 3];
         let nan = PrConfig {
             fault: Some(crate::FaultKind::InjectNan { at_iter: 2 }),
@@ -1899,7 +1849,7 @@ mod tests {
         // narrowed the stride — lane 0's cells sit elsewhere — before the
         // NaN of round 2 is planted.
         let (n, events, live_ranges) = disjoint_community_events();
-        let t = TemporalCsr::from_events(n, &events, true);
+        let t = TemporalCsr::from_events(n, &events);
         let fault = |fault| PrConfig {
             fault: Some(fault),
             ..cfg()
@@ -1965,7 +1915,7 @@ mod tests {
         // escalates; a Katz lane 0 has no conserved mass to drift, and its
         // siblings keep their bits.
         let (n, events, ranges) = disjoint_community_events();
-        let t = TemporalCsr::from_events(n, &events, true);
+        let t = TemporalCsr::from_events(n, &events);
         let corrupt = PrConfig {
             fault: Some(crate::FaultKind::CorruptReciprocal),
             ..cfg()
@@ -2000,8 +1950,8 @@ mod tests {
         // takes its rows out of the live list as it goes; a weight prefix
         // left over from the full union would no longer tile the rows.
         let (n, events, ranges) = disjoint_community_events();
-        let t = TemporalCsr::from_events(n, &events, true);
-        let idx = WindowIndex::build(&t, None, &ranges);
+        let t = TemporalCsr::from_events(n, &events);
+        let idx = WindowIndex::build(&t, &ranges);
         let views: Vec<_> = (0..3).map(|j| idx.view(j)).collect();
         let inits = vec![Init::Uniform; 3];
         let mut seq = SpmmWorkspace::default();
@@ -2028,7 +1978,7 @@ mod tests {
     #[test]
     fn live_rows_track_the_live_lanes() {
         let (n, events, ranges) = disjoint_community_events();
-        let t = TemporalCsr::from_events(n, &events, true);
+        let t = TemporalCsr::from_events(n, &events);
         let inits = vec![Init::Uniform; 3];
         let mut ws = SpmmWorkspace::default();
         pagerank_batch(&t, &t, &ranges, &inits, &cfg(), None, &mut ws).unwrap();
@@ -2063,9 +2013,9 @@ mod tests {
         // `cells == runs`, and the rule `cells * 8 >= runs * vl` holds up to
         // a stride of 8 lanes and fails above it.
         let (n, events, ranges) = disjoint_community_events();
-        let t = TemporalCsr::from_events(n, &events, true);
+        let t = TemporalCsr::from_events(n, &events);
         let mut ws = SpmmWorkspace::default();
-        let idx = tempopr_graph::WindowIndex::build(&t, None, &ranges);
+        let idx = tempopr_graph::WindowIndex::build(&t, &ranges);
         let views: Vec<_> = (0..3).map(|j| idx.view(j)).collect();
         lanes_from_views(&views, 1, n, true, &mut ws).unwrap();
         ws.active_list = (0..n as u32).collect();
@@ -2107,11 +2057,11 @@ mod tests {
             }
         }
         let (n, events, ranges) = disjoint_community_events();
-        let t = TemporalCsr::from_events(n, &events, true);
+        let t = TemporalCsr::from_events(n, &events);
         let inits = vec![Init::Uniform; 3];
         let rec = Rounds::default();
         let mut ws = SpmmWorkspace::default();
-        let index = WindowIndex::build(&t, None, &ranges);
+        let index = WindowIndex::build(&t, &ranges);
         let views: Vec<_> = (0..ranges.len()).map(|j| index.view(j)).collect();
         pagerank_batch_indexed_obs(
             &t,
@@ -2168,12 +2118,12 @@ mod tests {
             }
         }
         let events = sample_events();
-        let t = TemporalCsr::from_events(25, &events, true);
+        let t = TemporalCsr::from_events(25, &events);
         let ranges = staggered_ranges(16);
         let inits = vec![Init::Uniform; 16];
         let rec = Rec::default();
         let mut ws = SpmmWorkspace::default();
-        let index = WindowIndex::build(&t, None, &ranges);
+        let index = WindowIndex::build(&t, &ranges);
         let views: Vec<_> = (0..ranges.len()).map(|j| index.view(j)).collect();
         pagerank_batch_indexed_obs(
             &t,

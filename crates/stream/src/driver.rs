@@ -318,14 +318,7 @@ fn run_streaming_inner(
             };
             let oracle = || {
                 let events = log.slice_by_time(range.start, range.end);
-                oracle_from_events(
-                    n,
-                    events,
-                    true,
-                    range,
-                    &cfg.pr,
-                    cfg.recovery.max_oracle_active,
-                )
+                oracle_from_events(n, events, range, &cfg.pr, cfg.recovery.max_oracle_active)
             };
             executor.drive(w as u32, was_partial, n, kernel, oracle)
         };

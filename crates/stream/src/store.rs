@@ -64,8 +64,8 @@ impl EdgeBlock {
 
 /// The streaming graph: per-vertex edge-block chains in a shared arena.
 ///
-/// Symmetric by construction (each event inserts both directions), matching
-/// the paper's experimental setup; use two stores for a directed workload.
+/// Symmetric by construction (each event inserts both directions), like
+/// every window graph in the workspace and the paper's experimental setup.
 #[derive(Debug, Clone)]
 pub struct StreamingGraph {
     heads: Vec<u32>,

@@ -76,6 +76,9 @@ mod why {
         entry or a `thread::scope` / `thread::spawn` / `Builder::new().spawn` elsewhere is a second mechanism.";
     pub const UNSAFE: &str = "All `unsafe` stays in the one dispatch module, so the rest stays auditable as safe \
         code. A word match, so `unsafe_code` lint attributes do not count; test code stays in scope.";
+    pub const SYMMETRIC: &str = "Window graphs are symmetric, so every active vertex has an out-edge: no part stores \
+        an in-edge copy, no pass counts in-degrees, and no SpMV, SpMM or query loop reads dangling state. The dense \
+        oracles stay general, and the batch workspace keeps one unwritten `dangling_mask` field for its readers.";
 }
 use why::*;
 
@@ -148,6 +151,10 @@ const RULES: &[Rule] = &[
         plant: ("src/lib.rs", "fn f() { std::thread::spawn(g); }\n"), ..R },
     Rule { id: "unsafe-in-simd-only", pats: &["\\bunsafe\\b"], files: &["crates/*/src/**", "src/**"], non_test: false, code: true,
         except: &["crates/kernel/src/simd.rs"], why: UNSAFE, plant: ("src/lib.rs", "fn f(p: *const f64) -> f64 { unsafe { *p } }\n"), ..R },
+    Rule { id: "symmetric-only", pats: &["transpose", "deg_in", "dangling"], unless: &["pub dangling_mask: Vec<u64>,"],
+        files: &["crates/graph/src/**", "crates/kernel/src/**", "crates/core/src/**", "crates/stream/src/**"], code: true,
+        except: &["crates/kernel/src/reference.rs", "crates/kernel/src/linear_system.rs"], why: SYMMETRIC,
+        plant: ("crates/kernel/src/spmm.rs", "fn f(ws: &SpmmWorkspace) -> bool { let has_dangling = ws.active_mask.is_empty(); has_dangling }\n"), ..R },
 ];
 
 /// Tests the rules lean on, once re-run by name: each stays a `#[test] fn` whose name starts so (any test, for "").

@@ -413,8 +413,8 @@ const MANIFEST_PINS: [(&str, usize, u32); 3] = [
 /// every byte before 60 cancels out of it. This pin covers the format
 /// version, driver id, config hash, log fingerprint and window spec.
 const HEADER_CRC_PINS: [(&str, u32); 3] = [
-    ("postmortem", 0xAE5D_73F1),
-    ("offline", 0xE964_0E23),
+    ("postmortem", 0x61C1_E9B1),
+    ("offline", 0x5940_86B5),
     ("streaming", 0x5EC7_3EE3),
 ];
 

@@ -50,15 +50,11 @@ fn build_input(n: usize, times: i64, raw: &[(u32, u32, i64)]) -> Vec<Event> {
 /// The comparison-sort build the temporal CSR's counting scatters replaced:
 /// scatter by source in input order, `sort_unstable` each row by
 /// `(neighbor, time)`. Returns `(row_offsets, col_indices, timestamps)`.
-fn comparison_sort_oracle(
-    n: usize,
-    events: &[Event],
-    symmetric: bool,
-) -> (Vec<usize>, Vec<u32>, Vec<i64>) {
+fn comparison_sort_oracle(n: usize, events: &[Event]) -> (Vec<usize>, Vec<u32>, Vec<i64>) {
     let mut rows: Vec<Vec<(u32, i64)>> = vec![Vec::new(); n];
     for e in events {
         rows[e.u as usize].push((e.v, e.t));
-        if symmetric && e.u != e.v {
+        if e.u != e.v {
             rows[e.v as usize].push((e.u, e.t));
         }
     }
@@ -77,22 +73,20 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// The radix build is the comparison-sort build, array for array, on
-    /// time-sorted and shuffled input alike; `transpose` twice is the
-    /// identity on directed builds.
+    /// time-sorted and shuffled input alike.
     #[test]
     fn radix_build_equals_comparison_sort_oracle(
         n in 0usize..25,
         times in prop::sample::select(vec![1i64, 4, 500]),
         raw in prop::collection::vec((0u32..1000, 0u32..1000, 0i64..500), 0..150),
-        symmetric in any::<bool>(),
         time_sorted in any::<bool>(),
     ) {
         let mut events = build_input(n, times, &raw);
         if time_sorted {
             events.sort_by_key(|e| e.t);
         }
-        let t = TemporalCsr::from_events(n, &events, symmetric);
-        let (row, col, time) = comparison_sort_oracle(n, &events, symmetric);
+        let t = TemporalCsr::from_events(n, &events);
+        let (row, col, time) = comparison_sort_oracle(n, &events);
         prop_assert_eq!(t.num_vertices(), n);
         prop_assert_eq!(t.row_offsets(), &row[..]);
         prop_assert_eq!(t.col_indices(), &col[..]);
@@ -110,20 +104,11 @@ proptest! {
                 _ => prop_assert!(!may(-1000, 1000), "isolated vertex {}", v),
             }
         }
-        if !symmetric {
-            let reversed: Vec<Event> = events.iter().map(|e| Event::new(e.v, e.u, e.t)).collect();
-            let (row, col, time) = comparison_sort_oracle(n, &reversed, false);
-            let tt = t.transpose();
-            prop_assert_eq!(tt.row_offsets(), &row[..]);
-            prop_assert_eq!(tt.col_indices(), &col[..]);
-            prop_assert_eq!(tt.timestamps(), &time[..]);
-            prop_assert_eq!(tt.transpose(), t);
-        }
     }
 
     #[test]
     fn tcsr_window_edges_match_bruteforce(events in arb_events(), start in 0i64..500, width in 1i64..300) {
-        let t = TemporalCsr::from_events(MAX_V as usize, &events, true);
+        let t = TemporalCsr::from_events(MAX_V as usize, &events);
         let range = tempopr::graph::TimeRange::new(start, start + width);
         let mut got = Vec::new();
         for v in 0..MAX_V {
@@ -138,7 +123,7 @@ proptest! {
 
     #[test]
     fn tcsr_degrees_and_counts_consistent(events in arb_events(), start in 0i64..500, width in 1i64..300) {
-        let t = TemporalCsr::from_events(MAX_V as usize, &events, true);
+        let t = TemporalCsr::from_events(MAX_V as usize, &events);
         let range = tempopr::graph::TimeRange::new(start, start + width);
         let mut deg = vec![0u32; MAX_V as usize];
         t.active_degrees(range, &mut deg);
@@ -209,12 +194,5 @@ proptest! {
         prop_assert!(next_start > log.last_time());
         // The first window starts exactly at the first event.
         prop_assert_eq!(spec.window(0).start, log.first_time());
-    }
-
-    #[test]
-    fn transpose_is_involution_on_directed_tcsr(events in arb_events()) {
-        let t = TemporalCsr::from_events(MAX_V as usize, &events, false);
-        let tt = t.transpose().transpose();
-        prop_assert_eq!(t, tt);
     }
 }

@@ -45,19 +45,15 @@ fn window_edges(events: &[Event], range: TimeRange) -> Vec<(u32, u32)> {
 /// window's own CSR share one degree/activity pass: under every scheduler
 /// they must produce the same degrees, active list, reciprocals, stats and
 /// rank bits.
-fn assert_window_matches_its_static_csr(events: &[Event], range: TimeRange, symmetric: bool) {
+fn assert_window_matches_its_static_csr(events: &[Event], range: TimeRange) {
     let n = MAX_V as usize;
     let in_window: Vec<Event> = events
         .iter()
         .filter(|e| range.contains(e.t))
         .copied()
         .collect();
-    let t_out = TemporalCsr::from_events(n, events, symmetric);
-    let t_in = (!symmetric).then(|| t_out.transpose());
-    let t_pull = t_in.as_ref().unwrap_or(&t_out);
-    let c_out = Csr::from_events(n, &in_window, symmetric);
-    let c_in = (!symmetric).then(|| c_out.transpose());
-    let c_pull = c_in.as_ref().unwrap_or(&c_out);
+    let t = TemporalCsr::from_events(n, events);
+    let c = Csr::from_events(n, &in_window);
     let bits = |x: &[f64]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
     for sched in [
         None,
@@ -66,34 +62,15 @@ fn assert_window_matches_its_static_csr(events: &[Event], range: TimeRange, symm
     ] {
         let sched = sched.as_ref();
         let (mut tw, mut cw) = (PrWorkspace::default(), PrWorkspace::default());
-        let ts = pagerank_window(
-            t_pull,
-            &t_out,
-            range,
-            Init::Uniform,
-            &tight(),
-            sched,
-            &mut tw,
-        )
-        .unwrap();
-        let cs = pagerank_csr(c_pull, &c_out, Init::Uniform, &tight(), sched, &mut cw).unwrap();
+        let ts = pagerank_window(&t, &t, range, Init::Uniform, &tight(), sched, &mut tw).unwrap();
+        let cs = pagerank_csr(&c, &c, Init::Uniform, &tight(), sched, &mut cw).unwrap();
         assert_eq!(ts, cs, "stats under {:?}", sched);
         assert_eq!(&tw.deg_out, &cw.deg_out);
-        assert_eq!(&tw.deg_in, &cw.deg_in);
-        assert_eq!(tw.deg_in.is_empty(), symmetric);
         assert_eq!(&tw.active, &cw.active);
         assert_eq!(&tw.active_list, &cw.active_list);
         assert_eq!(bits(&tw.inv_deg), bits(&cw.inv_deg));
         assert_eq!(bits(&tw.x), bits(&cw.x), "rank bits under {:?}", sched);
     }
-}
-
-#[test]
-fn dangling_only_window_matches_its_static_csr() {
-    // Directed star 0→{1,2,3}: after one hop all mass sits on dangling
-    // vertices, so the pass's dangling flag decides every later iterate.
-    let events: Vec<Event> = (1..4).map(|v| Event::new(0, v, 10 + v as i64)).collect();
-    assert_window_matches_its_static_csr(&events, TimeRange::new(0, 100), false);
 }
 
 proptest! {
@@ -104,14 +81,13 @@ proptest! {
         events in arb_events(),
         start in 0i64..300,
         width in 1i64..200,
-        symmetric in any::<bool>(),
     ) {
-        assert_window_matches_its_static_csr(&events, TimeRange::new(start, start + width), symmetric);
+        assert_window_matches_its_static_csr(&events, TimeRange::new(start, start + width));
     }
 
     #[test]
     fn spmv_matches_reference(events in arb_events(), start in 0i64..300, width in 1i64..200) {
-        let t = TemporalCsr::from_events(MAX_V as usize, &events, true);
+        let t = TemporalCsr::from_events(MAX_V as usize, &events);
         let range = TimeRange::new(start, start + width);
         let (x, stats) = pagerank_window_vec(&t, &t, range, Init::Uniform, &tight(), None).unwrap();
         let r = reference_pagerank(MAX_V as usize, &window_edges(&events, range), &tight());
@@ -126,7 +102,7 @@ proptest! {
 
     #[test]
     fn parallel_spmv_matches_sequential(events in arb_events(), g in 1usize..32) {
-        let t = TemporalCsr::from_events(MAX_V as usize, &events, true);
+        let t = TemporalCsr::from_events(MAX_V as usize, &events);
         let range = TimeRange::new(0, 300);
         let (seq, _) = pagerank_window_vec(&t, &t, range, Init::Uniform, &tight(), None).unwrap();
         let sched = Scheduler::new(tempopr::kernel::Partitioner::Simple, g);
@@ -142,7 +118,7 @@ proptest! {
         starts in prop::collection::vec(0i64..250, 1..9),
         width in 5i64..150,
     ) {
-        let t = TemporalCsr::from_events(MAX_V as usize, &events, true);
+        let t = TemporalCsr::from_events(MAX_V as usize, &events);
         let ranges: Vec<TimeRange> = starts.iter().map(|&s| TimeRange::new(s, s + width)).collect();
         let inits = vec![Init::Uniform; ranges.len()];
         let mut ws = SpmmWorkspace::default();
@@ -165,7 +141,7 @@ proptest! {
         shift in 1i64..80,
         width in 20i64..200,
     ) {
-        let t = TemporalCsr::from_events(MAX_V as usize, &events, true);
+        let t = TemporalCsr::from_events(MAX_V as usize, &events);
         let r0 = TimeRange::new(s0, s0 + width);
         let r1 = TimeRange::new(s0 + shift, s0 + shift + width);
         let (prev, _) = pagerank_window_vec(&t, &t, r0, Init::Uniform, &tight(), None).unwrap();
@@ -182,7 +158,7 @@ proptest! {
         start in 0i64..300,
         width in 1i64..100,
     ) {
-        let t = TemporalCsr::from_events(MAX_V as usize, &events, true);
+        let t = TemporalCsr::from_events(MAX_V as usize, &events);
         let range = TimeRange::new(start, start + width);
         let (x, _) = pagerank_window_vec(&t, &t, range, Init::Uniform, &tight(), None).unwrap();
         let mut deg = vec![0u32; MAX_V as usize];
@@ -194,23 +170,6 @@ proptest! {
             } else {
                 prop_assert!(x[v] > 0.0, "active vertex {} has zero rank", v);
             }
-        }
-    }
-
-    #[test]
-    fn directed_kernel_matches_reference(events in arb_events(), start in 0i64..300, width in 1i64..200) {
-        let out = TemporalCsr::from_events(MAX_V as usize, &events, false);
-        let pull = out.transpose();
-        let range = TimeRange::new(start, start + width);
-        let (x, _) = pagerank_window_vec(&pull, &out, range, Init::Uniform, &tight(), None).unwrap();
-        let edges: Vec<(u32, u32)> = events
-            .iter()
-            .filter(|e| range.contains(e.t))
-            .map(|e| (e.u, e.v))
-            .collect();
-        let r = reference_pagerank(MAX_V as usize, &edges, &tight());
-        for v in 0..MAX_V as usize {
-            prop_assert!((x[v] - r[v]).abs() < 1e-8, "vertex {}", v);
         }
     }
 }

@@ -72,7 +72,7 @@ proptest! {
         compaction in any::<bool>(),
     ) {
         let n = MAX_V as usize;
-        let t = TemporalCsr::from_events(n, &events, true);
+        let t = TemporalCsr::from_events(n, &events);
         let ranges: Vec<TimeRange> = (0..windows)
             .map(|w| TimeRange::new(w as i64 * stride, w as i64 * stride + width))
             .collect();
@@ -135,7 +135,7 @@ proptest! {
     #[test]
     fn katz_bounds_hold(events in arb_events(), start in 0i64..400, width in 1i64..300) {
         let n = MAX_V as usize;
-        let t = TemporalCsr::from_events(n, &events, true);
+        let t = TemporalCsr::from_events(n, &events);
         let range = TimeRange::new(start, start + width);
         let k = katz_window(&t, range, &KatzConfig::default());
         prop_assert!(k.converged);
@@ -154,10 +154,10 @@ proptest! {
     }
 
     /// Kernel level, indexed entry: a batch over views of one index — any
-    /// non-empty subset of its windows, in any order, on a symmetric or a
-    /// directed graph — is bit for bit the unindexed batch over the same
-    /// ranges: ranks, stats, fallback flags, Katz attenuations and retired
-    /// lanes, whether it walks the index in place or copies its runs out.
+    /// non-empty subset of its windows, in any order — is bit for bit the
+    /// unindexed batch over the same ranges: ranks, stats, fallback flags,
+    /// Katz attenuations and retired lanes, whether it walks the index in
+    /// place or copies its runs out.
     #[test]
     fn indexed_batch_bit_matches_the_unindexed_batch(
         events in arb_events(),
@@ -166,7 +166,6 @@ proptest! {
         stride in 10i64..120,
         pick in 1u32..64,
         reverse in any::<bool>(),
-        symmetric in any::<bool>(),
         seed in 0..MAX_V,
         simd in prop::sample::select(vec![
             SimdPolicy::Auto,
@@ -176,13 +175,11 @@ proptest! {
         compaction in any::<bool>(),
     ) {
         let n = MAX_V as usize;
-        let out = TemporalCsr::from_events(n, &events, symmetric);
-        let transpose = (!symmetric).then(|| out.transpose());
-        let pull = transpose.as_ref().unwrap_or(&out);
+        let t = TemporalCsr::from_events(n, &events);
         let ranges: Vec<TimeRange> = (0..windows)
             .map(|w| TimeRange::new(w as i64 * stride, w as i64 * stride + width))
             .collect();
-        let index = WindowIndex::build(&out, transpose.as_ref(), &ranges);
+        let index = WindowIndex::build(&t, &ranges);
         let mut chosen: Vec<usize> = (0..windows).filter(|&w| pick & (1 << w) != 0).collect();
         if chosen.is_empty() {
             chosen.push(pick as usize % windows);
@@ -200,12 +197,12 @@ proptest! {
         let inits = vec![QueryInit::Fresh; chosen.len() * batch.len()];
         let own: Vec<TimeRange> = chosen.iter().map(|&w| ranges[w]).collect();
         let mut plain = QueryWorkspace::default();
-        let expect = pagerank_query_batch(pull, &out, &own, &batch, &inits, &cfg, None, &mut plain)
+        let expect = pagerank_query_batch(&t, &t, &own, &batch, &inits, &cfg, None, &mut plain)
             .unwrap();
         let views: Vec<_> = chosen.iter().map(|&w| index.view(w)).collect();
         let mut ixd = QueryWorkspace::default();
         let got = pagerank_query_batch_indexed(
-            pull, &out, &views, &batch, &inits, &cfg, None, &mut ixd, BatchObs::off(),
+            &t, &t, &views, &batch, &inits, &cfg, None, &mut ixd, BatchObs::off(),
         ).unwrap();
         prop_assert_eq!(got, expect);
         let a: Vec<u64> = ixd.base.x.iter().map(|x| x.to_bits()).collect();
@@ -268,7 +265,7 @@ proptest! {
                 let pr_q = PrConfig { alpha: *alpha, ..cfg.pr };
                 for w in part.windows() {
                     pagerank_window_personalized(
-                        part.pull_tcsr(), part.tcsr(), spec.window(w),
+                        part.tcsr(), part.tcsr(), spec.window(w),
                         &local, &pr_q, None, &mut pr_ws,
                     ).unwrap();
                     let fp = tempopr::core::rank_fingerprint(&pr_ws.x, Some(vmap));
@@ -310,8 +307,8 @@ proptest! {
         seed in 0..HUBS + 8 * CLUSTER,
     ) {
         let (events, n) = part;
-        let t = TemporalCsr::from_events(n, &events, true);
-        let index = WindowIndex::build(&t, None, &sparse_part_ranges(8));
+        let t = TemporalCsr::from_events(n, &events);
+        let index = WindowIndex::build(&t, &sparse_part_ranges(8));
         let mut pref = vec![0.0f64; n];
         pref[seed as usize] = 1.0;
         let weights: Vec<f64> = (0..n).map(|v| (v % 3) as f64).collect();

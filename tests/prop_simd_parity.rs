@@ -236,7 +236,7 @@ fn query_batch_lanes_run_both_row_walks_and_agree() {
     };
     let log = one_event_per_tick_log();
     let n = log.num_vertices();
-    let t = TemporalCsr::from_events(n, log.events(), true);
+    let t = TemporalCsr::from_events(n, log.events());
     let preference: Vec<f64> = (0..n).map(|v| (v % 4) as f64).collect();
     let batch = QueryBatch::new(vec![
         QuerySpec::Personalized {
@@ -269,7 +269,7 @@ fn query_batch_lanes_run_both_row_walks_and_agree() {
         let tele = Telemetry::enabled();
         let bridge = TelemetryKernelBridge::new(&tele, 1);
         let mut ws = QueryWorkspace::default();
-        let index = WindowIndex::build(&t, None, ranges);
+        let index = WindowIndex::build(&t, ranges);
         let views: Vec<_> = (0..ranges.len()).map(|j| index.view(j)).collect();
         let out = pool
             .install(|| {
@@ -352,49 +352,45 @@ proptest! {
             Some(Scheduler::new(Partitioner::Simple, 3)),
             Some(Scheduler::new(Partitioner::Static, 1)),
         ];
-        for symmetric in [true, false] {
-            let out = TemporalCsr::from_events(n, &events, symmetric);
-            let transposed = (!symmetric).then(|| out.transpose());
-            let pull = transposed.as_ref().unwrap_or(&out);
-            // Each lane alone, on the plain mask walk.
-            let alone = PrConfig {
-                simd: SimdPolicy::BitWalk,
-                compaction: false,
-                ..PrConfig::default()
-            };
-            let expect: Vec<(Vec<u64>, PrStats)> = ranges
-                .iter()
-                .map(|r| {
-                    let mut ws = SpmmWorkspace::default();
-                    let st = pagerank_batch(pull, &out, &[*r], &inits[..1], &alone, None, &mut ws)
+        let t = TemporalCsr::from_events(n, &events);
+        // Each lane alone, on the plain mask walk.
+        let alone = PrConfig {
+            simd: SimdPolicy::BitWalk,
+            compaction: false,
+            ..PrConfig::default()
+        };
+        let expect: Vec<(Vec<u64>, PrStats)> = ranges
+            .iter()
+            .map(|r| {
+                let mut ws = SpmmWorkspace::default();
+                let st = pagerank_batch(&t, &t, &[*r], &inits[..1], &alone, None, &mut ws)
+                    .unwrap();
+                (lane_bits(&ws, 0, 1), st[0])
+            })
+            .collect();
+        let mut ws = SpmmWorkspace::default();
+        for simd in [SimdPolicy::BitWalk, SimdPolicy::Scalar, SimdPolicy::Auto] {
+            for compaction in [false, true] {
+                let cfg = PrConfig { simd, compaction, ..PrConfig::default() };
+                for sched in &scheds {
+                    let stats = pool
+                        .install(|| {
+                            pagerank_batch(
+                                &t, &t, &ranges, &inits, &cfg, sched.as_ref(), &mut ws,
+                            )
+                        })
                         .unwrap();
-                    (lane_bits(&ws, 0, 1), st[0])
-                })
-                .collect();
-            let mut ws = SpmmWorkspace::default();
-            for simd in [SimdPolicy::BitWalk, SimdPolicy::Scalar, SimdPolicy::Auto] {
-                for compaction in [false, true] {
-                    let cfg = PrConfig { simd, compaction, ..PrConfig::default() };
-                    for sched in &scheds {
-                        let stats = pool
-                            .install(|| {
-                                pagerank_batch(
-                                    pull, &out, &ranges, &inits, &cfg, sched.as_ref(), &mut ws,
-                                )
-                            })
-                            .unwrap();
-                        for k in 0..vl {
-                            prop_assert_eq!(
-                                stats[k], expect[k].1,
-                                "lane {} of {:?}: {:?} compaction={} {:?} symmetric={}",
-                                k, picks, simd, compaction, sched, symmetric
-                            );
-                            prop_assert_eq!(
-                                &lane_bits(&ws, k, vl), &expect[k].0,
-                                "lane {} of {:?}: {:?} compaction={} {:?} symmetric={}",
-                                k, picks, simd, compaction, sched, symmetric
-                            );
-                        }
+                    for k in 0..vl {
+                        prop_assert_eq!(
+                            stats[k], expect[k].1,
+                            "lane {} of {:?}: {:?} compaction={} {:?}",
+                            k, picks, simd, compaction, sched
+                        );
+                        prop_assert_eq!(
+                            &lane_bits(&ws, k, vl), &expect[k].0,
+                            "lane {} of {:?}: {:?} compaction={} {:?}",
+                            k, picks, simd, compaction, sched
+                        );
                     }
                 }
             }
@@ -418,7 +414,6 @@ proptest! {
         ]),
         granularity in 1usize..8,
         pipeline in any::<bool>(),
-        symmetric in any::<bool>(),
     ) {
         let log = EventLog::from_unsorted(events, MAX_V as usize).unwrap();
         let spec = WindowSpec::covering(&log, delta, sw).unwrap();
@@ -430,7 +425,6 @@ proptest! {
             mode: ParallelMode::Nested,
             scheduler: Scheduler::new(partitioner, granularity),
             pipeline,
-            symmetric,
             pr: PrConfig {
                 simd: SimdPolicy::BitWalk,
                 compaction: false,
@@ -473,7 +467,6 @@ proptest! {
         granularity in 1usize..8,
         seed in 0..MAX_V,
         alpha_pct in 5u32..90,
-        symmetric in any::<bool>(),
     ) {
         use tempopr::core::EngineQuery;
         let log = EventLog::from_unsorted(events, MAX_V as usize).unwrap();
@@ -494,7 +487,6 @@ proptest! {
                 init_mode: InitMode::Partial,
                 mode: ParallelMode::Nested,
                 scheduler: Scheduler::new(partitioner, granularity),
-                symmetric,
                 pr: PrConfig { simd, compaction, ..PrConfig::default() },
                 ..PostmortemConfig::default()
             };
@@ -571,13 +563,10 @@ proptest! {
     #[test]
     fn small_windows_of_a_large_part_keep_their_bits(
         part in arb_sparse_part(16),
-        symmetric in any::<bool>(),
     ) {
         let (events, n) = part;
-        let out = TemporalCsr::from_events(n, &events, symmetric);
-        let transposed = (!symmetric).then(|| out.transpose());
-        let pull = transposed.as_ref().unwrap_or(&out);
-        let index = WindowIndex::build(&out, transposed.as_ref(), &sparse_part_ranges(16));
+        let t = TemporalCsr::from_events(n, &events);
+        let index = WindowIndex::build(&t, &sparse_part_ranges(16));
         let [most, fewest] = in_place_and_copied_batches(&index, 8);
         let on_hubs: Vec<f64> = (0..n).map(|v| f64::from(u8::from(v < HUBS as usize))).collect();
         for (chosen, in_place) in [(most, true), (fewest, false)] {
@@ -591,7 +580,7 @@ proptest! {
                 let cfg = PrConfig { simd, compaction, max_iters: 500, ..PrConfig::default() };
                 let mut ws = SpmmWorkspace::default();
                 let stats =
-                    pagerank_batch_indexed(pull, &out, &views, &inits, &cfg, None, &mut ws)
+                    pagerank_batch_indexed(&t, &t, &views, &inits, &cfg, None, &mut ws)
                         .unwrap();
                 let bits: Vec<u64> = ws.x.iter().map(|x| x.to_bits()).collect();
                 (stats, bits, ws.run_nbr.is_empty())
@@ -661,24 +650,21 @@ proptest! {
         starts in prop::collection::vec(0i64..60, 64..65),
         ends in prop::collection::vec(0i64..60, 64..65),
         shape in 0usize..6,
-        symmetric in any::<bool>(),
     ) {
         let ranges = mask_ranges(shape, starts, ends);
         let ascends = ranges
             .windows(2)
             .all(|w| w[0].start <= w[1].start && w[0].end <= w[1].end);
         prop_assert_eq!(ascends, shape != 5, "shape {}: {:?}", shape, ranges);
-        let out = TemporalCsr::from_events(8, &events, symmetric);
-        let transposed = (!symmetric).then(|| out.transpose());
-        let pull = transposed.as_ref().unwrap_or(&out);
+        let t = TemporalCsr::from_events(8, &events);
         // No iterations: the workspace keeps the batch's setup as built.
         let setup_only = PrConfig { max_iters: 0, ..PrConfig::default() };
         let inits = vec![Init::Uniform; ranges.len()];
         let mut ws = SpmmWorkspace::default();
-        pagerank_batch(pull, &out, &ranges, &inits, &setup_only, None, &mut ws).unwrap();
+        pagerank_batch(&t, &t, &ranges, &inits, &setup_only, None, &mut ws).unwrap();
         let (mut row, mut nbr, mut mask) = (vec![0usize], Vec::new(), Vec::new());
         for v in 0..8u32 {
-            for run in pull.runs(v) {
+            for run in t.runs(v) {
                 let m = ranges
                     .iter()
                     .enumerate()

@@ -99,7 +99,7 @@ proptest! {
             }
             g.check_invariants();
             // The streamed graph must equal the batch-built window graph.
-            let t = TemporalCsr::from_events(MAX_V as usize, log.events(), true);
+            let t = TemporalCsr::from_events(MAX_V as usize, log.events());
             let win = TimeRange::new(range.start, range.end);
             for v in 0..MAX_V {
                 let mut stream_nbrs: Vec<u32> = g.neighbors(v).map(|e| e.0).collect();

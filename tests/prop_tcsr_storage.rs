@@ -1,4 +1,4 @@
-//! Property tests for the `tempopr.tcsr.v1` on-disk part store: a
+//! Property tests for the `tempopr.tcsr.v2` on-disk part store: a
 //! write/read round trip must reproduce every part **bit-identically**
 //! (CSR arrays, timestamps, vertex maps, window ranges), and adversarial
 //! damage — truncated sections, bit flips anywhere in the file, stale
@@ -41,10 +41,9 @@ fn build_file(
     log: &EventLog,
     spec: WindowSpec,
     parts: usize,
-    symmetric: bool,
     strategy: PartitionStrategy,
 ) -> (Vec<MultiWindowGraph>, Vec<u8>) {
-    let set = MultiWindowSet::build(log, spec, parts, symmetric, strategy).unwrap();
+    let set = MultiWindowSet::build(log, spec, parts, true, strategy).unwrap();
     let path = scratch_path();
     let mut writer = TcsrFileWriter::create(&path, set.num_parts(), log.num_vertices()).unwrap();
     for part in set.graphs() {
@@ -83,15 +82,11 @@ fn assert_parts_equal(original: &MultiWindowGraph, decoded: &MultiWindowGraph) {
     assert_eq!(original.span(), decoded.span());
     assert_eq!(original.vertex_map(), decoded.vertex_map());
     assert_eq!(original.window_ranges(), decoded.window_ranges());
-    for (a, b) in [
-        (original.tcsr(), decoded.tcsr()),
-        (original.pull_tcsr(), decoded.pull_tcsr()),
-    ] {
-        assert_eq!(a.num_vertices(), b.num_vertices());
-        assert_eq!(a.row_offsets(), b.row_offsets());
-        assert_eq!(a.col_indices(), b.col_indices());
-        assert_eq!(a.timestamps(), b.timestamps());
-    }
+    let (a, b) = (original.tcsr(), decoded.tcsr());
+    assert_eq!(a.num_vertices(), b.num_vertices());
+    assert_eq!(a.row_offsets(), b.row_offsets());
+    assert_eq!(a.col_indices(), b.col_indices());
+    assert_eq!(a.timestamps(), b.timestamps());
 }
 
 proptest! {
@@ -104,7 +99,6 @@ proptest! {
         delta in 5i64..200,
         sw in 1i64..100,
         parts in 1usize..8,
-        symmetric in any::<bool>(),
         strategy in prop::sample::select(vec![
             PartitionStrategy::EqualWindows,
             PartitionStrategy::EqualEvents,
@@ -112,7 +106,7 @@ proptest! {
     ) {
         let log = EventLog::from_unsorted(events, MAX_V as usize).unwrap();
         let spec = WindowSpec::covering(&log, delta, sw).unwrap();
-        let (originals, bytes) = build_file(&log, spec, parts, symmetric, strategy);
+        let (originals, bytes) = build_file(&log, spec, parts, strategy);
         let (opened, _) = open_and_read_all(&bytes);
         let decoded = opened.unwrap();
         prop_assert_eq!(decoded.len(), originals.len());
@@ -131,7 +125,7 @@ proptest! {
     ) {
         let log = EventLog::from_unsorted(events, MAX_V as usize).unwrap();
         let spec = WindowSpec::covering(&log, 60, 20).unwrap();
-        let (_, bytes) = build_file(&log, spec, parts, true, PartitionStrategy::EqualWindows);
+        let (_, bytes) = build_file(&log, spec, parts, PartitionStrategy::EqualWindows);
         let cut = (bytes.len() * cut_permille as usize / 1000).min(bytes.len() - 1);
         let (opened, _) = open_and_read_all(&bytes[..cut]);
         match opened {
@@ -154,7 +148,7 @@ proptest! {
     ) {
         let log = EventLog::from_unsorted(events, MAX_V as usize).unwrap();
         let spec = WindowSpec::covering(&log, 60, 20).unwrap();
-        let (_, mut bytes) = build_file(&log, spec, parts, true, PartitionStrategy::EqualWindows);
+        let (_, mut bytes) = build_file(&log, spec, parts, PartitionStrategy::EqualWindows);
         let bit = (flip_seed as usize) % (bytes.len() * 8);
         bytes[bit / 8] ^= 1 << (bit % 8);
         let (opened, _) = open_and_read_all(&bytes);
@@ -168,7 +162,7 @@ proptest! {
     }
 }
 
-/// A future (or zeroed) format version is refused up front with
+/// A past, future or zeroed format version is refused up front with
 /// [`StorageError::Unsupported`] naming the alien version.
 #[test]
 fn stale_version_is_rejected_typed() {
@@ -180,9 +174,9 @@ fn stale_version_is_rejected_typed() {
     )
     .unwrap();
     let spec = WindowSpec::covering(&log, 30, 10).unwrap();
-    let (_, bytes) = build_file(&log, spec, 2, true, PartitionStrategy::EqualWindows);
+    let (_, bytes) = build_file(&log, spec, 2, PartitionStrategy::EqualWindows);
     assert!(bytes.len() > TCSR_HEADER_LEN);
-    for alien in [0u16, TCSR_VERSION + 1, u16::MAX] {
+    for alien in [0u16, TCSR_VERSION - 1, TCSR_VERSION + 1, u16::MAX] {
         let mut stale = bytes.clone();
         stale[4..6].copy_from_slice(&alien.to_le_bytes());
         let (opened, _) = open_and_read_all(&stale);
@@ -203,7 +197,7 @@ fn small_two_part_file() -> (Vec<u8>, Vec<MultiWindowGraph>, Vec<Vec<u8>>) {
     )
     .unwrap();
     let spec = WindowSpec::covering(&log, 30, 20).unwrap();
-    let (parts, bytes) = build_file(&log, spec, 2, false, PartitionStrategy::EqualWindows);
+    let (parts, bytes) = build_file(&log, spec, 2, PartitionStrategy::EqualWindows);
     assert_eq!(parts.len(), 2);
     let payloads = parts
         .iter()

@@ -37,27 +37,21 @@ fn arb_grid() -> impl Strategy<Value = (i64, i64)> {
 }
 
 /// The one part of a single-part build over `count` windows.
-fn one_part(
-    events: Vec<Event>,
-    grid: (i64, i64),
-    t0: i64,
-    count: usize,
-    directed: bool,
-) -> MultiWindowSet {
+fn one_part(events: Vec<Event>, grid: (i64, i64), t0: i64, count: usize) -> MultiWindowSet {
     let log = EventLog::from_unsorted(events, MAX_V as usize).unwrap();
     let spec = WindowSpec::new(t0, grid.0, grid.1, count).unwrap();
-    MultiWindowSet::build(&log, spec, 1, !directed, PartitionStrategy::EqualWindows).unwrap()
+    MultiWindowSet::build(&log, spec, 1, true, PartitionStrategy::EqualWindows).unwrap()
 }
 
 fn bits(x: &[f64]) -> Vec<u64> {
     x.iter().map(|v| v.to_bits()).collect()
 }
 
-/// The index's run list against the definition: every pull run some window
+/// The index's run list against the definition: every run some window
 /// holds appears once, in stored order, with bit `j` set iff window `j`
 /// holds it, and no other run appears.
 fn check_live_runs(part: &MultiWindowGraph) {
-    let pull = part.pull_tcsr();
+    let t = part.tcsr();
     let ranges = part.window_ranges();
     let runs = part.window_index().live_runs();
     let n = part.num_local_vertices();
@@ -65,7 +59,7 @@ fn check_live_runs(part: &MultiWindowGraph) {
     let mut i = 0;
     for v in 0..n as u32 {
         prop_assert_eq!(runs.row[v as usize], i, "vertex {}", v);
-        for run in pull.runs(v) {
+        for run in t.runs(v) {
             let live: Vec<bool> = ranges.iter().map(|&r| run.active_in(r)).collect();
             if !live.contains(&true) {
                 continue;
@@ -94,37 +88,24 @@ fn arb_events() -> impl Strategy<Value = Vec<Event>> {
 /// windows whose one event is a self-loop.
 fn arb_sparse_events() -> impl Strategy<Value = Vec<Event>> {
     prop::collection::vec(
-        (0..MAX_V, 0..MAX_V, 0u8..4, 0i64..2000).prop_map(|(u, v, kind, t)| {
-            Event::new(u, if kind == 0 { u } else { v }, t)
-        }),
+        (0..MAX_V, 0..MAX_V, 0u8..4, 0i64..2000)
+            .prop_map(|(u, v, kind, t)| Event::new(u, if kind == 0 { u } else { v }, t)),
         1..60,
     )
 }
 
-/// Brute-force reference for one window of one part: out-degrees from the
-/// part's (push) temporal CSR, in-activity from the same CSR's forward
-/// edges, active set as their union (out-only for symmetric parts).
+/// Brute-force reference for one window of one part: the active set and
+/// degrees from the part's temporal CSR.
 fn check_view_against_bruteforce(
     part: &tempopr::graph::MultiWindowGraph,
     window: usize,
     range: TimeRange,
-    directed: bool,
 ) {
     let t = part.tcsr();
     let n = part.num_local_vertices();
     let mut deg = vec![0u32; n];
     t.active_degrees(range, &mut deg);
-    let mut in_active = vec![false; n];
-    if directed {
-        for u in 0..n as u32 {
-            for nb in t.active_neighbors(u, range) {
-                in_active[nb as usize] = true;
-            }
-        }
-    }
-    let expect_active: Vec<u32> = (0..n as u32)
-        .filter(|&v| deg[v as usize] > 0 || in_active[v as usize])
-        .collect();
+    let expect_active: Vec<u32> = (0..n as u32).filter(|&v| deg[v as usize] > 0).collect();
 
     let view = part.index_view(window);
     prop_assert_eq!(view.range, range);
@@ -132,15 +113,14 @@ fn check_view_against_bruteforce(
     for (i, &v) in view.vertices.iter().enumerate() {
         let d = deg[v as usize];
         prop_assert_eq!(view.deg_out[i], d, "window {} vertex {}", window, v);
-        let inv = if d > 0 { 1.0 / d as f64 } else { 0.0 };
-        prop_assert_eq!(view.inv_deg[i], inv, "window {} vertex {}", window, v);
+        prop_assert_eq!(
+            view.inv_deg[i],
+            1.0 / d as f64,
+            "window {} vertex {}",
+            window,
+            v
+        );
     }
-    let expect_dangling: Vec<u32> = expect_active
-        .iter()
-        .copied()
-        .filter(|&v| deg[v as usize] == 0)
-        .collect();
-    prop_assert_eq!(view.dangling, &expect_dangling[..], "window {}", window);
 }
 
 /// Runs `cfg` (SpMV, `Sequential`) and checks every window's stats and
@@ -161,9 +141,8 @@ fn check_engine_against_scan(log: &EventLog, spec: WindowSpec, cfg: PostmortemCo
                 Some(x) if partial => Init::Partial(x),
                 _ => Init::Uniform,
             };
-            let (pull, push) = (part.pull_tcsr(), part.tcsr());
-            let stats =
-                pagerank_window(pull, push, spec.window(w), init, &pr, None, &mut ws).unwrap();
+            let t = part.tcsr();
+            let stats = pagerank_window(t, t, spec.window(w), init, &pr, None, &mut ws).unwrap();
             let got = &out.windows[w];
             prop_assert_eq!(
                 (&got.status, got.attempts),
@@ -222,7 +201,6 @@ proptest! {
         delta in 5i64..200,
         sw in 1i64..100,
         parts in 1usize..8,
-        directed in any::<bool>(),
         strategy_equal_events in any::<bool>(),
     ) {
         let n = MAX_V as usize;
@@ -233,9 +211,9 @@ proptest! {
         } else {
             PartitionStrategy::EqualWindows
         };
-        let set = MultiWindowSet::build(&log, spec, parts, !directed, strategy).unwrap();
+        let set = MultiWindowSet::build(&log, spec, parts, true, strategy).unwrap();
         for (w, part) in set.graphs().iter().flat_map(|g| g.windows().map(move |w| (w, g))) {
-            check_view_against_bruteforce(part, w, spec.window(w), directed);
+            check_view_against_bruteforce(part, w, spec.window(w));
         }
         for part in set.graphs() {
             check_live_runs(part);
@@ -248,14 +226,13 @@ proptest! {
         grid in arb_grid(),
         t0 in -50i64..50,
         count in prop::sample::select(WINDOW_COUNTS.to_vec()),
-        directed in any::<bool>(),
     ) {
-        let set = one_part(events, grid, t0, count, directed);
+        let set = one_part(events, grid, t0, count);
         let part = &set.graphs()[0];
         prop_assert_eq!(part.num_windows(), count);
         check_live_runs(part);
         for (j, &range) in part.window_ranges().iter().enumerate() {
-            check_view_against_bruteforce(part, j, range, directed);
+            check_view_against_bruteforce(part, j, range);
         }
     }
 
@@ -266,13 +243,12 @@ proptest! {
         t0 in -50i64..50,
         count in prop::sample::select(WINDOW_COUNTS.to_vec()),
         slots in 1usize..17,
-        directed in any::<bool>(),
     ) {
         // Batches as the engine's regions cut them: region length
         // `r = ⌈nw / slots⌉`, batch `j` holding windows `j, j + r, …`.
-        let set = one_part(events, grid, t0, count, directed);
+        let set = one_part(events, grid, t0, count);
         let part = &set.graphs()[0];
-        let (pull, push) = (part.pull_tcsr(), part.tcsr());
+        let t = part.tcsr();
         let index = part.window_index();
         let ranges = part.window_ranges();
         let r = count.div_ceil(slots.min(count));
@@ -285,10 +261,10 @@ proptest! {
                     let lane_ranges: Vec<TimeRange> = lanes.iter().map(|&w| ranges[w]).collect();
                     let inits = vec![Init::Uniform; lanes.len()];
                     let mut plain = SpmmWorkspace::default();
-                    let ps = pagerank_batch(pull, push, &lane_ranges, &inits, &cfg, None, &mut plain)
+                    let ps = pagerank_batch(t, t, &lane_ranges, &inits, &cfg, None, &mut plain)
                         .unwrap();
                     let mut ixd = SpmmWorkspace::default();
-                    let is = pagerank_batch_indexed(pull, push, &views, &inits, &cfg, None, &mut ixd)
+                    let is = pagerank_batch_indexed(t, t, &views, &inits, &cfg, None, &mut ixd)
                         .unwrap();
                     prop_assert_eq!(&ps, &is, "{:?} compaction={} batch {}", simd, compaction, j);
                     prop_assert_eq!(bits(&plain.x), bits(&ixd.x), "{:?} compaction={} batch {}", simd, compaction, j);
@@ -308,9 +284,9 @@ proptest! {
         let cfg = PrConfig::default();
         for (w, &range) in ranges.iter().enumerate() {
             let mut plain = PrWorkspace::default();
-            let ps = pagerank_window(pull, push, range, Init::Uniform, &cfg, None, &mut plain).unwrap();
+            let ps = pagerank_window(t, t, range, Init::Uniform, &cfg, None, &mut plain).unwrap();
             let mut ixd = PrWorkspace::default();
-            let is = pagerank_window_indexed(pull, push, &index.view(w), Init::Uniform, &cfg, None, &mut ixd)
+            let is = pagerank_window_indexed(t, t, &index.view(w), Init::Uniform, &cfg, None, &mut ixd)
                 .unwrap();
             prop_assert_eq!(ps, is, "window {}", w);
             prop_assert_eq!(bits(plain.ranks()), bits(ixd.ranks()), "window {}", w);
@@ -323,7 +299,6 @@ proptest! {
         delta in 5i64..200,
         sw in 1i64..100,
         parts in 1usize..6,
-        symmetric in any::<bool>(),
     ) {
         let n = MAX_V as usize;
         let log = EventLog::from_unsorted(events, n).unwrap();
@@ -335,7 +310,6 @@ proptest! {
                 init_mode,
                 mode: ParallelMode::Sequential,
                 threads: 1,
-                symmetric,
                 pr: PrConfig { max_iters: 500, ..PrConfig::default() },
                 ..Default::default()
             };

@@ -26,7 +26,7 @@ fn sample_csr() -> TemporalCsr {
         })
         .filter(|e| e.u != e.v)
         .collect();
-    TemporalCsr::from_events(N, &events, true)
+    TemporalCsr::from_events(N, &events)
 }
 
 fn tight_pr() -> PrConfig {
@@ -106,7 +106,6 @@ fn preference_with_no_mass_on_the_window_falls_back_too() {
             Event::new(1, 2, 2),
             Event::new(16, 17, 900),
         ],
-        true,
     );
     let mut pref = vec![0.0f64; N];
     pref[17] = 5.0;

@@ -99,7 +99,6 @@ proptest! {
             ParallelMode::Nested,
         ]),
         pipeline in any::<bool>(),
-        symmetric in any::<bool>(),
     ) {
         let log = EventLog::from_unsorted(events, MAX_V as usize).unwrap();
         let spec = WindowSpec::covering(&log, delta, sw).unwrap();
@@ -111,7 +110,6 @@ proptest! {
                 init_mode,
                 mode,
                 pipeline,
-                symmetric,
                 storage: backend,
                 pr: tight_pr(),
                 ..PostmortemConfig::default()
@@ -138,7 +136,6 @@ proptest! {
                 mode,
                 threads: 1,
                 pipeline,
-                symmetric,
                 storage,
                 pr: PrConfig { simd, ..tight_pr() },
                 ..PostmortemConfig::default()
