@@ -346,15 +346,9 @@ pub fn parts_for_memory_budget(
     budget_bytes: usize,
     profile: crate::storage::StorageProfile,
 ) -> Result<usize, crate::storage::BudgetError> {
-    crate::storage::plan_parts_for_budget(
-        log,
-        spec,
-        budget_bytes,
-        true,
-        PartitionStrategy::EqualWindows,
-        profile,
-        1,
-    )
+    let strategy = PartitionStrategy::EqualWindows;
+    let plan = crate::storage::plan_partition(log, spec, budget_bytes, strategy, profile, 1).1;
+    plan.map(|p| p.parts)
 }
 
 /// The window fenceposts of the partition into `num_parts` groups (clamped

@@ -44,8 +44,7 @@ use std::sync::Mutex;
 
 /// Magic prefix of a `tempopr.tcsr.v2` file.
 pub const TCSR_MAGIC: [u8; 4] = *b"TPTC";
-/// On-disk format version this build writes and reads. Version 1 payloads
-/// carried a flag byte and an optional in-edge CSR after the vertex map.
+/// On-disk format version this build writes and reads.
 pub const TCSR_VERSION: u16 = 2;
 /// Fixed header: magic + version + part count + global vertex count + CRC.
 pub const TCSR_HEADER_LEN: usize = 4 + 2 + 4 + 8 + 4;

@@ -32,11 +32,11 @@
 //! ## Numeric health
 //! Power iteration preserves rank mass exactly in exact arithmetic
 //! (teleport + damped edge mass always sum to one), so `Σx ≈ 1` is an
-//! invariant every iteration can be checked
-//! against almost for free: the mass sum folds into the same reduction
-//! that already computes the L1 diff. With [`GuardConfig::enabled`] (the
-//! default) each iteration verifies the iterate is finite and the mass has
-//! not drifted beyond [`GuardConfig::mass_epsilon`]; violations recover
+//! invariant every iteration can be checked against almost for free: the
+//! mass sum folds into the same reduction that already computes the L1
+//! diff. With [`GuardConfig::enabled`] (the default) each iteration
+//! verifies the iterate is finite and the mass has not drifted beyond
+//! [`GuardConfig::mass_epsilon`]; violations recover
 //! per [`NumericPolicy`] and are tallied in [`PrStats::health`], never
 //! silently dropped. The guards only *observe* the iterate — ranks on
 //! healthy inputs are bit-identical with guards on or off.
