@@ -55,6 +55,7 @@ use crate::lock;
 use crate::observe::TelemetryKernelBridge;
 use crate::result::{RunOutput, WindowOutput, WindowRanks, WindowStatus};
 use crate::storage::{PartRef, StorageBackend, TcsrStorage};
+use std::borrow::Cow;
 use std::cell::Cell;
 use std::ops::Range;
 use std::sync::{Arc, Mutex};
@@ -526,15 +527,17 @@ impl PostmortemEngine {
     /// through the full recovery ladder — every window of the SpMV walk,
     /// and every SpMM window that leaves its batch. `prev` is the vector
     /// that seeds it (`None` for a cold start). Returns the finalized
-    /// output and, when the window is valid, its local ranks: the next
-    /// window's seed. After a failed window the next one starts cold.
-    fn single_window(
+    /// output and, when the window is valid, its local ranks, read in place
+    /// from `ws` unless recovery replaced them: the next window's seed,
+    /// which a caller copies out only when ranks are reused. After a failed
+    /// window the next one starts cold.
+    fn single_window<'w>(
         &self,
         part: &MultiWindowGraph,
         w: usize,
         prev: Option<&[f64]>,
-        ws: &mut PrWorkspace,
-    ) -> (WindowOutput, Option<Vec<f64>>) {
+        ws: &'w mut PrWorkspace,
+    ) -> (WindowOutput, Option<Cow<'w, [f64]>>) {
         let range = self.spec().window(w);
         let inner = self.inner_scheduler();
         let t = part.tcsr();
@@ -579,8 +582,8 @@ impl PostmortemEngine {
             .is_none()
             .then(|| part.index_view(w).vertices);
         let ranks = match override_ranks {
-            Some(x) => x,
-            None => ws.ranks().to_vec(),
+            Some(x) => Cow::Owned(x),
+            None => Cow::Borrowed(ws.ranks()),
         };
         let valid = status.is_valid();
         let local = WindowRanks::local(&ranks, part.vertex_map(), active);
@@ -642,8 +645,16 @@ impl PostmortemEngine {
         out.extend(windows.map(|w| {
             let (output, ranks) = self.single_window(part, w, prev.as_deref(), &mut ws);
             // Keep this window's ranks as the next window's previous
-            // vector; after a failed window the next one starts cold.
-            prev = ranks.filter(|_| self.reuse_ranks());
+            // vector, in the last one's allocation; after a failed window
+            // the next one starts cold.
+            match ranks.filter(|_| self.reuse_ranks()) {
+                Some(r) => {
+                    let p = prev.get_or_insert_with(Vec::new);
+                    p.clear();
+                    p.extend_from_slice(&r);
+                }
+                None => prev = None,
+            }
             output
         }));
     }

@@ -77,7 +77,9 @@ impl EventLog {
     /// Builds a log from events in arbitrary order, sorting them by time.
     ///
     /// The sort is stable so events with equal timestamps keep their input
-    /// order, which keeps downstream representations deterministic.
+    /// order, which keeps downstream representations deterministic. Input
+    /// already in time order (the common case: every file this crate
+    /// writes) costs one ordered pass and no sort.
     ///
     /// ```
     /// use tempopr_graph::{Event, EventLog};
@@ -93,7 +95,9 @@ impl EventLog {
             return Err(GraphError::EmptyEvents);
         }
         Self::validate_vertices(&events, num_vertices)?;
-        events.sort_by_key(|e| e.t);
+        if !events.is_sorted_by_key(|e| e.t) {
+            events.sort_by_key(|e| e.t);
+        }
         Ok(EventLog {
             events,
             num_vertices,

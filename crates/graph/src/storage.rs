@@ -9,9 +9,8 @@
 //!   gaps within each row (entries are sorted by `(neighbor, time)`, so
 //!   column ids are nondecreasing) and ascending timestamp deltas within
 //!   each neighbor run, LEB128 varints throughout. Decoding a part
-//!   ("decode on touch") rebuilds the exact `row`/`col`/`time` arrays and
-//!   recomputes the per-vertex time bounds in the min/max pass the build
-//!   ends with, so every downstream consumer (the window index, the
+//!   ("decode on touch") rebuilds the exact `row`/`col`/`time` arrays the
+//!   build ends with, so every downstream consumer (the window index, the
 //!   kernels, rank fingerprints) sees identical bits.
 //! - [`TcsrFile`]: the `tempopr.tcsr.v2` on-disk format — a sealed header
 //!   (magic, version, part count, vertex count) and section table (one
@@ -822,8 +821,8 @@ fn footprint_lower_bound(
             }
             entries += if e.u != e.v { 2 } else { 1 };
         }
-        // `storage_bytes`: map, ranges; the CSR's offsets, entries, time bounds.
-        let csr = 8 * (vertices + 1) + 12 * entries + 16 * vertices;
+        // `storage_bytes`: map, ranges; the CSR's offsets and entries.
+        let csr = 8 * (vertices + 1) + 12 * entries;
         let decoded = 4 * vertices + 16 * windows + csr;
         // Seven header bytes, two varints a window, a gap per vertex; the
         // CSR's two counts, a row length per vertex, two varints an entry.

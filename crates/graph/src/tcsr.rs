@@ -31,10 +31,6 @@ pub struct TemporalCsr {
     row: Box<[usize]>,
     col: Box<[VertexId]>,
     time: Box<[Timestamp]>,
-    /// Per-vertex `(min, max)` event timestamp — `(i64::MAX, i64::MIN)` for
-    /// isolated vertices. Lets window passes skip vertices whose whole
-    /// history misses the window without touching their adjacency.
-    bounds: Box<[(Timestamp, Timestamp)]>,
 }
 
 /// A maximal group of consecutive entries of one vertex that share the same
@@ -139,7 +135,7 @@ impl TemporalCsr {
     /// assert_eq!(t.active_degree(0, TimeRange::new(0, 100)), 1);
     /// ```
     pub fn from_events(num_vertices: usize, events: &[Event]) -> Self {
-        if events.windows(2).all(|w| w[0].t <= w[1].t) {
+        if events.is_sorted_by_key(|e| e.t) {
             return Self::from_time_sorted(num_vertices, events, |v| v);
         }
         let mut sorted = events.to_vec();
@@ -211,9 +207,9 @@ impl TemporalCsr {
     }
 
     /// Assembles a CSR from its arrays — the last step of the build and
-    /// the storage codec's constructor — computing the per-vertex time
-    /// bounds in the one min/max pass both share, so a decoded CSR whose
-    /// arrays match a built one is indistinguishable from it.
+    /// the storage codec's constructor — without a pass over them, so a
+    /// decoded CSR whose arrays match a built one is indistinguishable from
+    /// it.
     pub(crate) fn from_raw(
         num_vertices: usize,
         row: Vec<usize>,
@@ -222,20 +218,11 @@ impl TemporalCsr {
     ) -> Self {
         debug_assert_eq!(row.len(), num_vertices + 1);
         debug_assert_eq!(col.len(), time.len());
-        let mut bounds = vec![(Timestamp::MAX, Timestamp::MIN); num_vertices];
-        for v in 0..num_vertices {
-            for &t in &time[row[v]..row[v + 1]] {
-                let b = &mut bounds[v];
-                b.0 = b.0.min(t);
-                b.1 = b.1.max(t);
-            }
-        }
         TemporalCsr {
             num_vertices,
             row: row.into_boxed_slice(),
             col: col.into_boxed_slice(),
             time: time.into_boxed_slice(),
-            bounds: bounds.into_boxed_slice(),
         }
     }
 
@@ -300,21 +287,9 @@ impl TemporalCsr {
             .map(|r| r.neighbor)
     }
 
-    /// Whether `v` has *any* event whose timestamp could fall in `range`
-    /// (constant-time pre-check from per-vertex time bounds; a `true` is
-    /// necessary but not sufficient for window membership).
-    #[inline]
-    pub fn vertex_may_be_active(&self, v: VertexId, range: TimeRange) -> bool {
-        let (lo, hi) = self.bounds[v as usize];
-        lo <= range.end && hi >= range.start
-    }
-
     /// Degree of `v` in the window `range` (distinct active neighbors).
     #[inline]
     pub fn active_degree(&self, v: VertexId, range: TimeRange) -> usize {
-        if !self.vertex_may_be_active(v, range) {
-            return 0;
-        }
         self.runs(v).filter(|r| r.active_in(range)).count()
     }
 
@@ -339,21 +314,17 @@ impl TemporalCsr {
     /// paper's per-window vertex set `|V_i|`.
     pub fn active_vertex_count(&self, range: TimeRange) -> usize {
         (0..self.num_vertices)
-            .filter(|&v| {
-                self.vertex_may_be_active(v as VertexId, range)
-                    && self.runs(v as VertexId).any(|r| r.active_in(range))
-            })
+            .filter(|&v| self.runs(v as VertexId).any(|r| r.active_in(range)))
             .count()
     }
 
-    /// Approximate heap footprint in bytes: `8*(V+1) + (4+8)*entries` plus
-    /// the 16-byte per-vertex time bounds (the paper's
-    /// `encoding * (V + 2E)` with mixed 32/64-bit encoding).
+    /// Heap footprint of the three arrays in bytes, `8*(V+1) +
+    /// (4+8)*entries`: the paper's `encoding * (V + 2E)` with mixed
+    /// 32/64-bit encoding.
     pub fn memory_bytes(&self) -> usize {
         self.row.len() * std::mem::size_of::<usize>()
             + self.col.len() * std::mem::size_of::<VertexId>()
             + self.time.len() * std::mem::size_of::<Timestamp>()
-            + self.bounds.len() * std::mem::size_of::<(Timestamp, Timestamp)>()
     }
 }
 
@@ -539,20 +510,17 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn time_bounds_prune_correctly() {
+    fn active_degree_matches_brute_force() {
+        // Vertex 4 is isolated; vertex 0's only event misses two ranges.
         let events = [ev(0, 1, 10), ev(2, 3, 100)];
-        let t = TemporalCsr::from_events(4, &events);
-        // Vertex 0's only event is at t=10.
-        assert!(t.vertex_may_be_active(0, TimeRange::new(0, 20)));
-        assert!(!t.vertex_may_be_active(0, TimeRange::new(50, 200)));
-        assert!(t.vertex_may_be_active(2, TimeRange::new(50, 200)));
-        // The pruned degree equals a brute-force count over the events.
-        for v in 0..4u32 {
-            for range in [
-                TimeRange::new(0, 20),
-                TimeRange::new(50, 200),
-                TimeRange::new(0, 5),
-            ] {
+        let t = TemporalCsr::from_events(5, &events);
+        for range in [
+            TimeRange::new(0, 20),
+            TimeRange::new(50, 200),
+            TimeRange::new(0, 5),
+        ] {
+            let mut active = 0;
+            for v in 0..5u32 {
                 let brute = events
                     .iter()
                     .filter(|e| range.contains(e.t) && (e.u == v || e.v == v))
@@ -562,14 +530,16 @@ pub(crate) mod tests {
                     brute,
                     "vertex {v} range {range:?}"
                 );
+                active += usize::from(brute > 0);
             }
+            assert_eq!(t.active_vertex_count(range), active, "range {range:?}");
         }
     }
 
     #[test]
     fn memory_bytes_counts_all_arrays() {
         let t = TemporalCsr::from_events(2, &[ev(0, 1, 5)]);
-        // row: 3*8, col: 2*4, time: 2*8, bounds: 2*16
-        assert_eq!(t.memory_bytes(), 24 + 8 + 16 + 32);
+        // row: 3*8, col: 2*4, time: 2*8
+        assert_eq!(t.memory_bytes(), 24 + 8 + 16);
     }
 }

@@ -50,14 +50,6 @@ impl fmt::Display for NumericFault {
 /// Errors from the PageRank kernels.
 #[derive(Debug, Clone, PartialEq)]
 pub enum KernelError {
-    /// `pull` and `push` structures cover different vertex universes (the
-    /// dense oracle, which still takes a directed pair).
-    MismatchedUniverses {
-        /// Vertices in the pull structure.
-        pull: usize,
-        /// Vertices in the push structure.
-        push: usize,
-    },
     /// The batched kernel was given zero or more than `MAX_LANES` lanes.
     BadLaneCount {
         /// The offending lane count.
@@ -120,10 +112,6 @@ pub enum KernelError {
 impl fmt::Display for KernelError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            KernelError::MismatchedUniverses { pull, push } => write!(
-                f,
-                "pull/push vertex universes differ ({pull} vs {push} vertices)"
-            ),
             KernelError::BadLaneCount { got } => {
                 write!(f, "1..=64 lanes required, got {got}")
             }
@@ -194,8 +182,6 @@ mod tests {
 
     #[test]
     fn display_messages_are_informative() {
-        let e = KernelError::MismatchedUniverses { pull: 3, push: 5 };
-        assert!(e.to_string().contains("3 vs 5"));
         let e = KernelError::Numeric {
             iteration: 7,
             fault: NumericFault::MassDrift {

@@ -6,11 +6,11 @@
 //!
 //! (in this crate's convention `α` is the teleport weight, so the damping
 //! factor multiplying the transition matrix is `1-α`; the paper writes the
-//! same system with its `α` denoting the damping factor). Dangling columns
-//! are replaced by the uniform teleport column, as
-//! [`crate::reference_pagerank`] redistributes dangling mass. The solver
-//! stays general over a `(pull, push)` pair; the kernels it checks read
-//! symmetric windows, which have no dangling column.
+//! same system with its `α` denoting the damping factor). Window graphs
+//! are symmetric, so every active vertex has an out-edge and no column of
+//! the system is dangling; like every kernel entry, the solver takes one
+//! structure passed as both `pull` and `push`
+//! ([`KernelError::NotSymmetric`] otherwise).
 //!
 //! The solver is dense Gaussian elimination with partial pivoting —
 //! `O(n³)`, intended for validation and for exact answers on small
@@ -18,14 +18,15 @@
 //! the true fixed point at machine precision.
 
 use crate::error::KernelError;
-use crate::pagerank::PrConfig;
+use crate::pagerank::{one_structure, PrConfig};
 use tempopr_graph::{TemporalCsr, TimeRange, VertexId};
 
 /// Solves the PageRank system of one window exactly.
 ///
 /// Builds the dense `n_act × n_act` system over the window's active set
 /// and eliminates. Returns the rank vector over the full vertex space
-/// (0 for inactive vertices). Fails with
+/// (0 for inactive vertices). Fails with [`KernelError::NotSymmetric`]
+/// unless `pull` and `push` are one structure, with
 /// [`KernelError::ActiveSetTooLarge`] if the active set exceeds
 /// `max_active` (guard against accidentally cubing a huge window) and
 /// with [`KernelError::SingularSystem`] if elimination hits a vanishing
@@ -38,23 +39,15 @@ pub fn solve_pagerank_exact(
     cfg: &PrConfig,
     max_active: usize,
 ) -> Result<Vec<f64>, KernelError> {
-    let n = pull.num_vertices();
-    if push.num_vertices() != n {
-        return Err(KernelError::MismatchedUniverses {
-            pull: n,
-            push: push.num_vertices(),
-        });
-    }
-    let directed = !std::ptr::eq(pull, push);
-    // Active set and out-degrees.
+    let t = one_structure(pull, push)?;
+    let n = t.num_vertices();
+    // Active set and degrees.
     let mut active_list: Vec<u32> = Vec::new();
     let mut slot = vec![usize::MAX; n];
     let mut outdeg = vec![0u32; n];
     for v in 0..n {
-        let out = push.active_degree(v as VertexId, range) as u32;
-        let act = out > 0 || (directed && pull.active_degree(v as VertexId, range) > 0);
-        outdeg[v] = out;
-        if act {
+        outdeg[v] = t.active_degree(v as VertexId, range) as u32;
+        if outdeg[v] > 0 {
             slot[v] = active_list.len();
             active_list.push(v as u32);
         }
@@ -72,27 +65,19 @@ pub fn solve_pagerank_exact(
     let alpha = cfg.alpha;
     let damp = 1.0 - alpha;
     // System matrix M = I - damp * P, where P[i][j] = 1/outdeg(j) if j -> i
-    // (column-stochastic over the active set), dangling columns uniform.
+    // (column-stochastic over the active set).
     let mut a = vec![vec![0.0f64; m + 1]; m];
     for (i, row) in a.iter_mut().enumerate() {
         row[i] = 1.0;
         row[m] = alpha / m as f64; // right-hand side α·v
     }
     for (i, &v) in active_list.iter().enumerate() {
-        // In-edges of v: pull adjacency.
-        for run in pull.runs(v) {
+        // In-edges of v: its neighbours in the window.
+        for run in t.runs(v) {
             if run.active_in(range) {
                 let u = run.neighbor as usize;
                 debug_assert_ne!(slot[u], usize::MAX);
                 a[i][slot[u]] -= damp / outdeg[u] as f64;
-            }
-        }
-    }
-    // Dangling columns: j with outdeg 0 contributes uniformly to every row.
-    for (j, &v) in active_list.iter().enumerate() {
-        if outdeg[v as usize] == 0 {
-            for row in a.iter_mut() {
-                row[j] -= damp / m as f64;
             }
         }
     }
@@ -191,6 +176,14 @@ mod tests {
         let t = TemporalCsr::from_events(3, &[Event::new(0, 1, 5)]);
         let x = solve_pagerank_exact(&t, &t, TimeRange::new(50, 60), &cfg(), 10).unwrap();
         assert_eq!(x, vec![0.0; 3]);
+    }
+
+    #[test]
+    fn two_structures_are_refused() {
+        let a = TemporalCsr::from_events(2, &[Event::new(0, 1, 1)]);
+        let b = a.clone();
+        let err = solve_pagerank_exact(&a, &b, TimeRange::new(0, 10), &cfg(), 10).unwrap_err();
+        assert_eq!(err, KernelError::NotSymmetric);
     }
 
     #[test]

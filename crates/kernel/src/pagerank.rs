@@ -219,14 +219,18 @@ pub enum Init<'a> {
 
 /// Reusable buffers so per-window PageRank makes no heap allocations in
 /// steady state (perf-book: workhorse collections).
+///
+/// Between calls every kernel leaves `deg_out`, `inv_deg` and `x` zero off
+/// `active_list`, the rows it wrote, so [`PrWorkspace::ensure`]
+/// clears only those when the vertex count is unchanged: a window's setup
+/// costs its active vertices, not the part. A workspace a call panicked out
+/// of may break that rule and must be replaced (`PrWorkspace::default()`).
 #[derive(Debug, Default, Clone)]
 pub struct PrWorkspace {
     /// Degree of each vertex in the current window.
     pub deg_out: Vec<u32>,
     /// `1/deg_out`, or 0 where the vertex is inactive.
     pub inv_deg: Vec<f64>,
-    /// Active-set membership for the current window.
-    pub active: Vec<bool>,
     /// The active vertices, ascending — power iterations loop over this
     /// compact list so a window's cost is `Θ(|V_i| + edges scanned)`, not
     /// `Θ(V)` per iteration.
@@ -244,18 +248,27 @@ pub struct PrWorkspace {
 }
 
 impl PrWorkspace {
-    /// Resizes every buffer for `n` vertices.
+    /// Readies every buffer for `n` vertices, all zero and the active list
+    /// empty: the rows the last call wrote are cleared when it ran on `n`
+    /// vertices too, every buffer is refilled otherwise. `y` is only sized;
+    /// no kernel reads a cell of it before writing it.
     pub fn ensure(&mut self, n: usize) {
-        self.deg_out.clear();
-        self.deg_out.resize(n, 0);
-        self.inv_deg.clear();
-        self.inv_deg.resize(n, 0.0);
-        self.active.clear();
-        self.active.resize(n, false);
+        if [self.deg_out.len(), self.inv_deg.len(), self.x.len()] == [n; 3] {
+            for &v in &self.active_list {
+                let v = v as usize;
+                self.deg_out[v] = 0;
+                self.inv_deg[v] = 0.0;
+                self.x[v] = 0.0;
+            }
+        } else {
+            self.deg_out.clear();
+            self.deg_out.resize(n, 0);
+            self.inv_deg.clear();
+            self.inv_deg.resize(n, 0.0);
+            self.x.clear();
+            self.x.resize(n, 0.0);
+        }
         self.active_list.clear();
-        self.x.clear();
-        self.x.resize(n, 0.0);
-        self.y.clear();
         self.y.resize(n, 0.0);
     }
 
@@ -325,8 +338,8 @@ pub fn pagerank_window(
 /// The unindexed degree/activity pass of [`pagerank_window`],
 /// [`pagerank_csr`] and the personalized kernel: fills `deg_out` through
 /// the scheduler as a row loop, then builds the active list (the vertices
-/// with an edge), the reciprocals and the activity flags in one
-/// order-dependent sequential sweep. Monomorphized per caller over the
+/// with an edge) and the reciprocals in one order-dependent sequential
+/// sweep. Monomorphized per caller over the
 /// degree lookup; the caller must have run [`PrWorkspace::ensure`].
 pub(crate) fn degree_pass<D>(degree: D, sched: Option<&Scheduler>, ws: &mut PrWorkspace)
 where
@@ -343,7 +356,6 @@ where
     }
     for (v, &d) in ws.deg_out.iter().enumerate() {
         if d > 0 {
-            ws.active[v] = true;
             ws.active_list.push(v as u32);
             ws.inv_deg[v] = 1.0 / d as f64;
         }
@@ -407,7 +419,6 @@ pub fn pagerank_window_indexed_obs(
 fn setup_from_index(view: &WindowIndexView<'_>, ws: &mut PrWorkspace) {
     for (i, &v) in view.vertices.iter().enumerate() {
         let v = v as usize;
-        ws.active[v] = true;
         ws.deg_out[v] = view.deg_out[i];
         ws.inv_deg[v] = view.inv_deg[i];
     }
@@ -604,7 +615,7 @@ where
     let n_act_f = n_act as f64;
 
     // --- Initialization ---------------------------------------------------
-    initialize(init, &ws.active, n_act_f, &mut ws.x)?;
+    initialize(init, &ws.active_list, &mut ws.x)?;
     if let Some(FaultKind::CorruptReciprocal) = cfg.fault {
         corrupt_first_reciprocal(&ws.active_list, &mut ws.inv_deg);
     }
@@ -779,20 +790,19 @@ pub fn pagerank_window_vec(
     Ok((ws.x, stats))
 }
 
-/// Fills `x` according to `init` over the active set: the shared
-/// initialization semantics (uniform / provided / partial Eq. 4) used by
-/// every kernel in the workspace, including the streaming baseline.
-pub fn initialize(
-    init: Init<'_>,
-    active: &[bool],
-    n_act: f64,
-    x: &mut [f64],
-) -> Result<(), KernelError> {
-    let n = active.len();
+/// Fills `x` according to `init` over `active`, the active vertices in
+/// ascending order: the shared initialization semantics (uniform /
+/// provided / partial Eq. 4) used by every kernel in the workspace,
+/// including the streaming baseline. Only the active rows are written, so
+/// `x` must be zero elsewhere (as [`PrWorkspace::ensure`] leaves it); the
+/// sums walk the vertices in ascending order, as a walk of the whole
+/// vertex range would.
+pub fn initialize(init: Init<'_>, active: &[u32], x: &mut [f64]) -> Result<(), KernelError> {
+    let (n, n_act) = (x.len(), active.len() as f64);
     match init {
         Init::Uniform => {
-            for v in 0..n {
-                x[v] = if active[v] { 1.0 / n_act } else { 0.0 };
+            for &v in active {
+                x[v as usize] = 1.0 / n_act;
             }
         }
         Init::Provided(p) => {
@@ -804,20 +814,17 @@ pub fn initialize(
                 });
             }
             let mut sum = 0.0;
-            for v in 0..n {
-                if active[v] && p[v] > 0.0 {
-                    sum += p[v];
+            for &v in active {
+                if p[v as usize] > 0.0 {
+                    sum += p[v as usize];
                 }
             }
             if sum <= 0.0 {
-                return initialize(Init::Uniform, active, n_act, x);
+                return initialize(Init::Uniform, active, x);
             }
-            for v in 0..n {
-                x[v] = if active[v] && p[v] > 0.0 {
-                    p[v] / sum
-                } else {
-                    0.0
-                };
+            for &v in active {
+                let p = p[v as usize];
+                x[v as usize] = if p > 0.0 { p / sum } else { 0.0 };
             }
         }
         Init::Partial(prev) => {
@@ -832,24 +839,19 @@ pub fn initialize(
             // mass is |Vi ∩ Vi-1| / |Vi|; newcomers take the uniform share.
             let mut shared = 0usize;
             let mut shared_sum = 0.0f64;
-            for v in 0..n {
-                if active[v] && prev[v] > 0.0 {
+            for &v in active {
+                if prev[v as usize] > 0.0 {
                     shared += 1;
-                    shared_sum += prev[v];
+                    shared_sum += prev[v as usize];
                 }
             }
             if shared == 0 || shared_sum <= 0.0 {
-                return initialize(Init::Uniform, active, n_act, x);
+                return initialize(Init::Uniform, active, x);
             }
             let factor = (shared as f64 / n_act) / shared_sum;
-            for v in 0..n {
-                x[v] = if !active[v] {
-                    0.0
-                } else if prev[v] > 0.0 {
-                    prev[v] * factor
-                } else {
-                    1.0 / n_act
-                };
+            for &v in active {
+                let p = prev[v as usize];
+                x[v as usize] = if p > 0.0 { p * factor } else { 1.0 / n_act };
             }
         }
     }
@@ -1022,10 +1024,10 @@ mod tests {
     #[test]
     fn partial_init_mass_split_matches_eq4() {
         // V_i = {0,1,2}, V_{i-1} = {0,1}: shared mass should be 2/3.
-        let active = vec![true, true, true, false];
+        let active = [0, 1, 2];
         let prev = vec![0.7, 0.3, 0.0, 0.0];
         let mut x = vec![0.0; 4];
-        initialize(Init::Partial(&prev), &active, 3.0, &mut x).unwrap();
+        initialize(Init::Partial(&prev), &active, &mut x).unwrap();
         assert!((x[0] + x[1] - 2.0 / 3.0).abs() < 1e-12);
         assert!((x[2] - 1.0 / 3.0).abs() < 1e-12);
         assert_eq!(x[3], 0.0);
@@ -1035,19 +1037,19 @@ mod tests {
 
     #[test]
     fn partial_init_with_disjoint_sets_falls_back_to_uniform() {
-        let active = vec![false, false, true, true];
+        let active = [2, 3];
         let prev = vec![0.5, 0.5, 0.0, 0.0];
         let mut x = vec![0.0; 4];
-        initialize(Init::Partial(&prev), &active, 2.0, &mut x).unwrap();
+        initialize(Init::Partial(&prev), &active, &mut x).unwrap();
         assert_eq!(x, vec![0.0, 0.0, 0.5, 0.5]);
     }
 
     #[test]
     fn provided_init_is_masked_and_normalized() {
-        let active = vec![true, true, false];
+        let active = [0, 1];
         let p = vec![3.0, 1.0, 5.0];
         let mut x = vec![0.0; 3];
-        initialize(Init::Provided(&p), &active, 2.0, &mut x).unwrap();
+        initialize(Init::Provided(&p), &active, &mut x).unwrap();
         assert!((x[0] - 0.75).abs() < 1e-12);
         assert!((x[1] - 0.25).abs() < 1e-12);
         assert_eq!(x[2], 0.0);
@@ -1055,15 +1057,15 @@ mod tests {
 
     #[test]
     fn wrong_length_init_is_an_error() {
-        let active = vec![true, true];
+        let active = [0, 1];
         let p = vec![1.0];
         let mut x = vec![0.0; 2];
         assert!(matches!(
-            initialize(Init::Provided(&p), &active, 2.0, &mut x),
+            initialize(Init::Provided(&p), &active, &mut x),
             Err(KernelError::BadVectorLength { .. })
         ));
         assert!(matches!(
-            initialize(Init::Partial(&p), &active, 2.0, &mut x),
+            initialize(Init::Partial(&p), &active, &mut x),
             Err(KernelError::BadVectorLength { .. })
         ));
     }
@@ -1105,36 +1107,75 @@ mod tests {
 
     #[test]
     fn workspace_reuse_is_clean() {
-        // Running a big window then a small one must not leak state.
-        let events = sample_events();
-        let t = TemporalCsr::from_events(6, &events);
+        // Setup clears only the rows the last window wrote, so a reused
+        // workspace must give every window the stats and bits of a fresh
+        // one: across parts of different sizes, through both entries,
+        // along partial-initialization chains, and after a window that
+        // failed, whether the caller then replaces the workspace (as the
+        // engine does after a failed window) or retries on it (as its
+        // recovery ladder does after a kernel error).
+        use tempopr_graph::WindowIndex;
+        let spans = |s: &[(i64, i64)]| -> Vec<TimeRange> {
+            s.iter().map(|&(a, b)| TimeRange::new(a, b)).collect()
+        };
+        let big = TemporalCsr::from_events(10, &three_era_events());
+        let small = TemporalCsr::from_events(6, &sample_events());
+        let big_ranges = spans(&[(0, 60), (40, 160), (100, 199), (150, 320), (240, 260)]);
+        let small_ranges = spans(&[(0, 14), (8, 22), (16, 30), (24, 38), (26, 40)]);
+        let parts = [
+            (&big, WindowIndex::build(&big, &big_ranges), &big_ranges),
+            (
+                &small,
+                WindowIndex::build(&small, &small_ranges),
+                &small_ranges,
+            ),
+        ];
+        // The ranks, and the degrees and reciprocals beside them (zero off
+        // the window), bit for bit.
+        let state = |ws: &PrWorkspace| {
+            let bits = |x: &[f64]| -> Vec<u64> { x.iter().map(|v| v.to_bits()).collect() };
+            (bits(&ws.x), ws.deg_out.clone(), bits(&ws.inv_deg))
+        };
+        let fresh = |t: &TemporalCsr, idx: &WindowIndex, j: usize, init: Init<'_>| {
+            let mut ws = PrWorkspace::default();
+            let stats = pagerank_window_indexed(t, t, &idx.view(j), init, &cfg(), None, &mut ws);
+            (stats, state(&ws))
+        };
+        let failing = PrConfig {
+            fault: Some(FaultKind::InjectNan { at_iter: 1 }),
+            guard: GuardConfig {
+                policy: NumericPolicy::Fail,
+                ..GuardConfig::default()
+            },
+            ..cfg()
+        };
         let mut ws = PrWorkspace::default();
-        pagerank_window(
-            &t,
-            &t,
-            TimeRange::new(0, 40),
-            Init::Uniform,
-            &cfg(),
-            None,
-            &mut ws,
-        )
-        .unwrap();
-        let stats = pagerank_window(
-            &t,
-            &t,
-            TimeRange::new(30, 35),
-            Init::Uniform,
-            &cfg(),
-            None,
-            &mut ws,
-        )
-        .unwrap();
-        let (fresh, fresh_stats) =
-            pagerank_window_vec(&t, &t, TimeRange::new(30, 35), Init::Uniform, &cfg(), None)
-                .unwrap();
-        assert_eq!(stats.active_vertices, fresh_stats.active_vertices);
-        assert_close(ws.ranks(), &fresh, 1e-12);
+        for replace_after_failure in [false, true] {
+            for (t, idx, ranges) in &parts {
+                let mut prev: Option<Vec<f64>> = None;
+                for (j, &range) in ranges.iter().enumerate() {
+                    let init = prev.as_deref().map_or(Init::Uniform, Init::Partial);
+                    let expect = fresh(t, idx, j, init);
+                    if j == 2 {
+                        let view = idx.view(j);
+                        let failed =
+                            pagerank_window_indexed(t, t, &view, init, &failing, None, &mut ws);
+                        assert!(failed.is_err(), "window {j} must fail");
+                        if replace_after_failure {
+                            ws = PrWorkspace::default();
+                        }
+                    }
+                    let got =
+                        pagerank_window_indexed(t, t, &idx.view(j), init, &cfg(), None, &mut ws);
+                    assert_eq!((got, state(&ws)), expect, "indexed, window {j}");
+                    let got = pagerank_window(t, t, range, init, &cfg(), None, &mut ws);
+                    assert_eq!((got, state(&ws)), expect, "unindexed, window {j}");
+                    prev = Some(ws.ranks().to_vec());
+                }
+            }
+        }
     }
+
     #[test]
     fn indexed_window_kernel_is_bit_identical() {
         use tempopr_graph::WindowIndex;

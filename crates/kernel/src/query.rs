@@ -1230,6 +1230,71 @@ mod tests {
         assert_eq!(window(&mut ws.base, &t25, &eight, &c).unwrap(), clean);
     }
 
+    #[test]
+    fn a_reused_workspace_matches_fresh_across_compacting_query_batches() {
+        // The batch-query shape: four seeds × four alphas on each of a
+        // part's windows, two windows a batch, one workspace for the
+        // whole walk. The fast alphas converge first, so every batch
+        // compacts, and its first compaction repacks into the narrow
+        // matrix the previous batch left in the workspace, uncleared, at
+        // another length when a batch on a smaller part comes between.
+        let events = sample_events();
+        let small: Vec<Event> = events
+            .iter()
+            .copied()
+            .filter(|e| e.u < 14 && e.v < 14)
+            .collect();
+        let (t25, t14) = (
+            TemporalCsr::from_events(25, &events),
+            TemporalCsr::from_events(14, &small),
+        );
+        let prefs: Vec<Vec<f64>> = [3, 7, 11, 12]
+            .iter()
+            .map(|&v| seed_pref(25, &[(v, 1.0), ((v + 5) % 14, 0.5)]))
+            .collect();
+        let queries = |n: usize| {
+            let specs = prefs
+                .iter()
+                .flat_map(|p| {
+                    [0.1, 0.15, 0.3, 0.5].map(|alpha| QuerySpec::Personalized {
+                        preference: &p[..n],
+                        alpha,
+                    })
+                })
+                .collect();
+            QueryBatch::new(specs).unwrap()
+        };
+        let (q25, q14) = (queries(25), queries(14));
+        let c = PrConfig {
+            compaction: true,
+            ..cfg()
+        };
+        let run =
+            |ws: &mut QueryWorkspace, t: &TemporalCsr, q: &QueryBatch<'_>, ranges: &[TimeRange]| {
+                let inits = vec![QueryInit::Fresh; 2 * q.len()];
+                let out = pagerank_query_batch(t, t, ranges, q, &inits, &c, None, ws).unwrap();
+                (out, bits(&ws.base.x))
+            };
+        let mut ws = QueryWorkspace::default();
+        let mut compacted = 0;
+        for lo in (0..300).step_by(60) {
+            let ranges = [
+                TimeRange::new(lo, lo + 90),
+                TimeRange::new(lo + 30, lo + 120),
+            ];
+            let (t, q) = if lo == 120 {
+                (&t14, &q14)
+            } else {
+                (&t25, &q25)
+            };
+            let got = run(&mut ws, t, q, &ranges);
+            let fresh = run(&mut QueryWorkspace::default(), t, q, &ranges);
+            assert_eq!(got, fresh, "batch at {lo}");
+            compacted += usize::from(got.0.lanes_retired > 0);
+        }
+        assert!(compacted >= 4, "only {compacted} batches compacted");
+    }
+
     /// Seeds as `R` does, then poisons every cell of the lane *off* its
     /// active vertices with a NaN: a round that read or wrote one would
     /// show in the ranks or lose the poison.

@@ -74,14 +74,19 @@ pub struct SpmmWorkspace {
     /// In-window lane bitmask per run of the list the batch walked: its own
     /// list, or the index's with an empty mask on runs no lane holds.
     pub run_mask: Vec<u64>,
+    /// The narrow rank matrix a batch's first converged-lane compaction
+    /// repacks the live columns into, kept for the next batch's. Only the
+    /// active rows' cells are ever read, and those the compaction writes,
+    /// so it is resized, never cleared.
+    narrow: Vec<f64>,
 }
 
 impl SpmmWorkspace {
     /// Zeroes what the last batch left in `x` and the masks, the rows of
-    /// its union active list (at the stride `x` holds them, the original
-    /// one, or a compacted one if a round failed after a compaction), and
-    /// empties that list. No other cell was written, so all of them are
-    /// zero after, in `x.len() / n` cells a row for the last batch's `n`.
+    /// its union active list (at the batch's full stride, which `x` holds
+    /// again however its rounds ended), and empties that list. No other
+    /// cell was written, so all of them are zero after, in `x.len() / n`
+    /// cells a row for the last batch's `n`.
     fn clear_rows_written(&mut self) {
         let n = self.active_mask.len();
         match self.x.len().checked_div(n) {
@@ -684,8 +689,11 @@ fn rounds<R: LaneRule>(
     let mut live_rows = LiveRows::default();
     let mut live_rows_stale = true;
 
+    // A guard that escalates ends the rounds, and the batch returns its
+    // error once `x` is back at the full stride.
+    let mut failure = None;
     let mut iter = 0usize;
-    while done != all_done && iter < cfg.max_iters {
+    'rounds: while done != all_done && iter < cfg.max_iters {
         iter += 1;
         match cfg.fault {
             Some(FaultKind::InjectNan { at_iter }) if at_iter == iter => {
@@ -822,16 +830,20 @@ fn rounds<R: LaneRule>(
             for k in lanes(live) {
                 let lane = lane_map[k];
                 let guarded = rule.guard_mass(k, mass[k]);
-                match guard_check(diff[k], guarded, lane, iter, cfg, &mut stats[lane].health)? {
-                    GuardAction::Proceed => {}
-                    GuardAction::Renormalize { scale } => {
+                match guard_check(diff[k], guarded, lane, iter, cfg, &mut stats[lane].health) {
+                    Err(e) => {
+                        failure = Some(e);
+                        break 'rounds;
+                    }
+                    Ok(GuardAction::Proceed) => {}
+                    Ok(GuardAction::Renormalize { scale }) => {
                         for &v in lane_verts[lane] {
                             ws.x[v as usize * vl + k] *= scale;
                         }
                         faulted |= 1 << k;
                         obs.lane_guard(lane, iter, false);
                     }
-                    GuardAction::Restart => {
+                    Ok(GuardAction::Restart) => {
                         rule.restart(k, vl, lane_verts[lane], &mut ws.x);
                         faulted |= 1 << k;
                         obs.lane_guard(lane, iter, true);
@@ -883,7 +895,8 @@ fn rounds<R: LaneRule>(
     }
     // Merge the still-compact columns of the active rows back into the
     // park, the full-stride `x` the first compaction set aside, and hand
-    // it back: every other cell of it already holds its final value.
+    // it back: every other cell of it already holds its final value. The
+    // narrow matrix goes back to the workspace for the next batch.
     if vl != vl0 {
         for &v in &ws.active_list {
             let v = v as usize;
@@ -891,9 +904,9 @@ fn rounds<R: LaneRule>(
                 parked[v * vl0 + orig] = ws.x[v * vl + j];
             }
         }
-        std::mem::swap(&mut ws.x, &mut parked);
+        ws.narrow = std::mem::replace(&mut ws.x, parked);
     }
-    Ok(stats)
+    failure.map_or(Ok(stats), Err)
 }
 
 /// When a batch's rounds take the whole-stride row walk
@@ -1023,8 +1036,11 @@ pub(crate) fn lane_mask_all(vl: usize) -> u64 {
 /// writes. The first compaction (`vl == vl0`) makes the full-stride `x`
 /// itself the park, since it already holds every converged column and every
 /// row no lane holds at their original positions, and moves only the live
-/// columns of the active rows into a fresh narrow matrix; a later one parks
-/// its newly converged columns there (stride `vl0`) and repacks in place.
+/// columns of the active rows into the workspace's narrow matrix, resized
+/// but not cleared (its other cells keep stale bytes no lane reads, and the
+/// whole-stride walk ANDs to `+0.0` whatever it meets there); a later one
+/// parks its newly converged columns there (stride `vl0`) and repacks in
+/// place.
 /// `inv_deg`, the masks and the rule's per-lane state are repacked in
 /// place, so rows outside the batch keep stale but finite `inv_deg` copies
 /// (see the `crate::simd` module docs for why the whole-stride walk may
@@ -1045,7 +1061,8 @@ fn compact_lanes<R: LaneRule>(
     let rows = &ws.active_list;
     if vl == vl0 {
         let vl_new = keep.len();
-        let mut narrow = vec![0.0; n * vl_new];
+        let mut narrow = std::mem::take(&mut ws.narrow);
+        narrow.resize(n * vl_new, 0.0);
         for &v in rows {
             let v = v as usize;
             for (jn, &j) in keep.iter().enumerate() {
@@ -1210,6 +1227,79 @@ mod tests {
             }
         }
         events
+    }
+
+    #[test]
+    fn a_batch_failing_past_a_compaction_leaves_no_stale_narrow_cells() {
+        // The narrow matrix a first compaction repacks into is kept from
+        // batch to batch and never cleared, so the rows an earlier batch
+        // wrote in it are stale for a later one. A ring (0..10, regular, so
+        // its full window converges in the first round) beside a star
+        // (10..20, which takes many). Batch `a` compacts with star rows in
+        // its narrow matrix; batch `b` compacts over ring rows only and
+        // then fails; batch `c`, star windows only, must see the cells a
+        // fresh workspace holds, the ring rows' zeros included.
+        use crate::pagerank::{GuardConfig, NumericPolicy};
+        use crate::FaultKind;
+        let mut events: Vec<Event> = (0..10u32)
+            .map(|i| Event::new(i, (i + 1) % 10, i64::from(i)))
+            .collect();
+        events.extend((11..20u32).map(|j| Event::new(10, j, 100 + i64::from(j))));
+        events.extend((11..19u32).map(|j| Event::new(j, j + 1, 120 + i64::from(j))));
+        let t = TemporalCsr::from_events(20, &events);
+        let spans = |s: &[(i64, i64)]| -> Vec<TimeRange> {
+            s.iter().map(|&(a, b)| TimeRange::new(a, b)).collect()
+        };
+        let ring = (0, 9);
+        let a = spans(&[
+            (100, 140),
+            ring,
+            (110, 135),
+            ring,
+            (100, 125),
+            ring,
+            (115, 140),
+            ring,
+        ]);
+        let b = spans(&[(0, 4), ring, (2, 6), ring, (3, 8), ring, (1, 5), ring]);
+        let c = spans(&[
+            (100, 140),
+            (110, 135),
+            (100, 125),
+            (115, 140),
+            (100, 130),
+            (105, 139),
+            (111, 128),
+            (100, 119),
+        ]);
+        let c_ok = cfg();
+        let failing = PrConfig {
+            fault: Some(FaultKind::InjectNan { at_iter: 3 }),
+            guard: GuardConfig {
+                policy: NumericPolicy::Fail,
+                ..GuardConfig::default()
+            },
+            ..cfg()
+        };
+        let batch = |ws: &mut SpmmWorkspace, ranges: &[TimeRange], c: &PrConfig| {
+            let inits = vec![Init::Uniform; ranges.len()];
+            let out = pagerank_batch(&t, &t, ranges, &inits, c, None, ws);
+            let bits: Vec<u64> = ws.x.iter().map(|v| v.to_bits()).collect();
+            (out, bits)
+        };
+        let mut ws = SpmmWorkspace::default();
+        let (out, _) = batch(&mut ws, &a, &c_ok);
+        let iters: Vec<usize> = out.unwrap().iter().map(|s| s.iterations).collect();
+        assert!(
+            iters.iter().skip(1).step_by(2).all(|&i| i == 1),
+            "{iters:?}"
+        );
+        assert!(iters.iter().step_by(2).all(|&i| i > 3), "{iters:?}");
+        assert!(batch(&mut ws, &b, &failing).0.is_err());
+        assert_eq!(
+            batch(&mut ws, &c, &c_ok),
+            batch(&mut SpmmWorkspace::default(), &c, &c_ok)
+        );
     }
 
     fn assert_close(a: &[f64], b: &[f64], tol: f64) {

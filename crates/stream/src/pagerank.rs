@@ -50,7 +50,6 @@ pub fn streaming_pagerank_obs(
     for v in 0..n {
         let d = g.degree(v as u32);
         ws.deg_out[v] = d;
-        ws.active[v] = d > 0;
         if d > 0 {
             ws.active_list.push(v as u32);
             ws.inv_deg[v] = 1.0 / d as f64;
@@ -62,7 +61,7 @@ pub fn streaming_pagerank_obs(
         return Ok(PrStats::empty());
     }
     let n_act_f = n_act as f64;
-    tempopr_kernel::pagerank::initialize(init, &ws.active, n_act_f, &mut ws.x)?;
+    tempopr_kernel::pagerank::initialize(init, &ws.active_list, &mut ws.x)?;
     if let Some(FaultKind::CorruptReciprocal) = cfg.fault {
         tempopr_kernel::pagerank::corrupt_first_reciprocal(&ws.active_list, &mut ws.inv_deg);
     }
@@ -227,6 +226,44 @@ mod tests {
             warm.iterations,
             cold.iterations
         );
+    }
+
+    #[test]
+    fn a_reused_workspace_gives_every_window_the_bits_of_a_fresh_one() {
+        // `run_streaming` keeps one workspace across its windows, whose setup
+        // clears only the rows the last window wrote: edges that leave
+        // must take their vertices out of the next window's active set,
+        // and a graph over another universe must start clean.
+        let bits = |ws: &PrWorkspace| {
+            let b = |x: &[f64]| -> Vec<u64> { x.iter().map(|v| v.to_bits()).collect() };
+            (b(&ws.x), ws.deg_out.clone(), b(&ws.inv_deg))
+        };
+        let mut g = build(
+            12,
+            &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0), (6, 7)],
+        );
+        let other = build(7, &[(0, 1), (1, 2), (2, 0), (5, 6)]);
+        let mut ws = PrWorkspace::default();
+        let mut prev: Option<Vec<f64>> = None;
+        for step in 0..6 {
+            match step {
+                0 => g.insert_event(8, 9, 100),
+                1 => assert!(g.delete_event(6, 7)),
+                3 => g.insert_event(11, 8, 103),
+                5 => assert!(g.delete_event(8, 9)),
+                _ => {}
+            }
+            let graph = if step == 4 { &other } else { &g };
+            let init = match &prev {
+                Some(p) if p.len() == graph.num_vertices() => Init::Partial(p),
+                _ => Init::Uniform,
+            };
+            let mut fresh = PrWorkspace::default();
+            let expect = streaming_pagerank(graph, init, &cfg(), None, &mut fresh).unwrap();
+            let got = streaming_pagerank(graph, init, &cfg(), None, &mut ws).unwrap();
+            assert_eq!((got, bits(&ws)), (expect, bits(&fresh)), "step {step}");
+            prev = Some(ws.ranks().to_vec());
+        }
     }
 
     #[test]

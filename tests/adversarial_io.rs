@@ -5,7 +5,8 @@
 
 use proptest::prelude::*;
 use tempopr::graph::io::{
-    read_binary, read_text, read_text_report, write_binary, write_text, IngestReport, IoError,
+    read_binary, read_binary_file, read_binary_report, read_text, read_text_report, write_binary,
+    write_text, IngestReport, IoError, BLOCK_RECORDS,
 };
 use tempopr::prelude::*;
 
@@ -129,6 +130,115 @@ proptest! {
         buf.extend_from_slice(b"\nnot an event\n");
         let r = read_text_report(&buf[..], ParseMode::Lenient { max_bad_records: 0 });
         prop_assert!(matches!(r, Err(IoError::TooManyBadRecords { .. })));
+    }
+}
+
+/// A log of `len` pseudo-random events from `seed`, in time order when
+/// `sorted` (as every file this crate writes is) and shuffled otherwise.
+fn block_log(len: usize, seed: u64, sorted: bool) -> EventLog {
+    let mut s = seed | 1;
+    let mut next = move || {
+        s ^= s << 13;
+        s ^= s >> 7;
+        s ^= s << 17;
+        s
+    };
+    let events: Vec<Event> = (0..len)
+        .map(|i| {
+            let (u, v) = ((next() % 300) as u32, (next() % 300) as u32);
+            let t = if sorted {
+                i as i64 / 3
+            } else {
+                (next() % 5000) as i64 - 2500
+            };
+            Event::new(u, v, t)
+        })
+        .collect();
+    EventLog::from_unsorted(events, 300).unwrap()
+}
+
+/// A reader that hands out at most `step` bytes a call, so blocks arrive
+/// in pieces that do not line up with records or blocks.
+struct Trickle<'a> {
+    bytes: &'a [u8],
+    step: usize,
+}
+
+impl std::io::Read for Trickle<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let k = self.step.min(buf.len()).min(self.bytes.len());
+        buf[..k].copy_from_slice(&self.bytes[..k]);
+        self.bytes = &self.bytes[k..];
+        Ok(k)
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(6))]
+
+    /// The binary reader decodes blocks of `BLOCK_RECORDS` records: logs
+    /// one short of a block, a block, one past it and two blocks and one
+    /// record round-trip through a slice, a trickling reader and a file;
+    /// every cut inside the records on either side of the first block
+    /// boundary is a truncation; trailing bytes are refused strictly and
+    /// counted leniently; and a count forged past the body fails on the
+    /// missing records without trusting the count for its allocation.
+    #[test]
+    fn binary_ingest_holds_at_block_boundaries(
+        seed in any::<u64>(),
+        sorted in any::<bool>(),
+        step in 1usize..40,
+        trailing in 1usize..40,
+    ) {
+        let dir = std::env::temp_dir().join(format!("tempopr_block_io_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let b = BLOCK_RECORDS;
+        for len in [b - 1, b, b + 1, 2 * b + 1] {
+            let log = block_log(len, seed, sorted);
+            let mut buf = Vec::new();
+            write_binary(&log, &mut buf).unwrap();
+            prop_assert_eq!(buf.len(), 21 + 16 * len);
+            prop_assert_eq!(&read_binary(&buf[..]).unwrap(), &log);
+            let trickle = Trickle { bytes: &buf, step };
+            prop_assert_eq!(&read_binary(trickle).unwrap(), &log);
+            let path = dir.join(format!("{len}.bin"));
+            std::fs::write(&path, &buf).unwrap();
+            prop_assert_eq!(&read_binary_file(&path).unwrap(), &log);
+
+            if len > b {
+                // The last record of the first block and the first of the
+                // second, cut at every byte.
+                for cut in 21 + 16 * (b - 1)..21 + 16 * (b + 1) {
+                    let got = read_binary(&buf[..cut]);
+                    let eof = matches!(&got, Err(IoError::Io(e)) if e.kind() == std::io::ErrorKind::UnexpectedEof);
+                    prop_assert!(eof, "cut at {}: {:?}", cut, got);
+                    std::fs::write(&path, &buf[..cut]).unwrap();
+                    prop_assert!(matches!(read_binary_file(&path), Err(IoError::BadHeader(_))), "file cut at {}", cut);
+                }
+            }
+
+            let mut long = buf.clone();
+            long.extend((0..trailing).map(|i| i as u8));
+            let strict = read_binary(&long[..]);
+            prop_assert!(matches!(&strict, Err(IoError::BadHeader(m)) if m.contains("trailing")), "{:?}", strict);
+            let (back, report) = read_binary_report(&long[..], lenient()).unwrap();
+            prop_assert_eq!(&back, &log);
+            prop_assert_eq!(report.trailing_bytes, trailing);
+            prop_assert_eq!(report.accepted, len);
+
+            // A count one record past the body, and one of 2^40 records:
+            // the body runs out first (the reader reserves at most its cap
+            // on the header's word), through a slice and a trickle alike.
+            for forged in [len as u64 + 1, 1 << 40] {
+                let mut bad = buf.clone();
+                bad[13..21].copy_from_slice(&forged.to_le_bytes());
+                let got = read_binary(&bad[..]);
+                prop_assert!(matches!(&got, Err(IoError::Io(_))), "count {}: {:?}", forged, got);
+                let got = read_binary(Trickle { bytes: &bad, step });
+                prop_assert!(matches!(&got, Err(IoError::Io(_))), "count {}: {:?}", forged, got);
+            }
+        }
+        std::fs::remove_dir_all(&dir).ok();
     }
 }
 

@@ -91,18 +91,40 @@ proptest! {
         prop_assert_eq!(t.row_offsets(), &row[..]);
         prop_assert_eq!(t.col_indices(), &col[..]);
         prop_assert_eq!(t.timestamps(), &time[..]);
-        // Per-vertex time bounds: tight around the row's timestamps, and
-        // never active for an isolated vertex.
-        for v in 0..n {
-            let times = &time[row[v]..row[v + 1]];
-            let may = |lo, hi| t.vertex_may_be_active(v as u32, TimeRange::new(lo, hi));
-            match (times.iter().min(), times.iter().max()) {
-                (Some(&lo), Some(&hi)) => {
-                    prop_assert!(may(lo, lo) && may(hi, hi), "vertex {}", v);
-                    prop_assert!(!may(-1000, lo - 1) && !may(hi + 1, 1000), "vertex {}", v);
-                }
-                _ => prop_assert!(!may(-1000, 1000), "isolated vertex {}", v),
+    }
+
+    /// `active_degree` and `active_vertex_count` scan the runs: each equals
+    /// a brute-force scan of the events over any range, on the degenerate
+    /// build inputs (isolated vertices, ties, repeats, self-loops), with
+    /// ranges that miss every event or cover them all.
+    #[test]
+    fn active_degree_matches_brute_force_scan(
+        n in 0usize..25,
+        times in prop::sample::select(vec![1i64, 4, 500]),
+        raw in prop::collection::vec((0u32..1000, 0u32..1000, 0i64..500), 0..150),
+        ranges in prop::collection::vec((-20i64..520, 0i64..300), 1..6),
+    ) {
+        let events = build_input(n, times, &raw);
+        let t = TemporalCsr::from_events(n, &events);
+        for (start, width) in ranges {
+            let range = TimeRange::new(start, start + width);
+            let mut active = 0;
+            for v in 0..n as u32 {
+                let mut nbrs: Vec<u32> = events
+                    .iter()
+                    .filter(|e| range.contains(e.t))
+                    .filter_map(|e| match (e.u == v, e.v == v) {
+                        (true, _) => Some(e.v),
+                        (_, true) => Some(e.u),
+                        _ => None,
+                    })
+                    .collect();
+                nbrs.sort_unstable();
+                nbrs.dedup();
+                prop_assert_eq!(t.active_degree(v, range), nbrs.len(), "vertex {} {:?}", v, range);
+                active += usize::from(!nbrs.is_empty());
             }
+            prop_assert_eq!(t.active_vertex_count(range), active, "{:?}", range);
         }
     }
 
